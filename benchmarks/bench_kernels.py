@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled distance kernel against the numpy fallback.
+"""Time the distance kernel's grid index against its brute-force scan.
 
 Workloads mirror the verifier's containment loop: reduced samples against
 lattice translates combined with base-set nodes, at the sizes the golden
-problems actually produce plus a couple of stress points.
+problems produce plus a couple of stress points.  This is the distances
+layer alone; perfbench/ measures whole verify runs.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -13,7 +14,7 @@ import time
 
 import numpy as np
 
-from torusflow._kernels import available_backends
+from torusflow._kernels import grid_min_distance, scan_min_distance, uses_grid
 
 WORKLOADS = [
     # (name, samples, translates, nodes, dim)
@@ -24,37 +25,31 @@ WORKLOADS = [
 ]
 
 
+def best_time(fn, args, repeat):
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        result = fn(*args)
+        best = min(best, time.perf_counter() - t0)
+    return best, result
+
+
 def run(repeat):
-    backends = available_backends()
-    print(f"backends: {', '.join(backends)}")
-    header = f"{'workload':<18} {'M':>7} {'T':>4} {'P':>7} {'q':>2}"
-    header += "".join(f" {name:>12}" for name in backends)
-    if len(backends) == 2:
-        header += f" {'speedup':>9}"
-    print(header)
+    print(
+        f"{'workload':<18} {'M':>7} {'T':>4} {'P':>7} {'q':>2} "
+        f"{'scan':>11} {'grid':>11} {'speedup':>8}  picked"
+    )
     rng = np.random.default_rng(123)
     for name, m, t, p, q in WORKLOADS:
-        pts = rng.normal(size=(m, q))
-        offs = rng.normal(size=(t, q))
-        nodes = rng.normal(size=(p, q))
-        times = {}
-        reference = None
-        for bname, fn in backends.items():
-            best = float("inf")
-            for _ in range(repeat):
-                t0 = time.perf_counter()
-                d, _ = fn(pts, offs, nodes)
-                best = min(best, time.perf_counter() - t0)
-            times[bname] = best
-            if reference is None:
-                reference = d
-            else:
-                assert np.allclose(d, reference, atol=1e-8), "backends disagree"
-        row = f"{name:<18} {m:>7} {t:>4} {p:>7} {q:>2}"
-        row += "".join(f" {times[b] * 1e3:>10.2f}ms" for b in backends)
-        if len(times) == 2:
-            row += f" {times['fallback'] / times['native']:>8.1f}x"
-        print(row)
+        args = (rng.normal(size=(m, q)), rng.normal(size=(t, q)), rng.normal(size=(p, q)))
+        scan_s, (scan_d, scan_i) = best_time(scan_min_distance, args, repeat)
+        grid_s, (grid_d, grid_i) = best_time(grid_min_distance, args, repeat)
+        assert np.array_equal(scan_d, grid_d) and np.array_equal(scan_i, grid_i)
+        picked = "grid" if uses_grid(m, t * p, q) else "scan"
+        print(
+            f"{name:<18} {m:>7} {t:>4} {p:>7} {q:>2} "
+            f"{scan_s * 1e3:>9.2f}ms {grid_s * 1e3:>9.2f}ms {scan_s / grid_s:>7.1f}x  {picked}"
+        )
 
 
 if __name__ == "__main__":

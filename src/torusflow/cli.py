@@ -7,8 +7,6 @@ Exit codes:
     4  internal invariant violation (a bug)
     5  verification failed (report still written)
     6  a sampling shell starved (the variety may be bounded)
-
-Thread count for the verifier is read from TORUSFLOW_THREADS.
 """
 
 from __future__ import annotations
@@ -175,7 +173,6 @@ def build_parser():
             "Closures of variety images in torus quotients: exact flow-set "
             "computation and numeric verification."
         ),
-        epilog="Set TORUSFLOW_THREADS to parallelize verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

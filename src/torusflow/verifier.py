@@ -19,13 +19,12 @@ piece), so identical configurations give byte-identical reports.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
 
-from ._kernels import backend_name, min_distance_batch
+from ._kernels import backend_name, min_distance_batch, min_distance_local
 from .errors import ShellStarved, TorusflowError
 from .flats import AffineSet, CurveImage, PointSet, to_internal
 from .flow import FlowDescription
@@ -293,34 +292,34 @@ class ComponentEvaluator:
         return min(4, max(1, int(math.ceil(radius / max(shortest, 1e-9)))))
 
     def distances(self, reduced):
-        """Distance from each reduced sample to C + W + Lambda (windowed)."""
+        """Distance from each reduced sample to C + W + Lambda (windowed).
+
+        Returns (dists, node_idx); node_idx is the nearest base node before
+        any curve refinement, the node ``base_cells`` buckets by.
+        """
         pts = reduced @ self.proj.T
         dists, node_idx = min_distance_batch(pts, self.offsets, self.nodes)
         if self.curve_params is not None and len(self.curve_params) > 1:
-            dists = self._refine_curve(reduced, pts, dists, node_idx)
-        return dists
+            dists = self._refine_curve(pts, dists, node_idx)
+        return dists, node_idx
 
-    def _refine_curve(self, reduced, pts, dists, node_idx):
+    def _refine_curve(self, pts, dists, node_idx):
         """Local parameter refinement around the best node for rough samples."""
-        base = self.comp.base
-        spacing = self.curve_params[1] - self.curve_params[0]
         worst = np.nonzero(dists > 0.25 * self.cfg.tolerance)[0]
         if not len(worst):
             return dists
         if len(worst) > 4096:
             # refine the roughest block only; a run this far off fails anyway
             worst = worst[np.argsort(dists[worst])[-4096:]]
+        spacing = self.curve_params[1] - self.curve_params[0]
+        p0 = self.curve_params[node_idx[worst]]
+        local = np.linspace(p0 - spacing, p0 + spacing, 33, axis=1)
+        raw = self.comp.base.sample_at(local.ravel())
+        red, _, _ = self.lat.reduce_points(raw)
+        local_nodes = (red @ self.proj.T).reshape(len(worst), 33, -1)
         out = dists.copy()
-        for idx in worst:
-            p0 = self.curve_params[node_idx[idx]]
-            local = np.linspace(p0 - spacing, p0 + spacing, 33)
-            raw = base.sample_at(local)
-            red, _, _ = self.lat.reduce_points(raw)
-            proj_nodes = red @ self.proj.T
-            d, _ = min_distance_batch(
-                pts[idx : idx + 1], self.offsets, proj_nodes
-            )
-            out[idx] = min(out[idx], d[0])
+        refined = min_distance_local(pts[worst], self.offsets, local_nodes)
+        out[worst] = np.minimum(out[worst], refined)
         return out
 
     # -- coverage cells ------------------------------------------------------
@@ -336,8 +335,11 @@ class ComponentEvaluator:
         cells = np.minimum((u / self.cfg.grid_eps).astype(int), k - 1)
         return [tuple(row) for row in cells]
 
-    def base_cells(self, reduced):
-        """Base-cell id per sample, or None when out of window."""
+    def base_cells(self, reduced, node_idx):
+        """Base-cell id per sample, or None when out of window.
+
+        node_idx is each sample's nearest base node, as ``distances`` returns.
+        """
         base = self.comp.base
         eps = self.cfg.grid_eps
         w = self.cfg.window
@@ -345,8 +347,6 @@ class ComponentEvaluator:
         if isinstance(base, PointSet):
             if len(self.nodes) == 0:
                 return [None] * m
-            pts = reduced @ self.proj.T
-            _, node_idx = min_distance_batch(pts, self.offsets, self.nodes)
             return [("pt", int(i)) for i in node_idx]
         if isinstance(base, AffineSet):
             dirs = self.base_dirs
@@ -364,8 +364,6 @@ class ComponentEvaluator:
                     cells.append(tuple(((row + w) / eps).astype(int)))
             return cells
         # curve: bucket by arclength of the raw (unreduced) polyline
-        pts = reduced @ self.proj.T
-        _, node_idx = min_distance_batch(pts, self.offsets, self.nodes)
         cum = self._curve_cumlen()
         return [("arc", int(cum[i] // eps)) for i in node_idx]
 
@@ -397,28 +395,11 @@ class ComponentEvaluator:
 # ---------------------------------------------------------------------------
 
 
-def _thread_count():
-    try:
-        return max(1, int(os.environ.get("TORUSFLOW_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    """Map preserving order; threads only when TORUSFLOW_THREADS > 1."""
-    workers = _thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
-
-
 def containment_check(reduced, predicted: FlowDescription, cfg, evaluators=None,
                       per_component=None):
     """Max distance from reduced in-window samples to the predicted set.
 
+    per_component, if given, holds each evaluator's ``distances`` result.
     Empty predictions pass vacuously only when no sample stays in-window.
     """
     lat = predicted.lattice
@@ -429,9 +410,9 @@ def containment_check(reduced, predicted: FlowDescription, cfg, evaluators=None,
     if not evaluators:
         return float("inf"), np.full(len(reduced), np.inf), reduced[0]
     if per_component is None:
-        per_component = _map_ordered(lambda ev: ev.distances(reduced), evaluators)
+        per_component = [ev.distances(reduced) for ev in evaluators]
     all_d = np.full(len(reduced), np.inf)
-    for d in per_component:
+    for d, _ in per_component:
         np.minimum(all_d, d, out=all_d)
     worst = int(np.argmax(all_d))
     return float(np.max(all_d)), all_d, reduced[worst]
@@ -449,7 +430,7 @@ def coverage_check(predicted: FlowDescription, reduced, cfg, evaluators=None,
     for idx, ev in enumerate(evaluators):
         hits = set()
         if len(reduced):
-            d = (
+            d, node_idx = (
                 per_component[idx]
                 if per_component is not None
                 else ev.distances(reduced)
@@ -458,7 +439,7 @@ def coverage_check(predicted: FlowDescription, reduced, cfg, evaluators=None,
             if len(sel):
                 sub = reduced[sel]
                 tcells = ev.torus_cells(sub)
-                bcells = ev.base_cells(sub)
+                bcells = ev.base_cells(sub, node_idx[sel])
                 for tc, bc in zip(tcells, bcells):
                     if bc is not None:
                         hits.add((bc, tc))
@@ -581,7 +562,7 @@ def run_verification(X, lat: Lattice, predicted: FlowDescription,
         fractions = []
     else:
         per_component = (
-            _map_ordered(lambda ev: ev.distances(in_window), evaluators)
+            [ev.distances(in_window) for ev in evaluators]
             if len(in_window)
             else None
         )
@@ -714,7 +695,7 @@ def write_sample_csv(path, shells, lat: Lattice, predicted=None, cfg=None):
         if evaluators:
             dists = np.full(len(reduced), np.inf)
             for ev in evaluators:
-                np.minimum(dists, ev.distances(reduced), out=dists)
+                np.minimum(dists, ev.distances(reduced)[0], out=dists)
         else:
             dists = np.full(len(reduced), np.nan)
         for i in range(len(reduced)):

@@ -1,61 +1,174 @@
-"""Backend parity for the hot distance kernel."""
+"""The containment-distance kernel: grid index and scan against brute force."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from torusflow._kernels import available_backends, backend_name, fallback
+from torusflow import _kernels
+from torusflow._kernels import (
+    GRID_MIN_PAIRS,
+    GRID_MIN_TARGETS,
+    grid_min_distance,
+    min_distance_batch,
+    min_distance_local,
+    scan_min_distance,
+    uses_grid,
+)
 
-
-@pytest.fixture(scope="module")
-def workload():
-    rng = np.random.default_rng(77)
-    return (
-        rng.normal(size=(300, 4)),
-        rng.normal(size=(9, 4)),
-        rng.normal(size=(50, 4)),
-    )
+SEARCHES = (min_distance_batch, grid_min_distance, scan_min_distance)
 
 
 def brute_force(points, offsets, nodes):
-    combos = (offsets[:, None, :] + nodes[None, :, :]).reshape(-1, points.shape[1])
+    combos = (offsets[:, None, :] + nodes[None, :, :]).reshape(
+        len(offsets) * len(nodes), points.shape[1]
+    )
     d2 = ((points[:, None, :] - combos[None, :, :]) ** 2).sum(-1)
     idx = d2.argmin(axis=1)
     return np.sqrt(d2[np.arange(len(points)), idx]), idx % len(nodes)
 
 
-def test_fallback_matches_brute_force(workload):
-    pts, offs, nds = workload
-    d, idx = fallback.min_distance_batch(pts, offs, nds)
+def assert_matches_brute_force(fn, pts, offs, nds):
+    d, idx = fn(pts, offs, nds)
     ref_d, ref_idx = brute_force(pts, offs, nds)
-    assert np.allclose(d, ref_d, atol=1e-8)
+    # both sum the same squared differences in the same order
+    assert np.array_equal(d, ref_d)
     assert np.array_equal(idx, ref_idx)
 
 
-def test_backends_agree(workload):
-    pts, offs, nds = workload
-    backends = available_backends()
-    results = {name: fn(pts, offs, nds) for name, fn in backends.items()}
-    ref_d, _ = results["fallback"]
-    for name, (d, idx) in results.items():
-        assert np.allclose(d, ref_d, atol=1e-8), name
+@st.composite
+def workloads(draw):
+    """Targets around the origin; queries near them or far outside their box.
+
+    On an integer grid exact ties between targets are common; duplicated
+    nodes tie at equal node index.
+    """
+    q = draw(st.sampled_from([0, 1, 2, 3]))
+    T = draw(st.sampled_from([1, 9, 27]))
+    P = draw(st.integers(1, 40))
+    M = draw(st.integers(1, 60))
+    spread = draw(st.sampled_from([0.5, 1.0, 4.0, 60.0]))
+    integer = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offs = rng.integers(-2, 3, size=(T, q)).astype(float)
+    if integer:
+        nds = rng.integers(-3, 4, size=(P, q)).astype(float)
+        pts = rng.integers(-4, 5, size=(M, q)) * spread
+    else:
+        nds = rng.normal(size=(P, q))
+        pts = rng.normal(size=(M, q)) * spread
+    if draw(st.booleans()):
+        nds = np.vstack([nds, nds[: P // 2 + 1]])
+    return pts.astype(float), offs, nds
 
 
-def test_native_present_unless_forced():
-    # informational: record which backend the suite exercised
-    assert backend_name() in ("native", "fallback")
+@settings(max_examples=300, deadline=None)
+@given(workloads())
+def test_index_matches_brute_force(workload):
+    for fn in SEARCHES:
+        assert_matches_brute_force(fn, *workload)
+
+
+def test_queries_far_outside_the_targets_are_scanned(monkeypatch):
+    rng = np.random.default_rng(5)
+    nds = rng.uniform(0.0, 1.0, size=(200, 2))
+    offs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    near = rng.uniform(0.0, 2.0, size=(100, 2))
+    far = rng.uniform(5.0, 50.0, size=(100, 2)) * rng.choice([-1.0, 1.0], (100, 2))
+    pts = np.vstack([near, far])
+    scanned = []
+    real_scan = _kernels._scan
+
+    def spy(points, targets):
+        scanned.append(len(points))
+        return real_scan(points, targets)
+
+    monkeypatch.setattr(_kernels, "_scan", spy)
+    assert_matches_brute_force(grid_min_distance, pts, offs, nds)
+    assert scanned and 100 <= scanned[0] < 200
+
+
+@pytest.mark.parametrize("fn", SEARCHES)
+def test_ties_go_to_the_lowest_flat_index(fn):
+    # targets: t=0 -> (-1, 1), t=1 -> (1, 3); a query at 1 ties flat 1 and 2
+    offs = np.array([[0.0], [2.0]])
+    nds = np.array([[-1.0], [1.0]])
+    d, idx = fn(np.ones((3, 1)), offs, nds)
+    assert np.array_equal(d, np.zeros(3))
+    assert np.array_equal(idx, [1, 1, 1])
+    # duplicated nodes: the first copy wins
+    d, idx = fn(np.full((3, 1), 0.4), np.zeros((1, 1)), np.array([[2.0], [0.0], [0.0]]))
+    assert np.array_equal(idx, [1, 1, 1])
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_work_split_into_small_chunks_changes_nothing(monkeypatch, q):
+    monkeypatch.setattr(_kernels, "_CHUNK_PAIRS", 7)
+    rng = np.random.default_rng(q)
+    pts = rng.normal(size=(80, q)) * 2.0
+    offs = rng.integers(-1, 2, size=(9, q)).astype(float)
+    nds = rng.normal(size=(30, q))
+    for fn in SEARCHES:
+        assert_matches_brute_force(fn, pts, offs, nds)
+    local = rng.normal(size=(80, 33, q))
+    ref = [min_distance_batch(pts[i : i + 1], offs, local[i])[0][0] for i in range(80)]
+    assert np.array_equal(min_distance_local(pts, offs, local), ref)
+
+
+ENOUGH_TARGETS = GRID_MIN_TARGETS * 8**2
+
+
+@pytest.mark.parametrize(
+    "M, P, grid",
+    [
+        (GRID_MIN_PAIRS // ENOUGH_TARGETS + 1, ENOUGH_TARGETS, True),
+        (GRID_MIN_PAIRS // ENOUGH_TARGETS - 1, ENOUGH_TARGETS, False),
+        (2 * GRID_MIN_PAIRS // ENOUGH_TARGETS, ENOUGH_TARGETS - 1, False),
+    ],
+    ids=["grid", "few-pairs", "few-targets"],
+)
+def test_both_sides_of_the_size_cutoff(monkeypatch, M, P, grid):
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-1.0, 4.0, size=(M, 2))
+    offs = np.array([[0.0, 0.0]])
+    nds = rng.uniform(0.0, 3.0, size=(P, 2))
+    used = []
+    real_grid = _kernels._grid
+
+    def spy(points, targets):
+        used.append("grid")
+        return real_grid(points, targets)
+
+    monkeypatch.setattr(_kernels, "_grid", spy)
+    assert uses_grid(M, P, 2) == grid
+    assert_matches_brute_force(min_distance_batch, pts, offs, nds)
+    assert used == (["grid"] if grid else [])
 
 
 def test_empty_inputs():
-    for fn in available_backends().values():
+    for fn in SEARCHES:
         d, idx = fn(np.zeros((0, 3)), np.zeros((2, 3)), np.zeros((2, 3)))
-        assert len(d) == 0
+        assert len(d) == 0 and len(idx) == 0
         d, idx = fn(np.zeros((4, 3)), np.zeros((0, 3)), np.zeros((2, 3)))
+        assert np.all(np.isinf(d))
+        d, idx = fn(np.zeros((4, 3)), np.zeros((2, 3)), np.zeros((0, 3)))
         assert np.all(np.isinf(d))
 
 
 def test_single_target():
-    for fn in available_backends().values():
+    for fn in SEARCHES:
         pts = np.array([[3.0, 4.0]])
         d, idx = fn(pts, np.zeros((1, 2)), np.zeros((1, 2)))
         assert np.allclose(d, [5.0])
         assert idx[0] == 0
+
+
+def test_local_nodes_match_per_point_batches():
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=(50, 2))
+    offs = rng.integers(-1, 2, size=(9, 2)).astype(float)
+    nodes = rng.normal(size=(50, 33, 2))
+    d = min_distance_local(pts, offs, nodes)
+    ref = [min_distance_batch(pts[i : i + 1], offs, nodes[i])[0][0] for i in range(50)]
+    assert np.array_equal(d, ref)
+    assert np.all(np.isinf(min_distance_local(pts, offs[:0], nodes)))

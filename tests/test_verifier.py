@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from torusflow._kernels import min_distance_batch
+from torusflow.cli import main
 from torusflow.errors import ShellStarved
 from torusflow.flats import (
     GraphPiece,
@@ -13,7 +15,9 @@ from torusflow.flats import (
 from torusflow.flow import flow_set, predicted_flow
 from torusflow.lattice import Lattice, Subspace, torus_closure
 from torusflow.numberfield import NumberField, rationals
+from torusflow.specfile import parse_problem
 from torusflow.verifier import (
+    ComponentEvaluator,
     SampleConfig,
     containment_check,
     coverage_check,
@@ -226,20 +230,6 @@ class TestOrbits:
 
 
 class TestReportDeterminism:
-    def test_threads_do_not_change_results(self, QQ, monkeypatch):
-        import json
-
-        lat = Lattice(2, [[1, 0], [0, 1]], QQ)
-        X = hyperbola(QQ)
-        fd = flow_set(X, lat)
-        cfg = SampleConfig(radius_min=100, count=1000, seed=19)
-        base = run_verification(X, lat, fd, cfg).to_dict()
-        monkeypatch.setenv("TORUSFLOW_THREADS", "4")
-        threaded = run_verification(X, lat, fd, cfg).to_dict()
-        assert json.dumps(base, sort_keys=True) == json.dumps(
-            threaded, sort_keys=True
-        )
-
     def test_identical_reports(self, QQ):
         import json
 
@@ -284,3 +274,72 @@ class TestReportDeterminism:
         assert any(
             q[2] == 0 and q[0] == -q[1] != 0 for q in entry["relations"]
         )
+
+
+# plane_cylinder's limit set predicted as the curve (0, u), u in (-10, hi):
+# hi = 10 is the whole in-window limit set, hi = 0 only half of it
+CYLINDER_CURVE = """schema = 1
+[field]
+min_poly = x
+[space]
+mode = real
+ambient_dim = 2
+declared_dim = 2
+[lattice]
+row = (1, 0)
+[variety]
+affine = point (0, 0) dirs (1, 0) (0, 1)
+[flow]
+component = base curve u in (-10, {hi}) : (0, u) ; span r(1, 0)
+[verify]
+seed = 3
+count = 6000
+radius_min = 100
+tolerance = 0.01
+grid_eps = 0.2
+coverage_threshold = 0.95
+window = 10
+shells = 4
+curve_nodes = 4000
+"""
+
+
+def refine_per_sample(ev, pts, dists, node_idx):
+    """Reference for the batched refine: one kernel call per rough sample."""
+    spacing = ev.curve_params[1] - ev.curve_params[0]
+    worst = np.nonzero(dists > 0.25 * ev.cfg.tolerance)[0]
+    if len(worst) > 4096:
+        worst = worst[np.argsort(dists[worst])[-4096:]]
+    out = dists.copy()
+    for idx in worst:
+        p0 = ev.curve_params[node_idx[idx]]
+        local = np.linspace(p0 - spacing, p0 + spacing, 33)
+        red, _, _ = ev.lat.reduce_points(ev.comp.base.sample_at(local))
+        d, _ = min_distance_batch(pts[idx : idx + 1], ev.offsets, red @ ev.proj.T)
+        out[idx] = min(out[idx], d[0])
+    return out
+
+
+class TestCurveBase:
+    def test_batched_refine_matches_per_sample_loop(self):
+        spec = parse_problem(CYLINDER_CURVE.format(hi=0))
+        cfg, lat = spec.sample_config, spec.lattice
+        reduced = np.vstack(
+            [lat.reduce_points(sh.internal)[0]
+             for sh in sample_far_points(spec.variety, cfg, lat)]
+        )
+        ev = ComponentEvaluator(spec.predicted_flow().components[0], lat, cfg)
+        pts = reduced @ ev.proj.T
+        dists, node_idx = min_distance_batch(pts, ev.offsets, ev.nodes)
+        batched = ev._refine_curve(pts, dists, node_idx)
+        reference = refine_per_sample(ev, pts, dists, node_idx)
+        assert np.sum(batched < dists) > 1000
+        assert np.allclose(batched, reference, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("hi, code", [(10, 0), (0, 5)])
+    def test_whole_curve_passes_half_curve_fails(self, tmp_path, capsys, hi, code):
+        path = tmp_path / "curve.tfp"
+        path.write_text(CYLINDER_CURVE.format(hi=hi))
+        assert main(["verify", str(path)]) == code
+        out = capsys.readouterr().out
+        assert out.startswith("PASS" if code == 0 else "FAIL")
