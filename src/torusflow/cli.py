@@ -2,7 +2,7 @@
 
 Exit codes:
     0  success
-    2  problem file failed to parse or validate
+    2  problem file or sample settings failed to parse or validate
     3  symbolic analysis unsupported for this input (graph pieces)
     4  internal invariant violation (a bug)
     5  verification failed (report still written)
@@ -43,6 +43,23 @@ def _load(path):
     except (SpecFileError, TorusflowError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
+
+
+def _config(spec, args):
+    """The spec's sample config with the command-line overrides, validated."""
+    cfg = spec.sample_config
+    for arg, name in (
+        ("seed", "seed"), ("count", "count"), ("eps", "grid_eps"), ("tol", "tolerance")
+    ):
+        value = getattr(args, arg, None)
+        if value is not None:
+            setattr(cfg, name, value)
+    try:
+        cfg.validate()
+    except TorusflowError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
+    return cfg
 
 
 def _write_json(path, payload):
@@ -99,15 +116,7 @@ def _prediction(spec):
 
 def cmd_verify(args):
     spec = _load(args.spec)
-    cfg = spec.sample_config
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.count is not None:
-        cfg.count = args.count
-    if args.eps is not None:
-        cfg.grid_eps = args.eps
-    if args.tol is not None:
-        cfg.tolerance = args.tol
+    cfg = _config(spec, args)
 
     try:
         predicted = _prediction(spec)
@@ -146,11 +155,7 @@ def cmd_verify(args):
 
 def cmd_sample(args):
     spec = _load(args.spec)
-    cfg = spec.sample_config
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.count is not None:
-        cfg.count = args.count
+    cfg = _config(spec, args)
     try:
         shells = sample_far_points(spec.variety, cfg, spec.lattice)
     except ShellStarved as exc:

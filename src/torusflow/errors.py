@@ -25,14 +25,6 @@ class SymbolicUnsupported(TorusflowError):
     """The operation needs symbolic pieces but got a numeric-only one."""
 
 
-class NonRationalExponentMix(TorusflowError):
-    """Branch exponents admit no common denominator.
-
-    Unreachable for exponents entered as exact rationals; kept for API
-    completeness.
-    """
-
-
 class ShellStarved(TorusflowError):
     """Rejection sampling could not fill a radial shell (input may be bounded)."""
 

@@ -128,19 +128,6 @@ def canonical_basis(vectors, dom):
     return red
 
 
-def spans_equal(a, b, dom):
-    return canonical_basis(a, dom) == canonical_basis(b, dom)
-
-
-def span_contains(big, small, dom):
-    """Does span(big) contain span(small)?"""
-    return all(in_span(big, v, dom) for v in small)
-
-
-def sum_span(a, b, dom):
-    return canonical_basis(list(a) + list(b), dom)
-
-
 def intersect_spans(a, b, ambient_dim, dom):
     """Basis of span(a) intersected with span(b)."""
     if not a or not b:

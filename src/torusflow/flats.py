@@ -143,9 +143,6 @@ class TPoly:
             d = d * e.denominator // __import__("math").gcd(d, e.denominator)
         return d
 
-    def max_exponent(self):
-        return max(self.terms) if self.terms else None
-
     def eval_numeric(self, t):
         """Evaluate at positive real (or complex, if exponents integral) t."""
         t = np.asarray(t)
@@ -256,9 +253,6 @@ class PointSet:
             [[e.to_float() for e in p] for p in self.points], dtype=float
         )
 
-    def sample_nodes(self, count, window):
-        return self.float_points()
-
     def project(self, span: Subspace):
         pts = [
             xl.project_onto_complement(p, span.basis, span.field)
@@ -284,18 +278,6 @@ class AffineSet:
     @property
     def dim(self):
         return self.flat.dim
-
-    def sample_nodes(self, count, window):
-        base = self.flat.float_base()
-        dirs = self.flat.directions.float_basis()
-        b = len(dirs)
-        if b == 0:
-            return base[None, :]
-        per_axis = max(2, int(np.ceil(count ** (1.0 / b))))
-        axes = [np.linspace(-window, window, per_axis) for _ in range(b)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        coeffs = np.stack([g.ravel() for g in mesh], axis=1)
-        return base[None, :] + coeffs @ dirs
 
     def project(self, span: Subspace):
         field = span.field
@@ -334,14 +316,6 @@ class CurveImage:
     @property
     def dim(self):
         return 1
-
-    def sample_nodes(self, count, window):
-        lo, hi = self.param_range
-        params = np.linspace(lo, hi, int(count))
-        pts = np.atleast_2d(np.asarray(self.sampler(params), dtype=float))
-        if self.projection is not None:
-            pts = pts @ self.projection.T
-        return pts
 
     def sample_at(self, params):
         pts = np.atleast_2d(np.asarray(self.sampler(np.asarray(params)), dtype=float))

@@ -510,11 +510,6 @@ class ClosedSubgroupDescriptor:
     def torus_dim(self):
         return len(self.lattice_points)
 
-    def float_lattice_points(self):
-        return np.array(
-            [[e.to_float() for e in row] for row in self.lattice_points], dtype=float
-        ).reshape(len(self.lattice_points), self.W.ambient_dim)
-
     def integer_dual(self):
         """Integer matrix D with D . (Lambda-coords of g_j) = e_j.
 

@@ -48,10 +48,29 @@ class SampleConfig:
     relation_digits: int = 9      # scale for the heuristic relation check
 
     def __post_init__(self):
-        if self.count <= 0:
-            raise TorusflowError("count must be positive")
-        if self.grid_eps <= 0 or self.tolerance <= 0 or self.radius_min <= 0:
-            raise TorusflowError("radius, grid_eps and tolerance must be positive")
+        self.validate()
+
+    def validate(self):
+        """Raise TorusflowError unless every knob is usable.
+
+        Call again after changing a field: the dataclass checks only at
+        construction.
+        """
+        for name in ("radius_min", "grid_eps", "tolerance", "window"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise TorusflowError(
+                    f"{name} must be finite and positive, got {value!r}"
+                )
+        for name in ("count", "shells"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise TorusflowError(f"{name} must be an integer >= 1, got {value!r}")
+        if not 0.0 <= self.coverage_threshold <= 1.0:
+            raise TorusflowError(
+                "coverage_threshold must lie in [0, 1], "
+                f"got {self.coverage_threshold!r}"
+            )
 
     def radius_schedule(self):
         return [self.radius_min * (2.0**k) for k in range(self.shells)]
@@ -59,10 +78,19 @@ class SampleConfig:
 
 @dataclass
 class ShellSamples:
+    """The accepted samples of one radial shell, pieces in order.
+
+    ``params`` is a 2-D array with one row of piece parameters per sample:
+    ``t`` for a branch, the radial scale for an affine piece, the variables
+    of a graph piece.  Its width is the widest piece's parameter count;
+    narrower pieces' rows are padded with NaN.  ``logical`` and ``internal``
+    hold the samples' logical and real internal coordinates, row by row.
+    """
+
     index: int
     radius: float
     labels: list
-    params: list
+    params: np.ndarray
     logical: np.ndarray
     internal: np.ndarray
 
@@ -79,7 +107,7 @@ def _sample_branch(piece, count, radius, rng, mode):
         choice = rng.integers(0, len(rays), size=count)
         params = t * rays[choice]
     logical = piece.evaluate(params)
-    return [(p,) for p in params], logical
+    return params[:, None], logical
 
 
 def _sample_affine(piece, count, radius, rng, mode, lat, window):
@@ -111,8 +139,7 @@ def _sample_affine(piece, count, radius, rng, mode, lat, window):
     if dout:
         u = rng.uniform(-2.0 * window, 2.0 * window, size=(count, dout))
         pts = pts + u @ out_f
-    params = [(float(ri),) for ri in r]
-    return params, pts
+    return r[:, None], pts
 
 
 def _sample_graph(piece, count, radius, rng, mode):
@@ -132,9 +159,7 @@ def _sample_graph(piece, count, radius, rng, mode):
     else:
         sign = rng.choice([-1.0, 1.0], size=(count, piece.nvars))
         vars_ = (mag * sign).astype(complex)
-    logical = piece.evaluate(vars_)
-    params = [tuple(row) for row in vars_]
-    return params, logical
+    return vars_, piece.evaluate(vars_)
 
 
 def sample_far_points(X, cfg: SampleConfig, lat: Optional[Lattice] = None):
@@ -157,10 +182,9 @@ def sample_far_points(X, cfg: SampleConfig, lat: Optional[Lattice] = None):
             if need == 0:
                 continue
             rng = _rng(cfg, shell, pi)
-            got_params, got_internal, got_logical = [], [], []
-            attempts = 0
-            while len(got_params) < need:
-                draw = max(1024, 2 * (need - len(got_params)))
+            got = attempts = 0
+            while got < need:
+                draw = max(1024, 2 * (need - got))
                 attempts += draw
                 if attempts > 1_000_000:
                     raise ShellStarved(shell, radius)
@@ -178,29 +202,31 @@ def sample_far_points(X, cfg: SampleConfig, lat: Optional[Lattice] = None):
                 if logical is not None:
                     internal = to_internal(logical, X.mode)
                 norms = np.linalg.norm(internal, axis=1)
-                ok = norms >= radius
-                for keep_idx in np.nonzero(ok)[0]:
-                    if len(got_params) >= need:
-                        break
-                    got_params.append(p[keep_idx])
-                    got_internal.append(internal[keep_idx])
-                    got_logical.append(
-                        logical[keep_idx]
-                        if logical is not None
-                        else internal[keep_idx].astype(complex)
-                    )
+                keep = np.nonzero(norms >= radius)[0][: need - got]
+                got += len(keep)
+                params.append(p[keep])
+                internals.append(internal[keep])
+                logicals.append(
+                    internal[keep].astype(complex)
+                    if logical is None
+                    else logical[keep]
+                )
             labels.extend([getattr(piece, "label", piece.kind)] * need)
-            params.extend(got_params)
-            internals.extend(got_internal)
-            logicals.extend(got_logical)
+        width = max(p.shape[1] for p in params)
         out.append(
             ShellSamples(
                 index=shell,
                 radius=radius,
                 labels=labels,
-                params=params,
-                logical=np.array(logicals),
-                internal=np.array(internals, dtype=float),
+                params=np.concatenate(
+                    [
+                        np.pad(p, ((0, 0), (0, width - p.shape[1])),
+                               constant_values=np.nan)
+                        for p in params
+                    ]
+                ),
+                logical=np.concatenate(logicals),
+                internal=np.concatenate(internals),
             )
         )
     return out
@@ -325,19 +351,17 @@ class ComponentEvaluator:
     # -- coverage cells ------------------------------------------------------
 
     def torus_cells(self, reduced):
-        """Integer torus-cell tuple per sample (empty tuple if no torus)."""
-        m = len(reduced)
+        """(m, torus_dim) int64 torus-cell indices, one row per sample."""
         if not self.torus_dim:
-            return [()] * m
-        u = reduced @ self.torus_solve.T
-        u = u - np.floor(u)
-        k = int(math.ceil(1.0 / self.cfg.grid_eps))
-        cells = np.minimum((u / self.cfg.grid_eps).astype(int), k - 1)
-        return [tuple(row) for row in cells]
+            return np.zeros((len(reduced), 0), dtype=np.int64)
+        return _torus_cells(reduced, self.torus_solve, self.cfg.grid_eps)
 
     def base_cells(self, reduced, node_idx):
-        """Base-cell id per sample, or None when out of window.
+        """(cells, in_window): int64 base-cell ids, one row per sample, and
+        a mask of the samples whose cell lies in the window.
 
+        Point and curve bases, and affine ones without directions, have
+        one-column ids: the nearest point, the arclength bucket, 0.
         node_idx is each sample's nearest base node, as ``distances`` returns.
         """
         base = self.comp.base
@@ -345,27 +369,20 @@ class ComponentEvaluator:
         w = self.cfg.window
         m = len(reduced)
         if isinstance(base, PointSet):
-            if len(self.nodes) == 0:
-                return [None] * m
-            return [("pt", int(i)) for i in node_idx]
+            cells = np.asarray(node_idx, dtype=np.int64)[:, None]
+            return cells, np.full(m, len(self.nodes) > 0)
         if isinstance(base, AffineSet):
             dirs = self.base_dirs
             if dirs is None or len(dirs) == 0:
-                return [("pt", 0)] * m
+                return np.zeros((m, 1), dtype=np.int64), np.ones(m, dtype=bool)
             q, _ = np.linalg.qr(np.asarray(dirs, dtype=float).T)
-            onb = q.T
-            c = self.nodes_full[0]
-            v = (reduced - c) @ onb.T
-            cells = []
-            for row in v:
-                if np.any(np.abs(row) > w):
-                    cells.append(None)
-                else:
-                    cells.append(tuple(((row + w) / eps).astype(int)))
-            return cells
+            v = (reduced - self.nodes_full[0]) @ q
+            in_window = ~np.any(np.abs(v) > w, axis=1)
+            return ((v + w) / eps).astype(np.int64), in_window
         # curve: bucket by arclength of the raw (unreduced) polyline
         cum = self._curve_cumlen()
-        return [("arc", int(cum[i] // eps)) for i in node_idx]
+        cells = (cum[node_idx] // eps).astype(np.int64)[:, None]
+        return cells, np.ones(m, dtype=bool)
 
     def _curve_cumlen(self):
         if not hasattr(self, "_cumlen"):
@@ -420,15 +437,19 @@ def containment_check(reduced, predicted: FlowDescription, cfg, evaluators=None,
 
 def coverage_check(predicted: FlowDescription, reduced, cfg, evaluators=None,
                    per_component=None):
-    """Fraction of each component's cells hit by the reduced samples."""
+    """(fraction, number) of each component's cells hit by the samples.
+
+    A hit is a distinct (base cell, torus cell) pair of an in-window sample
+    within max(tolerance, grid_eps) of the component.
+    """
     lat = predicted.lattice
     if evaluators is None:
         evaluators = [ComponentEvaluator(c, lat, cfg) for c in predicted.components]
     assign_tol = max(cfg.tolerance, cfg.grid_eps)
     fractions = []
-    hit_sets = []
+    hit_counts = []
     for idx, ev in enumerate(evaluators):
-        hits = set()
+        hits = 0
         if len(reduced):
             d, node_idx = (
                 per_component[idx]
@@ -439,14 +460,11 @@ def coverage_check(predicted: FlowDescription, reduced, cfg, evaluators=None,
             if len(sel):
                 sub = reduced[sel]
                 tcells = ev.torus_cells(sub)
-                bcells = ev.base_cells(sub, node_idx[sel])
-                for tc, bc in zip(tcells, bcells):
-                    if bc is not None:
-                        hits.add((bc, tc))
-        total = ev.total_cells()
-        fractions.append(min(1.0, len(hits) / total))
-        hit_sets.append(hits)
-    return fractions, hit_sets
+                bcells, in_window = ev.base_cells(sub, node_idx[sel])
+                hits = len(distinct_rows(np.hstack([bcells, tcells])[in_window]))
+        fractions.append(min(1.0, hits / ev.total_cells()))
+        hit_counts.append(hits)
+    return fractions, hit_counts
 
 
 def _window_mask(reduced, lat: Lattice, window):
@@ -459,8 +477,30 @@ def _window_mask(reduced, lat: Lattice, window):
 
 
 def _global_cells(reduced, eps):
-    cells = np.floor(np.asarray(reduced) / eps).astype(np.int64)
-    return {tuple(row) for row in cells}
+    return np.floor(np.asarray(reduced) / eps).astype(np.int64)
+
+
+def _torus_cells(reduced, solve, eps):
+    """Torus-cell indices of samples with torus coordinates ``solve``."""
+    u = reduced @ solve.T
+    u -= np.floor(u)
+    k = int(math.ceil(1.0 / eps))
+    return np.minimum((u / eps).astype(np.int64), k - 1)
+
+
+def distinct_rows(rows):
+    """Index of the first occurrence of each distinct row of a 2-D array
+    with at least one column.
+
+    A stable sort brings equal rows together in their original order, so
+    the first row of each run is the earliest one.  The result follows the
+    sorted order of the rows.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    return order[first]
 
 
 @dataclass
@@ -502,15 +542,17 @@ class VerificationReport:
         }
 
 
-def shell_stability(shell_cell_sets):
-    """Newly hit cells per shell relative to all earlier shells."""
-    seen = set()
-    counts = []
-    for cells in shell_cell_sets:
-        new = len(cells - seen)
-        counts.append(new)
-        seen |= cells
-    return counts
+def shell_stability(shell_cells):
+    """Newly hit cells per shell relative to all earlier shells.
+
+    ``shell_cells`` holds one 2-D integer array of cells per shell, all with
+    the same number of columns.  A cell counts for the first shell that
+    hits it.
+    """
+    sizes = [len(cells) for cells in shell_cells]
+    first = distinct_rows(np.concatenate(shell_cells))
+    shell_of = np.repeat(np.arange(len(sizes)), sizes)
+    return np.bincount(shell_of[first], minlength=len(sizes)).tolist()
 
 
 def run_verification(X, lat: Lattice, predicted: FlowDescription,
@@ -535,8 +577,7 @@ def run_verification(X, lat: Lattice, predicted: FlowDescription,
         total += len(reduced)
         escaped += int(np.sum(~mask))
         all_in_window.append(in_win)
-        cells = _global_cells(in_win, cfg.grid_eps) if len(in_win) else set()
-        shell_cells.append(cells)
+        shell_cells.append(_global_cells(in_win, cfg.grid_eps))
         per_shell.append(
             {
                 "shell": sh.index,
@@ -645,12 +686,8 @@ def orbit_coverage(descriptor, lat, reduced, eps):
     if descriptor.torus_dim == 0:
         off = np.linalg.norm(reduced, axis=1)
         return (1.0 if len(reduced) else 0.0), float(np.max(off)) if len(off) else 0.0
-    solve = descriptor.torus_coordinate_matrix(lat)
-    u = reduced @ solve.T
-    u -= np.floor(u)
-    k = int(math.ceil(1.0 / eps))
-    cells = np.minimum((u / eps).astype(int), k - 1)
-    hit = {tuple(row) for row in cells}
+    cells = _torus_cells(reduced, descriptor.torus_coordinate_matrix(lat), eps)
+    hits = len(distinct_rows(cells))
     # distance off the fiber: orthogonal part, minimized over translates
     W = descriptor.W
     proj = W.float_complement_projector()
@@ -662,7 +699,8 @@ def orbit_coverage(descriptor, lat, reduced, eps):
     else:
         d = np.linalg.norm(perp, axis=1)
     off_max = float(np.max(d)) if len(d) else 0.0
-    return len(hit) / (k**descriptor.torus_dim), off_max
+    k = int(math.ceil(1.0 / eps))
+    return hits / (k**descriptor.torus_dim), off_max
 
 
 def _fmt_param(p):
@@ -680,9 +718,7 @@ def write_sample_csv(path, shells, lat: Lattice, predicted=None, cfg=None):
         evaluators = [
             ComponentEvaluator(c, lat, cfg) for c in predicted.components
         ]
-    max_params = max(
-        (len(sh.params[0]) if sh.params else 0 for sh in shells), default=0
-    )
+    max_params = max((sh.params.shape[1] for sh in shells), default=0)
     n = lat.ambient_dim
     header = ["shell_index"]
     header += [f"param_{i}" for i in range(max_params)]
@@ -700,8 +736,7 @@ def write_sample_csv(path, shells, lat: Lattice, predicted=None, cfg=None):
             dists = np.full(len(reduced), np.nan)
         for i in range(len(reduced)):
             row = [str(sh.index)]
-            prms = list(sh.params[i]) + [""] * (max_params - len(sh.params[i]))
-            row += [_fmt_param(p) if p != "" else "" for p in prms]
+            row += ["" if np.isnan(p) else _fmt_param(p) for p in sh.params[i]]
             row += [repr(float(x)) for x in sh.internal[i]]
             row += [repr(float(x)) for x in reduced[i]]
             row += [repr(float(dists[i]))]

@@ -143,3 +143,61 @@ shells = 1
         )
         out = str(tmp_path / "dump.csv")
         assert main(["sample", str(spec), "--out", out]) == 6
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestConfigValidation:
+    """Bad sample settings, in the file or on the command line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("shells", "0"),
+            ("radius_min", "inf"),
+            ("tolerance", "nan"),
+            ("grid_eps", "nan"),
+            ("window", "nan"),
+            ("coverage_threshold", "1.5"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["verify", "sample"])
+    def test_file_value(self, workdir, tmp_path, capsys, command, key, value):
+        spec = workdir / "hyperbola.tfp"
+        text = spec.read_text()
+        assert f"\n{key} = " in text
+        lines = [
+            f"{key} = {value}" if line.startswith(f"{key} = ") else line
+            for line in text.splitlines()
+        ]
+        spec.write_text("\n".join(lines) + "\n")
+        extra = ["--out", str(tmp_path / "dump.csv")] if command == "sample" else []
+        assert _exit_code([command, str(spec)] + extra) == 2
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, flags, key",
+        [
+            ("verify", ["--count", "0"], "count"),
+            ("verify", ["--count", "-5"], "count"),
+            ("verify", ["--eps", "0"], "grid_eps"),
+            ("verify", ["--tol", "-1"], "tolerance"),
+            ("verify", ["--tol", "nan"], "tolerance"),
+            ("sample", ["--count", "0"], "count"),
+            ("sample", ["--count", "-5"], "count"),
+        ],
+    )
+    def test_override(self, workdir, tmp_path, capsys, command, flags, key):
+        spec = str(workdir / "hyperbola.tfp")
+        extra = ["--out", str(tmp_path / "dump.csv")] if command == "sample" else []
+        assert _exit_code([command, spec] + extra + flags) == 2
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err and err.count("\n") == 1

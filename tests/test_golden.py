@@ -1,0 +1,58 @@
+"""Pinned report bytes: ``verify`` on every golden problem at seeds 1 and 2.
+
+The hashes were recorded before the verifier's per-sample loops were
+vectorised.  A change that alters a report or the verify output, even in
+the last digit of a distance, fails here; if the change is intended, say so
+in CHANGES.md and record the new hashes.
+"""
+
+import hashlib
+import shutil
+
+import pytest
+
+from torusflow.cli import main
+
+# (problem, seed, exit code, sha256 of .report.json, sha256 of stdout)
+GOLDEN = [
+    ("dinh_vu", 1, 0, "e3fb84aec3fc877f255e9fea1c0c800cbf74ce9a1b7c372673da09b6642e29d2",
+     "0e11e053829f13e868394880d2f3312a558d7add88386c755eb28988a1f35f18"),
+    ("dinh_vu", 2, 0, "32b90f6666a8a5a245c3a07f627057a76f9898032f297127a7ffddd2c496c5cb",
+     "5bc5899657e1b58a201e2fc1eae3e1c2d96bd26df675b6cc2bd45047256a2a02"),
+    ("dinh_vu_mutated", 1, 5, "b3db0c182d55918b0d11e357813cc345b52253214694ac2fbe5fd14fd2e5e8b1",
+     "47502fa6d46bf086c48c93e237c4a52bd3a0dc93fbae446b228d066a07d8dfeb"),
+    ("dinh_vu_mutated", 2, 5, "0b180b90debf24cd069fa44c589f3d6ccf14537b419faf0e9911429af454562d",
+     "a28753aa78a985e469447bc30b93f4f7d884c96e949bb6300bb0f0f8395d0eb1"),
+    ("hyperbola", 1, 0, "5e51657ee2c78d5034cf78919f964c4da077c5f3d0ee410fde2864cb563a29f5",
+     "767aa00c761bc08141508af1b697a10818bc1c53dbaf585e7a6c9ab9865b52a3"),
+    ("hyperbola", 2, 0, "e906a59b062e977933df5f3e26f9f2e2fb4b26d710df68bfca802df7241a80b6",
+     "ab4760b0640235e5ec84f64f335b2cdd765b06ec3e5c10da358e67e562c54db6"),
+    ("irrational_direction", 1, 0, "31448080300fbafbde0d6855d5d1e14de9d2a1b345cb2c583d0f7de3a907d411",
+     "3f8f78b080759b5b3d8098ab2400acedb2054b87cc38458ed4f0b7ee5b0bccc4"),
+    ("irrational_direction", 2, 0, "c0a42c522943e507d63646ad2e673744177a8dc502190a0936abb70a7139af53",
+     "3f8f78b080759b5b3d8098ab2400acedb2054b87cc38458ed4f0b7ee5b0bccc4"),
+    ("parabola", 1, 0, "e9643239b3cfe64675fcbd90c8f3fa794c05d9db3aede69a9012454d7bda8a54",
+     "50039e1a67ab3f28e3efa9fa6c7c61790e330e1c47962f14077f9b13ff93c72c"),
+    ("parabola", 2, 0, "4acb3785c2e95b122bb1a76444432d35250e83597c63bf290400282a1c89aab3",
+     "50039e1a67ab3f28e3efa9fa6c7c61790e330e1c47962f14077f9b13ff93c72c"),
+    ("plane_cylinder", 1, 0, "853982f29a71bac66315f996c9d4e1b9051f4cbe0763fe4efc005b6f843ce431",
+     "0515458f0c4bae103ff2fb32ebecd1ee8227c9ce738ad5afff86525584b9ac87"),
+    ("plane_cylinder", 2, 0, "464fc2076374613318a9fbf7379d3c149c59d6df06044ada00a57e2b7e4a2da6",
+     "38ba04960dbf0a8966b8afe412556cd079ad4194c651466997992b7f19e2cd2a"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, seed, code, report_sha, stdout_sha",
+    GOLDEN,
+    ids=[f"{g[0]}-{g[1]}" for g in GOLDEN],
+)
+def test_verify_bytes(tmp_path, monkeypatch, capsys, name, seed, code,
+                      report_sha, stdout_sha):
+    shutil.copy(f"problems/{name}.tfp", tmp_path / f"{name}.tfp")
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", f"{name}.tfp", "--seed", str(seed)]) == code
+    stdout = capsys.readouterr().out
+    report = (tmp_path / f"{name}.tfp.report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == report_sha
+    assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_sha

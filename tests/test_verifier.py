@@ -1,12 +1,19 @@
 """Far-point sampling, containment, coverage, shells, orbits."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from torusflow import verifier
 from torusflow._kernels import min_distance_batch
 from torusflow.cli import main
 from torusflow.errors import ShellStarved
 from torusflow.flats import (
+    AffinePiece,
+    Flat,
     GraphPiece,
     ParametricBranch,
     PointSet,
@@ -21,6 +28,7 @@ from torusflow.verifier import (
     SampleConfig,
     containment_check,
     coverage_check,
+    distinct_rows,
     orbit_coverage,
     run_verification,
     sample_far_points,
@@ -204,8 +212,12 @@ class TestShellStability:
         assert counts[-1] <= counts[0] * 0.2 + 2
 
     def test_monotone_union(self):
-        sets = [{(0, 0), (1, 0)}, {(1, 0), (2, 0)}, {(2, 0)}]
-        assert shell_stability(sets) == [2, 1, 0]
+        shells = [
+            np.array([[0, 0], [1, 0]]),
+            np.array([[1, 0], [2, 0]]),
+            np.array([[2, 0]]),
+        ]
+        assert shell_stability(shells) == [2, 1, 0]
 
 
 class TestOrbits:
@@ -343,3 +355,203 @@ class TestCurveBase:
         assert main(["verify", str(path)]) == code
         out = capsys.readouterr().out
         assert out.startswith("PASS" if code == 0 else "FAIL")
+
+
+# ---------------------------------------------------------------------------
+# Array-at-a-time sampler and cells against per-sample references
+# ---------------------------------------------------------------------------
+
+
+def sample_per_index(X, cfg, lat):
+    """Reference for the sampler's keep step: accepted draws appended one
+    index at a time.  Returns per shell (labels, params, internal, logical),
+    params as a list of tuples; also the number of rejected draws."""
+    per_shell = -(-cfg.count // cfg.shells)
+    shells, rejected = [], 0
+    for shell, radius in enumerate(cfg.radius_schedule()):
+        quota = [per_shell // len(X.pieces)] * len(X.pieces)
+        for i in range(per_shell - sum(quota)):
+            quota[i] += 1
+        labels, params, internals, logicals = [], [], [], []
+        for pi, piece in enumerate(X.pieces):
+            need = quota[pi]
+            rng = verifier._rng(cfg, shell, pi)
+            got = 0
+            while got < need:
+                draw = max(1024, 2 * (need - got))
+                logical = None
+                if piece.kind == "branch":
+                    p, logical = verifier._sample_branch(
+                        piece, draw, radius, rng, X.mode
+                    )
+                elif piece.kind == "affine":
+                    p, internal = verifier._sample_affine(
+                        piece, draw, radius, rng, X.mode, lat, cfg.window
+                    )
+                else:
+                    p, logical = verifier._sample_graph(
+                        piece, draw, radius, rng, X.mode
+                    )
+                if logical is not None:
+                    internal = verifier.to_internal(logical, X.mode)
+                ok = np.linalg.norm(internal, axis=1) >= radius
+                rejected += int(np.sum(~ok))
+                for idx in np.nonzero(ok)[0]:
+                    if got >= need:
+                        break
+                    got += 1
+                    labels.append(getattr(piece, "label", piece.kind))
+                    params.append(tuple(p[idx]))
+                    internals.append(internal[idx])
+                    logicals.append(
+                        internal[idx].astype(complex)
+                        if logical is None
+                        else logical[idx]
+                    )
+        shells.append((labels, params, np.array(internals), np.array(logicals)))
+    return shells, rejected
+
+
+def _branch(QQ, coords, rays=None):
+    return ParametricBranch(
+        [({e: Fraction(c)}, {0: 1}) for e, c in coords], QQ, rays=rays
+    )
+
+
+def _sampler_cases(QQ):
+    lat2 = Lattice(2, [[1, 0], [0, 1]], QQ)
+    # (t/30, 1/t): accepted only for t >= 30 R, about half of the draws
+    slow = [(1, Fraction(1, 30)), (-1, 1)]
+    rays = VarietyInput(
+        [_branch(QQ, slow, rays=[1, -1])], 2, "complex", 1, QQ
+    )
+    affine = VarietyInput(
+        [AffinePiece(Flat([3, 0, 0], Subspace(3, [[1, 0, 0], [0, 1, 1]], QQ)))],
+        3, "real", 2, QQ,
+    )
+    graph = VarietyInput(
+        [GraphPiece(
+            2,
+            lambda v: np.stack([v[:, 0], v[:, 1], v[:, 0] * v[:, 1]], axis=-1),
+        )],
+        3, "complex", 2, QQ,
+    )
+    mixed = VarietyInput(
+        [
+            _branch(QQ, slow),
+            GraphPiece(2, lambda v: v.copy(), complex_vars=False),
+            AffinePiece(Flat([0, 1], Subspace(2, [[1, 1]], QQ))),
+        ],
+        2, "real", 2, QQ,
+    )
+    lat3 = Lattice(3, [[1, 0, 0], [0, 1, 0]], QQ)
+    return [
+        ("branch-rays", rays, lat2, 1),
+        ("affine", affine, lat3, 1),
+        ("graph", graph, Lattice(3, np.eye(3, dtype=int).tolist(), QQ), 2),
+        ("mixed", mixed, lat2, 2),
+    ]
+
+
+class TestArraySampler:
+    @pytest.mark.parametrize("case", range(4))
+    def test_keeps_the_per_index_draws(self, QQ, case):
+        name, X, lat, width = _sampler_cases(QQ)[case]
+        cfg = SampleConfig(radius_min=100, count=4003, seed=11, shells=2)
+        shells = sample_far_points(X, cfg, lat)
+        reference, rejected = sample_per_index(X, cfg, lat)
+        if name != "affine":
+            assert rejected > 0
+        for sh, (labels, params, internal, logical) in zip(shells, reference):
+            assert sh.labels == labels
+            assert sh.params.shape == (len(params), width)
+            for row, ref in zip(sh.params, params):
+                assert np.array_equal(row[: len(ref)], np.array(ref))
+                assert np.all(np.isnan(row[len(ref):]))
+            assert np.array_equal(sh.internal, internal)
+            assert sh.internal.dtype == float
+            assert np.array_equal(sh.logical, logical)
+
+    def test_mixed_widths_in_csv(self, QQ, tmp_path):
+        _, X, lat, _ = _sampler_cases(QQ)[3]
+        cfg = SampleConfig(radius_min=100, count=12, seed=2, shells=1)
+        shells = sample_far_points(X, cfg, lat)
+        out = tmp_path / "mixed.csv"
+        assert verifier.write_sample_csv(out, shells, lat) == 12
+        header, *rows = out.read_text().splitlines()
+        assert header.startswith("shell_index,param_0,param_1,raw_0")
+        widths = {len(row.split(",")) for row in rows}
+        assert widths == {len(header.split(","))}
+        # branch rows carry one parameter, graph rows two
+        assert rows[0].split(",")[2] == "" and rows[4].split(",")[2] != ""
+
+
+def _cell_rows(d):
+    return st.lists(
+        st.tuples(*[st.integers(-3, 3)] * d), max_size=12
+    ).map(lambda rows: np.array(rows, dtype=np.int64).reshape(-1, d))
+
+
+shell_lists = st.integers(1, 4).flatmap(
+    lambda d: st.lists(_cell_rows(d), min_size=1, max_size=5)
+)
+
+
+class TestDistinctRows:
+    @settings(max_examples=200, deadline=None)
+    @given(shell_lists)
+    def test_first_occurrences(self, shells):
+        rows = np.concatenate(shells)
+        first = distinct_rows(rows)
+        as_tuples = list(map(tuple, rows))
+        assert len(first) == len(set(as_tuples))
+        assert {as_tuples[i] for i in first} == set(as_tuples)
+        for i in first:
+            assert as_tuples.index(as_tuples[i]) == i
+
+    @settings(max_examples=200, deadline=None)
+    @given(shell_lists)
+    def test_shell_stability_matches_sets(self, shells):
+        seen, expected = set(), []
+        for cells in shells:
+            current = set(map(tuple, cells))
+            expected.append(len(current - seen))
+            seen |= current
+        assert shell_stability(shells) == expected
+
+
+class TestCoverageCells:
+    def test_plane_cylinder_hits_match_tuple_sets(self):
+        spec = parse_problem(open("problems/plane_cylinder.tfp").read())
+        cfg, lat = spec.sample_config, spec.lattice
+        cfg.count = 20000
+        # all reduced samples, not only the in-window ones, so that the
+        # affine base cells have out-of-window rows to mask out
+        reduced = np.vstack(
+            [lat.reduce_points(sh.internal)[0]
+             for sh in sample_far_points(spec.variety, cfg, lat)]
+        )
+        fd = flow_set(spec.variety, lat)
+        evaluators = [ComponentEvaluator(c, lat, cfg) for c in fd.components]
+        fractions, hits = coverage_check(fd, reduced, cfg, evaluators)
+
+        masked = 0
+        assign_tol = max(cfg.tolerance, cfg.grid_eps)
+        w, eps = cfg.window, cfg.grid_eps
+        k = int(np.ceil(1.0 / eps))
+        for ev, n_hit, frac in zip(evaluators, hits, fractions):
+            d, _ = ev.distances(reduced)
+            sub = reduced[d <= assign_tol]
+            q, _ = np.linalg.qr(np.asarray(ev.base_dirs, dtype=float).T)
+            u = sub @ ev.torus_solve.T
+            u = u - np.floor(u)
+            torus = np.minimum((u / eps).astype(int), k - 1)
+            reference = set()
+            for row, tc in zip((sub - ev.nodes_full[0]) @ q, torus):
+                if np.any(np.abs(row) > w):
+                    masked += 1
+                    continue
+                reference.add((tuple(((row + w) / eps).astype(int)), tuple(tc)))
+            assert n_hit == len(reference)
+            assert frac == min(1.0, len(reference) / ev.total_cells())
+        assert masked > 1000
