@@ -75,10 +75,11 @@ def internal_dim(logical_dim, mode):
 class TPoly:
     """Finite sum of c * t^e with exact coefficients and rational exponents."""
 
-    __slots__ = ("terms", "field")
+    __slots__ = ("terms", "field", "_numeric")
 
     def __init__(self, field: NumberField, terms=None):
         self.field = field
+        self._numeric = None
         self.terms = {}
         if terms:
             for e, c in dict(terms).items():
@@ -146,9 +147,14 @@ class TPoly:
     def eval_numeric(self, t):
         """Evaluate at positive real (or complex, if exponents integral) t."""
         t = np.asarray(t)
+        if self._numeric is None:
+            # terms are fixed after construction; convert them once
+            self._numeric = [
+                (float(e), c.to_complex()) for e, c in self.terms.items()
+            ]
         acc = np.zeros(t.shape, dtype=complex)
-        for e, c in self.terms.items():
-            acc = acc + c.to_complex() * t ** float(e)
+        for e, c in self._numeric:
+            acc = acc + c * t ** e
         return acc
 
     def __repr__(self):

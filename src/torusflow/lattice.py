@@ -241,9 +241,9 @@ def int_det(M):
             if A[r][c] != 0:
                 f = A[r][c] * inv
                 A[r] = [x - f * y for x, y in zip(A[r], A[c])]
-    num = det
-    assert num.denominator == 1
-    return int(num)
+    if det.denominator != 1:
+        raise InternalInvariantError("integer determinant is not integral")
+    return int(det)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +542,8 @@ class ClosedSubgroupDescriptor:
                     f = aug[rr][c]
                     aug[rr] = [x - f * y for x, y in zip(aug[rr], aug[c])]
         D = [[x for x in row[n:]] for row in aug]
-        assert all(x.denominator == 1 for row in D for x in row)
+        if any(x.denominator != 1 for row in D for x in row):
+            raise InternalInvariantError("integer dual has non-integer entries")
         return [[int(x) for x in row] for row in D]
 
     def torus_coordinate_matrix(self, lat: "Lattice"):

@@ -473,6 +473,15 @@ class NumberField:
 
         self.i = None
         self._conj_matrix = None
+        self.declare_complex_structure(i_coords, conj_coords)
+
+    def declare_complex_structure(self, i_coords=None, conj_coords=None):
+        """Validate and install the declared conjugate of theta, then i.
+
+        Both are checked exactly.  Certifying them refines the root
+        enclosure, so the order (conj, then i) is part of what the field's
+        float values are.
+        """
         if conj_coords is not None:
             self._install_conj(conj_coords)
         if i_coords is not None:

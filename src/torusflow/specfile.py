@@ -175,41 +175,28 @@ def _build_field(entries):
         if parts[0] == "interval":
             root_interval = _rational_pair(parts[1], "interval")
         elif parts[0] == "rect":
-            rest = parts[1].strip()
-            depth, cut = 0, None
-            for idx, ch in enumerate(rest):
-                if ch == "(":
-                    depth += 1
-                elif ch == ")":
-                    depth -= 1
-                    if depth == 0:
-                        cut = idx + 1
-                        break
-            if cut is None:
+            groups = _vectors_in(parts[1])
+            # the selector is the two groups and nothing else
+            if len(groups) != 2 or "".join(parts[1].split()) != "".join(
+                "".join(groups).split()
+            ):
                 raise SpecFileError("malformed rect root selector")
-            re_part = _rational_pair(rest[:cut], "rect")
-            im_part = _rational_pair(rest[cut:].strip(), "rect")
-            root_box = (re_part, im_part)
+            root_box = tuple(_rational_pair(g, "rect") for g in groups)
         else:
             raise SpecFileError("root must be 'interval (..)' or 'rect (..) (..)'")
     elif len(coeffs) > 2:
         raise SpecFileError("fields of degree > 1 need a root selector")
 
+    # one construction: i and conj are evaluated against the field itself
+    # and then installed on it
+    field = NumberField(coeffs, root_interval=root_interval, root_box=root_box)
     i_coords = conj_coords = None
-    probe = NumberField(coeffs, root_interval=root_interval, root_box=root_box)
     if i_text is not None:
-        i_coords = eval_scalar(parse_expr(i_text), probe).coords
+        i_coords = eval_scalar(parse_expr(i_text), field).coords
     if conj_text is not None:
-        conj_coords = eval_scalar(parse_expr(conj_text), probe).coords
-    if i_coords is None and conj_coords is None:
-        return probe
-    return NumberField(
-        coeffs,
-        root_interval=root_interval,
-        root_box=root_box,
-        i_coords=i_coords,
-        conj_coords=conj_coords,
-    )
+        conj_coords = eval_scalar(parse_expr(conj_text), field).coords
+    field.declare_complex_structure(i_coords, conj_coords)
+    return field
 
 
 def _split_top(text, sep):
@@ -227,9 +214,10 @@ def _split_top(text, sep):
     return [p.strip() for p in parts]
 
 
-def _vectors_in(text):
-    """All top-level parenthesized groups in the text, with the rest ignored."""
-    groups, depth, start = [], 0, None
+def _tagged_groups(text):
+    """Top-level parenthesized groups of the text, in order, each paired with
+    the text between it and the previous group."""
+    groups, depth, start, prev = [], 0, None, 0
     for idx, ch in enumerate(text):
         if ch == "(":
             if depth == 0:
@@ -238,10 +226,16 @@ def _vectors_in(text):
         elif ch == ")":
             depth -= 1
             if depth == 0:
-                groups.append(text[start : idx + 1])
+                groups.append((text[prev:start], text[start : idx + 1]))
+                prev = idx + 1
     if depth != 0:
         raise SpecFileError(f"unbalanced parentheses in {text!r}")
     return groups
+
+
+def _vectors_in(text):
+    """All top-level parenthesized groups in the text, with the rest ignored."""
+    return [group for _, group in _tagged_groups(text)]
 
 
 class _SpaceInfo:
@@ -353,26 +347,8 @@ def _parse_graph(value, space, field):
 def _parse_span(text, space, field):
     """Entries look like r(…) (real span) or c(…) (complex: J-closed)."""
     vectors = []
-    groups = []
-    idx = 0
-    while idx < len(text):
-        ch = text[idx]
-        if ch == "(":
-            depth = 0
-            for j in range(idx, len(text)):
-                if text[j] == "(":
-                    depth += 1
-                elif text[j] == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-            tag = text[:idx].strip().split()[-1] if text[:idx].strip() else ""
-            groups.append((tag, text[idx : j + 1]))
-            text = text[j + 1 :]
-            idx = 0
-            continue
-        idx += 1
-    for tag, group in groups:
+    for prefix, group in _tagged_groups(text):
+        tag = prefix.split()[-1] if prefix.strip() else ""
         if tag not in ("", "r", "c"):
             raise SpecFileError(f"span entries must be r(…) or c(…), got {tag!r}")
         v = _embed_logical_vector(group, space, field)

@@ -18,6 +18,7 @@ piece), so identical configurations give byte-identical reports.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
@@ -29,6 +30,12 @@ from .errors import ShellStarved, TorusflowError
 from .flats import AffineSet, CurveImage, PointSet, to_internal
 from .flow import FlowDescription
 from .lattice import Lattice, integer_relations
+
+
+def _int_in(value, lo, hi):
+    return (
+        isinstance(value, int) and not isinstance(value, bool) and lo <= value <= hi
+    )
 
 
 @dataclass
@@ -64,12 +71,33 @@ class SampleConfig:
                 )
         for name in ("count", "shells"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            if not _int_in(value, 1, math.inf):
                 raise TorusflowError(f"{name} must be an integer >= 1, got {value!r}")
         if not 0.0 <= self.coverage_threshold <= 1.0:
             raise TorusflowError(
                 "coverage_threshold must lie in [0, 1], "
                 f"got {self.coverage_threshold!r}"
+            )
+        # the outermost shell draws radii up to radius * 1e3
+        try:
+            top = self.radius_min * 2.0 ** (self.shells - 1) * 1e3
+        except OverflowError:
+            top = math.inf
+        if not math.isfinite(top):
+            raise TorusflowError(
+                "radius_min * 2^(shells - 1) * 1e3 must be finite, got "
+                f"radius_min={self.radius_min!r}, shells={self.shells!r}"
+            )
+        if not _int_in(self.curve_nodes, 2, math.inf):
+            raise TorusflowError(
+                f"curve_nodes must be an integer >= 2, got {self.curve_nodes!r}"
+            )
+        # 10**relation_digits scales floats to integers: past 15 digits the
+        # scale exceeds double precision, past 308 it overflows
+        if not _int_in(self.relation_digits, 0, 15):
+            raise TorusflowError(
+                "relation_digits must be an integer in [0, 15], "
+                f"got {self.relation_digits!r}"
             )
 
     def radius_schedule(self):
@@ -110,7 +138,14 @@ def _sample_branch(piece, count, radius, rng, mode):
     return params[:, None], logical
 
 
-def _sample_affine(piece, count, radius, rng, mode, lat, window):
+def _affine_frame(piece, lat):
+    """(base, din, qin, out_f): an affine piece's float base point, the
+    orthonormal rows ``qin`` of its directions inside the lattice span
+    (``din`` of them), and orthonormal rows ``out_f`` of the rest.
+
+    Exact work (a subspace intersection) followed by float conversions: it
+    depends only on the piece and the lattice, so compute it once per piece.
+    """
     flat = piece.flat
     base = flat.float_base()
     dirs = flat.directions
@@ -126,7 +161,14 @@ def _sample_affine(piece, count, radius, rng, mode, lat, window):
     else:
         in_f = dirs.float_basis()
         out_f = np.zeros((0, dirs.ambient_dim))
-    din, dout = len(in_f), len(out_f)
+    din = len(in_f)
+    qin = np.linalg.qr(in_f.T)[0].T[:din] if din else None
+    return base, din, qin, out_f
+
+
+def _sample_affine(frame, count, radius, rng, window):
+    base, din, qin, out_f = frame
+    dout = len(out_f)
     bnorm = float(np.linalg.norm(base))
     r_lo = radius + bnorm + 4.0 * window * math.sqrt(dout + 1)
     r = np.exp(rng.uniform(math.log(r_lo), math.log(r_lo * 1e3), size=count))
@@ -134,8 +176,7 @@ def _sample_affine(piece, count, radius, rng, mode, lat, window):
     if din:
         g = rng.normal(size=(count, din))
         g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-        qin, _ = np.linalg.qr(in_f.T)
-        pts = pts + (g * r[:, None]) @ qin.T[:din]
+        pts = pts + (g * r[:, None]) @ qin
     if dout:
         u = rng.uniform(-2.0 * window, 2.0 * window, size=(count, dout))
         pts = pts + u @ out_f
@@ -171,6 +212,7 @@ def sample_far_points(X, cfg: SampleConfig, lat: Optional[Lattice] = None):
     schedule = cfg.radius_schedule()
     per_shell = -(-cfg.count // cfg.shells)
     pieces = X.pieces
+    frames = {}   # affine piece index -> its frame, built at its first draw
     out = []
     for shell, radius in enumerate(schedule):
         quota = [per_shell // len(pieces)] * len(pieces)
@@ -191,8 +233,10 @@ def sample_far_points(X, cfg: SampleConfig, lat: Optional[Lattice] = None):
                 if piece.kind == "branch":
                     p, logical = _sample_branch(piece, draw, radius, rng, X.mode)
                 elif piece.kind == "affine":
+                    if pi not in frames:
+                        frames[pi] = _affine_frame(piece, lat)
                     p, internal = _sample_affine(
-                        piece, draw, radius, rng, X.mode, lat, cfg.window
+                        frames[pi], draw, radius, rng, cfg.window
                     )
                     logical = None
                 elif piece.kind == "graph":
@@ -467,11 +511,11 @@ def coverage_check(predicted: FlowDescription, reduced, cfg, evaluators=None,
     return fractions, hit_counts
 
 
-def _window_mask(reduced, lat: Lattice, window):
-    """Samples whose component transverse to the lattice span is in-window."""
+def _window_mask(reduced, perp_proj, window):
+    """Samples whose component transverse to the lattice span is in-window;
+    ``perp_proj`` projects onto the span's orthogonal complement."""
     if len(reduced) == 0:
         return np.zeros(0, dtype=bool)
-    perp_proj = lat.span.float_complement_projector()
     perp = reduced @ perp_proj.T
     return np.linalg.norm(perp, axis=1) <= window
 
@@ -561,6 +605,7 @@ def run_verification(X, lat: Lattice, predicted: FlowDescription,
     shells = sample_far_points(X, cfg, lat)
     evaluators = [ComponentEvaluator(c, lat, cfg) for c in predicted.components]
 
+    perp_proj = lat.span.float_complement_projector()
     all_in_window = []
     per_shell = []
     shell_cells = []
@@ -572,7 +617,7 @@ def run_verification(X, lat: Lattice, predicted: FlowDescription,
         residual_max = max(
             residual_max, lat.reduction_residual(sh.internal, reduced)
         )
-        mask = _window_mask(reduced, lat, cfg.window)
+        mask = _window_mask(reduced, perp_proj, cfg.window)
         in_win = reduced[mask]
         total += len(reduced)
         escaped += int(np.sum(~mask))
@@ -704,8 +749,9 @@ def orbit_coverage(descriptor, lat, reduced, eps):
 
 
 def _fmt_param(p):
-    if hasattr(p, "item"):
-        p = p.item()
+    """CSV text of one parameter (a Python float or complex); NaN pads."""
+    if cmath.isnan(p):
+        return ""
     if isinstance(p, complex):
         return repr(p.real) if p.imag == 0 else repr(p).replace(" ", "")
     return repr(p)
@@ -734,12 +780,21 @@ def write_sample_csv(path, shells, lat: Lattice, predicted=None, cfg=None):
                 np.minimum(dists, ev.distances(reduced)[0], out=dists)
         else:
             dists = np.full(len(reduced), np.nan)
-        for i in range(len(reduced)):
-            row = [str(sh.index)]
-            row += ["" if np.isnan(p) else _fmt_param(p) for p in sh.params[i]]
-            row += [repr(float(x)) for x in sh.internal[i]]
-            row += [repr(float(x)) for x in reduced[i]]
-            row += [repr(float(dists[i]))]
+        # format Python scalars from tolist(): indexing numpy scalars one
+        # element at a time costs more than the formatting itself
+        rows = zip(
+            sh.params.tolist(),
+            sh.internal.tolist(),
+            reduced.tolist(),
+            dists.tolist(),
+        )
+        index = str(sh.index)
+        for params, raw, red, dist in rows:
+            row = [index]
+            row += map(_fmt_param, params)
+            row += map(repr, raw)
+            row += map(repr, red)
+            row.append(repr(dist))
             lines.append(",".join(row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -164,6 +164,8 @@ class TestConfigValidation:
             ("grid_eps", "nan"),
             ("window", "nan"),
             ("coverage_threshold", "1.5"),
+            # the outermost shell's draws reach radius_min * 8 * 1e3 = inf
+            ("radius_min", "1e306"),
         ],
     )
     @pytest.mark.parametrize("command", ["verify", "sample"])
@@ -180,6 +182,27 @@ class TestConfigValidation:
         assert _exit_code([command, str(spec)] + extra) == 2
         err = capsys.readouterr().err
         assert key in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("relation_digits", "400"),
+            ("relation_digits", "-1"),
+            ("curve_nodes", "0"),
+            ("curve_nodes", "1"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["verify", "sample"])
+    def test_added_value(self, workdir, tmp_path, capsys, command, key, value):
+        spec = workdir / "hyperbola.tfp"
+        text = spec.read_text()
+        assert text.rstrip().splitlines()[-1].startswith("shells = ")
+        spec.write_text(text + f"{key} = {value}\n")  # [verify] is last
+        extra = ["--out", str(tmp_path / "dump.csv")] if command == "sample" else []
+        assert _exit_code([command, str(spec)] + extra) == 2
+        err = capsys.readouterr().err
+        assert key in err and "unknown key" not in err
         assert "Traceback" not in err and err.count("\n") == 1
 
     @pytest.mark.parametrize(

@@ -23,7 +23,7 @@ from torusflow.flats import (
     to_logical,
 )
 from torusflow.lattice import Subspace
-from torusflow.numberfield import NumberField, rationals
+from torusflow.numberfield import AlgebraicNumber, NumberField, rationals
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +189,24 @@ class TestTPoly:
         t = TPoly.variable(QQ)
         p = t**2 + TPoly.constant(QQ, 3)
         assert np.allclose(p.eval_numeric(np.array([2.0])), [7.0])
+
+
+    def test_eval_converts_coefficients_once(self, K, monkeypatch):
+        theta = K.gen
+        p = TPoly(K, {F(3, 2): theta, F(0): K.one + theta, F(-1): 3 * theta})
+        t = np.array([0.5, 2.0, 1e3])
+        expected = np.zeros(t.shape, dtype=complex)
+        for e, c in p.terms.items():
+            expected = expected + c.to_complex() * t ** float(e)
+        calls = []
+        to_complex = AlgebraicNumber.to_complex
+        monkeypatch.setattr(
+            AlgebraicNumber, "to_complex",
+            lambda self, *a: calls.append(self) or to_complex(self, *a),
+        )
+        for _ in range(3):
+            assert np.array_equal(p.eval_numeric(t), expected)
+        assert len(calls) == len(p.terms)
 
 
 class TestVarietyInput:

@@ -1,9 +1,11 @@
-"""Pinned report bytes: ``verify`` on every golden problem at seeds 1 and 2.
+"""Pinned output bytes on every golden problem at seeds 1 and 2: ``verify``
+reports and stdout, and ``sample`` CSVs.
 
-The hashes were recorded before the verifier's per-sample loops were
-vectorised.  A change that alters a report or the verify output, even in
-the last digit of a distance, fails here; if the change is intended, say so
-in CHANGES.md and record the new hashes.
+The verify hashes were recorded before the verifier's per-sample loops were
+vectorised, the CSV hashes before ``write_sample_csv`` formatted rows from
+Python lists.  A change that alters an output, even in the last digit of a
+distance, fails here; if the change is intended, say so in CHANGES.md and
+record the new hashes.
 """
 
 import hashlib
@@ -56,3 +58,34 @@ def test_verify_bytes(tmp_path, monkeypatch, capsys, name, seed, code,
     report = (tmp_path / f"{name}.tfp.report.json").read_bytes()
     assert hashlib.sha256(report).hexdigest() == report_sha
     assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_sha
+
+
+# (problem, seed, exit code, sha256 of the sample CSV)
+GOLDEN_CSV = [
+    ("dinh_vu", 1, 0, "796db195be053cae915ea5fb18410b323ec8e213898bc76fce4ef208e4b6f825"),
+    ("dinh_vu", 2, 0, "51aaa0ea768c3eac32e731f710bf8fc25cfdabf72c07ecba2e51889c91e86106"),
+    ("dinh_vu_mutated", 1, 0, "705a8049f82c22b9ec4cc79d268f096fe0fd57b8107a859e45ef29f31e643372"),
+    ("dinh_vu_mutated", 2, 0, "3c7fa1bdee62a67ea3e8636e13f5126e32fe99fdff168a51e69d8ec799a135ec"),
+    ("hyperbola", 1, 0, "bff9d2ccb7c2a370dd771bee827e6a8d6fd40859d4f910530f145c29a7e2d1ce"),
+    ("hyperbola", 2, 0, "875e36cfd01e1a98434429362a7a22da03754ab8310ac078f44b8a86e4fd4f2e"),
+    ("irrational_direction", 1, 0, "48287bda224387a48ceb4eb058f82eabd5465c2ee3534f86089351dccbc56fb7"),
+    ("irrational_direction", 2, 0, "6fe564a171be14e998a899b9af6161da263421883e52c1deea46b79358666b90"),
+    ("parabola", 1, 0, "3314313bf3b47734f1c7141c3e70baab5be6035cab4e6da48df32e41b538b9f3"),
+    ("parabola", 2, 0, "9923cf473f96bdd5432c42e20abda8e137c9d959cbf8533d952582006080d19f"),
+    ("plane_cylinder", 1, 0, "5c9e9890c3a29dca39f35f2a997041a3bd1eeb9f555444ba905707e2eb4535d6"),
+    ("plane_cylinder", 2, 0, "cd3aec075ccbbd2dc7f93b88a9027fd6a07c6d76f32dbb63ceb59dba8c56d861"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, seed, code, csv_sha",
+    GOLDEN_CSV,
+    ids=[f"{g[0]}-{g[1]}" for g in GOLDEN_CSV],
+)
+def test_sample_bytes(tmp_path, monkeypatch, name, seed, code, csv_sha):
+    shutil.copy(f"problems/{name}.tfp", tmp_path / f"{name}.tfp")
+    monkeypatch.chdir(tmp_path)
+    argv = ["sample", f"{name}.tfp", "--seed", str(seed), "--out", "s.csv"]
+    assert main(argv) == code
+    csv = (tmp_path / "s.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == csv_sha

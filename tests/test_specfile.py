@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from torusflow import specfile
 from torusflow.errors import SpecFileError
 from torusflow.expressions import (
     eval_branch_coord,
@@ -14,6 +15,14 @@ from torusflow.expressions import (
 )
 from torusflow.numberfield import NumberField, rationals
 from torusflow.specfile import load_problem, parse_problem
+
+DINH_VU_FIELD = """\
+[field]
+min_poly = x^4 + 1
+root = rect (1/2, 1) (1/2, 1)
+i = theta^2
+conj = -theta^3
+"""
 
 HYPERBOLA = """\
 schema = 1
@@ -225,3 +234,64 @@ class TestGoldenFiles:
         assert fd.span_condition == "real_only"
         spans = sorted(c.V.dim for c in fd.components)
         assert spans == [4, 4, 5]
+
+
+class TestFieldBuild:
+    def test_dinh_vu_builds_one_field(self, monkeypatch):
+        fields, isolations = [], []
+        isolate = NumberField._isolate_complex_root
+
+        def counted_isolate(self, rect):
+            isolations.append(rect)
+            return isolate(self, rect)
+
+        def counted_field(*args, **kwargs):
+            fields.append(NumberField(*args, **kwargs))
+            return fields[-1]
+
+        monkeypatch.setattr(NumberField, "_isolate_complex_root", counted_isolate)
+        # the constructor is looked up on the module, where tracers patch it
+        monkeypatch.setattr(specfile, "NumberField", counted_field)
+        spec = load_problem("problems/dinh_vu.tfp")
+        assert len(isolations) == 1
+        assert fields == [spec.field]
+
+    def test_matches_two_step_build(self):
+        field = specfile._build_field(specfile._parse_raw(DINH_VU_FIELD))
+        coeffs, box = [1, 0, 0, 0, 1], ((F(1, 2), 1), (F(1, 2), 1))
+        probe = NumberField(coeffs, root_box=box)
+        two_step = NumberField(
+            coeffs,
+            root_box=box,
+            i_coords=eval_scalar(parse_expr("theta^2"), probe).coords,
+            conj_coords=eval_scalar(parse_expr("-theta^3"), probe).coords,
+        )
+        assert field._key == two_step._key
+        assert field.i.coords == two_step.i.coords
+        assert field._conj_matrix == two_step._conj_matrix
+        for k in (1, 2, 3):
+            assert (field.gen ** k).to_complex() == (two_step.gen ** k).to_complex()
+
+    @pytest.mark.parametrize(
+        "root",
+        [
+            "rect (1/2, 1)",
+            "rect (1/2, 1) x (1/2, 1)",
+            "rect (1/2, 1) (1/2, 1) y",
+            "rect (1/2, 1) (1/2, 1) (0, 1)",
+            "rect (1/2, 1 (1/2, 1)",
+        ],
+    )
+    def test_malformed_rect_rejected(self, root):
+        text = DINH_VU_FIELD.replace("rect (1/2, 1) (1/2, 1)", root)
+        with pytest.raises(SpecFileError):
+            specfile._build_field(specfile._parse_raw(text))
+
+    def test_span_tags(self):
+        spec = load_problem("problems/dinh_vu.tfp")
+        space = specfile._SpaceInfo("complex", 3, 2)
+        span = specfile._parse_span("r(theta, 0, 0) c(0, 1, 0)", space, spec.field)
+        assert span.dim == 3
+        for bad in ("q(1, 0, 0)", "r(1, 0, 0) s(0, 1, 0)"):
+            with pytest.raises(SpecFileError, match="r\\(…\\) or c\\(…\\)"):
+                specfile._parse_span(bad, space, spec.field)

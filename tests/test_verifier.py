@@ -385,8 +385,11 @@ def sample_per_index(X, cfg, lat):
                         piece, draw, radius, rng, X.mode
                     )
                 elif piece.kind == "affine":
+                    # a fresh frame for every draw: the sampler's cached one
+                    # must give the same draws
+                    frame = verifier._affine_frame(piece, lat)
                     p, internal = verifier._sample_affine(
-                        piece, draw, radius, rng, X.mode, lat, cfg.window
+                        frame, draw, radius, rng, cfg.window
                     )
                 else:
                     p, logical = verifier._sample_graph(
@@ -484,6 +487,31 @@ class TestArraySampler:
         assert widths == {len(header.split(","))}
         # branch rows carry one parameter, graph rows two
         assert rows[0].split(",")[2] == "" and rows[4].split(",")[2] != ""
+
+
+class TestAffineFrame:
+    @pytest.mark.parametrize("shells", [1, 4])
+    def test_one_intersection_per_piece(self, QQ, monkeypatch, shells):
+        X = VarietyInput(
+            [
+                AffinePiece(Flat([3, 0, 0], Subspace(3, [[1, 0, 0], [0, 1, 1]], QQ))),
+                AffinePiece(Flat([0, 0, 1], Subspace(3, [[0, 1, 0]], QQ))),
+            ],
+            3, "real", 2, QQ,
+        )
+        lat = Lattice(3, [[1, 0, 0], [0, 1, 0]], QQ)
+        calls = []
+        intersect = Subspace.intersect
+
+        def counted(self, other):
+            calls.append(self)
+            return intersect(self, other)
+
+        monkeypatch.setattr(Subspace, "intersect", counted)
+        cfg = SampleConfig(radius_min=100, count=3000 * shells, seed=4, shells=shells)
+        sample_far_points(X, cfg, lat)
+        # one draw per shell and piece: affine draws all land outside the ball
+        assert calls == [p.flat.directions for p in X.pieces]
 
 
 def _cell_rows(d):
