@@ -1,9 +1,11 @@
-"""Pinned output bytes on every golden problem at seeds 1 and 2: ``verify``
-reports and stdout, and ``sample`` CSVs.
+"""Pinned output bytes on every golden problem: ``closure`` JSON and
+stdout, and at seeds 1 and 2 ``verify`` reports and stdout and ``sample``
+CSVs.
 
 The verify hashes were recorded before the verifier's per-sample loops were
 vectorised, the CSV hashes before ``write_sample_csv`` formatted rows from
-Python lists.  A change that alters an output, even in the last digit of a
+Python lists, the closure hashes before the torus closure was rebuilt on
+``exactlinalg``.  A change that alters an output, even in the last digit of a
 distance, fails here; if the change is intended, say so in CHANGES.md and
 record the new hashes.
 """
@@ -89,3 +91,40 @@ def test_sample_bytes(tmp_path, monkeypatch, name, seed, code, csv_sha):
     assert main(argv) == code
     csv = (tmp_path / "s.csv").read_bytes()
     assert hashlib.sha256(csv).hexdigest() == csv_sha
+
+
+# (problem, exit code, sha256 of .closure.json or None if none is written,
+#  sha256 of stdout); the graph problems have no symbolic analysis (exit 3)
+GOLDEN_CLOSURE = [
+    ("dinh_vu", 3, None,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("dinh_vu_mutated", 3, None,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("hyperbola", 0, "66af46a061149e265a55b502bdcb290e47d9ac2caaa7cfb9b551993ec5e32dda",
+     "d0e4409d86b3bc9f8a61bf52eef452d3dde9037ed30cf88cdea83ceea6651894"),
+    ("irrational_direction", 0, "263793cba5f26d0d7b9a3ce0447e6c250bb37c14cb6240fcf15185a245c85183",
+     "a83d2485dd6f939e2bc30bff7c5be145c31489639b0cbed11884e868bb7fe340"),
+    ("parabola", 0, "9c58504f5c3e35301e95f7cdb416da95cf776b3f994072223fcfaf718bafb8ef",
+     "1b20bbc9757589ea428d523a2e760fef6434ad23499ba4be3ae11fdb41a97708"),
+    ("plane_cylinder", 0, "22361255d3f496f71065a64b663631526ed9aa41fb890873c84f51895789d33f",
+     "34302a3aa949b3a4f21abccdd06636ddcec20972ec5c8766669ee7bf1872cd50"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, code, json_sha, stdout_sha",
+    GOLDEN_CLOSURE,
+    ids=[g[0] for g in GOLDEN_CLOSURE],
+)
+def test_closure_bytes(tmp_path, monkeypatch, capsys, name, code, json_sha,
+                       stdout_sha):
+    shutil.copy(f"problems/{name}.tfp", tmp_path / f"{name}.tfp")
+    monkeypatch.chdir(tmp_path)
+    assert main(["closure", f"{name}.tfp"]) == code
+    stdout = capsys.readouterr().out
+    out = tmp_path / f"{name}.tfp.closure.json"
+    if json_sha is None:
+        assert not out.exists()
+    else:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == json_sha
+    assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_sha
