@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import exactlinalg as xl
 from .errors import SymbolicUnsupported, TorusflowError
 from .flats import (
     AffinePiece,
@@ -168,11 +167,9 @@ def expand_at_infinity(branch: ParametricBranch) -> ExpansionAtInfinity:
     into one certified remainder bound shared by all coordinates.
     """
     field = branch.field
-    s = 1
-    for numer, denom in branch.coords:
-        for poly in (numer, denom):
-            d = poly.exponent_denominator()
-            s = s * d // math.gcd(s, d)
+    s = math.lcm(
+        *(poly.exponent_denominator() for pair in branch.coords for poly in pair)
+    )
     n = len(branch.coords)
     vector_terms = {}
     bound_C = Rat(0)
@@ -276,16 +273,7 @@ def affine_asymptotic_family(
         Q = Subspace(Q.ambient_dim, Q.basis, Q.field, complex_structure=True)
     if Q.dim == 0:
         return None
-    field = P.field
-    base_point = xl.project_onto_complement(
-        piece.flat.base_point, Q.basis, field
-    )
-    base_dirs = [
-        xl.project_onto_complement(v, Q.basis, field) for v in P.basis
-    ]
-    base_sub = Subspace(P.ambient_dim, base_dirs, field)
-    base_flat = Flat(base_point, base_sub)
-    return TranslateFamily(base=AffineSet(base_flat), direction=Q)
+    return TranslateFamily(base=AffineSet(piece.flat).project(Q), direction=Q)
 
 
 def variety_asymptotic_flats(

@@ -34,6 +34,13 @@ def vec_sub(u, v):
 def vec_scale(u, c):
     return [a * c for a in u]
 
+def _combination(coeffs, vectors, dom):
+    """The vector sum of c * v over paired coefficients and (nonempty) vectors."""
+    out = [dom.zero] * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        out = vec_add(out, vec_scale(v, c))
+    return out
+
 def dot(u, v):
     acc = None
     for a, b in zip(u, v):
@@ -108,10 +115,7 @@ def solve(rows, rhs, dom):
 
 def in_span(vectors, v, dom):
     """Is v a linear combination of the vectors (exact)?"""
-    if not vectors:
-        return all(c == 0 for c in v)
-    cols = [[vec[j] for vec in vectors] for j in range(len(v))]
-    return solve(cols, list(v), dom) is not None
+    return span_coordinates(vectors, v, dom) is not None
 
 
 def span_coordinates(vectors, v, dom):
@@ -137,21 +141,11 @@ def intersect_spans(a, b, ambient_dim, dom):
     for coord in range(ambient_dim):
         rows.append([u[coord] for u in a] + [-v[coord] for v in b])
     combos = kernel_basis(rows, len(a) + len(b), dom)
-    out = []
-    for combo in combos:
-        vec = [dom.zero] * ambient_dim
-        for s, u in zip(combo[: len(a)], a):
-            vec = vec_add(vec, vec_scale(u, s))
-        out.append(vec)
-    return canonical_basis(out, dom)
+    return canonical_basis([_combination(c[: len(a)], a, dom) for c in combos], dom)
 
 
 def orthogonal_complement(vectors, ambient_dim, dom):
     """Basis of {x : <x, v> = 0 for all v} under the standard bilinear form."""
-    if not vectors:
-        red, _ = rref([[dom.one if i == j else dom.zero for j in range(ambient_dim)]
-                       for i in range(ambient_dim)], dom)
-        return red
     return kernel_basis([list(v) for v in vectors], ambient_dim, dom)
 
 
@@ -161,11 +155,7 @@ def project_onto_span(x, vectors, dom):
         return [dom.zero] * len(x)
     gram = [[dot(u, v) for v in vectors] for u in vectors]
     rhs = [dot(u, x) for u in vectors]
-    coeffs = solve(gram, rhs, dom)
-    out = [dom.zero] * len(x)
-    for c, v in zip(coeffs, vectors):
-        out = vec_add(out, vec_scale(v, c))
-    return out
+    return _combination(solve(gram, rhs, dom), vectors, dom)
 
 
 def project_onto_complement(x, vectors, dom):

@@ -176,12 +176,16 @@ def _const_rational(node):
             return a - b
         if kind == "*":
             return a * b
+        if b == 0:
+            raise SpecFileError("division by zero in a rational constant")
         return a / b
     if kind == "^":
         base = _const_rational(node[1])
         expo = _const_rational(node[2])
         if expo.denominator != 1:
             raise SpecFileError("rational constant powers must be integral")
+        if base == 0 and expo < 0:
+            raise SpecFileError("division by zero in a rational constant")
         return base ** int(expo)
     raise SpecFileError("expected a rational constant expression")
 
@@ -370,25 +374,30 @@ def compile_numeric(node, var_names, field: NumberField = None):
     return walk(node)
 
 
+def _split_top(text, sep):
+    """Split on a separator character at paren depth zero."""
+    parts, depth, start = [], 0, 0
+    for idx, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == sep and depth == 0:
+            parts.append(text[start:idx])
+            start = idx + 1
+    parts.append(text[start:])
+    return [p.strip() for p in parts]
+
+
 def split_vector(text):
     """Split '(a, b, c)' into component expression strings at depth one."""
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise SpecFileError(f"expected a parenthesized vector, got {text!r}")
-    inner = text[1:-1]
-    parts, depth, start = [], 0, 0
-    for idx, ch in enumerate(inner):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(inner[start:idx])
-            start = idx + 1
-    parts.append(inner[start:])
-    if any(not p.strip() for p in parts):
+    parts = _split_top(text[1:-1], ",")
+    if not all(parts):
         raise SpecFileError(f"empty vector component in {text!r}")
-    return [p.strip() for p in parts]
+    return parts
 
 
 def parse_exact_vector(text, field: NumberField):

@@ -9,6 +9,7 @@ the two pictures with to_internal/to_logical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -139,10 +140,7 @@ class TPoly:
         return result
 
     def exponent_denominator(self):
-        d = 1
-        for e in self.terms:
-            d = d * e.denominator // __import__("math").gcd(d, e.denominator)
-        return d
+        return math.lcm(*(e.denominator for e in self.terms))
 
     def eval_numeric(self, t):
         """Evaluate at positive real (or complex, if exponents integral) t."""
@@ -330,13 +328,7 @@ class CurveImage:
         return pts
 
     def project(self, span: Subspace):
-        basis = span.float_basis()
-        n = span.ambient_dim
-        proj = np.eye(n)
-        if len(basis):
-            # numeric orthogonal projection onto the complement of span
-            q, _ = np.linalg.qr(basis.T)
-            proj = np.eye(n) - q @ q.T
+        proj = span.float_complement_projector()
         if self.projection is not None:
             proj = proj @ self.projection
         return CurveImage(self.sampler, self.param_range, self.label, proj)

@@ -12,7 +12,7 @@ standard inner product is genuinely positive definite.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 import numpy as np
 
@@ -479,10 +479,6 @@ def rational_annihilator(vectors, field: NumberField):
             row = [coord_rows[j][k] for j in range(m)]
             if any(c != 0 for c in row):
                 rows.append(row)
-    if not rows:
-        return [
-            [Rat(1) if i == j else Rat(0) for j in range(m)] for i in range(m)
-        ]
     return xl.kernel_basis(rows, m, QQ)
 
 
@@ -529,19 +525,10 @@ class ClosedSubgroupDescriptor:
             raise InternalInvariantError(
                 "lattice points of the torus closure are not saturated"
             )
-        # D = H0^{-1} U[:g], exact over rationals then necessarily integral
-        n = g
-        aug = [[Rat(x) for x in H0[i]] + [Rat(x) for x in U[i]] for i in range(n)]
-        for c in range(n):
-            piv = next(rr for rr in range(c, n) if aug[rr][c] != 0)
-            aug[c], aug[piv] = aug[piv], aug[c]
-            inv = 1 / aug[c][c]
-            aug[c] = [x * inv for x in aug[c]]
-            for rr in range(n):
-                if rr != c and aug[rr][c] != 0:
-                    f = aug[rr][c]
-                    aug[rr] = [x - f * y for x, y in zip(aug[rr], aug[c])]
-        D = [[x for x in row[n:]] for row in aug]
+        # the RREF of [H0 | U[:g]] is [I | D] with D = H0^{-1} U[:g], exact
+        # over the rationals and then necessarily integral
+        aug, _ = xl.rref([H0[i] + U[i] for i in range(g)], QQ)
+        D = [row[g:] for row in aug]
         if any(x.denominator != 1 for row in D for x in row):
             raise InternalInvariantError("integer dual has non-integer entries")
         return [[int(x) for x in row] for row in D]
@@ -558,35 +545,13 @@ class ClosedSubgroupDescriptor:
         return f"ClosedSubgroupDescriptor(torus_dim={self.torus_dim})"
 
 
-def _closure_data(V: Subspace, lat: Lattice):
-    """Shared machinery: lambda-coordinates, annihilator, rational kernel."""
-    coord_vectors = [lat.lambda_coordinates(v) for v in V.basis]
-    forms = rational_annihilator(coord_vectors, lat.field)
-    kernel = xl.kernel_basis(forms, lat.rank, QQ) if forms else []
-    if not forms:
-        kernel = [
-            [Rat(1) if i == j else Rat(0) for j in range(lat.rank)]
-            for i in range(lat.rank)
-        ]
-    return forms, kernel
-
-
 def rational_closure(V: Subspace, lat: Lattice) -> Subspace:
     """Smallest Lambda-rational subspace containing V.
 
     Minimality holds because the result is cut out by every rational form
     vanishing on V's lattice coordinates.
     """
-    if V.dim == 0:
-        return Subspace(lat.ambient_dim, [], lat.field)
-    _, kernel = _closure_data(V, lat)
-    ambient = []
-    for coeffs in kernel:
-        vec = [lat.field.zero] * lat.ambient_dim
-        for c, b in zip(coeffs, lat.basis):
-            vec = xl.vec_add(vec, xl.vec_scale(b, lat.field.rational(c)))
-        ambient.append(vec)
-    return Subspace(lat.ambient_dim, ambient, lat.field)
+    return torus_closure(V, lat).W
 
 
 def torus_closure(V: Subspace, lat: Lattice) -> ClosedSubgroupDescriptor:
@@ -594,32 +559,24 @@ def torus_closure(V: Subspace, lat: Lattice) -> ClosedSubgroupDescriptor:
     if V.dim == 0:
         W = Subspace(lat.ambient_dim, [], lat.field)
         return ClosedSubgroupDescriptor(W, [], [], V)
-    forms, kernel = _closure_data(V, lat)
-    ambient = []
-    for coeffs in kernel:
-        vec = [lat.field.zero] * lat.ambient_dim
-        for c, b in zip(coeffs, lat.basis):
-            vec = xl.vec_add(vec, xl.vec_scale(b, lat.field.rational(c)))
-        ambient.append(vec)
-    W = Subspace(lat.ambient_dim, ambient, lat.field)
-
-    if forms:
-        denom = 1
-        for row in forms:
-            for c in row:
-                denom = denom * c.denominator // gcd(denom, c.denominator)
-        int_forms = [[int(c * denom) for c in row] for row in forms]
-        coords = int_kernel_basis(int_forms, lat.rank)
-    else:
-        coords = [
-            [1 if i == j else 0 for j in range(lat.rank)] for i in range(lat.rank)
-        ]
-    points = []
-    for cv in coords:
-        vec = [lat.field.zero] * lat.ambient_dim
-        for c, b in zip(cv, lat.basis):
-            vec = xl.vec_add(vec, xl.vec_scale(b, lat.field.rational(c)))
-        points.append(vec)
+    field = lat.field
+    coord_vectors = [lat.lambda_coordinates(v) for v in V.basis]
+    forms = rational_annihilator(coord_vectors, field)
+    # W is spanned by the rational kernel of the forms, Lambda cap W by their
+    # integer kernel, both mapped from Lambda-coordinates to the ambient space
+    kernel = xl.kernel_basis(forms, lat.rank, QQ)
+    W = Subspace(
+        lat.ambient_dim,
+        [xl._combination(map(field.rational, c), lat.basis, field) for c in kernel],
+        field,
+    )
+    denom = lcm(*(c.denominator for row in forms for c in row))
+    coords = int_kernel_basis(
+        [[int(c * denom) for c in row] for row in forms], lat.rank
+    )
+    points = [
+        xl._combination(map(field.rational, c), lat.basis, field) for c in coords
+    ]
     return ClosedSubgroupDescriptor(W, points, coords, V)
 
 

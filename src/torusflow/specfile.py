@@ -47,6 +47,7 @@ from .expressions import (
     parse_expr,
     split_vector,
     _const_rational,
+    _split_top,
 )
 from .flats import (
     AffinePiece,
@@ -199,21 +200,6 @@ def _build_field(entries):
     return field
 
 
-def _split_top(text, sep):
-    """Split on a separator character at paren depth zero."""
-    parts, depth, start = [], 0, 0
-    for idx, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == sep and depth == 0:
-            parts.append(text[start:idx])
-            start = idx + 1
-    parts.append(text[start:])
-    return [p.strip() for p in parts]
-
-
 def _tagged_groups(text):
     """Top-level parenthesized groups of the text, in order, each paired with
     the text between it and the previous group."""
@@ -345,10 +331,19 @@ def _parse_graph(value, space, field):
 
 
 def _parse_span(text, space, field):
-    """Entries look like r(…) (real span) or c(…) (complex: J-closed)."""
+    """Entries look like r(…) (real span) or c(…) (complex: J-closed),
+    separated by whitespace or one comma."""
+    groups = _tagged_groups(text)
+    trailing = text[text.rindex(")") + 1 :] if groups else text
+    if trailing.strip():
+        raise SpecFileError(
+            f"span entries must be r(…) or c(…), got {trailing.strip()!r}"
+        )
     vectors = []
-    for prefix, group in _tagged_groups(text):
-        tag = prefix.split()[-1] if prefix.strip() else ""
+    for k, (prefix, group) in enumerate(groups):
+        tag = prefix.strip()
+        if k and tag.startswith(","):
+            tag = tag[1:].lstrip()
         if tag not in ("", "r", "c"):
             raise SpecFileError(f"span entries must be r(…) or c(…), got {tag!r}")
         v = _embed_logical_vector(group, space, field)

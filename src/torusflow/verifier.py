@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
@@ -69,6 +69,17 @@ class SampleConfig:
                 raise TorusflowError(
                     f"{name} must be finite and positive, got {value!r}"
                 )
+        # One bound keeps the cell indices and the affine draws finite: with
+        # window, 1/grid_eps and window/grid_eps at most 2^40, the torus-cell
+        # count ceil(1/eps), the affine base cells (v + window)/eps and the
+        # shell cells floor(x/eps) of in-window points x stay below 2^63
+        # while the lattice basis norms sum to less than 2^22, and the affine
+        # sampler's range 4 * window * sqrt(n) * 1e3 stays finite.
+        if max(1.0, self.window) / min(1.0, self.grid_eps) > 2.0**40:
+            raise TorusflowError(
+                "window, 1/grid_eps and window/grid_eps must be at most 2^40, "
+                f"got window={self.window!r}, grid_eps={self.grid_eps!r}"
+            )
         for name in ("count", "shells"):
             value = getattr(self, name)
             if not _int_in(value, 1, math.inf):
@@ -514,8 +525,6 @@ def coverage_check(predicted: FlowDescription, reduced, cfg, evaluators=None,
 def _window_mask(reduced, perp_proj, window):
     """Samples whose component transverse to the lattice span is in-window;
     ``perp_proj`` projects onto the span's orthogonal complement."""
-    if len(reduced) == 0:
-        return np.zeros(0, dtype=bool)
     perp = reduced @ perp_proj.T
     return np.linalg.norm(perp, axis=1) <= window
 
@@ -567,23 +576,7 @@ class VerificationReport:
     heuristic_relations: list = dc_field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "schema_version": 1,
-            "passed": self.passed,
-            "containment_passed": self.containment_passed,
-            "coverage_passed": self.coverage_passed,
-            "max_containment_distance": self.max_containment_distance,
-            "coverage": self.coverage,
-            "escaped_mass": self.escaped_mass,
-            "residual_max": self.residual_max,
-            "mismatch_flag": self.mismatch_flag,
-            "per_shell": self.per_shell,
-            "worst_sample": self.worst_sample,
-            "backend": self.backend,
-            "config": self.config,
-            "span_condition": self.span_condition,
-            "heuristic_relations": self.heuristic_relations,
-        }
+        return {"schema_version": 1, **asdict(self)}
 
 
 def shell_stability(shell_cells):
@@ -635,11 +628,7 @@ def run_verification(X, lat: Lattice, predicted: FlowDescription,
     for entry, nc in zip(per_shell, new_cells):
         entry["new_cells"] = nc
 
-    in_window = (
-        np.vstack([a for a in all_in_window if len(a)])
-        if any(len(a) for a in all_in_window)
-        else np.zeros((0, lat.ambient_dim))
-    )
+    in_window = np.concatenate(all_in_window)
 
     mismatch = predicted.is_empty and len(in_window) > 0
     if predicted.is_empty:

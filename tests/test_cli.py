@@ -145,6 +145,32 @@ shells = 1
         assert main(["sample", str(spec), "--out", out]) == 6
 
 
+class TestZeroDivisor:
+    """A zero divisor in a rational constant is a parse error, exit 2."""
+
+    @pytest.mark.parametrize(
+        "name, old, new",
+        [
+            ("hyperbola", "branch = (t, 1/t)", "branch = (t^(1/0), t)"),
+            ("irrational_direction", "root = interval (1, 2)",
+             "root = interval (1/0, 2)"),
+            ("irrational_direction", "root = interval (1, 2)",
+             "root = interval (0^(-1), 2)"),
+            ("dinh_vu", "curve u in (-40, 40)", "curve u in (-40/0, 40)"),
+        ],
+        ids=["exponent", "interval", "negative-power", "curve-range"],
+    )
+    def test_parse_error(self, tmp_path, capsys, name, old, new):
+        text = open(f"problems/{name}.tfp").read()
+        assert old in text
+        spec = tmp_path / f"{name}.tfp"
+        spec.write_text(text.replace(old, new, 1))
+        assert _exit_code(["closure", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert "division by zero" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+
 def _exit_code(argv):
     try:
         return main(argv)
@@ -166,6 +192,9 @@ class TestConfigValidation:
             ("coverage_threshold", "1.5"),
             # the outermost shell's draws reach radius_min * 8 * 1e3 = inf
             ("radius_min", "1e306"),
+            # the affine draw range and the cell indices overflow
+            ("window", "1e306"),
+            ("grid_eps", "1e-300"),
         ],
     )
     @pytest.mark.parametrize("command", ["verify", "sample"])

@@ -292,6 +292,24 @@ class TestFieldBuild:
         space = specfile._SpaceInfo("complex", 3, 2)
         span = specfile._parse_span("r(theta, 0, 0) c(0, 1, 0)", space, spec.field)
         assert span.dim == 3
-        for bad in ("q(1, 0, 0)", "r(1, 0, 0) s(0, 1, 0)"):
+        # entries may be separated by one comma, with or without spaces
+        for text in ("r(theta, 0, 0),c(0, 1, 0)", "r(theta, 0, 0) ,c(0, 1, 0)",
+                     "r(theta, 0, 0), c(0, 1, 0)"):
+            assert specfile._parse_span(text, space, spec.field) == span
+        for bad in ("q(1, 0, 0)", "r(1, 0, 0) s(0, 1, 0)",
+                    "c(1, 0, 0) junk c(0, 0, 1)", "c(1, 0, 0) c(0, 0, 1) trailing",
+                    ",c(1, 0, 0)", "c(1, 0, 0),,c(0, 0, 1)", "junk"):
             with pytest.raises(SpecFileError, match="r\\(…\\) or c\\(…\\)"):
                 specfile._parse_span(bad, space, spec.field)
+        # the same through a whole problem file
+        text = open("problems/dinh_vu.tfp").read()
+        ray = "span r(theta, 0, 0) c(0, 1, 0) c(0, 0, 1)"
+        assert ray in text
+        commas = parse_problem(
+            text.replace(ray, "span r(theta, 0, 0),c(0, 1, 0),c(0, 0, 1)")
+        )
+        assert [c[1] for c in commas.predicted] == [c[1] for c in spec.predicted]
+        for bad in ("span r(theta, 0, 0) c(0, 1, 0) junk c(0, 0, 1)",
+                    "span r(theta, 0, 0) c(0, 1, 0) c(0, 0, 1) trailing"):
+            with pytest.raises(SpecFileError, match="r\\(…\\) or c\\(…\\)"):
+                parse_problem(text.replace(ray, bad))
