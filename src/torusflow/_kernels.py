@@ -2,20 +2,34 @@
 
 The verifier's hot loop is the distance from each reduced sample to the
 target cloud {offset + node} (projected lattice translates plus base-set
-nodes).  Two exact searches share one arithmetic:
+nodes).  Three exact searches share one arithmetic:
 
 * a direct-difference scan over every target, in query blocks;
 * a uniform-grid index (Bentley, Stanat and Williams, "The complexity of
   finding fixed-radius near neighbors", IPL 1977): the targets are bucketed
   into cells of side h and each query looks only at the 3^q cells around
   its own.  A best distance <= h found there is the true minimum, because
-  every target within h of the query lies in those cells.  Queries that
-  find nothing that close are finished by the scan.
+  every target within h of the query lies in those cells.
+* bounding-box leaves for the queries the grid cannot settle (Friedman,
+  Bentley and Finkel, ACM TOMS 1977; Fukunaga and Narendra, IEEE Trans.
+  Computers 1975): the targets are cut into about sqrt(N) kd leaves of equal
+  size, and a query evaluates only the leaves whose box is no farther than
+  its best distance to the leaf with the nearest box.  Few far queries, and
+  queries that are not finite, are scanned instead.
 
 ``min_distance_batch`` picks between them from the input shape alone.
 Squared distances are summed coordinate by coordinate in a fixed order, so
-both searches round every (query, target) pair identically and agree
+all searches round every (query, target) pair identically and agree
 exactly, ties included: the lowest flat index t * P + p wins.
+
+The leaf pruning is exact too.  A box's lo and hi are coordinates of its
+own targets, and the box point nearest to x, clip(x, lo, hi), lies between
+x and any target t of the box in every coordinate.  Rounding is monotone,
+so the rounded |x_k - clip_k| never exceeds the rounded |x_k - t_k|, and
+the box bound, summed in the same order, never exceeds the target's
+rounded squared distance.  Every target at the minimum is therefore in a
+leaf whose bound is <= the best distance found, and is evaluated: the
+comparison is <=, not <, so that exact ties survive.
 
 Differences are taken directly.  The matmul identity |x|^2 + |c|^2 - 2 x.c
 cancels badly: with |x| about 10 it is off by 2e-10 at distance 1e-3 and by
@@ -158,7 +172,7 @@ def _grid(points, targets):
     extent = np.array([col.max() for col in targets.T]) - lo
     # about one target per cell when the targets fill their bounding box
     h = float(extent.max()) / min(max(1, round(N ** (1.0 / q))), 1 << 20)
-    if not h > 0.0:
+    if not 0.0 < h < np.inf:
         return _scan(points, targets)
     # targets fill cells 1..n along each axis; cells 0 and n + 1 are an empty
     # border, so all 3^q cells around any cell in 1..n exist
@@ -174,8 +188,7 @@ def _grid(points, targets):
     around = np.array(list(itertools.product((-1, 0, 1), repeat=q))) @ strides
     # A query off the grid is moved onto its edge.  The cells it then sees
     # include every occupied cell next to its own, so the search stays exact;
-    # whatever else it finds is farther than h, and it is scanned.  So are
-    # queries that are not finite.
+    # whatever else it finds is farther than h, and it is searched again below.
     qcell = np.clip(np.nan_to_num(np.floor((points - lo) / h)), 0, n - 1)
     qkey = (qcell.astype(np.int64) + 1) @ strides
 
@@ -199,8 +212,16 @@ def _grid(points, targets):
             )
             a = b
 
+    # Unsettled queries go to the leaves when there are enough pairs to pay
+    # for building them; the rest, and queries that are not finite, are scanned.
     limit = h * _EXACT_MARGIN
-    rest = np.nonzero(~(best <= limit * limit))[0]
+    unsettled = ~(best <= limit * limit)
+    finite = np.isfinite(points).all(axis=1)
+    far = np.nonzero(unsettled & finite)[0]
+    if len(far) * N >= GRID_MIN_PAIRS:
+        best[far], flat[far] = _leaves(points[far], targets)
+        unsettled &= ~finite
+    rest = np.nonzero(unsettled)[0]
     if len(rest):
         best[rest], flat[rest] = _scan(points[rest], targets)
     return best, flat
@@ -229,3 +250,72 @@ def _nearest_in_cells(points, targets, order, start, count, best, flat):
     tied = np.where(d2 == low[owner], cand, len(targets))
     best[seen] = low[seen]
     flat[seen] = np.minimum.reduceat(tied, first)
+
+
+def _kd_leaves(targets):
+    """(B, S) target indices: B = 2^depth leaves of S targets each, about sqrt(N).
+
+    Each level cuts every leaf at the median of its widest axis.  The last
+    leaf is padded with the last target index repeated, which changes no
+    distance and no flat index.  Indices ascend within each leaf.
+    """
+    N = len(targets)
+    depth = int(round(np.log2(N) / 2))
+    size = -(-N // (1 << depth))
+    idx = np.minimum(np.arange(size << depth), N - 1)
+    # column by column: cols[:, idx] is laid out coordinate-last, and its
+    # min and max along the targets take 3x longer
+    cols = np.ascontiguousarray(targets.T)
+    for level in range(depth):
+        idx = idx.reshape(1 << level, -1)
+        vals = [c[idx] for c in cols]
+        axis = np.argmax([v.max(axis=1) - v.min(axis=1) for v in vals], axis=0)
+        key = np.choose(axis[:, None], vals)
+        half = idx.shape[1] // 2
+        idx = np.take_along_axis(idx, np.argpartition(key, half, axis=1), axis=1)
+    return np.sort(idx.reshape(1 << depth, size), axis=1)
+
+
+def _leaves(points, targets):
+    """``_scan``'s answer for finite points, pruning whole kd leaves by their boxes.
+
+    A (query, leaf) pair is evaluated only when the squared distance to the
+    leaf's bounding box is <= the query's best distance to the leaf whose box
+    is nearest, so every target that ties the minimum is seen.
+    """
+    M, N = len(points), len(targets)
+    leaf = _kd_leaves(targets)
+    B, S = leaf.shape
+    # (B, q, S): each coordinate of a leaf's targets is contiguous
+    members = np.stack([c[leaf] for c in targets.T], axis=1)
+    lo, hi = members.min(axis=2), members.max(axis=2)
+    best = np.empty(M)
+    flat = np.empty(M, dtype=np.intp)
+    step = max(1, _CHUNK_PAIRS // max(B, S))
+    for i in range(0, M, step):
+        x = points[i : i + step, None, :]
+        m = len(x)
+        # clip gives the point of each box nearest to the query
+        lb = _sq_dist(x, np.clip(x, lo, hi))
+        near = lb.argmin(axis=1)
+        bound = _sq_dist(x, np.moveaxis(members[near], 1, 2)).min(axis=1)
+        owner, seen = np.nonzero(lb <= bound[:, None])
+        ends = np.cumsum(np.bincount(owner, minlength=m))
+        a = 0
+        while a < m:
+            # at most about _CHUNK_PAIRS candidates at once
+            done = ends[a - 1] if a else 0
+            limit = done + _CHUNK_PAIRS // S
+            b = max(a + 1, int(np.searchsorted(ends, limit, "right")))
+            rows, cand = owner[done : ends[b - 1]], seen[done : ends[b - 1]]
+            d2 = _sq_dist(x[rows], np.moveaxis(members[cand], 1, 2))
+            # within a leaf the first minimum has the lowest flat index
+            at = d2.argmin(axis=1)
+            pair_min = d2[np.arange(len(d2)), at]
+            first = np.concatenate([[0], ends[a : b - 1] - done])
+            low = np.minimum.reduceat(pair_min, first)
+            tied = np.where(pair_min == low[rows - a], leaf[cand, at], N)
+            best[i + a : i + b] = low
+            flat[i + a : i + b] = np.minimum.reduceat(tied, first)
+            a = b
+    return best, flat

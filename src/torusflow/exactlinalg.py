@@ -144,11 +144,6 @@ def intersect_spans(a, b, ambient_dim, dom):
     return canonical_basis([_combination(c[: len(a)], a, dom) for c in combos], dom)
 
 
-def orthogonal_complement(vectors, ambient_dim, dom):
-    """Basis of {x : <x, v> = 0 for all v} under the standard bilinear form."""
-    return kernel_basis([list(v) for v in vectors], ambient_dim, dom)
-
-
 def project_onto_span(x, vectors, dom):
     """Orthogonal projection of x onto span(vectors), exactly."""
     if not vectors:

@@ -398,7 +398,3 @@ def split_vector(text):
     if not all(parts):
         raise SpecFileError(f"empty vector component in {text!r}")
     return parts
-
-
-def parse_exact_vector(text, field: NumberField):
-    return [eval_scalar(parse_expr(p), field) for p in split_vector(text)]

@@ -296,10 +296,6 @@ class Subspace:
             tuple(tuple(tuple(e.coords) for e in row) for row in self.basis),
         )
 
-    def orthogonal_complement(self):
-        comp = xl.orthogonal_complement(self.basis, self.ambient_dim, self.field)
-        return Subspace(self.ambient_dim, comp, self.field)
-
     def intersect(self, other: "Subspace"):
         vecs = xl.intersect_spans(self.basis, other.basis, self.ambient_dim, self.field)
         return Subspace(self.ambient_dim, vecs, self.field)

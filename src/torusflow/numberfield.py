@@ -241,9 +241,6 @@ class Box:
     def width(self):
         return max(self.re.width(), self.im.width())
 
-    def mid(self):
-        return (self.re.mid(), self.im.mid())
-
     def __add__(self, other):
         return Box(self.re + other.re, self.im + other.im)
 

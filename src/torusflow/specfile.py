@@ -133,6 +133,14 @@ def _single(entries, section, key, default=None, required=False):
     return found[0][0]
 
 
+def _integer(entries, section, key, default=None):
+    text = _single(entries, section, key, default, required=default is None)
+    try:
+        return int(text)
+    except ValueError:
+        raise SpecFileError(f"{key} must be an integer, got {text!r}")
+
+
 def _rational_pair(text, what):
     parts = split_vector(text)
     if len(parts) != 2:
@@ -172,15 +180,12 @@ def _build_field(entries):
     conj_text = _single(entries, "field", "conj")
     root_interval = root_box = None
     if root_text:
-        parts = root_text.split(None, 1)
-        if parts[0] == "interval":
-            root_interval = _rational_pair(parts[1], "interval")
-        elif parts[0] == "rect":
-            groups = _vectors_in(parts[1])
-            # the selector is the two groups and nothing else
-            if len(groups) != 2 or "".join(parts[1].split()) != "".join(
-                "".join(groups).split()
-            ):
+        kind, arg = (root_text.split(None, 1) + [""])[:2]
+        if kind == "interval":
+            root_interval = _rational_pair(arg, "interval")
+        elif kind == "rect":
+            groups = _vectors_in(arg, "rect root selector")
+            if len(groups) != 2:
                 raise SpecFileError("malformed rect root selector")
             root_box = tuple(_rational_pair(g, "rect") for g in groups)
         else:
@@ -200,9 +205,13 @@ def _build_field(entries):
     return field
 
 
-def _tagged_groups(text):
-    """Top-level parenthesized groups of the text, in order, each paired with
-    the text between it and the previous group."""
+def _tagged_groups(text, what, tags=("",)):
+    """(tag, group) for each top-level parenthesized group of the text, in order.
+
+    A group's tag is the text before it.  Groups are separated by whitespace
+    or one comma.  A tag outside ``tags``, or any text after the last group,
+    raises SpecFileError("<what>, got <text>").
+    """
     groups, depth, start, prev = [], 0, None, 0
     for idx, ch in enumerate(text):
         if ch == "(":
@@ -212,16 +221,23 @@ def _tagged_groups(text):
         elif ch == ")":
             depth -= 1
             if depth == 0:
-                groups.append((text[prev:start], text[start : idx + 1]))
+                tag = text[prev:start].strip()
+                if groups and tag.startswith(","):
+                    tag = tag[1:].lstrip()
+                if tag not in tags:
+                    raise SpecFileError(f"{what}, got {tag!r}")
+                groups.append((tag, text[start : idx + 1]))
                 prev = idx + 1
     if depth != 0:
         raise SpecFileError(f"unbalanced parentheses in {text!r}")
+    if text[prev:].strip():
+        raise SpecFileError(f"{what}, got {text[prev:].strip()!r}")
     return groups
 
 
-def _vectors_in(text):
-    """All top-level parenthesized groups in the text, with the rest ignored."""
-    return [group for _, group in _tagged_groups(text)]
+def _vectors_in(text, what):
+    """The parenthesized groups of the text, which holds nothing else."""
+    return [group for _, group in _tagged_groups(text, f"{what} takes (…) groups")]
 
 
 class _SpaceInfo:
@@ -247,7 +263,7 @@ def _parse_branch(value, space, field):
     body = value
     if value.startswith("rays"):
         head, _, body = value.partition(":")
-        ray_texts = _vectors_in(head[len("rays"):])
+        ray_texts = _vectors_in(head[len("rays"):], "rays")
         if not ray_texts:
             raise SpecFileError("rays prefix lists no ray expressions")
         rays = [
@@ -273,28 +289,22 @@ def _parse_branch(value, space, field):
 def _parse_affine(value, space, field):
     if not value.startswith("point"):
         raise SpecFileError("affine piece must start with 'point (…)'")
-    rest = value[len("point"):].strip()
-    groups = _vectors_in(rest)
+    what = "affine piece must be 'point (…) dirs (…) …'"
+    groups = _tagged_groups(value[len("point"):], what, ("", "dirs", "rdirs"))
     if not groups:
         raise SpecFileError("affine piece needs a point vector")
-    point = _embed_logical_vector(groups[0], space, field)
+    tags = [tag for tag, _ in groups]
+    # only the first direction may carry the dirs/rdirs label
+    if tags[0] or any(tags[2:]):
+        raise SpecFileError(f"{what}, got {value!r}")
+    point = _embed_logical_vector(groups[0][1], space, field)
+    use_j = space.mode == "complex" and tags[1:2] != ["rdirs"]
     dir_vectors = []
-    tail = rest[rest.index(groups[0]) + len(groups[0]):].strip()
-    use_j = space.mode == "complex"
-    if tail:
-        label, _, _ = tail.partition("(")
-        label = label.strip()
-        if label == "dirs":
-            pass
-        elif label == "rdirs":
-            use_j = False
-        elif label:
-            raise SpecFileError(f"unexpected token {label!r} in affine piece")
-        for g in _vectors_in(tail):
-            v = _embed_logical_vector(g, space, field)
-            dir_vectors.append(v)
-            if use_j:
-                dir_vectors.append(apply_j(v))
+    for _, g in groups[1:]:
+        v = _embed_logical_vector(g, space, field)
+        dir_vectors.append(v)
+        if use_j:
+            dir_vectors.append(apply_j(v))
     sub = Subspace(space.internal, dir_vectors, field,
                    complex_structure=use_j and bool(dir_vectors))
     return AffinePiece(Flat(point, sub))
@@ -333,19 +343,10 @@ def _parse_graph(value, space, field):
 def _parse_span(text, space, field):
     """Entries look like r(…) (real span) or c(…) (complex: J-closed),
     separated by whitespace or one comma."""
-    groups = _tagged_groups(text)
-    trailing = text[text.rindex(")") + 1 :] if groups else text
-    if trailing.strip():
-        raise SpecFileError(
-            f"span entries must be r(…) or c(…), got {trailing.strip()!r}"
-        )
+    what = "span entries must be r(…) or c(…)"
+    groups = _tagged_groups(text, what, ("", "r", "c"))
     vectors = []
-    for k, (prefix, group) in enumerate(groups):
-        tag = prefix.strip()
-        if k and tag.startswith(","):
-            tag = tag[1:].lstrip()
-        if tag not in ("", "r", "c"):
-            raise SpecFileError(f"span entries must be r(…) or c(…), got {tag!r}")
+    for tag, group in groups:
         v = _embed_logical_vector(group, space, field)
         vectors.append(v)
         if tag == "c":
@@ -376,7 +377,7 @@ def _parse_component(value, space, field, lat):
 
 def _parse_base(text, space, field):
     if text.startswith("point"):
-        groups = _vectors_in(text[len("point"):])
+        groups = _vectors_in(text[len("point"):], "point base")
         if not groups:
             raise SpecFileError("point base needs at least one vector")
         pts = [_embed_logical_vector(g, space, field) for g in groups]
@@ -467,11 +468,7 @@ class ProblemSpec:
 
 def parse_problem(text, path=None) -> ProblemSpec:
     entries = _parse_raw(text)
-    schema_text = _single(entries, "", "schema", default="1")
-    try:
-        schema = int(schema_text)
-    except ValueError:
-        raise SpecFileError(f"bad schema version {schema_text!r}")
+    schema = _integer(entries, "", "schema", default="1")
     if schema != 1:
         raise SpecFileError(f"unsupported schema version {schema}")
 
@@ -480,8 +477,8 @@ def parse_problem(text, path=None) -> ProblemSpec:
     mode = _single(entries, "space", "mode", default="real")
     if mode not in ("real", "complex"):
         raise SpecFileError("mode must be real or complex")
-    logical_dim = int(_single(entries, "space", "ambient_dim", required=True))
-    declared_dim = int(_single(entries, "space", "declared_dim", required=True))
+    logical_dim = _integer(entries, "space", "ambient_dim")
+    declared_dim = _integer(entries, "space", "declared_dim")
     space = _SpaceInfo(mode, logical_dim, declared_dim)
 
     rows = []

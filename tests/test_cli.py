@@ -171,6 +171,26 @@ class TestZeroDivisor:
         assert "Traceback" not in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "name, old, new",
+    [
+        ("hyperbola", "ambient_dim = 2", "ambient_dim = x"),
+        ("hyperbola", "declared_dim = 1", "declared_dim = x"),
+        ("irrational_direction", "root = interval (1, 2)", "root = interval"),
+        ("dinh_vu", "root = rect (1/2, 1) (1/2, 1)", "root = rect"),
+    ],
+    ids=["ambient_dim", "declared_dim", "interval", "rect"],
+)
+def test_malformed_value_is_a_parse_error(tmp_path, capsys, name, old, new):
+    text = open(f"problems/{name}.tfp").read()
+    assert old in text
+    spec = tmp_path / f"{name}.tfp"
+    spec.write_text(text.replace(old, new, 1))
+    assert _exit_code(["closure", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def _exit_code(argv):
     try:
         return main(argv)

@@ -1,4 +1,6 @@
-"""The containment-distance kernel: grid index and scan against brute force."""
+"""The containment-distance kernel: grid index, leaves and scan against brute force."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,8 +33,9 @@ def brute_force(points, offsets, nodes):
 def assert_matches_brute_force(fn, pts, offs, nds):
     d, idx = fn(pts, offs, nds)
     ref_d, ref_idx = brute_force(pts, offs, nds)
-    # both sum the same squared differences in the same order
-    assert np.array_equal(d, ref_d)
+    # both sum the same squared differences in the same order; a query that
+    # is not a number is at distance nan from every target
+    assert np.array_equal(d, ref_d, equal_nan=True)
     assert np.array_equal(idx, ref_idx)
 
 
@@ -62,6 +65,38 @@ def workloads(draw):
     return pts.astype(float), offs, nds
 
 
+@st.composite
+def far_workloads(draw):
+    """Enough queries far outside the targets' box that the grid hands them,
+    GRID_MIN_PAIRS pairs and more, to the leaves; plus near and non-finite
+    queries.  N is rarely a multiple of the leaf size, so the last leaf is
+    padded.
+    """
+    q = draw(st.sampled_from([1, 2, 3]))
+    T = draw(st.sampled_from([1, 9, 27]))
+    P = draw(st.integers(600 // T, 1500 // T))
+    M = GRID_MIN_PAIRS // (T * P) + draw(st.integers(1, 60))
+    spread = draw(st.sampled_from([20.0, 60.0]))
+    integer = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offs = rng.integers(-2, 3, size=(T, q)).astype(float)
+    if integer:
+        nds = rng.integers(-3, 4, size=(P, q)).astype(float)
+        far = rng.integers(-4, 5, size=(M, q)) * spread
+        near = rng.integers(-4, 5, size=(20, q)).astype(float)
+    else:
+        nds = rng.normal(size=(P, q))
+        far = rng.normal(size=(M, q)) * spread
+        near = rng.normal(size=(20, q))
+    far[np.all(np.abs(far) < 10.0, axis=1)] = spread
+    if draw(st.booleans()):
+        nds = np.vstack([nds, nds[: P // 2 + 1]])
+    odd = np.full((3, q), np.nan)
+    odd[1], odd[2, 0] = np.inf, -np.inf
+    pts = np.vstack([far, near, odd])
+    return rng.permutation(pts), offs, nds
+
+
 @settings(max_examples=300, deadline=None)
 @given(workloads())
 def test_index_matches_brute_force(workload):
@@ -69,21 +104,74 @@ def test_index_matches_brute_force(workload):
         assert_matches_brute_force(fn, *workload)
 
 
-def test_queries_far_outside_the_targets_are_scanned(monkeypatch):
+@settings(max_examples=25, deadline=None)
+@given(far_workloads())
+def test_far_queries_match_brute_force(workload):
+    with mock.patch.object(_kernels, "_leaves", wraps=_kernels._leaves) as leaves:
+        for fn in SEARCHES:
+            assert_matches_brute_force(fn, *workload)
+    assert leaves.called
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("integer", [True, False], ids=["integer", "float"])
+def test_leaves_match_the_scan(q, integer):
+    rng = np.random.default_rng(q)
+    if integer:
+        # exact ties everywhere, and every target twice
+        targets = np.tile(rng.integers(-4, 5, size=(500, q)), (2, 1)).astype(float)
+        points = rng.integers(-12, 13, size=(700, q)).astype(float)
+    else:
+        targets = rng.normal(size=(1000, q))
+        points = rng.normal(size=(700, q)) * 6.0
+    # 1000 targets make 32 leaves of 32, the last one padded
+    assert _kernels._kd_leaves(targets).size > len(targets)
+    best, flat = _kernels._leaves(points, targets)
+    ref_best, ref_flat = _kernels._scan(points, targets)
+    assert np.array_equal(best, ref_best)
+    assert np.array_equal(flat, ref_flat)
+
+
+def test_many_far_queries_go_to_the_leaves(scanned):
+    rng = np.random.default_rng(7)
+    nds = rng.uniform(0.0, 1.0, size=(2000, 2))
+    offs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    near = rng.uniform(0.0, 2.0, size=(100, 2))
+    far = rng.uniform(5.0, 50.0, size=(400, 2)) * rng.choice([-1.0, 1.0], (400, 2))
+    assert_matches_brute_force(grid_min_distance, np.vstack([near, far]), offs, nds)
+    assert scanned == []
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_targets_that_are_not_finite_are_scanned(bad):
+    rng = np.random.default_rng(2)
+    nds = rng.normal(size=(3000, 1))
+    nds[5] = bad
+    pts = rng.normal(size=(400, 1))
+    assert_matches_brute_force(grid_min_distance, pts, np.zeros((1, 1)), nds)
+
+
+@pytest.fixture()
+def scanned(monkeypatch):
+    """The number of queries in each call to ``_scan``."""
+    sizes = []
+    real_scan = _kernels._scan
+
+    def spy(points, targets):
+        sizes.append(len(points))
+        return real_scan(points, targets)
+
+    monkeypatch.setattr(_kernels, "_scan", spy)
+    return sizes
+
+
+def test_queries_far_outside_the_targets_are_scanned(scanned):
     rng = np.random.default_rng(5)
     nds = rng.uniform(0.0, 1.0, size=(200, 2))
     offs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     near = rng.uniform(0.0, 2.0, size=(100, 2))
     far = rng.uniform(5.0, 50.0, size=(100, 2)) * rng.choice([-1.0, 1.0], (100, 2))
     pts = np.vstack([near, far])
-    scanned = []
-    real_scan = _kernels._scan
-
-    def spy(points, targets):
-        scanned.append(len(points))
-        return real_scan(points, targets)
-
-    monkeypatch.setattr(_kernels, "_scan", spy)
     assert_matches_brute_force(grid_min_distance, pts, offs, nds)
     assert scanned and 100 <= scanned[0] < 200
 

@@ -313,3 +313,40 @@ class TestFieldBuild:
                     "span r(theta, 0, 0) c(0, 1, 0) c(0, 0, 1) trailing"):
             with pytest.raises(SpecFileError, match="r\\(…\\) or c\\(…\\)"):
                 parse_problem(text.replace(ray, bad))
+
+
+STRAY = [
+    ("plane_cylinder", "affine = point (0, 0) dirs (1, 0) (0, 1)",
+     "affine = point (0, 0) dirs (1, 0) junk (0, 1) tail"),
+    ("plane_cylinder", "affine = point (0, 0) dirs (1, 0) (0, 1)",
+     "affine = point junk (0, 0) dirs (1, 0) (0, 1)"),
+    ("plane_cylinder", "affine = point (0, 0) dirs (1, 0) (0, 1)",
+     "affine = point (0, 0) dirs (1, 0) dirs (0, 1)"),
+    ("dinh_vu", "base point (0, 0, 0)", "base point junk (0, 0, 0) more words"),
+    ("hyperbola", "branch = (t, 1/t)", "branch = rays (1) junk (-1) : (t, 1/t)"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, old, new", STRAY,
+    ids=["affine-dirs", "affine-point", "affine-labels", "base-point", "rays"],
+)
+def test_stray_words_around_vectors_rejected(name, old, new):
+    text = open(f"problems/{name}.tfp").read()
+    assert old in text
+    with pytest.raises(SpecFileError, match="got"):
+        parse_problem(text.replace(old, new, 1))
+
+
+@pytest.mark.parametrize(
+    "name, old, new",
+    [
+        ("plane_cylinder", "dirs (1, 0) (0, 1)", "dirs (1, 0), (0, 1)"),
+        ("dinh_vu", "base point (0, 0, 0)", "base point (0, 0, 0) (0, 0, 0)"),
+        ("hyperbola", "branch = (t, 1/t)", "branch = rays (1), (-1) : (t, 1/t)"),
+    ],
+)
+def test_vectors_separated_by_whitespace_or_one_comma(name, old, new):
+    text = open(f"problems/{name}.tfp").read()
+    assert old in text
+    parse_problem(text.replace(old, new, 1))
