@@ -56,6 +56,7 @@ def _config(spec, args):
             setattr(cfg, name, value)
     try:
         cfg.validate()
+        cfg.validate_pieces(len(spec.variety.pieces))
     except TorusflowError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)

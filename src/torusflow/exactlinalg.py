@@ -5,8 +5,15 @@ takes a domain object `dom` exposing `.zero` and `.one` so that empty inputs
 still produce well-typed results; a NumberField is such a domain, and QQ
 below covers plain rationals.
 
-Matrices are lists of row lists; vectors are plain lists.  Nothing here is
-performance-critical: problem dimensions stay in the single digits.
+Matrices are lists of row lists; vectors are plain lists.  Dimensions stay
+in the single digits, but this layer runs on every `verify`: on perfbench's
+verify-cells workload (2-vCPU VM, trace of seed 3) `rref` runs 15.3 times
+per operation and takes 0.9 ms of it.  Over Q and on rational pivots the
+field arithmetic is a coordinate scale (see AlgebraicNumber.__mul__).
+
+`rref` returns rows in reduced row echelon form: row i has a 1 in column
+pivots[i] and a 0 in every other row's pivot column.  lattice.Subspace keeps
+its basis in that form and tests membership against it without solving.
 """
 
 from __future__ import annotations
@@ -75,10 +82,6 @@ def rref(rows, dom):
         if r == len(rows):
             break
     return rows[:r], pivots
-
-
-def rank(rows, dom):
-    return len(rref(rows, dom)[0])
 
 
 def kernel_basis(rows, ncols, dom):

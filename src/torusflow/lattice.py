@@ -252,7 +252,11 @@ def int_det(M):
 
 
 class Subspace:
-    """A linear subspace with a canonical (RREF) basis of exact vectors."""
+    """A linear subspace with a canonical (RREF) basis of exact vectors.
+
+    Row i of the basis has a 1 in its pivot column pivots[i] and a 0 in every
+    other row's pivot column.
+    """
 
     def __init__(self, ambient_dim, vectors, field: NumberField,
                  complex_structure: bool = False):
@@ -262,7 +266,7 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient_dim:
                 raise TorusflowError("subspace vector has wrong length")
-        self.basis = xl.canonical_basis(vecs, field)
+        self.basis, self.pivots = xl.rref(vecs, field)
         self.complex_structure = complex_structure
 
     @property
@@ -270,7 +274,13 @@ class Subspace:
         return len(self.basis)
 
     def contains_vector(self, v):
-        return xl.in_span(self.basis, [self.field.element(x) for x in v], self.field)
+        """Is v in the subspace?  In RREF the only candidate combination of
+        the basis is the sum of v[p_i] * row_i over the pivots p_i."""
+        v = [self.field.element(x) for x in v]
+        if not self.basis:
+            return not any(v)
+        coeffs = [v[p] for p in self.pivots]
+        return xl._combination(coeffs, self.basis, self.field) == v
 
     def contains(self, other: "Subspace"):
         return all(self.contains_vector(v) for v in other.basis)
@@ -362,18 +372,12 @@ class Lattice:
         for v in self.basis:
             if len(v) != ambient_dim:
                 raise TorusflowError("lattice vector has wrong length")
-        if xl.rank(self.basis, field) != len(self.basis):
+        # the real span of the lattice; its RREF also gives the rank
+        self.span = Subspace(ambient_dim, self.basis, field)
+        if self.span.dim != len(self.basis):
             raise TorusflowError("lattice basis vectors must be linearly independent")
         self.rank = len(self.basis)
-        self._span = None
         self._float_cache = None
-
-    @property
-    def span(self) -> Subspace:
-        """The real span of the lattice."""
-        if self._span is None:
-            self._span = Subspace(self.ambient_dim, self.basis, self.field)
-        return self._span
 
     def lambda_coordinates(self, vector):
         """Exact coordinates of a span member over the lattice basis."""
@@ -582,40 +586,56 @@ def torus_closure(V: Subspace, lat: Lattice) -> ClosedSubgroupDescriptor:
 
 
 def _lll(basis, delta=Rat(3, 4)):
-    """Textbook LLL over exact rationals; basis rows are integer vectors."""
+    """Textbook LLL over exact rationals; basis rows are integer vectors.
+
+    Gram-Schmidt runs once.  After that the coefficients mu[i][j] =
+    <b_i, b*_j> / B_j and the squared norms B_j = <b*_j, b*_j> are updated
+    in place on each size reduction and swap (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.6.3).  A zero b*_j has
+    mu[i][j] = 0, so dependent rows give the same result as recomputing
+    Gram-Schmidt after every step.
+    """
     basis = [[Rat(x) for x in row] for row in basis]
-
-    def gram_schmidt(rows):
-        ortho, mu = [], []
-        for i, v in enumerate(rows):
-            coeffs = []
-            w = list(v)
-            for j in range(i):
-                denom = xl.dot(ortho[j], ortho[j])
-                c = xl.dot(v, ortho[j]) / denom if denom else Rat(0)
-                coeffs.append(c)
-                w = xl.vec_sub(w, xl.vec_scale(ortho[j], c))
-            ortho.append(w)
-            mu.append(coeffs)
-        return ortho, mu
-
     n = len(basis)
-    ortho, mu = gram_schmidt(basis)
+    ortho, mu = [], []
+    for i, v in enumerate(basis):
+        coeffs = []
+        w = list(v)
+        for j in range(i):
+            denom = xl.dot(ortho[j], ortho[j])
+            c = xl.dot(v, ortho[j]) / denom if denom else Rat(0)
+            coeffs.append(c)
+            w = xl.vec_sub(w, xl.vec_scale(ortho[j], c))
+        ortho.append(w)
+        mu.append(coeffs)
+    B = [xl.dot(w, w) for w in ortho]
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
             if abs(mu[k][j]) > Rat(1, 2):
+                # b_k -= q b_j changes row k of mu only; mu[j][j] = 1
                 q = round(mu[k][j])
                 basis[k] = xl.vec_sub(basis[k], xl.vec_scale(basis[j], Rat(q)))
-                ortho, mu = gram_schmidt(basis)
-        lhs = xl.dot(ortho[k], ortho[k])
-        rhs = (delta - mu[k][k - 1] ** 2) * xl.dot(ortho[k - 1], ortho[k - 1])
-        if lhs >= rhs:
+                for l in range(j):
+                    mu[k][l] -= q * mu[j][l]
+                mu[k][j] -= q
+        m = mu[k][k - 1]
+        if B[k] >= (delta - m**2) * B[k - 1]:
             k += 1
-        else:
-            basis[k], basis[k - 1] = basis[k - 1], basis[k]
-            ortho, mu = gram_schmidt(basis)
-            k = max(k - 1, 1)
+            continue
+        # swap b_{k-1} and b_k; B[k - 1] > 0 here, else the test above held
+        basis[k], basis[k - 1] = basis[k - 1], basis[k]
+        b_prev, b_k = B[k - 1], B[k]
+        B[k - 1] = b_k + m * m * b_prev
+        m_new = m * b_prev / B[k - 1] if B[k - 1] else Rat(0)
+        B[k] = b_prev * b_k / B[k - 1] if B[k - 1] else b_prev
+        mu[k - 1], mu[k] = mu[k][: k - 1], mu[k - 1] + [m_new]
+        for i in range(k + 1, n):
+            t = mu[i][k]
+            u = mu[i][k - 1] - m * t
+            mu[i][k - 1] = t + m_new * u
+            mu[i][k] = u if B[k] else Rat(0)
+        k = max(k - 1, 1)
     return basis
 
 

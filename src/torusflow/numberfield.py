@@ -712,19 +712,37 @@ class AlgebraicNumber:
             return NotImplemented
         return o - self
 
+    def _scaled(self, c):
+        """self times the rational c: a coordinate-wise scale, no reduction."""
+        return AlgebraicNumber(self.field, tuple(a * c for a in self.coords))
+
+    def _from_poly(self, poly):
+        """The element whose coordinate polynomial is poly mod min_poly."""
+        poly = self.field._reduce(poly)
+        poly += [Rat(0)] * (self.field.degree - len(poly))
+        return AlgebraicNumber(self.field, tuple(poly))
+
     def __mul__(self, other):
+        # a rational operand scales the other's coordinates; that gives the
+        # same coordinates as the polynomial product reduced mod min_poly
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        prod = self.field._reduce(_pmul(list(self.coords), list(o.coords)))
-        prod += [Rat(0)] * (self.field.degree - len(prod))
-        return AlgebraicNumber(self.field, tuple(prod))
+        if o.is_rational():
+            return self._scaled(o.coords[0])
+        if self.is_rational():
+            return o._scaled(self.coords[0])
+        return self._from_poly(_pmul(list(self.coords), list(o.coords)))
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
+        if self.is_rational():
+            return self.field.rational(1 / self.coords[0])
         # extended euclid in Q[x]: u*a + v*m = g
         a = _ptrim(list(self.coords))
         m = self.field.min_poly
@@ -738,10 +756,7 @@ class AlgebraicNumber:
             raise DivisionByZero(
                 "element is a zero divisor; min_poly is not irreducible"
             )
-        inv = [c / r0[0] for c in s0]
-        inv = self.field._reduce(inv)
-        inv += [Rat(0)] * (self.field.degree - len(inv))
-        return AlgebraicNumber(self.field, tuple(inv))
+        return self._from_poly([c / r0[0] for c in s0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -772,13 +787,13 @@ class AlgebraicNumber:
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def __bool__(self):
         return not self.is_zero()
 
     def is_rational(self):
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.coords[1:])
 
     def as_rational(self) -> Rat:
         if not self.is_rational():

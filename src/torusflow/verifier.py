@@ -32,6 +32,10 @@ from .flow import FlowDescription
 from .lattice import Lattice, integer_relations
 
 
+# rejection sampling gives up on a piece after this many draws in one shell
+MAX_DRAWS = 1_000_000
+
+
 def _int_in(value, lo, hi):
     return (
         isinstance(value, int) and not isinstance(value, bool) and lo <= value <= hi
@@ -109,6 +113,21 @@ class SampleConfig:
             raise TorusflowError(
                 "relation_digits must be an integer in [0, 15], "
                 f"got {self.relation_digits!r}"
+            )
+
+    def validate_pieces(self, npieces):
+        """Raise TorusflowError if a piece's quota starves it at once.
+
+        Each of npieces pieces gets ceil(ceil(count / shells) / npieces)
+        samples per shell at most, and its first draw is twice that; past
+        MAX_DRAWS / 2 that draw is over the cap, which happens exactly
+        when count > shells * npieces * MAX_DRAWS / 2.
+        """
+        limit = self.shells * npieces * (MAX_DRAWS // 2)
+        if self.count > limit:
+            raise TorusflowError(
+                f"count must be at most {limit} for {self.shells} shells and "
+                f"{npieces} pieces, got {self.count!r}"
             )
 
     def radius_schedule(self):
@@ -219,7 +238,10 @@ def sample_far_points(X, cfg: SampleConfig, lat: Optional[Lattice] = None):
 
     Raises ShellStarved when a shell cannot be filled within the rejection
     cap; a bounded variety triggers exactly that, which is itself a result.
+    A count whose quotas are over the cap from the first draw is a
+    TorusflowError instead (see SampleConfig.validate_pieces).
     """
+    cfg.validate_pieces(len(X.pieces))
     schedule = cfg.radius_schedule()
     per_shell = -(-cfg.count // cfg.shells)
     pieces = X.pieces
@@ -239,7 +261,7 @@ def sample_far_points(X, cfg: SampleConfig, lat: Optional[Lattice] = None):
             while got < need:
                 draw = max(1024, 2 * (need - got))
                 attempts += draw
-                if attempts > 1_000_000:
+                if attempts > MAX_DRAWS:
                     raise ShellStarved(shell, radius)
                 if piece.kind == "branch":
                     p, logical = _sample_branch(piece, draw, radius, rng, X.mode)

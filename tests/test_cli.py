@@ -215,6 +215,8 @@ class TestConfigValidation:
             # the affine draw range and the cell indices overflow
             ("window", "1e306"),
             ("grid_eps", "1e-300"),
+            # a quota of 1000001 per piece is over the draw cap at once
+            ("count", "8000004"),
         ],
     )
     @pytest.mark.parametrize("command", ["verify", "sample"])
@@ -264,6 +266,8 @@ class TestConfigValidation:
             ("verify", ["--tol", "nan"], "tolerance"),
             ("sample", ["--count", "0"], "count"),
             ("sample", ["--count", "-5"], "count"),
+            ("verify", ["--count", "8000004"], "count"),
+            ("sample", ["--count", "8000004"], "count"),
         ],
     )
     def test_override(self, workdir, tmp_path, capsys, command, flags, key):

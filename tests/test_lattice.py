@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusflow import exactlinalg as xl
 from torusflow.errors import NotInSpan
 from torusflow.lattice import (
     Lattice,
     Subspace,
+    _lll,
     apply_j,
     hermite_normal_form,
     int_det,
@@ -303,6 +305,87 @@ class TestHeuristics:
         assert not any(
             max(abs(c) for c in q) < 100 and any(q) for q in rel
         )
+
+
+_SQRT2 = NumberField([-2, 0, 1], root_interval=(1, 2))
+_small = st.integers(min_value=-3, max_value=3)
+_entries = st.tuples(_small, _small).map(_SQRT2.from_coords)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(_entries, min_size=n, max_size=n), max_size=3),
+            st.lists(_entries, min_size=n, max_size=n),
+            st.lists(_entries, min_size=3, max_size=3),
+            st.booleans(),
+        )
+    )
+)
+def test_contains_vector_matches_in_span(case):
+    vectors, v, coeffs, inside = case
+    if inside and vectors:
+        v = xl._combination(coeffs, vectors, _SQRT2)
+    S = Subspace(len(v), vectors, _SQRT2)
+    assert S.contains_vector(v) == xl.in_span(S.basis, v, _SQRT2)
+    assert S.contains_vector(v) == xl.in_span(vectors, v, _SQRT2)
+
+
+def _lll_oracle(basis, delta=F(3, 4)):
+    """LLL that recomputes Gram-Schmidt from scratch after every change."""
+    basis = [[F(x) for x in row] for row in basis]
+
+    def gram_schmidt(rows):
+        ortho, mu = [], []
+        for i, v in enumerate(rows):
+            coeffs, w = [], list(v)
+            for j in range(i):
+                denom = xl.dot(ortho[j], ortho[j])
+                c = xl.dot(v, ortho[j]) / denom if denom else F(0)
+                coeffs.append(c)
+                w = xl.vec_sub(w, xl.vec_scale(ortho[j], c))
+            ortho.append(w)
+            mu.append(coeffs)
+        return ortho, mu
+
+    ortho, mu = gram_schmidt(basis)
+    k = 1
+    while k < len(basis):
+        for j in range(k - 1, -1, -1):
+            if abs(mu[k][j]) > F(1, 2):
+                q = round(mu[k][j])
+                basis[k] = xl.vec_sub(basis[k], xl.vec_scale(basis[j], F(q)))
+                ortho, mu = gram_schmidt(basis)
+        lhs = xl.dot(ortho[k], ortho[k])
+        rhs = (delta - mu[k][k - 1] ** 2) * xl.dot(ortho[k - 1], ortho[k - 1])
+        if lhs >= rhs:
+            k += 1
+        else:
+            basis[k], basis[k - 1] = basis[k - 1], basis[k]
+            ortho, mu = gram_schmidt(basis)
+            k = max(k - 1, 1)
+    return basis
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda m: st.lists(
+            st.lists(st.integers(min_value=-40, max_value=40), min_size=m, max_size=m),
+            max_size=5,
+        )
+    ),
+    st.integers(min_value=-3, max_value=3),
+    st.booleans(),
+)
+def test_lll_matches_from_scratch_oracle(rows, c, dependent):
+    # dependent rows give zero Gram-Schmidt vectors, which the incremental
+    # updates must treat like the oracle's recomputation does
+    if dependent and len(rows) >= 2:
+        rows[0] = [c * x + y for x, y in zip(rows[-1], rows[1])]
+        rows.insert(1, [c * x for x in rows[-1]])
+    assert _lll(rows) == _lll_oracle(rows)
 
 
 class TestComplexStructure:

@@ -11,6 +11,10 @@ from torusflow.numberfield import (
     Box,
     Interval,
     NumberField,
+    _pdivmod,
+    _pmul,
+    _psub,
+    _ptrim,
     rational_coordinates,
     rationals,
     sturm_root_count,
@@ -141,6 +145,89 @@ def test_field_axioms(ca, cb, cc):
     assert a * (b + c) == a * b + a * c
     if not a.is_zero():
         assert a * a.inverse() == 1
+
+
+# -- rational-operand fast paths against the general polynomial path ---------
+
+FIELDS = {
+    "Q": rationals(),
+    "Q(sqrt2)": NumberField([-2, 0, 1], root_interval=(1, 2)),
+    "Q(zeta8)": NumberField(
+        [1, 0, 0, 0, 1],
+        root_box=((F(1, 2), 1), (F(1, 2), 1)),
+        i_coords=[0, 0, 1],
+        conj_coords=[0, 0, 0, -1],
+    ),
+}
+
+
+def _padded(K, poly):
+    return tuple(poly + [F(0)] * (K.degree - len(poly)))
+
+
+def _general_product(K, a, b):
+    """Coordinates of a * b by the polynomial product reduced mod min_poly."""
+    return _padded(K, K._reduce(_pmul(list(a), list(b))))
+
+
+def _euclid_inverse(K, a):
+    """Coordinates of 1/a by the extended Euclidean algorithm over Q[x]."""
+    r0, r1 = K.min_poly, _ptrim(list(a))
+    s0, s1 = [], [F(1)]
+    while r1:
+        q, r = _pdivmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _psub(s0, _pmul(q, s1))
+    assert len(r0) == 1
+    return _padded(K, K._reduce([c / r0[0] for c in s0]))
+
+
+_small_fractions = st.fractions(min_value=-7, max_value=7, max_denominator=9)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(sorted(FIELDS)),
+    _small_fractions,
+    st.lists(_small_fractions, min_size=4, max_size=4),
+)
+def test_rational_operand_matches_general_path(name, c, coords):
+    K = FIELDS[name]
+    x = K.from_coords(coords[: K.degree])
+    r = K.rational(c)
+    want = _general_product(K, x.coords, r.coords)
+    for got in (x * c, c * x, x * r, r * x):
+        assert got.coords == want
+        assert all(type(e) is F for e in got.coords)
+    if c != 0:
+        inv = _euclid_inverse(K, r.coords)
+        assert r.inverse().coords == inv == (F(1) / c,) + (F(0),) * (K.degree - 1)
+        assert (x / c).coords == (x / r).coords == _general_product(K, x.coords, inv)
+        assert (r**-2).coords == _general_product(K, inv, inv)
+    if not x.is_zero():
+        inv = _euclid_inverse(K, x.coords)
+        assert x.inverse().coords == inv
+        assert (c / x).coords == (r / x).coords == _general_product(K, r.coords, inv)
+
+
+class TestReducibleModulus:
+    """x^2 - 1 is not irreducible: rationals still invert, theta - 1 does not."""
+
+    @pytest.fixture(scope="class")
+    def K(self):
+        return NumberField([-1, 0, 1], root_interval=(F(1, 2), 2))
+
+    def test_rational_inverts(self, K):
+        two = K.rational(2)
+        assert two.inverse() == K.rational(F(1, 2))
+        assert two.inverse().coords == _euclid_inverse(K, two.coords)
+        assert (K.gen / 2).coords == (F(0), F(1, 2))
+
+    def test_zero_divisor_raises(self, K):
+        with pytest.raises(DivisionByZero):
+            (K.gen - 1).inverse()
+        with pytest.raises(DivisionByZero):
+            K.one / (K.gen - 1)
 
 
 class TestEnclosures:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from torusflow import verifier
 from torusflow._kernels import min_distance_batch
 from torusflow.cli import main
-from torusflow.errors import ShellStarved
+from torusflow.errors import ShellStarved, TorusflowError
 from torusflow.flats import (
     AffinePiece,
     Flat,
@@ -103,6 +103,17 @@ class TestSampling:
         cfg = SampleConfig(radius_min=1000, count=16, seed=0, shells=1)
         with pytest.raises(ShellStarved):
             sample_far_points(X, cfg)
+
+    def test_quota_cap_is_the_first_draw_cap(self, QQ, monkeypatch):
+        # with a cap of 2048 draws a piece may own 1024 samples per shell:
+        # hyperbola's two pieces fill one shell of 2048, and one more sample
+        # is refused as a setting instead of starving the shell
+        monkeypatch.setattr(verifier, "MAX_DRAWS", 2048)
+        X = hyperbola(QQ)
+        (shell,) = sample_far_points(X, SampleConfig(count=2048, shells=1))
+        assert len(shell.internal) == 2048
+        with pytest.raises(TorusflowError, match="count must be at most 2048"):
+            sample_far_points(X, SampleConfig(count=2049, shells=1))
 
     def test_graph_sampling(self, QQ):
         g = GraphPiece(
