@@ -88,6 +88,9 @@ class SampleConfig:
             value = getattr(self, name)
             if not _int_in(value, 1, math.inf):
                 raise TorusflowError(f"{name} must be an integer >= 1, got {value!r}")
+        # numpy's SeedSequence, which _rng seeds from, takes no negative entry
+        if not _int_in(self.seed, 0, math.inf):
+            raise TorusflowError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not 0.0 <= self.coverage_threshold <= 1.0:
             raise TorusflowError(
                 "coverage_threshold must lie in [0, 1], "
@@ -567,10 +570,41 @@ def distinct_rows(rows):
     """Index of the first occurrence of each distinct row of a 2-D array
     with at least one column.
 
-    A stable sort brings equal rows together in their original order, so
-    the first row of each run is the earliest one.  The result follows the
-    sorted order of the rows.
+    The result follows the lexicographic order of the rows.  Two paths give
+    the same array:
+
+    * Table.  For signed integer rows whose column spans multiply to at
+      most ``4 * len(rows) + 4096`` (R), each row packs into one int64 key,
+      mixed radix with column 0 most significant, so ascending keys are the
+      rows in lexicographic order.  A table of R slots keeps the least row
+      index per key (distribution counting, Knuth, TAOCP vol. 3, 5.2); its
+      occupied slots, read in key order, are the result.  R bounds the
+      table, so it never outgrows a small multiple of the input; a wider
+      range, such as entries near +-2^40, whose key would overflow int64,
+      takes the sort.  verify's coverage and shell cells span few slots:
+      over two cycles of the perfbench verify inputs (seed 77), every call
+      but one on 3 dinh_vu rows took the table, at R <= 0.56 * len(rows).
+      On plane_cylinder's 50k rows of 2 columns the table takes 0.7 ms
+      where the sort takes 14 ms; on hyperbola's 10k rows 0.11 ms against
+      0.79 ms (2-vCPU VM).
+    * Sort.  A stable sort brings equal rows together in their original
+      order, so the first row of each run is the earliest one.
     """
+    n = len(rows)
+    if n and np.issubdtype(rows.dtype, np.signedinteger):
+        # column views: min/max along axis 0 of a narrow array is far slower
+        cols = [rows[:, j].astype(np.int64, copy=False) for j in range(rows.shape[1])]
+        lows = [int(c.min()) for c in cols]
+        spans = [int(c.max()) - lo + 1 for c, lo in zip(cols, lows)]
+        size = math.prod(spans)
+        if size <= 4 * n + 4096:
+            key = np.zeros(n, dtype=np.int64)
+            for c, lo, span in zip(cols, lows, spans):
+                key *= span
+                key += c - lo
+            first = np.full(size, n, dtype=np.intp)
+            np.minimum.at(first, key, np.arange(n))
+            return first[first < n]
     order = np.lexsort(rows.T[::-1])
     ordered = rows[order]
     first = np.ones(len(rows), dtype=bool)

@@ -1,9 +1,13 @@
 """CLI subcommands, exit codes, report files."""
 
 import json
+import re
 import shutil
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from torusflow.cli import main
 
@@ -217,6 +221,8 @@ class TestConfigValidation:
             ("grid_eps", "1e-300"),
             # a quota of 1000001 per piece is over the draw cap at once
             ("count", "8000004"),
+            # numpy's seeding rejects negative entries
+            ("seed", "-1"),
         ],
     )
     @pytest.mark.parametrize("command", ["verify", "sample"])
@@ -268,6 +274,8 @@ class TestConfigValidation:
             ("sample", ["--count", "-5"], "count"),
             ("verify", ["--count", "8000004"], "count"),
             ("sample", ["--count", "8000004"], "count"),
+            ("verify", ["--seed", "-5"], "seed"),
+            ("sample", ["--seed", "-5"], "seed"),
         ],
     )
     def test_override(self, workdir, tmp_path, capsys, command, flags, key):
@@ -277,3 +285,73 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert key in err
         assert "Traceback" not in err and err.count("\n") == 1
+
+
+# Mutation fuzz: each mutant is a problems/*.tfp file with one value
+# replaced, one token replaced, or one line dropped or duplicated.  Running
+# it may pass, fail or be rejected, but never end in a traceback.
+
+PROBLEMS = {
+    path.name: path.read_text().splitlines()
+    for path in sorted(Path("problems").glob("*.tfp"))
+}
+# edge values for numbers, expressions and vectors, then plain tokens
+TOKENS = [
+    "-1", "nan", "1e308", "()", "1/0", "0", "1", "2", "-0.5", "inf", "1e-300",
+    "x", "t", "theta", "i", "(", ")", ",", "=", "[", "",
+]
+TOKEN_RE = re.compile(r"\d+(?:\.\d+)?(?:e[-+]?\d+)?|\w+|\S")
+EXIT_CODES = {0, 2, 3, 4, 5, 6}
+VERIFY = ["verify", "--count", "400"]
+
+
+def _with_value(line, token):
+    return f"{line.split(' = ', 1)[0]} = {token}"
+
+
+def _mutant(name, key, token):
+    """(name, text) of a problem file with ``key``'s value replaced."""
+    lines = [
+        _with_value(ln, token) if ln.startswith(f"{key} = ") else ln
+        for ln in PROBLEMS[name]
+    ]
+    return name, "\n".join(lines) + "\n"
+
+
+@st.composite
+def mutants(draw):
+    """(problem name, mutated text)."""
+    name = draw(st.sampled_from(sorted(PROBLEMS)))
+    lines = list(PROBLEMS[name])
+    kind = draw(st.sampled_from(["value", "token", "drop", "duplicate"]))
+    if kind in ("drop", "duplicate"):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i:i + 1] = [] if kind == "drop" else [lines[i]] * 2
+    elif kind == "value":
+        i = draw(st.sampled_from([k for k, ln in enumerate(lines) if " = " in ln]))
+        lines[i] = _with_value(lines[i], draw(st.sampled_from(TOKENS)))
+    else:
+        i = draw(st.sampled_from([k for k, ln in enumerate(lines) if ln.strip()]))
+        start, end = draw(st.sampled_from(
+            [m.span() for m in TOKEN_RE.finditer(lines[i])]
+        ))
+        token = draw(st.sampled_from(TOKENS))
+        lines[i] = lines[i][:start] + token + lines[i][end:]
+    return name, "\n".join(lines) + "\n"
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(mutants(), st.sampled_from([["closure"], VERIFY]))
+# numpy's seeding raised ValueError here before the config checked the seed
+@example(_mutant("hyperbola.tfp", "seed", "-1"), VERIFY)
+def test_mutants_exit_with_a_documented_code(tmp_path_factory, mutant, command):
+    name, text = mutant
+    spec = tmp_path_factory.getbasetemp() / name
+    spec.write_text(text)
+    argv = [command[0], str(spec)] + command[1:]
+    assert _exit_code(argv) in EXIT_CODES

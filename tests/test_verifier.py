@@ -1,11 +1,13 @@
 """Far-point sampling, containment, coverage, shells, orbits."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from torusflow import verifier
 from torusflow._kernels import min_distance_batch
@@ -536,7 +538,71 @@ shell_lists = st.integers(1, 4).flatmap(
 )
 
 
+def lexsort_first(rows):
+    """Reference for distinct_rows: first occurrences by a stable sort."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    return order[first]
+
+
+@st.composite
+def cell_arrays(draw):
+    """Integer rows whose column spans multiply to either side of the
+    table cut-off 4 * rows + 4096, some far from zero or negative."""
+    n = draw(st.integers(0, 300))
+    d = draw(st.integers(1, 3))
+    w = draw(st.integers(1, 2 * math.ceil((4 * n + 4096) ** (1 / d))))
+    lo = draw(st.sampled_from([0, -3, -(w // 2), -(2**40), 2**40 - w]))
+    return draw(hnp.arrays(np.int64, (n, d), elements=st.integers(lo, lo + w - 1)))
+
+
+# columns spanning about 2^41 each, far past the cut-off; with two or more
+# of them a packed key would overflow int64
+wide_arrays = st.tuples(st.integers(0, 60), st.integers(1, 3)).flatmap(
+    lambda shape: hnp.arrays(
+        np.int64,
+        shape,
+        elements=st.sampled_from([-(2**40), 1 - 2**40, 0, 2**40 - 1, 2**40]),
+    )
+)
+
+
 class TestDistinctRows:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(cell_arrays())
+    def test_matches_sort(self, rows):
+        assert np.array_equal(distinct_rows(rows), lexsort_first(rows))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(wide_arrays)
+    def test_wide_range_matches_sort(self, rows):
+        assert np.array_equal(distinct_rows(rows), lexsort_first(rows))
+
+    @pytest.mark.parametrize(
+        "rows, sorts",
+        [
+            (np.zeros((0, 1), dtype=np.int64), True),
+            (np.zeros((0, 2), dtype=np.int64), True),
+            (np.array([[-5], [-5], [-9]]), False),
+            # two rows: the cut-off is 4104 slots
+            (np.array([[0], [4103]]), False),
+            (np.array([[0], [4104]]), True),
+            (np.array([[-(2**40), 2**40], [2**40, -(2**40)]]), True),
+            (np.array([[0.5], [0.5]]), True),
+        ],
+    )
+    def test_path_choice(self, monkeypatch, rows, sorts):
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(
+            np, "lexsort", lambda keys: calls.append(1) or lexsort(keys)
+        )
+        first = distinct_rows(rows)
+        assert bool(calls) == sorts
+        assert np.array_equal(first, lexsort_first(rows))
+
     @settings(max_examples=200, deadline=None)
     @given(shell_lists)
     def test_first_occurrences(self, shells):
