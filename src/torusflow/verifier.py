@@ -160,15 +160,32 @@ def _rng(cfg: SampleConfig, shell: int, piece: int):
     return np.random.default_rng([cfg.seed, shell, piece])
 
 
-def _sample_branch(piece, count, radius, rng, mode):
-    t = np.exp(rng.uniform(math.log(radius), math.log(radius * 1e3), size=count))
-    params = t.astype(complex)
-    if piece.rays:
-        rays = np.array([r.to_complex() for r in piece.rays])
-        choice = rng.integers(0, len(rays), size=count)
-        params = t * rays[choice]
-    logical = piece.evaluate(params)
-    return params[:, None], logical
+def _branch_rays(piece):
+    """A branch's declared rays as complex numbers, or None without rays.
+
+    The conversion depends only on the piece, so do it once per piece.
+    """
+    if not piece.rays:
+        return None
+    return np.array([r.to_complex() for r in piece.rays])
+
+
+def _draw_branch(piece, rays, count, radius, rng, mode):
+    """Draw ``count`` branch samples; return their ``build`` function.
+
+    ``rays`` is ``_branch_rays(piece)``.  ``build(lo, hi)`` gives rows
+    [lo, hi) of the draw as (params, logical, internal).
+    """
+    log_t = rng.uniform(math.log(radius), math.log(radius * 1e3), size=count)
+    choice = None if rays is None else rng.integers(0, len(rays), size=count)
+
+    def build(lo, hi):
+        t = np.exp(log_t[lo:hi])
+        params = t.astype(complex) if rays is None else t * rays[choice[lo:hi]]
+        logical = piece.evaluate(params)
+        return params[:, None], logical, to_internal(logical, mode)
+
+    return build
 
 
 def _affine_frame(piece, lat):
@@ -199,117 +216,169 @@ def _affine_frame(piece, lat):
     return base, din, qin, out_f
 
 
-def _sample_affine(frame, count, radius, rng, window):
+def _draw_affine(frame, count, radius, rng, window):
+    """Draw ``count`` affine samples; return their ``build`` function.
+
+    ``build(lo, hi)`` gives rows [lo, hi) of the draw as (params, None,
+    internal): an affine piece lives in internal coordinates.
+    """
     base, din, qin, out_f = frame
     dout = len(out_f)
     bnorm = float(np.linalg.norm(base))
     r_lo = radius + bnorm + 4.0 * window * math.sqrt(dout + 1)
-    r = np.exp(rng.uniform(math.log(r_lo), math.log(r_lo * 1e3), size=count))
-    pts = np.tile(base, (count, 1))
-    if din:
-        g = rng.normal(size=(count, din))
-        g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-        pts = pts + (g * r[:, None]) @ qin
-    if dout:
-        u = rng.uniform(-2.0 * window, 2.0 * window, size=(count, dout))
-        pts = pts + u @ out_f
-    return r[:, None], pts
+    log_r = rng.uniform(math.log(r_lo), math.log(r_lo * 1e3), size=count)
+    g = rng.normal(size=(count, din)) if din else None
+    u = rng.uniform(-2.0 * window, 2.0 * window, size=(count, dout)) if dout else None
+
+    def build(lo, hi):
+        r = np.exp(log_r[lo:hi])
+        pts = np.tile(base, (hi - lo, 1))
+        if din:
+            d = g[lo:hi]
+            d = d / np.maximum(np.linalg.norm(d, axis=1, keepdims=True), 1e-300)
+            pts = pts + (d * r[:, None]) @ qin
+        if dout:
+            pts = pts + u[lo:hi] @ out_f
+        return r[:, None], None, pts
+
+    return build
 
 
-def _sample_graph(piece, count, radius, rng, mode):
+def _draw_graph(piece, count, radius, rng, mode):
+    """Draw ``count`` graph samples; return their ``build`` function.
+
+    ``build(lo, hi)`` gives rows [lo, hi) of the draw as (params, logical,
+    internal).
+    """
     # two log-uniform bands per variable: near-field values witness the
     # components passing close to the coordinate origin, far-field ones push
     # the point outward; mid-scale values have not converged toward the limit
     # set at these radii and only add noise
-    low = rng.uniform(math.log(1e-6), math.log(2e-2), size=(count, piece.nvars))
-    high = rng.uniform(
-        math.log(30.0), math.log(radius * 1e3), size=(count, piece.nvars)
-    )
-    pick = rng.integers(0, 2, size=(count, piece.nvars)).astype(bool)
-    mag = np.exp(np.where(pick, high, low))
+    shape = (count, piece.nvars)
+    low = rng.uniform(math.log(1e-6), math.log(2e-2), size=shape)
+    high = rng.uniform(math.log(30.0), math.log(radius * 1e3), size=shape)
+    pick = rng.integers(0, 2, size=shape).astype(bool)
+    phase = sign = None
     if mode == "complex" and piece.complex_vars:
-        phase = rng.uniform(0.0, 2.0 * math.pi, size=(count, piece.nvars))
-        vars_ = mag * np.exp(1j * phase)
+        phase = rng.uniform(0.0, 2.0 * math.pi, size=shape)
     else:
-        sign = rng.choice([-1.0, 1.0], size=(count, piece.nvars))
-        vars_ = (mag * sign).astype(complex)
-    return vars_, piece.evaluate(vars_)
+        sign = rng.choice([-1.0, 1.0], size=shape)
+
+    def build(lo, hi):
+        mag = np.exp(np.where(pick[lo:hi], high[lo:hi], low[lo:hi]))
+        if phase is not None:
+            vars_ = mag * np.exp(1j * phase[lo:hi])
+        else:
+            vars_ = (mag * sign[lo:hi]).astype(complex)
+        logical = piece.evaluate(vars_)
+        return vars_, logical, to_internal(logical, mode)
+
+    return build
+
+
+def _sample_shell(X, cfg, lat, shell, radius, quota, prepared):
+    """The ShellSamples of one shell; ``prepared`` maps a piece index to
+    its rays or frame and gains each piece at its first draw."""
+    labels, params, logicals, internals = [], [], [], []
+    for pi, piece in enumerate(X.pieces):
+        need = quota[pi]
+        if need == 0:
+            continue
+        rng = _rng(cfg, shell, pi)
+        got = attempts = 0
+        while got < need:
+            draw = max(1024, 2 * (need - got))
+            attempts += draw
+            if attempts > MAX_DRAWS:
+                raise ShellStarved(shell, radius)
+            if piece.kind == "branch":
+                if pi not in prepared:
+                    prepared[pi] = _branch_rays(piece)
+                build = _draw_branch(piece, prepared[pi], draw, radius, rng, X.mode)
+            elif piece.kind == "affine":
+                if pi not in prepared:
+                    prepared[pi] = _affine_frame(piece, lat)
+                build = _draw_affine(prepared[pi], draw, radius, rng, cfg.window)
+            elif piece.kind == "graph":
+                build = _draw_graph(piece, draw, radius, rng, X.mode)
+            else:
+                raise TorusflowError(f"cannot sample piece kind {piece.kind!r}")
+            # the rows still needed first; the rest only if too few landed
+            # outside the ball
+            lo = 0
+            for hi in (need - got, draw):
+                p, logical, internal = build(lo, hi)
+                norms = np.linalg.norm(internal, axis=1)
+                keep = np.nonzero(norms >= radius)[0][: need - got]
+                if len(keep) < hi - lo:
+                    p, internal = p[keep], internal[keep]
+                    logical = None if logical is None else logical[keep]
+                got += len(keep)
+                params.append(p)
+                internals.append(internal)
+                logicals.append(
+                    internal.astype(complex) if logical is None else logical
+                )
+                if got == need:
+                    break
+                lo = hi
+        labels.extend([getattr(piece, "label", piece.kind)] * need)
+    width = max(p.shape[1] for p in params)
+    if any(p.shape[1] != width for p in params):
+        params = [
+            np.pad(p, ((0, 0), (0, width - p.shape[1])), constant_values=np.nan)
+            for p in params
+        ]
+    return ShellSamples(
+        index=shell,
+        radius=radius,
+        labels=labels,
+        params=np.concatenate(params),
+        logical=np.concatenate(logicals),
+        internal=np.concatenate(internals),
+    )
+
+
+def far_shells(X, cfg: SampleConfig, lat: Optional[Lattice] = None):
+    """Deterministic far-point samples, one ShellSamples per shell as it is
+    drawn; ``sample_far_points`` lists them all."""
+    cfg.validate_pieces(len(X.pieces))
+    per_shell = -(-cfg.count // cfg.shells)
+    npieces = len(X.pieces)
+    prepared = {}   # piece index -> its rays or frame, built at its first draw
+    for shell, radius in enumerate(cfg.radius_schedule()):
+        quota = [per_shell // npieces] * npieces
+        for i in range(per_shell - sum(quota)):
+            quota[i] += 1
+        yield _sample_shell(X, cfg, lat, shell, radius, quota, prepared)
 
 
 def sample_far_points(X, cfg: SampleConfig, lat: Optional[Lattice] = None):
     """Deterministic far-point samples, shell by shell.
+
+    Each shell splits its quota across the pieces.  A piece draws in
+    batches of ``max(1024, 2 * (need - got))`` rows from its own
+    ``(seed, shell, piece)`` stream and keeps the first ``need - got`` rows
+    whose internal norm reaches the shell radius.  A draw has two steps:
+    the draw step makes every RNG call of the batch, and the ``build``
+    function it returns turns a row range into params and logical and
+    internal rows.  Only the rows still needed are built first; the rest
+    of the batch is built only when too few of them landed outside the
+    ball.
+
+    This keeps the samples exactly those of building every row: the RNG
+    calls have the same sizes and order whatever is built, ``build``
+    computes each row from that row's draws alone, and whether a row is
+    accepted depends only on that row, so the kept rows are still the first
+    accepted ones of the batch.  ``GraphPiece.evaluate`` must therefore
+    work row by row, as the compiled expressions of a problem file do.
 
     Raises ShellStarved when a shell cannot be filled within the rejection
     cap; a bounded variety triggers exactly that, which is itself a result.
     A count whose quotas are over the cap from the first draw is a
     TorusflowError instead (see SampleConfig.validate_pieces).
     """
-    cfg.validate_pieces(len(X.pieces))
-    schedule = cfg.radius_schedule()
-    per_shell = -(-cfg.count // cfg.shells)
-    pieces = X.pieces
-    frames = {}   # affine piece index -> its frame, built at its first draw
-    out = []
-    for shell, radius in enumerate(schedule):
-        quota = [per_shell // len(pieces)] * len(pieces)
-        for i in range(per_shell - sum(quota)):
-            quota[i] += 1
-        labels, params, logicals, internals = [], [], [], []
-        for pi, piece in enumerate(pieces):
-            need = quota[pi]
-            if need == 0:
-                continue
-            rng = _rng(cfg, shell, pi)
-            got = attempts = 0
-            while got < need:
-                draw = max(1024, 2 * (need - got))
-                attempts += draw
-                if attempts > MAX_DRAWS:
-                    raise ShellStarved(shell, radius)
-                if piece.kind == "branch":
-                    p, logical = _sample_branch(piece, draw, radius, rng, X.mode)
-                elif piece.kind == "affine":
-                    if pi not in frames:
-                        frames[pi] = _affine_frame(piece, lat)
-                    p, internal = _sample_affine(
-                        frames[pi], draw, radius, rng, cfg.window
-                    )
-                    logical = None
-                elif piece.kind == "graph":
-                    p, logical = _sample_graph(piece, draw, radius, rng, X.mode)
-                else:
-                    raise TorusflowError(f"cannot sample piece kind {piece.kind!r}")
-                if logical is not None:
-                    internal = to_internal(logical, X.mode)
-                norms = np.linalg.norm(internal, axis=1)
-                keep = np.nonzero(norms >= radius)[0][: need - got]
-                got += len(keep)
-                params.append(p[keep])
-                internals.append(internal[keep])
-                logicals.append(
-                    internal[keep].astype(complex)
-                    if logical is None
-                    else logical[keep]
-                )
-            labels.extend([getattr(piece, "label", piece.kind)] * need)
-        width = max(p.shape[1] for p in params)
-        out.append(
-            ShellSamples(
-                index=shell,
-                radius=radius,
-                labels=labels,
-                params=np.concatenate(
-                    [
-                        np.pad(p, ((0, 0), (0, width - p.shape[1])),
-                               constant_values=np.nan)
-                        for p in params
-                    ]
-                ),
-                logical=np.concatenate(logicals),
-                internal=np.concatenate(internals),
-            )
-        )
-    return out
+    return list(far_shells(X, cfg, lat))
 
 
 # ---------------------------------------------------------------------------
@@ -650,10 +719,11 @@ def shell_stability(shell_cells):
 
 def run_verification(X, lat: Lattice, predicted: FlowDescription,
                      cfg: SampleConfig) -> VerificationReport:
-    """Sample, reduce, and run both checks; deterministic per config."""
-    shells = sample_far_points(X, cfg, lat)
-    evaluators = [ComponentEvaluator(c, lat, cfg) for c in predicted.components]
+    """Sample, reduce, and run both checks; deterministic per config.
 
+    Shells are sampled one at a time; of each, only its in-window reduced
+    rows and their cells are kept.
+    """
     perp_proj = lat.span.float_complement_projector()
     all_in_window = []
     per_shell = []
@@ -661,25 +731,24 @@ def run_verification(X, lat: Lattice, predicted: FlowDescription,
     residual_max = 0.0
     escaped = 0
     total = 0
-    for sh in shells:
-        reduced, _, _ = lat.reduce_points(sh.internal)
+    for sh in far_shells(X, cfg, lat):
+        reduced = lat.reduce_points(sh.internal)[0]
         residual_max = max(
             residual_max, lat.reduction_residual(sh.internal, reduced)
         )
-        mask = _window_mask(reduced, perp_proj, cfg.window)
-        in_win = reduced[mask]
-        total += len(reduced)
-        escaped += int(np.sum(~mask))
+        entry = {"shell": sh.index, "radius": sh.radius}
+        del sh   # its params, logical and internal rows
+        in_win = reduced[_window_mask(reduced, perp_proj, cfg.window)]
+        entry["samples"] = len(reduced)
+        entry["escaped"] = len(reduced) - len(in_win)
+        del reduced
+        total += entry["samples"]
+        escaped += entry["escaped"]
         all_in_window.append(in_win)
         shell_cells.append(_global_cells(in_win, cfg.grid_eps))
-        per_shell.append(
-            {
-                "shell": sh.index,
-                "radius": sh.radius,
-                "samples": int(len(reduced)),
-                "escaped": int(np.sum(~mask)),
-            }
-        )
+        per_shell.append(entry)
+    # built after sampling, so that a starved shell is reported first
+    evaluators = [ComponentEvaluator(c, lat, cfg) for c in predicted.components]
     new_cells = shell_stability(shell_cells)
     for entry, nc in zip(per_shell, new_cells):
         entry["new_cells"] = nc

@@ -1,5 +1,6 @@
 """Far-point sampling, containment, coverage, shells, orbits."""
 
+import inspect
 import math
 from fractions import Fraction
 
@@ -392,24 +393,22 @@ def sample_per_index(X, cfg, lat):
             got = 0
             while got < need:
                 draw = max(1024, 2 * (need - got))
-                logical = None
                 if piece.kind == "branch":
-                    p, logical = verifier._sample_branch(
-                        piece, draw, radius, rng, X.mode
+                    # fresh rays and frames for every draw: the sampler's
+                    # cached ones must give the same draws
+                    build = verifier._draw_branch(
+                        piece, verifier._branch_rays(piece), draw, radius, rng,
+                        X.mode,
                     )
                 elif piece.kind == "affine":
-                    # a fresh frame for every draw: the sampler's cached one
-                    # must give the same draws
                     frame = verifier._affine_frame(piece, lat)
-                    p, internal = verifier._sample_affine(
+                    build = verifier._draw_affine(
                         frame, draw, radius, rng, cfg.window
                     )
                 else:
-                    p, logical = verifier._sample_graph(
-                        piece, draw, radius, rng, X.mode
-                    )
-                if logical is not None:
-                    internal = verifier.to_internal(logical, X.mode)
+                    build = verifier._draw_graph(piece, draw, radius, rng, X.mode)
+                # every row of the draw, not only those the sampler builds
+                p, logical, internal = build(0, draw)
                 ok = np.linalg.norm(internal, axis=1) >= radius
                 rejected += int(np.sum(~ok))
                 for idx in np.nonzero(ok)[0]:
@@ -435,11 +434,17 @@ def _branch(QQ, coords, rays=None):
 
 
 def _sampler_cases(QQ):
+    """(name, variety, lattice, params width, config) of each sampler case."""
     lat2 = Lattice(2, [[1, 0], [0, 1]], QQ)
     # (t/30, 1/t): accepted only for t >= 30 R, about half of the draws
     slow = [(1, Fraction(1, 30)), (-1, 1)]
     rays = VarietyInput(
         [_branch(QQ, slow, rays=[1, -1])], 2, "complex", 1, QQ
+    )
+    # (t/794, 1/t): accepted for t >= 794 R, about 1 draw in 30, so the
+    # quota's rows fall short and every quota takes several draws
+    sparse = VarietyInput(
+        [_branch(QQ, [(1, Fraction(1, 794)), (-1, 1)])], 2, "real", 1, QQ
     )
     affine = VarietyInput(
         [AffinePiece(Flat([3, 0, 0], Subspace(3, [[1, 0, 0], [0, 1, 1]], QQ)))],
@@ -461,19 +466,48 @@ def _sampler_cases(QQ):
         2, "real", 2, QQ,
     )
     lat3 = Lattice(3, [[1, 0, 0], [0, 1, 0]], QQ)
+
+    def cfg(count=4003):
+        return SampleConfig(radius_min=100, count=count, seed=11, shells=2)
+
     return [
-        ("branch-rays", rays, lat2, 1),
-        ("affine", affine, lat3, 1),
-        ("graph", graph, Lattice(3, np.eye(3, dtype=int).tolist(), QQ), 2),
-        ("mixed", mixed, lat2, 2),
+        ("branch-rays", rays, lat2, 1, cfg()),
+        ("affine", affine, lat3, 1, cfg()),
+        ("graph", graph, Lattice(3, np.eye(3, dtype=int).tolist(), QQ), 2, cfg()),
+        ("mixed", mixed, lat2, 2, cfg()),
+        ("branch-sparse", sparse, lat2, 1, cfg()),
+        # two samples per shell for three pieces: the affine piece gets none
+        ("mixed-tiny", mixed, lat2, 2, cfg(count=3)),
     ]
 
 
+def _record_builds(monkeypatch):
+    """Patch the draw helpers to record, per draw, its size and the row
+    ranges built from it; returns the list of (size, ranges) pairs."""
+    draws = []
+    for name in ("_draw_branch", "_draw_affine", "_draw_graph"):
+        original = getattr(verifier, name)
+        signature = inspect.signature(original)
+
+        def recording(*args, _original=original, _signature=signature):
+            ranges = []
+            draws.append((_signature.bind(*args).arguments["count"], ranges))
+            build = _original(*args)
+
+            def recorded(lo, hi):
+                ranges.append((lo, hi))
+                return build(lo, hi)
+
+            return recorded
+
+        monkeypatch.setattr(verifier, name, recording)
+    return draws
+
+
 class TestArraySampler:
-    @pytest.mark.parametrize("case", range(4))
+    @pytest.mark.parametrize("case", range(6))
     def test_keeps_the_per_index_draws(self, QQ, case):
-        name, X, lat, width = _sampler_cases(QQ)[case]
-        cfg = SampleConfig(radius_min=100, count=4003, seed=11, shells=2)
+        name, X, lat, width, cfg = _sampler_cases(QQ)[case]
         shells = sample_far_points(X, cfg, lat)
         reference, rejected = sample_per_index(X, cfg, lat)
         if name != "affine":
@@ -488,8 +522,57 @@ class TestArraySampler:
             assert sh.internal.dtype == float
             assert np.array_equal(sh.logical, logical)
 
+    @pytest.mark.parametrize("case", range(6))
+    def test_builds_each_row_at_most_once(self, QQ, monkeypatch, case):
+        name, X, lat, _, cfg = _sampler_cases(QQ)[case]
+        draws = _record_builds(monkeypatch)
+        sample_far_points(X, cfg, lat)
+        assert draws
+        for size, ranges in draws:
+            # consecutive ranges from row 0, none past the draw
+            assert ranges[0][0] == 0
+            assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+            assert ranges[-1][1] <= size
+        if name == "branch-sparse":
+            assert len(draws) > 2 * cfg.shells
+            assert all(len(ranges) == 2 for _, ranges in draws)
+
+    def test_rays_converted_once_per_piece(self, QQ, monkeypatch):
+        X = VarietyInput(
+            [
+                _branch(QQ, [(1, Fraction(1, 794)), (-1, 1)], rays=[1, -1]),
+                _branch(QQ, [(-1, 1), (1, 1)], rays=[1]),
+            ],
+            2, "complex", 1, QQ,
+        )
+        converted = []
+        rays = verifier._branch_rays
+        monkeypatch.setattr(
+            verifier, "_branch_rays",
+            lambda piece: converted.append(piece) or rays(piece),
+        )
+        draws = _record_builds(monkeypatch)
+        cfg = SampleConfig(radius_min=100, count=4003, seed=11, shells=2)
+        sample_far_points(X, cfg, Lattice(2, [[1, 0], [0, 1]], QQ))
+        assert len(draws) > 2 * len(X.pieces)
+        assert converted == X.pieces
+
+    def test_all_accepted_evaluates_only_the_quota(self, QQ):
+        X = hyperbola(QQ)
+        rows = []
+        for piece in X.pieces:
+            piece.evaluate = (
+                lambda t, _piece=piece, _evaluate=piece.evaluate:
+                rows.append((_piece, len(t))) or _evaluate(t)
+            )
+        cfg = SampleConfig(radius_min=100, count=4003, seed=11, shells=2)
+        shells = sample_far_points(X, cfg, Lattice(2, [[1, 0], [0, 1]], QQ))
+        # 2002 samples per shell, 1001 per piece, every one outside the ball
+        assert [len(sh.labels) for sh in shells] == [2002, 2002]
+        assert rows == [(piece, 1001) for _ in range(2) for piece in X.pieces]
+
     def test_mixed_widths_in_csv(self, QQ, tmp_path):
-        _, X, lat, _ = _sampler_cases(QQ)[3]
+        _, X, lat, _, _ = _sampler_cases(QQ)[3]
         cfg = SampleConfig(radius_min=100, count=12, seed=2, shells=1)
         shells = sample_far_points(X, cfg, lat)
         out = tmp_path / "mixed.csv"
