@@ -12,7 +12,6 @@ from .errors import (
     DivisionByZero,
     FieldMismatch,
     InternalInvariantError,
-    NotContained,
     NotInSpan,
     ShellStarved,
     SpecFileError,
@@ -36,21 +35,15 @@ from .flats import (
     AffinePiece,
     AffineSet,
     CurveImage,
-    FiniteFlatSet,
     Flat,
     GraphPiece,
     ParametricBranch,
     PointSet,
-    TranslateFamily,
     VarietyInput,
-    family_linear_span,
-    linear_part,
-    perp_base_point,
 )
 from .asymptotics import (
     ExpansionAtInfinity,
     affine_asymptotic_family,
-    branch_asymptotic_flat,
     expand_at_infinity,
     variety_asymptotic_flats,
 )
@@ -60,7 +53,6 @@ from .flow import (
     check_span_condition,
     closure_description,
     flow_set,
-    group_neat,
     predicted_flow,
 )
 from .verifier import (
@@ -92,8 +84,6 @@ __all__ = [
     "reduce_mod_lattice",
     "integer_relations",
     "Flat",
-    "FiniteFlatSet",
-    "TranslateFamily",
     "PointSet",
     "AffineSet",
     "CurveImage",
@@ -101,18 +91,13 @@ __all__ = [
     "AffinePiece",
     "GraphPiece",
     "VarietyInput",
-    "linear_part",
-    "family_linear_span",
-    "perp_base_point",
     "ExpansionAtInfinity",
     "expand_at_infinity",
-    "branch_asymptotic_flat",
     "affine_asymptotic_family",
     "variety_asymptotic_flats",
     "FlowComponent",
     "FlowDescription",
     "flow_set",
-    "group_neat",
     "check_span_condition",
     "closure_description",
     "predicted_flow",
@@ -132,7 +117,6 @@ __all__ = [
     "FieldMismatch",
     "DivisionByZero",
     "NotInSpan",
-    "NotContained",
     "SymbolicUnsupported",
     "ShellStarved",
     "SpecFileError",

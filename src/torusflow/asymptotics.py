@@ -28,11 +28,10 @@ from .errors import SymbolicUnsupported, TorusflowError
 from .flats import (
     AffinePiece,
     AffineSet,
-    FiniteFlatSet,
     Flat,
     ParametricBranch,
+    PointSet,
     TPoly,
-    TranslateFamily,
     VarietyInput,
     embed_exact_vector,
 )
@@ -219,25 +218,6 @@ def _branch_flat_for_ray(expansion, ray, mode, complex_flats, field, internal_n,
     return Flat(point, span)
 
 
-def branch_asymptotic_flat(
-    branch: ParametricBranch,
-    L: Subspace,
-    mode: str = "real",
-    complex_flats: bool = False,
-) -> Optional[Flat]:
-    """Minimal flat approached by the branch, or None.
-
-    None means either the branch stays bounded (it contributes to the image,
-    not to the limit set), or its divergent directions leave L so the flat
-    cannot have linear part inside L.
-    """
-    expansion = expand_at_infinity(branch)
-    internal_n = L.ambient_dim
-    return _branch_flat_for_ray(
-        expansion, None, mode, complex_flats, branch.field, internal_n, L
-    )
-
-
 def branch_asymptotic_flats(branch, L, mode, complex_flats):
     """Per-ray flats; complex flats collapse to a single span."""
     expansion = expand_at_infinity(branch)
@@ -258,8 +238,8 @@ def branch_asymptotic_flats(branch, L, mode, complex_flats):
 
 def affine_asymptotic_family(
     piece: AffinePiece, L: Subspace, complex_flats: bool = False
-) -> Optional[TranslateFamily]:
-    """Family of translates approached by an affine piece, or None.
+) -> Optional[tuple[AffineSet, Subspace]]:
+    """(base, Q): the translates approached by an affine piece, or None.
 
     The unbounded directions inside L are Q = P intersect L; the base is the
     projection of the piece onto the complement of Q, one flat per base point.
@@ -273,16 +253,18 @@ def affine_asymptotic_family(
         Q = Subspace(Q.ambient_dim, Q.basis, Q.field, complex_structure=True)
     if Q.dim == 0:
         return None
-    return TranslateFamily(base=AffineSet(piece.flat).project(Q), direction=Q)
+    return AffineSet(piece.flat).project(Q), Q
 
 
 def variety_asymptotic_flats(
     X: VarietyInput, L: Subspace, complex_flats: bool = False
 ):
-    """Union of per-piece contributions, deduplicated canonically.
+    """(base, V) pairs, one per asymptotic family, deduplicated canonically.
 
-    Branch flats merge into one finite set; each affine piece yields its own
-    translate family.  Graph pieces are numeric-only and rejected here.
+    Each family is the set of translates base + V.  Distinct branch flats
+    come first in canonical order, each as a one-point base with its
+    direction space; then one pair per distinct affine family, in piece
+    order.  Graph pieces are numeric-only and rejected here.
     """
     for piece in X.pieces:
         if piece.kind == "graph":
@@ -290,28 +272,25 @@ def variety_asymptotic_flats(
                 "graph pieces have no symbolic asymptotic analysis; "
                 "verify against a predicted flow instead"
             )
-    branch_flats = []
-    families = []
-    seen_families = set()
+    branch_flats = {}
+    families = {}
     for piece in X.pieces:
         if piece.kind == "branch":
-            branch_flats.extend(
-                branch_asymptotic_flats(piece, L, X.mode, complex_flats)
-            )
+            for f in branch_asymptotic_flats(piece, L, X.mode, complex_flats):
+                branch_flats[f.key()] = f
         elif piece.kind == "affine":
             fam = affine_asymptotic_family(piece, L, complex_flats)
             if fam is not None:
-                key = (fam.direction.key(), fam.base.flat.key())
-                if key not in seen_families:
-                    seen_families.add(key)
-                    families.append(fam)
+                base, Q = fam
+                families.setdefault((Q.key(), base.flat.key()), fam)
         else:
             raise SymbolicUnsupported(f"unsupported piece kind {piece.kind!r}")
-    out = []
-    if branch_flats:
-        out.append(FiniteFlatSet(branch_flats))
-    out.extend(families)
-    for fam in out:
-        if not L.contains(fam.linear_span()):
+    out = [
+        (PointSet([f.base_point], X.field), f.directions)
+        for _, f in sorted(branch_flats.items())
+    ]
+    out.extend(families.values())
+    for _, V in out:
+        if not L.contains(V):
             raise TorusflowError("asymptotic family escaped L; internal error")
     return out

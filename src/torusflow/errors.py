@@ -17,10 +17,6 @@ class NotInSpan(TorusflowError):
     """A subspace fell outside the real span of the lattice."""
 
 
-class NotContained(TorusflowError):
-    """Required subspace containment does not hold."""
-
-
 class SymbolicUnsupported(TorusflowError):
     """The operation needs symbolic pieces but got a numeric-only one."""
 

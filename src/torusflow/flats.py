@@ -1,4 +1,4 @@
-"""Affine flats, flat families, and the supported variety input classes.
+"""Affine flats, base sets, and the supported variety input classes.
 
 Logical coordinates are the n coordinates the user writes; internally a
 complex problem lives in R^(2n) with interleaved (Re, Im) pairs.  Exact
@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import exactlinalg as xl
-from .errors import NotContained, TorusflowError
+from .errors import TorusflowError
 from .lattice import Subspace
 from .numberfield import NumberField
 
@@ -218,21 +218,6 @@ class Flat:
         return f"Flat(dim={self.dim} in R^{self.ambient_dim})"
 
 
-def linear_part(A: Flat) -> Subspace:
-    """The direction subspace of a flat."""
-    return A.directions
-
-
-def perp_base_point(A: Flat, span: Subspace):
-    """Unique point of (A + span) intersected with span-perp, exactly.
-
-    Requires the flat's linear part to lie inside span.
-    """
-    if not span.contains(A.directions):
-        raise NotContained("flat's linear part is not inside the given span")
-    return xl.project_onto_complement(A.base_point, span.basis, span.field)
-
-
 # ---------------------------------------------------------------------------
 # Base-set descriptors (the C pieces of flow components)
 # ---------------------------------------------------------------------------
@@ -339,57 +324,6 @@ class CurveImage:
             "label": self.label,
             "param_range": list(self.param_range),
         }
-
-
-# ---------------------------------------------------------------------------
-# Flat families
-# ---------------------------------------------------------------------------
-
-
-class FiniteFlatSet:
-    """A finite collection of flats, deduplicated by canonical form."""
-
-    kind = "finite"
-
-    def __init__(self, flats):
-        seen = {}
-        for f in flats:
-            seen[f.key()] = f
-        self.flats = [seen[k] for k in sorted(seen)]
-
-    def linear_span(self) -> Subspace:
-        if not self.flats:
-            raise TorusflowError("empty flat family has no linear span")
-        field = self.flats[0].field
-        vecs = []
-        for f in self.flats:
-            vecs.extend(f.directions.basis)
-        return Subspace(self.flats[0].ambient_dim, vecs, field)
-
-    def __len__(self):
-        return len(self.flats)
-
-
-class TranslateFamily:
-    """Flats with one fixed direction space, translated over a base set.
-
-    Every member has the same linear part, so the neatness condition (open
-    subfamilies span what the family spans) holds by construction.
-    """
-
-    kind = "translate"
-
-    def __init__(self, base, direction: Subspace):
-        self.base = base
-        self.direction = direction
-
-    def linear_span(self) -> Subspace:
-        return self.direction
-
-
-def family_linear_span(family) -> Subspace:
-    """Smallest subspace containing the linear part of every member flat."""
-    return family.linear_span()
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Assembly of the limit set: neat grouping, torus closures, base sets.
+"""Assembly of the limit set: torus closures and base sets.
 
 The limit set of the projected variety decomposes as a finite union of
-pieces pi(C) + T, where T is the compact torus closure of the span V of a
-neat family of asymptotic flats and C collects the family's base points in
-the orthogonal complement.  When the smallest Lambda-rational subspace W
+pieces pi(C) + T, one per asymptotic family base + V, where T is the
+compact torus closure of the direction space V and C is the family's base
+in the orthogonal complement.  When the smallest Lambda-rational subspace W
 strictly contains V, base points are re-projected into the complement of W
 so each component is presented canonically; both V and W are recorded.
 """
@@ -15,15 +15,7 @@ from typing import Optional
 
 from . import exactlinalg as xl
 from .errors import InternalInvariantError, TorusflowError
-from .flats import (
-    AffineSet,
-    CurveImage,
-    FiniteFlatSet,
-    PointSet,
-    TranslateFamily,
-    VarietyInput,
-    perp_base_point,
-)
+from .flats import AffineSet, CurveImage, PointSet, VarietyInput
 from .lattice import (
     ClosedSubgroupDescriptor,
     Lattice,
@@ -48,35 +40,12 @@ def check_span_condition(lat: Lattice) -> str:
     return COMPLEX_THEOREM if is_j_stable(lat.span) else REAL_ONLY
 
 
-def group_neat(families):
-    """Split families until each is neat: constant direction, connected base.
-
-    Finite sets split into singletons; translate families over affine or
-    curve bases are already connected; point-set bases split per point.
-    """
-    out = []
-    for fam in families:
-        if isinstance(fam, FiniteFlatSet):
-            out.extend(FiniteFlatSet([f]) for f in fam.flats)
-        elif isinstance(fam, TranslateFamily):
-            if isinstance(fam.base, PointSet):
-                out.extend(
-                    TranslateFamily(PointSet([p], fam.base.field), fam.direction)
-                    for p in fam.base.points
-                )
-            else:
-                out.append(fam)
-        else:
-            raise TorusflowError(f"unknown family type {type(fam).__name__}")
-    return out
-
-
 @dataclass
 class FlowComponent:
     """One piece pi(C) + T of the limit set."""
 
     base: object                 # PointSet | AffineSet | CurveImage, inside W-perp
-    V: Subspace                  # linear span of the neat family
+    V: Subspace                  # direction space of the family
     torus: Optional[ClosedSubgroupDescriptor]   # None for raw predictions
     dim_C_internal: int          # real dimension of C
     dim_C: int                   # dimension in the problem's units
@@ -149,18 +118,12 @@ def _mode_dim(real_dim, mode, complex_units):
     return real_dim
 
 
-def _family_component(family, lat: Lattice, mode, complex_units) -> FlowComponent:
-    V = family.linear_span()
+def _family_component(base, V: Subspace, lat: Lattice, mode,
+                      complex_units) -> FlowComponent:
+    """The component of the family base + V: its base moved into W-perp,
+    where W is the smallest Lambda-rational subspace containing V."""
     tc = torus_closure(V, lat)
-    W = tc.W
-    if isinstance(family, FiniteFlatSet):
-        if len(family.flats) != 1:
-            raise InternalInvariantError("finite families must be neat singletons")
-        flat = family.flats[0]
-        c = perp_base_point(flat, W)
-        base = PointSet([c], lat.field)
-    else:
-        base = family.base.project(W)
+    base = base.project(tc.W)
     dim_internal = base.dim
     return FlowComponent(
         base=base,
@@ -242,9 +205,9 @@ def flow_set(X: VarietyInput, lat: Lattice) -> FlowDescription:
         complex_units = span_condition == COMPLEX_THEOREM
     L = lat.span
     families = variety_asymptotic_flats(X, L, complex_flats=complex_units)
-    neat = group_neat(families)
     components = [
-        _family_component(fam, lat, X.mode, complex_units) for fam in neat
+        _family_component(base, V, lat, X.mode, complex_units)
+        for base, V in families
     ]
     components = _prune_redundant(components)
     components.sort(key=FlowComponent.sort_key)
@@ -268,7 +231,7 @@ def flow_set(X: VarietyInput, lat: Lattice) -> FlowDescription:
         mode=X.mode,
         span_condition=span_condition,
         provenance="computed_symbolic",
-        diagnostics={"family_count": len(neat)},
+        diagnostics={"family_count": len(families)},
     )
 
 

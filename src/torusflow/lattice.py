@@ -520,18 +520,14 @@ class ClosedSubgroupDescriptor:
         r = len(self.lattice_coords[0])
         Ct = [[self.lattice_coords[j][i] for j in range(g)] for i in range(r)]
         H, U = hermite_normal_form(Ct)
-        H0 = [row[:g] for row in H[:g]]
-        if abs(int_det(H0)) != 1:
+        # the HNF's pivots are positive and the entries above each pivot lie
+        # in [0, pivot), so its top g x g block is unimodular exactly when it
+        # is the identity; then U[:g] . Ct = I, which makes D = U[:g]
+        if [row[:g] for row in H[:g]] != _identity(g):
             raise InternalInvariantError(
                 "lattice points of the torus closure are not saturated"
             )
-        # the RREF of [H0 | U[:g]] is [I | D] with D = H0^{-1} U[:g], exact
-        # over the rationals and then necessarily integral
-        aug, _ = xl.rref([H0[i] + U[i] for i in range(g)], QQ)
-        D = [row[g:] for row in aug]
-        if any(x.denominator != 1 for row in D for x in row):
-            raise InternalInvariantError("integer dual has non-integer entries")
-        return [[int(x) for x in row] for row in D]
+        return U[:g]
 
     def torus_coordinate_matrix(self, lat: "Lattice"):
         """(torus_dim, ambient) float map to torus coordinates mod 1."""

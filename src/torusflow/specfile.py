@@ -87,7 +87,6 @@ _KNOWN_KEYS = {
         "coverage_threshold",
         "window",
         "curve_nodes",
-        "residual_tolerance",
         "relation_digits",
     },
 }
@@ -310,6 +309,29 @@ def _parse_affine(value, space, field):
     return AffinePiece(Flat(point, sub))
 
 
+def _numeric_vector(text, names, space, field, what):
+    """Compile the vector text into a numeric map of the variables ``names``.
+
+    The map takes one complex array per name, all of one shape, and returns
+    the logical points, shape + (logical_dim,); constant coordinates are
+    broadcast.
+    """
+    exprs = split_vector(text.strip())
+    if len(exprs) != space.logical_dim:
+        raise SpecFileError(f"{what} output count mismatch")
+    compiled = [compile_numeric(parse_expr(e), set(names), field) for e in exprs]
+
+    def point_at(columns):
+        env = dict(zip(names, columns))
+        shape = np.shape(columns[0])
+        return np.stack(
+            [np.broadcast_to(fn(env), shape).astype(complex) for fn in compiled],
+            axis=-1,
+        )
+
+    return point_at
+
+
 def _parse_graph(value, space, field):
     head, sep, body = value.partition(":")
     if not sep or not head.strip().startswith("vars"):
@@ -317,21 +339,11 @@ def _parse_graph(value, space, field):
     var_names = [v.strip() for v in head.strip()[len("vars"):].split(",")]
     if any(not v.isidentifier() for v in var_names):
         raise SpecFileError("bad graph variable names")
-    exprs = split_vector(body.strip())
-    if len(exprs) != space.logical_dim:
-        raise SpecFileError("graph output count mismatch")
-    compiled = [
-        compile_numeric(parse_expr(e), set(var_names), field) for e in exprs
-    ]
+    point_at = _numeric_vector(body, var_names, space, field, "graph")
 
     def evaluate(vars_matrix):
         vars_matrix = np.atleast_2d(np.asarray(vars_matrix, dtype=complex))
-        env = {name: vars_matrix[:, k] for k, name in enumerate(var_names)}
-        cols = []
-        for fn in compiled:
-            val = fn(env)
-            cols.append(np.broadcast_to(val, (len(vars_matrix),)).astype(complex))
-        return np.stack(cols, axis=-1)
+        return point_at(list(vars_matrix.T))
 
     return GraphPiece(
         nvars=len(var_names),
@@ -396,23 +408,12 @@ def _parse_base(text, space, field):
         var = head_parts[0]
         rng_text = head[head.index("in") + 2 :].strip()
         lo, hi = _rational_pair(rng_text, "curve range")
-        exprs = split_vector(body.strip())
-        if len(exprs) != space.logical_dim:
-            raise SpecFileError("curve output count mismatch")
-        compiled = [
-            compile_numeric(parse_expr(e), {var}, field) for e in exprs
-        ]
+        point_at = _numeric_vector(body, [var], space, field, "curve")
         mode = space.mode
 
         def sampler(params):
             params = np.asarray(params, dtype=float)
-            env = {var: params.astype(complex)}
-            cols = [
-                np.broadcast_to(fn(env), params.shape).astype(complex)
-                for fn in compiled
-            ]
-            logical = np.stack(cols, axis=-1)
-            return to_internal(logical, mode)
+            return to_internal(point_at([params.astype(complex)]), mode)
 
         return CurveImage(sampler, (float(lo), float(hi)), label="curve")
     raise SpecFileError(f"unknown base descriptor {text!r}")

@@ -55,7 +55,6 @@ class SampleConfig:
     coverage_threshold: float = 0.95
     window: float = 10.0          # transverse window half-width
     curve_nodes: int = 10000
-    residual_tolerance: float = 1e-9
     relation_digits: int = 9      # scale for the heuristic relation check
 
     def __post_init__(self):
@@ -747,13 +746,16 @@ def run_verification(X, lat: Lattice, predicted: FlowDescription,
         all_in_window.append(in_win)
         shell_cells.append(_global_cells(in_win, cfg.grid_eps))
         per_shell.append(entry)
+        del in_win   # the list holds it until the concatenation
     # built after sampling, so that a starved shell is reported first
     evaluators = [ComponentEvaluator(c, lat, cfg) for c in predicted.components]
     new_cells = shell_stability(shell_cells)
+    del shell_cells
     for entry, nc in zip(per_shell, new_cells):
         entry["new_cells"] = nc
 
     in_window = np.concatenate(all_in_window)
+    del all_in_window   # free each shell's chunk beside the concatenation
 
     mismatch = predicted.is_empty and len(in_window) > 0
     if predicted.is_empty:
@@ -776,8 +778,8 @@ def run_verification(X, lat: Lattice, predicted: FlowDescription,
         # per-shell maxima: for branch inputs with certified remainder decay
         # these should not increase with the shell radius
         offset = 0
-        for entry, chunk in zip(per_shell, all_in_window):
-            k = len(chunk)
+        for entry in per_shell:
+            k = entry["samples"] - entry["escaped"]
             entry["max_distance"] = (
                 float(np.max(all_d[offset : offset + k])) if k else 0.0
             )

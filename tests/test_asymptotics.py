@@ -7,7 +7,6 @@ import pytest
 
 from torusflow.asymptotics import (
     affine_asymptotic_family,
-    branch_asymptotic_flat,
     branch_asymptotic_flats,
     expand_at_infinity,
     variety_asymptotic_flats,
@@ -15,10 +14,10 @@ from torusflow.asymptotics import (
 from torusflow.errors import SymbolicUnsupported
 from torusflow.flats import (
     AffinePiece,
-    FiniteFlatSet,
     Flat,
     GraphPiece,
     ParametricBranch,
+    PointSet,
     VarietyInput,
     to_internal,
 )
@@ -93,7 +92,9 @@ class TestExpansion:
         # soundness: distance to the flat bounded by C/t^q, decreasing in t
         b = br([({1: 1}, {0: 1}), ({-1: 1}, {0: 1})], QQ)
         e = expand_at_infinity(b)
-        flat = branch_asymptotic_flat(b, Subspace(2, [[1, 0], [0, 1]], QQ))
+        [flat] = branch_asymptotic_flats(
+            b, Subspace(2, [[1, 0], [0, 1]], QQ), "real", False
+        )
         proj = flat.directions.float_complement_projector()
         prev = None
         for t in (1e3, 1e4, 1e5):
@@ -109,27 +110,35 @@ class TestExpansion:
 class TestBranchFlats:
     def test_parabola_filtered(self, QQ):
         b = br([({1: 1}, {0: 1}), ({2: 1}, {0: 1})], QQ)
-        assert branch_asymptotic_flat(b, Subspace(2, [[1, 0]], QQ)) is None
+        L = Subspace(2, [[1, 0]], QQ)
+        assert branch_asymptotic_flats(b, L, "real", False) == []
 
     def test_parabola_full_space(self, QQ):
         b = br([({1: 1}, {0: 1}), ({2: 1}, {0: 1})], QQ)
-        f = branch_asymptotic_flat(b, Subspace(2, [[1, 0], [0, 1]], QQ))
-        assert f is not None and f.dim == 2
+        [f] = branch_asymptotic_flats(
+            b, Subspace(2, [[1, 0], [0, 1]], QQ), "real", False
+        )
+        assert f.dim == 2
 
     def test_hyperbola_branch(self, QQ):
         b = br([({1: 1}, {0: 1}), ({-1: 1}, {0: 1})], QQ)
-        f = branch_asymptotic_flat(b, Subspace(2, [[1, 0], [0, 1]], QQ))
+        [f] = branch_asymptotic_flats(
+            b, Subspace(2, [[1, 0], [0, 1]], QQ), "real", False
+        )
         assert f.directions == Subspace(2, [[1, 0]], QQ)
         assert all(e.is_zero() for e in f.base_point)
 
     def test_shifted_hyperbola(self, QQ):
         b = br([({1: 1}, {0: 1}), ({0: 5, -1: 1}, {0: 1})], QQ)
-        f = branch_asymptotic_flat(b, Subspace(2, [[1, 0], [0, 1]], QQ))
+        [f] = branch_asymptotic_flats(
+            b, Subspace(2, [[1, 0], [0, 1]], QQ), "real", False
+        )
         assert [e.as_rational() for e in f.base_point] == [0, 5]
 
     def test_bounded_branch_none(self, QQ):
         b = br([({-1: 1}, {0: 1}), ({-2: 1}, {0: 1})], QQ)
-        assert branch_asymptotic_flat(b, Subspace(2, [[1, 0], [0, 1]], QQ)) is None
+        L = Subspace(2, [[1, 0], [0, 1]], QQ)
+        assert branch_asymptotic_flats(b, L, "real", False) == []
 
     def test_positive_dimension(self, K):
         # every returned flat has dimension >= 1
@@ -145,26 +154,24 @@ class TestBranchFlats:
                 for _ in range(2)
             ]
             b = ParametricBranch(coords, K)
-            f = branch_asymptotic_flat(b, L)
-            if f is not None:
+            for f in branch_asymptotic_flats(b, L, "real", False):
                 assert f.dim >= 1
 
     def test_monotone_in_L(self, QQ):
         b = br([({1: 1}, {0: 1}), ({-1: 1}, {0: 1})], QQ)
         small = Subspace(2, [[1, 0]], QQ)
         large = Subspace(2, [[1, 0], [0, 1]], QQ)
-        f_small = branch_asymptotic_flat(b, small)
-        f_large = branch_asymptotic_flat(b, large)
-        assert f_small is not None and f_large is not None
+        [f_small] = branch_asymptotic_flats(b, small, "real", False)
+        [f_large] = branch_asymptotic_flats(b, large, "real", False)
         assert f_small == f_large
 
 
 class TestAffineFamilies:
     def test_plane_with_axis_lattice(self, QQ):
         piece = AffinePiece(Flat([0, 0], Subspace(2, [[1, 0], [0, 1]], QQ)))
-        fam = affine_asymptotic_family(piece, Subspace(2, [[1, 0]], QQ))
-        assert fam.direction == Subspace(2, [[1, 0]], QQ)
-        assert fam.base.flat.directions == Subspace(2, [[0, 1]], QQ)
+        base, Q = affine_asymptotic_family(piece, Subspace(2, [[1, 0]], QQ))
+        assert Q == Subspace(2, [[1, 0]], QQ)
+        assert base.flat.directions == Subspace(2, [[0, 1]], QQ)
 
     def test_diagonal_excluded(self, QQ):
         piece = AffinePiece(Flat([0, 0], Subspace(2, [[1, 1]], QQ)))
@@ -172,17 +179,17 @@ class TestAffineFamilies:
 
     def test_axis_in_full_space(self, QQ):
         piece = AffinePiece(Flat([0, 0], Subspace(2, [[1, 0]], QQ)))
-        fam = affine_asymptotic_family(piece, Subspace(2, [[1, 0], [0, 1]], QQ))
-        assert fam.direction == Subspace(2, [[1, 0]], QQ)
-        assert fam.base.flat.dim == 0
+        base, Q = affine_asymptotic_family(piece, Subspace(2, [[1, 0], [0, 1]], QQ))
+        assert Q == Subspace(2, [[1, 0]], QQ)
+        assert base.flat.dim == 0
 
     def test_base_dimension_drop(self, QQ):
         # base dimension = dim P - dim Q < dim P
         piece = AffinePiece(
             Flat([0, 0, 1], Subspace(3, [[1, 0, 0], [0, 1, 0]], QQ))
         )
-        fam = affine_asymptotic_family(piece, Subspace(3, [[1, 0, 0]], QQ))
-        assert fam.base.flat.dim == 1
+        base, _ = affine_asymptotic_family(piece, Subspace(3, [[1, 0, 0]], QQ))
+        assert base.flat.dim == 1
 
 
 class TestVarietyFlats:
@@ -198,8 +205,12 @@ class TestVarietyFlats:
             QQ,
         )
         fams = variety_asymptotic_flats(X, Subspace(2, [[1, 0], [0, 1]], QQ))
-        assert len(fams) == 1 and isinstance(fams[0], FiniteFlatSet)
-        dirs = {f.directions.key() for f in fams[0].flats}
+        assert len(fams) == 2
+        assert all(
+            isinstance(base, PointSet) and len(base.points) == 1
+            for base, _ in fams
+        )
+        dirs = {V.key() for _, V in fams}
         assert dirs == {
             Subspace(2, [[1, 0]], QQ).key(),
             Subspace(2, [[0, 1]], QQ).key(),
@@ -217,7 +228,7 @@ class TestVarietyFlats:
         X = VarietyInput([plane, bounded], 2, "real", 2, QQ)
         fams = variety_asymptotic_flats(X, Subspace(2, [[1, 0]], QQ))
         assert len(fams) == 1
-        assert fams[0].direction == Subspace(2, [[1, 0]], QQ)
+        assert fams[0][1] == Subspace(2, [[1, 0]], QQ)
 
     def test_graph_rejected(self, QQ):
         g = GraphPiece(1, lambda v: np.stack([v[:, 0], v[:, 0] ** 2], axis=-1))
@@ -230,8 +241,8 @@ class TestVarietyFlats:
             [br([({1: 1}, {0: 1}), ({-1: 1}, {0: 1})], QQ)], 2, "real", 1, QQ
         )
         L = Subspace(2, [[1, 0]], QQ)
-        for fam in variety_asymptotic_flats(X, L):
-            assert L.contains(fam.linear_span())
+        for _, V in variety_asymptotic_flats(X, L):
+            assert L.contains(V)
 
 
 class TestComplexBranches:

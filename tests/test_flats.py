@@ -1,24 +1,21 @@
-"""Flat canonicalization, families, base points, variety inputs."""
+"""Flat canonicalization, asymptotic families, base points, variety inputs."""
 
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from torusflow.errors import NotContained, TorusflowError
+from torusflow.asymptotics import branch_asymptotic_flats, variety_asymptotic_flats
+from torusflow.errors import TorusflowError
 from torusflow.flats import (
     AffinePiece,
-    FiniteFlatSet,
+    AffineSet,
     Flat,
     ParametricBranch,
     PointSet,
     TPoly,
-    TranslateFamily,
     VarietyInput,
     embed_exact_vector,
-    family_linear_span,
-    linear_part,
-    perp_base_point,
     to_internal,
     to_logical,
 )
@@ -56,42 +53,43 @@ class TestFlat:
 
     def test_point_flat(self, QQ):
         p = Flat([1, 2], Subspace(2, [], QQ))
-        assert linear_part(p).dim == 0
+        assert p.directions.dim == 0
         assert p.dim == 0
 
     def test_full_plane(self, QQ):
         f = Flat([1, 2], Subspace(2, [[1, 0], [0, 1]], QQ))
-        assert linear_part(f).dim == 2
+        assert f.directions.dim == 2
         assert all(e.is_zero() for e in f.base_point)
+
+
+def _perp_base_point(A: Flat, span: Subspace):
+    """The point of A + span orthogonal to span, as PointSet.project gives it."""
+    [pt] = PointSet([A.base_point], A.field).project(span).points
+    return pt
 
 
 class TestPerpBasePoint:
     def test_line_above_axis(self, QQ):
         A = Flat([0, 5], Subspace(2, [[1, 0]], QQ))
         span = Subspace(2, [[1, 0]], QQ)
-        pt = perp_base_point(A, span)
+        pt = _perp_base_point(A, span)
         assert [e.as_rational() for e in pt] == [F(0), F(5)]
 
     def test_axis_itself(self, QQ):
         A = Flat([0, 0], Subspace(2, [[1, 0]], QQ))
-        pt = perp_base_point(A, Subspace(2, [[1, 0]], QQ))
+        pt = _perp_base_point(A, Subspace(2, [[1, 0]], QQ))
         assert all(e.is_zero() for e in pt)
 
     def test_full_span_projects_to_origin(self, QQ):
         A = Flat([3, 4], Subspace(2, [[1, 1]], QQ))
-        pt = perp_base_point(A, Subspace(2, [[1, 0], [0, 1]], QQ))
+        pt = _perp_base_point(A, Subspace(2, [[1, 0], [0, 1]], QQ))
         assert all(e.is_zero() for e in pt)
-
-    def test_not_contained(self, QQ):
-        A = Flat([0, 0], Subspace(2, [[0, 1]], QQ))
-        with pytest.raises(NotContained):
-            perp_base_point(A, Subspace(2, [[1, 0]], QQ))
 
     def test_orthogonality_and_membership(self, K):
         # output is orthogonal to span and lies in A + span
         span = Subspace(3, [[1, 0, 0], [0, 1, 1]], K)
         A = Flat([2, 3, 1], Subspace(3, [[1, 0, 0]], K))
-        pt = perp_base_point(A, span)
+        pt = _perp_base_point(A, span)
         for v in span.basis:
             acc = K.zero
             for a, b in zip(pt, v):
@@ -103,35 +101,37 @@ class TestPerpBasePoint:
 
 
 class TestFamilies:
-    def test_axes_span_plane(self, QQ):
-        x = Flat([0, 0], Subspace(2, [[1, 0]], QQ))
-        y = Flat([0, 0], Subspace(2, [[0, 1]], QQ))
-        fam = FiniteFlatSet([x, y])
-        assert family_linear_span(fam).dim == 2
+    """Asymptotic families are (base, V) pairs: the translates base + V."""
 
     def test_translate_family_span(self, QQ):
-        base = PointSet([[0, 0]], QQ)
-        fam = TranslateFamily(base, Subspace(2, [[1, 0]], QQ))
-        assert family_linear_span(fam) == Subspace(2, [[1, 0]], QQ)
+        # an affine piece's family has V = P cap L and a base across it
+        plane = AffinePiece(Flat([0, 0], Subspace(2, [[1, 0], [0, 1]], QQ)))
+        X = VarietyInput([plane], 2, "real", 2, QQ)
+        [(base, V)] = variety_asymptotic_flats(X, Subspace(2, [[1, 0]], QQ))
+        assert V == Subspace(2, [[1, 0]], QQ)
+        assert isinstance(base, AffineSet)
+        assert base.flat.directions == Subspace(2, [[0, 1]], QQ)
 
     def test_singleton(self, QQ):
-        line = Flat([0, 0], Subspace(2, [[1, 1]], QQ))
-        fam = FiniteFlatSet([line])
-        assert family_linear_span(fam) == line.directions
+        # a branch flat becomes one pair: its base point and its directions
+        b = ParametricBranch([({1: 1}, {0: 1}), ({0: 3, -1: 1}, {0: 1})], QQ)
+        X = VarietyInput([b], 2, "real", 1, QQ)
+        L = Subspace(2, [[1, 0], [0, 1]], QQ)
+        [line] = branch_asymptotic_flats(b, L, "real", False)
+        [(base, V)] = variety_asymptotic_flats(X, L)
+        assert V == line.directions
+        assert base.points == [line.base_point]
 
     def test_dedup(self, QQ):
-        a = Flat([1, 5], Subspace(2, [[1, 0]], QQ))
-        b = Flat([-2, 5], Subspace(2, [[2, 0]], QQ))
-        fam = FiniteFlatSet([a, b])
-        assert len(fam) == 1
-
-    def test_span_stable_under_redundant_member(self, QQ):
-        x = Flat([0, 0], Subspace(2, [[1, 0]], QQ))
-        y = Flat([0, 0], Subspace(2, [[0, 1]], QQ))
-        d = Flat([0, 0], Subspace(2, [[1, 1]], QQ))
-        with_d = family_linear_span(FiniteFlatSet([x, y, d]))
-        without = family_linear_span(FiniteFlatSet([x, y]))
-        assert with_d == without
+        # (t, 5 + 1/t) and (2t, 5) approach the same line y = 5
+        a = ParametricBranch([({1: 1}, {0: 1}), ({0: 5, -1: 1}, {0: 1})], QQ)
+        b = ParametricBranch([({1: 2}, {0: 1}), ({0: 5}, {0: 1})], QQ)
+        X = VarietyInput([a, b], 2, "real", 1, QQ)
+        fams = variety_asymptotic_flats(X, Subspace(2, [[1, 0], [0, 1]], QQ))
+        assert len(fams) == 1
+        base, V = fams[0]
+        assert V == Subspace(2, [[1, 0]], QQ)
+        assert [[e.as_rational() for e in p] for p in base.points] == [[0, 5]]
 
 
 class TestConversions:

@@ -1,19 +1,18 @@
-"""Flow-set assembly: neat grouping, components, span condition."""
+"""Flow-set assembly: neat families, components, span condition."""
 
 from fractions import Fraction as F
 
 import pytest
 
 from torusflow.errors import SymbolicUnsupported, TorusflowError
+from torusflow.asymptotics import variety_asymptotic_flats
 from torusflow.flats import (
     AffinePiece,
     AffineSet,
-    FiniteFlatSet,
     Flat,
     GraphPiece,
     ParametricBranch,
     PointSet,
-    TranslateFamily,
     VarietyInput,
 )
 from torusflow.flow import (
@@ -22,7 +21,6 @@ from torusflow.flow import (
     check_span_condition,
     closure_description,
     flow_set,
-    group_neat,
     predicted_flow,
 )
 from torusflow.lattice import Lattice, Subspace
@@ -67,28 +65,29 @@ def hyperbola(field):
 
 
 class TestGroupNeat:
+    """The families come out neat: one direction space, connected base."""
+
     def test_finite_splits_to_singletons(self, QQ):
-        x = Flat([0, 0], Subspace(2, [[1, 0]], QQ))
-        y = Flat([0, 0], Subspace(2, [[0, 1]], QQ))
-        out = group_neat([FiniteFlatSet([x, y])])
-        assert len(out) == 2
-        assert all(isinstance(f, FiniteFlatSet) and len(f) == 1 for f in out)
+        fams = variety_asymptotic_flats(
+            hyperbola(QQ), Subspace(2, [[1, 0], [0, 1]], QQ)
+        )
+        assert len(fams) == 2
+        for base, V in fams:
+            assert isinstance(base, PointSet) and len(base.points) == 1
+            assert V.dim == 1
+        assert {V.key() for _, V in fams} == {
+            Subspace(2, [[1, 0]], QQ).key(),
+            Subspace(2, [[0, 1]], QQ).key(),
+        }
 
     def test_connected_base_kept(self, QQ):
-        fam = TranslateFamily(
-            AffineSet(Flat([0, 0], Subspace(2, [[0, 1]], QQ))),
-            Subspace(2, [[1, 0]], QQ),
-        )
-        out = group_neat([fam])
-        assert out == [fam]
-
-    def test_point_set_splits(self, QQ):
-        fam = TranslateFamily(
-            PointSet([[0, 0], [0, 1], [0, 2]], QQ), Subspace(2, [[1, 0]], QQ)
-        )
-        out = group_neat([fam])
-        assert len(out) == 3
-        assert all(len(f.base.points) == 1 for f in out)
+        plane = AffinePiece(Flat([0, 0], Subspace(2, [[1, 0], [0, 1]], QQ)))
+        X = VarietyInput([plane, plane], 2, "real", 2, QQ)
+        fams = variety_asymptotic_flats(X, Subspace(2, [[1, 0]], QQ))
+        assert len(fams) == 1
+        base, V = fams[0]
+        assert isinstance(base, AffineSet) and base.dim == 1
+        assert V == Subspace(2, [[1, 0]], QQ)
 
 
 class TestFlowSet:

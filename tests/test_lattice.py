@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusflow import exactlinalg as xl
-from torusflow.errors import NotInSpan
+from torusflow.errors import InternalInvariantError, NotInSpan
 from torusflow.lattice import (
+    ClosedSubgroupDescriptor,
     Lattice,
     Subspace,
     _lll,
@@ -227,6 +228,26 @@ class TestClosures:
         tc = torus_closure(Subspace(2, [[1, 0]], K), lat)
         assert tc.torus_dim == 1
         assert tc.lattice_coords in ([[1, 0]], [[-1, 0]])
+
+    def test_integer_dual_inverts_lattice_coordinates(self, K):
+        rng = random.Random(37)
+        lat = Lattice(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], K)
+        for _ in range(25):
+            vec = [K.from_coords([rng.randint(-3, 3), rng.randint(-2, 2)])
+                   for _ in range(3)]
+            if not any(vec):
+                continue
+            tc = torus_closure(Subspace(3, [vec], K), lat)
+            D = tc.integer_dual()
+            C = [list(col) for col in zip(*tc.lattice_coords)]
+            g = tc.torus_dim
+            assert matmul(D, C) == [[int(i == j) for j in range(g)] for i in range(g)]
+
+    def test_integer_dual_refuses_unsaturated_points(self, QQ):
+        W = Subspace(2, [[1, 0]], QQ)
+        tc = ClosedSubgroupDescriptor(W, [[2, 0]], [[2, 0]], W)
+        with pytest.raises(InternalInvariantError):
+            tc.integer_dual()
 
     def test_compactness_certificate_random(self, K):
         rng = random.Random(31)

@@ -116,6 +116,14 @@ class TestParsing:
         assert "countt" in str(err.value)
         assert "line" in str(err.value)
 
+    def test_residual_tolerance_key_rejected(self):
+        # the knob it set was read by nothing, so the key was dropped
+        bad = HYPERBOLA.replace(
+            "count = 1000", "count = 1000\nresidual_tolerance = 1e-9"
+        )
+        with pytest.raises(SpecFileError, match="unknown key 'residual_tolerance'"):
+            parse_problem(bad)
+
     def test_unknown_section_rejected(self):
         with pytest.raises(SpecFileError):
             parse_problem(HYPERBOLA + "\n[nonsense]\nfoo = 1\n")
