@@ -4,7 +4,8 @@ Exit codes:
     0  success
     2  problem file or sample settings failed to parse or validate
     3  symbolic analysis unsupported for this input (graph pieces)
-    4  internal invariant violation (a bug)
+    4  internal invariant violation (a bug), or an input the exact
+       engine cannot handle yet
     5  verification failed (report still written)
     6  a sampling shell starved (the variety may be bounded)
 """
@@ -210,6 +211,9 @@ def main(argv=None):
         return args.func(args)
     except InternalInvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except TorusflowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

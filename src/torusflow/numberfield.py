@@ -8,9 +8,9 @@ arithmetic never touches floating point.
 
 Enclosures are rectangles with rational endpoints that provably contain
 the embedded value; they are produced by refining the root's certified
-box (sign-change bisection for real roots, exact interval Newton for
-complex ones) and evaluating the coordinate polynomial over it with
-outward-rounded interval arithmetic.
+box (sign-change bisection for real roots, exact interval Newton rounded
+outward to dyadic endpoints for complex ones) and evaluating the
+coordinate polynomial over it with outward-rounded interval arithmetic.
 
 Complex-embedded fields that participate in restriction-of-scalars
 computations must supply expressions for the imaginary unit and for the
@@ -19,6 +19,7 @@ complex conjugate of theta; both are validated exactly at construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -104,7 +105,7 @@ def _pgcd(a, b):
 
 
 def _peval(p, x):
-    acc = Rat(0)
+    acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
@@ -143,6 +144,43 @@ def sturm_root_count(p, lo, hi):
     """Number of distinct real roots of p in the half-open interval (lo, hi]."""
     chain = _sturm_chain(p)
     return _sign_changes(chain, lo) - _sign_changes(chain, hi)
+
+
+def _integral(p):
+    """p scaled by the lcm of its denominators: the same roots, int coefficients."""
+    scale = math.lcm(*(c.denominator for c in p))
+    return [int(c * scale) for c in p]
+
+
+def rational_root(p):
+    """A rational root of p, or None.
+
+    With q = p scaled to integer coefficients and L its leading one, the
+    rational roots x of p are y / L for the integer roots y of the monic
+    integer polynomial r(y) = L^(n-1) q(y / L) (rational root theorem).
+    Integer Sturm bisection of r tests every integer that lies inside an
+    interval holding a real root.  No endpoint is a root: the first two
+    lie past the Cauchy bound, and each midpoint is tested before it
+    becomes one.
+    """
+    q = _integral(_ptrim([Rat(c) for c in p]))
+    n, lead = len(q) - 1, q[-1]
+    r = [c * lead ** (n - 1 - k) for k, c in enumerate(q[:-1])] + [1]
+    chain = [_integral(f) for f in _sturm_chain([Rat(c) for c in r])]
+    bound = 2 + max(abs(c) for c in r)
+    stack = [
+        (-bound, _sign_changes(chain, -bound), bound, _sign_changes(chain, bound))
+    ]
+    while stack:
+        lo, vlo, hi, vhi = stack.pop()
+        if vlo == vhi or hi - lo < 2:
+            continue
+        mid = (lo + hi) // 2
+        if _peval(r, mid) == 0:
+            return Rat(mid, lead)
+        vmid = _sign_changes(chain, mid)
+        stack += [(lo, vlo, mid, vmid), (mid, vmid, hi, vhi)]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +376,33 @@ def _polish(m, md, zr, zi, bits):
     return zr, zi
 
 
+def _outward_dyadic(iv, k):
+    """The smallest interval on the grid of step 2^-k that contains iv."""
+    lo = (iv.lo.numerator << k) // iv.lo.denominator
+    hi = -((-iv.hi.numerator << k) // iv.hi.denominator)
+    return Interval(Rat(lo, 1 << k), Rat(hi, 1 << k))
+
+
+def _dyadic_box(box):
+    """box rounded outward to a power-of-two grid 4 bits finer than its width.
+
+    The width grows by less than an eighth; the endpoints' denominators
+    shrink to about the width's own size.
+    """
+    w = box.width()
+    if w == 0:
+        return box
+    k = max(w.denominator.bit_length() - w.numerator.bit_length() + 5, 0)
+    return Box(_outward_dyadic(box.re, k), _outward_dyadic(box.im, k))
+
+
 def _try_certify(m, md, zr, zi, h):
     """Interval-Newton contraction test on the square of half-width h.
 
     Returns a Box certified to contain exactly one root of m, or None.
+    The Newton image K is returned rounded outward to dyadic endpoints
+    when the rounded box still lies strictly inside the square (then it
+    holds the square's only root as well), and as it is otherwise.
     """
     Z = Box(Interval(zr - h, zr + h), Interval(zi - h, zi + h))
     dz = _box_poly_eval(md, Z)
@@ -350,9 +411,10 @@ def _try_certify(m, md, zr, zi, h):
         K = Box.point(zr, zi) - Box.point(fr, fi).divide(dz)
     except ZeroDivisionError:
         return None
-    if Z.strictly_contains(K):
-        return K
-    return None
+    if not Z.strictly_contains(K):
+        return None
+    D = _dyadic_box(K)
+    return D if Z.strictly_contains(D) else K
 
 
 def _certify_root(m, md, seed, width, max_bits=None):
@@ -375,6 +437,22 @@ def _certify_root(m, md, seed, width, max_bits=None):
             h = h / 4
         bits *= 2
     raise TorusflowError("failed to certify a root box; is min_poly squarefree?")
+
+
+def _certify_roots(m, md, seeds, width):
+    """Certified boxes for the real seeds and the upper seeds of m's roots.
+
+    m has rational coefficients, so the mirror image of a box that holds
+    exactly one root holds exactly one root: the conjugate.  Each upper
+    box is certified once and mirrored for its lower partner.  The caller's
+    count and disjointness checks reject seeds with more lower than upper
+    roots, or the reverse, and an upper box that reaches the real axis
+    (it overlaps its mirror).
+    """
+    real = [s for s in seeds if s.imag == 0]
+    upper = [s for s in seeds if s.imag > 0]
+    boxes = [_certify_root(m, md, s, width) for s in real + upper]
+    return boxes + [b.conj() for b in boxes[len(real):]]
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +553,13 @@ class NumberField:
     def declare_complex_structure(self, i_coords=None, conj_coords=None):
         """Validate and install the declared conjugate of theta, then i.
 
-        Both are checked exactly.  Certifying them refines the root
-        enclosure, so the order (conj, then i) is part of what the field's
-        float values are.
+        Both are checked exactly.  Certifying them may refine the root
+        enclosure.  Every refined box of theta is an interval-Newton box
+        rounded outward to a power-of-two grid a few bits finer than its
+        width, so its endpoints keep small dyadic denominators, and so do
+        the power boxes and element enclosures built on it.  Which box the
+        field holds afterwards depends on the order (conj, then i), and so
+        do the last bits of the field's float values.
         """
         if conj_coords is not None:
             self._install_conj(conj_coords)
@@ -489,17 +571,18 @@ class NumberField:
     def _isolate_complex_root(self, rect):
         import numpy as np
 
-        coeffs = [float(c) for c in self.min_poly]
-        seeds = np.roots(list(reversed(coeffs)))
-        m, md = self.min_poly, self._deriv
-        width = Rat(1, 1 << 24)
-        boxes = [_certify_root(m, md, complex(s), width) for s in seeds]
-        for a in range(len(boxes)):
-            for b in range(a + 1, len(boxes)):
-                if not boxes[a].disjoint(boxes[b]):
-                    raise TorusflowError(
-                        "could not separate the roots of min_poly; refine seeds"
-                    )
+        coeffs = [float(c) for c in reversed(self.min_poly)]
+        seeds = [complex(s) for s in np.roots(coeffs)]
+        boxes = _certify_roots(self.min_poly, self._deriv, seeds, Rat(1, 1 << 24))
+        separated = len(boxes) == self.degree and all(
+            boxes[a].disjoint(boxes[b])
+            for a in range(len(boxes))
+            for b in range(a + 1, len(boxes))
+        )
+        if not separated:
+            raise TorusflowError(
+                "could not separate the roots of min_poly; refine seeds"
+            )
         self._all_root_boxes = boxes
         inside = [b for b in boxes if rect.contains_box(b)]
         outside = [b for b in boxes if rect.disjoint(b)]

@@ -64,7 +64,7 @@ from .flats import (
 )
 from .flow import FlowDescription, predicted_flow
 from .lattice import Lattice, Subspace, apply_j
-from .numberfield import NumberField, rationals
+from .numberfield import NumberField, rational_root, rationals
 from .verifier import SampleConfig
 
 Rat = Fraction
@@ -148,13 +148,17 @@ def _rational_pair(text, what):
             _const_rational(parse_expr(parts[1])))
 
 
+# its root enclosure is a point, so nothing ever refines it: one Q serves
+# every load
+_Q = rationals()
+
+
 def _poly_coeffs(text):
     """Dense rational coefficient list (constant first) of a polynomial in x."""
     import re
 
-    field = rationals()
     node = parse_expr(re.sub(r"\bx\b", "t", text))
-    num, den = eval_branch_coord(node, field)
+    num, den = eval_branch_coord(node, _Q)
     if len(den.terms) != 1 or Rat(0) not in den.terms:
         raise SpecFileError("min_poly must be a polynomial in x")
     den_c = den.terms[Rat(0)].coords[0]
@@ -191,6 +195,12 @@ def _build_field(entries):
             raise SpecFileError("root must be 'interval (..)' or 'rect (..) (..)'")
     elif len(coeffs) > 2:
         raise SpecFileError("fields of degree > 1 need a root selector")
+    if len(coeffs) > 2:
+        root = rational_root(coeffs)
+        if root is not None:
+            raise SpecFileError(
+                f"min_poly has the rational root {root}; it must be irreducible"
+            )
 
     # one construction: i and conj are evaluated against the field itself
     # and then installed on it

@@ -175,6 +175,83 @@ class TestZeroDivisor:
         assert "Traceback" not in err and err.count("\n") == 1
 
 
+# the complex intersection of the rdirs piece with the lattice span leaves
+# the piece; the exact engine cannot handle that yet
+RDIRS_OVER_QI = """\
+[field]
+min_poly = x^2 + 1
+root = rect (-1/2, 1/2) (1/2, 2)
+i = theta
+conj = -theta
+
+[space]
+mode = complex
+ambient_dim = 2
+declared_dim = 1
+
+[lattice]
+row = (1, 0)
+row = (theta, 0)
+
+[variety]
+affine = point (0, 0) rdirs (1, 0) (1, 1)
+"""
+
+
+@pytest.mark.parametrize("command", ["closure", "verify"])
+def test_engine_error_exits_internal(tmp_path, capsys, command):
+    spec = tmp_path / "rdirs.tfp"
+    spec.write_text(RDIRS_OVER_QI)
+    assert _exit_code([command, str(spec)]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: complex intersection left the piece\n"
+
+
+def _reducible(min_poly, root):
+    return f"""\
+[field]
+min_poly = {min_poly}
+root = interval {root}
+
+[space]
+mode = real
+ambient_dim = 2
+declared_dim = 1
+
+[lattice]
+row = (1, 0)
+row = (0, 1)
+
+[variety]
+branch = (t, (theta-1)*t)
+"""
+
+
+@pytest.mark.parametrize(
+    "min_poly, root, rational",
+    [
+        ("x^2 - 1", "(1/2, 2)", "1"),
+        # (x - 1/2)(x^2 - 2): the interval isolates sqrt(2)
+        ("x^3 - x^2/2 - 2*x + 1", "(1, 2)", "1/2"),
+    ],
+    ids=["quadratic", "cubic"],
+)
+@pytest.mark.parametrize("command", ["closure", "verify"])
+def test_rational_root_refused(tmp_path, capsys, command, min_poly, root, rational):
+    spec = tmp_path / "reducible.tfp"
+    spec.write_text(_reducible(min_poly, root))
+    assert _exit_code([command, str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert f"rational root {rational};" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_irreducible_cubic_accepted(tmp_path):
+    spec = tmp_path / "cubic.tfp"
+    spec.write_text(_reducible("x^3 - 2", "(1, 2)"))
+    assert _exit_code(["closure", str(spec)]) == 0
+
+
 @pytest.mark.parametrize(
     "name, old, new",
     [

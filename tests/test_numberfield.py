@@ -2,10 +2,12 @@
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torusflow.numberfield as nf
 from torusflow.errors import DivisionByZero, FieldMismatch, TorusflowError
 from torusflow.numberfield import (
     Box,
@@ -16,6 +18,7 @@ from torusflow.numberfield import (
     _psub,
     _ptrim,
     rational_coordinates,
+    rational_root,
     rationals,
     sturm_root_count,
 )
@@ -275,6 +278,177 @@ class TestEnclosures:
         sqrt2_elem = th - th**3
         box = sqrt2_elem.enclosure(F(1, 10**12))
         assert box.re.lo <= SQRT2_REF <= box.re.hi
+
+
+def _is_dyadic(q):
+    return q.denominator & (q.denominator - 1) == 0
+
+
+def _count_certifications(monkeypatch):
+    calls = []
+    certify = nf._certify_root
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(nf, "_certify_root", counted)
+    return calls
+
+
+X4_PLUS_1 = [1, 0, 0, 0, 1]
+X4_MINUS_2 = [-2, 0, 0, 0, 1]
+
+
+class TestComplexIsolation:
+    """One certification per conjugate pair, dyadic certified boxes."""
+
+    # the roots of x^4 + 1 are (+-1 +- i)/sqrt(2); theta^2 is i in the first
+    # and third quadrants and -i in the others; conj(theta) = 1/theta = -theta^3
+    @pytest.mark.parametrize("sre, sim", [(1, 1), (-1, 1), (-1, -1), (1, -1)])
+    def test_quadrant_rects(self, sre, sim):
+        rect = tuple(
+            (F(1, 2), 1) if sign > 0 else (-1, F(-1, 2)) for sign in (sre, sim)
+        )
+        K = NumberField(
+            X4_PLUS_1,
+            root_box=rect,
+            i_coords=[0, 0, sre * sim],
+            conj_coords=[0, 0, 0, -1],
+        )
+        box = K.root_enclosure(F(1, 10**20))
+        assert box.re.contains(sre * ZETA8_RE_REF)
+        assert box.im.contains(sim * ZETA8_RE_REF)
+        assert K.i.enclosure(F(1, 10**9)).im.contains(F(1))
+        assert K.gen.conjugate() * K.gen == 1
+
+    def test_real_and_complex_roots(self):
+        # x^4 - 2 has the real roots +-2^(1/4) and the complex roots +-i*2^(1/4)
+        K = NumberField(X4_MINUS_2, root_box=((F(-1, 2), F(1, 2)), (1, F(3, 2))))
+        assert len(K._all_root_boxes) == 4
+        box = K.root_enclosure(F(1, 10**20))
+        assert box.re.contains(F(0)) and box.im.lo > 1
+        assert box.im.lo**4 < 2 < box.im.hi**4
+
+    @pytest.mark.parametrize(
+        "rect",
+        [
+            ((2, 3), (2, 3)),  # no root
+            ((-1, 1), (F(1, 2), 1)),  # the two upper roots
+        ],
+        ids=["empty", "two-roots"],
+    )
+    def test_rect_must_hold_one_root(self, rect):
+        with pytest.raises(TorusflowError):
+            NumberField(X4_PLUS_1, root_box=rect)
+
+    @pytest.mark.parametrize(
+        "poly, rect, expected",
+        [(X4_PLUS_1, ((F(1, 2), 1), (F(1, 2), 1)), 2),
+         (X4_MINUS_2, ((F(-1, 2), F(1, 2)), (1, F(3, 2))), 3)],
+        ids=["x^4+1", "x^4-2"],
+    )
+    def test_one_certification_per_pair(self, monkeypatch, poly, rect, expected):
+        calls = _count_certifications(monkeypatch)
+        NumberField(poly, root_box=rect)
+        assert len(calls) == expected
+        assert all(seed.imag >= 0 for seed in calls)
+
+    def test_dyadic_box_contains_its_input(self):
+        import random
+
+        rng = random.Random(7)
+        for _ in range(200):
+            ends = [F(rng.randint(-10**12, 10**12), rng.randint(1, 10**9))
+                    for _ in range(2)]
+            width = F(1, rng.randint(1, 10**15))
+            box = Box(Interval(ends[0], ends[0] + width),
+                      Interval(ends[1], ends[1] + width * rng.randint(0, 1)))
+            rounded = nf._dyadic_box(box)
+            assert rounded.contains_box(box)
+            assert rounded.width() < box.width() * F(9, 8)
+            assert all(
+                _is_dyadic(q)
+                for q in (rounded.re.lo, rounded.re.hi, rounded.im.lo, rounded.im.hi)
+            )
+
+    def test_rounding_stays_inside_the_uniqueness_square(self):
+        # bisect the half-width h down to where Newton's box K barely fits the
+        # square Z; there the rounded box would poke out, so K is kept
+        m = [F(-2), F(0), F(1)]
+        md = nf._pderiv(m)
+        z = (F(7, 5), F(0))
+        lo, hi = F(1, 1000), F(1)
+        assert nf._try_certify(m, md, *z, lo) is None
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            if nf._try_certify(m, md, *z, mid) is None:
+                lo = mid
+            else:
+                hi = mid
+        square = Box(Interval(z[0] - hi, z[0] + hi), Interval(z[1] - hi, z[1] + hi))
+        assert square.strictly_contains(nf._try_certify(m, md, *z, hi))
+
+    @pytest.mark.parametrize("eps", [F(1, 1 << 24), F(1, 10**20), F(1, 10**40)])
+    def test_enclosure_is_dyadic(self, eps):
+        K = NumberField(X4_PLUS_1, root_box=((F(1, 2), 1), (F(1, 2), 1)))
+        box = K.root_enclosure(eps)
+        ends = (box.re.lo, box.re.hi, box.im.lo, box.im.hi)
+        assert box.width() <= eps and all(_is_dyadic(q) for q in ends)
+        # numpy's value is a float approximation, off by a few ulps
+        value = next(r for r in np.roots([1, 0, 0, 0, 1]) if r.real > 0 < r.imag)
+        assert abs(box.to_complex() - value) < 1e-14
+
+    def test_declared_structure_keeps_boxes_dyadic(self, zeta8):
+        box = zeta8.root_enclosure(F(1, 10**30))
+        ends = (box.re.lo, box.re.hi, box.im.lo, box.im.hi)
+        assert all(_is_dyadic(q) for q in ends)
+        assert all(
+            _is_dyadic(q)
+            for b in zeta8._all_root_boxes
+            for q in (b.re.lo, b.re.hi, b.im.lo, b.im.hi)
+        )
+
+
+SMALL_RATIONALS = st.builds(F, st.integers(-9, 9), st.integers(1, 6))
+
+
+class TestRationalRoot:
+    @pytest.mark.parametrize(
+        "poly, root",
+        [
+            ([-1, 0, 1], F(1)),
+            ([0, 1, 1], F(0)),
+            ([F(-1, 4), 0, 1], F(1, 2)),
+            # (x - 1/2)(x^2 - 2)
+            ([1, -2, F(-1, 2), 1], F(1, 2)),
+            # (3x + 2)(x^2 + 1) / 3
+            ([F(2, 3), 1, F(2, 3), 1], F(-2, 3)),
+        ],
+    )
+    def test_finds_the_root(self, poly, root):
+        assert rational_root(poly) == root
+
+    @pytest.mark.parametrize(
+        "poly",
+        [[-2, 0, 1], [1, 0, 0, 0, 1], [-2, 0, 0, 1], [1, 0, -10, 0, 1],
+         [F(-2, 10**50), 0, 1], [1, -10**6, 1]],
+    )
+    def test_irreducible_has_none(self, poly):
+        assert rational_root(poly) is None
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(SMALL_RATIONALS, min_size=1, max_size=3), SMALL_RATIONALS)
+    def test_planted_root_found(self, cofactor, root):
+        # (x - root) * (x^k + cofactor...) has root as a rational root
+        g = list(cofactor) + [F(1)]
+        p = _psub([F(0)] + g, [root * c for c in g])
+        found = rational_root(p)
+        assert found is not None and _peval_exact(p, found) == 0
+
+
+def _peval_exact(p, x):
+    return sum(c * x**k for k, c in enumerate(p))
 
 
 class TestRationalCoordinates:
