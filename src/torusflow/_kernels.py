@@ -71,16 +71,6 @@ def min_distance_batch(points, offsets, nodes):
     return _nearest(points, offsets, nodes, _search)
 
 
-def scan_min_distance(points, offsets, nodes):
-    """``min_distance_batch`` by a direct-difference scan of every pair."""
-    return _nearest(points, offsets, nodes, _scan)
-
-
-def grid_min_distance(points, offsets, nodes):
-    """``min_distance_batch`` through the grid index, whatever the size."""
-    return _nearest(points, offsets, nodes, _grid)
-
-
 def min_distance_local(points, offsets, nodes):
     """Per point i, min over t and j of |points[i] - offsets[t] - nodes[i, j]|.
 

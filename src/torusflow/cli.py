@@ -19,7 +19,6 @@ import sys
 from .errors import (
     InternalInvariantError,
     ShellStarved,
-    SpecFileError,
     SymbolicUnsupported,
     TorusflowError,
 )
@@ -41,7 +40,7 @@ def _load(path):
     except FileNotFoundError:
         print(f"error: no such file: {path}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
-    except (SpecFileError, TorusflowError) as exc:
+    except TorusflowError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
 
@@ -85,14 +84,8 @@ def cmd_closure(args):
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
-    report = closure_description(spec.variety, spec.lattice, flow)
-    payload = {"schema_version": 1, **report["flow"]}
-    payload["pi_x"] = report["pi_x"]
-    payload["pi_x_closed"] = report["pi_x_closed"]
-    if "note" in report:
-        payload["note"] = report["note"]
     out_path = args.json or (args.spec + ".closure.json")
-    _write_json(out_path, payload)
+    _write_json(out_path, closure_description(spec.variety, flow))
 
     print(f"mode: {flow.mode}")
     if flow.span_condition:
@@ -163,10 +156,9 @@ def cmd_sample(args):
     except ShellStarved as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STARVED
-    predicted = None
     try:
         predicted = _prediction(spec)
-    except (SymbolicUnsupported, TorusflowError):
+    except TorusflowError:
         predicted = None
     rows = write_sample_csv(args.out, shells, spec.lattice, predicted, cfg)
     print(f"wrote {rows} rows to {args.out}")

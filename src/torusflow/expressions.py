@@ -324,7 +324,7 @@ _NUMERIC_FUNCS = {
 }
 
 
-def compile_numeric(node, var_names, field: NumberField = None):
+def compile_numeric(node, var_names, field: NumberField):
     """Compile to a function mapping numpy arrays (one per var) to an array."""
 
     def walk(nd):
@@ -341,8 +341,6 @@ def compile_numeric(node, var_names, field: NumberField = None):
             if name == "i":
                 return lambda env: 1j
             if name == "theta":
-                if field is None:
-                    raise SpecFileError("theta used without a field")
                 val = field.gen.to_complex()
                 return lambda env: val
             raise SpecFileError(f"unknown name {name!r} in numeric expression")

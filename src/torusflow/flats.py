@@ -3,8 +3,8 @@
 Logical coordinates are the n coordinates the user writes; internally a
 complex problem lives in R^(2n) with interleaved (Re, Im) pairs.  Exact
 objects (flats, subspaces, coefficient vectors) are always stored in internal
-coordinates with real-valued field entries; numeric samplers convert between
-the two pictures with to_internal/to_logical.
+coordinates with real-valued field entries; numeric samplers convert
+logical samples to the internal picture with to_internal.
 """
 
 from __future__ import annotations
@@ -39,14 +39,6 @@ def to_internal(points, mode):
     out[:, 0::2] = pts.real
     out[:, 1::2] = pts.imag
     return out
-
-
-def to_logical(points, mode):
-    """Real (m, N) internal coordinates -> complex (m, n) logical samples."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if mode == "real":
-        return pts.astype(complex)
-    return pts[:, 0::2] + 1j * pts[:, 1::2]
 
 
 def embed_exact_vector(vec, mode, field: NumberField):
@@ -205,11 +197,6 @@ class Flat:
 
     def __hash__(self):
         return hash(self.key())
-
-    def contains_point(self, point):
-        field = self.field
-        diff = xl.vec_sub([field.element(x) for x in point], self.base_point)
-        return self.directions.contains_vector(diff)
 
     def float_base(self):
         return np.array([e.to_float() for e in self.base_point], dtype=float)
@@ -382,9 +369,8 @@ class AffinePiece:
 
     kind = "affine"
 
-    def __init__(self, flat: Flat, logical_dim=None):
+    def __init__(self, flat: Flat):
         self.flat = flat
-        self.logical_dim = logical_dim
 
     @property
     def intrinsic_dim(self):
@@ -432,7 +418,3 @@ class VarietyInput:
     @property
     def internal_dim(self):
         return internal_dim(self.logical_dim, self.mode)
-
-    @property
-    def symbolic_only(self):
-        return all(p.kind in ("branch", "affine") for p in self.pieces)

@@ -267,15 +267,15 @@ def predicted_flow(components, lat: Lattice, mode, span_condition=None):
     )
 
 
-def closure_description(X: VarietyInput, lat: Lattice, flow=None):
-    """Report combining the image of X with its limit set.
+def closure_description(X: VarietyInput, flow: FlowDescription):
+    """The ``closure`` report: the limit set plus the image of X.
 
     The image itself is X plus the reduction rule; when the limit set is
     empty the image is closed and the report says so.
     """
-    if flow is None:
-        flow = flow_set(X, lat)
     report = {
+        "schema_version": 1,
+        **flow.describe(),
         "pi_x": {
             "pieces": [
                 {"kind": p.kind, "label": getattr(p, "label", p.kind)}
@@ -283,7 +283,6 @@ def closure_description(X: VarietyInput, lat: Lattice, flow=None):
             ],
             "reduction": "coordinates taken modulo the lattice",
         },
-        "flow": flow.describe(),
         "pi_x_closed": flow.is_empty,
     }
     if flow.is_empty:

@@ -219,33 +219,6 @@ def int_kernel_basis(M, ncols):
     return [[V[i][j] for i in range(ncols)] for j in free]
 
 
-def int_det(M):
-    """Determinant of a square integer matrix (fraction-free enough for tests)."""
-    n = len(M)
-    A = [[Rat(x) for x in row] for row in M]
-    det = Rat(1)
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if A[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            A[c], A[piv] = A[piv], A[c]
-            det = -det
-        det *= A[c][c]
-        inv = 1 / A[c][c]
-        for r in range(c + 1, n):
-            if A[r][c] != 0:
-                f = A[r][c] * inv
-                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
-    if det.denominator != 1:
-        raise InternalInvariantError("integer determinant is not integral")
-    return int(det)
-
-
 # ---------------------------------------------------------------------------
 # Subspaces over the ambient field
 # ---------------------------------------------------------------------------
@@ -449,12 +422,6 @@ class Lattice:
         return f"Lattice(rank={self.rank} in R^{self.ambient_dim})"
 
 
-def reduce_mod_lattice(x, lat: Lattice):
-    """Fundamental-domain representative of a single numeric vector."""
-    reduced, _, _ = lat.reduce_points(np.asarray(x, dtype=float))
-    return reduced[0]
-
-
 # ---------------------------------------------------------------------------
 # Rational annihilators and closures
 # ---------------------------------------------------------------------------
@@ -539,15 +506,6 @@ class ClosedSubgroupDescriptor:
 
     def __repr__(self):
         return f"ClosedSubgroupDescriptor(torus_dim={self.torus_dim})"
-
-
-def rational_closure(V: Subspace, lat: Lattice) -> Subspace:
-    """Smallest Lambda-rational subspace containing V.
-
-    Minimality holds because the result is cut out by every rational form
-    vanishing on V's lattice coordinates.
-    """
-    return torus_closure(V, lat).W
 
 
 def torus_closure(V: Subspace, lat: Lattice) -> ClosedSubgroupDescriptor:

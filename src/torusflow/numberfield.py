@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import DivisionByZero, FieldMismatch, TorusflowError
@@ -152,20 +153,25 @@ def _integral(p):
     return [int(c * scale) for c in p]
 
 
+def _monic_integral(p):
+    """(r, L): with q = p scaled to integer coefficients and L its leading
+    one, the monic integer polynomial r(y) = L^(n-1) q(y / L), whose roots
+    are L times those of p."""
+    q = _integral(_ptrim([Rat(c) for c in p]))
+    n, lead = len(q) - 1, q[-1]
+    return [c * lead ** (n - 1 - k) for k, c in enumerate(q[:-1])] + [1], lead
+
+
 def rational_root(p):
     """A rational root of p, or None.
 
-    With q = p scaled to integer coefficients and L its leading one, the
-    rational roots x of p are y / L for the integer roots y of the monic
-    integer polynomial r(y) = L^(n-1) q(y / L) (rational root theorem).
-    Integer Sturm bisection of r tests every integer that lies inside an
-    interval holding a real root.  No endpoint is a root: the first two
-    lie past the Cauchy bound, and each midpoint is tested before it
-    becomes one.
+    The rational roots x of p are y / L for the integer roots y of r, with
+    (r, L) from ``_monic_integral`` (rational root theorem).  Integer Sturm
+    bisection of r tests every integer that lies inside an interval holding
+    a real root.  No endpoint is a root: the first two lie past the Cauchy
+    bound, and each midpoint is tested before it becomes one.
     """
-    q = _integral(_ptrim([Rat(c) for c in p]))
-    n, lead = len(q) - 1, q[-1]
-    r = [c * lead ** (n - 1 - k) for k, c in enumerate(q[:-1])] + [1]
+    r, lead = _monic_integral(p)
     chain = [_integral(f) for f in _sturm_chain([Rat(c) for c in r])]
     bound = 2 + max(abs(c) for c in r)
     stack = [
@@ -417,10 +423,9 @@ def _try_certify(m, md, zr, zi, h):
     return D if Z.strictly_contains(D) else K
 
 
-def _certify_root(m, md, seed, width, max_bits=None):
+def _certify_root(m, md, seed, width):
     """Certified box of width <= width around the root nearest the float seed."""
-    bits = 64
-    limit = max_bits or 4096
+    bits, limit = 64, 4096
     while bits <= limit:
         zr = _dyadic_round(Rat(seed.real).limit_denominator(1 << 60), bits)
         zi = _dyadic_round(Rat(seed.imag).limit_denominator(1 << 60), bits)
@@ -439,6 +444,16 @@ def _certify_root(m, md, seed, width, max_bits=None):
     raise TorusflowError("failed to certify a root box; is min_poly squarefree?")
 
 
+def _refine_root_box(m, md, box, width):
+    """A certified box of width <= width around the root in ``box``."""
+    if box.width() <= width:
+        return box
+    new = _certify_root(m, md, box.to_complex(), width)
+    if new.disjoint(box):
+        raise TorusflowError("root refinement drifted; roots too close")
+    return new
+
+
 def _certify_roots(m, md, seeds, width):
     """Certified boxes for the real seeds and the upper seeds of m's roots.
 
@@ -453,6 +468,78 @@ def _certify_roots(m, md, seeds, width):
     upper = [s for s in seeds if s.imag > 0]
     boxes = [_certify_root(m, md, s, width) for s in real + upper]
     return boxes + [b.conj() for b in boxes[len(real):]]
+
+
+def _root_boxes(m, md):
+    """Certified pairwise disjoint boxes, one around each root of m."""
+    import numpy as np
+
+    seeds = [complex(s) for s in np.roots([float(c) for c in reversed(m)])]
+    boxes = _certify_roots(m, md, seeds, Rat(1, 1 << 24))
+    separated = len(boxes) == len(m) - 1 and all(
+        a.disjoint(b) for a, b in combinations(boxes, 2)
+    )
+    if not separated:
+        raise TorusflowError("could not separate the roots of min_poly; refine seeds")
+    return boxes
+
+
+def _holds_integer(box):
+    """Whether the box holds a real integer."""
+    return box.im.contains(0) and math.ceil(box.re.lo) <= box.re.hi
+
+
+def rational_factor(p, boxes):
+    """A monic factor of p over Q of degree 2 to deg(p) / 2, or None.
+
+    p has no rational root; ``boxes`` are certified disjoint boxes, one
+    around each root of p.  By Gauss's lemma the monic factors of r (see
+    ``_monic_integral``) over Q have integer coefficients, which are the
+    elementary symmetric functions of a subset of r's roots, L times those
+    of p.  A subset is tried only when the boxes of these functions each
+    hold an integer, the root sum's first since it is the cheapest, and it
+    gives a factor only when r divides exactly.  Boxes too wide to pin the
+    integer are refined until they can.
+    """
+    r, lead = _monic_integral(p)
+    r = [Rat(c) for c in r]
+    md = _pderiv(p)
+    n = len(boxes)
+    # left to right, so that the factor named does not depend on root order
+    boxes = sorted(boxes, key=lambda b: (b.re.lo, b.im.lo))
+    while True:
+        scaled = boxes if lead == 1 else [
+            Box(b.re.scale(lead), b.im.scale(lead)) for b in boxes
+        ]
+        wide = False
+        for k in range(2, n // 2 + 1):
+            for index in combinations(range(n), k):
+                # at k = n / 2 a subset divides r exactly when its complement
+                # does; the subsets holding root 0 come first
+                if 2 * k == n and index[0]:
+                    break
+                subset = [scaled[i] for i in index]
+                if not _holds_integer(sum(subset[1:], subset[0])):
+                    continue
+                # e[j - 1] encloses e_j, and prod (y - root) has the
+                # coefficient (-1)^j e_j at y^(k - j)
+                e = [subset[0]]
+                for root in subset[1:]:
+                    e = [e[0] + root] + [a + root * b for a, b in zip(e[1:], e)] + [
+                        root * e[-1]
+                    ]
+                if not all(_holds_integer(c) for c in e):
+                    continue
+                if any(c.re.width() >= 1 for c in e):
+                    wide = True
+                    continue
+                g = [(-1) ** j * Rat(math.ceil(e[j - 1].re.lo)) for j in range(k, 0, -1)]
+                g.append(Rat(1))
+                if not _pmod(r, g):
+                    return [c / lead ** (k - j) for j, c in enumerate(g)]
+        if not wide:
+            return None
+        boxes = [_refine_root_box(p, md, b, b.width() / (1 << 16)) for b in boxes]
 
 
 # ---------------------------------------------------------------------------
@@ -566,23 +653,16 @@ class NumberField:
         if i_coords is not None:
             self._install_i(i_coords)
 
+    def root_boxes(self):
+        """Certified disjoint boxes, one around each root of min_poly."""
+        if self.is_complex:
+            return self._all_root_boxes
+        return _root_boxes(self.min_poly, self._deriv)
+
     # -- construction-time validation ---------------------------------------
 
     def _isolate_complex_root(self, rect):
-        import numpy as np
-
-        coeffs = [float(c) for c in reversed(self.min_poly)]
-        seeds = [complex(s) for s in np.roots(coeffs)]
-        boxes = _certify_roots(self.min_poly, self._deriv, seeds, Rat(1, 1 << 24))
-        separated = len(boxes) == self.degree and all(
-            boxes[a].disjoint(boxes[b])
-            for a in range(len(boxes))
-            for b in range(a + 1, len(boxes))
-        )
-        if not separated:
-            raise TorusflowError(
-                "could not separate the roots of min_poly; refine seeds"
-            )
+        boxes = _root_boxes(self.min_poly, self._deriv)
         self._all_root_boxes = boxes
         inside = [b for b in boxes if rect.contains_box(b)]
         outside = [b for b in boxes if rect.disjoint(b)]
@@ -626,7 +706,10 @@ class NumberField:
         for _ in range(40):
             theta_box = self._root_enclosure
             target = theta_box.conj()
-            refined = [self._refined(b, width) for b in self._all_root_boxes]
+            refined = [
+                _refine_root_box(self.min_poly, self._deriv, b, width)
+                for b in self._all_root_boxes
+            ]
             hits = [i for i, b in enumerate(refined) if not b.disjoint(target)]
             val = _box_poly_eval(g, theta_box)
             val_hits = [i for i, b in enumerate(refined) if not b.disjoint(val)]
@@ -642,14 +725,6 @@ class NumberField:
                 self._root_enclosure, self._root_enclosure.width() / 16
             )
         raise TorusflowError("could not certify the conjugate expression")
-
-    def _refined(self, box, width):
-        if box.width() <= width:
-            return box
-        new = _certify_root(self.min_poly, self._deriv, box.to_complex(), width)
-        if new.disjoint(box):
-            raise TorusflowError("root refinement drifted; roots too close")
-        return new
 
     def _install_i(self, i_coords):
         coords = list(i_coords) + [Rat(0)] * (self.degree - len(i_coords))
@@ -877,11 +952,6 @@ class AlgebraicNumber:
 
     def is_rational(self):
         return not any(self.coords[1:])
-
-    def as_rational(self) -> Rat:
-        if not self.is_rational():
-            raise TorusflowError("element is not rational")
-        return self.coords[0]
 
     def __eq__(self, other):
         if isinstance(other, int) and other == 0:

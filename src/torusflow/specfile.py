@@ -1,9 +1,8 @@
-"""Problem-description files: parse, validate, serialize.
+"""Problem-description files: parse and validate.
 
 Sectioned key = value text.  Repeated keys accumulate (lattice rows, variety
 pieces, predicted components).  Unknown sections or keys are rejected with
-their line number, and parse -> serialize -> parse is the identity on the
-normalized key/value sequence.
+their line number.
 
     schema = 1
 
@@ -62,9 +61,9 @@ from .flats import (
     internal_dim,
     to_internal,
 )
-from .flow import FlowDescription, predicted_flow
+from .flow import FlowDescription, check_span_condition, predicted_flow
 from .lattice import Lattice, Subspace, apply_j
-from .numberfield import NumberField, rational_root, rationals
+from .numberfield import NumberField, rational_factor, rational_root, rationals
 from .verifier import SampleConfig
 
 Rat = Fraction
@@ -87,7 +86,6 @@ _KNOWN_KEYS = {
         "coverage_threshold",
         "window",
         "curve_nodes",
-        "relation_digits",
     },
 }
 
@@ -175,6 +173,17 @@ def _poly_coeffs(text):
     return out
 
 
+def _poly_text(p):
+    """A monic p (constant first) as min_poly text: [-2, 0, 1] -> 'x^2 - 2'."""
+    terms = []
+    for k, c in enumerate(p):
+        if c:
+            power = "" if k == 0 else "x" if k == 1 else f"x^{k}"
+            coef = "" if abs(c) == 1 and k else str(abs(c))
+            terms.append(("- " if c < 0 else "+ ") + "*".join(filter(None, (coef, power))))
+    return " ".join(reversed(terms))[2:]
+
+
 def _build_field(entries):
     min_poly_text = _single(entries, "field", "min_poly", required=True)
     coeffs = _poly_coeffs(min_poly_text)
@@ -205,6 +214,13 @@ def _build_field(entries):
     # one construction: i and conj are evaluated against the field itself
     # and then installed on it
     field = NumberField(coeffs, root_interval=root_interval, root_box=root_box)
+    # below degree 4 a factor would have a rational root
+    if field.degree >= 4:
+        factor = rational_factor(field.min_poly, field.root_boxes())
+        if factor is not None:
+            raise SpecFileError(
+                f"min_poly has the factor {_poly_text(factor)}; it must be irreducible"
+            )
     i_coords = conj_coords = None
     if i_text is not None:
         i_coords = eval_scalar(parse_expr(i_text), field).coords
@@ -378,7 +394,7 @@ def _parse_span(text, space, field):
     return Subspace(space.internal, vectors, field)
 
 
-def _parse_component(value, space, field, lat):
+def _parse_component(value, space, field):
     parts = _split_top(value, ";")
     base = None
     span = None
@@ -434,7 +450,6 @@ class ProblemSpec:
     """A fully built problem instance plus its normalized raw text."""
 
     entries: list
-    schema: int
     field: NumberField
     mode: str
     logical_dim: int
@@ -443,41 +458,18 @@ class ProblemSpec:
     variety: VarietyInput
     predicted: Optional[list]
     sample_config: SampleConfig
-    path: Optional[str] = None
 
-    def normalized_entries(self):
-        """(section, key, value) triples; the round-trip invariant."""
-        return [(s, k, v) for s, k, v, _ in self.entries]
-
-    def serialize(self):
-        lines = []
-        top = [e for e in self.entries if e[0] == "" and e[1]]
-        for _, key, value, _ in top:
-            lines.append(f"{key} = {value}")
-        for section, key, value, _ in self.entries:
-            if section == "":
-                continue
-            if key is None:
-                lines.append("")
-                lines.append(f"[{section}]")
-                continue
-            lines.append(f"{key} = {value}")
-        return "\n".join(lines) + "\n"
-
-    def predicted_flow(self) -> Optional[FlowDescription]:
-        if self.predicted is None:
-            return None
+    def predicted_flow(self) -> FlowDescription:
+        """The [flow] section's components; call only when it has some."""
         span_condition = None
         if self.mode == "complex":
-            from .flow import check_span_condition
-
             span_condition = check_span_condition(self.lattice)
         return predicted_flow(
             self.predicted, self.lattice, self.mode, span_condition
         )
 
 
-def parse_problem(text, path=None) -> ProblemSpec:
+def parse_problem(text) -> ProblemSpec:
     entries = _parse_raw(text)
     schema = _integer(entries, "", "schema", default="1")
     if schema != 1:
@@ -527,12 +519,12 @@ def parse_problem(text, path=None) -> ProblemSpec:
         predicted = []
         for key, value, ln in comp_entries:
             try:
-                predicted.append(_parse_component(value, space, field, lattice))
+                predicted.append(_parse_component(value, space, field))
             except (SpecFileError, TorusflowError) as exc:
                 raise SpecFileError(f"bad component: {exc}", ln)
 
     cfg_kwargs = {}
-    int_keys = {"seed", "count", "shells", "curve_nodes", "relation_digits"}
+    int_keys = {"seed", "count", "shells", "curve_nodes"}
     for key, value, ln in _entries_of(entries, "verify"):
         try:
             cfg_kwargs[key] = int(value) if key in int_keys else float(value)
@@ -542,7 +534,6 @@ def parse_problem(text, path=None) -> ProblemSpec:
 
     return ProblemSpec(
         entries=entries,
-        schema=schema,
         field=field,
         mode=mode,
         logical_dim=logical_dim,
@@ -551,11 +542,10 @@ def parse_problem(text, path=None) -> ProblemSpec:
         variety=variety,
         predicted=predicted,
         sample_config=sample_config,
-        path=path,
     )
 
 
 def load_problem(path) -> ProblemSpec:
     with open(path) as fh:
         text = fh.read()
-    return parse_problem(text, path=path)
+    return parse_problem(text)

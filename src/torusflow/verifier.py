@@ -34,6 +34,8 @@ from .lattice import Lattice, integer_relations
 
 # rejection sampling gives up on a piece after this many draws in one shell
 MAX_DRAWS = 1_000_000
+# 10**RELATION_DIGITS scales floats to integers in the heuristic relation check
+RELATION_DIGITS = 9
 
 
 def _int_in(value, lo, hi):
@@ -55,7 +57,6 @@ class SampleConfig:
     coverage_threshold: float = 0.95
     window: float = 10.0          # transverse window half-width
     curve_nodes: int = 10000
-    relation_digits: int = 9      # scale for the heuristic relation check
 
     def __post_init__(self):
         self.validate()
@@ -108,13 +109,6 @@ class SampleConfig:
         if not _int_in(self.curve_nodes, 2, math.inf):
             raise TorusflowError(
                 f"curve_nodes must be an integer >= 2, got {self.curve_nodes!r}"
-            )
-        # 10**relation_digits scales floats to integers: past 15 digits the
-        # scale exceeds double precision, past 308 it overflows
-        if not _int_in(self.relation_digits, 0, 15):
-            raise TorusflowError(
-                "relation_digits must be an integer in [0, 15], "
-                f"got {self.relation_digits!r}"
             )
 
     def validate_pieces(self, npieces):
@@ -198,18 +192,14 @@ def _affine_frame(piece, lat):
     flat = piece.flat
     base = flat.float_base()
     dirs = flat.directions
-    if lat is not None and dirs.dim:
-        inside = dirs.intersect(lat.span)
-        in_f = inside.float_basis()
-        # orthonormal rows spanning the rest of the directions
-        proj_in = inside.float_projector()
-        rest = dirs.float_basis() - dirs.float_basis() @ proj_in.T
-        _, s, vt = np.linalg.svd(rest) if len(rest) else (None, [], None)
-        rank = int(np.sum(np.asarray(s) > 1e-10))
-        out_f = vt[:rank] if rank else np.zeros((0, dirs.ambient_dim))
-    else:
-        in_f = dirs.float_basis()
-        out_f = np.zeros((0, dirs.ambient_dim))
+    inside = dirs.intersect(lat.span)
+    in_f = inside.float_basis()
+    # orthonormal rows spanning the rest of the directions
+    proj_in = inside.float_projector()
+    rest = dirs.float_basis() - dirs.float_basis() @ proj_in.T
+    _, s, vt = np.linalg.svd(rest) if len(rest) else (None, [], None)
+    rank = int(np.sum(np.asarray(s) > 1e-10))
+    out_f = vt[:rank] if rank else np.zeros((0, dirs.ambient_dim))
     din = len(in_f)
     qin = np.linalg.qr(in_f.T)[0].T[:din] if din else None
     return base, din, qin, out_f
@@ -338,7 +328,7 @@ def _sample_shell(X, cfg, lat, shell, radius, quota, prepared):
     )
 
 
-def far_shells(X, cfg: SampleConfig, lat: Optional[Lattice] = None):
+def far_shells(X, cfg: SampleConfig, lat: Lattice):
     """Deterministic far-point samples, one ShellSamples per shell as it is
     drawn; ``sample_far_points`` lists them all."""
     cfg.validate_pieces(len(X.pieces))
@@ -352,7 +342,7 @@ def far_shells(X, cfg: SampleConfig, lat: Optional[Lattice] = None):
         yield _sample_shell(X, cfg, lat, shell, radius, quota, prepared)
 
 
-def sample_far_points(X, cfg: SampleConfig, lat: Optional[Lattice] = None):
+def sample_far_points(X, cfg: SampleConfig, lat: Lattice):
     """Deterministic far-point samples, shell by shell.
 
     Each shell splits its quota across the pieces.  A piece draws in
@@ -560,22 +550,14 @@ class ComponentEvaluator:
 # ---------------------------------------------------------------------------
 
 
-def containment_check(reduced, predicted: FlowDescription, cfg, evaluators=None,
-                      per_component=None):
+def containment_check(reduced, per_component):
     """Max distance from reduced in-window samples to the predicted set.
 
-    per_component, if given, holds each evaluator's ``distances`` result.
-    Empty predictions pass vacuously only when no sample stays in-window.
+    per_component holds each component evaluator's ``distances`` result on
+    the samples.  Without samples no distances are taken, and it is None.
     """
-    lat = predicted.lattice
-    if evaluators is None:
-        evaluators = [ComponentEvaluator(c, lat, cfg) for c in predicted.components]
     if len(reduced) == 0:
         return 0.0, np.zeros(0), None
-    if not evaluators:
-        return float("inf"), np.full(len(reduced), np.inf), reduced[0]
-    if per_component is None:
-        per_component = [ev.distances(reduced) for ev in evaluators]
     all_d = np.full(len(reduced), np.inf)
     for d, _ in per_component:
         np.minimum(all_d, d, out=all_d)
@@ -583,27 +565,21 @@ def containment_check(reduced, predicted: FlowDescription, cfg, evaluators=None,
     return float(np.max(all_d)), all_d, reduced[worst]
 
 
-def coverage_check(predicted: FlowDescription, reduced, cfg, evaluators=None,
-                   per_component=None):
+def coverage_check(reduced, cfg, evaluators, per_component):
     """(fraction, number) of each component's cells hit by the samples.
 
     A hit is a distinct (base cell, torus cell) pair of an in-window sample
-    within max(tolerance, grid_eps) of the component.
+    within max(tolerance, grid_eps) of the component.  per_component holds
+    each evaluator's ``distances`` result on the samples, as in
+    ``containment_check``.
     """
-    lat = predicted.lattice
-    if evaluators is None:
-        evaluators = [ComponentEvaluator(c, lat, cfg) for c in predicted.components]
     assign_tol = max(cfg.tolerance, cfg.grid_eps)
     fractions = []
     hit_counts = []
     for idx, ev in enumerate(evaluators):
         hits = 0
         if len(reduced):
-            d, node_idx = (
-                per_component[idx]
-                if per_component is not None
-                else ev.distances(reduced)
-            )
+            d, node_idx = per_component[idx]
             sel = np.nonzero(d <= assign_tol)[0]
             if len(sel):
                 sub = reduced[sel]
@@ -768,13 +744,9 @@ def run_verification(X, lat: Lattice, predicted: FlowDescription,
             if len(in_window)
             else None
         )
-        max_dist, all_d, worst_vec = containment_check(
-            in_window, predicted, cfg, evaluators, per_component
-        )
+        max_dist, all_d, worst_vec = containment_check(in_window, per_component)
         worst = worst_vec.tolist() if worst_vec is not None else None
-        fractions, _ = coverage_check(
-            predicted, in_window, cfg, evaluators, per_component
-        )
+        fractions, _ = coverage_check(in_window, cfg, evaluators, per_component)
         # per-shell maxima: for branch inputs with certified remainder decay
         # these should not increase with the shell radius
         offset = 0
@@ -792,7 +764,7 @@ def run_verification(X, lat: Lattice, predicted: FlowDescription,
     for ci, comp in enumerate(predicted.components):
         if comp.V.dim == 1:
             vec = [e.to_float() for e in comp.V.basis[0]]
-            rel = integer_relations(vec, cfg.relation_digits)
+            rel = integer_relations(vec, RELATION_DIGITS)
             if rel:
                 relations.append(
                     {"component": ci, "relations": rel, "certified": False}
@@ -825,45 +797,6 @@ def run_verification(X, lat: Lattice, predicted: FlowDescription,
     )
 
 
-# ---------------------------------------------------------------------------
-# Orbit sampling (density oracle for subspace closures)
-# ---------------------------------------------------------------------------
-
-
-def subspace_orbit(V, lat: Lattice, count, seed=0, spread=2000.0):
-    """Reduced samples of the subspace V: the numeric orbit in the quotient."""
-    rng = np.random.default_rng([seed, 977])
-    basis = V.float_basis()
-    if not len(basis):
-        return np.zeros((1, lat.ambient_dim))
-    coeffs = rng.uniform(-spread, spread, size=(count, len(basis)))
-    pts = coeffs @ basis
-    reduced, _, _ = lat.reduce_points(pts)
-    return reduced
-
-
-def orbit_coverage(descriptor, lat, reduced, eps):
-    """(coverage fraction of W's torus cells, max distance off the W fiber)."""
-    if descriptor.torus_dim == 0:
-        off = np.linalg.norm(reduced, axis=1)
-        return (1.0 if len(reduced) else 0.0), float(np.max(off)) if len(off) else 0.0
-    cells = _torus_cells(reduced, descriptor.torus_coordinate_matrix(lat), eps)
-    hits = len(distinct_rows(cells))
-    # distance off the fiber: orthogonal part, minimized over translates
-    W = descriptor.W
-    proj = W.float_complement_projector()
-    perp = reduced @ proj.T
-    offsets = lat.translates(2) @ proj.T
-    if len(offsets):
-        rounded = np.unique(np.round(offsets, 9), axis=0)
-        d, _ = min_distance_batch(perp, rounded, np.zeros((1, perp.shape[1])))
-    else:
-        d = np.linalg.norm(perp, axis=1)
-    off_max = float(np.max(d)) if len(d) else 0.0
-    k = int(math.ceil(1.0 / eps))
-    return hits / (k**descriptor.torus_dim), off_max
-
-
 def _fmt_param(p):
     """CSV text of one parameter (a Python float or complex); NaN pads."""
     if cmath.isnan(p):
@@ -873,10 +806,14 @@ def _fmt_param(p):
     return repr(p)
 
 
-def write_sample_csv(path, shells, lat: Lattice, predicted=None, cfg=None):
-    """CSV dump: shell, parameters, raw and reduced coordinates, distance."""
+def write_sample_csv(path, shells, lat: Lattice, predicted, cfg):
+    """CSV dump: shell, parameters, raw and reduced coordinates, distance.
+
+    predicted may be None; without predicted components the distance
+    column is NaN.
+    """
     evaluators = None
-    if predicted is not None and cfg is not None and predicted.components:
+    if predicted is not None and predicted.components:
         evaluators = [
             ComponentEvaluator(c, lat, cfg) for c in predicted.components
         ]

@@ -19,14 +19,13 @@ from torusflow.lattice import (
     Lattice,
     Subspace,
     hermite_normal_form,
-    int_det,
-    rational_closure,
     smith_normal_form,
     torus_closure,
 )
 from torusflow.numberfield import NumberField, rationals
 from torusflow.specfile import load_problem
-from torusflow.verifier import orbit_coverage, subspace_orbit
+
+from oracles import int_det, orbit_coverage, rational_closure, subspace_orbit
 
 
 def _matmul(A, B):

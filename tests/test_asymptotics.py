@@ -49,7 +49,7 @@ class TestExpansion:
         e = expand_at_infinity(br([({1: 1}, {0: 1}), ({2: 1, 0: 1}, {1: 1})], QQ))
         assert [ex for ex, _ in e.terms] == [F(1)]
         vec = e.terms[0][1]
-        assert [c.as_rational() for c in vec] == [1, 1]
+        assert list(vec) == [1, 1]
         assert e.remainder.q == 1
         # numeric spot check: terms + remainder reproduce the branch
         t = 100.0
@@ -133,7 +133,7 @@ class TestBranchFlats:
         [f] = branch_asymptotic_flats(
             b, Subspace(2, [[1, 0], [0, 1]], QQ), "real", False
         )
-        assert [e.as_rational() for e in f.base_point] == [0, 5]
+        assert list(f.base_point) == [0, 5]
 
     def test_bounded_branch_none(self, QQ):
         b = br([({-1: 1}, {0: 1}), ({-2: 1}, {0: 1})], QQ)

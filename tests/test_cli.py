@@ -207,7 +207,7 @@ def test_engine_error_exits_internal(tmp_path, capsys, command):
     assert err == "error: complex intersection left the piece\n"
 
 
-def _reducible(min_poly, root):
+def _reducible(min_poly, root, branch="(t, (theta-1)*t)"):
     return f"""\
 [field]
 min_poly = {min_poly}
@@ -223,7 +223,7 @@ row = (1, 0)
 row = (0, 1)
 
 [variety]
-branch = (t, (theta-1)*t)
+branch = {branch}
 """
 
 
@@ -249,6 +249,37 @@ def test_rational_root_refused(tmp_path, capsys, command, min_poly, root, ration
 def test_irreducible_cubic_accepted(tmp_path):
     spec = tmp_path / "cubic.tfp"
     spec.write_text(_reducible("x^3 - 2", "(1, 2)"))
+    assert _exit_code(["closure", str(spec)]) == 0
+
+
+@pytest.mark.parametrize(
+    "min_poly, root, branch, factor",
+    [
+        # (x^2 - 2)(x^2 - 3) at sqrt(2): closure said torus_dim=2, not 1
+        ("x^4 - 5*x^2 + 6", "(1, 3/2)", "(t, (theta^2-2)*t)", "x^2 - 3"),
+        # (x^2 + 1)(x^2 - 2)
+        ("x^4 - x^2 - 2", "(1, 2)", "(t, (theta-1)*t)", "x^2 - 2"),
+    ],
+    ids=["two-real-quadratics", "complex-and-real-quadratic"],
+)
+@pytest.mark.parametrize("command", ["closure", "verify", "sample"])
+def test_rational_factor_refused(tmp_path, capsys, command, min_poly, root,
+                                 branch, factor):
+    spec = tmp_path / "reducible.tfp"
+    spec.write_text(_reducible(min_poly, root, branch))
+    extra = ["--out", str(tmp_path / "dump.csv")] if command == "sample" else []
+    assert _exit_code([command, str(spec)] + extra) == 2
+    err = capsys.readouterr().err
+    assert f"min_poly has the factor {factor};" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "min_poly, root", [("x^4 - 10*x^2 + 1", "(3, 4)"), ("x^4 - 2", "(1, 2)")]
+)
+def test_irreducible_quartic_accepted(tmp_path, min_poly, root):
+    spec = tmp_path / "quartic.tfp"
+    spec.write_text(_reducible(min_poly, root))
     assert _exit_code(["closure", str(spec)]) == 0
 
 
@@ -321,10 +352,12 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "key, value",
         [
-            ("relation_digits", "400"),
-            ("relation_digits", "-1"),
             ("curve_nodes", "0"),
             ("curve_nodes", "1"),
+            # the relation check's scale is the constant RELATION_DIGITS:
+            # the key is gone, so any value exits 2 as an unknown key
+            ("relation_digits", "400"),
+            ("relation_digits", "-1"),
         ],
     )
     @pytest.mark.parametrize("command", ["verify", "sample"])
@@ -336,7 +369,10 @@ class TestConfigValidation:
         extra = ["--out", str(tmp_path / "dump.csv")] if command == "sample" else []
         assert _exit_code([command, str(spec)] + extra) == 2
         err = capsys.readouterr().err
-        assert key in err and "unknown key" not in err
+        if key == "relation_digits":
+            assert f"unknown key '{key}'" in err
+        else:
+            assert key in err and "unknown key" not in err
         assert "Traceback" not in err and err.count("\n") == 1
 
     @pytest.mark.parametrize(

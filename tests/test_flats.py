@@ -17,10 +17,11 @@ from torusflow.flats import (
     VarietyInput,
     embed_exact_vector,
     to_internal,
-    to_logical,
 )
 from torusflow.lattice import Subspace
 from torusflow.numberfield import AlgebraicNumber, NumberField, rationals
+
+from oracles import to_logical
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +40,7 @@ class TestFlat:
         f1 = Flat([3, 5], xaxis)
         f2 = Flat([-7, 5], xaxis)
         assert f1 == f2
-        assert [e.as_rational() for e in f1.base_point] == [F(0), F(5)]
+        assert f1.base_point == [F(0), F(5)]
 
     def test_equality_by_point_sets(self, QQ):
         diag = Subspace(2, [[1, 1]], QQ)
@@ -49,7 +50,8 @@ class TestFlat:
         # sample points of one lie on the other
         for s in range(-5, 5):
             pt = [F(2) + s, F(s)]
-            assert f2.contains_point(pt)
+            diff = [x - b for x, b in zip(pt, f2.base_point)]
+            assert f2.directions.contains_vector(diff)
 
     def test_point_flat(self, QQ):
         p = Flat([1, 2], Subspace(2, [], QQ))
@@ -73,7 +75,7 @@ class TestPerpBasePoint:
         A = Flat([0, 5], Subspace(2, [[1, 0]], QQ))
         span = Subspace(2, [[1, 0]], QQ)
         pt = _perp_base_point(A, span)
-        assert [e.as_rational() for e in pt] == [F(0), F(5)]
+        assert pt == [F(0), F(5)]
 
     def test_axis_itself(self, QQ):
         A = Flat([0, 0], Subspace(2, [[1, 0]], QQ))
@@ -131,7 +133,7 @@ class TestFamilies:
         assert len(fams) == 1
         base, V = fams[0]
         assert V == Subspace(2, [[1, 0]], QQ)
-        assert [[e.as_rational() for e in p] for p in base.points] == [[0, 5]]
+        assert base.points == [[0, 5]]
 
 
 class TestConversions:
@@ -229,8 +231,3 @@ class TestVarietyInput:
         plane = AffinePiece(Flat([0, 0], Subspace(2, [[1, 0], [0, 1]], QQ)))
         with pytest.raises(TorusflowError):
             VarietyInput([plane], 2, "real", 1, QQ)
-
-    def test_symbolic_only_flag(self, QQ):
-        b = ParametricBranch([({1: 1}, {0: 1}), ({-1: 1}, {0: 1})], QQ)
-        X = VarietyInput([b], 2, "real", 1, QQ)
-        assert X.symbolic_only

@@ -276,15 +276,16 @@ class TestClosureDescription:
             [br([({1: 1}, {0: 1}), ({2: 1}, {0: 1})], QQ)], 2, "real", 1, QQ
         )
         lat = Lattice(2, [[1, 0]], QQ)
-        rep = closure_description(X, lat)
+        rep = closure_description(X, flow_set(X, lat))
         assert rep["pi_x_closed"]
         assert "closed" in rep["note"]
 
     def test_hyperbola_report(self, QQ):
         lat = Lattice(2, [[1, 0], [0, 1]], QQ)
-        rep = closure_description(hyperbola(QQ), lat)
+        X = hyperbola(QQ)
+        rep = closure_description(X, flow_set(X, lat))
         assert not rep["pi_x_closed"]
-        assert len(rep["flow"]["components"]) == 2
+        assert len(rep["components"]) == 2
 
 
 class TestPredictedFlow:

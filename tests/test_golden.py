@@ -1,6 +1,6 @@
 """Pinned output bytes on every golden problem: ``closure`` JSON and
 stdout, and at seeds 1 and 2 ``verify`` reports and stdout and ``sample``
-CSVs.
+CSVs; also the ``closure`` bytes of an inline problem over Q(i).
 
 The verify hashes were recorded before the verifier's per-sample loops were
 vectorised, the CSV hashes before ``write_sample_csv`` formatted rows from
@@ -128,3 +128,46 @@ def test_closure_bytes(tmp_path, monkeypatch, capsys, name, code, json_sha,
     else:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == json_sha
     assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_sha
+
+
+# An exact closure over a complex field.  Kept inline rather than in
+# problems/, which the mutant fuzz globs: the golden complex problems have
+# graph pieces and exit 3 on closure.
+GAUSSIAN = """\
+schema = 1
+
+# Q(i) with the lattice Z[i]^2 and the curve xy = 1 as one branch.
+
+[field]
+min_poly = x^2 + 1
+root = rect (-1/2, 1/2) (1/2, 3/2)
+i = theta
+conj = -theta
+
+[space]
+mode = complex
+ambient_dim = 2
+declared_dim = 1
+
+[lattice]
+row = (1, 0)
+row = (theta, 0)
+row = (0, 1)
+row = (0, theta)
+
+[variety]
+branch = (t, 1/t)
+"""
+
+
+def test_complex_closure_bytes(tmp_path, monkeypatch, capsys):
+    (tmp_path / "gaussian.tfp").write_text(GAUSSIAN)
+    monkeypatch.chdir(tmp_path)
+    assert main(["closure", "gaussian.tfp"]) == 0
+    stdout = capsys.readouterr().out
+    assert "torus_dim=2" in stdout and "complex_theorem_applies" in stdout
+    out = (tmp_path / "gaussian.tfp.closure.json").read_bytes()
+    assert (hashlib.sha256(out).hexdigest()
+            == "9ada1d5e279c1fcadd383e073b1178e8aca0ff29babcb7a7245b6cd140e5b8de")
+    assert (hashlib.sha256(stdout.encode()).hexdigest()
+            == "05fa6d60236068eaaddb34e91a996838a25d5007460803728141217a671cecad")

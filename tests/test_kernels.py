@@ -11,12 +11,21 @@ from torusflow import _kernels
 from torusflow._kernels import (
     GRID_MIN_PAIRS,
     GRID_MIN_TARGETS,
-    grid_min_distance,
     min_distance_batch,
     min_distance_local,
-    scan_min_distance,
     uses_grid,
 )
+
+
+def grid_min_distance(points, offsets, nodes):
+    """``min_distance_batch`` through the grid index, whatever the size."""
+    return _kernels._nearest(points, offsets, nodes, _kernels._grid)
+
+
+def scan_min_distance(points, offsets, nodes):
+    """``min_distance_batch`` by a direct-difference scan of every pair."""
+    return _kernels._nearest(points, offsets, nodes, _kernels._scan)
+
 
 SEARCHES = (min_distance_batch, grid_min_distance, scan_min_distance)
 

@@ -18,6 +18,7 @@ from torusflow.numberfield import (
     _psub,
     _ptrim,
     rational_coordinates,
+    rational_factor,
     rational_root,
     rationals,
     sturm_root_count,
@@ -445,6 +446,51 @@ class TestRationalRoot:
         p = _psub([F(0)] + g, [root * c for c in g])
         found = rational_root(p)
         assert found is not None and _peval_exact(p, found) == 0
+
+
+class TestRationalFactor:
+    @pytest.mark.parametrize(
+        "poly, embedding, factor",
+        [
+            # (x^2 - 2)(x^2 - 3)
+            ([6, 0, -5, 0, 1], {"root_interval": (1, F(3, 2))}, [-3, 0, 1]),
+            # (x^2 + 1)(x^2 - 2) at i: a complex field's own root boxes
+            ([-2, 0, -1, 0, 1], {"root_box": ((F(-1, 2), F(1, 2)), (F(1, 2), 2))},
+             [-2, 0, 1]),
+            # (x^2 - 1/1000)(x^2 - 3/1000): factors of r = 10^18 p(y / 10^6)
+            ([F(3, 10**6), 0, F(-4, 1000), 0, 1],
+             {"root_interval": (F(3, 100), F(4, 100))}, [F(-3, 1000), 0, 1]),
+            # (x^3 - 3)(x^3 - 2): only the degree-3 subsets
+            ([6, 0, 0, -5, 0, 0, 1], {"root_interval": (F(5, 4), F(13, 10))},
+             [-3, 0, 0, 1]),
+            # (x^2 - 2)(x^3 - 3): degree 5
+            ([6, 0, -3, -2, 0, 1], {"root_interval": (F(7, 5), F(143, 100))},
+             [-2, 0, 1]),
+            ([1, 0, 0, 0, 1], {"root_box": ((F(1, 2), 1), (F(1, 2), 1))}, None),
+            ([1, 0, -10, 0, 1], {"root_interval": (3, 4)}, None),
+            ([-2, 0, 0, 0, 1], {"root_interval": (1, 2)}, None),
+            ([-2, 0, 0, 0, 0, 0, 1], {"root_interval": (1, 2)}, None),
+        ],
+    )
+    def test_factor_found(self, poly, embedding, factor):
+        K = NumberField(poly, **embedding)
+        assert rational_factor(K.min_poly, K.root_boxes()) == factor
+
+    def test_wide_boxes_are_refined(self, monkeypatch):
+        # (x^2 - 2)(x^2 - 11) with unit boxes: each pair's product box is
+        # too wide to pin an integer until the boxes are refined
+        poly = [F(22), 0, F(-13), 0, F(1)]
+        boxes = [
+            Box(Interval(c - F(1, 2), c + F(1, 2)), Interval(F(-1, 2), F(1, 2)))
+            for c in (F(-33, 10), F(-7, 5), F(7, 5), F(33, 10))
+        ]
+        refined = []
+        refine = nf._refine_root_box
+        monkeypatch.setattr(
+            nf, "_refine_root_box", lambda *a: refined.append(a) or refine(*a)
+        )
+        assert rational_factor(poly, boxes) == [-11, 0, 1]
+        assert len(refined) == 4
 
 
 def _peval_exact(p, x):

@@ -16,6 +16,8 @@ from torusflow.expressions import (
 from torusflow.numberfield import NumberField, rationals
 from torusflow.specfile import load_problem, parse_problem
 
+from oracles import normalized_entries, serialize
+
 DINH_VU_FIELD = """\
 [field]
 min_poly = x^4 + 1
@@ -54,20 +56,20 @@ tolerance = 0.01
 class TestExpressions:
     def test_rational_literals(self):
         QQ = rationals()
-        assert eval_scalar(parse_expr("3/4 - 1/2"), QQ).as_rational() == F(1, 4)
-        assert eval_scalar(parse_expr("0.25"), QQ).as_rational() == F(1, 4)
+        assert eval_scalar(parse_expr("3/4 - 1/2"), QQ) == F(1, 4)
+        assert eval_scalar(parse_expr("0.25"), QQ) == F(1, 4)
 
     def test_theta_polynomials(self):
         K = NumberField([-2, 0, 1], root_interval=(1, 2))
         v = eval_scalar(parse_expr("theta^2 - 2"), K)
         assert v.is_zero()
         v2 = eval_scalar(parse_expr("(1 + theta)*(1 - theta)"), K)
-        assert v2.as_rational() == -1
+        assert v2 == -1
 
     def test_power_right_assoc_negative(self):
         K = NumberField([-2, 0, 1], root_interval=(1, 2))
         v = eval_scalar(parse_expr("theta^-2"), K)
-        assert v.as_rational() == F(1, 2)
+        assert v == F(1, 2)
 
     def test_i_requires_declaration(self):
         K = NumberField([-2, 0, 1], root_interval=(1, 2))
@@ -104,10 +106,10 @@ class TestParsing:
 
     def test_round_trip_identity(self):
         spec = parse_problem(HYPERBOLA)
-        text = spec.serialize()
+        text = serialize(spec)
         spec2 = parse_problem(text)
-        assert spec2.normalized_entries() == spec.normalized_entries()
-        assert spec2.serialize() == text
+        assert normalized_entries(spec2) == normalized_entries(spec)
+        assert serialize(spec2) == text
 
     def test_unknown_key_rejected_with_line(self):
         bad = HYPERBOLA.replace("count = 1000", "countt = 1000")
@@ -227,9 +229,9 @@ class TestGoldenFiles:
     )
     def test_parses_and_round_trips(self, name):
         spec = load_problem(f"problems/{name}.tfp")
-        again = parse_problem(spec.serialize())
-        assert again.normalized_entries() == spec.normalized_entries()
-        assert again.serialize() == spec.serialize()
+        again = parse_problem(serialize(spec))
+        assert normalized_entries(again) == normalized_entries(spec)
+        assert serialize(again) == serialize(spec)
 
     def test_dinh_vu_structure(self):
         spec = load_problem("problems/dinh_vu.tfp")

@@ -32,12 +32,12 @@ from torusflow.verifier import (
     containment_check,
     coverage_check,
     distinct_rows,
-    orbit_coverage,
     run_verification,
     sample_far_points,
     shell_stability,
-    subspace_orbit,
 )
+
+from oracles import orbit_coverage, subspace_orbit
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +82,7 @@ class TestSampling:
 
     def test_norms_respect_shells(self, QQ):
         cfg = SampleConfig(radius_min=100, count=400, seed=3)
-        shells = sample_far_points(hyperbola(QQ), cfg)
+        shells = sample_far_points(hyperbola(QQ), cfg, Lattice(2, [[1, 0], [0, 1]], QQ))
         for sh in shells:
             norms = np.linalg.norm(sh.internal, axis=1)
             assert np.all(norms >= sh.radius)
@@ -94,7 +94,7 @@ class TestSampling:
             2, "real", 1, QQ,
         )
         cfg = SampleConfig(radius_min=1000, count=100, seed=0, shells=1)
-        (shell,) = sample_far_points(X, cfg)
+        (shell,) = sample_far_points(X, cfg, Lattice(2, [[1, 0], [0, 1]], QQ))
         ts = np.array([p[0].real for p in shell.params])
         assert np.all(np.abs(ts) >= 0.9 * np.sqrt(1000))
 
@@ -105,18 +105,18 @@ class TestSampling:
         X = VarietyInput([bounded], 2, "real", 1, QQ)
         cfg = SampleConfig(radius_min=1000, count=16, seed=0, shells=1)
         with pytest.raises(ShellStarved):
-            sample_far_points(X, cfg)
+            sample_far_points(X, cfg, Lattice(2, [[1, 0], [0, 1]], QQ))
 
     def test_quota_cap_is_the_first_draw_cap(self, QQ, monkeypatch):
         # with a cap of 2048 draws a piece may own 1024 samples per shell:
         # hyperbola's two pieces fill one shell of 2048, and one more sample
         # is refused as a setting instead of starving the shell
         monkeypatch.setattr(verifier, "MAX_DRAWS", 2048)
-        X = hyperbola(QQ)
-        (shell,) = sample_far_points(X, SampleConfig(count=2048, shells=1))
+        X, lat = hyperbola(QQ), Lattice(2, [[1, 0], [0, 1]], QQ)
+        (shell,) = sample_far_points(X, SampleConfig(count=2048, shells=1), lat)
         assert len(shell.internal) == 2048
         with pytest.raises(TorusflowError, match="count must be at most 2048"):
-            sample_far_points(X, SampleConfig(count=2049, shells=1))
+            sample_far_points(X, SampleConfig(count=2049, shells=1), lat)
 
     def test_graph_sampling(self, QQ):
         g = GraphPiece(
@@ -126,7 +126,7 @@ class TestSampling:
         )
         X = VarietyInput([g], 3, "complex", 2, QQ)
         cfg = SampleConfig(radius_min=100, count=64, seed=4, shells=2)
-        shells = sample_far_points(X, cfg)
+        shells = sample_far_points(X, cfg, Lattice(6, np.eye(6, dtype=int).tolist(), QQ))
         assert all(len(sh.internal) == 32 for sh in shells)
         assert shells[0].internal.shape[1] == 6
 
@@ -140,7 +140,10 @@ class TestContainment:
         shells = sample_far_points(X, cfg, lat)
         pts = np.vstack([sh.internal for sh in shells])
         reduced, _, _ = lat.reduce_points(pts)
-        max_d, dists, worst = containment_check(reduced, fd, cfg)
+        evaluators = [ComponentEvaluator(c, lat, cfg) for c in fd.components]
+        max_d, dists, worst = containment_check(
+            reduced, [ev.distances(reduced) for ev in evaluators]
+        )
         assert max_d <= 1.0 / 100.0 + 1e-12
 
     def test_wrong_prediction_detected(self, QQ):
@@ -190,7 +193,10 @@ class TestCoverage:
         shells = sample_far_points(X, cfg, lat)
         pts = np.vstack([sh.internal for sh in shells])
         reduced, _, _ = lat.reduce_points(pts)
-        fractions, _ = coverage_check(fd, reduced, cfg)
+        evaluators = [ComponentEvaluator(c, lat, cfg) for c in fd.components]
+        fractions, _ = coverage_check(
+            reduced, cfg, evaluators, [ev.distances(reduced) for ev in evaluators]
+        )
         assert all(f >= 0.95 for f in fractions)
 
     def test_rational_line_closed_orbit(self, K):
@@ -576,7 +582,7 @@ class TestArraySampler:
         cfg = SampleConfig(radius_min=100, count=12, seed=2, shells=1)
         shells = sample_far_points(X, cfg, lat)
         out = tmp_path / "mixed.csv"
-        assert verifier.write_sample_csv(out, shells, lat) == 12
+        assert verifier.write_sample_csv(out, shells, lat, None, cfg) == 12
         header, *rows = out.read_text().splitlines()
         assert header.startswith("shell_index,param_0,param_1,raw_0")
         widths = {len(row.split(",")) for row in rows}
@@ -721,7 +727,9 @@ class TestCoverageCells:
         )
         fd = flow_set(spec.variety, lat)
         evaluators = [ComponentEvaluator(c, lat, cfg) for c in fd.components]
-        fractions, hits = coverage_check(fd, reduced, cfg, evaluators)
+        fractions, hits = coverage_check(
+            reduced, cfg, evaluators, [ev.distances(reduced) for ev in evaluators]
+        )
 
         masked = 0
         assign_tol = max(cfg.tolerance, cfg.grid_eps)
