@@ -14,6 +14,8 @@ No eval() anywhere: a hand-rolled tokenizer and recursive-descent parser.
 
 from __future__ import annotations
 
+import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +28,56 @@ from .numberfield import NumberField
 Rat = Fraction
 
 _OPS = set("+-*/^(),")
+_ARITH = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+}
+
+
+def _in_float_range(q):
+    """q, unless its numerator or denominator is larger than the largest float.
+
+    Such a number overflows ``float()``, and past 4300 digits Python also
+    refuses to print it, which the closure JSON needs.
+    """
+    if max(abs(q.numerator), q.denominator) > sys.float_info.max:
+        raise SpecFileError(
+            "exact constant outside the float range: its numerator or "
+            "denominator is larger than the largest float"
+        )
+    return q
+
+
+def _coords_in_float_range(e):
+    """The field element e, unless one of its coordinates is out of range."""
+    for c in e.coords:
+        _in_float_range(c)
+    return e
+
+
+def _poly_in_float_range(p):
+    """The TPoly p, unless an exponent or a coefficient is out of range."""
+    for e, c in p.terms.items():
+        _in_float_range(e)
+        _coords_in_float_range(c)
+    return p
+
+
+def _power(base, k, one, check):
+    """base^k for an integer k >= 0, by left-to-right square-and-multiply.
+
+    ``check`` runs on every partial power, so a power out of the float range
+    is refused after at most 2 * k.bit_length() products of in-range values
+    instead of being computed in full.
+    """
+    value = one
+    for bit in bin(k)[2:]:
+        value = check(value * value)
+        if bit == "1":
+            value = check(value * base)
+    return value
 
 
 @dataclass
@@ -52,7 +104,7 @@ def tokenize(text):
                 value = Rat(lit)
             except ValueError:
                 raise SpecFileError(f"bad number literal {lit!r}")
-            tokens.append(Token("num", value, i))
+            tokens.append(Token("num", _in_float_range(value), i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -170,23 +222,19 @@ def _const_rational(node):
         return -_const_rational(node[1])
     if kind in "+-*/":
         a, b = _const_rational(node[1]), _const_rational(node[2])
-        if kind == "+":
-            return a + b
-        if kind == "-":
-            return a - b
-        if kind == "*":
-            return a * b
-        if b == 0:
+        if kind == "/" and b == 0:
             raise SpecFileError("division by zero in a rational constant")
-        return a / b
+        return _in_float_range(_ARITH[kind](a, b))
     if kind == "^":
         base = _const_rational(node[1])
         expo = _const_rational(node[2])
         if expo.denominator != 1:
             raise SpecFileError("rational constant powers must be integral")
-        if base == 0 and expo < 0:
-            raise SpecFileError("division by zero in a rational constant")
-        return base ** int(expo)
+        if expo < 0:
+            if base == 0:
+                raise SpecFileError("division by zero in a rational constant")
+            base, expo = 1 / base, -expo
+        return _power(base, int(expo), Rat(1), _in_float_range)
     raise SpecFileError("expected a rational constant expression")
 
 
@@ -216,19 +264,16 @@ def eval_scalar(node, field: NumberField):
     if kind in "+-*/":
         a = eval_scalar(node[1], field)
         b = eval_scalar(node[2], field)
-        if kind == "+":
-            return a + b
-        if kind == "-":
-            return a - b
-        if kind == "*":
-            return a * b
-        return a / b
+        return _coords_in_float_range(_ARITH[kind](a, b))
     if kind == "^":
         base = eval_scalar(node[1], field)
         expo = _const_rational(node[2])
         if expo.denominator != 1:
             raise SpecFileError("exact powers must have integer exponents")
-        return base ** int(expo)
+        k = int(expo)
+        if k < 0:
+            base, k = base.inverse(), -k
+        return _power(base, k, field.one, _coords_in_float_range)
     if kind == "call":
         raise SpecFileError(
             f"function {node[1]!r} is not allowed in exact expressions"
@@ -282,9 +327,11 @@ def eval_branch_coord(node, field: NumberField):
             base = walk(nd[1])
             if expo.denominator == 1:
                 k = int(expo)
-                if k >= 0:
-                    return _Pair(base.num**k, base.den**k)
-                return _Pair(base.den ** (-k), base.num ** (-k))
+                num, den = (base.num, base.den) if k >= 0 else (base.den, base.num)
+                return _Pair(
+                    _power(num, abs(k), one, _poly_in_float_range),
+                    _power(den, abs(k), one, _poly_in_float_range),
+                )
             # fractional powers only on a bare monomial in t
             if len(base.den.terms) == 1 and len(base.num.terms) == 1:
                 (en, cn), = base.num.terms.items()
@@ -307,7 +354,7 @@ def eval_branch_coord(node, field: NumberField):
         raise SpecFileError("malformed branch expression")
 
     pair = walk(node)
-    return pair.num, pair.den
+    return _poly_in_float_range(pair.num), _poly_in_float_range(pair.den)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ standard inner product is genuinely positive definite.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 import numpy as np
@@ -20,8 +19,6 @@ from . import exactlinalg as xl
 from .errors import InternalInvariantError, NotInSpan, TorusflowError
 from .exactlinalg import QQ
 from .numberfield import NumberField, rational_coordinates
-
-Rat = Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -532,89 +529,3 @@ def torus_closure(V: Subspace, lat: Lattice) -> ClosedSubgroupDescriptor:
         xl._combination(map(field.rational, c), lat.basis, field) for c in coords
     ]
     return ClosedSubgroupDescriptor(W, points, coords, V)
-
-
-# ---------------------------------------------------------------------------
-# Heuristic integer-relation detection (non-certified)
-# ---------------------------------------------------------------------------
-
-
-def _lll(basis, delta=Rat(3, 4)):
-    """Textbook LLL over exact rationals; basis rows are integer vectors.
-
-    Gram-Schmidt runs once.  After that the coefficients mu[i][j] =
-    <b_i, b*_j> / B_j and the squared norms B_j = <b*_j, b*_j> are updated
-    in place on each size reduction and swap (Cohen, A Course in
-    Computational Algebraic Number Theory, Alg. 2.6.3).  A zero b*_j has
-    mu[i][j] = 0, so dependent rows give the same result as recomputing
-    Gram-Schmidt after every step.
-    """
-    basis = [[Rat(x) for x in row] for row in basis]
-    n = len(basis)
-    ortho, mu = [], []
-    for i, v in enumerate(basis):
-        coeffs = []
-        w = list(v)
-        for j in range(i):
-            denom = xl.dot(ortho[j], ortho[j])
-            c = xl.dot(v, ortho[j]) / denom if denom else Rat(0)
-            coeffs.append(c)
-            w = xl.vec_sub(w, xl.vec_scale(ortho[j], c))
-        ortho.append(w)
-        mu.append(coeffs)
-    B = [xl.dot(w, w) for w in ortho]
-    k = 1
-    while k < n:
-        for j in range(k - 1, -1, -1):
-            if abs(mu[k][j]) > Rat(1, 2):
-                # b_k -= q b_j changes row k of mu only; mu[j][j] = 1
-                q = round(mu[k][j])
-                basis[k] = xl.vec_sub(basis[k], xl.vec_scale(basis[j], Rat(q)))
-                for l in range(j):
-                    mu[k][l] -= q * mu[j][l]
-                mu[k][j] -= q
-        m = mu[k][k - 1]
-        if B[k] >= (delta - m**2) * B[k - 1]:
-            k += 1
-            continue
-        # swap b_{k-1} and b_k; B[k - 1] > 0 here, else the test above held
-        basis[k], basis[k - 1] = basis[k - 1], basis[k]
-        b_prev, b_k = B[k - 1], B[k]
-        B[k - 1] = b_k + m * m * b_prev
-        m_new = m * b_prev / B[k - 1] if B[k - 1] else Rat(0)
-        B[k] = b_prev * b_k / B[k - 1] if B[k - 1] else b_prev
-        mu[k - 1], mu[k] = mu[k][: k - 1], mu[k - 1] + [m_new]
-        for i in range(k + 1, n):
-            t = mu[i][k]
-            u = mu[i][k - 1] - m * t
-            mu[i][k - 1] = t + m_new * u
-            mu[i][k] = u if B[k] else Rat(0)
-        k = max(k - 1, 1)
-    return basis
-
-
-def integer_relations(values, scale_digits=9, max_coeff=10**6):
-    """Candidate integer relations among float values via lattice reduction.
-
-    Heuristic and NOT certified: callers must treat the result as a hint and
-    verify independently.  Returns integer vectors q with q . values ~ 0.
-    """
-    m = len(values)
-    if m == 0:
-        return []
-    scale = 10**scale_digits
-    rows = []
-    for i, v in enumerate(values):
-        row = [0] * m + [int(round(v * scale))]
-        row[i] = 1
-        rows.append(row)
-    reduced = _lll(rows)
-    relations = []
-    for row in reduced:
-        q = [int(x) for x in row[:m]]
-        tail = abs(float(row[m]))
-        if any(q) and tail <= scale * 1e-6 and max(abs(c) for c in q) <= max_coeff:
-            resid = abs(sum(c * v for c, v in zip(q, values)))
-            if resid <= 1e-5 * max(1.0, max(abs(v) for v in values)):
-                relations.append(q)
-    return relations

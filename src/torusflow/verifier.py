@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,13 +29,11 @@ from ._kernels import backend_name, min_distance_batch, min_distance_local
 from .errors import ShellStarved, TorusflowError
 from .flats import AffineSet, CurveImage, PointSet, to_internal
 from .flow import FlowDescription
-from .lattice import Lattice, integer_relations
+from .lattice import Lattice
 
 
 # rejection sampling gives up on a piece after this many draws in one shell
 MAX_DRAWS = 1_000_000
-# 10**RELATION_DIGITS scales floats to integers in the heuristic relation check
-RELATION_DIGITS = 9
 
 
 def _int_in(value, lo, hi):
@@ -106,9 +104,11 @@ class SampleConfig:
                 "radius_min * 2^(shells - 1) * 1e3 must be finite, got "
                 f"radius_min={self.radius_min!r}, shells={self.shells!r}"
             )
-        if not _int_in(self.curve_nodes, 2, math.inf):
+        # each curve prediction holds curve_nodes float rows
+        if not _int_in(self.curve_nodes, 2, MAX_DRAWS):
             raise TorusflowError(
-                f"curve_nodes must be an integer >= 2, got {self.curve_nodes!r}"
+                f"curve_nodes must be an integer in [2, {MAX_DRAWS}], "
+                f"got {self.curve_nodes!r}"
             )
 
     def validate_pieces(self, npieces):
@@ -672,11 +672,11 @@ class VerificationReport:
     worst_sample: Optional[list]
     backend: str
     config: dict
-    span_condition: Optional[str] = None
-    heuristic_relations: list = dc_field(default_factory=list)
+    span_condition: Optional[str]
+    torus_dims: list   # torus_dim per component; None when it has no torus
 
     def to_dict(self):
-        return {"schema_version": 1, **asdict(self)}
+        return {"schema_version": 2, **asdict(self)}
 
 
 def shell_stability(shell_cells):
@@ -759,16 +759,7 @@ def run_verification(X, lat: Lattice, predicted: FlowDescription,
 
     containment_ok = max_dist <= cfg.tolerance
     coverage_ok = all(f >= cfg.coverage_threshold for f in fractions)
-
-    relations = []
-    for ci, comp in enumerate(predicted.components):
-        if comp.V.dim == 1:
-            vec = [e.to_float() for e in comp.V.basis[0]]
-            rel = integer_relations(vec, RELATION_DIGITS)
-            if rel:
-                relations.append(
-                    {"component": ci, "relations": rel, "certified": False}
-                )
+    torus_dims = [c.torus.torus_dim if c.torus else None for c in predicted.components]
 
     return VerificationReport(
         passed=containment_ok and coverage_ok and not mismatch,
@@ -793,7 +784,7 @@ def run_verification(X, lat: Lattice, predicted: FlowDescription,
             "window": cfg.window,
         },
         span_condition=predicted.span_condition,
-        heuristic_relations=relations,
+        torus_dims=torus_dims,
     )
 
 

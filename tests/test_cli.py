@@ -101,6 +101,27 @@ class TestVerify:
         target.write_text(stripped)
         assert main(["verify", str(target)]) == 3
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            path.stem
+            for path in sorted(Path("problems").glob("*.tfp"))
+            if "[flow]" not in path.read_text()
+        ],
+    )
+    def test_torus_dims_match_closure(self, tmp_path, name):
+        spec = tmp_path / f"{name}.tfp"
+        shutil.copy(f"problems/{name}.tfp", spec)
+        assert main(["closure", str(spec)]) == 0
+        assert main(["verify", str(spec), "--count", "400"]) in (0, 5)
+        closure = json.loads(Path(f"{spec}.closure.json").read_text())
+        report = json.loads(Path(f"{spec}.report.json").read_text())
+        assert closure["schema_version"] == 1
+        assert report["schema_version"] == 2
+        assert report["torus_dims"] == [
+            comp["torus_dim"] for comp in closure["components"]
+        ]
+
     def test_byte_identical_reports(self, workdir):
         spec = str(workdir / "hyperbola.tfp")
         assert main(["verify", spec, "--count", "2000"]) == 0
@@ -303,6 +324,37 @@ def test_malformed_value_is_a_parse_error(tmp_path, capsys, name, old, new):
     assert "Traceback" not in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "name, old, new",
+    [
+        ("hyperbola", "branch = (t, 1/t)", "branch = (t, 1/t + 10^400)"),
+        ("hyperbola", "branch = (t, 1/t)", "branch = (10^400*t, 1/t)"),
+        ("hyperbola", "row = (0, 1)", "row = (0, 10^400)"),
+        ("irrational_direction", "branch = (t, theta*t)",
+         "branch = (t, theta^20000*t)"),
+        # a 5001-digit denominator also passes the int-to-str limit that the
+        # closure JSON writer meets
+        ("hyperbola", "branch = (t, 1/t)", "branch = (t, 1/t + 10^5000)"),
+        ("hyperbola", "branch = (t, 1/t)", "branch = (t, 1/t + 10^(-5000))"),
+        ("hyperbola", "branch = (t, 1/t)", "branch = (t^(10^400), 1/t)"),
+    ],
+    ids=["offset", "coefficient", "row", "theta-power", "big", "tiny",
+         "exponent"],
+)
+@pytest.mark.parametrize("command", ["closure", "verify", "sample"])
+def test_out_of_float_range_is_a_parse_error(tmp_path, capsys, command, name,
+                                             old, new):
+    text = open(f"problems/{name}.tfp").read()
+    assert old in text
+    spec = tmp_path / f"{name}.tfp"
+    spec.write_text(text.replace(old, new, 1))
+    extra = ["--out", str(tmp_path / "dump.csv")] if command == "sample" else []
+    assert _exit_code([command, str(spec)] + extra) == 2
+    err = capsys.readouterr().err
+    assert "outside the float range" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def _exit_code(argv):
     try:
         return main(argv)
@@ -354,8 +406,10 @@ class TestConfigValidation:
         [
             ("curve_nodes", "0"),
             ("curve_nodes", "1"),
-            # the relation check's scale is the constant RELATION_DIGITS:
-            # the key is gone, so any value exits 2 as an unknown key
+            # over MAX_DRAWS: the curve nodes would not fit in memory
+            ("curve_nodes", "10000000000000"),
+            # verify runs no relation search any more: the key is gone, so
+            # any value exits 2 as an unknown key
             ("relation_digits", "400"),
             ("relation_digits", "-1"),
         ],

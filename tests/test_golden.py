@@ -2,12 +2,14 @@
 stdout, and at seeds 1 and 2 ``verify`` reports and stdout and ``sample``
 CSVs; also the ``closure`` bytes of an inline problem over Q(i).
 
-The verify hashes were recorded before the verifier's per-sample loops were
-vectorised, the CSV hashes before ``write_sample_csv`` formatted rows from
-Python lists, the closure hashes before the torus closure was rebuilt on
-``exactlinalg``.  A change that alters an output, even in the last digit of a
-distance, fails here; if the change is intended, say so in CHANGES.md and
-record the new hashes.
+The verify stdout hashes were recorded before the verifier's per-sample
+loops were vectorised, the CSV hashes before ``write_sample_csv`` formatted
+rows from Python lists, the closure hashes before the torus closure was
+rebuilt on ``exactlinalg``.  The report hashes were re-recorded once, when
+the report moved to schema 2 (``torus_dims`` in place of
+``heuristic_relations``; every other field unchanged).  A change that
+alters an output, even in the last digit of a distance, fails here; if the
+change is intended, say so in CHANGES.md and record the new hashes.
 """
 
 import hashlib
@@ -19,29 +21,29 @@ from torusflow.cli import main
 
 # (problem, seed, exit code, sha256 of .report.json, sha256 of stdout)
 GOLDEN = [
-    ("dinh_vu", 1, 0, "e3fb84aec3fc877f255e9fea1c0c800cbf74ce9a1b7c372673da09b6642e29d2",
+    ("dinh_vu", 1, 0, "6d7d32680f2eb1a12ba51e9b7c7d60def65313a88fd7c803538d45390cea1612",
      "0e11e053829f13e868394880d2f3312a558d7add88386c755eb28988a1f35f18"),
-    ("dinh_vu", 2, 0, "32b90f6666a8a5a245c3a07f627057a76f9898032f297127a7ffddd2c496c5cb",
+    ("dinh_vu", 2, 0, "62a5a40f6813ff5ada55c09c4fa0f5b83be0a397603b3669cc2557b48ce0e666",
      "5bc5899657e1b58a201e2fc1eae3e1c2d96bd26df675b6cc2bd45047256a2a02"),
-    ("dinh_vu_mutated", 1, 5, "b3db0c182d55918b0d11e357813cc345b52253214694ac2fbe5fd14fd2e5e8b1",
+    ("dinh_vu_mutated", 1, 5, "e4e482cbfb9317850071796e4a112c98bfd2fa212b10f00ed01b75484d27ece0",
      "47502fa6d46bf086c48c93e237c4a52bd3a0dc93fbae446b228d066a07d8dfeb"),
-    ("dinh_vu_mutated", 2, 5, "0b180b90debf24cd069fa44c589f3d6ccf14537b419faf0e9911429af454562d",
+    ("dinh_vu_mutated", 2, 5, "35eab23542ef45d380696ab4d586c7987e7ce77dfba737d70bd578238ae04b4d",
      "a28753aa78a985e469447bc30b93f4f7d884c96e949bb6300bb0f0f8395d0eb1"),
-    ("hyperbola", 1, 0, "5e51657ee2c78d5034cf78919f964c4da077c5f3d0ee410fde2864cb563a29f5",
+    ("hyperbola", 1, 0, "9614f9ff44eb06b482ce9943e775fcb1c4e991337d6d9d14fbb916b7c7b68ed0",
      "767aa00c761bc08141508af1b697a10818bc1c53dbaf585e7a6c9ab9865b52a3"),
-    ("hyperbola", 2, 0, "e906a59b062e977933df5f3e26f9f2e2fb4b26d710df68bfca802df7241a80b6",
+    ("hyperbola", 2, 0, "b81f1bf1b061e0f384c268ad1b171bc29f853c98616cc92d1c34ccb949f7c0ca",
      "ab4760b0640235e5ec84f64f335b2cdd765b06ec3e5c10da358e67e562c54db6"),
-    ("irrational_direction", 1, 0, "31448080300fbafbde0d6855d5d1e14de9d2a1b345cb2c583d0f7de3a907d411",
+    ("irrational_direction", 1, 0, "6a0bad377b35b3a05a25e5fbdb1c6fb5ee208f49264b8380f2fb70f86adebd8c",
      "3f8f78b080759b5b3d8098ab2400acedb2054b87cc38458ed4f0b7ee5b0bccc4"),
-    ("irrational_direction", 2, 0, "c0a42c522943e507d63646ad2e673744177a8dc502190a0936abb70a7139af53",
+    ("irrational_direction", 2, 0, "8e120766367ed39ce62e0bf2616d31a55fb1acfc144cd04a8537277d52a38ac3",
      "3f8f78b080759b5b3d8098ab2400acedb2054b87cc38458ed4f0b7ee5b0bccc4"),
-    ("parabola", 1, 0, "e9643239b3cfe64675fcbd90c8f3fa794c05d9db3aede69a9012454d7bda8a54",
+    ("parabola", 1, 0, "200d6d9dbc013b926d27520a2829d30c39af7c7611e0b312d100ebde69be2e33",
      "50039e1a67ab3f28e3efa9fa6c7c61790e330e1c47962f14077f9b13ff93c72c"),
-    ("parabola", 2, 0, "4acb3785c2e95b122bb1a76444432d35250e83597c63bf290400282a1c89aab3",
+    ("parabola", 2, 0, "8be7a255f553b57c019da2864a965fc0edcbde9fa4ffde7ce04db2794c57b171",
      "50039e1a67ab3f28e3efa9fa6c7c61790e330e1c47962f14077f9b13ff93c72c"),
-    ("plane_cylinder", 1, 0, "853982f29a71bac66315f996c9d4e1b9051f4cbe0763fe4efc005b6f843ce431",
+    ("plane_cylinder", 1, 0, "3d27c5d5d2230a70bf12e014084f751d155a2dec344a0ae505409f61f043016e",
      "0515458f0c4bae103ff2fb32ebecd1ee8227c9ce738ad5afff86525584b9ac87"),
-    ("plane_cylinder", 2, 0, "464fc2076374613318a9fbf7379d3c149c59d6df06044ada00a57e2b7e4a2da6",
+    ("plane_cylinder", 2, 0, "fd3b4c40126b28acea4ddce67cf1343f1151dca43c053ccc25b0dd293450f72e",
      "38ba04960dbf0a8966b8afe412556cd079ad4194c651466997992b7f19e2cd2a"),
 ]
 

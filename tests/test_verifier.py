@@ -111,12 +111,14 @@ class TestSampling:
         # with a cap of 2048 draws a piece may own 1024 samples per shell:
         # hyperbola's two pieces fill one shell of 2048, and one more sample
         # is refused as a setting instead of starving the shell
+        # (the cap bounds curve_nodes as well, hence curve_nodes=2048)
         monkeypatch.setattr(verifier, "MAX_DRAWS", 2048)
         X, lat = hyperbola(QQ), Lattice(2, [[1, 0], [0, 1]], QQ)
-        (shell,) = sample_far_points(X, SampleConfig(count=2048, shells=1), lat)
+        one_shell = dict(shells=1, curve_nodes=2048)
+        (shell,) = sample_far_points(X, SampleConfig(count=2048, **one_shell), lat)
         assert len(shell.internal) == 2048
         with pytest.raises(TorusflowError, match="count must be at most 2048"):
-            sample_far_points(X, SampleConfig(count=2049, shells=1), lat)
+            sample_far_points(X, SampleConfig(count=2049, **one_shell), lat)
 
     def test_graph_sampling(self, QQ):
         g = GraphPiece(
@@ -283,8 +285,9 @@ class TestReportDeterminism:
         report = run_verification(X, lat, fd, cfg)
         assert report.residual_max <= 1e-9
 
-    def test_heuristic_relations_flagged(self, K):
-        # component V = span{(1,1,sqrt2)} is 1-dimensional: relation check runs
+    def test_torus_dims_exact(self, K):
+        # V = span{(1, 1, sqrt2)}; the smallest rational subspace holding it
+        # is span{(1, 1, 0), (0, 0, 1)}, so the closure is a 2-torus
         lat = Lattice(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], K)
         X = VarietyInput(
             [
@@ -300,12 +303,8 @@ class TestReportDeterminism:
         fd = flow_set(X, lat)
         cfg = SampleConfig(radius_min=100, count=500, seed=22)
         report = run_verification(X, lat, fd, cfg)
-        assert report.heuristic_relations
-        entry = report.heuristic_relations[0]
-        assert entry["certified"] is False
-        assert any(
-            q[2] == 0 and q[0] == -q[1] != 0 for q in entry["relations"]
-        )
+        assert report.torus_dims == [2]
+        assert report.to_dict()["schema_version"] == 2
 
 
 # plane_cylinder's limit set predicted as the curve (0, u), u in (-10, hi):
