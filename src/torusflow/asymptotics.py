@@ -19,7 +19,6 @@ compact window, so such branches are filtered out entirely.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -166,9 +165,7 @@ def expand_at_infinity(branch: ParametricBranch) -> ExpansionAtInfinity:
     into one certified remainder bound shared by all coordinates.
     """
     field = branch.field
-    s = math.lcm(
-        *(poly.exponent_denominator() for pair in branch.coords for poly in pair)
-    )
+    s = branch.exponent_denominator
     n = len(branch.coords)
     vector_terms = {}
     bound_C = Rat(0)
@@ -250,7 +247,6 @@ def affine_asymptotic_family(
         Q = j_stable_closure(Q) if Q.dim else Q
         if not L.contains(Q) or not P.contains(Q):
             raise TorusflowError("complex intersection left the piece")
-        Q = Subspace(Q.ambient_dim, Q.basis, Q.field, complex_structure=True)
     if Q.dim == 0:
         return None
     return AffineSet(piece.flat).project(Q), Q

@@ -57,6 +57,7 @@ def _config(spec, args):
     try:
         cfg.validate()
         cfg.validate_pieces(len(spec.variety.pieces))
+        cfg.validate_lattice(spec.lattice)
     except TorusflowError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)

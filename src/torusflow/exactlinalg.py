@@ -6,10 +6,10 @@ still produce well-typed results; a NumberField is such a domain, and QQ
 below covers plain rationals.
 
 Matrices are lists of row lists; vectors are plain lists.  Dimensions stay
-in the single digits, but this layer runs on every `verify`: on perfbench's
-verify-cells workload (2-vCPU VM, trace of seed 3) `rref` runs 15.3 times
-per operation and takes 0.9 ms of it.  Over Q and on rational pivots the
-field arithmetic is a coordinate scale (see AlgebraicNumber.__mul__).
+in the single digits, but this layer runs on every `verify`: on the first
+64 operations of perfbench's verify-cells workload at seed 3 `rref` runs
+10.2 times per operation.  Over Q and on rational pivots the field
+arithmetic is a coordinate scale (see AlgebraicNumber.__mul__).
 
 `rref` returns rows in reduced row echelon form: row i has a 1 in column
 pivots[i] and a 0 in every other row's pivot column.  lattice.Subspace keeps
@@ -116,11 +116,6 @@ def solve(rows, rhs, dom):
     return x
 
 
-def in_span(vectors, v, dom):
-    """Is v a linear combination of the vectors (exact)?"""
-    return span_coordinates(vectors, v, dom) is not None
-
-
 def span_coordinates(vectors, v, dom):
     """Coefficients expressing v over the vectors, or None."""
     if not vectors:
@@ -129,14 +124,8 @@ def span_coordinates(vectors, v, dom):
     return solve(cols, list(v), dom)
 
 
-def canonical_basis(vectors, dom):
-    """RREF basis: a canonical form for the span (equal spans compare equal)."""
-    red, _ = rref(vectors, dom)
-    return red
-
-
 def intersect_spans(a, b, ambient_dim, dom):
-    """Basis of span(a) intersected with span(b)."""
+    """Vectors spanning span(a) intersected with span(b), not reduced."""
     if not a or not b:
         return []
     # solutions of sum_i s_i a_i - sum_j t_j b_j = 0
@@ -144,7 +133,7 @@ def intersect_spans(a, b, ambient_dim, dom):
     for coord in range(ambient_dim):
         rows.append([u[coord] for u in a] + [-v[coord] for v in b])
     combos = kernel_basis(rows, len(a) + len(b), dom)
-    return canonical_basis([_combination(c[: len(a)], a, dom) for c in combos], dom)
+    return [_combination(c[: len(a)], a, dom) for c in combos]
 
 
 def project_onto_span(x, vectors, dom):

@@ -361,6 +361,8 @@ def eval_branch_coord(node, field: NumberField):
 # Numeric evaluation over numpy arrays
 # ---------------------------------------------------------------------------
 
+_NUMERIC_OPS = {**_ARITH, "^": operator.pow}
+
 _NUMERIC_FUNCS = {
     "sqrt": np.sqrt,
     "exp": np.exp,
@@ -372,51 +374,62 @@ _NUMERIC_FUNCS = {
 
 
 def compile_numeric(node, var_names, field: NumberField):
-    """Compile to a function mapping numpy arrays (one per var) to an array."""
+    """Compile to a function mapping numpy arrays (one per var) to an array.
+
+    A subtree without a variable is evaluated once, here, by the same
+    operations that would evaluate it per call, so the compiled function
+    gives the same values.  A constant that overflows, divides by zero or is
+    not finite is refused as a SpecFileError.
+    """
+
+    def const(value):
+        return (lambda env: value), True
+
+    def apply(op, *children):
+        """The compiled node op(children); (function, whether constant)."""
+        fns = [f for f, _ in children]
+        if all(c for _, c in children):
+            try:
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    value = op(*(f(None) for f in fns))
+            except ArithmeticError as exc:
+                raise SpecFileError(
+                    f"constant in numeric expression cannot be evaluated: {exc}"
+                ) from None
+            if not np.isfinite(value):
+                raise SpecFileError("constant in numeric expression is not finite")
+            return const(value)
+        return (lambda env: op(*(f(env) for f in fns))), False
 
     def walk(nd):
         kind = nd[0]
         if kind == "num":
-            val = complex(nd[1])
-            return lambda env: val
+            return const(complex(nd[1]))
         if kind == "name":
             name = nd[1]
             if name in var_names:
-                return lambda env: env[name]
+                return (lambda env: env[name]), False
             if name == "pi":
-                return lambda env: np.pi
+                return const(np.pi)
             if name == "i":
-                return lambda env: 1j
+                return const(1j)
             if name == "theta":
-                val = field.gen.to_complex()
-                return lambda env: val
+                return const(field.gen.to_complex())
             raise SpecFileError(f"unknown name {name!r} in numeric expression")
         if kind == "neg":
-            f = walk(nd[1])
-            return lambda env: -f(env)
+            return apply(operator.neg, walk(nd[1]))
         if kind in "+-*/^":
-            a, b = walk(nd[1]), walk(nd[2])
-            if kind == "+":
-                return lambda env: a(env) + b(env)
-            if kind == "-":
-                return lambda env: a(env) - b(env)
-            if kind == "*":
-                return lambda env: a(env) * b(env)
-            if kind == "/":
-                return lambda env: a(env) / b(env)
-            return lambda env: a(env) ** b(env)
+            return apply(_NUMERIC_OPS[kind], walk(nd[1]), walk(nd[2]))
         if kind == "call":
             fname = nd[1]
             if fname not in _NUMERIC_FUNCS:
                 raise SpecFileError(f"unknown function {fname!r}")
             if len(nd[2]) != 1:
                 raise SpecFileError(f"{fname} takes one argument")
-            fn = _NUMERIC_FUNCS[fname]
-            g = walk(nd[2][0])
-            return lambda env: fn(g(env))
+            return apply(_NUMERIC_FUNCS[fname], walk(nd[2][0]))
         raise SpecFileError("malformed numeric expression")
 
-    return walk(node)
+    return walk(node)[0]
 
 
 def _split_top(text, sep):

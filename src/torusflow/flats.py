@@ -23,6 +23,10 @@ from .numberfield import NumberField
 
 Rat = Fraction
 
+# a branch coordinate's exact expansion holds one coefficient per power of
+# u = t^(1/s) in its exponent range; 10^4 of them take a closure seconds
+MAX_BRANCH_DEGREE = 10**4
+
 
 # ---------------------------------------------------------------------------
 # Coordinate conversions between logical and internal pictures
@@ -340,15 +344,25 @@ class ParametricBranch:
             if den.is_zero():
                 raise TorusflowError("branch denominator is identically zero")
             self.coords.append((num, den))
+        # every exponent becomes an integer after u = t^(1/s)
+        self.exponent_denominator = math.lcm(
+            *(poly.exponent_denominator() for pair in self.coords for poly in pair)
+        )
+        s = self.exponent_denominator
+        for num, den in self.coords:
+            exps = [Rat(0), *num.terms, *den.terms]
+            if (max(exps) - min(exps)) * s > MAX_BRANCH_DEGREE:
+                raise TorusflowError(
+                    "branch coordinate has degree above "
+                    f"{MAX_BRANCH_DEGREE} in u = t^(1/s)"
+                )
         self.rays = None
         if rays is not None:
             self.rays = [field.element(r) for r in rays]
-            for num, den in self.coords:
-                for poly in (num, den):
-                    if poly.exponent_denominator() != 1:
-                        raise TorusflowError(
-                            "complex branches with rays need integer exponents"
-                        )
+            if self.exponent_denominator != 1:
+                raise TorusflowError(
+                    "complex branches with rays need integer exponents"
+                )
         self.label = label
 
     @property

@@ -136,16 +136,14 @@ def _family_component(base, V: Subspace, lat: Lattice, mode,
 
 def _base_contained(inner, outer, W: Subspace):
     """Conservative exact containment of base sets modulo W."""
-    field = W.field
     if isinstance(outer, PointSet):
         targets = outer.points
-        dirs = []
+        hull = W
     elif isinstance(outer, AffineSet):
         targets = [outer.flat.base_point]
-        dirs = list(outer.flat.directions.basis)
+        hull = W.sum(outer.flat.directions)
     else:
         return False
-    hull = dirs + list(W.basis)
     if isinstance(inner, PointSet):
         probes = inner.points
         inner_dirs = []
@@ -154,15 +152,12 @@ def _base_contained(inner, outer, W: Subspace):
         inner_dirs = list(inner.flat.directions.basis)
     else:
         return False
-    for v in inner_dirs:
-        if not xl.in_span(hull, v, field):
-            return False
-    for p in probes:
-        if not any(
-            xl.in_span(hull, xl.vec_sub(p, q), field) for q in targets
-        ):
-            return False
-    return True
+    if not all(hull.contains_vector(v) for v in inner_dirs):
+        return False
+    return all(
+        any(hull.contains_vector(xl.vec_sub(p, q)) for q in targets)
+        for p in probes
+    )
 
 
 def _prune_redundant(components):

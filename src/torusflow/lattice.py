@@ -1,4 +1,4 @@
-"""Exact lattice algebra: normal forms, rational closures, reduction mod Lambda.
+"""Exact lattice algebra: Hermite forms, rational closures, reduction mod Lambda.
 
 Internally every ambient space is a real coordinate space.  Complex problems
 are converted by restriction of scalars before they reach this module, with
@@ -22,16 +22,17 @@ from .numberfield import NumberField, rational_coordinates
 
 
 # ---------------------------------------------------------------------------
-# Integer normal forms
+# Hermite normal form and integer kernels
 # ---------------------------------------------------------------------------
 
 
 def _exgcd(a, b):
     """g, x, y with x*a + y*b = g = gcd(a, b) >= 0.
 
-    When a divides b the pair (x, y) = (sign(a), 0) is returned, so pivot
-    rows stay fixed in the normal-form eliminations; anything else lets the
-    clearing passes cycle without progress.
+    When a divides b the pair (x, y) = (sign(a), 0) is returned, so the
+    Hermite elimination keeps the pivot row and only reduces the other one.
+    The transform U, and with it the bases int_kernel_basis returns, depend
+    on that choice.
     """
     if a != 0 and b % a == 0:
         s = 1 if a > 0 else -1
@@ -59,13 +60,6 @@ def _rowcombine(A, r, i, a, b, c, d):
         x, y = A[r][k], A[i][k]
         A[r][k] = a * x + b * y
         A[i][k] = c * x + d * y
-
-
-def _colcombine(A, r, j, a, b, c, d):
-    for row in A:
-        x, y = row[r], row[j]
-        row[r] = a * x + b * y
-        row[j] = c * x + d * y
 
 
 def hermite_normal_form(M):
@@ -113,107 +107,17 @@ def hermite_normal_form(M):
     return A, U
 
 
-def smith_normal_form(M):
-    """Smith normal form.  Returns (D, U, V) with U*M*V = D, d_i | d_{i+1}."""
-    A = [[int(x) for x in row] for row in M]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    U, V = _identity(m), _identity(n)
-
-    def clear_at(k):
-        while True:
-            dirty = False
-            for i in range(k + 1, m):
-                if A[i][k] == 0:
-                    continue
-                a, b = A[k][k], A[i][k]
-                g, x, y = _exgcd(a, b)
-                _rowcombine(A, k, i, x, y, -(b // g), a // g)
-                _rowcombine(U, k, i, x, y, -(b // g), a // g)
-                dirty = True
-            for j in range(k + 1, n):
-                if A[k][j] == 0:
-                    continue
-                a, b = A[k][k], A[k][j]
-                g, x, y = _exgcd(a, b)
-                _colcombine(A, k, j, x, y, -(b // g), a // g)
-                _colcombine(V, k, j, x, y, -(b // g), a // g)
-                dirty = True
-            if not dirty:
-                return
-
-    for k in range(min(m, n)):
-        # move a nonzero entry of the trailing block to (k, k)
-        found = None
-        for i in range(k, m):
-            for j in range(k, n):
-                if A[i][j] != 0:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if not found:
-            break
-        i, j = found
-        if i != k:
-            A[k], A[i] = A[i], A[k]
-            U[k], U[i] = U[i], U[k]
-        if j != k:
-            for row in A:
-                row[k], row[j] = row[j], row[k]
-            for row in V:
-                row[k], row[j] = row[j], row[k]
-        clear_at(k)
-        if A[k][k] < 0:
-            A[k] = [-v for v in A[k]]
-            U[k] = [-v for v in U[k]]
-
-    # enforce the divisibility chain d_k | d_{k+1}
-    guard = 0
-    changed = True
-    while changed:
-        changed = False
-        guard += 1
-        if guard > 16 * (min(m, n) ** 2 + 4):
-            raise InternalInvariantError("SNF divisibility fix failed to settle")
-        for k in range(min(m, n) - 1):
-            a, b = A[k][k], A[k + 1][k + 1]
-            if a == 0 and b != 0:
-                A[k], A[k + 1] = A[k + 1], A[k]
-                U[k], U[k + 1] = U[k + 1], U[k]
-                for row in A:
-                    row[k], row[k + 1] = row[k + 1], row[k]
-                for row in V:
-                    row[k], row[k + 1] = row[k + 1], row[k]
-                changed = True
-                continue
-            if a != 0 and b % a != 0:
-                # pull b into column k, then re-clear the 2x2 block
-                _colcombine(A, k, k + 1, 1, 1, 0, 1)
-                _colcombine(V, k, k + 1, 1, 1, 0, 1)
-                clear_at(k)
-                if A[k][k] < 0:
-                    A[k] = [-v for v in A[k]]
-                    U[k] = [-v for v in U[k]]
-                if A[k + 1][k + 1] < 0:
-                    A[k + 1] = [-v for v in A[k + 1]]
-                    U[k + 1] = [-v for v in U[k + 1]]
-                changed = True
-    return A, U, V
-
-
 def int_kernel_basis(M, ncols):
-    """Basis of the integer solutions of M x = 0."""
+    """Basis of the integer solutions of M x = 0.
+
+    With U * M^T = H in Hermite normal form, the rows of U whose row of H is
+    zero are integer solutions; since U is unimodular and the nonzero rows of
+    H are independent, they are a basis of all of them, hence saturated.
+    """
     if not M:
-        return [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    D, U, V = smith_normal_form(M)
-    nrows = len(M)
-    free = []
-    for j in range(ncols):
-        d = D[j][j] if j < min(nrows, ncols) else 0
-        if d == 0:
-            free.append(j)
-    return [[V[i][j] for i in range(ncols)] for j in free]
+        return _identity(ncols)
+    H, U = hermite_normal_form([list(col) for col in zip(*M)])
+    return [u for u, h in zip(U, H) if not any(h)]
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +132,7 @@ class Subspace:
     other row's pivot column.
     """
 
-    def __init__(self, ambient_dim, vectors, field: NumberField,
-                 complex_structure: bool = False):
+    def __init__(self, ambient_dim, vectors, field: NumberField):
         self.ambient_dim = ambient_dim
         self.field = field
         vecs = [[field.element(x) for x in v] for v in vectors]
@@ -237,7 +140,6 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise TorusflowError("subspace vector has wrong length")
         self.basis, self.pivots = xl.rref(vecs, field)
-        self.complex_structure = complex_structure
 
     @property
     def dim(self):
@@ -262,11 +164,6 @@ class Subspace:
             self.ambient_dim == other.ambient_dim
             and self.field == other.field
             and self.basis == other.basis
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.ambient_dim, tuple(tuple(v.coords for v in row) for row in self.basis))
         )
 
     def key(self):
@@ -320,7 +217,7 @@ def apply_j(vec):
 def j_stable_closure(space: Subspace) -> Subspace:
     """Smallest J-stable subspace containing the given one."""
     vecs = list(space.basis) + [apply_j(v) for v in space.basis]
-    return Subspace(space.ambient_dim, vecs, space.field, complex_structure=True)
+    return Subspace(space.ambient_dim, vecs, space.field)
 
 
 def is_j_stable(space: Subspace) -> bool:
@@ -449,20 +346,15 @@ def rational_annihilator(vectors, field: NumberField):
 class ClosedSubgroupDescriptor:
     """Closure of the image of a subspace in the quotient: a compact torus.
 
-    W is the smallest Lambda-rational subspace containing the input V; the
-    lattice points of Lambda inside W have full rank in W, which is exactly
-    compactness of the image.
+    W is the smallest Lambda-rational subspace containing the input V.  It is
+    spanned by its lattice points, a basis of Lambda cap W, so its image is
+    compact.
     """
 
     def __init__(self, W: Subspace, lattice_points, lattice_coords, source: Subspace):
         self.W = W
         self.lattice_points = lattice_points
         self.lattice_coords = lattice_coords
-        self.source = source
-        if len(lattice_points) != W.dim:
-            raise InternalInvariantError(
-                "torus closure lost compactness: rank(Lambda cap W) != dim W"
-            )
         if not W.contains(source):
             raise InternalInvariantError("torus closure does not contain its source")
 
@@ -513,14 +405,8 @@ def torus_closure(V: Subspace, lat: Lattice) -> ClosedSubgroupDescriptor:
     field = lat.field
     coord_vectors = [lat.lambda_coordinates(v) for v in V.basis]
     forms = rational_annihilator(coord_vectors, field)
-    # W is spanned by the rational kernel of the forms, Lambda cap W by their
-    # integer kernel, both mapped from Lambda-coordinates to the ambient space
-    kernel = xl.kernel_basis(forms, lat.rank, QQ)
-    W = Subspace(
-        lat.ambient_dim,
-        [xl._combination(map(field.rational, c), lat.basis, field) for c in kernel],
-        field,
-    )
+    # the integer kernel of the forms, in Lambda-coordinates, is a basis of
+    # Lambda cap W; it has full rank in the rational kernel, so it spans W
     denom = lcm(*(c.denominator for row in forms for c in row))
     coords = int_kernel_basis(
         [[int(c * denom) for c in row] for row in forms], lat.rank
@@ -528,4 +414,5 @@ def torus_closure(V: Subspace, lat: Lattice) -> ClosedSubgroupDescriptor:
     points = [
         xl._combination(map(field.rational, c), lat.basis, field) for c in coords
     ]
+    W = Subspace(lat.ambient_dim, points, field)
     return ClosedSubgroupDescriptor(W, points, coords, V)

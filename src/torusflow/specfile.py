@@ -330,9 +330,7 @@ def _parse_affine(value, space, field):
         dir_vectors.append(v)
         if use_j:
             dir_vectors.append(apply_j(v))
-    sub = Subspace(space.internal, dir_vectors, field,
-                   complex_structure=use_j and bool(dir_vectors))
-    return AffinePiece(Flat(point, sub))
+    return AffinePiece(Flat(point, Subspace(space.internal, dir_vectors, field)))
 
 
 def _numeric_vector(text, names, space, field, what):

@@ -35,6 +35,9 @@ from .lattice import Lattice
 # rejection sampling gives up on a piece after this many draws in one shell
 MAX_DRAWS = 1_000_000
 
+# the lattice basis norms must sum to less than this (see SampleConfig.validate)
+MAX_BASIS_NORM_SUM = 2.0**22
+
 
 def _int_in(value, lo, hi):
     return (
@@ -75,8 +78,9 @@ class SampleConfig:
         # window, 1/grid_eps and window/grid_eps at most 2^40, the torus-cell
         # count ceil(1/eps), the affine base cells (v + window)/eps and the
         # shell cells floor(x/eps) of in-window points x stay below 2^63
-        # while the lattice basis norms sum to less than 2^22, and the affine
-        # sampler's range 4 * window * sqrt(n) * 1e3 stays finite.
+        # while the lattice basis norms sum to less than MAX_BASIS_NORM_SUM
+        # (see validate_lattice), and the affine sampler's range
+        # 4 * window * sqrt(n) * 1e3 stays finite.
         if max(1.0, self.window) / min(1.0, self.grid_eps) > 2.0**40:
             raise TorusflowError(
                 "window, 1/grid_eps and window/grid_eps must be at most 2^40, "
@@ -126,6 +130,22 @@ class SampleConfig:
                 f"{npieces} pieces, got {self.count!r}"
             )
 
+    def validate_lattice(self, lat):
+        """Raise TorusflowError unless the lattice basis norms sum to less
+        than MAX_BASIS_NORM_SUM, which the cell-index bounds of validate
+        assume."""
+        try:
+            total = math.fsum(
+                math.hypot(*(e.to_float() for e in row)) for row in lat.basis
+            )
+        except OverflowError:
+            total = math.inf
+        if not total < MAX_BASIS_NORM_SUM:
+            raise TorusflowError(
+                "the lattice basis norms must sum to less than 2^22, "
+                f"got {total:.6g}"
+            )
+
     def radius_schedule(self):
         return [self.radius_min * (2.0**k) for k in range(self.shells)]
 
@@ -137,15 +157,13 @@ class ShellSamples:
     ``params`` is a 2-D array with one row of piece parameters per sample:
     ``t`` for a branch, the radial scale for an affine piece, the variables
     of a graph piece.  Its width is the widest piece's parameter count;
-    narrower pieces' rows are padded with NaN.  ``logical`` and ``internal``
-    hold the samples' logical and real internal coordinates, row by row.
+    narrower pieces' rows are padded with NaN.  ``internal`` holds the
+    samples' real internal coordinates, row by row.
     """
 
     index: int
     radius: float
-    labels: list
     params: np.ndarray
-    logical: np.ndarray
     internal: np.ndarray
 
 
@@ -167,7 +185,7 @@ def _draw_branch(piece, rays, count, radius, rng, mode):
     """Draw ``count`` branch samples; return their ``build`` function.
 
     ``rays`` is ``_branch_rays(piece)``.  ``build(lo, hi)`` gives rows
-    [lo, hi) of the draw as (params, logical, internal).
+    [lo, hi) of the draw as (params, internal).
     """
     log_t = rng.uniform(math.log(radius), math.log(radius * 1e3), size=count)
     choice = None if rays is None else rng.integers(0, len(rays), size=count)
@@ -175,8 +193,7 @@ def _draw_branch(piece, rays, count, radius, rng, mode):
     def build(lo, hi):
         t = np.exp(log_t[lo:hi])
         params = t.astype(complex) if rays is None else t * rays[choice[lo:hi]]
-        logical = piece.evaluate(params)
-        return params[:, None], logical, to_internal(logical, mode)
+        return params[:, None], to_internal(piece.evaluate(params), mode)
 
     return build
 
@@ -208,8 +225,7 @@ def _affine_frame(piece, lat):
 def _draw_affine(frame, count, radius, rng, window):
     """Draw ``count`` affine samples; return their ``build`` function.
 
-    ``build(lo, hi)`` gives rows [lo, hi) of the draw as (params, None,
-    internal): an affine piece lives in internal coordinates.
+    ``build(lo, hi)`` gives rows [lo, hi) of the draw as (params, internal).
     """
     base, din, qin, out_f = frame
     dout = len(out_f)
@@ -228,7 +244,7 @@ def _draw_affine(frame, count, radius, rng, window):
             pts = pts + (d * r[:, None]) @ qin
         if dout:
             pts = pts + u[lo:hi] @ out_f
-        return r[:, None], None, pts
+        return r[:, None], pts
 
     return build
 
@@ -236,8 +252,7 @@ def _draw_affine(frame, count, radius, rng, window):
 def _draw_graph(piece, count, radius, rng, mode):
     """Draw ``count`` graph samples; return their ``build`` function.
 
-    ``build(lo, hi)`` gives rows [lo, hi) of the draw as (params, logical,
-    internal).
+    ``build(lo, hi)`` gives rows [lo, hi) of the draw as (params, internal).
     """
     # two log-uniform bands per variable: near-field values witness the
     # components passing close to the coordinate origin, far-field ones push
@@ -259,8 +274,7 @@ def _draw_graph(piece, count, radius, rng, mode):
             vars_ = mag * np.exp(1j * phase[lo:hi])
         else:
             vars_ = (mag * sign[lo:hi]).astype(complex)
-        logical = piece.evaluate(vars_)
-        return vars_, logical, to_internal(logical, mode)
+        return vars_, to_internal(piece.evaluate(vars_), mode)
 
     return build
 
@@ -268,7 +282,7 @@ def _draw_graph(piece, count, radius, rng, mode):
 def _sample_shell(X, cfg, lat, shell, radius, quota, prepared):
     """The ShellSamples of one shell; ``prepared`` maps a piece index to
     its rays or frame and gains each piece at its first draw."""
-    labels, params, logicals, internals = [], [], [], []
+    params, internals = [], []
     for pi, piece in enumerate(X.pieces):
         need = quota[pi]
         if need == 0:
@@ -296,22 +310,17 @@ def _sample_shell(X, cfg, lat, shell, radius, quota, prepared):
             # outside the ball
             lo = 0
             for hi in (need - got, draw):
-                p, logical, internal = build(lo, hi)
+                p, internal = build(lo, hi)
                 norms = np.linalg.norm(internal, axis=1)
                 keep = np.nonzero(norms >= radius)[0][: need - got]
                 if len(keep) < hi - lo:
                     p, internal = p[keep], internal[keep]
-                    logical = None if logical is None else logical[keep]
                 got += len(keep)
                 params.append(p)
                 internals.append(internal)
-                logicals.append(
-                    internal.astype(complex) if logical is None else logical
-                )
                 if got == need:
                     break
                 lo = hi
-        labels.extend([getattr(piece, "label", piece.kind)] * need)
     width = max(p.shape[1] for p in params)
     if any(p.shape[1] != width for p in params):
         params = [
@@ -321,9 +330,7 @@ def _sample_shell(X, cfg, lat, shell, radius, quota, prepared):
     return ShellSamples(
         index=shell,
         radius=radius,
-        labels=labels,
         params=np.concatenate(params),
-        logical=np.concatenate(logicals),
         internal=np.concatenate(internals),
     )
 
@@ -350,10 +357,9 @@ def sample_far_points(X, cfg: SampleConfig, lat: Lattice):
     ``(seed, shell, piece)`` stream and keeps the first ``need - got`` rows
     whose internal norm reaches the shell radius.  A draw has two steps:
     the draw step makes every RNG call of the batch, and the ``build``
-    function it returns turns a row range into params and logical and
-    internal rows.  Only the rows still needed are built first; the rest
-    of the batch is built only when too few of them landed outside the
-    ball.
+    function it returns turns a row range into params and internal rows.
+    Only the rows still needed are built first; the rest of the batch is
+    built only when too few of them landed outside the ball.
 
     This keeps the samples exactly those of building every row: the RNG
     calls have the same sizes and order whatever is built, ``build``
@@ -712,7 +718,7 @@ def run_verification(X, lat: Lattice, predicted: FlowDescription,
             residual_max, lat.reduction_residual(sh.internal, reduced)
         )
         entry = {"shell": sh.index, "radius": sh.radius}
-        del sh   # its params, logical and internal rows
+        del sh   # its params and internal rows
         in_win = reduced[_window_mask(reduced, perp_proj, cfg.window)]
         entry["samples"] = len(reduced)
         entry["escaped"] = len(reduced) - len(in_win)

@@ -2,9 +2,11 @@
 
 None of these run in the pipeline: the orbit-density oracle samples a
 subspace's image numerically to cross-check exact torus closures,
-``int_det`` checks unimodularity, ``to_logical`` inverts the samplers'
-``to_internal``, and ``serialize`` writes a parsed problem back as text for
-the parse -> serialize -> parse round trip.
+``int_det`` checks unimodularity, ``rational_rank`` and ``is_saturated``
+check integer kernels, ``in_span`` decides span membership by solving,
+``to_logical`` inverts the samplers' ``to_internal``, and ``serialize``
+writes a parsed problem back as text for the parse -> serialize -> parse
+round trip.
 """
 
 import math
@@ -12,8 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from torusflow import exactlinalg as xl
 from torusflow._kernels import min_distance_batch
-from torusflow.lattice import torus_closure
+from torusflow.lattice import hermite_normal_form, torus_closure
 from torusflow.verifier import _torus_cells, distinct_rows
 
 
@@ -37,6 +40,29 @@ def int_det(M):
                 A[r] = [x - f * y for x, y in zip(A[r], A[c])]
     assert det.denominator == 1
     return int(det)
+
+
+def rational_rank(M):
+    """Rank over Q of an integer matrix."""
+    return len(xl.rref([[Fraction(x) for x in row] for row in M], xl.QQ)[0])
+
+
+def is_saturated(rows, n):
+    """Do the integer rows, each of length n, span a saturated sublattice of
+    Z^n?  Exactly when the HNF of their transpose has the identity on top,
+    the criterion ClosedSubgroupDescriptor.integer_dual uses."""
+    k = len(rows)
+    if k == 0:
+        return True
+    H, _ = hermite_normal_form([[row[i] for row in rows] for i in range(n)])
+    return [row[:k] for row in H[:k]] == [
+        [int(i == j) for j in range(k)] for i in range(k)
+    ]
+
+
+def in_span(vectors, v, dom):
+    """Is v a linear combination of the vectors?  Decided by solving."""
+    return xl.span_coordinates(vectors, v, dom) is not None
 
 
 def rational_closure(V, lat):

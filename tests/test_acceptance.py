@@ -19,13 +19,20 @@ from torusflow.lattice import (
     Lattice,
     Subspace,
     hermite_normal_form,
-    smith_normal_form,
+    int_kernel_basis,
     torus_closure,
 )
 from torusflow.numberfield import NumberField, rationals
 from torusflow.specfile import load_problem
 
-from oracles import int_det, orbit_coverage, rational_closure, subspace_orbit
+from oracles import (
+    int_det,
+    is_saturated,
+    orbit_coverage,
+    rational_closure,
+    rational_rank,
+    subspace_orbit,
+)
 
 
 def _matmul(A, B):
@@ -175,19 +182,17 @@ def test_criterion_6_exact_property_suites(capsys):
     start = time.perf_counter()
     rng = random.Random(2024)
 
-    # 1000 random HNF/SNF instances
+    # 500 random HNF and integer-kernel instances
     for _ in range(500):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         M = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
         H, U = hermite_normal_form(M)
         assert _matmul(U, M) == H
         assert abs(int_det(U)) == 1
-        D, Us, Vs = smith_normal_form(M)
-        assert _matmul(_matmul(Us, M), Vs) == D
-        assert abs(int_det(Us)) == 1 and abs(int_det(Vs)) == 1
-        diag = [D[i][i] for i in range(min(m, n))]
-        for a, b in zip(diag, diag[1:]):
-            assert (a == 0 and b == 0) or (a != 0 and b % a == 0)
+        K = int_kernel_basis(M, n)
+        assert all(_matmul(M, [[x] for x in k]) == [[0]] * m for k in K)
+        assert len(K) == n - rational_rank(M)
+        assert is_saturated(K, n)
 
     # 100 random rational closures over Q(sqrt2) against the density oracle:
     # the orbit of V must stay on the fiber of W (W is not too small) and
@@ -291,7 +296,6 @@ def test_criterion_7_dimension_clause(capsys):
         4,
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
         Ki,
-        complex_structure=True,
     )
     battery.append(
         (

@@ -254,7 +254,7 @@ class TestComplexBranches:
             rays=[QQ.rational(1), QQ.rational(-1)],
         )
         L = Subspace(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
-                     QQ, complex_structure=True)
+                     QQ)
         flats = branch_asymptotic_flats(b, L, "complex", complex_flats=True)
         assert len(flats) == 1
         assert flats[0].directions.dim == 2  # a complex line

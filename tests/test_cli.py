@@ -3,6 +3,7 @@
 import json
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -522,3 +523,46 @@ def test_mutants_exit_with_a_documented_code(tmp_path_factory, mutant, command):
     spec.write_text(text)
     argv = [command[0], str(spec)] + command[1:]
     assert _exit_code(argv) in EXIT_CODES
+
+
+def _curve_prediction(curve):
+    """(name, old, new) giving plane_cylinder a [flow] curve component."""
+    flow = f"[flow]\ncomponent = base curve u in (-10, 10) : {curve} ; span r(1, 0)"
+    return "plane_cylinder", "[verify]", flow + "\n\n[verify]"
+
+
+@pytest.mark.parametrize(
+    "name, old, new, closure_code, message",
+    [
+        # the exact expansion of t^(10^300) would need 10^300 coefficients
+        ("hyperbola", "branch = (t, 1/t)", "branch = (t^(10^300), 1/t)", 2,
+         "degree above 10000"),
+        # the exact layer takes the row; the sampler's cell indices cannot
+        ("hyperbola", "row = (0, 1)", "row = (0, 10^300)", 0,
+         "norms must sum to less than 2^22"),
+        (*_curve_prediction("(0, u + 10^400)"), 2, "complex exponentiation"),
+        (*_curve_prediction("(0, u + 1/0)"), 2, "complex division by zero"),
+        (*_curve_prediction("(0, u + exp(1000))"), 2, "overflow encountered in exp"),
+        # Python's complex product overflows to inf without raising
+        (*_curve_prediction("(0, u + 10^308*10)"), 2, "not finite"),
+    ],
+    ids=["branch-degree", "row-norm", "curve-power", "curve-division",
+         "curve-exp", "curve-inf"],
+)
+@pytest.mark.parametrize("command", ["closure", "verify", "sample"])
+def test_unusable_scale_exits_with_one_line(tmp_path, capsys, command, name, old,
+                                            new, closure_code, message):
+    text = open(f"problems/{name}.tfp").read()
+    assert old in text
+    spec = tmp_path / f"{name}.tfp"
+    spec.write_text(text.replace(old, new, 1))
+    extra = ["--out", str(tmp_path / "dump.csv")] if command == "sample" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = _exit_code([command, str(spec)] + extra)
+    err = capsys.readouterr().err
+    if command == "closure" and closure_code == 0:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and message in err
+        assert "Traceback" not in err and err.count("\n") == 1

@@ -131,7 +131,6 @@ class TestFlowSet:
             4,
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
             Ki,
-            complex_structure=True,
         )
         X = VarietyInput(
             [AffinePiece(Flat([0, 0, 0, 0], full))], 2, "complex", 2, Ki
@@ -179,9 +178,7 @@ class TestFlowSet:
         lat = Lattice(
             4, [[1, 0, 0, 0], [0, s2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], Z8
         )
-        line = Subspace(
-            4, [[1, 0, 1, 0], [0, 1, 0, 1]], Z8, complex_structure=True
-        )
+        line = Subspace(4, [[1, 0, 1, 0], [0, 1, 0, 1]], Z8)
         X = VarietyInput(
             [AffinePiece(Flat([0, 0, 0, 0], line))], 2, "complex", 1, Z8
         )

@@ -8,6 +8,7 @@ import pytest
 from torusflow import specfile
 from torusflow.errors import SpecFileError
 from torusflow.expressions import (
+    compile_numeric,
     eval_branch_coord,
     eval_scalar,
     parse_expr,
@@ -87,12 +88,42 @@ class TestExpressions:
         num, den = eval_branch_coord(parse_expr("t^(3/2)"), QQ)
         assert set(num.terms) == {F(3, 2)}
 
+    def test_numeric_constants_fold_to_the_per_call_values(self):
+        K = NumberField([-2, 0, 1], root_interval=(1, 2))
+        f = compile_numeric(
+            parse_expr("u*exp(i*pi/4) + sqrt(theta)/3"), {"u"}, K
+        )
+        u = np.array([0.5, -2.0 + 1j])
+        theta = K.gen.to_complex()
+        expected = u * np.exp(1j * np.pi / complex(4)) + np.sqrt(theta) / complex(3)
+        assert np.array_equal(f({"u": u}), expected)
+
     def test_split_vector_nested(self):
         assert split_vector("(a, (b, c), d)") == ["a", "(b, c)", "d"]
 
     def test_unbalanced_rejected(self):
         with pytest.raises(SpecFileError):
             parse_expr("(1 + 2")
+
+
+@pytest.mark.parametrize(
+    "branch, accepted",
+    [
+        ("(t^10000, 1/t)", True),
+        ("(t^5000, t^(-5000))", True),
+        ("(t^10001, 1/t)", False),
+        # degrees count in u = t^(1/s), s the branch's exponent denominator
+        ("(t^(10001/2), 1/t)", False),
+        ("(t^5000 + t^(1/3), 1/t)", False),
+    ],
+)
+def test_branch_degree_bound(branch, accepted):
+    text = HYPERBOLA.replace("branch = (t, 1/t)", f"branch = {branch}", 1)
+    if accepted:
+        parse_problem(text)
+    else:
+        with pytest.raises(SpecFileError, match="degree above 10000"):
+            parse_problem(text)
 
 
 class TestParsing:

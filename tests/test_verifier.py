@@ -383,15 +383,15 @@ class TestCurveBase:
 
 def sample_per_index(X, cfg, lat):
     """Reference for the sampler's keep step: accepted draws appended one
-    index at a time.  Returns per shell (labels, params, internal, logical),
-    params as a list of tuples; also the number of rejected draws."""
+    index at a time.  Returns per shell (params, internal), params as a list
+    of tuples; also the number of rejected draws."""
     per_shell = -(-cfg.count // cfg.shells)
     shells, rejected = [], 0
     for shell, radius in enumerate(cfg.radius_schedule()):
         quota = [per_shell // len(X.pieces)] * len(X.pieces)
         for i in range(per_shell - sum(quota)):
             quota[i] += 1
-        labels, params, internals, logicals = [], [], [], []
+        params, internals = [], []
         for pi, piece in enumerate(X.pieces):
             need = quota[pi]
             rng = verifier._rng(cfg, shell, pi)
@@ -413,22 +413,16 @@ def sample_per_index(X, cfg, lat):
                 else:
                     build = verifier._draw_graph(piece, draw, radius, rng, X.mode)
                 # every row of the draw, not only those the sampler builds
-                p, logical, internal = build(0, draw)
+                p, internal = build(0, draw)
                 ok = np.linalg.norm(internal, axis=1) >= radius
                 rejected += int(np.sum(~ok))
                 for idx in np.nonzero(ok)[0]:
                     if got >= need:
                         break
                     got += 1
-                    labels.append(getattr(piece, "label", piece.kind))
                     params.append(tuple(p[idx]))
                     internals.append(internal[idx])
-                    logicals.append(
-                        internal[idx].astype(complex)
-                        if logical is None
-                        else logical[idx]
-                    )
-        shells.append((labels, params, np.array(internals), np.array(logicals)))
+        shells.append((params, np.array(internals)))
     return shells, rejected
 
 
@@ -517,15 +511,13 @@ class TestArraySampler:
         reference, rejected = sample_per_index(X, cfg, lat)
         if name != "affine":
             assert rejected > 0
-        for sh, (labels, params, internal, logical) in zip(shells, reference):
-            assert sh.labels == labels
+        for sh, (params, internal) in zip(shells, reference):
             assert sh.params.shape == (len(params), width)
             for row, ref in zip(sh.params, params):
                 assert np.array_equal(row[: len(ref)], np.array(ref))
                 assert np.all(np.isnan(row[len(ref):]))
             assert np.array_equal(sh.internal, internal)
             assert sh.internal.dtype == float
-            assert np.array_equal(sh.logical, logical)
 
     @pytest.mark.parametrize("case", range(6))
     def test_builds_each_row_at_most_once(self, QQ, monkeypatch, case):
@@ -573,7 +565,7 @@ class TestArraySampler:
         cfg = SampleConfig(radius_min=100, count=4003, seed=11, shells=2)
         shells = sample_far_points(X, cfg, Lattice(2, [[1, 0], [0, 1]], QQ))
         # 2002 samples per shell, 1001 per piece, every one outside the ball
-        assert [len(sh.labels) for sh in shells] == [2002, 2002]
+        assert [len(sh.internal) for sh in shells] == [2002, 2002]
         assert rows == [(piece, 1001) for _ in range(2) for piece in X.pieces]
 
     def test_mixed_widths_in_csv(self, QQ, tmp_path):
