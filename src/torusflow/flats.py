@@ -19,7 +19,7 @@ import numpy as np
 from . import exactlinalg as xl
 from .errors import TorusflowError
 from .lattice import Subspace
-from .numberfield import NumberField
+from .numberfield import NumberField, float_rows
 
 Rat = Fraction
 
@@ -203,7 +203,7 @@ class Flat:
         return hash(self.key())
 
     def float_base(self):
-        return np.array([e.to_float() for e in self.base_point], dtype=float)
+        return float_rows([self.base_point], self.ambient_dim)[0]
 
     def __repr__(self):
         return f"Flat(dim={self.dim} in R^{self.ambient_dim})"
@@ -229,9 +229,7 @@ class PointSet:
         return 0
 
     def float_points(self):
-        return np.array(
-            [[e.to_float() for e in p] for p in self.points], dtype=float
-        )
+        return float_rows(self.points, len(self.points[0]))
 
     def project(self, span: Subspace):
         pts = [

@@ -18,7 +18,7 @@ import numpy as np
 from . import exactlinalg as xl
 from .errors import InternalInvariantError, NotInSpan, TorusflowError
 from .exactlinalg import QQ
-from .numberfield import NumberField, rational_coordinates
+from .numberfield import NumberField, float_rows, rational_coordinates
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +183,7 @@ class Subspace:
         )
 
     def float_basis(self):
-        return np.array(
-            [[e.to_float() for e in row] for row in self.basis], dtype=float
-        ).reshape(len(self.basis), self.ambient_dim)
+        return float_rows(self.basis, self.ambient_dim)
 
     def float_complement_projector(self):
         """Numeric matrix projecting onto the orthogonal complement."""
@@ -259,9 +257,7 @@ class Lattice:
     def _floats(self):
         if self._float_cache is None:
             if self.rank:
-                B = np.array(
-                    [[e.to_float() for e in row] for row in self.basis], dtype=float
-                )
+                B = float_rows(self.basis, self.ambient_dim)
                 G = B @ B.T
                 solve = np.linalg.solve(G, B)  # rank x ambient; coords = solve @ x
             else:

@@ -8,9 +8,11 @@ arithmetic never touches floating point.
 
 Enclosures are rectangles with rational endpoints that provably contain
 the embedded value; they are produced by refining the root's certified
-box (sign-change bisection for real roots, exact interval Newton rounded
-outward to dyadic endpoints for complex ones) and evaluating the
-coordinate polynomial over it with outward-rounded interval arithmetic.
+box and evaluating the coordinate polynomial over it with interval
+arithmetic.  A real root's refined box is the one sign-change bisection
+reaches, located by Newton's method and certified by a sign change; a
+complex root's is an exact interval-Newton box rounded outward to dyadic
+endpoints.
 
 Complex-embedded fields that participate in restriction-of-scalars
 computations must supply expressions for the imaginary unit and for the
@@ -24,6 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DivisionByZero, FieldMismatch, TorusflowError
 
@@ -271,6 +275,9 @@ class Interval:
         return max(abs(self.lo), abs(self.hi))
 
 
+_ZERO = Interval.point(0)
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned rectangle in the complex plane with rational corners."""
@@ -292,6 +299,9 @@ class Box:
         return Box(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other):
+        if self.im == _ZERO == other.im:
+            # the general formula gives the same values on the real axis
+            return Box(self.re * other.re, _ZERO)
         return Box(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -380,6 +390,110 @@ def _polish(m, md, zr, zi, bits):
         if fr * fr + fi * fi < Rat(1, 1 << (2 * bits)):
             break
     return zr, zi
+
+
+def _float_newton(m, md, x):
+    """A float Newton iterate of m from the rational x, or None if it
+    leaves the floats."""
+    try:
+        x = float(x)
+        fm = [float(c) for c in m]
+        fd = [float(c) for c in md]
+        for _ in range(64):
+            f = d = 0.0
+            for c in reversed(fm):
+                f = f * x + c
+            for c in reversed(fd):
+                d = d * x + c
+            nx = x - f / d
+            if nx == x:
+                break
+            x = nx
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return x if math.isfinite(x) else None
+
+
+def _newton_cell(m, md, lo, hi, n):
+    """The box bisection of [lo, hi] reaches after n halvings, or None.
+
+    [lo, hi] holds exactly one root r of m, and m is nonzero at both ends.
+    Bisection returns the cell [lo + k s, lo + (k + 1) s], s = (hi - lo) / 2^n,
+    that holds r inside, or the point r if r is one of the cells' ends (it
+    tests every such end it meets as a midpoint).  A float Newton iterate
+    from the midpoint, then exact Newton steps on dyadics, locate r well
+    enough to name that cell; a sign change of m on it certifies the cell,
+    since it lies inside [lo, hi].  None when the guess is not certified.
+    """
+    step = (hi - lo) / (1 << n)
+    x = _float_newton(m, md, (lo + hi) / 2)
+    if x is None:
+        return None
+    x = Rat(x)
+    bits = max(step.denominator.bit_length() - step.numerator.bit_length() + 16, 1)
+    for _ in range(8):
+        d = _peval(md, x)
+        if d == 0:
+            return None
+        delta = _peval(m, x) / d
+        x = _dyadic_round(x - delta, bits)
+        if abs(delta) <= step:
+            break
+    k = min(max(math.floor((x - lo) / step), 0), (1 << n) - 1)
+    a = lo + k * step
+    b = a + step
+    fa = _peval(m, a)
+    if fa == 0:
+        return Box.point(a)
+    fb = _peval(m, b)
+    if fb == 0:
+        return Box.point(b)
+    if (fa > 0) != (fb > 0):
+        return Box(Interval(a, b), _ZERO)
+    return None
+
+
+def _bisect(m, lo, hi, width):
+    """Sign-change bisection of [lo, hi] down to width <= width."""
+    flo = _peval(m, lo)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        fmid = _peval(m, mid)
+        if fmid == 0:
+            return Box.point(mid)
+        if (flo > 0) != (fmid > 0):
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    return Box(Interval(lo, hi), _ZERO)
+
+
+def _halvings(w, width):
+    """The least n >= 0 with w / 2^n <= width."""
+    r = w / width
+    n = max(r.numerator.bit_length() - r.denominator.bit_length() - 1, 0)
+    while r > (1 << n):
+        n += 1
+    return n
+
+
+def _bisection_cell(lo, hi, n, inner):
+    """The box bisection of [lo, hi] reaches after n halvings, given the
+    box ``inner`` it reaches after more."""
+    step = (hi - lo) / (1 << n)
+    q = (inner.re.lo - lo) / step
+    if inner.re.width() == 0 and q.denominator == 1:
+        return inner
+    a = lo + (q.numerator // q.denominator) * step
+    return Box(Interval(a, a + step), _ZERO)
+
+
+def _power_boxes_of(theta, degree):
+    """Boxes of theta^0, ..., theta^(degree - 1) by repeated products."""
+    boxes = [Box.point(1)]
+    for _ in range(1, degree):
+        boxes.append(boxes[-1] * theta)
+    return boxes
 
 
 def _outward_dyadic(iv, k):
@@ -472,8 +586,6 @@ def _certify_roots(m, md, seeds, width):
 
 def _root_boxes(m, md):
     """Certified pairwise disjoint boxes, one around each root of m."""
-    import numpy as np
-
     seeds = [complex(s) for s in np.roots([float(c) for c in reversed(m)])]
     boxes = _certify_roots(m, md, seeds, Rat(1, 1 << 24))
     separated = len(boxes) == len(m) - 1 and all(
@@ -745,41 +857,65 @@ class NumberField:
     # -- enclosure machinery -------------------------------------------------
 
     def _refine_box(self, box, width):
+        """A certified box of width <= width around the root in ``box``.
+
+        A real root's box is the one sign-change bisection of ``box``
+        reaches, found by a Newton-located cell when it certifies, by
+        bisection otherwise.
+        """
         if box.width() <= width:
             return box
         if not self.is_complex:
-            m = self.min_poly
-            lo, hi = box.re.lo, box.re.hi
-            flo = _peval(m, lo)
-            while hi - lo > width:
-                mid = (lo + hi) / 2
-                fmid = _peval(m, mid)
-                if fmid == 0:
-                    lo = hi = mid
-                    break
-                if (flo > 0) != (fmid > 0):
-                    hi = mid
-                else:
-                    lo, flo = mid, fmid
-            return Box(Interval(lo, hi), Interval.point(0))
+            m, lo, hi = self.min_poly, box.re.lo, box.re.hi
+            n = _halvings(hi - lo, width)
+            cell = _newton_cell(m, self._deriv, lo, hi, n)
+            return cell if cell is not None else _bisect(m, lo, hi, width)
         return _certify_root(self.min_poly, self._deriv, box.to_complex(), width)
 
     def root_enclosure(self, eps) -> Box:
         """Certified enclosure of theta with width <= eps."""
         eps = Rat(eps)
         if self._root_enclosure.width() > eps:
-            self._root_enclosure = self._refine_box(self._root_enclosure, eps)
-            self._power_box_cache = None
+            self._set_root_enclosure(self._refine_box(self._root_enclosure, eps))
         return self._root_enclosure
+
+    def _set_root_enclosure(self, box, power_boxes=None):
+        self._root_enclosure = box
+        self._power_box_cache = power_boxes
 
     def _power_boxes(self):
         if self._power_box_cache is None:
-            theta = self._root_enclosure
-            boxes = [Box.point(1)]
-            for _ in range(1, self.degree):
-                boxes.append(boxes[-1] * theta)
-            self._power_box_cache = boxes
+            self._power_box_cache = _power_boxes_of(self._root_enclosure, self.degree)
         return self._power_box_cache
+
+    def _refine_for(self, element, eps):
+        """Refine a real theta once for ``element``'s enclosure of width <= eps.
+
+        The box taken is the one the loop of ``enclosure`` reaches: the
+        widest of theta's bisection boxes, 4 halvings apart, whose
+        enclosure has width <= eps.  An enclosure's width is at most
+        sum_k |c_k| width(theta^k box) <= B t with B = sum_k k |c_k| M^(k-1)
+        for a theta box of width t inside [-M, M], so the first level with
+        B t <= eps suffices; theta is refined to it once, and the levels
+        above it are its ancestors.  Boxes shrink with theta's, so the
+        widest passing level is found walking up until one fails.
+        """
+        box = self._root_enclosure
+        lo, hi, w = box.re.lo, box.re.hi, box.width()
+        mag = box.abs_upper()
+        bound = sum(
+            k * abs(c) * mag ** (k - 1) for k, c in enumerate(element.coords) if k
+        )
+        j = (_halvings(bound * w, eps) + 3) // 4
+        deep = self._refine_box(box, w / (1 << (4 * j)))
+        best = deep, _power_boxes_of(deep, self.degree)
+        for i in range(j - 1, 0, -1):
+            cell = _bisection_cell(lo, hi, 4 * i, deep)
+            powers = _power_boxes_of(cell, self.degree)
+            if element._sum(powers).width() > eps:
+                break
+            best = cell, powers
+        self._set_root_enclosure(*best)
 
     # -- element constructors -------------------------------------------------
 
@@ -1014,26 +1150,40 @@ class AlgebraicNumber:
         if self._box is not None and self._box_eps <= eps:
             return self._box
         field = self.field
+        acc = self._sum(field._power_boxes())
+        if acc.width() > eps and not field.is_complex:
+            field._refine_for(self, eps)
+            acc = self._sum(field._power_boxes())
+        # a real theta is refined once above, so this loop only runs for
+        # complex fields, or should the bound ever fail; it narrows theta
+        # 16-fold per pass
         theta_eps = field._root_enclosure.width()
         for _ in range(200):
-            boxes = field._power_boxes()
-            acc = Box.point(0)
-            for c, pb in zip(self.coords, boxes):
-                if c != 0:
-                    acc = acc + Box(pb.re.scale(c), pb.im.scale(c))
             if acc.width() <= eps:
                 self._box, self._box_eps = acc, acc.width()
                 return acc
             theta_eps = theta_eps / 16
             field.root_enclosure(theta_eps)
+            acc = self._sum(field._power_boxes())
         raise TorusflowError("enclosure refinement failed to converge")
 
+    def _sum(self, powers):
+        """Enclosure of sum_k c_k theta^k from boxes of theta's powers."""
+        acc = Box.point(0)
+        for c, pb in zip(self.coords, powers):
+            if c != 0:
+                acc = acc + Box(pb.re.scale(c), pb.im.scale(c))
+        return acc
+
     def to_complex(self, eps=Fraction(1, 10**16)) -> complex:
+        if self.is_rational():
+            return complex(float(self.coords[0]))
         return self.enclosure(eps).to_complex()
 
     def to_float(self, eps=Fraction(1, 10**16)) -> float:
-        box = self.enclosure(eps)
-        return float(box.re.mid())
+        if self.is_rational():
+            return float(self.coords[0])
+        return float(self.enclosure(eps).re.mid())
 
     def abs_upper(self, eps=Fraction(1, 10**6)) -> Rat:
         return self.enclosure(eps).abs_upper()
@@ -1063,3 +1213,10 @@ def rational_coordinates(vector, field: NumberField):
         e = field.element(entry)
         rows.append(list(e.coords))
     return rows
+
+
+def float_rows(rows, width):
+    """The float matrix, len(rows) x width, of rows of field elements."""
+    return np.array(
+        [[e.to_float() for e in row] for row in rows], dtype=float
+    ).reshape(len(rows), width)

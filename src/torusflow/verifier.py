@@ -30,6 +30,7 @@ from .errors import ShellStarved, TorusflowError
 from .flats import AffineSet, CurveImage, PointSet, to_internal
 from .flow import FlowDescription
 from .lattice import Lattice
+from .numberfield import float_rows
 
 
 # rejection sampling gives up on a piece after this many draws in one shell
@@ -136,7 +137,8 @@ class SampleConfig:
         assume."""
         try:
             total = math.fsum(
-                math.hypot(*(e.to_float() for e in row)) for row in lat.basis
+                math.hypot(*row)
+                for row in float_rows(lat.basis, lat.ambient_dim).tolist()
             )
         except OverflowError:
             total = math.inf
@@ -185,14 +187,25 @@ def _draw_branch(piece, rays, count, radius, rng, mode):
     """Draw ``count`` branch samples; return their ``build`` function.
 
     ``rays`` is ``_branch_rays(piece)``.  ``build(lo, hi)`` gives rows
-    [lo, hi) of the draw as (params, internal).
+    [lo, hi) of the draw as (params, internal).  Without rays, a complex
+    branch takes t = |t| e^(i phi) with phi uniform in [0, 2 pi): the
+    complex closure is a span over C, and t on the positive real axis
+    alone traces only a real circle of its torus.
     """
     log_t = rng.uniform(math.log(radius), math.log(radius * 1e3), size=count)
     choice = None if rays is None else rng.integers(0, len(rays), size=count)
+    phase = None
+    if rays is None and mode == "complex":
+        phase = rng.uniform(0.0, 2.0 * math.pi, size=count)
 
     def build(lo, hi):
         t = np.exp(log_t[lo:hi])
-        params = t.astype(complex) if rays is None else t * rays[choice[lo:hi]]
+        if rays is not None:
+            params = t * rays[choice[lo:hi]]
+        elif phase is not None:
+            params = t * np.exp(1j * phase[lo:hi])
+        else:
+            params = t.astype(complex)
         return params[:, None], to_internal(piece.evaluate(params), mode)
 
     return build

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from test_golden import GAUSSIAN
 from torusflow.cli import main
 
 
@@ -83,6 +84,18 @@ class TestVerify:
     def test_dinh_vu_passes(self, workdir):
         spec = str(workdir / "dinh_vu.tfp")
         assert main(["verify", spec]) == 0
+
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_complex_branch_covers_its_torus(self, tmp_path, seed):
+        # t = |t| e^(i phi) reaches the whole 2-torus of Z[i]; t on the
+        # positive real axis alone covered 5% of it
+        spec = tmp_path / "gaussian.tfp"
+        spec.write_text(GAUSSIAN)
+        argv = ["verify", str(spec)] + ([] if seed is None else ["--seed", str(seed)])
+        assert main(argv) == 0
+        report = json.loads(open(str(spec) + ".report.json").read())
+        assert report["passed"] is True
+        assert min(report["coverage"]) >= 0.95
 
     def test_overrides(self, workdir):
         spec = str(workdir / "hyperbola.tfp")

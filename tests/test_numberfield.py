@@ -1,11 +1,14 @@
 """Exact field arithmetic and certified enclosures."""
 
+import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import BisectionEnclosures
 
 import torusflow.numberfield as nf
 from torusflow.errors import DivisionByZero, FieldMismatch, TorusflowError
@@ -535,3 +538,204 @@ class TestIntervalArithmetic:
         w = Box(Interval(F(0), F(0)), Interval(F(1), F(1)))
         q = z.divide(w)  # 1 / i = -i
         assert q.re.contains(F(0)) and q.im.contains(F(-1))
+
+
+# ---------------------------------------------------------------------------
+# Field elements to floats: Newton-located bisection boxes, one theta width
+# per enclosure, checked against the earlier bisection loop
+# ---------------------------------------------------------------------------
+
+CONVERSION_FIELDS = {
+    "sqrt2": lambda: NumberField([-2, 0, 1], root_interval=(1, 2)),
+    # theta = sqrt 2 + sqrt 3
+    "quartic": lambda: NumberField([1, 0, -10, 0, 1], root_interval=(3, 4)),
+    "zeta8": lambda: NumberField(
+        [1, 0, 0, 0, 1],
+        root_box=((F(1, 2), 1), (F(1, 2), 1)),
+        i_coords=[0, 0, 1],
+        conj_coords=[0, 0, 0, -1],
+    ),
+}
+DEFAULT_EPS = F(1, 10**16)
+
+
+def _random_elements(K, seed, count=25):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield K.from_coords(
+            F(rng.randint(-10 ** rng.randint(0, 5), 10 ** rng.randint(0, 5)),
+              rng.randint(1, 10 ** rng.randint(0, 3)))
+            for _ in range(K.degree)
+        )
+
+
+def _random_eps(rng):
+    return DEFAULT_EPS if rng.random() < 0.5 else F(1, 10 ** rng.randint(1, 40))
+
+
+def _sign_change_on(m, box):
+    lo, hi = box.re.lo, box.re.hi
+    if lo == hi:
+        return nf._peval(m, lo) == 0
+    return (nf._peval(m, lo) > 0) != (nf._peval(m, hi) > 0)
+
+
+def _count(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestNewtonEnclosures:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", sorted(CONVERSION_FIELDS))
+    def test_matches_the_bisection_oracle(self, monkeypatch, name, seed):
+        K = CONVERSION_FIELDS[name]()
+        start = K._root_enclosure
+        oracle = BisectionEnclosures(K)
+        fine = BisectionEnclosures(CONVERSION_FIELDS[name]())
+        refines = _count(monkeypatch, NumberField, "_refine_box")
+        rng = random.Random(seed)
+        for e in _random_elements(K, seed):
+            eps = _random_eps(rng)
+            del refines[:]
+            box = e.enclosure(eps)
+            if not K.is_complex:
+                assert len(refines) <= 1
+            assert box.width() <= eps
+            ref = oracle.enclosure(e, eps)
+            assert not box.disjoint(ref)
+            assert box == ref
+            # the element's value, enclosed through a far narrower theta
+            assert not box.disjoint(fine.enclosure(e, F(1, 10**60)))
+        theta = K._root_enclosure
+        assert start.contains_box(theta)
+        if not K.is_complex:
+            assert _sign_change_on(K.min_poly, theta)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", sorted(CONVERSION_FIELDS))
+    def test_floats_are_the_oracles_bit_for_bit(self, name, seed):
+        K = CONVERSION_FIELDS[name]()
+        oracle = BisectionEnclosures(K)
+        for e in _random_elements(K, seed):
+            ref = oracle.enclosure(e, DEFAULT_EPS)
+            if K.is_complex:
+                assert e.to_complex() == ref.to_complex()
+            else:
+                assert e.to_float() == float(ref.re.mid())
+                assert e.to_complex() == ref.to_complex()
+
+    @pytest.mark.parametrize("q", [F(0), F(-7, 3), F(10**300), F(1, 10**300)])
+    def test_rationals_convert_directly(self, q):
+        e = CONVERSION_FIELDS["quartic"]().rational(q)
+        assert e.to_float() == float(q)
+        z = e.to_complex()
+        assert z == complex(float(q), 0.0)
+        assert z == Box.point(q).to_complex()
+        assert e._box is None
+
+    @pytest.mark.parametrize("name", ["sqrt2", "quartic"])
+    def test_newton_boxes_are_certified_inside_the_last(self, monkeypatch, name):
+        K = CONVERSION_FIELDS[name]()
+        cells = []
+        newton_cell = nf._newton_cell
+
+        def recorded(m, md, lo, hi, n):
+            cell = newton_cell(m, md, lo, hi, n)
+            cells.append((lo, hi, n, cell))
+            return cell
+
+        monkeypatch.setattr(nf, "_newton_cell", recorded)
+        rng = random.Random(5)
+        for e in _random_elements(K, 5):
+            e.enclosure(_random_eps(rng))
+        assert cells and all(cell is not None for *_, cell in cells)
+        for lo, hi, n, cell in cells:
+            assert lo <= cell.re.lo and cell.re.hi <= hi
+            assert cell.re.width() in (0, (hi - lo) / 2**n)
+            assert _sign_change_on(K.min_poly, cell)
+
+    def test_newton_two_cycle_falls_back_to_bisection(self, monkeypatch):
+        # Newton's iteration for x^3 - 2x + 2 cycles 0 -> 1 -> 0 from the
+        # interval's midpoint, far from the real root near -1.769
+        K = NumberField([2, -2, 0, 1], root_interval=(-2, 2))
+        oracle = BisectionEnclosures(NumberField([2, -2, 0, 1], root_interval=(-2, 2)))
+        bisections = _count(monkeypatch, nf, "_bisect")
+        eps = F(1, 10**20)
+        box = K.gen.enclosure(eps)
+        assert bisections
+        assert box.width() <= eps
+        assert box == oracle.enclosure(K.gen, eps)
+        assert _sign_change_on(K.min_poly, K._root_enclosure)
+
+    def test_newton_on_another_root_falls_back_to_bisection(self, monkeypatch):
+        K = CONVERSION_FIELDS["sqrt2"]()
+        oracle = BisectionEnclosures(CONVERSION_FIELDS["sqrt2"]())
+        monkeypatch.setattr(nf, "_float_newton", lambda m, md, x: -1.4142135623730951)
+        bisections = _count(monkeypatch, nf, "_bisect")
+        assert K.gen.to_float() == float(oracle.enclosure(K.gen, DEFAULT_EPS).re.mid())
+        assert len(bisections) == 1
+        assert _sign_change_on(K.min_poly, K._root_enclosure)
+
+    @pytest.mark.parametrize("where", ["near_endpoint", "tiny"])
+    def test_awkward_starting_intervals(self, where):
+        lo = F(math.isqrt(2 << 140), 1 << 70)  # sqrt 2 - lo < 2^-70
+        interval = (lo, 2) if where == "near_endpoint" else (lo, lo + F(1, 1 << 70))
+        K = NumberField([-2, 0, 1], root_interval=interval)
+        oracle = BisectionEnclosures(NumberField([-2, 0, 1], root_interval=interval))
+        for eps in (DEFAULT_EPS, F(1, 10**30), F(1, 10**60)):
+            box = K.gen.enclosure(eps)
+            assert box.width() <= eps
+            assert box == oracle.enclosure(K.gen, eps)
+        assert _sign_change_on(K.min_poly, K._root_enclosure)
+
+    def test_root_beyond_the_float_range(self):
+        # theta = sqrt(2) * 10^400: no float Newton start, bisection certifies
+        poly = [-2 * 10**800, 0, 1]
+        interval = (14 * 10**399, 15 * 10**399)
+        K = NumberField(poly, root_interval=interval)
+        oracle = BisectionEnclosures(NumberField(poly, root_interval=interval))
+        eps = F(1, 10**6)
+        box = K.gen.enclosure(eps)
+        assert box.width() <= eps
+        assert box == oracle.enclosure(K.gen, eps)
+
+    def test_theta_stops_at_the_widest_sufficient_level(self, monkeypatch):
+        # theta^3 over theta's box [3, 4] of width 1: the bound 3 * 4^2 = 48
+        # asks for 4 * 13 halvings at this eps, while the enclosure's width,
+        # about 3 * theta^2 = 29.7 times theta's, is within eps after 4 * 12
+        K = CONVERSION_FIELDS["quartic"]()
+        oracle = BisectionEnclosures(CONVERSION_FIELDS["quartic"]())
+        e = K.from_coords([0, 0, 0, 1])
+        eps = F(40, 16**12)
+        refines = _count(monkeypatch, NumberField, "_refine_box")
+        box = e.enclosure(eps)
+        assert len(refines) == 1
+        assert K._root_enclosure.width() == F(1, 16**12)
+        assert box == oracle.enclosure(e, eps)
+
+    def test_sqrt2_to_float_refines_theta_once(self, monkeypatch):
+        K = NumberField([-2, 0, 1], root_interval=(1, 2))
+        refines = _count(monkeypatch, NumberField, "_refine_box")
+        evals = _count(monkeypatch, nf, "_peval")
+        assert K.gen.to_float() == 1.4142135623730951
+        assert len(refines) <= 1
+        assert len(evals) <= 8
+
+
+class TestFloatRows:
+    def test_rows(self, sqrt2):
+        rows = [[sqrt2.one, sqrt2.gen], [sqrt2.rational(F(-1, 4)), sqrt2.zero]]
+        out = nf.float_rows(rows, 2)
+        assert out.dtype == float
+        assert out.tolist() == [[1.0, 1.4142135623730951], [-0.25, 0.0]]
+
+    def test_no_rows_keep_their_width(self):
+        assert nf.float_rows([], 3).shape == (0, 3)
