@@ -4,7 +4,8 @@ The verifier's hot loop is the distance from each reduced sample to the
 target cloud {offset + node} (projected lattice translates plus base-set
 nodes).  Three exact searches share one arithmetic:
 
-* a direct-difference scan over every target, in query blocks;
+* a direct-difference scan over every target, in blocks of whole offsets
+  and of queries;
 * a uniform-grid index (Bentley, Stanat and Williams, "The complexity of
   finding fixed-radius near neighbors", IPL 1977): the targets are bucketed
   into cells of side h and each query looks only at the 3^q cells around
@@ -49,6 +50,9 @@ GRID_MIN_TARGETS = 16
 GRID_MAX_DIM = 3
 # (query, target) pairs held in memory at once, about 8 MB per float array
 _CHUNK_PAIRS = 1 << 20
+# targets a scan builds at once: whole offsets, this many unless one
+# offset's nodes alone are more
+_BLOCK_TARGETS = 1 << 13
 # a grid hit must be this much inside the cell side to count as exact; the
 # margin covers rounding of the cell coordinates
 _EXACT_MARGIN = 1.0 - 1e-6
@@ -68,7 +72,7 @@ def min_distance_batch(points, offsets, nodes):
     Returns (dists, node_index): per-point minimal Euclidean distance and the
     index of the node achieving it (the lowest flat (t, p) index on ties).
     """
-    return _nearest(points, offsets, nodes, _search)
+    return _nearest(points, offsets, nodes)
 
 
 def min_distance_local(points, offsets, nodes):
@@ -96,19 +100,38 @@ def min_distance_local(points, offsets, nodes):
     return np.sqrt(out)
 
 
-def _nearest(points, offsets, nodes, search):
+def _nearest(points, offsets, nodes, search=None):
+    """``min_distance_batch`` by ``search``, ``_grid`` or ``_scan``; by
+    default the one ``uses_grid`` picks for the shape.
+
+    The grid indexes every target at once.  A scan takes blocks of whole
+    offsets of at most _BLOCK_TARGETS targets, in order, so a later block,
+    whose flat indices are all higher, wins only when strictly nearer.
+    """
     points = np.ascontiguousarray(points, dtype=float)
     offsets = np.ascontiguousarray(offsets, dtype=float)
     nodes = np.ascontiguousarray(nodes, dtype=float)
     M, q = points.shape
-    P = len(nodes)
+    T, P = len(offsets), len(nodes)
     if M == 0:
         return np.zeros(0), np.zeros(0, dtype=np.intp)
-    if len(offsets) == 0 or P == 0:
+    if T == 0 or P == 0:
         return np.full(M, np.inf), np.zeros(M, dtype=np.intp)
-    targets = (offsets[:, None, :] + nodes[None, :, :]).reshape(len(offsets) * P, q)
-    d2, flat = search(points, targets)
-    return np.sqrt(d2), flat % P
+    if search is None:
+        search = _grid if uses_grid(M, T * P, q) else _scan
+    step = T if search is _grid else max(1, _BLOCK_TARGETS // P)
+    for t in range(0, T, step):
+        block = offsets[t : t + step]
+        targets = (block[:, None, :] + nodes[None, :, :]).reshape(len(block) * P, q)
+        d2, flat = search(points, targets)
+        if t == 0:
+            best, node = d2, flat % P
+        else:
+            # argmin takes a NaN before any number, so a NaN is nearer too
+            nearer = (d2 < best) | (np.isnan(d2) & ~np.isnan(best))
+            best[nearer] = d2[nearer]
+            node[nearer] = flat[nearer] % P
+    return np.sqrt(best), node
 
 
 def uses_grid(n_points, n_targets, q):
@@ -118,12 +141,6 @@ def uses_grid(n_points, n_targets, q):
         and n_targets >= GRID_MIN_TARGETS * 8**q
         and n_points * n_targets >= GRID_MIN_PAIRS
     )
-
-
-def _search(points, targets):
-    if uses_grid(len(points), len(targets), points.shape[1]):
-        return _grid(points, targets)
-    return _scan(points, targets)
 
 
 def _sq_dist(a, b):

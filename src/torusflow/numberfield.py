@@ -3,8 +3,10 @@
 A field is Q[x]/(m(x)) together with a chosen embedding: an isolating
 interval (real embedding) or rectangle (complex embedding) pinning one
 root of m.  Elements are stored by their rational coordinates over the
-power basis 1, theta, ..., theta^(d-1), so the zero test is exact and
-arithmetic never touches floating point.
+power basis 1, theta, ..., theta^(d-1), held as integer numerators over one
+positive denominator in lowest terms (Cohen, "A Course in Computational
+Algebraic Number Theory", section 4.2), so the zero test is exact and
+arithmetic runs on integers, one gcd per result, never on floating point.
 
 Enclosures are rectangles with rational endpoints that provably contain
 the embedded value; they are produced by refining the root's certified
@@ -659,6 +661,29 @@ def rational_factor(p, boxes):
 # ---------------------------------------------------------------------------
 
 
+def _integer_rows(polys):
+    """(rows, den): rational polynomials as integers over one denominator.
+
+    Row j lists the pairs (k, n), n != 0, with n / den the coefficient of
+    x^k in polys[j].
+    """
+    den = math.lcm(*(c.denominator for p in polys for c in p))
+    rows = [
+        [(k, c.numerator * (den // c.denominator)) for k, c in enumerate(p) if c]
+        for p in polys
+    ]
+    return rows, den
+
+
+def _lowest(field, num, den):
+    """The element sum_k num[k] theta^k / den, in lowest terms; den > 0."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = [n // g for n in num]
+        den //= g
+    return AlgebraicNumber(field, tuple(num), den)
+
+
 class NumberField:
     """Q[x]/(m(x)) with a distinguished embedded root.
 
@@ -697,6 +722,13 @@ class NumberField:
         g = _pgcd(self.min_poly, self._deriv)
         if len(g) > 1:
             raise TorusflowError("min_poly must be squarefree")
+        # x^j mod min_poly for j = d .. 2d - 2, over one denominator: a
+        # product's terms of degree >= d fold back through these rows
+        high, power = [], [Rat(0)] * (self.degree - 1) + [Rat(1)]
+        for _ in range(self.degree - 1):
+            power = _pmod([Rat(0)] + power, self.min_poly)
+            high.append(power)
+        self._reduction, self._reduction_den = _integer_rows(high)
         self.name = name
         self.is_complex = root_box is not None
         if self.is_complex and root_interval is not None:
@@ -734,18 +766,16 @@ class NumberField:
         )
         self._power_box_cache = None
 
-        self.zero = AlgebraicNumber(self, (Rat(0),) * self.degree)
-        one = [Rat(0)] * self.degree
-        one[0] = Rat(1)
-        self.one = AlgebraicNumber(self, tuple(one))
+        self._tail = (0,) * (self.degree - 1)
+        self.zero = self.rational(0)
+        self.one = self.rational(1)
         if self.degree > 1:
-            gen = [Rat(0)] * self.degree
-            gen[1] = Rat(1)
-            self.gen = AlgebraicNumber(self, tuple(gen))
+            self.gen = AlgebraicNumber(self, (0, 1) + self._tail[1:], 1)
         else:
-            self.gen = AlgebraicNumber(self, (-self.min_poly[0],))
+            self.gen = self.rational(-self.min_poly[0])
 
         self.i = None
+        self._inv_2i = None
         self._conj_matrix = None
         self.declare_complex_structure(i_coords, conj_coords)
 
@@ -803,14 +833,13 @@ class NumberField:
         if not self.is_complex:
             raise TorusflowError("conj declaration only applies to complex fields")
         self._identify_value_as_conjugate(g)
-        # matrix whose column k holds the coordinates of conj(theta)^k
+        # column k holds the coordinates of conj(theta)^k, over _conj_den
         cols = []
         power = [Rat(1)]
         for _ in range(self.degree):
-            col = list(power) + [Rat(0)] * (self.degree - len(power))
-            cols.append(col)
+            cols.append(power)
             power = _pmod(_pmul(power, g), self.min_poly)
-        self._conj_matrix = cols
+        self._conj_matrix, self._conj_den = _integer_rows(cols)
 
     def _identify_value_as_conjugate(self, g):
         """Certify that g(theta) is the complex conjugate of theta."""
@@ -839,15 +868,15 @@ class NumberField:
         raise TorusflowError("could not certify the conjugate expression")
 
     def _install_i(self, i_coords):
-        coords = list(i_coords) + [Rat(0)] * (self.degree - len(i_coords))
-        unit = AlgebraicNumber(self, tuple(Rat(c) for c in coords[: self.degree]))
-        if (unit * unit + self.one).coords != self.zero.coords:
+        unit = self.from_coords(list(i_coords)[: self.degree])
+        if not (unit * unit + self.one).is_zero():
             raise TorusflowError("declared i does not square to -1")
         eps = Rat(1, 16)
         for _ in range(64):
             box = unit.enclosure(eps)
             if box.im.lo > 0:
                 self.i = unit
+                self._inv_2i = (2 * unit).inverse()
                 return
             if box.im.hi < 0:
                 raise TorusflowError("declared i has negative imaginary part")
@@ -924,10 +953,20 @@ class NumberField:
         if len(coords) > self.degree:
             raise TorusflowError("too many coordinates for this field")
         coords += [Rat(0)] * (self.degree - len(coords))
-        return AlgebraicNumber(self, tuple(coords))
+        # over the lcm of the denominators the numerators have no common
+        # factor with it: a prime power that divides the lcm exactly divides
+        # some coordinate's denominator, whose numerator is prime to it
+        den = math.lcm(*(c.denominator for c in coords))
+        e = AlgebraicNumber(
+            self, tuple(c.numerator * (den // c.denominator) for c in coords), den
+        )
+        e._coords = tuple(coords)
+        return e
 
     def rational(self, q) -> "AlgebraicNumber":
-        return self.from_coords([Rat(q)])
+        if not isinstance(q, int):
+            q = Rat(q)
+        return AlgebraicNumber(self, (q.numerator,) + self._tail, q.denominator)
 
     def element(self, value) -> "AlgebraicNumber":
         if isinstance(value, AlgebraicNumber):
@@ -937,9 +976,6 @@ class NumberField:
         if isinstance(value, (int, Fraction)):
             return self.rational(value)
         raise TypeError(f"cannot coerce {type(value).__name__} into the field")
-
-    def _reduce(self, poly):
-        return _pmod(poly, self.min_poly)
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self._key == other._key
@@ -957,22 +993,40 @@ def rationals() -> NumberField:
     return NumberField([0, 1])
 
 
+_HALF = Rat(1, 2)
+
+
 class AlgebraicNumber:
-    """Element of a NumberField, stored by power-basis coordinates."""
+    """Element of a NumberField: sum_k num[k] theta^k / den.
 
-    __slots__ = ("field", "coords", "_box", "_box_eps")
+    ``num`` holds d integers and ``den`` is positive, with no common factor
+    among them, so equal elements have equal ``(num, den)``.  ``coords``
+    gives the same coordinates as a tuple of Fractions.
+    """
 
-    def __init__(self, field: NumberField, coords: tuple):
+    __slots__ = ("field", "num", "den", "_coords", "_box", "_box_eps")
+
+    def __init__(self, field: NumberField, num: tuple, den: int):
         self.field = field
-        self.coords = coords
+        self.num = num
+        self.den = den
+        self._coords = None
         self._box = None
         self._box_eps = None
+
+    @property
+    def coords(self):
+        """The power-basis coordinates, a tuple of d Fractions."""
+        if self._coords is None:
+            den = self.den
+            self._coords = tuple(Rat(n, den) for n in self.num)
+        return self._coords
 
     # -- arithmetic -----------------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, AlgebraicNumber):
-            if other.field._key != self.field._key:
+            if other.field is not self.field and other.field._key != self.field._key:
                 raise FieldMismatch("operands lie in different fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -983,22 +1037,26 @@ class AlgebraicNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return AlgebraicNumber(
-            self.field, tuple(a + b for a, b in zip(self.coords, o.coords))
-        )
+        a, b = self.den, o.den
+        if a == b:
+            num = [x + y for x, y in zip(self.num, o.num)]
+        else:
+            g = math.gcd(a, b)
+            sa, sb = b // g, a // g
+            num = [x * sa + y * sb for x, y in zip(self.num, o.num)]
+            a *= sa
+        return _lowest(self.field, num, a)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraicNumber(self.field, tuple(-a for a in self.coords))
+        return AlgebraicNumber(self.field, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return AlgebraicNumber(
-            self.field, tuple(a - b for a, b in zip(self.coords, o.coords))
-        )
+        return self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -1006,40 +1064,56 @@ class AlgebraicNumber:
             return NotImplemented
         return o - self
 
-    def _scaled(self, c):
-        """self times the rational c: a coordinate-wise scale, no reduction."""
-        return AlgebraicNumber(self.field, tuple(a * c for a in self.coords))
+    def _scaled(self, p, q):
+        """self times the rational p / q, q > 0: no reduction mod min_poly."""
+        return _lowest(self.field, [x * p for x in self.num], self.den * q)
 
-    def _from_poly(self, poly):
-        """The element whose coordinate polynomial is poly mod min_poly."""
-        poly = self.field._reduce(poly)
-        poly += [Rat(0)] * (self.field.degree - len(poly))
-        return AlgebraicNumber(self.field, tuple(poly))
+    def _product(self, o):
+        """self times o: the integer polynomial product, its terms of degree
+        d and up folded back through the field's rows of x^j mod min_poly."""
+        field = self.field
+        d = field.degree
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(self.num):
+            if x:
+                for j, y in enumerate(o.num, i):
+                    prod[j] += x * y
+        scale = field._reduction_den
+        out = prod[:d] if scale == 1 else [scale * c for c in prod[:d]]
+        for row, c in zip(field._reduction, prod[d:]):
+            if c:
+                for k, r in row:
+                    out[k] += c * r
+        return _lowest(field, out, self.den * o.den * scale)
 
     def __mul__(self, other):
         # a rational operand scales the other's coordinates; that gives the
         # same coordinates as the polynomial product reduced mod min_poly
         if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
+            return self._scaled(other.numerator, other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if o.is_rational():
-            return self._scaled(o.coords[0])
+            return self._scaled(o.num[0], o.den)
         if self.is_rational():
-            return o._scaled(self.coords[0])
-        return self._from_poly(_pmul(list(self.coords), list(o.coords)))
+            return o._scaled(self.num[0], self.den)
+        return self._product(o)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
+        field = self.field
         if self.is_rational():
-            return self.field.rational(1 / self.coords[0])
+            # den / n is in lowest terms already
+            n = self.num[0]
+            sign = 1 if n > 0 else -1
+            return AlgebraicNumber(field, (sign * self.den,) + field._tail, sign * n)
         # extended euclid in Q[x]: u*a + v*m = g
         a = _ptrim(list(self.coords))
-        m = self.field.min_poly
+        m = field.min_poly
         r0, r1 = m, a
         s0, s1 = [], [Rat(1)]
         while r1:
@@ -1050,7 +1124,7 @@ class AlgebraicNumber:
             raise DivisionByZero(
                 "element is a zero divisor; min_poly is not irreducible"
             )
-        return self._from_poly([c / r0[0] for c in s0])
+        return field.from_coords(_pmod([c / r0[0] for c in s0], m))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -1081,13 +1155,13 @@ class AlgebraicNumber:
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self):
-        return not any(self.coords)
+        return not any(self.num)
 
     def __bool__(self):
         return not self.is_zero()
 
     def is_rational(self):
-        return not any(self.coords[1:])
+        return not any(self.num[1:])
 
     def __eq__(self, other):
         if isinstance(other, int) and other == 0:
@@ -1096,42 +1170,44 @@ class AlgebraicNumber:
             other = self.field.rational(other)
         if not isinstance(other, AlgebraicNumber):
             return NotImplemented
-        return self.field._key == other.field._key and self.coords == other.coords
+        return (
+            self.num == other.num
+            and self.den == other.den
+            and self.field._key == other.field._key
+        )
 
     def __hash__(self):
-        return hash((self.field._key, self.coords))
+        return hash((self.field._key, self.num, self.den))
 
     # -- conjugation / real & imaginary parts ---------------------------------
 
     def conjugate(self):
-        if not self.field.is_complex or self.is_rational():
+        field = self.field
+        if not field.is_complex or self.is_rational():
             return self
-        mat = self.field._conj_matrix
-        if mat is None:
+        cols = field._conj_matrix
+        if cols is None:
             raise TorusflowError(
                 "field needs a conj declaration for exact conjugation"
             )
-        d = self.field.degree
-        out = [Rat(0)] * d
-        for k, c in enumerate(self.coords):
-            if c == 0:
-                continue
-            col = mat[k]
-            for r in range(d):
-                out[r] += c * col[r]
-        return AlgebraicNumber(self.field, tuple(out))
+        out = [0] * field.degree
+        for x, col in zip(self.num, cols):
+            if x:
+                for k, r in col:
+                    out[k] += x * r
+        return _lowest(field, out, self.den * field._conj_den)
 
     def real_part(self):
         if not self.field.is_complex:
             return self
-        return (self + self.conjugate()) / 2
+        return (self + self.conjugate()) * _HALF
 
     def imag_part(self):
         if not self.field.is_complex or self.is_rational():
             return self.field.zero
         if self.field.i is None:
             raise TorusflowError("field needs an i declaration for imaginary parts")
-        return (self - self.conjugate()) / (2 * self.field.i)
+        return (self - self.conjugate()) * self.field._inv_2i
 
     def is_real(self):
         if not self.field.is_complex:
@@ -1146,7 +1222,7 @@ class AlgebraicNumber:
         if eps <= 0:
             raise TorusflowError("eps must be positive")
         if self.is_rational():
-            return Box.point(self.coords[0])
+            return Box.point(Rat(self.num[0], self.den))
         if self._box is not None and self._box_eps <= eps:
             return self._box
         field = self.field
@@ -1177,12 +1253,12 @@ class AlgebraicNumber:
 
     def to_complex(self, eps=Fraction(1, 10**16)) -> complex:
         if self.is_rational():
-            return complex(float(self.coords[0]))
+            return complex(self.num[0] / self.den)
         return self.enclosure(eps).to_complex()
 
     def to_float(self, eps=Fraction(1, 10**16)) -> float:
         if self.is_rational():
-            return float(self.coords[0])
+            return self.num[0] / self.den
         return float(self.enclosure(eps).re.mid())
 
     def abs_upper(self, eps=Fraction(1, 10**6)) -> Rat:

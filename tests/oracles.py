@@ -6,7 +6,8 @@ subspace's image numerically to cross-check exact torus closures,
 check integer kernels, ``in_span`` decides span membership by solving,
 ``to_logical`` inverts the samplers' ``to_internal``,
 ``BisectionEnclosures`` encloses field elements by the earlier 16-fold
-refinement loop on bisected real roots, and ``serialize``
+refinement loop on bisected real roots, ``FractionArithmetic`` does field
+arithmetic on Fraction coordinates by polynomial division, and ``serialize``
 writes a parsed problem back as text for the parse -> serialize -> parse
 round trip.
 """
@@ -19,7 +20,18 @@ import numpy as np
 from torusflow import exactlinalg as xl
 from torusflow._kernels import min_distance_batch
 from torusflow.lattice import hermite_normal_form, torus_closure
-from torusflow.numberfield import Box, Interval, _certify_root, _peval
+from torusflow.numberfield import (
+    Box,
+    Interval,
+    _certify_root,
+    _pcompose_mod,
+    _pdivmod,
+    _peval,
+    _pmod,
+    _pmul,
+    _psub,
+    _ptrim,
+)
 from torusflow.verifier import _torus_cells, distinct_rows
 
 
@@ -143,6 +155,65 @@ class BisectionEnclosures:
                 return acc
             theta_eps = theta_eps / 16
             self._refine(theta_eps)
+
+
+# ---------------------------------------------------------------------------
+# Field arithmetic on Fraction coordinates
+# ---------------------------------------------------------------------------
+
+
+class FractionArithmetic:
+    """A field's arithmetic on tuples of d Fraction coordinates.
+
+    Products are polynomial products reduced mod min_poly by division,
+    inverses come from the extended Euclidean algorithm over Q[x], and the
+    conjugate of a(theta) is a(conj(theta)) reduced mod min_poly.  ``conj``
+    and ``i`` are the coordinates declared for a complex field.
+    """
+
+    def __init__(self, field, conj=None, i=None):
+        self.m = field.min_poly
+        self.d = field.degree
+        self.complex = field.is_complex
+        self.conj_poly = _ptrim([Fraction(c) for c in conj or []])
+        self.i = self._pad(i or [])
+
+    def _pad(self, poly):
+        poly = [Fraction(c) for c in poly]
+        return tuple(poly + [Fraction(0)] * (self.d - len(poly)))
+
+    def add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        return self._pad(_pmod(_pmul(list(a), list(b)), self.m))
+
+    def inverse(self, a):
+        r0, r1 = self.m, _ptrim(list(a))
+        s0, s1 = [], [Fraction(1)]
+        while r1:
+            q, r = _pdivmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, _psub(s0, _pmul(q, s1))
+        assert len(r0) == 1
+        return self._pad(_pmod([c / r0[0] for c in s0], self.m))
+
+    def conjugate(self, a):
+        if not self.complex:
+            return a
+        return self._pad(_pcompose_mod(_ptrim(list(a)), self.conj_poly, self.m))
+
+    def real_part(self, a):
+        return self.mul(self.add(a, self.conjugate(a)), self._pad([Fraction(1, 2)]))
+
+    def imag_part(self, a):
+        if not self.complex:
+            return self._pad([])
+        two_i = self.mul(self._pad([2]), self.i)
+        return self.mul(self.sub(a, self.conjugate(a)), self.inverse(two_i))
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,7 @@ def test_ties_go_to_the_lowest_flat_index(fn):
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_work_split_into_small_chunks_changes_nothing(monkeypatch, q):
     monkeypatch.setattr(_kernels, "_CHUNK_PAIRS", 7)
+    monkeypatch.setattr(_kernels, "_BLOCK_TARGETS", 40)
     rng = np.random.default_rng(q)
     pts = rng.normal(size=(80, q)) * 2.0
     offs = rng.integers(-1, 2, size=(9, q)).astype(float)
@@ -210,6 +211,40 @@ def test_work_split_into_small_chunks_changes_nothing(monkeypatch, q):
     local = rng.normal(size=(80, 33, q))
     ref = [min_distance_batch(pts[i : i + 1], offs, local[i])[0][0] for i in range(80)]
     assert np.array_equal(min_distance_local(pts, offs, local), ref)
+
+
+@pytest.mark.parametrize(
+    "q, T, P, M",
+    [(1, 9, 3000, 10), (2, 9, 3000, 15), (4, 5, 2500, 30), (2, 3, 9000, 5)],
+)
+def test_scan_blocks_of_whole_offsets(scanned_targets, q, T, P, M):
+    # integer offsets and nodes: the same target recurs in many blocks
+    rng = np.random.default_rng(q * T)
+    offs = rng.integers(-2, 3, size=(T, q)).astype(float)
+    nds = rng.integers(-3, 4, size=(P, q)).astype(float)
+    pts = rng.integers(-6, 7, size=(M, q)).astype(float)
+    # the last offset is -inf in its first coordinate, and so is one query:
+    # its distance is inf in the first blocks and NaN in the last
+    offs[-1, 0] = -np.inf
+    pts[0, 0], pts[1] = -np.inf, np.nan
+    assert not uses_grid(M, T * P, q)
+    assert_matches_brute_force(min_distance_batch, pts, offs, nds)
+    per = max(1, _kernels._BLOCK_TARGETS // P)
+    assert scanned_targets == [min(per, T - t) * P for t in range(0, T, per)]
+
+
+@pytest.fixture()
+def scanned_targets(monkeypatch):
+    """The number of targets in each call to ``_scan``."""
+    sizes = []
+    real_scan = _kernels._scan
+
+    def spy(points, targets):
+        sizes.append(len(targets))
+        return real_scan(points, targets)
+
+    monkeypatch.setattr(_kernels, "_scan", spy)
+    return sizes
 
 
 ENOUGH_TARGETS = GRID_MIN_TARGETS * 8**2

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import BisectionEnclosures
+from oracles import BisectionEnclosures, FractionArithmetic
 
 import torusflow.numberfield as nf
 from torusflow.errors import DivisionByZero, FieldMismatch, TorusflowError
@@ -16,10 +16,7 @@ from torusflow.numberfield import (
     Box,
     Interval,
     NumberField,
-    _pdivmod,
-    _pmul,
     _psub,
-    _ptrim,
     rational_coordinates,
     rational_factor,
     rational_root,
@@ -154,67 +151,107 @@ def test_field_axioms(ca, cb, cc):
         assert a * a.inverse() == 1
 
 
-# -- rational-operand fast paths against the general polynomial path ---------
+# -- integer arithmetic against Fraction coordinates --------------------------
 
-FIELDS = {
-    "Q": rationals(),
-    "Q(sqrt2)": NumberField([-2, 0, 1], root_interval=(1, 2)),
-    "Q(zeta8)": NumberField(
-        [1, 0, 0, 0, 1],
-        root_box=((F(1, 2), 1), (F(1, 2), 1)),
-        i_coords=[0, 0, 1],
-        conj_coords=[0, 0, 0, -1],
+# name -> (field arguments, conj and i coordinates for the oracle)
+ORACLE_FIELDS = {
+    "Q": ({"min_poly": [0, 1]}, {}),
+    "Q(sqrt2)": ({"min_poly": [-2, 0, 1], "root_interval": (1, 2)}, {}),
+    "Q(zeta8)": (
+        {"min_poly": [1, 0, 0, 0, 1], "root_box": ((F(1, 2), 1), (F(1, 2), 1))},
+        {"conj": [0, 0, 0, -1], "i": [0, 0, 1]},
+    ),
+    # x^2 = 1/3 and x^3 = 1/2, x^4 = x/2: products fold over denominators 3, 2
+    "Q(sqrt(1/3))": ({"min_poly": [F(-1, 3), 0, 1], "root_interval": (F(1, 2), 1)}, {}),
+    "Q(cbrt(1/2))": (
+        {"min_poly": [F(-1, 2), 0, 0, 1], "root_interval": (F(1, 2), 1)}, {}
+    ),
+    # theta = (1 + i) / 2: x^2 = x - 1/2, conj(theta) = 1 - theta, i = 2 theta - 1
+    "Q((1+i)/2)": (
+        {
+            "min_poly": [F(1, 2), -1, 1],
+            "root_box": ((F(1, 4), F(3, 4)), (F(1, 4), F(3, 4))),
+        },
+        {"conj": [1, -1], "i": [-1, 2]},
+    ),
+    # theta = 2 zeta8: conj(theta) = -theta^3 / 4 and i = theta^2 / 4
+    "Q(2 zeta8)": (
+        {"min_poly": [16, 0, 0, 0, 1], "root_box": ((1, 2), (1, 2))},
+        {"conj": [0, 0, 0, F(-1, 4)], "i": [0, 0, F(1, 4)]},
     ),
 }
 
 
-def _padded(K, poly):
-    return tuple(poly + [F(0)] * (K.degree - len(poly)))
+def _oracle_field(name):
+    args, structure = ORACLE_FIELDS[name]
+    K = NumberField(
+        i_coords=structure.get("i"), conj_coords=structure.get("conj"), **args
+    )
+    return K, FractionArithmetic(K, **structure)
 
 
-def _general_product(K, a, b):
-    """Coordinates of a * b by the polynomial product reduced mod min_poly."""
-    return _padded(K, K._reduce(_pmul(list(a), list(b))))
+FIELDS = {name: _oracle_field(name) for name in ORACLE_FIELDS}
 
 
-def _euclid_inverse(K, a):
-    """Coordinates of 1/a by the extended Euclidean algorithm over Q[x]."""
-    r0, r1 = K.min_poly, _ptrim(list(a))
-    s0, s1 = [], [F(1)]
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1))
-    assert len(r0) == 1
-    return _padded(K, K._reduce([c / r0[0] for c in s0]))
+def _assert_is(e, want):
+    """e holds the coordinates want, in lowest terms, and equals every other
+    way of building them."""
+    assert e.den > 0 and math.gcd(e.den, *e.num) == 1
+    assert all(type(n) is int for n in e.num) and type(e.den) is int
+    assert e.coords == want
+    assert all(type(c) is F for c in e.coords)
+    other = e.field.from_coords(want)
+    assert e == other and hash(e) == hash(other)
+    assert (e.num, e.den) == (other.num, other.den)
 
 
 _small_fractions = st.fractions(min_value=-7, max_value=7, max_denominator=9)
+_coords = st.lists(_small_fractions, min_size=4, max_size=4)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(
-    st.sampled_from(sorted(FIELDS)),
-    _small_fractions,
-    st.lists(_small_fractions, min_size=4, max_size=4),
-)
-def test_rational_operand_matches_general_path(name, c, coords):
-    K = FIELDS[name]
-    x = K.from_coords(coords[: K.degree])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(FIELDS)), _small_fractions, _coords, _coords)
+def test_arithmetic_matches_fraction_coordinates(name, c, ca, cb):
+    K, oracle = FIELDS[name]
+    x, y = K.from_coords(ca[: K.degree]), K.from_coords(cb[: K.degree])
+    a, b = x.coords, y.coords
     r = K.rational(c)
-    want = _general_product(K, x.coords, r.coords)
+    _assert_is(x + y, oracle.add(a, b))
+    _assert_is(x - y, oracle.sub(a, b))
+    _assert_is(-x, oracle.sub(K.zero.coords, a))
+    _assert_is(x * y, oracle.mul(a, b))
+    assert x * y == y * x and hash(x * y) == hash(y * x)
+    assert (x - y) + y == x and hash((x - y) + y) == hash(x)
+    _assert_is(x.conjugate(), oracle.conjugate(a))
+    _assert_is(x.real_part(), oracle.real_part(a))
+    _assert_is(x.imag_part(), oracle.imag_part(a))
+    if K.is_complex:
+        assert x.real_part() + K.i * x.imag_part() == x
+    # a rational operand scales the other's coordinates
     for got in (x * c, c * x, x * r, r * x):
-        assert got.coords == want
-        assert all(type(e) is F for e in got.coords)
+        _assert_is(got, oracle.mul(a, r.coords))
     if c != 0:
-        inv = _euclid_inverse(K, r.coords)
-        assert r.inverse().coords == inv == (F(1) / c,) + (F(0),) * (K.degree - 1)
-        assert (x / c).coords == (x / r).coords == _general_product(K, x.coords, inv)
-        assert (r**-2).coords == _general_product(K, inv, inv)
-    if not x.is_zero():
-        inv = _euclid_inverse(K, x.coords)
-        assert x.inverse().coords == inv
-        assert (c / x).coords == (r / x).coords == _general_product(K, r.coords, inv)
+        inv = oracle.inverse(r.coords)
+        assert inv == (F(1) / c,) + (F(0),) * (K.degree - 1)
+        _assert_is(r.inverse(), inv)
+        _assert_is(x / c, oracle.mul(a, inv))
+        _assert_is(x / r, oracle.mul(a, inv))
+        _assert_is(r**-2, oracle.mul(inv, inv))
+    if not y.is_zero():
+        inv = oracle.inverse(b)
+        _assert_is(y.inverse(), inv)
+        _assert_is(x / y, oracle.mul(a, inv))
+        _assert_is(c / y, oracle.mul(r.coords, inv))
+        assert x / y * y == x
+
+
+def test_coords_are_read_only():
+    K, _ = FIELDS["Q(sqrt2)"]
+    e = K.from_coords([F(1, 3), F(-2, 5)])
+    assert (e.num, e.den) == ((5, -6), 15)
+    assert e.coords == (F(1, 3), F(-2, 5))
+    with pytest.raises(AttributeError):
+        e.coords = (F(0), F(0))
 
 
 class TestReducibleModulus:
@@ -227,7 +264,7 @@ class TestReducibleModulus:
     def test_rational_inverts(self, K):
         two = K.rational(2)
         assert two.inverse() == K.rational(F(1, 2))
-        assert two.inverse().coords == _euclid_inverse(K, two.coords)
+        assert two.inverse().coords == FractionArithmetic(K).inverse(two.coords)
         assert (K.gen / 2).coords == (F(0), F(1, 2))
 
     def test_zero_divisor_raises(self, K):
