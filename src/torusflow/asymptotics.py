@@ -35,6 +35,7 @@ from .flats import (
     embed_exact_vector,
 )
 from .lattice import Subspace, j_stable_closure
+from .numberfield import _pdivmod
 
 Rat = Fraction
 
@@ -87,27 +88,6 @@ def _tpoly_to_dense(poly: TPoly, s: int):
     return coeffs, shift
 
 
-def _dense_divmod(num, den, field):
-    """Polynomial division over the field; returns (quotient, remainder)."""
-    num = list(num)
-    if not den:
-        raise TorusflowError("division by zero polynomial")
-    if len(num) < len(den):
-        return [], num
-    q = [field.zero] * (len(num) - len(den) + 1)
-    lead_inv = den[-1].inverse()
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1] * lead_inv
-        if not c.is_zero():
-            q[k] = c
-            for i, d in enumerate(den):
-                num[k + i] = num[k + i] - c * d
-    rem = num[: len(den) - 1]
-    while rem and rem[-1].is_zero():
-        rem.pop()
-    return q, rem
-
-
 def _abs_upper(x, eps=Rat(1, 1 << 20)):
     return x.enclosure(eps).abs_upper()
 
@@ -137,10 +117,10 @@ def _coordinate_expansion(num: TPoly, den: TPoly, s: int, field):
         ncoeffs = [field.zero] * rel + ncoeffs
     elif rel < 0:
         dcoeffs = [field.zero] * (-rel) + dcoeffs
-    quot, rem = _dense_divmod(ncoeffs, dcoeffs, field)
+    quot, rem = _pdivmod(ncoeffs, dcoeffs)
     terms = {}
     for k, c in enumerate(quot):
-        if not c.is_zero():
+        if c:
             terms[Rat(k, s)] = c
     if not rem:
         return terms, RemainderBound(Rat(0), None, Rat(1))

@@ -81,9 +81,6 @@ def cmd_closure(args):
             file=sys.stderr,
         )
         return EXIT_SYMBOLIC
-    except InternalInvariantError as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
     out_path = args.json or (args.spec + ".closure.json")
     _write_json(out_path, closure_description(spec.variety, flow))
@@ -123,9 +120,6 @@ def cmd_verify(args):
             file=sys.stderr,
         )
         return EXIT_SYMBOLIC
-    except InternalInvariantError as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
     try:
         report = run_verification(spec.variety, spec.lattice, predicted, cfg)

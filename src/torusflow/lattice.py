@@ -18,7 +18,7 @@ import numpy as np
 from . import exactlinalg as xl
 from .errors import InternalInvariantError, NotInSpan, TorusflowError
 from .exactlinalg import QQ
-from .numberfield import NumberField, float_rows, rational_coordinates
+from .numberfield import NumberField, float_rows
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +321,10 @@ def rational_annihilator(vectors, field: NumberField):
     """Basis of rational linear forms vanishing on every given vector.
 
     Each condition f . v = 0 over the field unfolds into one rational
-    equation per power-basis coordinate.
+    equation per power-basis coordinate.  Row k holds the k-th integer
+    numerators of v's entries over the lcm of their denominators: a positive
+    scaling of that coordinate's equation, which leaves the kernel's RREF
+    basis unchanged.
     """
     vectors = [[field.element(x) for x in v] for v in vectors]
     if not vectors:
@@ -331,10 +334,11 @@ def rational_annihilator(vectors, field: NumberField):
     for v in vectors:
         if len(v) != m:
             raise TorusflowError("annihilator input vectors differ in length")
-        coord_rows = rational_coordinates(v, field)
+        den = lcm(*(e.den for e in v))
+        scales = [den // e.den for e in v]
         for k in range(field.degree):
-            row = [coord_rows[j][k] for j in range(m)]
-            if any(c != 0 for c in row):
+            row = [e.num[k] * s for e, s in zip(v, scales)]
+            if any(row):
                 rows.append(row)
     return xl.kernel_basis(rows, m, QQ)
 

@@ -11,10 +11,12 @@ arithmetic runs on integers, one gcd per result, never on floating point.
 Enclosures are rectangles with rational endpoints that provably contain
 the embedded value; they are produced by refining the root's certified
 box and evaluating the coordinate polynomial over it with interval
-arithmetic.  A real root's refined box is the one sign-change bisection
-reaches, located by Newton's method and certified by a sign change; a
-complex root's is an exact interval-Newton box rounded outward to dyadic
-endpoints.
+arithmetic.  One engine certifies and refines every root box, an interval
+for a real root and a rectangle for a complex one: a float Newton iterate
+certified by interval Newton (Moore, "Interval Analysis", 1966) on a small
+interval or square around it, then interval-Newton steps from the box's
+centre.  Each box is rounded outward to dyadic endpoints no finer than the
+width asked for needs.
 
 Complex-embedded fields that participate in restriction-of-scalars
 computations must supply expressions for the imaginary unit and for the
@@ -23,6 +25,7 @@ complex conjugate of theta; both are validated exactly at construction.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -220,6 +223,15 @@ class Interval:
     def mid(self):
         return (self.lo + self.hi) / 2
 
+    def centre(self):
+        return Interval.point(self.mid())
+
+    def widened(self, h):
+        return Interval(self.lo - h, self.hi + h)
+
+    def meet(self, other):
+        return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
+
     def __add__(self, other):
         return Interval(self.lo + other.lo, self.hi + other.hi)
 
@@ -264,7 +276,7 @@ class Interval:
     def contains(self, x):
         return self.lo <= x <= self.hi
 
-    def contains_interval(self, other):
+    def contains_box(self, other):
         return self.lo <= other.lo and other.hi <= self.hi
 
     def strictly_contains(self, other):
@@ -294,6 +306,15 @@ class Box:
     def width(self):
         return max(self.re.width(), self.im.width())
 
+    def centre(self):
+        return Box(self.re.centre(), self.im.centre())
+
+    def widened(self, h):
+        return Box(self.re.widened(h), self.im.widened(h))
+
+    def meet(self, other):
+        return Box(self.re.meet(other.re), self.im.meet(other.im))
+
     def __add__(self, other):
         return Box(self.re + other.re, self.im + other.im)
 
@@ -301,9 +322,6 @@ class Box:
         return Box(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other):
-        if self.im == _ZERO == other.im:
-            # the general formula gives the same values on the real axis
-            return Box(self.re * other.re, _ZERO)
         return Box(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -311,6 +329,9 @@ class Box:
 
     def conj(self):
         return Box(self.re, -self.im)
+
+    def scale(self, c):
+        return Box(self.re.scale(c), self.im.scale(c))
 
     def abs_squared(self):
         return self.re.square() + self.im.square()
@@ -321,9 +342,7 @@ class Box:
         return Box(num.re.divide(denom), num.im.divide(denom))
 
     def contains_box(self, other):
-        return self.re.contains_interval(other.re) and self.im.contains_interval(
-            other.im
-        )
+        return self.re.contains_box(other.re) and self.im.contains_box(other.im)
 
     def strictly_contains(self, other):
         return self.re.strictly_contains(other.re) and self.im.strictly_contains(
@@ -341,255 +360,186 @@ class Box:
         return complex(float(self.re.mid()), float(self.im.mid()))
 
 
-def _box_poly_eval(coeffs, z):
-    """Evaluate a rational-coefficient polynomial over a Box by Horner."""
-    acc = Box.point(0)
-    for c in reversed(coeffs):
-        acc = acc * z + Box.point(c)
+def _hull(p, X):
+    """Enclosure of the nonzero polynomial p over the Interval or Box X, by
+    Horner."""
+    acc = X.point(p[-1])
+    for c in reversed(p[:-1]):
+        acc = acc * X + X.point(c)
     return acc
 
 
-# ---------------------------------------------------------------------------
-# Certified root refinement
-# ---------------------------------------------------------------------------
-
-
-def _dyadic_round(x, bits):
-    scale = 1 << bits
-    return Rat(round(x * scale), scale)
-
-
-def _cplx_eval(coeffs, zr, zi):
+def _at(p, c):
+    """p at the point c, an Interval or Box of width 0, exactly."""
+    if isinstance(c, Interval):
+        return Interval.point(_peval(p, c.lo))
     ar, ai = Rat(0), Rat(0)
-    for c in reversed(coeffs):
-        ar, ai = ar * zr - ai * zi + c, ar * zi + ai * zr
-    return ar, ai
+    zr, zi = c.re.lo, c.im.lo
+    for k in reversed(p):
+        ar, ai = ar * zr - ai * zi + k, ar * zi + ai * zr
+    return Box.point(ar, ai)
 
 
-def _newton_step(m, md, zr, zi):
-    fr, fi = _cplx_eval(m, zr, zi)
-    dr, di = _cplx_eval(md, zr, zi)
-    den = dr * dr + di * di
-    if den == 0:
-        raise ZeroDivisionError
-    qr = (fr * dr + fi * di) / den
-    qi = (fi * dr - fr * di) / den
-    return zr - qr, zi - qi
+# ---------------------------------------------------------------------------
+# Certified roots: interval Newton from a float seed
+# ---------------------------------------------------------------------------
 
 
-def _polish(m, md, zr, zi, bits):
-    """Newton-iterate toward a root, rounding to dyadics to bound blowup."""
-    for _ in range(64):
-        try:
-            nr, ni = _newton_step(m, md, zr, zi)
-        except ZeroDivisionError:
-            break
-        nr, ni = _dyadic_round(nr, bits), _dyadic_round(ni, bits)
-        if (nr, ni) == (zr, zi):
-            break
-        zr, zi = nr, ni
-        fr, fi = _cplx_eval(m, zr, zi)
-        if fr * fr + fi * fi < Rat(1, 1 << (2 * bits)):
-            break
-    return zr, zi
+def _newton(m, md, c, X):
+    """The interval-Newton image c - m(c) / m'(X) (Moore, "Interval
+    Analysis", 1966), or None when m'(X) may vanish.
 
-
-def _float_newton(m, md, x):
-    """A float Newton iterate of m from the rational x, or None if it
-    leaves the floats."""
-    try:
-        x = float(x)
-        fm = [float(c) for c in m]
-        fd = [float(c) for c in md]
-        for _ in range(64):
-            f = d = 0.0
-            for c in reversed(fm):
-                f = f * x + c
-            for c in reversed(fd):
-                d = d * x + c
-            nx = x - f / d
-            if nx == x:
-                break
-            x = nx
-    except (OverflowError, ZeroDivisionError):
-        return None
-    return x if math.isfinite(x) else None
-
-
-def _newton_cell(m, md, lo, hi, n):
-    """The box bisection of [lo, hi] reaches after n halvings, or None.
-
-    [lo, hi] holds exactly one root r of m, and m is nonzero at both ends.
-    Bisection returns the cell [lo + k s, lo + (k + 1) s], s = (hi - lo) / 2^n,
-    that holds r inside, or the point r if r is one of the cells' ends (it
-    tests every such end it meets as a midpoint).  A float Newton iterate
-    from the midpoint, then exact Newton steps on dyadics, locate r well
-    enough to name that cell; a sign change of m on it certifies the cell,
-    since it lies inside [lo, hi].  None when the guess is not certified.
+    c is a point of X, both Intervals or both Boxes.  Every root of m in X
+    lies in the image; when the image lies strictly inside X, X holds
+    exactly one root.
     """
-    step = (hi - lo) / (1 << n)
-    x = _float_newton(m, md, (lo + hi) / 2)
-    if x is None:
+    try:
+        return c - _at(m, c).divide(_hull(md, X))
+    except ZeroDivisionError:
         return None
-    x = Rat(x)
-    bits = max(step.denominator.bit_length() - step.numerator.bit_length() + 16, 1)
-    for _ in range(8):
-        d = _peval(md, x)
-        if d == 0:
-            return None
-        delta = _peval(m, x) / d
-        x = _dyadic_round(x - delta, bits)
-        if abs(delta) <= step:
-            break
-    k = min(max(math.floor((x - lo) / step), 0), (1 << n) - 1)
-    a = lo + k * step
-    b = a + step
-    fa = _peval(m, a)
-    if fa == 0:
-        return Box.point(a)
-    fb = _peval(m, b)
-    if fb == 0:
-        return Box.point(b)
-    if (fa > 0) != (fb > 0):
-        return Box(Interval(a, b), _ZERO)
-    return None
 
 
-def _bisect(m, lo, hi, width):
-    """Sign-change bisection of [lo, hi] down to width <= width."""
-    flo = _peval(m, lo)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fmid = _peval(m, mid)
-        if fmid == 0:
-            return Box.point(mid)
-        if (flo > 0) != (fmid > 0):
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return Box(Interval(lo, hi), _ZERO)
+def _dyadic_box(X, width):
+    """X, an Interval or Box, rounded outward to a power-of-two grid 4 bits
+    finer than width > 0.
 
-
-def _halvings(w, width):
-    """The least n >= 0 with w / 2^n <= width."""
-    r = w / width
-    n = max(r.numerator.bit_length() - r.denominator.bit_length() - 1, 0)
-    while r > (1 << n):
-        n += 1
-    return n
-
-
-def _bisection_cell(lo, hi, n, inner):
-    """The box bisection of [lo, hi] reaches after n halvings, given the
-    box ``inner`` it reaches after more."""
-    step = (hi - lo) / (1 << n)
-    q = (inner.re.lo - lo) / step
-    if inner.re.width() == 0 and q.denominator == 1:
-        return inner
-    a = lo + (q.numerator // q.denominator) * step
-    return Box(Interval(a, a + step), _ZERO)
-
-
-def _power_boxes_of(theta, degree):
-    """Boxes of theta^0, ..., theta^(degree - 1) by repeated products."""
-    boxes = [Box.point(1)]
-    for _ in range(1, degree):
-        boxes.append(boxes[-1] * theta)
-    return boxes
-
-
-def _outward_dyadic(iv, k):
-    """The smallest interval on the grid of step 2^-k that contains iv."""
-    lo = (iv.lo.numerator << k) // iv.lo.denominator
-    hi = -((-iv.hi.numerator << k) // iv.hi.denominator)
+    Each endpoint moves by less than width / 16; the endpoints'
+    denominators shrink to about width's own size.
+    """
+    if isinstance(X, Box):
+        return Box(_dyadic_box(X.re, width), _dyadic_box(X.im, width))
+    k = max(width.denominator.bit_length() - width.numerator.bit_length() + 5, 0)
+    lo = (X.lo.numerator << k) // X.lo.denominator
+    hi = -((-X.hi.numerator << k) // X.hi.denominator)
     return Interval(Rat(lo, 1 << k), Rat(hi, 1 << k))
 
 
-def _dyadic_box(box):
-    """box rounded outward to a power-of-two grid 4 bits finer than its width.
+def _narrowed(N, X, width):
+    """A Newton image N rounded outward to dyadics and cut back to X.
 
-    The width grows by less than an eighth; the endpoints' denominators
-    shrink to about the width's own size.
+    The grid follows N's width, or the requested width once N is narrower,
+    so a box finer than needed keeps the denominators the width needs.
     """
-    w = box.width()
-    if w == 0:
-        return box
-    k = max(w.denominator.bit_length() - w.numerator.bit_length() + 5, 0)
-    return Box(_outward_dyadic(box.re, k), _outward_dyadic(box.im, k))
+    return _dyadic_box(N, max(N.width(), width)).meet(X)
 
 
-def _try_certify(m, md, zr, zi, h):
-    """Interval-Newton contraction test on the square of half-width h.
-
-    Returns a Box certified to contain exactly one root of m, or None.
-    The Newton image K is returned rounded outward to dyadic endpoints
-    when the rounded box still lies strictly inside the square (then it
-    holds the square's only root as well), and as it is otherwise.
-    """
-    Z = Box(Interval(zr - h, zr + h), Interval(zi - h, zi + h))
-    dz = _box_poly_eval(md, Z)
-    fr, fi = _cplx_eval(m, zr, zi)
+def _float_newton(m, X):
+    """A float Newton iterate of m from the centre of X, a float for an
+    Interval and a complex for a Box; None if it leaves the floats."""
     try:
-        K = Box.point(zr, zi) - Box.point(fr, fi).divide(dz)
-    except ZeroDivisionError:
+        z = float(X.mid()) if isinstance(X, Interval) else X.to_complex()
+        fm = [float(c) for c in reversed(m)]
+        for _ in range(64):
+            f = d = 0.0
+            for c in fm:
+                d = d * z + f
+                f = f * z + c
+            nz = z - f / d
+            if nz == z:
+                break
+            z = nz
+    except (OverflowError, ZeroDivisionError):
         return None
-    if not Z.strictly_contains(K):
-        return None
-    D = _dyadic_box(K)
-    return D if Z.strictly_contains(D) else K
+    return z if cmath.isfinite(z) else None
 
 
-def _certify_root(m, md, seed, width):
-    """Certified box of width <= width around the root nearest the float seed."""
-    bits, limit = 64, 4096
-    while bits <= limit:
-        zr = _dyadic_round(Rat(seed.real).limit_denominator(1 << 60), bits)
-        zi = _dyadic_round(Rat(seed.imag).limit_denominator(1 << 60), bits)
-        zr, zi = _polish(m, md, zr, zi, bits)
-        fr, fi = _cplx_eval(m, zr, zi)
-        res_sq = fr * fr + fi * fi
-        h = width / 4
-        while h > Rat(1, 1 << limit):
-            if h * h < 4 * res_sq:
-                break  # z not accurate enough for this h; raise precision
-            box = _try_certify(m, md, zr, zi, h)
-            if box is not None and box.width() <= width:
-                return box
-            h = h / 4
-        bits *= 2
-    raise TorusflowError("failed to certify a root box; is min_poly squarefree?")
+def _certify(m, md, X, width):
+    """A certified box around the root of m at a float Newton iterate from
+    the centre of X, or None.
 
-
-def _refine_root_box(m, md, box, width):
-    """A certified box of width <= width around the root in ``box``."""
-    if box.width() <= width:
-        return box
-    new = _certify_root(m, md, box.to_complex(), width)
-    if new.disjoint(box):
-        raise TorusflowError("root refinement drifted; roots too close")
-    return new
-
-
-def _certify_roots(m, md, seeds, width):
-    """Certified boxes for the real seeds and the upper seeds of m's roots.
-
-    m has rational coefficients, so the mirror image of a box that holds
-    exactly one root holds exactly one root: the conjugate.  Each upper
-    box is certified once and mirrored for its lower partner.  The caller's
-    count and disjointness checks reject seeds with more lower than upper
-    roots, or the reverse, and an upper box that reaches the real axis
-    (it overlaps its mirror).
+    The iterate z is certified on the interval (X an Interval) or square
+    (X a Box) Z of half-width h around it: the Newton image of Z lies
+    strictly inside Z only when Z holds exactly one root, and then the image
+    holds it.  h grows 16-fold from about 2^-48 max(1, |z|), a few float
+    spacings, to 2^-16 max(1, |z|), for an iterate that rounding has left
+    farther off.  The image is rounded by ``_narrowed`` for ``width`` and
+    cut back to Z.
     """
-    real = [s for s in seeds if s.imag == 0]
-    upper = [s for s in seeds if s.imag > 0]
-    boxes = [_certify_root(m, md, s, width) for s in real + upper]
-    return boxes + [b.conj() for b in boxes[len(real):]]
+    z = _float_newton(m, X)
+    if z is None:
+        return None
+    if isinstance(z, complex):
+        c = Box.point(Rat(z.real), Rat(z.imag))
+    else:
+        c = Interval.point(Rat(z))
+    scale = math.frexp(max(1.0, abs(z)))[1]
+    for bits in range(48 - scale, 15 - scale, -4):
+        Z = c.widened(Rat(2) ** -bits)
+        N = _newton(m, md, c, Z)
+        if N is not None and Z.strictly_contains(N):
+            return _narrowed(N, Z, width)
+    return None
+
+
+def _halve(m, X):
+    """The half of the interval X, holding one root of m, that holds it."""
+    mid = X.mid()
+    fmid = _peval(m, mid)
+    if fmid == 0:
+        return Interval.point(mid)
+    if _peval(m, X.lo) * fmid <= 0:
+        return Interval(X.lo, mid)
+    return Interval(mid, X.hi)
+
+
+def _refine(m, md, X, width):
+    """A certified box of width <= width inside X, around its root.
+
+    X, an Interval (a real root) or a Box, holds exactly one root of m.
+    ``_certify`` narrows X first when its box lies inside X; then each
+    interval-Newton step from the centre is cut back to the box before it,
+    so the boxes nest.  A step that does not halve the box falls back: an
+    Interval to one sign-change bisection, a Box to a new certificate from
+    its centre's float, which must meet the box and narrow it.
+    """
+    if X.width() <= width:
+        return X
+    Y = _certify(m, md, X, width)
+    while X.width() > width:
+        if Y is None or not X.contains_box(Y):
+            Y = _newton(m, md, X.centre(), X)
+            if Y is not None:
+                Y = _narrowed(Y, X, width)
+        if Y is None or 2 * Y.width() > X.width():
+            if isinstance(X, Interval):
+                Y = _halve(m, X)
+            else:
+                Y = _certify(m, md, X, width)
+                if Y is not None and Y.disjoint(X):
+                    raise TorusflowError("root refinement drifted; roots too close")
+                if Y is None or Y.meet(X) == X:
+                    raise TorusflowError(
+                        "failed to certify a root box; is min_poly squarefree?"
+                    )
+                Y = Y.meet(X)
+        X, Y = Y, None
+    return X
 
 
 def _root_boxes(m, md):
-    """Certified pairwise disjoint boxes, one around each root of m."""
+    """Certified pairwise disjoint boxes, one around each root of m.
+
+    m has rational coefficients, so the mirror image of a box that holds
+    exactly one root holds exactly one root: the conjugate.  Each root
+    numpy finds on or above the real axis is certified once, on a square,
+    and each upper box is mirrored for its lower partner.  The count and
+    disjointness checks reject seeds with more lower than upper roots, or
+    the reverse, and an upper box that reaches the real axis (it overlaps
+    its mirror).  The boxes are 2^-56 wide or less: a float of an element
+    whose bound B (see ``AlgebraicNumber.enclosure``) is up to about 3 needs
+    no further refinement, and the certificate reaches that width at no
+    extra cost.
+    """
     seeds = [complex(s) for s in np.roots([float(c) for c in reversed(m)])]
-    boxes = _certify_roots(m, md, seeds, Rat(1, 1 << 24))
+    real = [s for s in seeds if s.imag == 0]
+    upper = [s for s in seeds if s.imag > 0]
+    boxes = []
+    for s in real + upper:
+        box = _certify(m, md, Box.point(Rat(s.real), Rat(s.imag)), Rat(1, 1 << 56))
+        if box is None:
+            raise TorusflowError("failed to certify a root box; is min_poly squarefree?")
+        boxes.append(box)
+    boxes += [b.conj() for b in boxes[len(real):]]
     separated = len(boxes) == len(m) - 1 and all(
         a.disjoint(b) for a, b in combinations(boxes, 2)
     )
@@ -653,7 +603,7 @@ def rational_factor(p, boxes):
                     return [c / lead ** (k - j) for j, c in enumerate(g)]
         if not wide:
             return None
-        boxes = [_refine_root_box(p, md, b, b.width() / (1 << 16)) for b in boxes]
+        boxes = [_refine(p, md, b, b.width() / (1 << 16)) for b in boxes]
 
 
 # ---------------------------------------------------------------------------
@@ -735,8 +685,7 @@ class NumberField:
             raise TorusflowError("give either root_interval or root_box, not both")
 
         if self.degree == 1:
-            root = -self.min_poly[0]
-            self._root_enclosure = Box.point(root)
+            self._root_enclosure = Interval.point(-self.min_poly[0])
             self.is_complex = False
         elif not self.is_complex:
             if root_interval is None:
@@ -750,7 +699,7 @@ class NumberField:
                 )
             if _peval(self.min_poly, lo) * _peval(self.min_poly, hi) >= 0:
                 raise TorusflowError("min_poly must change sign on the interval")
-            self._root_enclosure = Box(Interval(lo, hi), Interval.point(0))
+            self._root_enclosure = Interval(lo, hi)
         else:
             (rlo, rhi), (ilo, ihi) = root_box
             rect = Box(
@@ -758,12 +707,9 @@ class NumberField:
             )
             self._root_enclosure = self._isolate_complex_root(rect)
 
-        self._key = (
-            tuple(self.min_poly),
-            self.is_complex,
-            self._root_enclosure.re.lo,
-            self._root_enclosure.im.lo,
-        )
+        theta = self._root_enclosure
+        corner = (theta.re.lo, theta.im.lo) if self.is_complex else (theta.lo, Rat(0))
+        self._key = (tuple(self.min_poly), self.is_complex) + corner
         self._power_box_cache = None
 
         self._tail = (0,) * (self.degree - 1)
@@ -783,12 +729,13 @@ class NumberField:
         """Validate and install the declared conjugate of theta, then i.
 
         Both are checked exactly.  Certifying them may refine the root
-        enclosure.  Every refined box of theta is an interval-Newton box
-        rounded outward to a power-of-two grid a few bits finer than its
-        width, so its endpoints keep small dyadic denominators, and so do
-        the power boxes and element enclosures built on it.  Which box the
-        field holds afterwards depends on the order (conj, then i), and so
-        do the last bits of the field's float values.
+        enclosure.  Every box of theta is an interval-Newton box rounded
+        outward to a power-of-two grid a few bits finer than the width asked
+        for and cut back to the box it came from, so its endpoints keep
+        small dyadic denominators, and so do the power boxes and element
+        enclosures built on it.  Which box the field holds afterwards
+        depends on the order (conj, then i), and so do the last bits of the
+        field's float values.
         """
         if conj_coords is not None:
             self._install_conj(conj_coords)
@@ -814,7 +761,7 @@ class NumberField:
             )
         box = inside[0]
         if box.im.contains(Rat(0)):
-            refined = self._refine_box(box, box.width() / (1 << 10))
+            refined = _refine(self.min_poly, self._deriv, box, box.width() / (1 << 10))
             if refined.im.contains(Rat(0)):
                 raise TorusflowError(
                     "selected root looks real; use a real isolating interval"
@@ -848,11 +795,11 @@ class NumberField:
             theta_box = self._root_enclosure
             target = theta_box.conj()
             refined = [
-                _refine_root_box(self.min_poly, self._deriv, b, width)
+                _refine(self.min_poly, self._deriv, b, width)
                 for b in self._all_root_boxes
             ]
             hits = [i for i, b in enumerate(refined) if not b.disjoint(target)]
-            val = _box_poly_eval(g, theta_box)
+            val = _hull(g, theta_box)
             val_hits = [i for i, b in enumerate(refined) if not b.disjoint(val)]
             if len(hits) == 1 and len(val_hits) == 1:
                 if hits[0] == val_hits[0]:
@@ -862,9 +809,7 @@ class NumberField:
                     "conj expression is a root but not the conjugate of theta"
                 )
             width = width / (1 << 8)
-            self._root_enclosure = self._refine_box(
-                self._root_enclosure, self._root_enclosure.width() / 16
-            )
+            self.root_enclosure(theta_box.width() / 16)
         raise TorusflowError("could not certify the conjugate expression")
 
     def _install_i(self, i_coords):
@@ -885,66 +830,26 @@ class NumberField:
 
     # -- enclosure machinery -------------------------------------------------
 
-    def _refine_box(self, box, width):
-        """A certified box of width <= width around the root in ``box``.
-
-        A real root's box is the one sign-change bisection of ``box``
-        reaches, found by a Newton-located cell when it certifies, by
-        bisection otherwise.
-        """
-        if box.width() <= width:
-            return box
-        if not self.is_complex:
-            m, lo, hi = self.min_poly, box.re.lo, box.re.hi
-            n = _halvings(hi - lo, width)
-            cell = _newton_cell(m, self._deriv, lo, hi, n)
-            return cell if cell is not None else _bisect(m, lo, hi, width)
-        return _certify_root(self.min_poly, self._deriv, box.to_complex(), width)
-
-    def root_enclosure(self, eps) -> Box:
-        """Certified enclosure of theta with width <= eps."""
+    def root_enclosure(self, eps):
+        """Certified enclosure of theta with width <= eps: an Interval for a
+        real theta, so its arithmetic runs on intervals, and a Box for a
+        complex one."""
         eps = Rat(eps)
         if self._root_enclosure.width() > eps:
-            self._set_root_enclosure(self._refine_box(self._root_enclosure, eps))
+            self._root_enclosure = _refine(
+                self.min_poly, self._deriv, self._root_enclosure, eps
+            )
+            self._power_box_cache = None
         return self._root_enclosure
 
-    def _set_root_enclosure(self, box, power_boxes=None):
-        self._root_enclosure = box
-        self._power_box_cache = power_boxes
-
     def _power_boxes(self):
+        """Boxes of theta^0, ..., theta^(d - 1) by repeated products."""
         if self._power_box_cache is None:
-            self._power_box_cache = _power_boxes_of(self._root_enclosure, self.degree)
+            boxes = [self._root_enclosure.point(1)]
+            for _ in range(1, self.degree):
+                boxes.append(boxes[-1] * self._root_enclosure)
+            self._power_box_cache = boxes
         return self._power_box_cache
-
-    def _refine_for(self, element, eps):
-        """Refine a real theta once for ``element``'s enclosure of width <= eps.
-
-        The box taken is the one the loop of ``enclosure`` reaches: the
-        widest of theta's bisection boxes, 4 halvings apart, whose
-        enclosure has width <= eps.  An enclosure's width is at most
-        sum_k |c_k| width(theta^k box) <= B t with B = sum_k k |c_k| M^(k-1)
-        for a theta box of width t inside [-M, M], so the first level with
-        B t <= eps suffices; theta is refined to it once, and the levels
-        above it are its ancestors.  Boxes shrink with theta's, so the
-        widest passing level is found walking up until one fails.
-        """
-        box = self._root_enclosure
-        lo, hi, w = box.re.lo, box.re.hi, box.width()
-        mag = box.abs_upper()
-        bound = sum(
-            k * abs(c) * mag ** (k - 1) for k, c in enumerate(element.coords) if k
-        )
-        j = (_halvings(bound * w, eps) + 3) // 4
-        deep = self._refine_box(box, w / (1 << (4 * j)))
-        best = deep, _power_boxes_of(deep, self.degree)
-        for i in range(j - 1, 0, -1):
-            cell = _bisection_cell(lo, hi, 4 * i, deep)
-            powers = _power_boxes_of(cell, self.degree)
-            if element._sum(powers).width() > eps:
-                break
-            best = cell, powers
-        self._set_root_enclosure(*best)
 
     # -- element constructors -------------------------------------------------
 
@@ -1217,7 +1122,13 @@ class AlgebraicNumber:
     # -- enclosures -----------------------------------------------------------
 
     def enclosure(self, eps) -> Box:
-        """Certified rectangle of width <= eps containing the embedded value."""
+        """Certified rectangle of width <= eps containing the embedded value.
+
+        A box of theta of width t inside [-M, M] (or the square of
+        half-width M) gives the sum an enclosure of width at most about B t,
+        B = sum_k k |c_k| M^(k-1); theta is refined once to eps / 2B, and
+        then narrowed 16-fold until the sum fits.
+        """
         eps = Rat(eps)
         if eps <= 0:
             raise TorusflowError("eps must be positive")
@@ -1227,28 +1138,31 @@ class AlgebraicNumber:
             return self._box
         field = self.field
         acc = self._sum(field._power_boxes())
-        if acc.width() > eps and not field.is_complex:
-            field._refine_for(self, eps)
-            acc = self._sum(field._power_boxes())
-        # a real theta is refined once above, so this loop only runs for
-        # complex fields, or should the bound ever fail; it narrows theta
-        # 16-fold per pass
-        theta_eps = field._root_enclosure.width()
-        for _ in range(200):
-            if acc.width() <= eps:
-                self._box, self._box_eps = acc, acc.width()
-                return acc
-            theta_eps = theta_eps / 16
-            field.root_enclosure(theta_eps)
-            acc = self._sum(field._power_boxes())
-        raise TorusflowError("enclosure refinement failed to converge")
+        if acc.width() > eps:
+            mag = field._root_enclosure.abs_upper()
+            bound = sum(
+                k * abs(c) * mag ** (k - 1) for k, c in enumerate(self.coords) if k
+            )
+            width = eps / (2 * bound)
+            for _ in range(64):
+                field.root_enclosure(width)
+                acc = self._sum(field._power_boxes())
+                if acc.width() <= eps:
+                    break
+                width = width / 16
+            else:
+                raise TorusflowError("enclosure refinement failed to converge")
+        if isinstance(acc, Interval):
+            acc = Box(acc, _ZERO)
+        self._box, self._box_eps = acc, acc.width()
+        return acc
 
     def _sum(self, powers):
         """Enclosure of sum_k c_k theta^k from boxes of theta's powers."""
-        acc = Box.point(0)
+        acc = powers[0].point(0)
         for c, pb in zip(self.coords, powers):
             if c != 0:
-                acc = acc + Box(pb.re.scale(c), pb.im.scale(c))
+                acc = acc + pb.scale(c)
         return acc
 
     def to_complex(self, eps=Fraction(1, 10**16)) -> complex:
@@ -1260,9 +1174,6 @@ class AlgebraicNumber:
         if self.is_rational():
             return self.num[0] / self.den
         return float(self.enclosure(eps).re.mid())
-
-    def abs_upper(self, eps=Fraction(1, 10**6)) -> Rat:
-        return self.enclosure(eps).abs_upper()
 
     def __repr__(self):
         terms = []
@@ -1276,19 +1187,6 @@ class AlgebraicNumber:
             else:
                 terms.append(f"{c}*{self.field.name}^{k}")
         return " + ".join(terms) if terms else "0"
-
-
-def rational_coordinates(vector, field: NumberField):
-    """Power-basis coordinate rows for a vector of field elements.
-
-    Row k of the result holds the d rational coordinates of entry k;
-    reassembling each row against powers of theta reproduces the vector.
-    """
-    rows = []
-    for entry in vector:
-        e = field.element(entry)
-        rows.append(list(e.coords))
-    return rows
 
 
 def float_rows(rows, width):

@@ -5,11 +5,9 @@ subspace's image numerically to cross-check exact torus closures,
 ``int_det`` checks unimodularity, ``rational_rank`` and ``is_saturated``
 check integer kernels, ``in_span`` decides span membership by solving,
 ``to_logical`` inverts the samplers' ``to_internal``,
-``BisectionEnclosures`` encloses field elements by the earlier 16-fold
-refinement loop on bisected real roots, ``FractionArithmetic`` does field
-arithmetic on Fraction coordinates by polynomial division, and ``serialize``
-writes a parsed problem back as text for the parse -> serialize -> parse
-round trip.
+``FractionArithmetic`` does field arithmetic on Fraction coordinates by
+polynomial division, and ``serialize`` writes a parsed problem back as text
+for the parse -> serialize -> parse round trip.
 """
 
 import math
@@ -21,12 +19,8 @@ from torusflow import exactlinalg as xl
 from torusflow._kernels import min_distance_batch
 from torusflow.lattice import hermite_normal_form, torus_closure
 from torusflow.numberfield import (
-    Box,
-    Interval,
-    _certify_root,
     _pcompose_mod,
     _pdivmod,
-    _peval,
     _pmod,
     _pmul,
     _psub,
@@ -91,70 +85,6 @@ def to_logical(points, mode):
     if mode == "real":
         return pts.astype(complex)
     return pts[:, 0::2] + 1j * pts[:, 1::2]
-
-
-# ---------------------------------------------------------------------------
-# Field elements to enclosures, the way torusflow did it by bisection
-# ---------------------------------------------------------------------------
-
-
-def _box_mul(a, b):
-    return Box(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
-
-
-class BisectionEnclosures:
-    """Enclosures of a field's elements by the earlier refinement loop.
-
-    It keeps its own copy of theta's box, taken from ``field`` when it is
-    made, and refines it as torusflow did before the Newton bracket: each
-    pass narrows theta 16-fold, a real theta by sign-change bisection and a
-    complex one by ``_certify_root``, until the element's enclosure has
-    width <= eps.  Like the field's box, the copy carries over from one
-    element to the next; there is no per-element cache.
-    """
-
-    def __init__(self, field):
-        self.field = field
-        self.theta = field._root_enclosure
-
-    def _refine(self, width):
-        K, box = self.field, self.theta
-        if box.width() <= width:
-            return
-        if K.is_complex:
-            self.theta = _certify_root(K.min_poly, K._deriv, box.to_complex(), width)
-            return
-        m, lo, hi = K.min_poly, box.re.lo, box.re.hi
-        flo = _peval(m, lo)
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            fmid = _peval(m, mid)
-            if fmid == 0:
-                lo = hi = mid
-                break
-            if (flo > 0) != (fmid > 0):
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        self.theta = Box(Interval(lo, hi), Interval.point(0))
-
-    def enclosure(self, element, eps):
-        eps = Fraction(eps)
-        if element.is_rational():
-            return Box.point(element.coords[0])
-        theta_eps = self.theta.width()
-        while True:
-            powers = [Box.point(1)]
-            for _ in range(1, self.field.degree):
-                powers.append(_box_mul(powers[-1], self.theta))
-            acc = Box.point(0)
-            for c, pb in zip(element.coords, powers):
-                if c != 0:
-                    acc = acc + Box(pb.re.scale(c), pb.im.scale(c))
-            if acc.width() <= eps:
-                return acc
-            theta_eps = theta_eps / 16
-            self._refine(theta_eps)
 
 
 # ---------------------------------------------------------------------------

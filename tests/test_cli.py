@@ -11,7 +11,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from test_golden import GAUSSIAN
+from torusflow import cli
 from torusflow.cli import main
+from torusflow.errors import InternalInvariantError
 
 
 @pytest.fixture()
@@ -240,6 +242,17 @@ def test_engine_error_exits_internal(tmp_path, capsys, command):
     assert _exit_code([command, str(spec)]) == 4
     err = capsys.readouterr().err
     assert err == "error: complex intersection left the piece\n"
+
+
+@pytest.mark.parametrize("command", ["closure", "verify"])
+def test_invariant_violation_exits_internal(workdir, capsys, monkeypatch, command):
+    def broken(variety, lattice):
+        raise InternalInvariantError("closure lost its source")
+
+    monkeypatch.setattr(cli, "flow_set", broken)
+    assert main([command, str(workdir / "hyperbola.tfp")]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal invariant violation: closure lost its source\n"
 
 
 def _reducible(min_poly, root, branch="(t, (theta-1)*t)"):

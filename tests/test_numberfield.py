@@ -4,11 +4,12 @@ import math
 import random
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import BisectionEnclosures, FractionArithmetic
+from oracles import FractionArithmetic
 
 import torusflow.numberfield as nf
 from torusflow.errors import DivisionByZero, FieldMismatch, TorusflowError
@@ -17,7 +18,6 @@ from torusflow.numberfield import (
     Interval,
     NumberField,
     _psub,
-    rational_coordinates,
     rational_factor,
     rational_root,
     rationals,
@@ -327,13 +327,13 @@ def _is_dyadic(q):
 
 def _count_certifications(monkeypatch):
     calls = []
-    certify = nf._certify_root
+    certify = nf._certify
 
     def counted(*args, **kwargs):
         calls.append(args[2])
         return certify(*args, **kwargs)
 
-    monkeypatch.setattr(nf, "_certify_root", counted)
+    monkeypatch.setattr(nf, "_certify", counted)
     return calls
 
 
@@ -393,7 +393,7 @@ class TestComplexIsolation:
         calls = _count_certifications(monkeypatch)
         NumberField(poly, root_box=rect)
         assert len(calls) == expected
-        assert all(seed.imag >= 0 for seed in calls)
+        assert all(seed.im.lo >= 0 for seed in calls)
 
     def test_dyadic_box_contains_its_input(self):
         import random
@@ -405,30 +405,63 @@ class TestComplexIsolation:
             width = F(1, rng.randint(1, 10**15))
             box = Box(Interval(ends[0], ends[0] + width),
                       Interval(ends[1], ends[1] + width * rng.randint(0, 1)))
-            rounded = nf._dyadic_box(box)
-            assert rounded.contains_box(box)
-            assert rounded.width() < box.width() * F(9, 8)
-            assert all(
-                _is_dyadic(q)
-                for q in (rounded.re.lo, rounded.re.hi, rounded.im.lo, rounded.im.hi)
-            )
+            grid = width * rng.choice([1, 1, 10**rng.randint(1, 9)])
+            for X in (box, box.re):
+                rounded = nf._dyadic_box(X, grid)
+                assert rounded.contains_box(X)
+                assert rounded.width() < X.width() + grid / 8
+                ends_out = (
+                    (rounded.lo, rounded.hi) if X is box.re
+                    else (rounded.re.lo, rounded.re.hi, rounded.im.lo, rounded.im.hi)
+                )
+                assert all(_is_dyadic(q) for q in ends_out)
 
     def test_rounding_stays_inside_the_uniqueness_square(self):
-        # bisect the half-width h down to where Newton's box K barely fits the
-        # square Z; there the rounded box would poke out, so K is kept
+        # bisect the half-width h down to where Newton's box N barely fits the
+        # square Z; rounded outward there it pokes out, and it is cut back
         m = [F(-2), F(0), F(1)]
         md = nf._pderiv(m)
-        z = (F(7, 5), F(0))
+        c = Box.point(F(7, 5), F(0))
+
+        def image(h):
+            Z = c.widened(h)
+            N = nf._newton(m, md, c, Z)
+            return Z, N if N is not None and Z.strictly_contains(N) else None
+
         lo, hi = F(1, 1000), F(1)
-        assert nf._try_certify(m, md, *z, lo) is None
+        assert image(lo)[1] is None
         for _ in range(60):
             mid = (lo + hi) / 2
-            if nf._try_certify(m, md, *z, mid) is None:
+            if image(mid)[1] is None:
                 lo = mid
             else:
                 hi = mid
-        square = Box(Interval(z[0] - hi, z[0] + hi), Interval(z[1] - hi, z[1] + hi))
-        assert square.strictly_contains(nf._try_certify(m, md, *z, hi))
+        Z, N = image(hi)
+        assert not Z.contains_box(nf._dyadic_box(N, N.width()))
+        rounded = nf._narrowed(N, Z, N.width())
+        assert Z.contains_box(rounded) and rounded.contains_box(N)
+
+    def test_complex_fallback_certifies_from_the_centre(self, monkeypatch):
+        # the box's right edge lies 10^-20 past sqrt 2: the certificate from
+        # its centre's float, rounded for the width asked, pokes out of it,
+        # and m'(X) = 2X holds 0, so no step from the centre narrows it
+        m = [F(-2), F(0), F(1)]
+        X = Box(Interval(F(0), SQRT2_REF + F(1, 10**20)), Interval(F(-1), F(1)))
+        calls = _count_certifications(monkeypatch)
+        width = F(1, 1000)
+        box = nf._refine(m, nf._pderiv(m), X, width)
+        assert len(calls) == 2
+        assert X.contains_box(box) and box.width() <= width
+        assert box.re.contains(SQRT2_REF) and box.im.contains(0)
+
+    def test_refinement_that_drifts_is_refused(self, monkeypatch):
+        m = [F(-2), F(0), F(1)]
+        X = Box(Interval(F(0), F(2)), Interval(F(-1), F(1)))
+        monkeypatch.setattr(
+            nf, "_float_newton", lambda m, X: -1.4142135623730951 + 0j
+        )
+        with pytest.raises(TorusflowError, match="drifted"):
+            nf._refine(m, nf._pderiv(m), X, F(1, 1000))
 
     @pytest.mark.parametrize("eps", [F(1, 1 << 24), F(1, 10**20), F(1, 10**40)])
     def test_enclosure_is_dyadic(self, eps):
@@ -525,38 +558,14 @@ class TestRationalFactor:
             for c in (F(-33, 10), F(-7, 5), F(7, 5), F(33, 10))
         ]
         refined = []
-        refine = nf._refine_root_box
-        monkeypatch.setattr(
-            nf, "_refine_root_box", lambda *a: refined.append(a) or refine(*a)
-        )
+        refine = nf._refine
+        monkeypatch.setattr(nf, "_refine", lambda *a: refined.append(a) or refine(*a))
         assert rational_factor(poly, boxes) == [-11, 0, 1]
         assert len(refined) == 4
 
 
 def _peval_exact(p, x):
     return sum(c * x**k for k, c in enumerate(p))
-
-
-class TestRationalCoordinates:
-    def test_standard(self, sqrt2):
-        rows = rational_coordinates([sqrt2.one, sqrt2.gen], sqrt2)
-        assert rows == [[F(1), F(0)], [F(0), F(1)]]
-
-    def test_combined(self, sqrt2):
-        rows = rational_coordinates([sqrt2.from_coords([1, 2])], sqrt2)
-        assert rows == [[F(1), F(2)]]
-
-    def test_zeta8_cube(self, zeta8):
-        rows = rational_coordinates([zeta8.gen**3], zeta8)
-        assert rows == [[F(0), F(0), F(0), F(1)]]
-
-    def test_reassembly(self, sqrt2):
-        v = [sqrt2.from_coords([F(1, 3), F(-2, 5)])]
-        rows = rational_coordinates(v, sqrt2)
-        rebuilt = sum(
-            (sqrt2.gen**k) * c for k, c in enumerate(rows[0])
-        )
-        assert rebuilt == v[0]
 
 
 class TestIntervalArithmetic:
@@ -578,22 +587,63 @@ class TestIntervalArithmetic:
 
 
 # ---------------------------------------------------------------------------
-# Field elements to floats: Newton-located bisection boxes, one theta width
-# per enclosure, checked against the earlier bisection loop
+# Field elements to floats: interval-Newton boxes of theta, checked against
+# mpmath values at 80 digits
 # ---------------------------------------------------------------------------
 
+mpmath.mp.dps = 80
+# the mpmath values are good to about 75 digits: a box "holds" one when it
+# reaches within this of it
+REF_SLACK = F(1, 10**70)
+
+
+def _mp_sqrt2():
+    return mpmath.sqrt(2)
+
+
 CONVERSION_FIELDS = {
-    "sqrt2": lambda: NumberField([-2, 0, 1], root_interval=(1, 2)),
+    "sqrt2": (lambda: NumberField([-2, 0, 1], root_interval=(1, 2)), _mp_sqrt2),
     # theta = sqrt 2 + sqrt 3
-    "quartic": lambda: NumberField([1, 0, -10, 0, 1], root_interval=(3, 4)),
-    "zeta8": lambda: NumberField(
-        [1, 0, 0, 0, 1],
-        root_box=((F(1, 2), 1), (F(1, 2), 1)),
-        i_coords=[0, 0, 1],
-        conj_coords=[0, 0, 0, -1],
+    "quartic": (
+        lambda: NumberField([1, 0, -10, 0, 1], root_interval=(3, 4)),
+        lambda: mpmath.sqrt(2) + mpmath.sqrt(3),
+    ),
+    "zeta8": (
+        lambda: NumberField(
+            [1, 0, 0, 0, 1],
+            root_box=((F(1, 2), 1), (F(1, 2), 1)),
+            i_coords=[0, 0, 1],
+            conj_coords=[0, 0, 0, -1],
+        ),
+        lambda: mpmath.expjpi(F(1, 4)),
     ),
 }
 DEFAULT_EPS = F(1, 10**16)
+
+
+def _exact(x):
+    """An mpmath real as the Fraction it holds."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * F(man) * F(2) ** exp
+
+
+def _value(e, theta):
+    """The mpmath value of the element e at theta."""
+    return sum(
+        mpmath.mpf(c.numerator) / c.denominator * theta**k for k, c in enumerate(e.coords)
+    )
+
+
+def _holds(box, value):
+    """Whether the Box, or the real Interval, reaches within REF_SLACK of the
+    mpmath value."""
+    if isinstance(box, Interval):
+        box = Box(box, Interval.point(0))
+    value = mpmath.mpc(value)
+    return all(
+        iv.lo - REF_SLACK <= _exact(part) <= iv.hi + REF_SLACK
+        for iv, part in ((box.re, value.real), (box.im, value.imag))
+    )
 
 
 def _random_elements(K, seed, count=25):
@@ -610,8 +660,8 @@ def _random_eps(rng):
     return DEFAULT_EPS if rng.random() < 0.5 else F(1, 10 ** rng.randint(1, 40))
 
 
-def _sign_change_on(m, box):
-    lo, hi = box.re.lo, box.re.hi
+def _sign_change_on(m, interval):
+    lo, hi = interval.lo, interval.hi
     if lo == hi:
         return nf._peval(m, lo) == 0
     return (nf._peval(m, lo) > 0) != (nf._peval(m, hi) > 0)
@@ -629,49 +679,49 @@ def _count(monkeypatch, owner, name):
     return calls
 
 
+def _assert_near(f, value, eps):
+    """The float f lies within eps plus half an ulp of the mpmath value."""
+    assert abs(F(f) - _exact(mpmath.mpf(value))) <= eps + F(math.ulp(f)) / 2 + REF_SLACK
+
+
 class TestNewtonEnclosures:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("name", sorted(CONVERSION_FIELDS))
-    def test_matches_the_bisection_oracle(self, monkeypatch, name, seed):
-        K = CONVERSION_FIELDS[name]()
-        start = K._root_enclosure
-        oracle = BisectionEnclosures(K)
-        fine = BisectionEnclosures(CONVERSION_FIELDS[name]())
-        refines = _count(monkeypatch, NumberField, "_refine_box")
+    def test_enclosures_hold_the_value(self, name, seed):
+        make, theta_ref = CONVERSION_FIELDS[name]
+        K, theta = make(), theta_ref()
         rng = random.Random(seed)
+        start = last = K._root_enclosure
         for e in _random_elements(K, seed):
             eps = _random_eps(rng)
-            del refines[:]
             box = e.enclosure(eps)
-            if not K.is_complex:
-                assert len(refines) <= 1
             assert box.width() <= eps
-            ref = oracle.enclosure(e, eps)
-            assert not box.disjoint(ref)
-            assert box == ref
-            # the element's value, enclosed through a far narrower theta
-            assert not box.disjoint(fine.enclosure(e, F(1, 10**60)))
-        theta = K._root_enclosure
-        assert start.contains_box(theta)
-        if not K.is_complex:
-            assert _sign_change_on(K.min_poly, theta)
+            assert _holds(box, _value(e, theta))
+            # finer enclosures nest inside coarser ones, and theta's boxes nest
+            finer = e.enclosure(eps / 1000)
+            assert finer.width() <= eps / 1000 and box.contains_box(finer)
+            assert last.contains_box(K._root_enclosure)
+            last = K._root_enclosure
+            if not K.is_complex:
+                assert _sign_change_on(K.min_poly, last)
+        assert start.contains_box(last) and _holds(last, theta)
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("name", sorted(CONVERSION_FIELDS))
-    def test_floats_are_the_oracles_bit_for_bit(self, name, seed):
-        K = CONVERSION_FIELDS[name]()
-        oracle = BisectionEnclosures(K)
+    def test_floats_lie_within_eps_and_half_an_ulp(self, name, seed):
+        make, theta_ref = CONVERSION_FIELDS[name]
+        K, theta = make(), theta_ref()
         for e in _random_elements(K, seed):
-            ref = oracle.enclosure(e, DEFAULT_EPS)
-            if K.is_complex:
-                assert e.to_complex() == ref.to_complex()
-            else:
-                assert e.to_float() == float(ref.re.mid())
-                assert e.to_complex() == ref.to_complex()
+            value = mpmath.mpc(_value(e, theta))
+            z = e.to_complex()
+            _assert_near(z.real, value.real, DEFAULT_EPS)
+            _assert_near(z.imag, value.imag, DEFAULT_EPS)
+            if not K.is_complex:
+                assert e.to_float() == z.real and z.imag == 0
 
     @pytest.mark.parametrize("q", [F(0), F(-7, 3), F(10**300), F(1, 10**300)])
     def test_rationals_convert_directly(self, q):
-        e = CONVERSION_FIELDS["quartic"]().rational(q)
+        e = CONVERSION_FIELDS["quartic"][0]().rational(q)
         assert e.to_float() == float(q)
         z = e.to_complex()
         assert z == complex(float(q), 0.0)
@@ -680,87 +730,95 @@ class TestNewtonEnclosures:
 
     @pytest.mark.parametrize("name", ["sqrt2", "quartic"])
     def test_newton_boxes_are_certified_inside_the_last(self, monkeypatch, name):
-        K = CONVERSION_FIELDS[name]()
-        cells = []
-        newton_cell = nf._newton_cell
+        make, theta_ref = CONVERSION_FIELDS[name]
+        K, theta = make(), theta_ref()
+        steps = []
+        refine = nf._refine
 
-        def recorded(m, md, lo, hi, n):
-            cell = newton_cell(m, md, lo, hi, n)
-            cells.append((lo, hi, n, cell))
-            return cell
+        def recorded(m, md, X, width):
+            box = refine(m, md, X, width)
+            steps.append((X, width, box))
+            return box
 
-        monkeypatch.setattr(nf, "_newton_cell", recorded)
+        monkeypatch.setattr(nf, "_refine", recorded)
         rng = random.Random(5)
         for e in _random_elements(K, 5):
             e.enclosure(_random_eps(rng))
-        assert cells and all(cell is not None for *_, cell in cells)
-        for lo, hi, n, cell in cells:
-            assert lo <= cell.re.lo and cell.re.hi <= hi
-            assert cell.re.width() in (0, (hi - lo) / 2**n)
-            assert _sign_change_on(K.min_poly, cell)
+        assert steps
+        for X, width, box in steps:
+            assert isinstance(box, Interval)
+            assert X.contains_box(box) and box.width() <= width
+            assert _sign_change_on(K.min_poly, box) and _holds(box, theta)
 
     def test_newton_two_cycle_falls_back_to_bisection(self, monkeypatch):
         # Newton's iteration for x^3 - 2x + 2 cycles 0 -> 1 -> 0 from the
-        # interval's midpoint, far from the real root near -1.769
+        # interval's midpoint, far from the real root near -1.769, and
+        # m'(x) = 3x^2 - 2 vanishes on the interval
         K = NumberField([2, -2, 0, 1], root_interval=(-2, 2))
-        oracle = BisectionEnclosures(NumberField([2, -2, 0, 1], root_interval=(-2, 2)))
-        bisections = _count(monkeypatch, nf, "_bisect")
-        eps = F(1, 10**20)
-        box = K.gen.enclosure(eps)
+        theta = mpmath.findroot(lambda x: x**3 - 2 * x + 2, -1.77)
+        bisections = _count(monkeypatch, nf, "_halve")
+        for eps in (F(1, 10**20), F(1, 10**45)):
+            box = K.gen.enclosure(eps)
+            assert box.width() <= eps
+            assert _holds(box, theta)
+            assert _sign_change_on(K.min_poly, K._root_enclosure)
         assert bisections
-        assert box.width() <= eps
-        assert box == oracle.enclosure(K.gen, eps)
-        assert _sign_change_on(K.min_poly, K._root_enclosure)
+        _assert_near(K.gen.to_float(), theta, DEFAULT_EPS)
 
     def test_newton_on_another_root_falls_back_to_bisection(self, monkeypatch):
-        K = CONVERSION_FIELDS["sqrt2"]()
-        oracle = BisectionEnclosures(CONVERSION_FIELDS["sqrt2"]())
-        monkeypatch.setattr(nf, "_float_newton", lambda m, md, x: -1.4142135623730951)
-        bisections = _count(monkeypatch, nf, "_bisect")
-        assert K.gen.to_float() == float(oracle.enclosure(K.gen, DEFAULT_EPS).re.mid())
-        assert len(bisections) == 1
+        # the float iterate lands on -sqrt 2, whose certificate lies outside
+        # (0, 2); m'(x) = 2x vanishes there, so the interval is bisected
+        K = NumberField([-2, 0, 1], root_interval=(0, 2))
+        monkeypatch.setattr(nf, "_float_newton", lambda m, X: -1.4142135623730951)
+        bisections = _count(monkeypatch, nf, "_halve")
+        _assert_near(K.gen.to_float(), _mp_sqrt2(), DEFAULT_EPS)
+        assert bisections
         assert _sign_change_on(K.min_poly, K._root_enclosure)
+        assert _holds(K._root_enclosure, _mp_sqrt2())
 
     @pytest.mark.parametrize("where", ["near_endpoint", "tiny"])
     def test_awkward_starting_intervals(self, where):
         lo = F(math.isqrt(2 << 140), 1 << 70)  # sqrt 2 - lo < 2^-70
         interval = (lo, 2) if where == "near_endpoint" else (lo, lo + F(1, 1 << 70))
         K = NumberField([-2, 0, 1], root_interval=interval)
-        oracle = BisectionEnclosures(NumberField([-2, 0, 1], root_interval=interval))
+        last = K.gen.enclosure(1)
         for eps in (DEFAULT_EPS, F(1, 10**30), F(1, 10**60)):
             box = K.gen.enclosure(eps)
             assert box.width() <= eps
-            assert box == oracle.enclosure(K.gen, eps)
+            assert last.contains_box(box) and _holds(box, _mp_sqrt2())
+            last = box
         assert _sign_change_on(K.min_poly, K._root_enclosure)
 
     def test_root_beyond_the_float_range(self):
-        # theta = sqrt(2) * 10^400: no float Newton start, bisection certifies
+        # theta = sqrt(2) * 10^400: no float Newton start, steps from the
+        # centre certify
         poly = [-2 * 10**800, 0, 1]
-        interval = (14 * 10**399, 15 * 10**399)
-        K = NumberField(poly, root_interval=interval)
-        oracle = BisectionEnclosures(NumberField(poly, root_interval=interval))
+        K = NumberField(poly, root_interval=(14 * 10**399, 15 * 10**399))
         eps = F(1, 10**6)
         box = K.gen.enclosure(eps)
         assert box.width() <= eps
-        assert box == oracle.enclosure(K.gen, eps)
+        # theta^2 = 2 * 10^800 exactly, beyond mpmath's 80 digits
+        assert box.re.lo**2 < 2 * 10**800 < box.re.hi**2
+        assert _sign_change_on(K.min_poly, K._root_enclosure)
 
-    def test_theta_stops_at_the_widest_sufficient_level(self, monkeypatch):
-        # theta^3 over theta's box [3, 4] of width 1: the bound 3 * 4^2 = 48
-        # asks for 4 * 13 halvings at this eps, while the enclosure's width,
-        # about 3 * theta^2 = 29.7 times theta's, is within eps after 4 * 12
-        K = CONVERSION_FIELDS["quartic"]()
-        oracle = BisectionEnclosures(CONVERSION_FIELDS["quartic"]())
+    def test_theta_is_refined_once_without_overshoot(self, monkeypatch):
+        # theta^3 over theta's box [3, 4]: B = 3 * 4^2 = 48, so theta is
+        # refined once to t = eps / 96, rounded onto a grid of step between
+        # t / 64 and t / 16, so not much below t
+        K = CONVERSION_FIELDS["quartic"][0]()
         e = K.from_coords([0, 0, 0, 1])
         eps = F(40, 16**12)
-        refines = _count(monkeypatch, NumberField, "_refine_box")
+        refines = _count(monkeypatch, nf, "_refine")
         box = e.enclosure(eps)
+        t = eps / 96
         assert len(refines) == 1
-        assert K._root_enclosure.width() == F(1, 16**12)
-        assert box == oracle.enclosure(e, eps)
+        assert t / 64 < K._root_enclosure.width() <= t
+        assert box.width() <= eps
+        assert _holds(box, CONVERSION_FIELDS["quartic"][1]() ** 3)
 
     def test_sqrt2_to_float_refines_theta_once(self, monkeypatch):
         K = NumberField([-2, 0, 1], root_interval=(1, 2))
-        refines = _count(monkeypatch, NumberField, "_refine_box")
+        refines = _count(monkeypatch, nf, "_refine")
         evals = _count(monkeypatch, nf, "_peval")
         assert K.gen.to_float() == 1.4142135623730951
         assert len(refines) <= 1
