@@ -48,11 +48,6 @@ class RemainderBound:
     q: Optional[Rat]  # None means the remainder vanishes identically
     t0: Rat
 
-    def evaluate(self, t):
-        if self.q is None:
-            return 0.0
-        return float(self.C) * float(t) ** (-float(self.q))
-
 
 @dataclass
 class ExpansionAtInfinity:
@@ -196,15 +191,14 @@ def _branch_flat_for_ray(expansion, ray, mode, complex_flats, field, internal_n,
 
 
 def branch_asymptotic_flats(branch, L, mode, complex_flats):
-    """Per-ray flats; complex flats collapse to a single span."""
+    """One flat per ray, or one for a branch without rays (t real under the
+    real statement, complex under the complex theorem, where the flat's span
+    is closed under i)."""
     expansion = expand_at_infinity(branch)
     internal_n = L.ambient_dim
     field = branch.field
-    rays = branch.rays
-    if complex_flats or not rays:
-        rays = [None]
     flats = {}
-    for ray in rays:
+    for ray in branch.rays or [None]:
         f = _branch_flat_for_ray(
             expansion, ray, mode, complex_flats, field, internal_n, L
         )
@@ -214,19 +208,16 @@ def branch_asymptotic_flats(branch, L, mode, complex_flats):
 
 
 def affine_asymptotic_family(
-    piece: AffinePiece, L: Subspace, complex_flats: bool = False
+    piece: AffinePiece, L: Subspace
 ) -> Optional[tuple[AffineSet, Subspace]]:
     """(base, Q): the translates approached by an affine piece, or None.
 
     The unbounded directions inside L are Q = P intersect L; the base is the
     projection of the piece onto the complement of Q, one flat per base point.
+    Under the complex theorem P and L are closed under multiplication by i,
+    and so is Q.
     """
-    P = piece.flat.directions
-    Q = P.intersect(L)
-    if complex_flats:
-        Q = j_stable_closure(Q) if Q.dim else Q
-        if not L.contains(Q) or not P.contains(Q):
-            raise TorusflowError("complex intersection left the piece")
+    Q = piece.flat.directions.intersect(L)
     if Q.dim == 0:
         return None
     return AffineSet(piece.flat).project(Q), Q
@@ -255,7 +246,7 @@ def variety_asymptotic_flats(
             for f in branch_asymptotic_flats(piece, L, X.mode, complex_flats):
                 branch_flats[f.key()] = f
         elif piece.kind == "affine":
-            fam = affine_asymptotic_family(piece, L, complex_flats)
+            fam = affine_asymptotic_family(piece, L)
             if fam is not None:
                 base, Q = fam
                 families.setdefault((Q.key(), base.flat.key()), fam)

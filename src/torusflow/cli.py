@@ -3,7 +3,8 @@
 Exit codes:
     0  success
     2  problem file or sample settings failed to parse or validate
-    3  symbolic analysis unsupported for this input (graph pieces)
+    3  symbolic analysis unsupported for this input (graph pieces, or a
+       complex branch without rays under the real statement)
     4  internal invariant violation (a bug), or an input the exact
        engine cannot handle yet
     5  verification failed (report still written)

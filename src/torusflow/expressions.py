@@ -1,6 +1,8 @@
-"""Small expression language for problem files.
-
-One grammar serves three evaluation contexts:
+"""Problem-file expressions: a subset of Python's expression syntax, read by
+Python's own parser.  Numbers (digits and at most one dot), names, ``+ - * /``,
+signs, powers written ``^`` or ``**``, and calls of a bare name with
+positional arguments, at most ``MAX_DEPTH`` levels deep.  One tree serves
+three evaluation contexts:
 
 * exact scalars: polynomials in theta (and i, when the field supplies it)
   with rational coefficients; decimal literals are converted exactly;
@@ -8,15 +10,16 @@ One grammar serves three evaluation contexts:
   exponents allowed on t itself (power sums);
 * numeric expressions: graph pieces and predicted curves, evaluated over
   numpy arrays with sqrt/exp/cos/sin/abs, pi and the imaginary unit.
-
-No eval() anywhere: a hand-rolled tokenizer and recursive-descent parser.
 """
 
 from __future__ import annotations
 
+import ast
+import contextlib
 import operator
+import re
 import sys
-from dataclasses import dataclass
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +30,6 @@ from .numberfield import NumberField
 
 Rat = Fraction
 
-_OPS = set("+-*/^(),")
 _ARITH = {
     "+": operator.add,
     "-": operator.sub,
@@ -80,137 +82,64 @@ def _power(base, k, one, check):
     return value
 
 
-@dataclass
-class Token:
-    kind: str  # "num", "name", "op"
-    value: object
-    pos: int
+MAX_DEPTH = 100  # levels of an expression tree; bounds every evaluator's recursion
+
+_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
 
-def tokenize(text):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            lit = text[i:j]
-            try:
-                value = Rat(lit)
-            except ValueError:
-                raise SpecFileError(f"bad number literal {lit!r}")
-            tokens.append(Token("num", _in_float_range(value), i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("name", text[i:j], i))
-            i = j
-            continue
-        if ch == "*" and i + 1 < n and text[i + 1] == "*":
-            tokens.append(Token("op", "^", i))
-            i += 2
-            continue
-        if ch in _OPS:
-            tokens.append(Token("op", ch, i))
-            i += 1
-            continue
-        raise SpecFileError(f"unexpected character {ch!r} in expression")
-    return tokens
-
-
-class Parser:
-    """expr -> term (± term)*; term -> unary (*/ unary)*; power binds tighter."""
-
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise SpecFileError("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        tok = self.next()
-        if tok.kind != "op" or tok.value != op:
-            raise SpecFileError(f"expected {op!r} in expression")
-
-    def parse(self):
-        node = self.expr()
-        if self.peek() is not None:
-            raise SpecFileError("trailing junk in expression")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while (tok := self.peek()) and tok.kind == "op" and tok.value in "+-":
-            self.next()
-            rhs = self.term()
-            node = (tok.value, node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while (tok := self.peek()) and tok.kind == "op" and tok.value in "*/":
-            self.next()
-            rhs = self.unary()
-            node = (tok.value, node, rhs)
-        return node
-
-    def unary(self):
-        tok = self.peek()
-        if tok and tok.kind == "op" and tok.value in "+-":
-            self.next()
-            node = self.unary()
-            return node if tok.value == "+" else ("neg", node)
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        tok = self.peek()
-        if tok and tok.kind == "op" and tok.value == "^":
-            self.next()
-            expo = self.unary()  # right-assoc, allows -2 etc.
-            return ("^", base, expo)
-        return base
-
-    def atom(self):
-        tok = self.next()
-        if tok.kind == "num":
-            return ("num", tok.value)
-        if tok.kind == "name":
-            nxt = self.peek()
-            if nxt and nxt.kind == "op" and nxt.value == "(":
-                self.next()
-                args = [self.expr()]
-                while (t := self.peek()) and t.kind == "op" and t.value == ",":
-                    self.next()
-                    args.append(self.expr())
-                self.expect_op(")")
-                return ("call", tok.value, args)
-            return ("name", tok.value)
-        if tok.kind == "op" and tok.value == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise SpecFileError(f"unexpected token {tok.value!r} in expression")
+def _quoted(text):
+    """The text's first 60 characters, quoted, for an error message."""
+    return repr(text[:60] + ("..." if len(text) > 60 else ""))
 
 
 def parse_expr(text):
-    return Parser(tokenize(text)).parse()
+    """The tree ``("num", q)``, ``("name", s)``, ``("neg", x)``, ``(op, x, y)`` (op
+    in ``+-*/^``) or ``("call", name, [args])`` of an expression.  ``ast.parse``
+    only builds Python's syntax tree: nothing is compiled or run."""
+    text = " ".join(text.split())
+    # Python refuses leading zeros in an integer; the expressions take 007 as 7
+    source = re.sub(r"(?<![\w.])0+(?=\d)", "", text.replace("^", "**"))
+    try:
+        if "#" in text:  # Python would read the rest as a comment
+            raise SyntaxError
+        with warnings.catch_warnings():  # 1if t warns before it is refused
+            warnings.simplefilter("ignore")
+            tree = ast.parse(source, mode="eval")
+    except (SyntaxError, ValueError, RecursionError, MemoryError):
+        raise SpecFileError(f"cannot parse expression {_quoted(text)}") from None
+    encoded = source.encode()  # node offsets count its UTF-8 bytes
+
+    def convert(node, depth=1):
+        if depth > MAX_DEPTH:
+            raise SpecFileError(
+                f"expression deeper than {MAX_DEPTH} levels: {_quoted(text)}"
+            )
+        kind, depth = type(node), depth + 1
+        if kind is ast.BinOp and type(node.op) in _BINOPS:
+            left, right = convert(node.left, depth), convert(node.right, depth)
+            return (_BINOPS[type(node.op)], left, right)
+        if kind is ast.UnaryOp and type(node.op) in (ast.UAdd, ast.USub):
+            operand = convert(node.operand, depth)
+            return operand if type(node.op) is ast.UAdd else ("neg", operand)
+        if kind is ast.Name:
+            return ("name", node.id)
+        if kind is ast.Constant and type(node.value) in (int, float):
+            literal = encoded[node.col_offset : node.end_col_offset].decode()
+            # digits and at most one dot: 1e5, 0x10 and 1_000 are refused, and so
+            # is a decimal past Python's 4300-digit limit, where Rat() fails; a
+            # decimal is read from its text, as its float value is rounded
+            with contextlib.suppress(ValueError):
+                if literal.replace(".", "", 1).isdigit():
+                    exact = node.value if type(node.value) is int else literal
+                    return ("num", _in_float_range(Rat(exact)))
+            raise SpecFileError(f"bad number literal {_quoted(literal)}")
+        # a starred argument is refused where it is converted
+        if kind is ast.Call and type(node.func) is ast.Name and not node.keywords:
+            return ("call", node.func.id, [convert(a, depth) for a in node.args])
+        refused = encoded[node.col_offset : node.end_col_offset].decode()
+        raise SpecFileError(f"{_quoted(refused)} is not allowed in an expression")
+
+    return convert(tree.body)
 
 
 def _const_rational(node):

@@ -123,18 +123,6 @@ class TPoly:
                     out[e] = s
         return TPoly(self.field, out)
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise TorusflowError("t-polynomial powers must be nonnegative integers")
-        result = TPoly.constant(self.field, self.field.one)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def exponent_denominator(self):
         return math.lcm(*(e.denominator for e in self.terms))
 

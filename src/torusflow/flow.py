@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from . import exactlinalg as xl
-from .errors import InternalInvariantError, TorusflowError
+from .errors import InternalInvariantError, SymbolicUnsupported, TorusflowError
 from .flats import AffineSet, CurveImage, PointSet, VarietyInput
 from .lattice import (
     ClosedSubgroupDescriptor,
@@ -40,6 +40,26 @@ def check_span_condition(lat: Lattice) -> str:
     return COMPLEX_THEOREM if is_j_stable(lat.span) else REAL_ONLY
 
 
+def statement_for(X: VarietyInput, lat: Lattice) -> Optional[str]:
+    """The statement a problem falls under: None in real mode.
+
+    The complex theorem applies when the lattice span and every affine
+    piece's directions are closed under multiplication by i and no branch is
+    restricted to rays; otherwise the real (o-minimal) statement on R^(2n)
+    does, which puts no condition on the pieces or on Lambda.
+    """
+    if X.mode != "complex":
+        return None
+    pieces_complex = all(
+        is_j_stable(p.flat.directions) if p.kind == "affine"
+        else not (p.kind == "branch" and p.rays)
+        for p in X.pieces
+    )
+    if pieces_complex and check_span_condition(lat) == COMPLEX_THEOREM:
+        return COMPLEX_THEOREM
+    return REAL_ONLY
+
+
 @dataclass
 class FlowComponent:
     """One piece pi(C) + T of the limit set."""
@@ -47,7 +67,6 @@ class FlowComponent:
     base: object                 # PointSet | AffineSet | CurveImage, inside W-perp
     V: Subspace                  # direction space of the family
     torus: Optional[ClosedSubgroupDescriptor]   # None for raw predictions
-    dim_C_internal: int          # real dimension of C
     dim_C: int                   # dimension in the problem's units
     label: str = ""
 
@@ -124,13 +143,11 @@ def _family_component(base, V: Subspace, lat: Lattice, mode,
     where W is the smallest Lambda-rational subspace containing V."""
     tc = torus_closure(V, lat)
     base = base.project(tc.W)
-    dim_internal = base.dim
     return FlowComponent(
         base=base,
         V=V,
         torus=tc,
-        dim_C_internal=dim_internal,
-        dim_C=_mode_dim(dim_internal, mode, complex_units),
+        dim_C=_mode_dim(base.dim, mode, complex_units),
     )
 
 
@@ -193,11 +210,15 @@ def flow_set(X: VarietyInput, lat: Lattice) -> FlowDescription:
     """
     if lat.ambient_dim != X.internal_dim:
         raise TorusflowError("lattice and variety ambient dimensions disagree")
-    span_condition = None
-    complex_units = False
-    if X.mode == "complex":
-        span_condition = check_span_condition(lat)
-        complex_units = span_condition == COMPLEX_THEOREM
+    span_condition = statement_for(X, lat)
+    complex_units = span_condition == COMPLEX_THEOREM
+    if span_condition == REAL_ONLY and any(
+        p.kind == "branch" and not p.rays for p in X.pieces
+    ):
+        raise SymbolicUnsupported(
+            "the real statement applies, and it needs the rays of every "
+            "complex branch; declare them as 'branch = rays (…) : (…)'"
+        )
     L = lat.span
     families = variety_asymptotic_flats(X, L, complex_flats=complex_units)
     components = [
@@ -211,10 +232,7 @@ def flow_set(X: VarietyInput, lat: Lattice) -> FlowDescription:
     if X.mode == "complex" and not complex_units:
         declared = 2 * X.declared_dim
     for comp in components:
-        effective_dim = (
-            comp.dim_C if (X.mode == "real" or complex_units) else comp.dim_C_internal
-        )
-        if effective_dim >= declared:
+        if comp.dim_C >= declared:
             raise InternalInvariantError(
                 "component dimension reached the variety dimension"
             )
@@ -248,7 +266,6 @@ def predicted_flow(components, lat: Lattice, mode, span_condition=None):
                 base=base,
                 V=V,
                 torus=torus,
-                dim_C_internal=base.dim,
                 dim_C=base.dim,
                 label=label,
             )

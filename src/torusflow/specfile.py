@@ -32,6 +32,8 @@ Complex fields add `root = rect (re_lo, re_hi) (im_lo, im_hi)` plus `i =` and
 
 from __future__ import annotations
 
+import keyword
+import unicodedata
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -61,7 +63,7 @@ from .flats import (
     internal_dim,
     to_internal,
 )
-from .flow import FlowDescription, check_span_condition, predicted_flow
+from .flow import FlowDescription, predicted_flow, statement_for
 from .lattice import Lattice, Subspace, apply_j
 from .numberfield import NumberField, rational_factor, rational_root, rationals
 from .verifier import SampleConfig
@@ -356,11 +358,22 @@ def _numeric_vector(text, names, space, field, what):
     return point_at
 
 
+def _variable(name, what):
+    """The name as expressions read it: Python's parser normalises names to NFKC."""
+    name = unicodedata.normalize("NFKC", name.strip())
+    if keyword.iskeyword(name):
+        raise SpecFileError(
+            f"{what} variable {name!r} is a Python keyword, which expressions "
+            "cannot use as a name"
+        )
+    return name
+
+
 def _parse_graph(value, space, field):
     head, sep, body = value.partition(":")
     if not sep or not head.strip().startswith("vars"):
         raise SpecFileError("graph piece must look like 'vars x, y : (…)'")
-    var_names = [v.strip() for v in head.strip()[len("vars"):].split(",")]
+    var_names = [_variable(v, "graph") for v in head.strip()[len("vars"):].split(",")]
     if any(not v.isidentifier() for v in var_names):
         raise SpecFileError("bad graph variable names")
     point_at = _numeric_vector(body, var_names, space, field, "graph")
@@ -429,7 +442,7 @@ def _parse_base(text, space, field):
         head_parts = head.split()
         if len(head_parts) < 3 or head_parts[1] != "in":
             raise SpecFileError("curve base must look like 'curve u in (a,b) : (…)'")
-        var = head_parts[0]
+        var = _variable(head_parts[0], "curve")
         rng_text = head[head.index("in") + 2 :].strip()
         lo, hi = _rational_pair(rng_text, "curve range")
         point_at = _numeric_vector(body, [var], space, field, "curve")
@@ -459,11 +472,11 @@ class ProblemSpec:
 
     def predicted_flow(self) -> FlowDescription:
         """The [flow] section's components; call only when it has some."""
-        span_condition = None
-        if self.mode == "complex":
-            span_condition = check_span_condition(self.lattice)
         return predicted_flow(
-            self.predicted, self.lattice, self.mode, span_condition
+            self.predicted,
+            self.lattice,
+            self.mode,
+            statement_for(self.variety, self.lattice),
         )
 
 

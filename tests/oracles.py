@@ -4,7 +4,8 @@ None of these run in the pipeline: the orbit-density oracle samples a
 subspace's image numerically to cross-check exact torus closures,
 ``int_det`` checks unimodularity, ``rational_rank`` and ``is_saturated``
 check integer kernels, ``in_span`` decides span membership by solving,
-``to_logical`` inverts the samplers' ``to_internal``,
+``to_logical`` inverts the samplers' ``to_internal``, ``remainder_bound``
+evaluates an expansion's certified tail bound C * t^(-q),
 ``FractionArithmetic`` does field arithmetic on Fraction coordinates by
 polynomial division, and ``serialize`` writes a parsed problem back as text
 for the parse -> serialize -> parse round trip.
@@ -90,6 +91,13 @@ def to_logical(points, mode):
 # ---------------------------------------------------------------------------
 # Field arithmetic on Fraction coordinates
 # ---------------------------------------------------------------------------
+
+
+def remainder_bound(remainder, t):
+    """The float value of a RemainderBound at t: 0 when the tail vanishes."""
+    if remainder.q is None:
+        return 0.0
+    return float(remainder.C) * float(t) ** (-float(remainder.q))
 
 
 class FractionArithmetic:

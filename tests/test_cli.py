@@ -212,9 +212,8 @@ class TestZeroDivisor:
         assert "Traceback" not in err and err.count("\n") == 1
 
 
-# the complex intersection of the rdirs piece with the lattice span leaves
-# the piece; the exact engine cannot handle that yet
-RDIRS_OVER_QI = """\
+# Q(i), embedded with theta = i
+GAUSSIAN_FIELD = """\
 [field]
 min_poly = x^2 + 1
 root = rect (-1/2, 1/2) (1/2, 2)
@@ -223,6 +222,10 @@ conj = -theta
 
 [space]
 mode = complex
+"""
+
+# directions (1, 0) and (1, 1) span a real plane that is not closed under i
+RDIRS_OVER_QI = GAUSSIAN_FIELD + """\
 ambient_dim = 2
 declared_dim = 1
 
@@ -234,14 +237,81 @@ row = (theta, 0)
 affine = point (0, 0) rdirs (1, 0) (1, 1)
 """
 
+# X = C, over a lattice whose span R*i is not closed under i
+PLANE_OVER_IR = GAUSSIAN_FIELD + """\
+ambient_dim = 1
+declared_dim = 1
+
+[lattice]
+row = (theta)
+
+[variety]
+branch = (t)
+"""
+
+# the real half-line of C, over the Gaussian integers
+RAY_OVER_ZI = GAUSSIAN_FIELD + """\
+ambient_dim = 1
+declared_dim = 1
+
+[lattice]
+row = (1)
+row = (theta)
+
+[variety]
+branch = rays (1) : (t)
+"""
+
+
+def _closure_json(tmp_path, text):
+    spec = tmp_path / "problem.tfp"
+    spec.write_text(text)
+    assert main(["closure", str(spec), "--json", str(tmp_path / "c.json")]) == 0
+    return json.loads((tmp_path / "c.json").read_text())
+
+
+def _verify(tmp_path, text, *extra):
+    spec = tmp_path / "problem.tfp"
+    spec.write_text(text)
+    code = main(["verify", str(spec), *extra])
+    return code, json.loads((tmp_path / "problem.tfp.report.json").read_text())
+
+
+def test_real_directions_take_the_real_statement(tmp_path):
+    closure = _closure_json(tmp_path, RDIRS_OVER_QI)
+    assert closure["span_condition"] == "real_only"
+    [comp] = closure["components"]
+    assert comp["C"]["kind"] == "affine" and comp["torus_dim"] == 1
+    code, report = _verify(tmp_path, RDIRS_OVER_QI, "--count", "60000")
+    assert code == 0 and report["span_condition"] == "real_only"
+    assert report["coverage"][0] > 0.95
+
 
 @pytest.mark.parametrize("command", ["closure", "verify"])
-def test_engine_error_exits_internal(tmp_path, capsys, command):
-    spec = tmp_path / "rdirs.tfp"
-    spec.write_text(RDIRS_OVER_QI)
-    assert _exit_code([command, str(spec)]) == 4
+def test_complex_branch_without_rays_under_the_real_statement(tmp_path, capsys,
+                                                              command):
+    spec = tmp_path / "plane.tfp"
+    spec.write_text(PLANE_OVER_IR)
+    assert main([command, str(spec)]) == 3
     err = capsys.readouterr().err
-    assert err == "error: complex intersection left the piece\n"
+    assert err.startswith(
+        "error: the real statement applies, and it needs the rays of every "
+        "complex branch"
+    )
+
+
+def test_branch_with_rays_takes_the_real_statement(tmp_path):
+    closure = _closure_json(tmp_path, RAY_OVER_ZI)
+    assert closure["span_condition"] == "real_only"
+    [comp] = closure["components"]
+    assert comp["torus_dim"] == 1
+    code, report = _verify(tmp_path, RAY_OVER_ZI)
+    assert code == 0 and report["span_condition"] == "real_only"
+    assert report["coverage"] == [1.0]
+    # a prediction is verified under the same statement
+    predicted = RAY_OVER_ZI + "\n[flow]\ncomponent = base point (0) ; span r(1)\n"
+    code, report = _verify(tmp_path, predicted)
+    assert code == 0 and report["span_condition"] == "real_only"
 
 
 @pytest.mark.parametrize("command", ["closure", "verify"])
@@ -380,6 +450,31 @@ def test_out_of_float_range_is_a_parse_error(tmp_path, capsys, command, name,
     err = capsys.readouterr().err
     assert "outside the float range" in err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "coordinate",
+    [
+        "(" * 3000 + "t" + ")" * 3000,
+        "-" * 3000 + "t",
+        "t" + "^1" * 3000,
+        "1." + "1" * 5000 + "*t",
+    ],
+    ids=["parentheses", "signs", "powers", "long-decimal"],
+)
+@pytest.mark.parametrize("command", ["closure", "verify", "sample"])
+def test_deep_or_long_expression_is_a_parse_error(tmp_path, capsys, command,
+                                                  coordinate):
+    text = open("problems/hyperbola.tfp").read()
+    old = "branch = (t, 1/t)"
+    assert old in text
+    spec = tmp_path / "hyperbola.tfp"
+    spec.write_text(text.replace(old, f"branch = ({coordinate}, 1/t)", 1))
+    extra = ["--out", str(tmp_path / "dump.csv")] if command == "sample" else []
+    assert _exit_code([command, str(spec)] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: bad branch piece: ")
+    assert "Traceback" not in err and err.count("\n") == 1 and len(err) < 200
 
 
 def _exit_code(argv):

@@ -189,7 +189,7 @@ class TestTPoly:
 
     def test_eval(self, QQ):
         t = TPoly.variable(QQ)
-        p = t**2 + TPoly.constant(QQ, 3)
+        p = t * t + TPoly.constant(QQ, 3)
         assert np.allclose(p.eval_numeric(np.array([2.0])), [7.0])
 
 

@@ -1,5 +1,6 @@
 """Problem-file parsing, validation, round-trips."""
 
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from torusflow import specfile
 from torusflow.errors import SpecFileError
 from torusflow.expressions import (
+    MAX_DEPTH,
     compile_numeric,
     eval_branch_coord,
     eval_scalar,
@@ -52,6 +54,10 @@ count = 1000
 radius_min = 100
 tolerance = 0.01
 """
+
+
+def _num(q):
+    return ("num", F(q))
 
 
 class TestExpressions:
@@ -104,6 +110,75 @@ class TestExpressions:
     def test_unbalanced_rejected(self):
         with pytest.raises(SpecFileError):
             parse_expr("(1 + 2")
+
+    @pytest.mark.parametrize(
+        "text, tree",
+        [
+            ("-2^2", ("neg", ("^", _num(2), _num(2)))),
+            ("2^3^2", ("^", _num(2), ("^", _num(3), _num(2)))),
+            ("t^-2", ("^", ("name", "t"), ("neg", _num(2)))),
+            ("a-b-c", ("-", ("-", ("name", "a"), ("name", "b")), ("name", "c"))),
+            ("a/b/c", ("/", ("/", ("name", "a"), ("name", "b")), ("name", "c"))),
+            ("2**3", ("^", _num(2), _num(3))),
+            ("+t", ("name", "t")),
+            (".5", _num(F(1, 2))),
+            ("7.", _num(7)),
+            ("0.1", _num(F(1, 10))),
+            ("sqrt(u, 1)", ("call", "sqrt", [("name", "u"), _num(1)])),
+            ("  a *\tb ", ("*", ("name", "a"), ("name", "b"))),
+        ],
+    )
+    def test_tree_shapes(self, text, tree):
+        # repr tells a Fraction from an int and a list from a tuple
+        assert repr(parse_expr(text)) == repr(tree)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a[1]", "a.b", "a == b", "a < b", "a % b", "a // b", "a & b",
+            "a | b", "a << b", "~a", "not a", "(a, b)", "[a]", "True", "None",
+            "1j", "'s'", "lambda: 1", "a if b else c", "(a := 1)",
+            "f(x=1)", "f(*x)", "f(**x)", "a.f(x)", "f(x)(y)",
+            "1e5", "0x10", "1_000", "1.2.3", "", "a b", "p#i", "2(t)",
+            "1if t else 2", "in(t)",
+        ],
+    )
+    def test_refused_forms(self, text):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SpecFileError):
+                parse_expr(text)
+        assert not caught
+
+    def test_leading_zeros_are_read_as_before(self):
+        assert parse_expr("007 + 0.05 - 00.5") == parse_expr("7 + 0.05 - 0.5")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(" * 3000 + "t" + ")" * 3000,
+            "-" * 3000 + "t",
+            "t" + "^1" * 3000,
+            "-" * (MAX_DEPTH + 1) + "t",
+            "+".join("t" * (MAX_DEPTH + 1)),
+            "1." + "1" * 5000,
+            "1" * 5000,
+        ],
+        ids=["parentheses", "signs", "powers", "signs-past-the-bound",
+             "sum-past-the-bound", "long-decimal", "long-integer"],
+    )
+    def test_deep_or_long_input_is_refused_in_one_line(self, text):
+        with pytest.raises(SpecFileError) as info:
+            parse_expr(text)
+        message = str(info.value)
+        assert "\n" not in message and len(message) < 140
+
+    def test_depth_bound_is_inclusive(self):
+        assert parse_expr("-" * (MAX_DEPTH - 1) + "t")[0] == "neg"
+        assert parse_expr("+".join("t" * MAX_DEPTH))[0] == "+"
+
+    def test_names_are_read_as_nfkc(self):
+        assert parse_expr("\u210c") == ("name", "H")
 
 
 @pytest.mark.parametrize(
@@ -244,6 +319,32 @@ affine = point (0, 0) rdirs (1, 0)
         spec = parse_problem(text)
         # a real line inside C^2: no J-closure applied
         assert spec.variety.pieces[0].flat.directions.dim == 1
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("vars x, y : (x, y, x*y", "vars x, lambda : (x, lambda, x*lambda"),
+            ("curve u in (-40, 40) : (0, (-1 + sqrt(1 + 4*u*abs(u)",
+             "curve if in (-40, 40) : (0, (-1 + sqrt(1 + 4*if*abs(if)"),
+        ],
+        ids=["graph", "curve"],
+    )
+    def test_keyword_variable_refused_where_declared(self, old, new):
+        text = open("problems/dinh_vu.tfp").read()
+        assert old in text
+        with pytest.raises(SpecFileError, match="is a Python keyword"):
+            parse_problem(text.replace(old, new, 1))
+
+    def test_variables_are_read_as_nfkc(self):
+        text = open("problems/dinh_vu.tfp").read()
+        old = "vars x, y : (x, y, x*y*(-theta^3)*(y+1))"
+        assert old in text
+        # U+210C normalises to H, in the declaration and in the expressions
+        new = "vars \u210c, y : (\u210c, y, \u210c*y*(-theta^3)*(y+1))"
+        pts = np.array([[1.5 - 2j, 0.25 + 1j], [-3.0, 2j]])
+        graph = parse_problem(text).variety.pieces[0]
+        renamed = parse_problem(text.replace(old, new, 1)).variety.pieces[0]
+        assert np.array_equal(renamed.evaluate(pts), graph.evaluate(pts))
 
 
 class TestGoldenFiles:
