@@ -25,8 +25,6 @@ from typing import Optional
 
 from .errors import SymbolicUnsupported, TorusflowError
 from .flats import (
-    AffinePiece,
-    AffineSet,
     Flat,
     ParametricBranch,
     PointSet,
@@ -55,7 +53,6 @@ class ExpansionAtInfinity:
 
     terms: list  # [(exponent: Fraction >= 0, coeff vector: list[AlgebraicNumber])]
     remainder: RemainderBound
-    field: object
 
     def divergent_terms(self):
         return [(e, v) for e, v in self.terms if e > 0]
@@ -162,7 +159,6 @@ def expand_at_infinity(branch: ParametricBranch) -> ExpansionAtInfinity:
     return ExpansionAtInfinity(
         terms=term_list,
         remainder=RemainderBound(bound_C, bound_q, bound_t0),
-        field=field,
     )
 
 
@@ -208,8 +204,8 @@ def branch_asymptotic_flats(branch, L, mode, complex_flats):
 
 
 def affine_asymptotic_family(
-    piece: AffinePiece, L: Subspace
-) -> Optional[tuple[AffineSet, Subspace]]:
+    piece: Flat, L: Subspace
+) -> Optional[tuple[Flat, Subspace]]:
     """(base, Q): the translates approached by an affine piece, or None.
 
     The unbounded directions inside L are Q = P intersect L; the base is the
@@ -217,10 +213,10 @@ def affine_asymptotic_family(
     Under the complex theorem P and L are closed under multiplication by i,
     and so is Q.
     """
-    Q = piece.flat.directions.intersect(L)
+    Q = piece.directions.intersect(L)
     if Q.dim == 0:
         return None
-    return AffineSet(piece.flat).project(Q), Q
+    return piece.project(Q), Q
 
 
 def variety_asymptotic_flats(
@@ -249,7 +245,7 @@ def variety_asymptotic_flats(
             fam = affine_asymptotic_family(piece, L)
             if fam is not None:
                 base, Q = fam
-                families.setdefault((Q.key(), base.flat.key()), fam)
+                families.setdefault((Q.key(), base.key()), fam)
         else:
             raise SymbolicUnsupported(f"unsupported piece kind {piece.kind!r}")
     out = [

@@ -156,8 +156,11 @@ class Flat:
 
     The base point is the orthogonal projection of the given point onto the
     complement of the direction space, so equal point sets get equal
-    representations.
+    representations.  A flat serves both as an affine piece of the variety
+    and as the base set that such a piece contributes to the flow set.
     """
+
+    kind = "affine"
 
     def __init__(self, point, directions: Subspace):
         self.directions = directions
@@ -192,6 +195,23 @@ class Flat:
 
     def float_base(self):
         return float_rows([self.base_point], self.ambient_dim)[0]
+
+    def project(self, span: Subspace):
+        """The flat's image under the projection onto the complement of span."""
+        field = span.field
+        new_point = xl.project_onto_complement(self.base_point, span.basis, field)
+        new_dirs = [
+            xl.project_onto_complement(v, span.basis, field)
+            for v in self.directions.basis
+        ]
+        return Flat(new_point, Subspace(span.ambient_dim, new_dirs, field))
+
+    def describe(self):
+        return {
+            "kind": self.kind,
+            "point": [repr(e) for e in self.base_point],
+            "directions": [[repr(e) for e in v] for v in self.directions.basis],
+        }
 
     def __repr__(self):
         return f"Flat(dim={self.dim} in R^{self.ambient_dim})"
@@ -233,50 +253,14 @@ class PointSet:
         }
 
 
-class AffineSet:
-    """An affine flat used as a base set."""
-
-    kind = "affine"
-
-    def __init__(self, flat: Flat):
-        self.flat = flat
-
-    @property
-    def dim(self):
-        return self.flat.dim
-
-    def project(self, span: Subspace):
-        field = span.field
-        new_point = xl.project_onto_complement(
-            self.flat.base_point, span.basis, field
-        )
-        new_dirs = [
-            xl.project_onto_complement(v, span.basis, field)
-            for v in self.flat.directions.basis
-        ]
-        sub = Subspace(span.ambient_dim, new_dirs, field)
-        return AffineSet(Flat(new_point, sub))
-
-    def describe(self):
-        return {
-            "kind": self.kind,
-            "point": [repr(e) for e in self.flat.base_point],
-            "directions": [
-                [repr(e) for e in v] for v in self.flat.directions.basis
-            ],
-        }
-
-
 class CurveImage:
     """Numeric curve base: a parametric sampler into internal coordinates."""
 
     kind = "curve"
 
-    def __init__(self, sampler: Callable, param_range, label="curve",
-                 projection=None):
+    def __init__(self, sampler: Callable, param_range, projection=None):
         self.sampler = sampler
         self.param_range = (float(param_range[0]), float(param_range[1]))
-        self.label = label
         self.projection = projection  # optional (matrix) applied to samples
 
     @property
@@ -293,14 +277,7 @@ class CurveImage:
         proj = span.float_complement_projector()
         if self.projection is not None:
             proj = proj @ self.projection
-        return CurveImage(self.sampler, self.param_range, self.label, proj)
-
-    def describe(self):
-        return {
-            "kind": self.kind,
-            "label": self.label,
-            "param_range": list(self.param_range),
-        }
+        return CurveImage(self.sampler, self.param_range, proj)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +295,7 @@ class ParametricBranch:
 
     kind = "branch"
 
-    def __init__(self, coords, field: NumberField, rays=None, label="branch"):
+    def __init__(self, coords, field: NumberField, rays=None):
         self.field = field
         self.coords = []
         for pair in coords:
@@ -349,10 +326,9 @@ class ParametricBranch:
                 raise TorusflowError(
                     "complex branches with rays need integer exponents"
                 )
-        self.label = label
 
     @property
-    def intrinsic_dim(self):
+    def dim(self):
         return 1
 
     def evaluate(self, t):
@@ -364,32 +340,17 @@ class ParametricBranch:
         return np.stack(cols, axis=-1)
 
 
-class AffinePiece:
-    """An affine flat in internal coordinates, as a piece of the variety."""
-
-    kind = "affine"
-
-    def __init__(self, flat: Flat):
-        self.flat = flat
-
-    @property
-    def intrinsic_dim(self):
-        return self.flat.dim
-
-
 class GraphPiece:
     """Numeric-only graph of a polynomial map; never analyzed symbolically."""
 
     kind = "graph"
 
-    def __init__(self, nvars, evaluate: Callable, label="graph", complex_vars=True):
+    def __init__(self, nvars, evaluate: Callable):
         self.nvars = nvars
         self.evaluate = evaluate
-        self.label = label
-        self.complex_vars = complex_vars
 
     @property
-    def intrinsic_dim(self):
+    def dim(self):
         return self.nvars
 
 
@@ -407,7 +368,7 @@ class VarietyInput:
         if self.mode not in ("real", "complex"):
             raise TorusflowError("mode must be 'real' or 'complex'")
         for piece in self.pieces:
-            intrinsic = piece.intrinsic_dim
+            intrinsic = piece.dim
             if piece.kind == "affine" and self.mode == "complex":
                 intrinsic = (intrinsic + 1) // 2
             if intrinsic > self.declared_dim:

@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import exactlinalg as xl
 from .errors import InternalInvariantError, SymbolicUnsupported, TorusflowError
-from .flats import AffineSet, CurveImage, PointSet, VarietyInput
+from .flats import CurveImage, Flat, PointSet, VarietyInput
 from .lattice import (
     ClosedSubgroupDescriptor,
     Lattice,
@@ -51,7 +51,7 @@ def statement_for(X: VarietyInput, lat: Lattice) -> Optional[str]:
     if X.mode != "complex":
         return None
     pieces_complex = all(
-        is_j_stable(p.flat.directions) if p.kind == "affine"
+        is_j_stable(p.directions) if p.kind == "affine"
         else not (p.kind == "branch" and p.rays)
         for p in X.pieces
     )
@@ -64,7 +64,7 @@ def statement_for(X: VarietyInput, lat: Lattice) -> Optional[str]:
 class FlowComponent:
     """One piece pi(C) + T of the limit set."""
 
-    base: object                 # PointSet | AffineSet | CurveImage, inside W-perp
+    base: object                 # PointSet | Flat | CurveImage, inside W-perp
     V: Subspace                  # direction space of the family
     torus: Optional[ClosedSubgroupDescriptor]   # None for raw predictions
     dim_C: int                   # dimension in the problem's units
@@ -156,17 +156,17 @@ def _base_contained(inner, outer, W: Subspace):
     if isinstance(outer, PointSet):
         targets = outer.points
         hull = W
-    elif isinstance(outer, AffineSet):
-        targets = [outer.flat.base_point]
-        hull = W.sum(outer.flat.directions)
+    elif isinstance(outer, Flat):
+        targets = [outer.base_point]
+        hull = W.sum(outer.directions)
     else:
         return False
     if isinstance(inner, PointSet):
         probes = inner.points
         inner_dirs = []
-    elif isinstance(inner, AffineSet):
-        probes = [inner.flat.base_point]
-        inner_dirs = list(inner.flat.directions.basis)
+    elif isinstance(inner, Flat):
+        probes = [inner.base_point]
+        inner_dirs = list(inner.directions.basis)
     else:
         return False
     if not all(hull.contains_vector(v) for v in inner_dirs):
@@ -290,8 +290,7 @@ def closure_description(X: VarietyInput, flow: FlowDescription):
         **flow.describe(),
         "pi_x": {
             "pieces": [
-                {"kind": p.kind, "label": getattr(p, "label", p.kind)}
-                for p in X.pieces
+                {"kind": p.kind, "label": p.kind} for p in X.pieces
             ],
             "reduction": "coordinates taken modulo the lattice",
         },

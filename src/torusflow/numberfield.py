@@ -20,7 +20,7 @@ width asked for needs.
 
 Complex-embedded fields that participate in restriction-of-scalars
 computations must supply expressions for the imaginary unit and for the
-complex conjugate of theta; both are validated exactly at construction.
+complex conjugate of theta; both are validated exactly when declared.
 """
 
 from __future__ import annotations
@@ -646,21 +646,13 @@ class NumberField:
     root_box:
         ((re_lo, re_hi), (im_lo, im_hi)) isolating rectangle for a complex
         embedding.
-    i_coords, conj_coords:
-        Power-basis coordinates of the imaginary unit and of the complex
-        conjugate of theta; required only for complex embeddings that feed
-        restriction-of-scalars computations.
+
+    A complex embedding that feeds restriction-of-scalars computations
+    also needs the imaginary unit and the complex conjugate of theta; they
+    are set only through ``declare_complex_structure``, after construction.
     """
 
-    def __init__(
-        self,
-        min_poly: Sequence,
-        root_interval=None,
-        root_box=None,
-        i_coords=None,
-        conj_coords=None,
-        name: str = "theta",
-    ):
+    def __init__(self, min_poly: Sequence, root_interval=None, root_box=None):
         self.min_poly = [Rat(c) for c in min_poly]
         _ptrim(self.min_poly)
         if len(self.min_poly) < 2:
@@ -679,7 +671,6 @@ class NumberField:
             power = _pmod([Rat(0)] + power, self.min_poly)
             high.append(power)
         self._reduction, self._reduction_den = _integer_rows(high)
-        self.name = name
         self.is_complex = root_box is not None
         if self.is_complex and root_interval is not None:
             raise TorusflowError("give either root_interval or root_box, not both")
@@ -721,7 +712,6 @@ class NumberField:
         self.i = None
         self._inv_2i = None
         self._conj_matrix = None
-        self.declare_complex_structure(i_coords, conj_coords)
 
     def declare_complex_structure(self, i_coords=None, conj_coords=None):
         """Validate and install the declared conjugate of theta, then i.
@@ -757,14 +747,14 @@ class NumberField:
             raise TorusflowError(
                 "isolating rectangle must contain exactly one root of min_poly"
             )
+        # a real seed's box is a square centred on the real axis, and an
+        # upper box never meets the axis, so a box that meets it holds a
+        # real root
         box = inside[0]
         if box.im.contains(Rat(0)):
-            refined = _refine(self.min_poly, self._deriv, box, box.width() / (1 << 10))
-            if refined.im.contains(Rat(0)):
-                raise TorusflowError(
-                    "selected root looks real; use a real isolating interval"
-                )
-            box = refined
+            raise TorusflowError(
+                "selected root looks real; use a real isolating interval"
+            )
         return box
 
     def _install_conj(self, conj_coords):
@@ -787,26 +777,25 @@ class NumberField:
         self._conj_matrix, self._conj_den = _integer_rows(cols)
 
     def _identify_value_as_conjugate(self, g):
-        """Certify that g(theta) is the complex conjugate of theta."""
-        width = Rat(1, 1 << 24)
+        """Certify that g(theta) is the complex conjugate of theta.
+
+        theta's enclosure lies in its own root box, so its mirror lies in the
+        mirrored box, which holds conj(theta) and meets no other root box.
+        Narrowing theta narrows g(theta) until it meets exactly one box.
+        """
+        boxes = self._all_root_boxes
+        target = self._root_enclosure.conj()
+        (mirror,) = [i for i, b in enumerate(boxes) if not b.disjoint(target)]
         for _ in range(40):
             theta_box = self._root_enclosure
-            target = theta_box.conj()
-            refined = [
-                _refine(self.min_poly, self._deriv, b, width)
-                for b in self._all_root_boxes
-            ]
-            hits = [i for i, b in enumerate(refined) if not b.disjoint(target)]
             val = _hull(g, theta_box)
-            val_hits = [i for i, b in enumerate(refined) if not b.disjoint(val)]
-            if len(hits) == 1 and len(val_hits) == 1:
-                if hits[0] == val_hits[0]:
-                    self._all_root_boxes = refined
+            val_hits = [i for i, b in enumerate(boxes) if not b.disjoint(val)]
+            if len(val_hits) == 1:
+                if val_hits[0] == mirror:
                     return
                 raise TorusflowError(
                     "conj expression is a root but not the conjugate of theta"
                 )
-            width = width / (1 << 8)
             self.root_enclosure(theta_box.width() / 16)
         raise TorusflowError("could not certify the conjugate expression")
 
@@ -1046,8 +1035,9 @@ class AlgebraicNumber:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- predicates -----------------------------------------------------------
@@ -1176,9 +1166,9 @@ class AlgebraicNumber:
             if k == 0:
                 terms.append(str(c))
             elif k == 1:
-                terms.append(f"{c}*{self.field.name}")
+                terms.append(f"{c}*theta")
             else:
-                terms.append(f"{c}*{self.field.name}^{k}")
+                terms.append(f"{c}*theta^{k}")
         return " + ".join(terms) if terms else "0"
 
 

@@ -51,8 +51,6 @@ from .expressions import (
     _split_top,
 )
 from .flats import (
-    AffinePiece,
-    AffineSet,
     CurveImage,
     Flat,
     GraphPiece,
@@ -332,7 +330,7 @@ def _parse_affine(value, space, field):
         dir_vectors.append(v)
         if use_j:
             dir_vectors.append(apply_j(v))
-    return AffinePiece(Flat(point, Subspace(space.internal, dir_vectors, field)))
+    return Flat(point, Subspace(space.internal, dir_vectors, field))
 
 
 def _numeric_vector(text, names, space, field, what):
@@ -382,11 +380,7 @@ def _parse_graph(value, space, field):
         vars_matrix = np.atleast_2d(np.asarray(vars_matrix, dtype=complex))
         return point_at(list(vars_matrix.T))
 
-    return GraphPiece(
-        nvars=len(var_names),
-        evaluate=evaluate,
-        complex_vars=space.mode == "complex",
-    )
+    return GraphPiece(nvars=len(var_names), evaluate=evaluate)
 
 
 def _parse_span(text, space, field):
@@ -432,8 +426,7 @@ def _parse_base(text, space, field):
         pts = [_embed_logical_vector(g, space, field) for g in groups]
         return PointSet(pts, field)
     if text.startswith("affine"):
-        piece = _parse_affine(text[len("affine"):].strip(), space, field)
-        return AffineSet(piece.flat)
+        return _parse_affine(text[len("affine"):].strip(), space, field)
     if text.startswith("curve"):
         rest = text[len("curve"):].strip()
         head, sep, body = rest.partition(":")
@@ -452,7 +445,7 @@ def _parse_base(text, space, field):
             params = np.asarray(params, dtype=float)
             return to_internal(point_at([params.astype(complex)]), mode)
 
-        return CurveImage(sampler, (float(lo), float(hi)), label="curve")
+        return CurveImage(sampler, (float(lo), float(hi)))
     raise SpecFileError(f"unknown base descriptor {text!r}")
 
 

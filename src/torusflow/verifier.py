@@ -27,7 +27,7 @@ import numpy as np
 
 from ._kernels import backend_name, min_distance_batch, min_distance_local
 from .errors import ShellStarved, TorusflowError
-from .flats import AffineSet, CurveImage, PointSet, to_internal
+from .flats import CurveImage, Flat, PointSet, to_internal
 from .flow import FlowDescription
 from .lattice import Lattice
 from .numberfield import float_rows
@@ -219,9 +219,8 @@ def _affine_frame(piece, lat):
     Exact work (a subspace intersection) followed by float conversions: it
     depends only on the piece and the lattice, so compute it once per piece.
     """
-    flat = piece.flat
-    base = flat.float_base()
-    dirs = flat.directions
+    base = piece.float_base()
+    dirs = piece.directions
     inside = dirs.intersect(lat.span)
     in_f = inside.float_basis()
     # orthonormal rows spanning the rest of the directions
@@ -276,7 +275,7 @@ def _draw_graph(piece, count, radius, rng, mode):
     high = rng.uniform(math.log(30.0), math.log(radius * 1e3), size=shape)
     pick = rng.integers(0, 2, size=shape).astype(bool)
     phase = sign = None
-    if mode == "complex" and piece.complex_vars:
+    if mode == "complex":
         phase = rng.uniform(0.0, 2.0 * math.pi, size=shape)
     else:
         sign = rng.choice([-1.0, 1.0], size=shape)
@@ -415,11 +414,11 @@ class ComponentEvaluator:
         w_basis = W.float_basis() if W.dim else np.zeros((0, n))
         base = comp.base
 
-        if isinstance(base, AffineSet):
-            dirs = base.flat.directions.float_basis()
+        if isinstance(base, Flat):
+            dirs = base.directions.float_basis()
             span_rows = np.vstack([w_basis, dirs]) if len(dirs) else w_basis
             self.proj = _null_space_rows(span_rows, n)
-            c_red, _, _ = lat.reduce_points(base.flat.float_base()[None, :])
+            c_red, _, _ = lat.reduce_points(base.float_base()[None, :])
             self.nodes_full = c_red
             self.curve_params = None
             self.base_dirs = dirs
@@ -528,7 +527,7 @@ class ComponentEvaluator:
         if isinstance(base, PointSet):
             cells = np.asarray(node_idx, dtype=np.int64)[:, None]
             return cells, np.full(m, len(self.nodes) > 0)
-        if isinstance(base, AffineSet):
+        if isinstance(base, Flat):
             dirs = self.base_dirs
             if dirs is None or len(dirs) == 0:
                 return np.zeros((m, 1), dtype=np.int64), np.ones(m, dtype=bool)
@@ -555,7 +554,7 @@ class ComponentEvaluator:
         torus_total = k**self.torus_dim
         if isinstance(base, PointSet):
             base_total = max(1, len(base.points))
-        elif isinstance(base, AffineSet):
+        elif isinstance(base, Flat):
             b = 0 if self.base_dirs is None else len(self.base_dirs)
             base_total = max(1, int(math.ceil(2.0 * w / eps)) ** b)
         else:

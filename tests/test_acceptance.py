@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from torusflow.cli import main
-from torusflow.flats import AffinePiece, Flat, ParametricBranch, VarietyInput
+from torusflow.flats import Flat, ParametricBranch, VarietyInput
 from torusflow.flow import REAL_ONLY, check_span_condition, flow_set
 from torusflow.lattice import (
     Lattice,
@@ -244,12 +244,8 @@ def test_criterion_7_dimension_clause(capsys):
     """Every emitted component across the battery has dim C < dim X."""
     QQ = rationals()
     K = NumberField([-2, 0, 1], root_interval=(1, 2))
-    Ki = NumberField(
-        [1, 0, 1],
-        root_box=((F(-1, 2), F(1, 2)), (F(1, 2), 2)),
-        i_coords=[0, 1],
-        conj_coords=[0, -1],
-    )
+    Ki = NumberField([1, 0, 1], root_box=((F(-1, 2), F(1, 2)), (F(1, 2), 2)))
+    Ki.declare_complex_structure([0, 1], [0, -1])
 
     def br(coords, field):
         return ParametricBranch(coords, field)
@@ -278,7 +274,7 @@ def test_criterion_7_dimension_clause(capsys):
     battery.append(
         (
             VarietyInput(
-                [AffinePiece(Flat([0, 0], Subspace(2, [[1, 0], [0, 1]], QQ)))],
+                [Flat([0, 0], Subspace(2, [[1, 0], [0, 1]], QQ))],
                 2, "real", 2, QQ,
             ),
             Lattice(2, [[1, 0]], QQ),
@@ -299,7 +295,7 @@ def test_criterion_7_dimension_clause(capsys):
     )
     battery.append(
         (
-            VarietyInput([AffinePiece(Flat([0, 0, 0, 0], full))], 2, "complex", 2, Ki),
+            VarietyInput([Flat([0, 0, 0, 0], full)], 2, "complex", 2, Ki),
             Lattice(4, [[1, 0, 0, 0], [0, 1, 0, 0]], Ki),
         )
     )

@@ -13,7 +13,6 @@ from torusflow.asymptotics import (
 )
 from torusflow.errors import SymbolicUnsupported
 from torusflow.flats import (
-    AffinePiece,
     Flat,
     GraphPiece,
     ParametricBranch,
@@ -170,28 +169,26 @@ class TestBranchFlats:
 
 class TestAffineFamilies:
     def test_plane_with_axis_lattice(self, QQ):
-        piece = AffinePiece(Flat([0, 0], Subspace(2, [[1, 0], [0, 1]], QQ)))
+        piece = Flat([0, 0], Subspace(2, [[1, 0], [0, 1]], QQ))
         base, Q = affine_asymptotic_family(piece, Subspace(2, [[1, 0]], QQ))
         assert Q == Subspace(2, [[1, 0]], QQ)
-        assert base.flat.directions == Subspace(2, [[0, 1]], QQ)
+        assert base.directions == Subspace(2, [[0, 1]], QQ)
 
     def test_diagonal_excluded(self, QQ):
-        piece = AffinePiece(Flat([0, 0], Subspace(2, [[1, 1]], QQ)))
+        piece = Flat([0, 0], Subspace(2, [[1, 1]], QQ))
         assert affine_asymptotic_family(piece, Subspace(2, [[1, 0]], QQ)) is None
 
     def test_axis_in_full_space(self, QQ):
-        piece = AffinePiece(Flat([0, 0], Subspace(2, [[1, 0]], QQ)))
+        piece = Flat([0, 0], Subspace(2, [[1, 0]], QQ))
         base, Q = affine_asymptotic_family(piece, Subspace(2, [[1, 0], [0, 1]], QQ))
         assert Q == Subspace(2, [[1, 0]], QQ)
-        assert base.flat.dim == 0
+        assert base.dim == 0
 
     def test_base_dimension_drop(self, QQ):
         # base dimension = dim P - dim Q < dim P
-        piece = AffinePiece(
-            Flat([0, 0, 1], Subspace(3, [[1, 0, 0], [0, 1, 0]], QQ))
-        )
+        piece = Flat([0, 0, 1], Subspace(3, [[1, 0, 0], [0, 1, 0]], QQ))
         base, _ = affine_asymptotic_family(piece, Subspace(3, [[1, 0, 0]], QQ))
-        assert base.flat.dim == 1
+        assert base.dim == 1
 
 
 class TestVarietyFlats:
@@ -225,7 +222,7 @@ class TestVarietyFlats:
         assert variety_asymptotic_flats(X, Subspace(2, [[1, 0]], QQ)) == []
 
     def test_bounded_branch_contributes_nothing(self, QQ):
-        plane = AffinePiece(Flat([0, 0], Subspace(2, [[1, 0], [0, 1]], QQ)))
+        plane = Flat([0, 0], Subspace(2, [[1, 0], [0, 1]], QQ))
         bounded = br([({-1: 1}, {0: 1}), ({-1: 1}, {0: 1})], QQ)
         X = VarietyInput([plane, bounded], 2, "real", 2, QQ)
         fams = variety_asymptotic_flats(X, Subspace(2, [[1, 0]], QQ))

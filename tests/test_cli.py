@@ -277,6 +277,20 @@ def _verify(tmp_path, text, *extra):
     return code, json.loads((tmp_path / "problem.tfp.report.json").read_text())
 
 
+def test_affine_base_prediction(tmp_path, capsys):
+    # the plane's flow set over Z x {0}, predicted as the affine base
+    # {0} x R plus the x-axis direction
+    flow = "[flow]\ncomponent = base affine point (0, 0) dirs (0, 1) ; span r(1, 0)"
+    text = open("problems/plane_cylinder.tfp").read().replace(
+        "[verify]", flow + "\n\n[verify]"
+    )
+    code, report = _verify(tmp_path, text)
+    assert code == 0 and report["passed"]
+    assert capsys.readouterr().out.startswith(
+        "PASS: containment=0.000e+00 (tol 0.01), coverage=0.999 "
+    )
+
+
 def test_real_directions_take_the_real_statement(tmp_path):
     closure = _closure_json(tmp_path, RDIRS_OVER_QI)
     assert closure["span_condition"] == "real_only"

@@ -8,8 +8,6 @@ import pytest
 from torusflow.asymptotics import branch_asymptotic_flats, variety_asymptotic_flats
 from torusflow.errors import TorusflowError
 from torusflow.flats import (
-    AffinePiece,
-    AffineSet,
     Flat,
     ParametricBranch,
     PointSet,
@@ -107,12 +105,12 @@ class TestFamilies:
 
     def test_translate_family_span(self, QQ):
         # an affine piece's family has V = P cap L and a base across it
-        plane = AffinePiece(Flat([0, 0], Subspace(2, [[1, 0], [0, 1]], QQ)))
+        plane = Flat([0, 0], Subspace(2, [[1, 0], [0, 1]], QQ))
         X = VarietyInput([plane], 2, "real", 2, QQ)
         [(base, V)] = variety_asymptotic_flats(X, Subspace(2, [[1, 0]], QQ))
         assert V == Subspace(2, [[1, 0]], QQ)
-        assert isinstance(base, AffineSet)
-        assert base.flat.directions == Subspace(2, [[0, 1]], QQ)
+        assert isinstance(base, Flat)
+        assert base.directions == Subspace(2, [[0, 1]], QQ)
 
     def test_singleton(self, QQ):
         # a branch flat becomes one pair: its base point and its directions
@@ -151,22 +149,14 @@ class TestConversions:
         assert np.allclose(to_logical(internal, "complex"), pts)
 
     def test_embed_exact_real_mode_rejects_complex(self):
-        z8 = NumberField(
-            [1, 0, 0, 0, 1],
-            root_box=((F(1, 2), 1), (F(1, 2), 1)),
-            i_coords=[0, 0, 1],
-            conj_coords=[0, 0, 0, -1],
-        )
+        z8 = NumberField([1, 0, 0, 0, 1], root_box=((F(1, 2), 1), (F(1, 2), 1)))
+        z8.declare_complex_structure([0, 0, 1], [0, 0, 0, -1])
         with pytest.raises(TorusflowError):
             embed_exact_vector([z8.gen], "real", z8)
 
     def test_embed_exact_complex_split(self):
-        z8 = NumberField(
-            [1, 0, 0, 0, 1],
-            root_box=((F(1, 2), 1), (F(1, 2), 1)),
-            i_coords=[0, 0, 1],
-            conj_coords=[0, 0, 0, -1],
-        )
+        z8 = NumberField([1, 0, 0, 0, 1], root_box=((F(1, 2), 1), (F(1, 2), 1)))
+        z8.declare_complex_structure([0, 0, 1], [0, 0, 0, -1])
         out = embed_exact_vector([z8.gen], "complex", z8)
         assert len(out) == 2
         assert out[0] == out[1]  # Re = Im = sqrt2/2
@@ -228,6 +218,6 @@ class TestVarietyInput:
             )
 
     def test_declared_dim_validation(self, QQ):
-        plane = AffinePiece(Flat([0, 0], Subspace(2, [[1, 0], [0, 1]], QQ)))
+        plane = Flat([0, 0], Subspace(2, [[1, 0], [0, 1]], QQ))
         with pytest.raises(TorusflowError):
             VarietyInput([plane], 2, "real", 1, QQ)

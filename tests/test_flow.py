@@ -7,8 +7,6 @@ import pytest
 from torusflow.errors import SymbolicUnsupported, TorusflowError
 from torusflow.asymptotics import variety_asymptotic_flats
 from torusflow.flats import (
-    AffinePiece,
-    AffineSet,
     Flat,
     GraphPiece,
     ParametricBranch,
@@ -39,12 +37,9 @@ def K():
 
 @pytest.fixture(scope="module")
 def Ki():
-    return NumberField(
-        [1, 0, 1],
-        root_box=((F(-1, 2), F(1, 2)), (F(1, 2), 2)),
-        i_coords=[0, 1],
-        conj_coords=[0, -1],
-    )
+    K = NumberField([1, 0, 1], root_box=((F(-1, 2), F(1, 2)), (F(1, 2), 2)))
+    K.declare_complex_structure([0, 1], [0, -1])
+    return K
 
 
 def br(coords, field):
@@ -81,12 +76,12 @@ class TestGroupNeat:
         }
 
     def test_connected_base_kept(self, QQ):
-        plane = AffinePiece(Flat([0, 0], Subspace(2, [[1, 0], [0, 1]], QQ)))
+        plane = Flat([0, 0], Subspace(2, [[1, 0], [0, 1]], QQ))
         X = VarietyInput([plane, plane], 2, "real", 2, QQ)
         fams = variety_asymptotic_flats(X, Subspace(2, [[1, 0]], QQ))
         assert len(fams) == 1
         base, V = fams[0]
-        assert isinstance(base, AffineSet) and base.dim == 1
+        assert isinstance(base, Flat) and base.dim == 1
         assert V == Subspace(2, [[1, 0]], QQ)
 
 
@@ -112,7 +107,7 @@ class TestFlowSet:
 
     def test_plane_cylinder_noncompact_base(self, QQ):
         X = VarietyInput(
-            [AffinePiece(Flat([0, 0], Subspace(2, [[1, 0], [0, 1]], QQ)))],
+            [Flat([0, 0], Subspace(2, [[1, 0], [0, 1]], QQ))],
             2,
             "real",
             2,
@@ -132,9 +127,7 @@ class TestFlowSet:
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
             Ki,
         )
-        X = VarietyInput(
-            [AffinePiece(Flat([0, 0, 0, 0], full))], 2, "complex", 2, Ki
-        )
+        X = VarietyInput([Flat([0, 0, 0, 0], full)], 2, "complex", 2, Ki)
         lat = Lattice(4, [[1, 0, 0, 0], [0, 1, 0, 0]], Ki)
         fd = flow_set(X, lat)
         assert fd.span_condition == COMPLEX_THEOREM
@@ -168,20 +161,14 @@ class TestFlowSet:
     def test_non_j_stable_closure(self):
         # a complex line whose rational closure is a 3-torus that is not
         # stable under multiplication by i
-        Z8 = NumberField(
-            [1, 0, 0, 0, 1],
-            root_box=((F(1, 2), 1), (F(1, 2), 1)),
-            i_coords=[0, 0, 1],
-            conj_coords=[0, 0, 0, -1],
-        )
+        Z8 = NumberField([1, 0, 0, 0, 1], root_box=((F(1, 2), 1), (F(1, 2), 1)))
+        Z8.declare_complex_structure([0, 0, 1], [0, 0, 0, -1])
         s2 = Z8.gen - Z8.gen**3
         lat = Lattice(
             4, [[1, 0, 0, 0], [0, s2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], Z8
         )
         line = Subspace(4, [[1, 0, 1, 0], [0, 1, 0, 1]], Z8)
-        X = VarietyInput(
-            [AffinePiece(Flat([0, 0, 0, 0], line))], 2, "complex", 1, Z8
-        )
+        X = VarietyInput([Flat([0, 0, 0, 0], line)], 2, "complex", 1, Z8)
         fd = flow_set(X, lat)
         assert fd.span_condition == COMPLEX_THEOREM
         comp = fd.components[0]
@@ -203,7 +190,7 @@ class TestFlowSet:
         cases.append(
             (
                 VarietyInput(
-                    [AffinePiece(Flat([0, 0], Subspace(2, [[1, 0], [0, 1]], QQ)))],
+                    [Flat([0, 0], Subspace(2, [[1, 0], [0, 1]], QQ))],
                     2,
                     "real",
                     2,
@@ -228,7 +215,7 @@ class TestFlowSet:
 
     def test_redundant_component_pruned(self, QQ):
         # the x-axis branch flat is swallowed by the full plane family
-        plane = AffinePiece(Flat([0, 0], Subspace(2, [[1, 0], [0, 1]], QQ)))
+        plane = Flat([0, 0], Subspace(2, [[1, 0], [0, 1]], QQ))
         X = VarietyInput(
             [plane, br([({1: 1}, {0: 1}), ({0: 0, -1: 1}, {0: 1})], QQ)],
             2,

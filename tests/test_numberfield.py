@@ -30,14 +30,15 @@ def sqrt2():
     return NumberField([-2, 0, 1], root_interval=(1, 2))
 
 
+def _zeta8():
+    K = NumberField([1, 0, 0, 0, 1], root_box=((F(1, 2), 1), (F(1, 2), 1)))
+    K.declare_complex_structure([0, 0, 1], [0, 0, 0, -1])
+    return K
+
+
 @pytest.fixture(scope="module")
 def zeta8():
-    return NumberField(
-        [1, 0, 0, 0, 1],
-        root_box=((F(1, 2), 1), (F(1, 2), 1)),
-        i_coords=[0, 0, 1],
-        conj_coords=[0, 0, 0, -1],
-    )
+    return _zeta8()
 
 
 # 50-digit reference evaluations (mpmath, dps=55)
@@ -76,21 +77,16 @@ class TestConstruction:
         assert sturm_root_count([F(-2), F(0), F(1)], F(-2), F(2)) == 2
 
     def test_bad_conj_rejected(self):
+        K = NumberField([1, 0, 0, 0, 1], root_box=((F(1, 2), 1), (F(1, 2), 1)))
         # -theta is a root and an involution but not the conjugate
-        with pytest.raises(TorusflowError):
-            NumberField(
-                [1, 0, 0, 0, 1],
-                root_box=((F(1, 2), 1), (F(1, 2), 1)),
-                conj_coords=[0, -1],
-            )
+        with pytest.raises(TorusflowError, match="not the conjugate of theta"):
+            K.declare_complex_structure(conj_coords=[0, -1])
 
     def test_bad_i_rejected(self):
+        K = NumberField([1, 0, 0, 0, 1], root_box=((F(1, 2), 1), (F(1, 2), 1)))
         with pytest.raises(TorusflowError):
-            NumberField(
-                [1, 0, 0, 0, 1],
-                root_box=((F(1, 2), 1), (F(1, 2), 1)),
-                i_coords=[0, 0, -1],  # squares to -1 but equals -i
-            )
+            # squares to -1 but equals -i
+            K.declare_complex_structure(i_coords=[0, 0, -1])
 
 
 class TestArithmetic:
@@ -130,6 +126,25 @@ class TestArithmetic:
         assert zeta8.gen**8 == 1
         assert zeta8.gen**4 == -1
         assert zeta8.gen**-1 == -(zeta8.gen**3)
+
+    def test_power_squares_only_while_bits_remain(self, monkeypatch):
+        # in Q(2^(1/3)) the factors theta, theta^2 and theta^4 = 2 theta are
+        # irrational, so each multiplication of them is a full product
+        K = NumberField([-2, 0, 0, 1], root_interval=(1, 2))
+        calls = []
+        product = nf.AlgebraicNumber._product
+
+        def counted(self, o):
+            calls.append(o)
+            return product(self, o)
+
+        monkeypatch.setattr(nf.AlgebraicNumber, "_product", counted)
+        counts = {}
+        for n, coords in [(1, (0, 1, 0)), (2, (0, 0, 1)), (5, (0, 0, 2))]:
+            calls.clear()
+            assert (K.gen**n).coords == coords
+            counts[n] = len(calls)
+        assert counts == {1: 0, 2: 1, 5: 3}
 
 
 @settings(max_examples=60, deadline=None)
@@ -184,9 +199,8 @@ ORACLE_FIELDS = {
 
 def _oracle_field(name):
     args, structure = ORACLE_FIELDS[name]
-    K = NumberField(
-        i_coords=structure.get("i"), conj_coords=structure.get("conj"), **args
-    )
+    K = NumberField(**args)
+    K.declare_complex_structure(structure.get("i"), structure.get("conj"))
     return K, FractionArithmetic(K, **structure)
 
 
@@ -351,17 +365,18 @@ class TestComplexIsolation:
         rect = tuple(
             (F(1, 2), 1) if sign > 0 else (-1, F(-1, 2)) for sign in (sre, sim)
         )
-        K = NumberField(
-            X4_PLUS_1,
-            root_box=rect,
-            i_coords=[0, 0, sre * sim],
-            conj_coords=[0, 0, 0, -1],
-        )
+        K = NumberField(X4_PLUS_1, root_box=rect)
+        K.declare_complex_structure([0, 0, sre * sim], [0, 0, 0, -1])
         box = K.root_enclosure(F(1, 10**20))
         assert box.re.contains(sre * ZETA8_RE_REF)
         assert box.im.contains(sim * ZETA8_RE_REF)
         assert K.i.enclosure(F(1, 10**9)).im.contains(F(1))
         assert K.gen.conjugate() * K.gen == 1
+
+    def test_real_root_refused(self):
+        # the rectangle isolates the real root 2^(1/4) of x^4 - 2
+        with pytest.raises(TorusflowError, match="selected root looks real"):
+            NumberField(X4_MINUS_2, root_box=((1, 2), (F(-1, 2), F(1, 2))))
 
     def test_real_and_complex_roots(self):
         # x^4 - 2 has the real roots +-2^(1/4) and the complex roots +-i*2^(1/4)
@@ -608,15 +623,7 @@ CONVERSION_FIELDS = {
         lambda: NumberField([1, 0, -10, 0, 1], root_interval=(3, 4)),
         lambda: mpmath.sqrt(2) + mpmath.sqrt(3),
     ),
-    "zeta8": (
-        lambda: NumberField(
-            [1, 0, 0, 0, 1],
-            root_box=((F(1, 2), 1), (F(1, 2), 1)),
-            i_coords=[0, 0, 1],
-            conj_coords=[0, 0, 0, -1],
-        ),
-        lambda: mpmath.expjpi(F(1, 4)),
-    ),
+    "zeta8": (_zeta8, lambda: mpmath.expjpi(F(1, 4))),
 }
 DEFAULT_EPS = F(1, 10**16)
 

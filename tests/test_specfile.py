@@ -295,7 +295,7 @@ affine = point (0, 0) dirs (1, 0) (0, 1)
         B = spec.lattice.float_basis()
         assert np.allclose(B, [[1, 0, 0, 0], [0, 1, 0, 0]])
         # complex affine directions are J-closed: full C^2
-        assert spec.variety.pieces[0].flat.directions.dim == 4
+        assert spec.variety.pieces[0].directions.dim == 4
 
     def test_rdirs_keeps_real_span(self):
         text = """\
@@ -318,7 +318,7 @@ affine = point (0, 0) rdirs (1, 0)
 """
         spec = parse_problem(text)
         # a real line inside C^2: no J-closure applied
-        assert spec.variety.pieces[0].flat.directions.dim == 1
+        assert spec.variety.pieces[0].directions.dim == 1
 
     @pytest.mark.parametrize(
         "old, new",
@@ -402,11 +402,10 @@ class TestFieldBuild:
         field = specfile._build_field(specfile._parse_raw(DINH_VU_FIELD))
         coeffs, box = [1, 0, 0, 0, 1], ((F(1, 2), 1), (F(1, 2), 1))
         probe = NumberField(coeffs, root_box=box)
-        two_step = NumberField(
-            coeffs,
-            root_box=box,
-            i_coords=eval_scalar(parse_expr("theta^2"), probe).coords,
-            conj_coords=eval_scalar(parse_expr("-theta^3"), probe).coords,
+        two_step = NumberField(coeffs, root_box=box)
+        two_step.declare_complex_structure(
+            eval_scalar(parse_expr("theta^2"), probe).coords,
+            eval_scalar(parse_expr("-theta^3"), probe).coords,
         )
         assert field._key == two_step._key
         assert field.i.coords == two_step.i.coords

@@ -15,7 +15,6 @@ from torusflow._kernels import min_distance_batch
 from torusflow.cli import main
 from torusflow.errors import ShellStarved, TorusflowError
 from torusflow.flats import (
-    AffinePiece,
     Flat,
     GraphPiece,
     ParametricBranch,
@@ -124,7 +123,6 @@ class TestSampling:
         g = GraphPiece(
             2,
             lambda v: np.stack([v[:, 0], v[:, 1], v[:, 0] * v[:, 1]], axis=-1),
-            complex_vars=True,
         )
         X = VarietyInput([g], 3, "complex", 2, QQ)
         cfg = SampleConfig(radius_min=100, count=64, seed=4, shells=2)
@@ -446,7 +444,7 @@ def _sampler_cases(QQ):
         [_branch(QQ, [(1, Fraction(1, 794)), (-1, 1)])], 2, "real", 1, QQ
     )
     affine = VarietyInput(
-        [AffinePiece(Flat([3, 0, 0], Subspace(3, [[1, 0, 0], [0, 1, 1]], QQ)))],
+        [Flat([3, 0, 0], Subspace(3, [[1, 0, 0], [0, 1, 1]], QQ))],
         3, "real", 2, QQ,
     )
     graph = VarietyInput(
@@ -459,8 +457,8 @@ def _sampler_cases(QQ):
     mixed = VarietyInput(
         [
             _branch(QQ, slow),
-            GraphPiece(2, lambda v: v.copy(), complex_vars=False),
-            AffinePiece(Flat([0, 1], Subspace(2, [[1, 1]], QQ))),
+            GraphPiece(2, lambda v: v.copy()),
+            Flat([0, 1], Subspace(2, [[1, 1]], QQ)),
         ],
         2, "real", 2, QQ,
     )
@@ -587,8 +585,8 @@ class TestAffineFrame:
     def test_one_intersection_per_piece(self, QQ, monkeypatch, shells):
         X = VarietyInput(
             [
-                AffinePiece(Flat([3, 0, 0], Subspace(3, [[1, 0, 0], [0, 1, 1]], QQ))),
-                AffinePiece(Flat([0, 0, 1], Subspace(3, [[0, 1, 0]], QQ))),
+                Flat([3, 0, 0], Subspace(3, [[1, 0, 0], [0, 1, 1]], QQ)),
+                Flat([0, 0, 1], Subspace(3, [[0, 1, 0]], QQ)),
             ],
             3, "real", 2, QQ,
         )
@@ -604,7 +602,7 @@ class TestAffineFrame:
         cfg = SampleConfig(radius_min=100, count=3000 * shells, seed=4, shells=shells)
         sample_far_points(X, cfg, lat)
         # one draw per shell and piece: affine draws all land outside the ball
-        assert calls == [p.flat.directions for p in X.pieces]
+        assert calls == [p.directions for p in X.pieces]
 
 
 def _cell_rows(d):
