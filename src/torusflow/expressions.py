@@ -85,6 +85,9 @@ def _power(base, k, one, check):
 MAX_DEPTH = 100  # levels of an expression tree; bounds every evaluator's recursion
 
 _BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
+# what Python's tokenizer warns about (3.10-3.13): a number run straight into
+# a name or keyword, as in 1if or 1.or, and a backslash escape in a string
+_MAY_WARN = re.compile(r"\d\.?[^\W\d]|\\")
 
 
 def _quoted(text):
@@ -102,8 +105,11 @@ def parse_expr(text):
     try:
         if "#" in text:  # Python would read the rest as a comment
             raise SyntaxError
-        with warnings.catch_warnings():  # 1if t warns before it is refused
-            warnings.simplefilter("ignore")
+        if _MAY_WARN.search(source):
+            with warnings.catch_warnings():  # 1if t warns before it is refused
+                warnings.simplefilter("ignore")
+                tree = ast.parse(source, mode="eval")
+        else:
             tree = ast.parse(source, mode="eval")
     except (SyntaxError, ValueError, RecursionError, MemoryError):
         raise SpecFileError(f"cannot parse expression {_quoted(text)}") from None

@@ -8,15 +8,17 @@ positive denominator in lowest terms (Cohen, "A Course in Computational
 Algebraic Number Theory", section 4.2), so the zero test is exact and
 arithmetic runs on integers, one gcd per result, never on floating point.
 
-Enclosures are rectangles with rational endpoints that provably contain
-the embedded value; they are produced by refining the root's certified
-box and evaluating the coordinate polynomial over it with interval
-arithmetic.  One engine certifies and refines every root box, an interval
-for a real root and a rectangle for a complex one: a float Newton iterate
-certified by interval Newton (Moore, "Interval Analysis", 1966) on a small
-interval or square around it, then interval-Newton steps from the box's
-centre.  Each box is rounded outward to dyadic endpoints no finer than the
-width asked for needs.
+Enclosures are rectangles that provably contain the embedded value; they
+are produced by refining the root's certified box and evaluating the
+coordinate polynomial over it with interval arithmetic.  Each interval
+holds integer numerators over one positive denominator, so the interval
+arithmetic is exact and runs on integers, without a Fraction or a gcd.
+One engine certifies and refines every root box, an interval for a real
+root and a rectangle for a complex one: a float Newton iterate certified by
+interval Newton (Moore, "Interval Analysis", 1966) on a small interval or
+square around it, then interval-Newton steps from the box's centre.  Each
+box is rounded outward to dyadic endpoints, over a power of two no finer
+than the width asked for needs.
 
 Complex-embedded fields that participate in restriction-of-scalars
 computations must supply expressions for the imaginary unit and for the
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -121,14 +122,6 @@ def _peval(p, x):
     return acc
 
 
-def _pcompose_mod(f, g, m):
-    """f(g(x)) reduced modulo m."""
-    acc = []
-    for c in reversed(f):
-        acc = _pmod(_padd(_pmul(acc, g), [c]), m)
-    return acc
-
-
 def _sturm_chain(p):
     chain = [list(p), _pderiv(p)]
     while chain[-1]:
@@ -199,112 +192,236 @@ def rational_root(p):
 
 
 # ---------------------------------------------------------------------------
-# Interval and rectangle arithmetic with rational endpoints
+# Interval and rectangle arithmetic on integers over one denominator
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Interval:
-    lo: Rat
-    hi: Rat
+def _common(d, e):
+    """(D, s, t), D = d s = e t: a common multiple of the denominators d and
+    e without a gcd, the larger one when the other divides it (always, for
+    powers of two), else their product."""
+    if d == e:
+        return d, 1, 1
+    if d > e:
+        if not d % e:
+            return d, 1, d // e
+    elif not e % d:
+        return e, e // d, 1
+    return d * e, e, d
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+
+_new = object.__new__
+
+
+def _iv(a, b, d):
+    """The Interval [a / d, b / d]: integers a <= b, d > 0."""
+    iv = _new(Interval)
+    iv.a, iv.b, iv.d = a, b, d
+    return iv
+
+
+class Interval:
+    """The closed interval [a / d, b / d]: integer numerators a <= b over
+    one positive denominator d, not necessarily in lowest terms.
+
+    Arithmetic and comparisons are exact and run on integers.  A sum takes
+    the larger denominator when the other divides it, so dyadic endpoints
+    stay over one power of two; a product splits on the endpoints' signs
+    (Moore, "Interval Analysis", 1966) and forms two products of
+    numerators, or four when both intervals hold zero inside.  ``lo``,
+    ``hi``, ``width`` and ``abs_upper`` give Fractions.
+    """
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, lo, hi):
+        a, p = Rat(lo).as_integer_ratio()
+        b, q = Rat(hi).as_integer_ratio()
+        d, s, t = _common(p, q)
+        if a * s > b * t:
             raise ValueError("interval endpoints out of order")
+        self.a, self.b, self.d = a * s, b * t, d
 
     @staticmethod
     def point(x):
-        x = Rat(x)
-        return Interval(x, x)
+        """The interval [x, x] of an int, Fraction or float x."""
+        n, q = x.as_integer_ratio()
+        return _iv(n, n, q)
+
+    @property
+    def lo(self):
+        return Rat(self.a, self.d)
+
+    @property
+    def hi(self):
+        return Rat(self.b, self.d)
+
+    def __repr__(self):
+        return f"Interval({self.lo}, {self.hi})"
+
+    def _span(self):
+        """The width as a pair (n, d), not in lowest terms."""
+        return self.b - self.a, self.d
 
     def width(self):
-        return self.hi - self.lo
+        return Rat(self.b - self.a, self.d)
 
-    def mid(self):
-        return (self.lo + self.hi) / 2
+    def wider_than(self, w):
+        """Whether the width exceeds the rational w."""
+        return (self.b - self.a) * w.denominator > w.numerator * self.d
 
     def centre(self):
-        return Interval.point(self.mid())
+        m = self.a + self.b
+        return _iv(m, m, 2 * self.d)
+
+    def to_float(self):
+        """The midpoint, rounded to the nearest float."""
+        return (self.a + self.b) / (2 * self.d)
 
     def widened(self, h):
-        return Interval(self.lo - h, self.hi + h)
+        n, q = h.as_integer_ratio()
+        d, s, t = _common(self.d, q)
+        return _iv(self.a * s - n * t, self.b * s + n * t, d)
 
     def meet(self, other):
-        return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
+        d, s, t = _common(self.d, other.d)
+        a, b = max(self.a * s, other.a * t), min(self.b * s, other.b * t)
+        if a > b:
+            raise ValueError("interval endpoints out of order")
+        return _iv(a, b, d)
+
+    def _shift(self, c):
+        """self + c for a rational c."""
+        n, q = c.numerator * self.d, c.denominator
+        if q == 1:
+            return _iv(self.a + n, self.b + n, self.d)
+        return _iv(self.a * q + n, self.b * q + n, self.d * q)
+
+    def _rounded(self, k):
+        """self rounded outward to the grid 2^-k."""
+        d = self.d
+        return _iv((self.a << k) // d, -((-self.b << k) // d), 1 << k)
 
     def __add__(self, other):
-        return Interval(self.lo + other.lo, self.hi + other.hi)
+        d, s, t = _common(self.d, other.d)
+        return _iv(self.a * s + other.a * t, self.b * s + other.b * t, d)
 
     def __sub__(self, other):
-        return Interval(self.lo - other.hi, self.hi - other.lo)
+        d, s, t = _common(self.d, other.d)
+        return _iv(self.a * s - other.b * t, self.b * s - other.a * t, d)
 
     def __neg__(self):
-        return Interval(-self.hi, -self.lo)
+        return _iv(-self.b, -self.a, self.d)
 
     def __mul__(self, other):
-        vals = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return Interval(min(vals), max(vals))
+        a, b, c, e = self.a, self.b, other.a, other.b
+        if a >= 0:
+            if c >= 0:
+                lo, hi = a * c, b * e
+            elif e <= 0:
+                lo, hi = b * c, a * e
+            else:
+                lo, hi = b * c, b * e
+        elif b <= 0:
+            if c >= 0:
+                lo, hi = a * e, b * c
+            elif e <= 0:
+                lo, hi = b * e, a * c
+            else:
+                lo, hi = a * e, a * c
+        elif c >= 0:
+            lo, hi = a * e, b * e
+        elif e <= 0:
+            lo, hi = b * c, a * c
+        else:
+            lo, hi = min(a * e, b * c), max(a * c, b * e)
+        return _iv(lo, hi, self.d * other.d)
 
     def square(self):
-        if self.lo <= 0 <= self.hi:
-            return Interval(Rat(0), max(self.lo * self.lo, self.hi * self.hi))
-        vals = (self.lo * self.lo, self.hi * self.hi)
-        return Interval(min(vals), max(vals))
+        a, b = self.a, self.b
+        if a >= 0:
+            lo, hi = a * a, b * b
+        elif b <= 0:
+            lo, hi = b * b, a * a
+        else:
+            lo, hi = 0, max(a * a, b * b)
+        return _iv(lo, hi, self.d * self.d)
 
     def divide(self, other):
-        if other.lo <= 0 <= other.hi:
+        c, e = other.a, other.b
+        if c <= 0 <= e:
             raise ZeroDivisionError("interval divisor contains zero")
-        vals = (
-            self.lo / other.lo,
-            self.lo / other.hi,
-            self.hi / other.lo,
-            self.hi / other.hi,
-        )
-        return Interval(min(vals), max(vals))
+        # 1 / [c, e] / f = [f c, f e] / (c e), whichever sign c and e share
+        f = other.d
+        return self * _iv(f * c, f * e, c * e)
 
     def scale(self, c):
-        c = Rat(c)
-        if c >= 0:
-            return Interval(self.lo * c, self.hi * c)
-        return Interval(self.hi * c, self.lo * c)
+        """self times the int or Fraction c."""
+        n, q = c.numerator, c.denominator
+        if n >= 0:
+            return _iv(self.a * n, self.b * n, self.d * q)
+        return _iv(self.b * n, self.a * n, self.d * q)
+
+    def _over(self, q):
+        """self / q for an integer q > 0."""
+        return _iv(self.a, self.b, self.d * q)
 
     def contains(self, x):
-        return self.lo <= x <= self.hi
+        n, q = x.as_integer_ratio()
+        n *= self.d
+        return self.a * q <= n <= self.b * q
 
     def contains_box(self, other):
-        return self.lo <= other.lo and other.hi <= self.hi
+        d, e = self.d, other.d
+        return self.a * e <= other.a * d and other.b * d <= self.b * e
 
     def strictly_contains(self, other):
-        return self.lo < other.lo and other.hi < self.hi
+        d, e = self.d, other.d
+        return self.a * e < other.a * d and other.b * d < self.b * e
 
     def disjoint(self, other):
-        return self.hi < other.lo or other.hi < self.lo
+        d, e = self.d, other.d
+        return self.b * e < other.a * d or other.b * d < self.a * e
+
+    def __eq__(self, other):
+        if not isinstance(other, Interval):
+            return NotImplemented
+        d, e = self.d, other.d
+        return self.a * e == other.a * d and self.b * e == other.b * d
 
     def abs_upper(self):
-        return max(abs(self.lo), abs(self.hi))
+        return Rat(max(-self.a, self.b), self.d)
 
 
-_ZERO = Interval.point(0)
+_ZERO = _iv(0, 0, 1)
 
 
-@dataclass(frozen=True)
 class Box:
-    """Axis-aligned rectangle in the complex plane with rational corners."""
+    """Axis-aligned rectangle in the complex plane: the Intervals re and im."""
 
-    re: Interval
-    im: Interval
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re = re
+        self.im = im
 
     @staticmethod
     def point(re, im=0):
         return Box(Interval.point(re), Interval.point(im))
 
+    def __repr__(self):
+        return f"Box({self.re!r}, {self.im!r})"
+
+    def _span(self):
+        """The larger side's width as a pair (n, d)."""
+        (n, d), (m, e) = self.re._span(), self.im._span()
+        return (n, d) if n * e >= m * d else (m, e)
+
     def width(self):
         return max(self.re.width(), self.im.width())
+
+    def wider_than(self, w):
+        return self.re.wider_than(w) or self.im.wider_than(w)
 
     def centre(self):
         return Box(self.re.centre(), self.im.centre())
@@ -315,6 +432,12 @@ class Box:
     def meet(self, other):
         return Box(self.re.meet(other.re), self.im.meet(other.im))
 
+    def _shift(self, c):
+        return Box(self.re._shift(c), self.im)
+
+    def _rounded(self, k):
+        return Box(self.re._rounded(k), self.im._rounded(k))
+
     def __add__(self, other):
         return Box(self.re + other.re, self.im + other.im)
 
@@ -322,16 +445,17 @@ class Box:
         return Box(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other):
-        return Box(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return Box(a * c - b * d, a * d + b * c)
 
     def conj(self):
         return Box(self.re, -self.im)
 
     def scale(self, c):
         return Box(self.re.scale(c), self.im.scale(c))
+
+    def _over(self, q):
+        return Box(self.re._over(q), self.im._over(q))
 
     def abs_squared(self):
         return self.re.square() + self.im.square()
@@ -352,12 +476,17 @@ class Box:
     def disjoint(self, other):
         return self.re.disjoint(other.re) or self.im.disjoint(other.im)
 
+    def __eq__(self, other):
+        if not isinstance(other, Box):
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
     def abs_upper(self):
         # sqrt bound avoided: |z| <= |re| + |im|
         return self.re.abs_upper() + self.im.abs_upper()
 
     def to_complex(self):
-        return complex(float(self.re.mid()), float(self.im.mid()))
+        return complex(self.re.to_float(), self.im.to_float())
 
 
 def _hull(p, X):
@@ -365,19 +494,47 @@ def _hull(p, X):
     Horner."""
     acc = X.point(p[-1])
     for c in reversed(p[:-1]):
-        acc = acc * X + X.point(c)
+        acc = acc * X
+        if c:
+            acc = acc._shift(c)
     return acc
 
 
+def _horner(p, x, y):
+    """(u, v) with p(x / y) = u / v and v > 0, for integers x and y > 0.
+
+    Horner on numerators: each step multiplies v by y and by the
+    coefficient's denominator.
+    """
+    u, v = p[-1].numerator, p[-1].denominator
+    for k in reversed(p[:-1]):
+        n, q = k.numerator, k.denominator
+        if q == 1:
+            u, v = u * x + n * v * y, v * y
+        else:
+            u, v = u * x * q + n * v * y, v * y * q
+    return u, v
+
+
 def _at(p, c):
-    """p at the point c, an Interval or Box of width 0, exactly."""
+    """p at the point c, an Interval or Box of width 0, exactly, by Horner on
+    numerators: u + i w over v for a Box."""
     if isinstance(c, Interval):
-        return Interval.point(_peval(p, c.lo))
-    ar, ai = Rat(0), Rat(0)
-    zr, zi = c.re.lo, c.im.lo
-    for k in reversed(p):
-        ar, ai = ar * zr - ai * zi + k, ar * zi + ai * zr
-    return Box.point(ar, ai)
+        u, v = _horner(p, c.a, c.d)
+        return _iv(u, u, v)
+    y, s, t = _common(c.re.d, c.im.d)
+    x, z = c.re.a * s, c.im.a * t
+    u, v = p[-1].numerator, p[-1].denominator
+    w = 0
+    for k in reversed(p[:-1]):
+        n, q = k.numerator, k.denominator
+        u, w = u * x - w * z, u * z + w * x
+        v *= y
+        if q == 1:
+            u += n * v
+        else:
+            u, w, v = u * q + n * v, w * q, v * q
+    return Box(_iv(u, u, v), _iv(w, w, v))
 
 
 # ---------------------------------------------------------------------------
@@ -401,17 +558,13 @@ def _newton(m, md, c, X):
 
 def _dyadic_box(X, width):
     """X, an Interval or Box, rounded outward to a power-of-two grid 4 bits
-    finer than width > 0.
+    finer than width > 0, a Fraction or int.
 
     Each endpoint moves by less than width / 16; the endpoints'
     denominators shrink to about width's own size.
     """
-    if isinstance(X, Box):
-        return Box(_dyadic_box(X.re, width), _dyadic_box(X.im, width))
     k = max(width.denominator.bit_length() - width.numerator.bit_length() + 5, 0)
-    lo = (X.lo.numerator << k) // X.lo.denominator
-    hi = -((-X.hi.numerator << k) // X.hi.denominator)
-    return Interval(Rat(lo, 1 << k), Rat(hi, 1 << k))
+    return X._rounded(k)
 
 
 def _narrowed(N, X, width):
@@ -419,15 +572,20 @@ def _narrowed(N, X, width):
 
     The grid follows N's width, or the requested width once N is narrower,
     so a box finer than needed keeps the denominators the width needs.
+    N's width becomes a Fraction, in lowest terms, only when it sets the
+    grid.
     """
-    return _dyadic_box(N, max(N.width(), width)).meet(X)
+    n, d = N._span()
+    if n * width.denominator > width.numerator * d:
+        width = Rat(n, d)
+    return _dyadic_box(N, width).meet(X)
 
 
 def _float_newton(m, X):
     """A float Newton iterate of m from the centre of X, a float for an
     Interval and a complex for a Box; None if it leaves the floats."""
     try:
-        z = float(X.mid()) if isinstance(X, Interval) else X.to_complex()
+        z = X.to_float() if isinstance(X, Interval) else X.to_complex()
         fm = [float(c) for c in reversed(m)]
         for _ in range(64):
             f = d = 0.0
@@ -458,13 +616,11 @@ def _certify(m, md, X, width):
     z = _float_newton(m, X)
     if z is None:
         return None
-    if isinstance(z, complex):
-        c = Box.point(Rat(z.real), Rat(z.imag))
-    else:
-        c = Interval.point(Rat(z))
+    c = Box.point(z.real, z.imag) if isinstance(z, complex) else Interval.point(z)
     scale = math.frexp(max(1.0, abs(z)))[1]
     for bits in range(48 - scale, 15 - scale, -4):
-        Z = c.widened(Rat(2) ** -bits)
+        # 2^-bits is a float exactly: |bits| stays below 1024
+        Z = c.widened(math.ldexp(1.0, -bits))
         N = _newton(m, md, c, Z)
         if N is not None and Z.strictly_contains(N):
             return _narrowed(N, Z, width)
@@ -473,13 +629,21 @@ def _certify(m, md, X, width):
 
 def _halve(m, X):
     """The half of the interval X, holding one root of m, that holds it."""
-    mid = X.mid()
-    fmid = _peval(m, mid)
+    a, b, d = X.a, X.b, X.d
+    mid = a + b
+    # m(x / y) = u / v with v > 0, so u carries the sign
+    fmid = _horner(m, mid, 2 * d)[0]
     if fmid == 0:
-        return Interval.point(mid)
-    if _peval(m, X.lo) * fmid <= 0:
-        return Interval(X.lo, mid)
-    return Interval(mid, X.hi)
+        return _iv(mid, mid, 2 * d)
+    if _horner(m, a, d)[0] * fmid <= 0:
+        return _iv(2 * a, mid, 2 * d)
+    return _iv(mid, 2 * b, 2 * d)
+
+
+def _at_most_half(Y, X):
+    """Whether the box Y is at most half as wide as the box X."""
+    (n, d), (n2, d2) = Y._span(), X._span()
+    return 2 * n * d2 <= n2 * d
 
 
 def _refine(m, md, X, width):
@@ -492,15 +656,15 @@ def _refine(m, md, X, width):
     Interval to one sign-change bisection, a Box to a new certificate from
     its centre's float, which must meet the box and narrow it.
     """
-    if X.width() <= width:
+    if not X.wider_than(width):
         return X
     Y = _certify(m, md, X, width)
-    while X.width() > width:
+    while X.wider_than(width):
         if Y is None or not X.contains_box(Y):
             Y = _newton(m, md, X.centre(), X)
             if Y is not None:
                 Y = _narrowed(Y, X, width)
-        if Y is None or 2 * Y.width() > X.width():
+        if Y is None or not _at_most_half(Y, X):
             if isinstance(X, Interval):
                 Y = _halve(m, X)
             else:
@@ -535,7 +699,7 @@ def _root_boxes(m, md):
     upper = [s for s in seeds if s.imag > 0]
     boxes = []
     for s in real + upper:
-        box = _certify(m, md, Box.point(Rat(s.real), Rat(s.imag)), Rat(1, 1 << 56))
+        box = _certify(m, md, Box.point(s.real, s.imag), Rat(1, 1 << 56))
         if box is None:
             raise TorusflowError("failed to certify a root box; is min_poly squarefree?")
         boxes.append(box)
@@ -550,7 +714,8 @@ def _root_boxes(m, md):
 
 def _holds_integer(box):
     """Whether the box holds a real integer."""
-    return box.im.contains(0) and math.ceil(box.re.lo) <= box.re.hi
+    re = box.re
+    return box.im.contains(0) and -(-re.a // re.d) * re.d <= re.b
 
 
 def rational_factor(p, boxes):
@@ -572,9 +737,7 @@ def rational_factor(p, boxes):
     # left to right, so that the factor named does not depend on root order
     boxes = sorted(boxes, key=lambda b: (b.re.lo, b.im.lo))
     while True:
-        scaled = boxes if lead == 1 else [
-            Box(b.re.scale(lead), b.im.scale(lead)) for b in boxes
-        ]
+        scaled = boxes if lead == 1 else [b.scale(lead) for b in boxes]
         wide = False
         for k in range(2, n // 2 + 1):
             for index in combinations(range(n), k):
@@ -691,9 +854,7 @@ class NumberField:
             self._root_enclosure = Interval(lo, hi)
         else:
             (rlo, rhi), (ilo, ihi) = root_box
-            rect = Box(
-                Interval(Rat(rlo), Rat(rhi)), Interval(Rat(ilo), Rat(ihi))
-            )
+            rect = Box(Interval(rlo, rhi), Interval(ilo, ihi))
             self._root_enclosure = self._isolate_complex_root(rect)
 
         theta = self._root_enclosure
@@ -751,7 +912,7 @@ class NumberField:
         # upper box never meets the axis, so a box that meets it holds a
         # real root
         box = inside[0]
-        if box.im.contains(Rat(0)):
+        if box.im.contains(0):
             raise TorusflowError(
                 "selected root looks real; use a real isolating interval"
             )
@@ -759,22 +920,28 @@ class NumberField:
 
     def _install_conj(self, conj_coords):
         g = _ptrim([Rat(c) for c in conj_coords])
-        if _pcompose_mod(self.min_poly, g, self.min_poly):
+        conj = self.from_coords(g)
+        powers = [self.one, conj]
+        while len(powers) <= self.degree:
+            powers.append(powers[-1] * conj)
+
+        def at_conj(p):
+            return sum((e * c for c, e in zip(p, powers) if c), self.zero)
+
+        if at_conj(self.min_poly):
             raise TorusflowError("conj expression is not a root of min_poly")
-        comp = _pcompose_mod(g, g, self.min_poly)
-        x = [Rat(0), Rat(1)]
-        if _psub(comp, x):
+        if at_conj(g) != self.gen:
             raise TorusflowError("conj expression is not an involution")
         if not self.is_complex:
             raise TorusflowError("conj declaration only applies to complex fields")
         self._identify_value_as_conjugate(g)
-        # column k holds the coordinates of conj(theta)^k, over _conj_den
-        cols = []
-        power = [Rat(1)]
-        for _ in range(self.degree):
-            cols.append(power)
-            power = _pmod(_pmul(power, g), self.min_poly)
-        self._conj_matrix, self._conj_den = _integer_rows(cols)
+        # column k holds the numerators of conj(theta)^k over _conj_den
+        powers = powers[: self.degree]
+        den = math.lcm(*(e.den for e in powers))
+        self._conj_matrix = [
+            [(k, n * (den // e.den)) for k, n in enumerate(e.num) if n] for e in powers
+        ]
+        self._conj_den = den
 
     def _identify_value_as_conjugate(self, g):
         """Certify that g(theta) is the complex conjugate of theta.
@@ -805,10 +972,11 @@ class NumberField:
             raise TorusflowError("declared i does not square to -1")
         # i^2 = -1 exactly, so its imaginary part is 1 or -1, and a box of
         # width 1/16 decides which
-        if unit.enclosure(Rat(1, 16)).im.hi < 0:
+        if unit.enclosure(Rat(1, 16)).im.b < 0:
             raise TorusflowError("declared i has negative imaginary part")
         self.i = unit
-        self._inv_2i = (2 * unit).inverse()
+        # 1 / (2i) = -i / 2, since i^2 = -1
+        self._inv_2i = unit * Rat(-1, 2)
 
     # -- enclosure machinery -------------------------------------------------
 
@@ -817,7 +985,7 @@ class NumberField:
         real theta, so its arithmetic runs on intervals, and a Box for a
         complex one."""
         eps = Rat(eps)
-        if self._root_enclosure.width() > eps:
+        if self._root_enclosure.wider_than(eps):
             self._root_enclosure = _refine(
                 self.min_poly, self._deriv, self._root_enclosure, eps
             )
@@ -851,7 +1019,7 @@ class NumberField:
         return e
 
     def rational(self, q) -> "AlgebraicNumber":
-        if not isinstance(q, int):
+        if not isinstance(q, (int, Fraction)):
             q = Rat(q)
         return AlgebraicNumber(self, (q.numerator,) + self._tail, q.denominator)
 
@@ -891,7 +1059,7 @@ class AlgebraicNumber:
     gives the same coordinates as a tuple of Fractions.
     """
 
-    __slots__ = ("field", "num", "den", "_coords", "_box", "_box_eps")
+    __slots__ = ("field", "num", "den", "_coords", "_box")
 
     def __init__(self, field: NumberField, num: tuple, den: int):
         self.field = field
@@ -899,7 +1067,6 @@ class AlgebraicNumber:
         self.den = den
         self._coords = None
         self._box = None
-        self._box_eps = None
 
     @property
     def coords(self):
@@ -1116,12 +1283,13 @@ class AlgebraicNumber:
         if eps <= 0:
             raise TorusflowError("eps must be positive")
         if self.is_rational():
-            return Box.point(Rat(self.num[0], self.den))
-        if self._box is not None and self._box_eps <= eps:
+            n = self.num[0]
+            return Box(_iv(n, n, self.den), _ZERO)
+        if self._box is not None and not self._box.wider_than(eps):
             return self._box
         field = self.field
         acc = self._sum(field._power_boxes())
-        if acc.width() > eps:
+        if acc.wider_than(eps):
             mag = field._root_enclosure.abs_upper()
             bound = sum(
                 k * abs(c) * mag ** (k - 1) for k, c in enumerate(self.coords) if k
@@ -1130,23 +1298,25 @@ class AlgebraicNumber:
             for _ in range(64):
                 field.root_enclosure(width)
                 acc = self._sum(field._power_boxes())
-                if acc.width() <= eps:
+                if not acc.wider_than(eps):
                     break
                 width = width / 16
             else:
                 raise TorusflowError("enclosure refinement failed to converge")
         if isinstance(acc, Interval):
             acc = Box(acc, _ZERO)
-        self._box, self._box_eps = acc, acc.width()
+        self._box = acc
         return acc
 
     def _sum(self, powers):
-        """Enclosure of sum_k c_k theta^k from boxes of theta's powers."""
-        acc = powers[0].point(0)
-        for c, pb in zip(self.coords, powers):
-            if c != 0:
-                acc = acc + pb.scale(c)
-        return acc
+        """Enclosure of sum_k num[k] theta^k / den from boxes of theta's
+        powers, for an element that is not rational."""
+        acc = None
+        for n, pb in zip(self.num, powers):
+            if n:
+                term = pb.scale(n)
+                acc = term if acc is None else acc + term
+        return acc._over(self.den)
 
     def to_complex(self, eps=Fraction(1, 10**16)) -> complex:
         if self.is_rational():
@@ -1156,7 +1326,7 @@ class AlgebraicNumber:
     def to_float(self, eps=Fraction(1, 10**16)) -> float:
         if self.is_rational():
             return self.num[0] / self.den
-        return float(self.enclosure(eps).re.mid())
+        return self.enclosure(eps).re.to_float()
 
     def __repr__(self):
         terms = []

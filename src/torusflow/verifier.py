@@ -447,10 +447,12 @@ class ComponentEvaluator:
         coeff_range = self._translate_range(window_radius)
         offsets_full = lat.translates(coeff_range)
         offs = offsets_full @ self.proj.T
-        if len(offs):
-            rounded = np.round(offs, 9)
-            _, idx = np.unique(rounded, axis=0, return_index=True)
-            offs = offs[np.sort(idx)]
+        # the first translate of each distinct projection, in their order;
+        # with no columns every row is the same empty row
+        if offs.shape[1]:
+            offs = offs[np.sort(distinct_rows(np.round(offs, 9)))]
+        else:
+            offs = offs[:1]
         self.offsets = offs
 
         # torus coordinates: integer-dual map, well-defined modulo the lattice

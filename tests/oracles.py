@@ -7,11 +7,14 @@ check integer kernels, ``in_span`` decides span membership by solving,
 ``to_logical`` inverts the samplers' ``to_internal``, ``remainder_bound``
 evaluates an expansion's certified tail bound C * t^(-q),
 ``FractionArithmetic`` does field arithmetic on Fraction coordinates by
-polynomial division, and ``serialize`` writes a parsed problem back as text
-for the parse -> serialize -> parse round trip.
+polynomial division, ``FractionInterval`` and ``FractionBox`` with the
+functions after them do the certified-root box arithmetic on Fraction
+endpoints, and ``serialize`` writes a parsed problem back as text for the
+parse -> serialize -> parse round trip.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -20,8 +23,9 @@ from torusflow import exactlinalg as xl
 from torusflow._kernels import min_distance_batch
 from torusflow.lattice import hermite_normal_form, torus_closure
 from torusflow.numberfield import (
-    _pcompose_mod,
+    _padd,
     _pdivmod,
+    _peval,
     _pmod,
     _pmul,
     _psub,
@@ -100,6 +104,14 @@ def remainder_bound(remainder, t):
     return float(remainder.C) * float(t) ** (-float(remainder.q))
 
 
+def _pcompose_mod(f, g, m):
+    """f(g(x)) reduced modulo m."""
+    acc = []
+    for c in reversed(f):
+        acc = _pmod(_padd(_pmul(acc, g), [c]), m)
+    return acc
+
+
 class FractionArithmetic:
     """A field's arithmetic on tuples of d Fraction coordinates.
 
@@ -152,6 +164,183 @@ class FractionArithmetic:
             return self._pad([])
         two_i = self.mul(self._pad([2]), self.i)
         return self.mul(self.sub(a, self.conjugate(a)), self.inverse(two_i))
+
+
+# ---------------------------------------------------------------------------
+# Certified-root box arithmetic on Fraction endpoints
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FractionInterval:
+    """[lo, hi] with Fraction endpoints: each product forms all four
+    endpoint products and takes their min and max."""
+
+    lo: Fraction
+    hi: Fraction
+
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise ValueError("interval endpoints out of order")
+
+    @staticmethod
+    def point(x):
+        x = Fraction(x)
+        return FractionInterval(x, x)
+
+    def width(self):
+        return self.hi - self.lo
+
+    def mid(self):
+        return (self.lo + self.hi) / 2
+
+    def centre(self):
+        return FractionInterval.point(self.mid())
+
+    def widened(self, h):
+        return FractionInterval(self.lo - h, self.hi + h)
+
+    def meet(self, other):
+        return FractionInterval(max(self.lo, other.lo), min(self.hi, other.hi))
+
+    def __add__(self, other):
+        return FractionInterval(self.lo + other.lo, self.hi + other.hi)
+
+    def __sub__(self, other):
+        return FractionInterval(self.lo - other.hi, self.hi - other.lo)
+
+    def __neg__(self):
+        return FractionInterval(-self.hi, -self.lo)
+
+    def __mul__(self, other):
+        vals = (
+            self.lo * other.lo,
+            self.lo * other.hi,
+            self.hi * other.lo,
+            self.hi * other.hi,
+        )
+        return FractionInterval(min(vals), max(vals))
+
+    def square(self):
+        if self.lo <= 0 <= self.hi:
+            return FractionInterval(
+                Fraction(0), max(self.lo * self.lo, self.hi * self.hi)
+            )
+        vals = (self.lo * self.lo, self.hi * self.hi)
+        return FractionInterval(min(vals), max(vals))
+
+    def divide(self, other):
+        if other.lo <= 0 <= other.hi:
+            raise ZeroDivisionError("interval divisor contains zero")
+        vals = (
+            self.lo / other.lo,
+            self.lo / other.hi,
+            self.hi / other.lo,
+            self.hi / other.hi,
+        )
+        return FractionInterval(min(vals), max(vals))
+
+    def scale(self, c):
+        c = Fraction(c)
+        if c >= 0:
+            return FractionInterval(self.lo * c, self.hi * c)
+        return FractionInterval(self.hi * c, self.lo * c)
+
+    def strictly_contains(self, other):
+        return self.lo < other.lo and other.hi < self.hi
+
+
+@dataclass(frozen=True)
+class FractionBox:
+    """A rectangle of two FractionIntervals."""
+
+    re: FractionInterval
+    im: FractionInterval
+
+    @staticmethod
+    def point(re, im=0):
+        return FractionBox(FractionInterval.point(re), FractionInterval.point(im))
+
+    def width(self):
+        return max(self.re.width(), self.im.width())
+
+    def widened(self, h):
+        return FractionBox(self.re.widened(h), self.im.widened(h))
+
+    def meet(self, other):
+        return FractionBox(self.re.meet(other.re), self.im.meet(other.im))
+
+    def __add__(self, other):
+        return FractionBox(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return FractionBox(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        return FractionBox(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    def conj(self):
+        return FractionBox(self.re, -self.im)
+
+    def abs_squared(self):
+        return self.re.square() + self.im.square()
+
+    def divide(self, other):
+        denom = other.abs_squared()
+        num = self * other.conj()
+        return FractionBox(num.re.divide(denom), num.im.divide(denom))
+
+    def strictly_contains(self, other):
+        return self.re.strictly_contains(other.re) and self.im.strictly_contains(
+            other.im
+        )
+
+
+def fraction_hull(p, X):
+    """Enclosure of the polynomial p over X, by Horner."""
+    acc = X.point(p[-1])
+    for c in reversed(p[:-1]):
+        acc = acc * X + X.point(c)
+    return acc
+
+
+def fraction_at(p, c):
+    """p at the point c exactly."""
+    if isinstance(c, FractionInterval):
+        return FractionInterval.point(_peval(p, c.lo))
+    ar, ai = Fraction(0), Fraction(0)
+    zr, zi = c.re.lo, c.im.lo
+    for k in reversed(p):
+        ar, ai = ar * zr - ai * zi + k, ar * zi + ai * zr
+    return FractionBox.point(ar, ai)
+
+
+def fraction_newton(m, md, c, X):
+    """The interval-Newton image c - m(c) / m'(X), or None."""
+    try:
+        return c - fraction_at(m, c).divide(fraction_hull(md, X))
+    except ZeroDivisionError:
+        return None
+
+
+def fraction_dyadic_box(X, width):
+    """X rounded outward to the power-of-two grid 4 bits finer than width."""
+    if isinstance(X, FractionBox):
+        return FractionBox(
+            fraction_dyadic_box(X.re, width), fraction_dyadic_box(X.im, width)
+        )
+    k = max(width.denominator.bit_length() - width.numerator.bit_length() + 5, 0)
+    lo = (X.lo.numerator << k) // X.lo.denominator
+    hi = -((-X.hi.numerator << k) // X.hi.denominator)
+    return FractionInterval(Fraction(lo, 1 << k), Fraction(hi, 1 << k))
+
+
+def fraction_narrowed(N, X, width):
+    """N rounded outward for max(N's width, width) and cut back to X."""
+    return fraction_dyadic_box(N, max(N.width(), width)).meet(X)
 
 
 # ---------------------------------------------------------------------------

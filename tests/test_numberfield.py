@@ -9,7 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import FractionArithmetic
+from oracles import (
+    FractionArithmetic,
+    FractionBox,
+    FractionInterval,
+    fraction_at,
+    fraction_dyadic_box,
+    fraction_hull,
+    fraction_narrowed,
+    fraction_newton,
+)
 
 import torusflow.numberfield as nf
 from torusflow.errors import DivisionByZero, FieldMismatch, TorusflowError
@@ -81,6 +90,27 @@ class TestConstruction:
         # -theta is a root and an involution but not the conjugate
         with pytest.raises(TorusflowError, match="not the conjugate of theta"):
             K.declare_complex_structure(conj_coords=[0, -1])
+
+    @pytest.mark.parametrize(
+        "poly, rect, conj, message",
+        [
+            # theta^2 is not a root of x^4 + 1: (theta^2)^4 + 1 = 2
+            ([1, 0, 0, 0, 1], ((F(1, 2), 1), (F(1, 2), 1)), [0, 0, 1], "not a root"),
+            # theta -> theta^2 permutes the primitive fifth roots of unity in
+            # a 4-cycle
+            ([1, 1, 1, 1, 1], ((F(1, 5), F(2, 5)), (F(9, 10), 1)), [0, 0, 1],
+             "not an involution"),
+        ],
+        ids=["not-a-root", "not-an-involution"],
+    )
+    def test_conj_checks(self, poly, rect, conj, message):
+        K = NumberField(poly, root_box=rect)
+        with pytest.raises(TorusflowError, match=message):
+            K.declare_complex_structure(conj_coords=conj)
+
+    def test_conj_on_a_real_field_rejected(self, sqrt2):
+        with pytest.raises(TorusflowError, match="only applies to complex fields"):
+            sqrt2.declare_complex_structure(conj_coords=[0, -1])
 
     def test_bad_i_rejected(self):
         K = NumberField([1, 0, 0, 0, 1], root_box=((F(1, 2), 1), (F(1, 2), 1)))
@@ -599,6 +629,258 @@ class TestIntervalArithmetic:
         w = Box(Interval(F(0), F(0)), Interval(F(1), F(1)))
         q = z.divide(w)  # 1 / i = -i
         assert q.re.contains(F(0)) and q.im.contains(F(-1))
+
+
+# ---------------------------------------------------------------------------
+# Integer endpoints against the Fraction-endpoint reference of tests/oracles.py
+# ---------------------------------------------------------------------------
+
+
+def _ends(X):
+    """The endpoints of an Interval or Box of either kind, as Fractions."""
+    if hasattr(X, "re"):
+        return (X.re.lo, X.re.hi, X.im.lo, X.im.hi)
+    return (X.lo, X.hi)
+
+
+def _pair(lo, hi):
+    """The same interval as an Interval and as the reference."""
+    return Interval(lo, hi), FractionInterval(F(lo), F(hi))
+
+
+def _box_pair(re, im):
+    (a, ra), (b, rb) = _pair(*re), _pair(*im)
+    return Box(a, b), FractionBox(ra, rb)
+
+
+def _rational(rng, kind):
+    """A random rational over a power of two, or over any denominator."""
+    n = rng.randint(-10**6, 10**6)
+    if kind == "dyadic":
+        return F(n, 1 << rng.randint(0, 70))
+    return F(n, rng.randint(1, 10**4))
+
+
+def _random_pair(rng, sign=None):
+    """Random endpoints, each dyadic or not (mixed denominators included),
+    of the given sign: "pos" (lo >= 0), "neg" (hi <= 0) or "mixed" (lo < 0
+    < hi)."""
+    ends = sorted(abs(_rational(rng, rng.choice(["dyadic", "general"])))
+                  for _ in range(2))
+    if rng.random() < 0.1:
+        ends[0] = F(0)
+    if rng.random() < 0.1:
+        ends[0] = ends[1]
+    sign = sign or rng.choice(["pos", "neg", "mixed"])
+    if sign == "neg":
+        ends = [-ends[1], -ends[0]]
+    elif sign == "mixed":
+        ends = [-ends[0] - 1, ends[1] + 1]
+    return _pair(*ends)
+
+
+SIGNS = ["pos", "neg", "mixed"]
+
+
+class TestIntegerEndpoints:
+    """Each Interval and Box operation gives exactly the reference's
+    endpoints."""
+
+    @pytest.mark.parametrize("left", SIGNS)
+    @pytest.mark.parametrize("right", SIGNS)
+    def test_products_in_all_nine_sign_cases(self, left, right):
+        rng = random.Random(f"{left}/{right}")
+        for _ in range(200):
+            (x, rx), (y, ry) = _random_pair(rng, left), _random_pair(rng, right)
+            assert _ends(x * y) == _ends(rx * ry)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_interval_operations(self, seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            (x, rx), (y, ry) = _random_pair(rng), _random_pair(rng)
+            assert _ends(x) == _ends(rx)
+            assert _ends(x + y) == _ends(rx + ry)
+            assert _ends(x - y) == _ends(rx - ry)
+            assert _ends(-x) == _ends(-rx)
+            assert _ends(x.square()) == _ends(rx.square())
+            if not ry.lo <= 0 <= ry.hi:
+                assert _ends(x.divide(y)) == _ends(rx.divide(ry))
+            c = _rational(rng, rng.choice(["dyadic", "general"]))
+            assert _ends(x.scale(c)) == _ends(rx.scale(c))
+            assert _ends(x.scale(-abs(c))) == _ends(rx.scale(-abs(c)))
+            h = abs(c)
+            assert _ends(x.widened(h)) == _ends(rx.widened(h))
+            if max(rx.lo, ry.lo) <= min(rx.hi, ry.hi):
+                assert _ends(x.meet(y)) == _ends(rx.meet(ry))
+            else:
+                with pytest.raises(ValueError):
+                    x.meet(y)
+            assert x.width() == rx.width() and x.to_float() == float(rx.mid())
+            assert _ends(x.centre()) == _ends(rx.centre())
+            assert x.strictly_contains(y) == rx.strictly_contains(ry)
+            assert x.contains_box(y) == (rx.lo <= ry.lo and ry.hi <= rx.hi)
+            assert x.disjoint(y) == (rx.hi < ry.lo or ry.hi < rx.lo)
+            assert (x == y) == (rx == ry) and x == x.meet(x)
+
+    def test_square_through_zero_and_divide_refused(self):
+        x, rx = _pair(F(-3, 7), F(5, 1 << 40))
+        assert _ends(x.square()) == _ends(rx.square()) == (0, F(9, 49))
+        with pytest.raises(ZeroDivisionError):
+            Interval(1, 2).divide(x)
+
+    def test_endpoints_out_of_order_refused(self):
+        with pytest.raises(ValueError):
+            Interval(F(1, 3), F(1, 4))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_box_operations(self, seed):
+        rng = random.Random(seed)
+        for _ in range(200):
+            (xr, rxr), (xi, rxi), (yr, ryr), (yi, ryi) = (
+                _random_pair(rng) for _ in range(4)
+            )
+            x, rx = Box(xr, xi), FractionBox(rxr, rxi)
+            y, ry = Box(yr, yi), FractionBox(ryr, ryi)
+            assert _ends(x + y) == _ends(rx + ry)
+            assert _ends(x - y) == _ends(rx - ry)
+            assert _ends(x * y) == _ends(rx * ry)
+            assert _ends(x.conj()) == _ends(rx.conj())
+            if ry.abs_squared().lo > 0:
+                assert _ends(x.divide(y)) == _ends(rx.divide(ry))
+            assert x.width() == rx.width()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rounding_onto_the_dyadic_grid(self, seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            (x, rx), (y, ry) = _random_pair(rng), _random_pair(rng)
+            width = abs(_rational(rng, rng.choice(["dyadic", "general"]))) + F(
+                1, 1 << rng.randint(0, 200)
+            )
+            assert _ends(nf._dyadic_box(x, width)) == _ends(
+                fraction_dyadic_box(rx, width)
+            )
+            box, rbox = Box(x, y), FractionBox(rx, ry)
+            assert _ends(nf._dyadic_box(box, width)) == _ends(
+                fraction_dyadic_box(rbox, width)
+            )
+            # cut back to a wider box around it, with the grid set by the
+            # width asked for or, for a tiny one, by the box's own width
+            outer = box.widened(F(1, 1 << 30))
+            router = rbox.widened(F(1, 1 << 30))
+            for w in (width, F(1, 1 << 300)):
+                assert _ends(nf._narrowed(box, outer, w)) == _ends(
+                    fraction_narrowed(rbox, router, w)
+                )
+
+    @pytest.mark.parametrize(
+        "m",
+        [[-2, 0, 1], [1, 0, 0, 0, 1], [1, 0, -10, 0, 1],
+         [F(3, 10**6), 0, F(-4, 1000), 0, 1], [2, -2, 0, 1]],
+        ids=["x^2-2", "x^4+1", "x^4-10x^2+1", "rational", "x^3-2x+2"],
+    )
+    def test_newton_and_hull(self, m):
+        m = [F(c) for c in m]
+        md = nf._pderiv(m)
+        rng = random.Random(str(m))
+        for _ in range(60):
+            (x, rx), (y, ry) = _random_pair(rng), _random_pair(rng)
+            box, rbox = Box(x, y), FractionBox(rx, ry)
+            assert _ends(nf._hull(m, x)) == _ends(fraction_hull(m, rx))
+            assert _ends(nf._hull(m, box)) == _ends(fraction_hull(m, rbox))
+            centres = (FractionInterval.point(rx.mid()),
+                       FractionBox.point(rx.mid(), ry.mid()))
+            for X, RX, rc in zip((x, box), (rx, rbox), centres):
+                c = X.centre()
+                assert _ends(nf._at(m, c)) == _ends(fraction_at(m, rc))
+                N, RN = nf._newton(m, md, c, X), fraction_newton(m, md, rc, RX)
+                assert (N is None) == (RN is None)
+                if N is not None:
+                    assert _ends(N) == _ends(RN)
+
+
+# x^4 + 1 at dinh_vu's rect: theta's box and the upper roots' boxes are
+# [A, B]-sided squares
+A = F("101904826760412361/144115188075855872")
+B = F("1630477228166597777/2305843009213693952")
+E61 = F(1, 1 << 61)  # a real root's box is 2^-60 tall
+PINNED_FIELDS = {
+    "x^4+1": (
+        lambda: NumberField(X4_PLUS_1, root_box=((F(1, 2), 1), (F(1, 2), 1))),
+        ([0, 0, 1], [0, 0, 0, -1]),
+        [(-B, -A, A, B), (A, B, A, B), (-B, -A, -B, -A), (A, B, -B, -A)],
+        (A, B, A, B),
+        (F("14341829369545251819195376186229/20282409603651670423947251286016"),
+         F("7170914684772625909597688093115/10141204801825835211973625643008")) * 2,
+        (0.7071067811865476 + 0.7071067811865476j,
+         -0.4714045207910317 + 0.9428090415820634j),
+    ),
+    "Q(i)": (
+        lambda: NumberField([1, 0, 1], root_box=((F(-1, 2), F(1, 2)), (F(1, 2), F(3, 2)))),
+        ([0, 1], [0, -1]),
+        [(0, 0, 1, 1), (0, 0, -1, -1)],
+        (0, 0, 1, 1),
+        (0, 0, 1, 1),
+        (1j, -0.6666666666666666j),
+    ),
+    "x^2-2": (
+        lambda: NumberField([-2, 0, 1], root_interval=(1, 2)),
+        None,
+        [(F("-1630477228166597777/1152921504606846976"),
+          F("-3260954456333195553/2305843009213693952"), -E61, E61),
+         (F("3260954456333195553/2305843009213693952"),
+          F("1630477228166597777/1152921504606846976"), -E61, E61)],
+        (F("101904826760412361/72057594037927936"),
+         F("815238614083298889/576460752303423488")),
+        (F("14341829369545251819195376186229/10141204801825835211973625643008"),
+         F("28683658739090503638390752372459/20282409603651670423947251286016")),
+        (1.4142135623730951, 3.2998316455372216),
+    ),
+    "x^4-10x^2+1": (
+        lambda: NumberField([1, 0, -10, 0, 1], root_interval=(3, 4)),
+        None,
+        [(F("-7254791702568824329/2305843009213693952"),
+          F("-906848962821103041/288230376151711744"), -E61, E61),
+         (F("906848962821103041/288230376151711744"),
+          F("7254791702568824329/2305843009213693952"), -E61, E61),
+         (F("-732882789902433223/2305843009213693952"),
+          F("-366441394951216611/1152921504606846976"), -E61, E61),
+         (F("366441394951216611/1152921504606846976"),
+          F("732882789902433223/2305843009213693952"), -E61, E61)],
+        (F("906848962821103041/288230376151711744"),
+         F("1813697925642206083/576460752303423488")),
+        (F("63813822672538131824627069015907/20282409603651670423947251286016"),
+         F("15953455668134532956156767253977/5070602400912917605986812821504")),
+        (3.1462643699419726, 32.193561244204595),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FIELDS))
+def test_pinned_root_boxes(name):
+    """Root boxes, theta's box and floats, recorded with Fraction endpoints
+    before the endpoints moved to integers."""
+    make, structure, boxes, theta, fine, floats = PINNED_FIELDS[name]
+    K = make()
+    assert [_ends(b) for b in K.root_boxes()] == boxes
+    if structure is not None:
+        K.declare_complex_structure(*structure)
+    else:
+        # a real field's theta is refined by its first float
+        K.gen.to_float()
+    assert _ends(K._root_enclosure) == theta
+    assert _ends(K.root_enclosure(F(1, 10**30))) == fine
+    assert (K.gen.to_complex(), (K.gen**3 + K.gen / 3).to_complex()) == tuple(
+        complex(f) for f in floats
+    )
+
+
+def test_non_dyadic_user_interval():
+    # theta's first box (1/3, 2) has a denominator of 3
+    K = NumberField([-2, 0, 1], root_interval=(F(1, 3), 2))
+    assert K.gen.to_float() == 1.4142135623730951
+    assert _is_dyadic(K._root_enclosure.lo) and _is_dyadic(K._root_enclosure.hi)
 
 
 # ---------------------------------------------------------------------------

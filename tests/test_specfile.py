@@ -140,7 +140,7 @@ class TestExpressions:
             "1j", "'s'", "lambda: 1", "a if b else c", "(a := 1)",
             "f(x=1)", "f(*x)", "f(**x)", "a.f(x)", "f(x)(y)",
             "1e5", "0x10", "1_000", "1.2.3", "", "a b", "p#i", "2(t)",
-            "1if t else 2", "in(t)",
+            "1if t else 2", "1.if t else 2", "1.or t", "'\\d'", "in(t)",
         ],
     )
     def test_refused_forms(self, text):
