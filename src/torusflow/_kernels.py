@@ -32,6 +32,11 @@ rounded squared distance.  Every target at the minimum is therefore in a
 leaf whose bound is <= the best distance found, and is evaluated: the
 comparison is <=, not <, so that exact ties survive.
 
+Points and targets need not be finite.  A difference inf - inf is NaN, and
+a NaN distance is nearer than any number, as argmin ranks it; the entry
+points compute under ``np.errstate(invalid="ignore")``, so that NaN raises
+no warning.
+
 Differences are taken directly.  The matmul identity |x|^2 + |c|^2 - 2 x.c
 cancels badly: with |x| about 10 it is off by 2e-10 at distance 1e-3 and by
 up to 1.7e-7 near distance 0.
@@ -62,19 +67,7 @@ def backend_name() -> str:
     return "numpy"
 
 
-def min_distance_batch(points, offsets, nodes):
-    """Min distance from each point to {offset + node} over all pairs.
-
-    points:  (M, q) float64
-    offsets: (T, q) float64 (e.g. projected lattice translates)
-    nodes:   (P, q) float64 (e.g. projected base-set nodes)
-
-    Returns (dists, node_index): per-point minimal Euclidean distance and the
-    index of the node achieving it (the lowest flat (t, p) index on ties).
-    """
-    return _nearest(points, offsets, nodes)
-
-
+@np.errstate(invalid="ignore")
 def min_distance_local(points, offsets, nodes):
     """Per point i, min over t and j of |points[i] - offsets[t] - nodes[i, j]|.
 
@@ -100,13 +93,21 @@ def min_distance_local(points, offsets, nodes):
     return np.sqrt(out)
 
 
-def _nearest(points, offsets, nodes, search=None):
-    """``min_distance_batch`` by ``search``, ``_grid`` or ``_scan``; by
-    default the one ``uses_grid`` picks for the shape.
+@np.errstate(invalid="ignore")
+def min_distance_batch(points, offsets, nodes):
+    """Min distance from each point to {offset + node} over all pairs.
 
-    The grid indexes every target at once.  A scan takes blocks of whole
-    offsets of at most _BLOCK_TARGETS targets, in order, so a later block,
-    whose flat indices are all higher, wins only when strictly nearer.
+    points:  (M, q) float64
+    offsets: (T, q) float64 (e.g. projected lattice translates)
+    nodes:   (P, q) float64 (e.g. projected base-set nodes)
+
+    Returns (dists, node_index): per-point minimal Euclidean distance and the
+    index of the node achieving it (the lowest flat (t, p) index on ties).
+
+    The search is ``_grid`` or ``_scan``, as ``uses_grid`` picks for the
+    shape.  The grid indexes every target at once.  A scan takes blocks of
+    whole offsets of at most _BLOCK_TARGETS targets, in order, so a later
+    block, whose flat indices are all higher, wins only when strictly nearer.
     """
     points = np.ascontiguousarray(points, dtype=float)
     offsets = np.ascontiguousarray(offsets, dtype=float)
@@ -117,8 +118,7 @@ def _nearest(points, offsets, nodes, search=None):
         return np.zeros(0), np.zeros(0, dtype=np.intp)
     if T == 0 or P == 0:
         return np.full(M, np.inf), np.zeros(M, dtype=np.intp)
-    if search is None:
-        search = _grid if uses_grid(M, T * P, q) else _scan
+    search = _grid if uses_grid(M, T * P, q) else _scan
     step = T if search is _grid else max(1, _BLOCK_TARGETS // P)
     for t in range(0, T, step):
         block = offsets[t : t + step]

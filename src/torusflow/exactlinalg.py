@@ -1,14 +1,13 @@
-"""Exact linear algebra over any field whose elements support +, -, *, /.
+"""Exact linear algebra over a number field.
 
-Works for fractions.Fraction and for AlgebraicNumber alike.  Every function
-takes a domain object `dom` exposing `.zero` and `.one` so that empty inputs
-still produce well-typed results; a NumberField is such a domain, and QQ
-below covers plain rationals.
+Entries are AlgebraicNumbers.  Functions that need a zero or a one take
+their NumberField `dom`, whose `.zero` and `.one` also give empty inputs
+well-typed results.
 
 Matrices are lists of row lists; vectors are plain lists.  Dimensions stay
 in the single digits, but this layer runs on every `verify`: on the first
 64 operations of perfbench's verify-cells workload at seed 3 `rref` runs
-10.2 times per operation.  Over Q and on rational pivots the field
+8.75 times per operation.  Over Q and on rational pivots the field
 arithmetic is a coordinate scale (see AlgebraicNumber.__mul__).
 
 `rref` returns rows in reduced row echelon form: row i has a 1 in column
@@ -17,19 +16,6 @@ its basis in that form and tests membership against it without solving.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-
-
-class _RationalDomain:
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def __repr__(self):
-        return "QQ"
-
-
-QQ = _RationalDomain()
 
 
 def vec_add(u, v):

@@ -1,4 +1,4 @@
-"""Exact lattice algebra: Hermite forms, rational closures, reduction mod Lambda.
+"""Exact lattice algebra: Hermite forms, torus closures, reduction mod Lambda.
 
 Internally every ambient space is a real coordinate space.  Complex problems
 are converted by restriction of scalars before they reach this module, with
@@ -17,7 +17,6 @@ import numpy as np
 
 from . import exactlinalg as xl
 from .errors import InternalInvariantError, NotInSpan, TorusflowError
-from .exactlinalg import QQ
 from .numberfield import NumberField, float_rows
 
 
@@ -313,34 +312,8 @@ class Lattice:
 
 
 # ---------------------------------------------------------------------------
-# Rational annihilators and closures
+# Torus closures
 # ---------------------------------------------------------------------------
-
-
-def rational_annihilator(vectors, field: NumberField):
-    """Basis of rational linear forms vanishing on every given vector.
-
-    Each condition f . v = 0 over the field unfolds into one rational
-    equation per power-basis coordinate.  Row k holds the k-th integer
-    numerators of v's entries over the lcm of their denominators: a positive
-    scaling of that coordinate's equation, which leaves the kernel's RREF
-    basis unchanged.
-    """
-    vectors = [[field.element(x) for x in v] for v in vectors]
-    if not vectors:
-        return []
-    m = len(vectors[0])
-    rows = []
-    for v in vectors:
-        if len(v) != m:
-            raise TorusflowError("annihilator input vectors differ in length")
-        den = lcm(*(e.den for e in v))
-        scales = [den // e.den for e in v]
-        for k in range(field.degree):
-            row = [e.num[k] * s for e, s in zip(v, scales)]
-            if any(row):
-                rows.append(row)
-    return xl.kernel_basis(rows, m, QQ)
 
 
 class ClosedSubgroupDescriptor:
@@ -398,19 +371,29 @@ class ClosedSubgroupDescriptor:
 
 
 def torus_closure(V: Subspace, lat: Lattice) -> ClosedSubgroupDescriptor:
-    """Closure descriptor of pi(V): the subspace W plus a basis of Lambda cap W."""
+    """Closure descriptor of pi(V): the subspace W plus a basis of Lambda cap W.
+
+    In Lambda-coordinates a rational form f vanishes on V exactly when
+    R f = 0, where R has one integer row per vector v of V's basis and
+    power-basis coordinate k: the k-th numerators of v's entries over the
+    lcm of their denominators.  W is cut out by those forms, so in
+    Lambda-coordinates W = span R and Lambda cap W = Z^r cap span_Q R.
+    """
     if V.dim == 0:
         W = Subspace(lat.ambient_dim, [], lat.field)
         return ClosedSubgroupDescriptor(W, [], [], V)
     field = lat.field
-    coord_vectors = [lat.lambda_coordinates(v) for v in V.basis]
-    forms = rational_annihilator(coord_vectors, field)
-    # the integer kernel of the forms, in Lambda-coordinates, is a basis of
-    # Lambda cap W; it has full rank in the rational kernel, so it spans W
-    denom = lcm(*(c.denominator for row in forms for c in row))
-    coords = int_kernel_basis(
-        [[int(c * denom) for c in row] for row in forms], lat.rank
-    )
+    R = []
+    for v in map(lat.lambda_coordinates, V.basis):
+        den = lcm(*(e.den for e in v))
+        scales = [den // e.den for e in v]
+        for k in range(field.degree):
+            row = [e.num[k] * s for e, s in zip(v, scales)]
+            if any(row):
+                R.append(row)
+    # the inner kernel is a saturated Z-basis, hence a Q-basis, of ker_Q R,
+    # so the outer one is a Z-basis of Z^r cap span_Q R
+    coords = int_kernel_basis(int_kernel_basis(R, lat.rank), lat.rank)
     points = [
         xl._combination(map(field.rational, c), lat.basis, field) for c in coords
     ]

@@ -4,13 +4,14 @@ None of these run in the pipeline: the orbit-density oracle samples a
 subspace's image numerically to cross-check exact torus closures,
 ``int_det`` checks unimodularity, ``rational_rank`` and ``is_saturated``
 check integer kernels, ``in_span`` decides span membership by solving,
-``to_logical`` inverts the samplers' ``to_internal``, ``remainder_bound``
-evaluates an expansion's certified tail bound C * t^(-q),
-``FractionArithmetic`` does field arithmetic on Fraction coordinates by
-polynomial division, ``FractionInterval`` and ``FractionBox`` with the
-functions after them do the certified-root box arithmetic on Fraction
-endpoints, and ``serialize`` writes a parsed problem back as text for the
-parse -> serialize -> parse round trip.
+``annihilator_closure`` finds Lambda cap W from a Fraction RREF of the
+rational forms vanishing on V, ``to_logical`` inverts the samplers'
+``to_internal``, ``remainder_bound`` evaluates an expansion's certified
+tail bound C * t^(-q), ``FractionArithmetic`` does field arithmetic on
+Fraction coordinates by polynomial division, ``FractionInterval`` and
+``FractionBox`` with the functions after them do the certified-root box
+arithmetic on Fraction endpoints, and ``serialize`` writes a parsed problem
+back as text for the parse -> serialize -> parse round trip.
 """
 
 import math
@@ -21,7 +22,7 @@ import numpy as np
 
 from torusflow import exactlinalg as xl
 from torusflow._kernels import min_distance_batch
-from torusflow.lattice import hermite_normal_form, torus_closure
+from torusflow.lattice import hermite_normal_form, int_kernel_basis, torus_closure
 from torusflow.numberfield import (
     _padd,
     _pdivmod,
@@ -56,9 +57,19 @@ def int_det(M):
     return int(det)
 
 
+class _Rationals:
+    """Fraction scalars as an ``exactlinalg`` domain."""
+
+    zero = Fraction(0)
+    one = Fraction(1)
+
+
+FRACTIONS = _Rationals()
+
+
 def rational_rank(M):
     """Rank over Q of an integer matrix."""
-    return len(xl.rref([[Fraction(x) for x in row] for row in M], xl.QQ)[0])
+    return len(xl.rref([[Fraction(x) for x in row] for row in M], FRACTIONS)[0])
 
 
 def is_saturated(rows, n):
@@ -82,6 +93,38 @@ def in_span(vectors, v, dom):
 def rational_closure(V, lat):
     """Smallest Lambda-rational subspace containing V."""
     return torus_closure(V, lat).W
+
+
+def rational_annihilator(vectors, field):
+    """Basis of the rational linear forms vanishing on every given vector.
+
+    Each condition f . v = 0 over the field unfolds into one rational
+    equation per power-basis coordinate; their kernel comes from a Fraction
+    RREF.
+    """
+    rows = []
+    for v in vectors:
+        den = math.lcm(*(e.den for e in v))
+        for k in range(field.degree):
+            row = [Fraction(e.num[k] * (den // e.den)) for e in v]
+            if any(row):
+                rows.append(row)
+    return xl.kernel_basis(rows, len(vectors[0]), FRACTIONS)
+
+
+def annihilator_closure(V, lat):
+    """Lambda-coordinates of a basis of Lambda cap W for the smallest
+    Lambda-rational W containing V: the integer points on which every
+    rational form annihilating V vanishes."""
+    if V.dim == 0:
+        return []
+    forms = rational_annihilator(
+        [lat.lambda_coordinates(v) for v in V.basis], lat.field
+    )
+    denom = math.lcm(*(c.denominator for row in forms for c in row))
+    return int_kernel_basis(
+        [[int(c * denom) for c in row] for row in forms], lat.rank
+    )
 
 
 def to_logical(points, mode):

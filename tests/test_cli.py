@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from test_golden import GAUSSIAN
 from torusflow import cli
 from torusflow.cli import main
-from torusflow.errors import InternalInvariantError
+from torusflow.errors import InternalInvariantError, TorusflowError
 
 
 @pytest.fixture()
@@ -339,6 +339,34 @@ def test_invariant_violation_exits_internal(workdir, capsys, monkeypatch, comman
     assert err == "internal invariant violation: closure lost its source\n"
 
 
+def test_engine_error_exits_internal(workdir, capsys, monkeypatch):
+    def unhandled(variety, lattice):
+        raise TorusflowError("no exact answer for this input")
+
+    monkeypatch.setattr(cli, "flow_set", unhandled)
+    assert main(["closure", str(workdir / "hyperbola.tfp")]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: no exact answer for this input\n"
+
+
+def test_bounded_variety_starves_the_first_shell(tmp_path, capsys):
+    # both branches tend to the origin as |t| grows, so no far point is found
+    text = open("problems/hyperbola.tfp").read()
+    for old, new in (
+        ("branch = (t, 1/t)", "branch = (1/(1+t^2), t/(1+t^2))"),
+        ("branch = (1/t, t)", "branch = (1/(2+t^2), 1/(1+t))"),
+    ):
+        assert old in text
+        text = text.replace(old, new, 1)
+    spec = tmp_path / "hyperbola.tfp"
+    spec.write_text(text)
+    assert main(["verify", str(spec)]) == 6
+    err = capsys.readouterr().err
+    assert err == (
+        "error: could not fill shell 0 at radius 100.0; the variety may be bounded\n"
+    )
+
+
 def _reducible(min_poly, root, branch="(t, (theta-1)*t)"):
     return f"""\
 [field]
@@ -432,6 +460,96 @@ def test_malformed_value_is_a_parse_error(tmp_path, capsys, name, old, new):
     spec.write_text(text.replace(old, new, 1))
     assert _exit_code(["closure", str(spec)]) == 2
     err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+_GRAPH = "graph = vars x, y : (x, y, x*y*(-theta^3)*(y+1))"
+_RAY_TERM = "base point (0, 0, 0) ; span r(theta, 0, 0) c(0, 1, 0) c(0, 0, 1)"
+_CURVE_PLUS = "base curve u in (-40, 40) : (0, (-1 +"
+
+
+@pytest.mark.parametrize(
+    "name, old, new, fragment",
+    [
+        # min_poly
+        pytest.param("irrational_direction", "min_poly = x^2 - 2",
+                     "min_poly = x^2 - 2/x", "must be a polynomial in x",
+                     id="poly-in-x"),
+        pytest.param("irrational_direction", "min_poly = x^2 - 2",
+                     "min_poly = x^(1/2) - 2", "nonnegative integer powers",
+                     id="poly-powers"),
+        pytest.param("hyperbola", "min_poly = x", "min_poly = x - x",
+                     "min_poly is zero", id="poly-zero"),
+        # root selector
+        pytest.param("irrational_direction", "root = interval (1, 2)",
+                     "root = box (1, 2)", "root must be", id="root-kind"),
+        pytest.param("irrational_direction", "root = interval (1, 2)",
+                     "root = interval (1, 2, 3)", "needs two rational endpoints",
+                     id="root-endpoints"),
+        pytest.param("irrational_direction", "root = interval (1, 2)",
+                     "root = interval (1, 2^(1/2))", "powers must be integral",
+                     id="root-power"),
+        pytest.param("irrational_direction", "root = interval (1, 2)",
+                     "root = interval (1, theta)", "expected a rational constant",
+                     id="root-constant"),
+        # pieces
+        pytest.param("hyperbola", "branch = (t, 1/t)", "branch = rays : (t, 1/t)",
+                     "lists no ray expressions", id="rays-empty"),
+        pytest.param("hyperbola", "branch = (t, 1/t)", "branch = (t, 1/t, t)",
+                     "coordinate count mismatch", id="branch-count"),
+        pytest.param("plane_cylinder", "affine = point (0, 0) dirs (1, 0) (0, 1)",
+                     "affine = point", "needs a point vector", id="affine-point"),
+        pytest.param("dinh_vu", _GRAPH, "graph = vars x, y : (x, y)",
+                     "output count mismatch", id="graph-count"),
+        pytest.param("dinh_vu", "graph = vars x, y :", "graph = vars x, 2y :",
+                     "bad graph variable names", id="graph-names"),
+        # branch coordinates
+        pytest.param("hyperbola", "branch = (t, 1/t)", "branch = (t, 1/(t-t))",
+                     "division by zero in branch", id="branch-zero"),
+        pytest.param("hyperbola", "branch = (t, 1/t)", "branch = (t, (2*t)^(1/2))",
+                     "fractional powers", id="branch-scaled-root"),
+        pytest.param("hyperbola", "branch = (t, 1/t)", "branch = (t, (t+1)^(1/2))",
+                     "fractional powers", id="branch-sum-root"),
+        pytest.param("hyperbola", "branch = (t, 1/t)", "branch = (t, exp(t))",
+                     "not allowed in branch", id="branch-function"),
+        # numeric expressions
+        pytest.param("dinh_vu", _GRAPH, "graph = vars x, y : (x, y, z)",
+                     "unknown name", id="numeric-name"),
+        pytest.param("dinh_vu", _GRAPH, "graph = vars x, y : (x, y, foo(x))",
+                     "unknown function", id="numeric-function"),
+        pytest.param("dinh_vu", _GRAPH, "graph = vars x, y : (x, y, exp(x, y))",
+                     "takes one argument", id="numeric-arity"),
+        # exact expressions
+        pytest.param("irrational_direction", "row = (0, 1)", "row = (0, theta^(1/2))",
+                     "integer exponents", id="exact-power"),
+        pytest.param("irrational_direction", "row = (0, 1)", "row = (0, exp(1))",
+                     "not allowed in exact", id="exact-function"),
+        # [flow] components
+        pytest.param("dinh_vu", _RAY_TERM, "base point (0, 0, 0)",
+                     "needs both 'base' and 'span'", id="component-span"),
+        pytest.param("dinh_vu", "base point (0, 0, 0)", "base point",
+                     "at least one vector", id="point-base"),
+        pytest.param("dinh_vu", _CURVE_PLUS, _CURVE_PLUS.replace(" : ", " "),
+                     "curve base must look like", id="curve-colon"),
+        pytest.param("dinh_vu", _CURVE_PLUS, _CURVE_PLUS.replace(" in ", " "),
+                     "curve base must look like", id="curve-range"),
+        pytest.param("dinh_vu", "base point (0, 0, 0)", "base circle (0, 0, 0)",
+                     "unknown base descriptor", id="base-kind"),
+        # [variety]
+        pytest.param("parabola", "branch = (t, t^2)", "", "defines no pieces",
+                     id="no-pieces"),
+    ],
+)
+@pytest.mark.parametrize("command", ["closure", "verify"])
+def test_refused_line_is_a_parse_error(tmp_path, capsys, command, name, old, new,
+                                       fragment):
+    text = open(f"problems/{name}.tfp").read()
+    assert text.count(old) == 1
+    spec = tmp_path / f"{name}.tfp"
+    spec.write_text(text.replace(old, new))
+    assert _exit_code([command, str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and fragment in err
     assert "Traceback" not in err and err.count("\n") == 1
 
 

@@ -19,12 +19,14 @@ from torusflow._kernels import (
 
 def grid_min_distance(points, offsets, nodes):
     """``min_distance_batch`` through the grid index, whatever the size."""
-    return _kernels._nearest(points, offsets, nodes, _kernels._grid)
+    with mock.patch.object(_kernels, "uses_grid", return_value=True):
+        return min_distance_batch(points, offsets, nodes)
 
 
 def scan_min_distance(points, offsets, nodes):
     """``min_distance_batch`` by a direct-difference scan of every pair."""
-    return _kernels._nearest(points, offsets, nodes, _kernels._scan)
+    with mock.patch.object(_kernels, "uses_grid", return_value=False):
+        return min_distance_batch(points, offsets, nodes)
 
 
 SEARCHES = (min_distance_batch, grid_min_distance, scan_min_distance)
@@ -34,7 +36,9 @@ def brute_force(points, offsets, nodes):
     combos = (offsets[:, None, :] + nodes[None, :, :]).reshape(
         len(offsets) * len(nodes), points.shape[1]
     )
-    d2 = ((points[:, None, :] - combos[None, :, :]) ** 2).sum(-1)
+    # a query or target that is not finite may give inf - inf = nan
+    with np.errstate(invalid="ignore"):
+        d2 = ((points[:, None, :] - combos[None, :, :]) ** 2).sum(-1)
     idx = d2.argmin(axis=1)
     return np.sqrt(d2[np.arange(len(points)), idx]), idx % len(nodes)
 

@@ -1,4 +1,4 @@
-"""Normal forms, rational closures, torus descriptors, reduction."""
+"""Normal forms, torus closures and descriptors, reduction."""
 
 import random
 from fractions import Fraction as F
@@ -19,12 +19,12 @@ from torusflow.lattice import (
     int_kernel_basis,
     is_j_stable,
     j_stable_closure,
-    rational_annihilator,
     torus_closure,
 )
 from torusflow.numberfield import NumberField, rationals
 
 from oracles import (
+    annihilator_closure,
     in_span,
     int_det,
     is_saturated,
@@ -33,6 +33,14 @@ from oracles import (
     rational_rank,
     subspace_orbit,
 )
+
+
+_I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def hnf_rows(rows):
+    """The Hermite normal form of integer rows, which fixes their Z-span."""
+    return hermite_normal_form(rows)[0]
 
 
 def matmul(A, B):
@@ -144,30 +152,41 @@ def test_hnf_kernel_hypothesis(M):
 
 
 class TestAnnihilator:
+    """W is cut out by the rational forms vanishing on V, and Lambda cap W
+    holds the integer points on which they all vanish."""
+
     def test_standard_basis(self, QQ):
+        lat = Lattice(3, _I3, QQ)
         basis = [[QQ.one, QQ.zero, QQ.zero],
                  [QQ.zero, QQ.one, QQ.zero],
                  [QQ.zero, QQ.zero, QQ.one]]
-        assert rational_annihilator(basis, QQ) == []
+        tc = torus_closure(Subspace(3, basis, QQ), lat)
+        # no form vanishes on Q^3
+        assert tc.W == lat.span
+        assert hnf_rows(tc.lattice_coords) == _I3
 
     def test_sqrt2_vector(self, K):
-        assert rational_annihilator([[K.one, K.gen]], K) == []
+        lat = Lattice(2, [[1, 0], [0, 1]], K)
+        tc = torus_closure(Subspace(2, [[K.one, K.gen]], K), lat)
+        assert tc.W == lat.span
+        assert hnf_rows(tc.lattice_coords) == [[1, 0], [0, 1]]
 
     def test_mixed_vector(self, K):
-        forms = rational_annihilator([[K.one, K.one, K.gen]], K)
-        assert len(forms) == 1
-        a = forms[0]
-        # spanned by (1, -1, 0)
-        assert a[2] == 0 and a[0] == -a[1]
+        lat = Lattice(3, _I3, K)
+        tc = torus_closure(Subspace(3, [[K.one, K.one, K.gen]], K), lat)
+        # the forms are spanned by (1, -1, 0)
+        assert tc.W == Subspace(3, [[1, 1, 0], [0, 0, 1]], K)
+        assert hnf_rows(tc.lattice_coords) == [[1, 1, 0], [0, 0, 1]]
 
     def test_exactness(self, K):
         vec = [K.from_coords([1, 2]), K.from_coords([3, -1]), K.gen]
-        forms = rational_annihilator([vec], K)
-        for f in forms:
-            acc = K.zero
-            for c, x in zip(f, vec):
-                acc = acc + x * K.rational(c)
-            assert acc.is_zero()
+        tc = torus_closure(Subspace(3, [vec], K), Lattice(3, _I3, K))
+        # power-basis rows (1, 3, 0) and (2, -1, 1): the forms are spanned by
+        # (-3, 1, 7), and Z^3 cap W by (1, 3, 0) and (0, -7, 1)
+        assert tc.W == Subspace(3, [[1, 3, 0], [2, -1, 1]], K)
+        assert hnf_rows(tc.lattice_coords) == [[1, 3, 0], [0, 7, -1]]
+        for c in tc.lattice_coords:
+            assert -3 * c[0] + c[1] + 7 * c[2] == 0
 
 
 class TestClosures:
@@ -336,6 +355,64 @@ def test_contains_vector_matches_in_span(case):
     S = Subspace(len(v), vectors, _SQRT2)
     assert S.contains_vector(v) == in_span(S.basis, v, _SQRT2)
     assert S.contains_vector(v) == in_span(vectors, v, _SQRT2)
+
+
+_Q = rationals()
+_THETA4 = NumberField([1, 0, -10, 0, 1], root_interval=(3, 4))
+_ZETA8 = NumberField([1, 0, 0, 0, 1], root_box=((F(1, 2), 1), (F(1, 2), 1)))
+_ZETA8.declare_complex_structure([0, 0, 1], [0, 0, 0, -1])
+_HALF_S2 = _ZETA8.from_coords([0, F(1, 2), 0, F(-1, 2)])  # sqrt(2) / 2
+
+
+def _coeffs(field, d):
+    """Real field elements with small power-basis coordinates."""
+    return st.lists(_small, min_size=d, max_size=d).map(field.from_coords)
+
+
+# (field, lattice basis, coefficients of V's vectors over that basis)
+_CLOSURE_CASES = {
+    "Q": (_Q, _I3, _coeffs(_Q, 1)),
+    "sqrt2": (_SQRT2, [[1, 0, 0], [0, 1, 0], [1, 1, 2]], _coeffs(_SQRT2, 2)),
+    "theta4": (_THETA4, _I3, _coeffs(_THETA4, 4)),
+    # the lattice Z + Z zeta8 in the first coordinate of C^2 and Z^2 in the
+    # second, interleaved (Re, Im); the real elements of Q(zeta8) are
+    # a + b sqrt(2), with sqrt(2) = zeta8 - zeta8^3
+    "zeta8": (
+        _ZETA8,
+        [[1, 0, 0, 0], [_HALF_S2, _HALF_S2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        st.tuples(_small, _small).map(
+            lambda ab: _ZETA8.from_coords([ab[0], ab[1], 0, -ab[1]])
+        ),
+    ),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_CLOSURE_CASES)), st.data())
+def test_closure_matches_the_annihilator(case, data):
+    """Lambda cap W equals the annihilator's on any basis of Lambda, and W
+    does not depend on that basis."""
+    field, rows, coeff = _CLOSURE_CASES[case]
+    r, n = len(rows), len(rows[0])
+    basis = [[field.element(x) for x in row] for row in rows]
+    combos = data.draw(
+        st.lists(st.lists(coeff, min_size=r, max_size=r), min_size=1, max_size=2)
+    )
+    V = Subspace(n, [xl._combination(c, basis, field) for c in combos], field)
+    # a random unimodular U: row i += k * row j, or a sign flip when i == j
+    U = [[int(i == j) for j in range(r)] for i in range(r)]
+    ops = st.tuples(st.integers(0, r - 1), st.integers(0, r - 1), st.integers(-3, 3))
+    for i, j, k in data.draw(st.lists(ops, max_size=8)):
+        U[i] = [-x for x in U[i]] if i == j else [x + k * y for x, y in zip(U[i], U[j])]
+    lat = Lattice(
+        n, [xl._combination(map(field.rational, u), basis, field) for u in U], field
+    )
+    tc = torus_closure(V, lat)
+    ref = annihilator_closure(V, lat)
+    assert hnf_rows(tc.lattice_coords) == hnf_rows(ref)
+    points = [xl._combination(map(field.rational, c), lat.basis, field) for c in ref]
+    assert tc.W == Subspace(n, points, field)
+    assert tc.W == torus_closure(V, Lattice(n, basis, field)).W
 
 
 class TestComplexStructure:
