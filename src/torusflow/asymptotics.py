@@ -80,8 +80,8 @@ def _tpoly_to_dense(poly: TPoly, s: int):
     return coeffs, shift
 
 
-def _abs_upper(x, eps=Rat(1, 1 << 20)):
-    return x.enclosure(eps).abs_upper()
+def _abs_upper(x):
+    return x.enclosure(Rat(1, 1 << 20)).abs_upper()
 
 
 def _abs_lower(x):

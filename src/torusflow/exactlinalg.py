@@ -7,12 +7,13 @@ well-typed results.
 Matrices are lists of row lists; vectors are plain lists.  Dimensions stay
 in the single digits, but this layer runs on every `verify`: on the first
 64 operations of perfbench's verify-cells workload at seed 3 `rref` runs
-8.75 times per operation.  Over Q and on rational pivots the field
+5.25 times per operation.  Over Q and on rational pivots the field
 arithmetic is a coordinate scale (see AlgebraicNumber.__mul__).
 
 `rref` returns rows in reduced row echelon form: row i has a 1 in column
 pivots[i] and a 0 in every other row's pivot column.  lattice.Subspace keeps
-its basis in that form and tests membership against it without solving.
+its basis in that form and tests membership against it without solving;
+lattice.Lattice reads coordinates over its basis from the same form.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ def rref(rows, dom):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = dom.one / rows[r][c]
-        rows[r] = vec_scale(rows[r], inv)
+        if rows[r][c] != dom.one:
+            rows[r] = vec_scale(rows[r], dom.one / rows[r][c])
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 rows[i] = vec_sub(rows[i], vec_scale(rows[r], rows[i][c]))
@@ -84,30 +85,6 @@ def kernel_basis(rows, ncols, dom):
     return basis
 
 
-def solve(rows, rhs, dom):
-    """One exact solution of M x = rhs, or None if inconsistent."""
-    if not rows:
-        return None if any(b != 0 for b in rhs) else []
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, dom)
-    for row in red:
-        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
-            return None
-    x = [dom.zero] * ncols
-    for i, p in enumerate(pivots):
-        x[p] = red[i][ncols]
-    return x
-
-
-def span_coordinates(vectors, v, dom):
-    """Coefficients expressing v over the vectors, or None."""
-    if not vectors:
-        return [] if all(c == 0 for c in v) else None
-    cols = [[vec[j] for vec in vectors] for j in range(len(v))]
-    return solve(cols, list(v), dom)
-
-
 def intersect_spans(a, b, ambient_dim, dom):
     """Vectors spanning span(a) intersected with span(b), not reduced."""
     if not a or not b:
@@ -118,17 +95,3 @@ def intersect_spans(a, b, ambient_dim, dom):
         rows.append([u[coord] for u in a] + [-v[coord] for v in b])
     combos = kernel_basis(rows, len(a) + len(b), dom)
     return [_combination(c[: len(a)], a, dom) for c in combos]
-
-
-def project_onto_span(x, vectors, dom):
-    """Orthogonal projection of x onto span(vectors), exactly."""
-    if not vectors:
-        return [dom.zero] * len(x)
-    gram = [[dot(u, v) for v in vectors] for u in vectors]
-    rhs = [dot(u, x) for u in vectors]
-    return _combination(solve(gram, rhs, dom), vectors, dom)
-
-
-def project_onto_complement(x, vectors, dom):
-    """x minus its orthogonal projection onto span(vectors)."""
-    return vec_sub(list(x), project_onto_span(x, vectors, dom))

@@ -16,7 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import exactlinalg as xl
 from .errors import TorusflowError
 from .lattice import Subspace
 from .numberfield import NumberField, float_rows
@@ -168,7 +167,7 @@ class Flat:
         pt = [field.element(x) for x in point]
         if len(pt) != directions.ambient_dim:
             raise TorusflowError("flat point has wrong length")
-        self.base_point = xl.project_onto_complement(pt, directions.basis, field)
+        self.base_point = directions.complement_part(pt)
         self.field = field
 
     @property
@@ -198,13 +197,9 @@ class Flat:
 
     def project(self, span: Subspace):
         """The flat's image under the projection onto the complement of span."""
-        field = span.field
-        new_point = xl.project_onto_complement(self.base_point, span.basis, field)
-        new_dirs = [
-            xl.project_onto_complement(v, span.basis, field)
-            for v in self.directions.basis
-        ]
-        return Flat(new_point, Subspace(span.ambient_dim, new_dirs, field))
+        new_point = span.complement_part(self.base_point)
+        new_dirs = [span.complement_part(v) for v in self.directions.basis]
+        return Flat(new_point, Subspace(span.ambient_dim, new_dirs, span.field))
 
     def describe(self):
         return {
@@ -240,10 +235,7 @@ class PointSet:
         return float_rows(self.points, len(self.points[0]))
 
     def project(self, span: Subspace):
-        pts = [
-            xl.project_onto_complement(p, span.basis, span.field)
-            for p in self.points
-        ]
+        pts = [span.complement_part(p) for p in self.points]
         return PointSet(pts, self.field)
 
     def describe(self):

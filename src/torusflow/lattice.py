@@ -139,6 +139,7 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise TorusflowError("subspace vector has wrong length")
         self.basis, self.pivots = xl.rref(vecs, field)
+        self._orthogonal = None
 
     @property
     def dim(self):
@@ -146,12 +147,34 @@ class Subspace:
 
     def contains_vector(self, v):
         """Is v in the subspace?  In RREF the only candidate combination of
-        the basis is the sum of v[p_i] * row_i over the pivots p_i."""
+        the basis is the sum of v[p_i] * row_i over the pivots p_i.  It
+        equals v at the pivots, so only the other columns are compared."""
         v = [self.field.element(x) for x in v]
-        if not self.basis:
-            return not any(v)
         coeffs = [v[p] for p in self.pivots]
-        return xl._combination(coeffs, self.basis, self.field) == v
+        return all(
+            sum((c * row[k] for c, row in zip(coeffs, self.basis)), self.field.zero)
+            == v[k]
+            for k in range(self.ambient_dim)
+            if k not in self.pivots
+        )
+
+    def complement_part(self, x):
+        """x minus its orthogonal projection onto the subspace.
+
+        The projection onto each vector u of an orthogonal basis is
+        (x . u / u . u) u; the entries are real, so u . u > 0.  The basis
+        comes from Gram-Schmidt on the RREF basis, once per subspace.
+        """
+        x = [self.field.element(e) for e in x]
+        if self._orthogonal is None:
+            self._orthogonal = []
+            for v in self.basis:
+                # v against the u's before it: the Gram-Schmidt step
+                u = self.complement_part(v)
+                self._orthogonal.append((u, self.field.one / xl.dot(u, u)))
+        for u, inv in self._orthogonal:
+            x = xl.vec_sub(x, xl.vec_scale(u, xl.dot(x, u) * inv))
+        return x
 
     def contains(self, other: "Subspace"):
         return all(self.contains_vector(v) for v in other.basis)
@@ -236,20 +259,30 @@ class Lattice:
         for v in self.basis:
             if len(v) != ambient_dim:
                 raise TorusflowError("lattice vector has wrong length")
-        # the real span of the lattice; its RREF also gives the rank
-        self.span = Subspace(ambient_dim, self.basis, field)
-        if self.span.dim != len(self.basis):
-            raise TorusflowError("lattice basis vectors must be linearly independent")
         self.rank = len(self.basis)
+        # the RREF of [B | I] is [E | S] with S B = E, E the RREF basis of
+        # the real span; a pivot past column ambient_dim means B is dependent
+        eye = [[field.one if i == j else field.zero for j in range(self.rank)]
+               for i in range(self.rank)]
+        rows, pivots = xl.rref([b + e for b, e in zip(self.basis, eye)], field)
+        if any(p >= ambient_dim for p in pivots):
+            raise TorusflowError("lattice basis vectors must be linearly independent")
+        # E is in RREF already, so the span's own RREF only copies it
+        self.span = Subspace(ambient_dim, [r[:ambient_dim] for r in rows], field)
+        self._transform = [r[ambient_dim:] for r in rows]
         self._float_cache = None
 
     def lambda_coordinates(self, vector):
-        """Exact coordinates of a span member over the lattice basis."""
+        """Exact coordinates of a span member over the lattice basis.
+
+        A member v is the sum of v[p_i] E_i over the span's pivots p_i
+        (see Subspace.contains_vector), so v is the sum of v[p_i] S_i times B.
+        """
         v = [self.field.element(x) for x in vector]
-        coeffs = xl.span_coordinates(self.basis, v, self.field)
-        if coeffs is None:
+        if not self.span.contains_vector(v):
             raise NotInSpan("vector lies outside the span of the lattice")
-        return coeffs
+        coeffs = [v[p] for p in self.span.pivots]
+        return xl._combination(coeffs, self._transform, self.field) if coeffs else []
 
     # -- numeric helpers -----------------------------------------------------
 

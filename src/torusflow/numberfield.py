@@ -673,7 +673,7 @@ def _refine(m, md, X, width):
                     raise TorusflowError("root refinement drifted; roots too close")
                 if Y is None or Y.meet(X) == X:
                     raise TorusflowError(
-                        "failed to certify a root box; is min_poly squarefree?"
+                        "could not certify a root box of min_poly from a float seed"
                     )
                 Y = Y.meet(X)
         X, Y = Y, None
@@ -701,14 +701,18 @@ def _root_boxes(m, md):
     for s in real + upper:
         box = _certify(m, md, Box.point(s.real, s.imag), Rat(1, 1 << 56))
         if box is None:
-            raise TorusflowError("failed to certify a root box; is min_poly squarefree?")
+            raise TorusflowError(
+                "could not certify min_poly's roots from their float seeds"
+            )
         boxes.append(box)
     boxes += [b.conj() for b in boxes[len(real):]]
     separated = len(boxes) == len(m) - 1 and all(
         a.disjoint(b) for a, b in combinations(boxes, 2)
     )
     if not separated:
-        raise TorusflowError("could not separate the roots of min_poly; refine seeds")
+        raise TorusflowError(
+            "could not separate min_poly's roots from their float seeds"
+        )
     return boxes
 
 
@@ -1049,6 +1053,8 @@ def rationals() -> NumberField:
 
 
 _HALF = Rat(1, 2)
+# the enclosure width behind to_float and to_complex
+_FLOAT_EPS = Rat(1, 10**16)
 
 
 class AlgebraicNumber:
@@ -1318,15 +1324,15 @@ class AlgebraicNumber:
                 acc = term if acc is None else acc + term
         return acc._over(self.den)
 
-    def to_complex(self, eps=Fraction(1, 10**16)) -> complex:
+    def to_complex(self) -> complex:
         if self.is_rational():
             return complex(self.num[0] / self.den)
-        return self.enclosure(eps).to_complex()
+        return self.enclosure(_FLOAT_EPS).to_complex()
 
-    def to_float(self, eps=Fraction(1, 10**16)) -> float:
+    def to_float(self) -> float:
         if self.is_rational():
             return self.num[0] / self.den
-        return self.enclosure(eps).re.to_float()
+        return self.enclosure(_FLOAT_EPS).re.to_float()
 
     def __repr__(self):
         terms = []

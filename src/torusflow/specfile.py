@@ -454,10 +454,6 @@ class ProblemSpec:
     """A fully built problem instance plus its normalized raw text."""
 
     entries: list
-    field: NumberField
-    mode: str
-    logical_dim: int
-    declared_dim: int
     lattice: Lattice
     variety: VarietyInput
     predicted: Optional[list]
@@ -468,7 +464,7 @@ class ProblemSpec:
         return predicted_flow(
             self.predicted,
             self.lattice,
-            self.mode,
+            self.variety.mode,
             statement_for(self.variety, self.lattice),
         )
 
@@ -538,10 +534,6 @@ def parse_problem(text) -> ProblemSpec:
 
     return ProblemSpec(
         entries=entries,
-        field=field,
-        mode=mode,
-        logical_dim=logical_dim,
-        declared_dim=declared_dim,
         lattice=lattice,
         variety=variety,
         predicted=predicted,

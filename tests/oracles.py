@@ -3,9 +3,10 @@
 None of these run in the pipeline: the orbit-density oracle samples a
 subspace's image numerically to cross-check exact torus closures,
 ``int_det`` checks unimodularity, ``rational_rank`` and ``is_saturated``
-check integer kernels, ``in_span`` decides span membership by solving,
-``annihilator_closure`` finds Lambda cap W from a Fraction RREF of the
-rational forms vanishing on V, ``to_logical`` inverts the samplers'
+check integer kernels, ``solve`` is the RREF solver with which ``in_span``
+decides span membership and ``project_onto_complement`` projects by a Gram
+system, ``annihilator_closure`` finds Lambda cap W from a Fraction RREF of
+the rational forms vanishing on V, ``to_logical`` inverts the samplers'
 ``to_internal``, ``remainder_bound`` evaluates an expansion's certified
 tail bound C * t^(-q), ``FractionArithmetic`` does field arithmetic on
 Fraction coordinates by polynomial division, ``FractionInterval`` and
@@ -85,9 +86,37 @@ def is_saturated(rows, n):
     ]
 
 
+def solve(rows, rhs, dom):
+    """One exact solution of M x = rhs, or None if inconsistent: the last
+    column of the RREF of [M | rhs] over its pivots."""
+    if not rows:
+        return None if any(b != 0 for b in rhs) else []
+    ncols = len(rows[0])
+    red, pivots = xl.rref([list(r) + [b] for r, b in zip(rows, rhs)], dom)
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [dom.zero] * ncols
+    for i, p in enumerate(pivots):
+        x[p] = red[i][ncols]
+    return x
+
+
 def in_span(vectors, v, dom):
     """Is v a linear combination of the vectors?  Decided by solving."""
-    return xl.span_coordinates(vectors, v, dom) is not None
+    if not vectors:
+        return not any(v)
+    cols = [[vec[j] for vec in vectors] for j in range(len(v))]
+    return solve(cols, list(v), dom) is not None
+
+
+def project_onto_complement(x, vectors, dom):
+    """x minus its orthogonal projection onto span(vectors), which is the
+    combination of the vectors whose coefficients solve the Gram system."""
+    if not vectors:
+        return list(x)
+    gram = [[xl.dot(u, v) for v in vectors] for u in vectors]
+    coeffs = solve(gram, [xl.dot(u, x) for u in vectors], dom)
+    return xl.vec_sub(list(x), xl._combination(coeffs, vectors, dom))
 
 
 def rational_closure(V, lat):

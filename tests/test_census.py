@@ -3,7 +3,8 @@
 A name that only tests reach belongs with the tests (``tests/oracles.py``)
 or goes.  The census counts a definition as used when some ``ast.Name`` or
 ``ast.Attribute`` in a package module other than ``__init__.py`` carries its
-name; dunder methods are called by the interpreter and are exempt.
+name; dunder methods are called by the interpreter and are exempt.  Every
+name a module imports must likewise be used in that module.
 """
 
 import ast
@@ -37,3 +38,27 @@ def test_every_definition_is_referenced():
     unused = [f"{mod}:{line} {name}" for mod, line, name in defined
               if name not in referenced]
     assert not unused, "defined in src but never referenced there:\n" + "\n".join(unused)
+
+
+def _unused_imports(tree):
+    """Names bound by the module's imports that nothing in it reads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        unused += [f"{path.name}:{line} {name}" for line, name in _unused_imports(tree)]
+    assert not unused, "imported in src but never used there:\n" + "\n".join(unused)

@@ -212,6 +212,32 @@ class TestZeroDivisor:
         assert "Traceback" not in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "min_poly, root",
+    [
+        # squarefree and irreducible, with roots near 1.2e-20 and 1e-20 i:
+        # the float seeds are too far off for a certificate
+        ("x^4 - 2/10^80", "interval (0, 1)"),
+        ("x^2 + 10^-40", "rect (-1, 1) (0, 1)"),
+    ],
+    ids=["tiny-real-root", "tiny-complex-root"],
+)
+@pytest.mark.parametrize("command", ["closure", "verify"])
+def test_uncertified_roots_exit_with_one_line(tmp_path, capsys, command, min_poly,
+                                              root):
+    """A field whose roots the float seeds cannot certify is refused with
+    that cause, not with a squarefreeness the field has already proved."""
+    text = open("problems/irrational_direction.tfp").read()
+    text = text.replace("min_poly = x^2 - 2", f"min_poly = {min_poly}", 1)
+    text = text.replace("root = interval (1, 2)", f"root = {root}", 1)
+    spec = tmp_path / "field.tfp"
+    spec.write_text(text)
+    assert _exit_code([command, str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert "float seeds" in err and "squarefree" not in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 # Q(i), embedded with theta = i
 GAUSSIAN_FIELD = """\
 [field]

@@ -29,6 +29,7 @@ from oracles import (
     int_det,
     is_saturated,
     orbit_coverage,
+    project_onto_complement,
     rational_closure,
     rational_rank,
     subspace_orbit,
@@ -387,6 +388,17 @@ _CLOSURE_CASES = {
 }
 
 
+def _skewed_basis(data, field, basis):
+    """The basis rows times a random unimodular U: row i += k * row j, or a
+    sign flip when i == j."""
+    r = len(basis)
+    U = [[int(i == j) for j in range(r)] for i in range(r)]
+    ops = st.tuples(st.integers(0, r - 1), st.integers(0, r - 1), st.integers(-3, 3))
+    for i, j, k in data.draw(st.lists(ops, max_size=8)):
+        U[i] = [-x for x in U[i]] if i == j else [x + k * y for x, y in zip(U[i], U[j])]
+    return [xl._combination(map(field.rational, u), basis, field) for u in U]
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(sorted(_CLOSURE_CASES)), st.data())
 def test_closure_matches_the_annihilator(case, data):
@@ -399,20 +411,57 @@ def test_closure_matches_the_annihilator(case, data):
         st.lists(st.lists(coeff, min_size=r, max_size=r), min_size=1, max_size=2)
     )
     V = Subspace(n, [xl._combination(c, basis, field) for c in combos], field)
-    # a random unimodular U: row i += k * row j, or a sign flip when i == j
-    U = [[int(i == j) for j in range(r)] for i in range(r)]
-    ops = st.tuples(st.integers(0, r - 1), st.integers(0, r - 1), st.integers(-3, 3))
-    for i, j, k in data.draw(st.lists(ops, max_size=8)):
-        U[i] = [-x for x in U[i]] if i == j else [x + k * y for x, y in zip(U[i], U[j])]
-    lat = Lattice(
-        n, [xl._combination(map(field.rational, u), basis, field) for u in U], field
-    )
+    lat = Lattice(n, _skewed_basis(data, field, basis), field)
     tc = torus_closure(V, lat)
     ref = annihilator_closure(V, lat)
     assert hnf_rows(tc.lattice_coords) == hnf_rows(ref)
     points = [xl._combination(map(field.rational, c), lat.basis, field) for c in ref]
     assert tc.W == Subspace(n, points, field)
     assert tc.W == torus_closure(V, Lattice(n, basis, field)).W
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_CLOSURE_CASES)), st.data())
+def test_lambda_coordinates_of_combinations(case, data):
+    """Coordinates over a skewed basis are the combination's coefficients;
+    with the last basis vector dropped, a vector that needs it is outside."""
+    field, rows, coeff = _CLOSURE_CASES[case]
+    r, n = len(rows), len(rows[0])
+    basis = _skewed_basis(data, field, [[field.element(x) for x in row] for row in rows])
+    ints = data.draw(st.lists(st.integers(-9, 9), min_size=r, max_size=r))
+    reals = data.draw(st.lists(coeff, min_size=r, max_size=r))
+    lat = Lattice(n, basis, field)
+    for c in (list(map(field.rational, ints)), reals):
+        assert lat.lambda_coordinates(xl._combination(c, basis, field)) == c
+    sub = Lattice(n, basis[:-1], field)
+    last = data.draw(coeff.filter(bool))
+    v = xl._combination(reals[:-1] + [last], basis, field)
+    with pytest.raises(NotInSpan):
+        sub.lambda_coordinates(v)
+    assert Lattice(n, [], field).lambda_coordinates([field.zero] * n) == []
+    with pytest.raises(NotInSpan):
+        Lattice(n, [], field).lambda_coordinates(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_CLOSURE_CASES)), st.data())
+def test_complement_part_matches_the_gram_solve(case, data):
+    """complement_part agrees with solving the Gram system, is orthogonal to
+    the subspace, and differs from its input by a member; 0-dimensional
+    subspaces included."""
+    field, rows, coeff = _CLOSURE_CASES[case]
+    r, n = len(rows), len(rows[0])
+    basis = _skewed_basis(data, field, [[field.element(x) for x in row] for row in rows])
+    combos = data.draw(st.lists(st.lists(coeff, min_size=r, max_size=r), max_size=3))
+    vectors = [xl._combination(c, basis, field) for c in combos]
+    S = Subspace(n, vectors, field)
+    for x in data.draw(st.lists(st.lists(coeff, min_size=n, max_size=n),
+                                min_size=1, max_size=2)):
+        part = S.complement_part(x)
+        assert part == project_onto_complement(x, vectors, field)
+        assert all(xl.dot(part, b) == 0 for b in S.basis)
+        assert S.contains_vector(xl.vec_sub(x, part))
+        assert Subspace(n, [], field).complement_part(x) == x
 
 
 class TestComplexStructure:

@@ -204,7 +204,7 @@ def test_branch_degree_bound(branch, accepted):
 class TestParsing:
     def test_golden_hyperbola(self):
         spec = parse_problem(HYPERBOLA)
-        assert spec.mode == "real"
+        assert spec.variety.mode == "real"
         assert spec.lattice.rank == 2
         assert len(spec.variety.pieces) == 2
         assert spec.sample_config.seed == 42
@@ -266,8 +266,8 @@ row = (1)
 branch = (t)
 """
         spec = parse_problem(text)
-        assert spec.field.is_complex
-        assert spec.field.i == spec.field.gen ** 2
+        assert spec.lattice.field.is_complex
+        assert spec.lattice.field.i == spec.lattice.field.gen ** 2
         assert spec.lattice.ambient_dim == 2
 
     def test_complex_lattice_rows_split(self):
@@ -367,7 +367,7 @@ class TestGoldenFiles:
 
     def test_dinh_vu_structure(self):
         spec = load_problem("problems/dinh_vu.tfp")
-        assert spec.mode == "complex"
+        assert spec.variety.mode == "complex"
         assert spec.lattice.ambient_dim == 6
         assert spec.predicted is not None and len(spec.predicted) == 3
         kinds = {base.kind for base, _, _ in spec.predicted}
@@ -396,7 +396,7 @@ class TestFieldBuild:
         monkeypatch.setattr(specfile, "NumberField", counted_field)
         spec = load_problem("problems/dinh_vu.tfp")
         assert len(isolations) == 1
-        assert fields == [spec.field]
+        assert fields == [spec.lattice.field]
 
     def test_matches_two_step_build(self):
         field = specfile._build_field(specfile._parse_raw(DINH_VU_FIELD))
@@ -431,17 +431,17 @@ class TestFieldBuild:
     def test_span_tags(self):
         spec = load_problem("problems/dinh_vu.tfp")
         space = specfile._SpaceInfo("complex", 3, 2)
-        span = specfile._parse_span("r(theta, 0, 0) c(0, 1, 0)", space, spec.field)
+        span = specfile._parse_span("r(theta, 0, 0) c(0, 1, 0)", space, spec.lattice.field)
         assert span.dim == 3
         # entries may be separated by one comma, with or without spaces
         for text in ("r(theta, 0, 0),c(0, 1, 0)", "r(theta, 0, 0) ,c(0, 1, 0)",
                      "r(theta, 0, 0), c(0, 1, 0)"):
-            assert specfile._parse_span(text, space, spec.field) == span
+            assert specfile._parse_span(text, space, spec.lattice.field) == span
         for bad in ("q(1, 0, 0)", "r(1, 0, 0) s(0, 1, 0)",
                     "c(1, 0, 0) junk c(0, 0, 1)", "c(1, 0, 0) c(0, 0, 1) trailing",
                     ",c(1, 0, 0)", "c(1, 0, 0),,c(0, 0, 1)", "junk"):
             with pytest.raises(SpecFileError, match="r\\(…\\) or c\\(…\\)"):
-                specfile._parse_span(bad, space, spec.field)
+                specfile._parse_span(bad, space, spec.lattice.field)
         # the same through a whole problem file
         text = open("problems/dinh_vu.tfp").read()
         ray = "span r(theta, 0, 0) c(0, 1, 0) c(0, 0, 1)"
