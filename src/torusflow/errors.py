@@ -29,8 +29,6 @@ class ShellStarved(TorusflowError):
             f"could not fill shell {shell_index} at radius {radius}; "
             "the variety may be bounded"
         )
-        self.shell_index = shell_index
-        self.radius = radius
 
 
 class SpecFileError(TorusflowError):
@@ -39,7 +37,6 @@ class SpecFileError(TorusflowError):
     def __init__(self, message, line=None):
         loc = f" (line {line})" if line is not None else ""
         super().__init__(message + loc)
-        self.line = line
 
 
 class InternalInvariantError(TorusflowError):

@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import exactlinalg as xl
 from .errors import InternalInvariantError, SymbolicUnsupported, TorusflowError
-from .flats import CurveImage, Flat, PointSet, VarietyInput
+from .flats import Flat, VarietyInput
 from .lattice import (
     ClosedSubgroupDescriptor,
     Lattice,
@@ -151,25 +151,19 @@ def _family_component(base, V: Subspace, lat: Lattice, mode,
     )
 
 
+def _points_and_directions(base):
+    """A point set's points and None, or a flat's point and direction space."""
+    if isinstance(base, Flat):
+        return [base.base_point], base.directions
+    return base.points, None
+
+
 def _base_contained(inner, outer, W: Subspace):
     """Conservative exact containment of base sets modulo W."""
-    if isinstance(outer, PointSet):
-        targets = outer.points
-        hull = W
-    elif isinstance(outer, Flat):
-        targets = [outer.base_point]
-        hull = W.sum(outer.directions)
-    else:
-        return False
-    if isinstance(inner, PointSet):
-        probes = inner.points
-        inner_dirs = []
-    elif isinstance(inner, Flat):
-        probes = [inner.base_point]
-        inner_dirs = list(inner.directions.basis)
-    else:
-        return False
-    if not all(hull.contains_vector(v) for v in inner_dirs):
+    probes, inner_dirs = _points_and_directions(inner)
+    targets, outer_dirs = _points_and_directions(outer)
+    hull = W if outer_dirs is None else W.sum(outer_dirs)
+    if inner_dirs is not None and not hull.contains(inner_dirs):
         return False
     return all(
         any(hull.contains_vector(xl.vec_sub(p, q)) for q in targets)
@@ -180,15 +174,14 @@ def _base_contained(inner, outer, W: Subspace):
 def _prune_redundant(components):
     """Drop components whose (C, W) is contained in another's.
 
-    Curve bases are never pruned: containment is undecidable at this
-    representation level.
+    Every base here is a point set or a flat, as ``flow_set`` computes them;
+    exact curve bases, once the flow set computes them, will need a
+    containment rule of their own.
     """
     keep = [True] * len(components)
     for i, ci in enumerate(components):
-        if isinstance(ci.base, CurveImage):
-            continue
         for j, cj in enumerate(components):
-            if i == j or not keep[j] or isinstance(cj.base, CurveImage):
+            if i == j or not keep[j]:
                 continue
             if not cj.effective_span.contains(ci.effective_span):
                 continue

@@ -451,9 +451,8 @@ def _parse_base(text, space, field):
 
 @dataclass
 class ProblemSpec:
-    """A fully built problem instance plus its normalized raw text."""
+    """A fully built problem instance."""
 
-    entries: list
     lattice: Lattice
     variety: VarietyInput
     predicted: Optional[list]
@@ -533,7 +532,6 @@ def parse_problem(text) -> ProblemSpec:
     sample_config = SampleConfig(**cfg_kwargs)
 
     return ProblemSpec(
-        entries=entries,
         lattice=lattice,
         variety=variety,
         predicted=predicted,

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._kernels import backend_name, min_distance_batch, min_distance_local
 from .errors import ShellStarved, TorusflowError
-from .flats import CurveImage, Flat, PointSet, to_internal
+from .flats import CurveImage, Flat, to_internal
 from .flow import FlowDescription
 from .lattice import Lattice
 from .numberfield import float_rows
@@ -403,7 +403,15 @@ def _null_space_rows(basis, n):
 
 
 class ComponentEvaluator:
-    """Distance and cell machinery for one predicted component."""
+    """Distance and cell machinery for one predicted component.
+
+    Every base is a cloud of nodes reduced modulo the lattice: a point set's
+    points, an affine base's point, or a curve's samples at ``curve_nodes``
+    evenly spaced parameters.  The base's kind is read once, here; it also
+    gives an affine base's direction rows, which join W in the projection
+    and whose orthonormal frame indexes its base cells, and a curve's
+    cumulative arclength, which buckets its nodes.
+    """
 
     def __init__(self, comp, lat: Lattice, cfg: SampleConfig):
         self.comp = comp
@@ -414,33 +422,23 @@ class ComponentEvaluator:
         w_basis = W.float_basis() if W.dim else np.zeros((0, n))
         base = comp.base
 
-        if isinstance(base, Flat):
+        dirs = np.zeros((0, n))
+        self.curve_params = None
+        if isinstance(base, CurveImage):
+            self.curve_params = np.linspace(*base.param_range, cfg.curve_nodes)
+            raw = base.sample_at(self.curve_params)
+        elif isinstance(base, Flat):
+            raw = base.float_base()[None, :]
             dirs = base.directions.float_basis()
-            span_rows = np.vstack([w_basis, dirs]) if len(dirs) else w_basis
-            self.proj = _null_space_rows(span_rows, n)
-            c_red, _, _ = lat.reduce_points(base.float_base()[None, :])
-            self.nodes_full = c_red
-            self.curve_params = None
-            self.base_dirs = dirs
-        elif isinstance(base, PointSet):
-            self.proj = _null_space_rows(w_basis, n)
-            pts = base.float_points()
-            c_red, _, _ = lat.reduce_points(pts) if len(pts) else (pts, None, None)
-            self.nodes_full = c_red
-            self.curve_params = None
-            self.base_dirs = None
-        elif isinstance(base, CurveImage):
-            self.proj = _null_space_rows(w_basis, n)
-            lo, hi = base.param_range
-            params = np.linspace(lo, hi, cfg.curve_nodes)
-            raw = base.sample_at(params)
-            nodes_red, _, _ = lat.reduce_points(raw)
-            self.nodes_full = nodes_red
-            self.curve_params = params
-            self.curve_raw = raw
-            self.base_dirs = None
         else:
-            raise TorusflowError(f"unknown base kind {base.kind!r}")
+            raw = base.float_points()
+        self.nodes_full, _, _ = lat.reduce_points(raw)
+        self.proj = _null_space_rows(np.vstack([w_basis, dirs]), n)
+        self.frame = np.linalg.qr(dirs.T)[0] if len(dirs) else None
+        self.cumlen = None
+        if self.curve_params is not None:
+            seg = np.linalg.norm(np.diff(raw, axis=0), axis=1)
+            self.cumlen = np.concatenate([[0.0], np.cumsum(seg)])
 
         self.nodes = self.nodes_full @ self.proj.T
         window_radius = 2.0 * self._cell_diameter() + cfg.tolerance + 1.0
@@ -518,50 +516,36 @@ class ComponentEvaluator:
         """(cells, in_window): int64 base-cell ids, one row per sample, and
         a mask of the samples whose cell lies in the window.
 
-        Point and curve bases, and affine ones without directions, have
-        one-column ids: the nearest point, the arclength bucket, 0.
-        node_idx is each sample's nearest base node, as ``distances`` returns.
+        An affine base with directions has its frame coordinates, cut into
+        grid_eps cells within the window; a curve has the arclength bucket
+        of the nearest node, and any other base the nearest node's index,
+        always in the window.  node_idx is each sample's nearest base node,
+        as ``distances`` returns.
         """
-        base = self.comp.base
         eps = self.cfg.grid_eps
         w = self.cfg.window
-        m = len(reduced)
-        if isinstance(base, PointSet):
-            cells = np.asarray(node_idx, dtype=np.int64)[:, None]
-            return cells, np.full(m, len(self.nodes) > 0)
-        if isinstance(base, Flat):
-            dirs = self.base_dirs
-            if dirs is None or len(dirs) == 0:
-                return np.zeros((m, 1), dtype=np.int64), np.ones(m, dtype=bool)
-            q, _ = np.linalg.qr(np.asarray(dirs, dtype=float).T)
-            v = (reduced - self.nodes_full[0]) @ q
+        if self.frame is not None:
+            v = (reduced - self.nodes_full[0]) @ self.frame
             in_window = ~np.any(np.abs(v) > w, axis=1)
             return ((v + w) / eps).astype(np.int64), in_window
-        # curve: bucket by arclength of the raw (unreduced) polyline
-        cum = self._curve_cumlen()
-        cells = (cum[node_idx] // eps).astype(np.int64)[:, None]
-        return cells, np.ones(m, dtype=bool)
-
-    def _curve_cumlen(self):
-        if not hasattr(self, "_cumlen"):
-            seg = np.linalg.norm(np.diff(self.curve_raw, axis=0), axis=1)
-            self._cumlen = np.concatenate([[0.0], np.cumsum(seg)])
-        return self._cumlen
+        node_idx = np.asarray(node_idx, dtype=np.int64)
+        if self.cumlen is not None:
+            cells = (self.cumlen[node_idx] // eps).astype(np.int64)
+        else:
+            cells = node_idx
+        return cells[:, None], np.ones(len(reduced), dtype=bool)
 
     def total_cells(self):
-        base = self.comp.base
         eps = self.cfg.grid_eps
-        w = self.cfg.window
         k = int(math.ceil(1.0 / eps))
         torus_total = k**self.torus_dim
-        if isinstance(base, PointSet):
-            base_total = max(1, len(base.points))
-        elif isinstance(base, Flat):
-            b = 0 if self.base_dirs is None else len(self.base_dirs)
-            base_total = max(1, int(math.ceil(2.0 * w / eps)) ** b)
+        if self.frame is not None:
+            b = self.frame.shape[1]
+            base_total = int(math.ceil(2.0 * self.cfg.window / eps)) ** b
+        elif self.cumlen is not None:
+            base_total = max(1, int(math.ceil(self.cumlen[-1] / eps)))
         else:
-            cum = self._curve_cumlen()
-            base_total = max(1, int(math.ceil(cum[-1] / eps)))
+            base_total = len(self.nodes_full)
         return torus_total * base_total
 
 

@@ -33,6 +33,7 @@ from torusflow.numberfield import (
     _psub,
     _ptrim,
 )
+from torusflow.specfile import _parse_raw
 from torusflow.verifier import _torus_cells, distinct_rows
 
 
@@ -457,15 +458,18 @@ def orbit_coverage(descriptor, lat, reduced, eps):
 # ---------------------------------------------------------------------------
 
 
-def normalized_entries(spec):
-    """(section, key, value) triples; the round-trip invariant."""
-    return [(s, k, v) for s, k, v, _ in spec.entries]
+def normalized_entries(text):
+    """(section, key, value) triples of a problem file; the round-trip
+    invariant."""
+    return [(s, k, v) for s, k, v, _ in _parse_raw(text)]
 
 
-def serialize(spec):
-    """The problem file text of a parsed spec, top-level keys first."""
-    lines = [f"{key} = {value}" for s, key, value, _ in spec.entries if s == "" and key]
-    for section, key, value, _ in spec.entries:
+def serialize(text):
+    """A problem file's text rewritten from its entries, top-level keys
+    first."""
+    entries = _parse_raw(text)
+    lines = [f"{key} = {value}" for s, key, value, _ in entries if s == "" and key]
+    for section, key, value, _ in entries:
         if section == "":
             continue
         if key is None:

@@ -4,7 +4,9 @@ A name that only tests reach belongs with the tests (``tests/oracles.py``)
 or goes.  The census counts a definition as used when some ``ast.Name`` or
 ``ast.Attribute`` in a package module other than ``__init__.py`` carries its
 name; dunder methods are called by the interpreter and are exempt.  Every
-name a module imports must likewise be used in that module.
+name a module imports must likewise be used in that module, and every
+attribute a method stores on ``self`` must be read as an attribute, by name,
+somewhere in the package.
 """
 
 import ast
@@ -62,3 +64,21 @@ def test_every_import_is_used():
         tree = ast.parse(path.read_text(), filename=str(path))
         unused += [f"{path.name}:{line} {name}" for line, name in _unused_imports(tree)]
     assert not unused, "imported in src but never used there:\n" + "\n".join(unused)
+
+
+def test_every_stored_attribute_is_read():
+    stored = []        # (module, line, name)
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.ctx, ast.Store):
+                if isinstance(node.value, ast.Name) and node.value.id == "self":
+                    stored.append((path.name, node.lineno, node.attr))
+            elif path.name != "__init__.py":
+                read.add(node.attr)
+    unread = [f"{mod}:{line} {name}" for mod, line, name in stored
+              if name not in read]
+    assert not unread, "stored on self in src but never read there:\n" + "\n".join(unread)

@@ -23,6 +23,7 @@ from torusflow.flow import (
 )
 from torusflow.lattice import Lattice, Subspace
 from torusflow.numberfield import NumberField, rationals
+from torusflow.specfile import parse_problem
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +230,88 @@ class TestFlowSet:
         # is contained in it and must be pruned
         assert len(fd.components) == 1
         assert fd.components[0].V.dim == 2
+
+
+# Two families and what pruning keeps of them, each case one way a base can
+# hold another or not: (problem text, [(base kind, torus_dim) kept])
+PRUNING_CASES = {
+    # the line through (0, 1/2) lies in the irrational line's 2-torus, and
+    # the outer base is a point set
+    "point_set_outer": ("""schema = 1
+[field]
+min_poly = x^2 - 2
+root = interval (1, 2)
+[space]
+mode = real
+ambient_dim = 2
+declared_dim = 1
+[lattice]
+row = (1, 0)
+row = (0, 1)
+[variety]
+branch = (t, theta*t)
+branch = (t, t + 1/2)
+""", [("points", 2)]),
+    # the xy-plane's base, a flat with no directions, equals the irrational
+    # line's point base modulo their common W
+    "directionless_flat_inner": ("""schema = 1
+[field]
+min_poly = x^2 - 2
+root = interval (1, 2)
+[space]
+mode = real
+ambient_dim = 3
+declared_dim = 2
+[lattice]
+row = (1, 0, 0)
+row = (0, 1, 0)
+row = (0, 0, 1)
+[variety]
+branch = (t, theta*t, 0)
+affine = point (0, 0, 0) dirs (1, 0, 0) (0, 1, 0)
+""", [("points", 2)]),
+    # the xz-plane, given through (0, 0, 5), lies in all of R^3; its base is
+    # a flat with the direction z, inside the outer flat base
+    "flat_in_flat": ("""schema = 1
+[field]
+min_poly = x
+[space]
+mode = real
+ambient_dim = 3
+declared_dim = 3
+[lattice]
+row = (1, 0, 0)
+row = (0, 1, 0)
+[variety]
+affine = point (0, 0, 5) dirs (1, 0, 0) (0, 0, 1)
+affine = point (0, 0, 0) dirs (1, 0, 0) (0, 1, 0) (0, 0, 1)
+""", [("affine", 2)]),
+    # the xz-plane's base direction z leaves the xy-plane, so neither
+    # family holds the other and both stay
+    "flat_direction_outside": ("""schema = 1
+[field]
+min_poly = x
+[space]
+mode = real
+ambient_dim = 3
+declared_dim = 2
+[lattice]
+row = (1, 0, 0)
+row = (0, 1, 0)
+[variety]
+affine = point (0, 0, 0) dirs (1, 0, 0) (0, 0, 1)
+affine = point (0, 0, 0) dirs (1, 0, 0) (0, 1, 0)
+""", [("affine", 1), ("affine", 2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRUNING_CASES))
+def test_pruning(name):
+    text, kept = PRUNING_CASES[name]
+    spec = parse_problem(text)
+    fd = flow_set(spec.variety, spec.lattice)
+    assert fd.diagnostics == {"family_count": 2}
+    assert [(c.base.kind, c.torus.torus_dim) for c in fd.components] == kept
 
 
 class TestSpanCondition:

@@ -703,18 +703,74 @@ class TestDistinctRows:
         assert shell_stability(shells) == expected
 
 
+# a line that misses the lattice's points: its closure is one circle with a
+# direction-free affine base
+AFFINE_LINE = """schema = 1
+[field]
+min_poly = x
+[space]
+mode = real
+ambient_dim = 2
+declared_dim = 1
+[lattice]
+row = (1, 0)
+row = (0, 1)
+[variety]
+affine = point (0, 1/3) dirs (1, 0)
+"""
+
+
+def _arclength(raw):
+    """Cumulative arclength at each vertex of a polyline."""
+    cum = [0.0]
+    for a, b in zip(raw[:-1], raw[1:]):
+        cum.append(cum[-1] + math.dist(a, b))
+    return cum
+
+
+def _reference_base_cells(ev, sub, node_idx):
+    """Each sample's base cell from the base's definition (None outside the
+    window), and the number of base cells."""
+    base, cfg = ev.comp.base, ev.cfg
+    w, eps = cfg.window, cfg.grid_eps
+    if base.kind == "affine" and base.directions.dim:
+        q, _ = np.linalg.qr(base.directions.float_basis().T)
+        cells = [
+            None if np.any(np.abs(v) > w) else tuple(((v + w) / eps).astype(int))
+            for v in (sub - ev.nodes_full[0]) @ q
+        ]
+        return cells, math.ceil(2.0 * w / eps) ** base.directions.dim
+    if base.kind == "affine":
+        return [(0,)] * len(sub), 1
+    if base.kind == "points":
+        return [(int(i),) for i in node_idx], len(base.points)
+    cum = _arclength(base.sample_at(np.linspace(*base.param_range, cfg.curve_nodes)))
+    return [(int(cum[i] // eps),) for i in node_idx], math.ceil(cum[-1] / eps)
+
+
 class TestCoverageCells:
-    def test_plane_cylinder_hits_match_tuple_sets(self):
-        spec = parse_problem(open("problems/plane_cylinder.tfp").read())
+    @pytest.mark.parametrize(
+        "name, kind, masks",
+        [
+            ("plane_cylinder", "affine", True),
+            ("hyperbola", "points", False),
+            ("affine_line", "affine", False),
+            ("whole_curve", "curve", False),
+        ],
+    )
+    def test_hits_match_tuple_sets(self, name, kind, masks):
+        texts = {"affine_line": AFFINE_LINE, "whole_curve": CYLINDER_CURVE.format(hi=10)}
+        spec = parse_problem(texts.get(name) or open(f"problems/{name}.tfp").read())
         cfg, lat = spec.sample_config, spec.lattice
-        cfg.count = 20000
+        cfg.count = min(cfg.count, 20000)
+        # the computed closure, or the prediction in the [flow] section
+        fd = spec.predicted_flow() if spec.predicted else flow_set(spec.variety, lat)
         # all reduced samples, not only the in-window ones, so that the
         # affine base cells have out-of-window rows to mask out
         reduced = np.vstack(
             [lat.reduce_points(sh.internal)[0]
              for sh in sample_far_points(spec.variety, cfg, lat)]
         )
-        fd = flow_set(spec.variety, lat)
         evaluators = [ComponentEvaluator(c, lat, cfg) for c in fd.components]
         fractions, hits = coverage_check(
             reduced, cfg, evaluators, [ev.distances(reduced) for ev in evaluators]
@@ -722,21 +778,26 @@ class TestCoverageCells:
 
         masked = 0
         assign_tol = max(cfg.tolerance, cfg.grid_eps)
-        w, eps = cfg.window, cfg.grid_eps
+        eps = cfg.grid_eps
         k = int(np.ceil(1.0 / eps))
         for ev, n_hit, frac in zip(evaluators, hits, fractions):
-            d, _ = ev.distances(reduced)
-            sub = reduced[d <= assign_tol]
-            q, _ = np.linalg.qr(np.asarray(ev.base_dirs, dtype=float).T)
-            u = sub @ ev.torus_solve.T
-            u = u - np.floor(u)
-            torus = np.minimum((u / eps).astype(int), k - 1)
+            assert ev.comp.base.kind == kind
+            d, node_idx = ev.distances(reduced)
+            sel = d <= assign_tol
+            sub = reduced[sel]
+            base_cells, base_total = _reference_base_cells(ev, sub, node_idx[sel])
+            torus = np.zeros((len(sub), 0), dtype=int)
+            if ev.torus_dim:
+                u = sub @ ev.torus_solve.T
+                u = u - np.floor(u)
+                torus = np.minimum((u / eps).astype(int), k - 1)
             reference = set()
-            for row, tc in zip((sub - ev.nodes_full[0]) @ q, torus):
-                if np.any(np.abs(row) > w):
+            for bc, tc in zip(base_cells, torus):
+                if bc is None:
                     masked += 1
                     continue
-                reference.add((tuple(((row + w) / eps).astype(int)), tuple(tc)))
-            assert n_hit == len(reference)
-            assert frac == min(1.0, len(reference) / ev.total_cells())
-        assert masked > 1000
+                reference.add((bc, tuple(tc)))
+            assert n_hit == len(reference) > 0
+            assert frac == min(1.0, len(reference) / (base_total * k**ev.torus_dim))
+        # only an affine base with directions has a window to leave
+        assert masked > 1000 if masks else masked == 0
