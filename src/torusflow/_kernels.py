@@ -37,6 +37,18 @@ a NaN distance is nearer than any number, as argmin ranks it; the entry
 points compute under ``np.errstate(invalid="ignore")``, so that NaN raises
 no warning.
 
+Narrow arrays, with one row per query or target and a few columns, are
+handled a column at a time.  numpy runs a row gather ``a[idx]`` and a
+reduction along axis 1 of such an array as one short inner loop per row,
+several times slower than the same work on whole columns, so rows are
+gathered with ``np.take(a, idx, axis=0)`` and candidate counts and finite
+tests are summed or and-ed over the columns.  ``take`` copies whole rows and
+integer and boolean reductions are exact in any order, so neither changes
+a bit of the result.  A float sum gives numpy's bits only when it adds in
+numpy's order: the verifier's ``_row_norms`` adds squares column by column below 8 columns,
+where numpy adds them in that order too, and calls ``np.linalg.norm`` from
+8 columns on, where numpy sums pairwise.
+
 Differences are taken directly.  The matmul identity |x|^2 + |c|^2 - 2 x.c
 cancels badly: with |x| about 10 it is off by 2e-10 at distance 1e-3 and by
 up to 1.7e-7 near distance 0.
@@ -207,7 +219,11 @@ def _grid(points, targets):
         keys = qkey[i : i + step, None] + around
         start = cell_start[keys]
         count = cell_start[keys + 1] - start
-        ends = np.cumsum(count.sum(axis=1))
+        # column by column: numpy sums a narrow array's rows one at a time
+        per_query = count[:, 0].copy()
+        for s in range(1, count.shape[1]):
+            per_query += count[:, s]
+        ends = np.cumsum(per_query)
         a = 0
         while a < len(ends):
             # at most about _CHUNK_PAIRS candidates at once
@@ -215,7 +231,7 @@ def _grid(points, targets):
             b = max(a + 1, int(np.searchsorted(ends, done + _CHUNK_PAIRS, "right")))
             _nearest_in_cells(
                 points[i + a : i + b], targets, order, start[a:b], count[a:b],
-                best[i + a : i + b], flat[i + a : i + b],
+                per_query[a:b], best[i + a : i + b], flat[i + a : i + b],
             )
             a = b
 
@@ -223,24 +239,26 @@ def _grid(points, targets):
     # for building them; the rest, and queries that are not finite, are scanned.
     limit = h * _EXACT_MARGIN
     unsettled = ~(best <= limit * limit)
-    finite = np.isfinite(points).all(axis=1)
+    finite = np.isfinite(points[:, 0])
+    for k in range(1, q):
+        finite &= np.isfinite(points[:, k])
     far = np.nonzero(unsettled & finite)[0]
     if len(far) * N >= GRID_MIN_PAIRS:
-        best[far], flat[far] = _leaves(points[far], targets)
+        best[far], flat[far] = _leaves(np.take(points, far, axis=0), targets)
         unsettled &= ~finite
     rest = np.nonzero(unsettled)[0]
     if len(rest):
-        best[rest], flat[rest] = _scan(points[rest], targets)
+        best[rest], flat[rest] = _scan(np.take(points, rest, axis=0), targets)
     return best, flat
 
 
-def _nearest_in_cells(points, targets, order, start, count, best, flat):
+def _nearest_in_cells(points, targets, order, start, count, per_query, best, flat):
     """Write each query's nearest target among those in its cells to best/flat.
 
     Query k's cells hold targets order[start[k, s] : start[k, s] + count[k, s]]
-    for s over its 3^q cells.  Queries with no candidate are left alone.
+    for s over its 3^q cells, per_query[k] of them in all.  Queries with no
+    candidate are left alone.
     """
-    per_query = count.sum(axis=1)
     seen = np.nonzero(per_query)[0]
     if not len(seen):
         return
@@ -249,7 +267,7 @@ def _nearest_in_cells(points, targets, order, start, count, best, flat):
     pos = np.arange(len(cell)) - (np.cumsum(cell_count) - cell_count)[cell]
     cand = order[pos + start.ravel()[cell]]
     owner = cell // count.shape[1]
-    d2 = _sq_dist(points[owner], targets[cand])
+    d2 = _sq_dist(np.take(points, owner, axis=0), np.take(targets, cand, axis=0))
     first = (np.cumsum(per_query) - per_query)[seen]
     low = np.full(len(per_query), np.inf)
     low[seen] = np.minimum.reduceat(d2, first)
@@ -305,7 +323,8 @@ def _leaves(points, targets):
         # clip gives the point of each box nearest to the query
         lb = _sq_dist(x, np.clip(x, lo, hi))
         near = lb.argmin(axis=1)
-        bound = _sq_dist(x, np.moveaxis(members[near], 1, 2)).min(axis=1)
+        nearest = np.moveaxis(np.take(members, near, axis=0), 1, 2)
+        bound = _sq_dist(x, nearest).min(axis=1)
         owner, seen = np.nonzero(lb <= bound[:, None])
         ends = np.cumsum(np.bincount(owner, minlength=m))
         a = 0
@@ -315,7 +334,8 @@ def _leaves(points, targets):
             limit = done + _CHUNK_PAIRS // S
             b = max(a + 1, int(np.searchsorted(ends, limit, "right")))
             rows, cand = owner[done : ends[b - 1]], seen[done : ends[b - 1]]
-            d2 = _sq_dist(x[rows], np.moveaxis(members[cand], 1, 2))
+            leaves = np.moveaxis(np.take(members, cand, axis=0), 1, 2)
+            d2 = _sq_dist(np.take(x, rows, axis=0), leaves)
             # within a leaf the first minimum has the lowest flat index
             at = d2.argmin(axis=1)
             pair_min = d2[np.arange(len(d2)), at]

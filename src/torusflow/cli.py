@@ -66,9 +66,10 @@ def _config(spec, args):
 
 
 def _write_json(path, payload):
+    # one write: json.dump writes every indented token on its own
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def cmd_closure(args):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -44,6 +44,25 @@ def _int_in(value, lo, hi):
     return (
         isinstance(value, int) and not isinstance(value, bool) and lo <= value <= hi
     )
+
+
+def _row_norms(x):
+    """``np.linalg.norm(x, axis=1)`` of a 2-D float array, bit for bit.
+
+    numpy reduces a narrow array along its rows one short row at a time; with
+    fewer than 8 columns its sum of squares adds them in column order, so
+    summing whole columns does the same additions, several times faster.
+    From 8 columns on numpy sums pairwise, in another order, so the norm is
+    left to numpy there.  A square that overflows gives inf, raising no
+    warning: inf is past every radius and window, as the true norm is.
+    """
+    with np.errstate(over="ignore"):
+        if x.shape[1] >= 8:
+            return np.linalg.norm(x, axis=1)
+        sq = np.zeros(len(x))
+        for k in range(x.shape[1]):
+            sq += x[:, k] * x[:, k]
+        return np.sqrt(sq)
 
 
 @dataclass
@@ -252,7 +271,7 @@ def _draw_affine(frame, count, radius, rng, window):
         pts = np.tile(base, (hi - lo, 1))
         if din:
             d = g[lo:hi]
-            d = d / np.maximum(np.linalg.norm(d, axis=1, keepdims=True), 1e-300)
+            d = d / np.maximum(_row_norms(d), 1e-300)[:, None]
             pts = pts + (d * r[:, None]) @ qin
         if dout:
             pts = pts + u[lo:hi] @ out_f
@@ -323,10 +342,10 @@ def _sample_shell(X, cfg, lat, shell, radius, quota, prepared):
             lo = 0
             for hi in (need - got, draw):
                 p, internal = build(lo, hi)
-                norms = np.linalg.norm(internal, axis=1)
-                keep = np.nonzero(norms >= radius)[0][: need - got]
+                keep = np.nonzero(_row_norms(internal) >= radius)[0][: need - got]
                 if len(keep) < hi - lo:
-                    p, internal = p[keep], internal[keep]
+                    p = np.take(p, keep, axis=0)
+                    internal = np.take(internal, keep, axis=0)
                 got += len(keep)
                 params.append(p)
                 internals.append(internal)
@@ -437,7 +456,7 @@ class ComponentEvaluator:
         self.frame = np.linalg.qr(dirs.T)[0] if len(dirs) else None
         self.cumlen = None
         if self.curve_params is not None:
-            seg = np.linalg.norm(np.diff(raw, axis=0), axis=1)
+            seg = _row_norms(np.diff(raw, axis=0))
             self.cumlen = np.concatenate([[0.0], np.cumsum(seg)])
 
         self.nodes = self.nodes_full @ self.proj.T
@@ -448,7 +467,7 @@ class ComponentEvaluator:
         # the first translate of each distinct projection, in their order;
         # with no columns every row is the same empty row
         if offs.shape[1]:
-            offs = offs[np.sort(distinct_rows(np.round(offs, 9)))]
+            offs = np.take(offs, np.sort(distinct_rows(np.round(offs, 9).T)), axis=0)
         else:
             offs = offs[:1]
         self.offsets = offs
@@ -464,13 +483,13 @@ class ComponentEvaluator:
         B = self.lat.float_basis()
         if not len(B):
             return 1.0
-        return float(np.sum(np.linalg.norm(B, axis=1)))
+        return float(np.sum(_row_norms(B)))
 
     def _translate_range(self, radius):
         B = self.lat.float_basis()
         if not len(B):
             return 0
-        shortest = float(np.min(np.linalg.norm(B, axis=1)))
+        shortest = float(np.min(_row_norms(B)))
         return min(4, max(1, int(math.ceil(radius / max(shortest, 1e-9)))))
 
     def distances(self, reduced):
@@ -500,7 +519,9 @@ class ComponentEvaluator:
         red, _, _ = self.lat.reduce_points(raw)
         local_nodes = (red @ self.proj.T).reshape(len(worst), 33, -1)
         out = dists.copy()
-        refined = min_distance_local(pts[worst], self.offsets, local_nodes)
+        refined = min_distance_local(
+            np.take(pts, worst, axis=0), self.offsets, local_nodes
+        )
         out[worst] = np.minimum(out[worst], refined)
         return out
 
@@ -526,8 +547,11 @@ class ComponentEvaluator:
         w = self.cfg.window
         if self.frame is not None:
             v = (reduced - self.nodes_full[0]) @ self.frame
-            in_window = ~np.any(np.abs(v) > w, axis=1)
-            return ((v + w) / eps).astype(np.int64), in_window
+            # one frame column at a time; testing > w keeps a NaN in the window
+            out = np.abs(v[:, 0]) > w
+            for k in range(1, v.shape[1]):
+                out |= np.abs(v[:, k]) > w
+            return ((v + w) / eps).astype(np.int64), ~out
         node_idx = np.asarray(node_idx, dtype=np.int64)
         if self.cumlen is not None:
             cells = (self.cumlen[node_idx] // eps).astype(np.int64)
@@ -586,10 +610,13 @@ def coverage_check(reduced, cfg, evaluators, per_component):
             d, node_idx = per_component[idx]
             sel = np.nonzero(d <= assign_tol)[0]
             if len(sel):
-                sub = reduced[sel]
+                sub = np.take(reduced, sel, axis=0)
                 tcells = ev.torus_cells(sub)
-                bcells, in_window = ev.base_cells(sub, node_idx[sel])
-                hits = len(distinct_rows(np.hstack([bcells, tcells])[in_window]))
+                bcells, in_window = ev.base_cells(sub, np.take(node_idx, sel))
+                cols = [*bcells.T, *tcells.T]
+                if not in_window.all():
+                    cols = [np.compress(in_window, c) for c in cols]
+                hits = len(distinct_rows(cols))
         fractions.append(min(1.0, hits / ev.total_cells()))
         hit_counts.append(hits)
     return fractions, hit_counts
@@ -598,8 +625,7 @@ def coverage_check(reduced, cfg, evaluators, per_component):
 def _window_mask(reduced, perp_proj, window):
     """Samples whose component transverse to the lattice span is in-window;
     ``perp_proj`` projects onto the span's orthogonal complement."""
-    perp = reduced @ perp_proj.T
-    return np.linalg.norm(perp, axis=1) <= window
+    return _row_norms(reduced @ perp_proj.T) <= window
 
 
 def _global_cells(reduced, eps):
@@ -614,15 +640,18 @@ def _torus_cells(reduced, solve, eps):
     return np.minimum((u / eps).astype(np.int64), k - 1)
 
 
-def distinct_rows(rows):
-    """Index of the first occurrence of each distinct row of a 2-D array
-    with at least one column.
+def distinct_rows(cols):
+    """Index of the first occurrence of each distinct row of a table, given
+    as a sequence of at least one column (a list of 1-D arrays, or ``rows.T``).
 
-    The result follows the lexicographic order of the rows.  Two paths give
-    the same array:
+    The result follows the lexicographic order of the rows.  Columns go in
+    because numpy handles a narrow 2-D array one short row at a time: a row
+    filter, gather or comparison costs several times what the same work on
+    each column does, so callers filter columns (``np.compress``) rather
+    than build and mask a 2-D table.  Two paths give the same array:
 
-    * Table.  For signed integer rows whose column spans multiply to at
-      most ``4 * len(rows) + 4096`` (R), each row packs into one int64 key,
+    * Table.  For signed integer columns whose spans multiply to at most
+      ``4 * len(rows) + 4096`` (R), each row packs into one int64 key,
       mixed radix with column 0 most significant, so ascending keys are the
       rows in lexicographic order.  A table of R slots keeps the least row
       index per key (distribution counting, Knuth, TAOCP vol. 3, 5.2); its
@@ -636,12 +665,13 @@ def distinct_rows(rows):
       where the sort takes 14 ms; on hyperbola's 10k rows 0.11 ms against
       0.79 ms (2-vCPU VM).
     * Sort.  A stable sort brings equal rows together in their original
-      order, so the first row of each run is the earliest one.
+      order, so the first row of each run is the earliest one; a row starts
+      a run where any column differs from the row before.
     """
-    n = len(rows)
-    if n and np.issubdtype(rows.dtype, np.signedinteger):
-        # column views: min/max along axis 0 of a narrow array is far slower
-        cols = [rows[:, j].astype(np.int64, copy=False) for j in range(rows.shape[1])]
+    cols = list(cols)
+    n = len(cols[0])
+    if n and all(np.issubdtype(c.dtype, np.signedinteger) for c in cols):
+        cols = [c.astype(np.int64, copy=False) for c in cols]
         lows = [int(c.min()) for c in cols]
         spans = [int(c.max()) - lo + 1 for c, lo in zip(cols, lows)]
         size = math.prod(spans)
@@ -653,10 +683,12 @@ def distinct_rows(rows):
             first = np.full(size, n, dtype=np.intp)
             np.minimum.at(first, key, np.arange(n))
             return first[first < n]
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    order = np.lexsort(cols[::-1])
+    first = np.zeros(n, dtype=bool)
+    first[:1] = True
+    for c in cols:
+        c = c[order]
+        first[1:] |= c[1:] != c[:-1]
     return order[first]
 
 
@@ -680,7 +712,10 @@ class VerificationReport:
     torus_dims: list   # torus_dim per component; None when it has no torus
 
     def to_dict(self):
-        return {"schema_version": 2, **asdict(self)}
+        # shallow: json reads the fields' lists and dicts, it need not copy them
+        out = {"schema_version": 2}
+        out.update((f.name, getattr(self, f.name)) for f in fields(self))
+        return out
 
 
 def shell_stability(shell_cells):
@@ -691,7 +726,7 @@ def shell_stability(shell_cells):
     hits it.
     """
     sizes = [len(cells) for cells in shell_cells]
-    first = distinct_rows(np.concatenate(shell_cells))
+    first = distinct_rows(np.concatenate(shell_cells).T)
     shell_of = np.repeat(np.arange(len(sizes)), sizes)
     return np.bincount(shell_of[first], minlength=len(sizes)).tolist()
 
@@ -717,7 +752,9 @@ def run_verification(X, lat: Lattice, predicted: FlowDescription,
         )
         entry = {"shell": sh.index, "radius": sh.radius}
         del sh   # its params and internal rows
-        in_win = reduced[_window_mask(reduced, perp_proj, cfg.window)]
+        in_win = np.compress(
+            _window_mask(reduced, perp_proj, cfg.window), reduced, axis=0
+        )
         entry["samples"] = len(reduced)
         entry["escaped"] = len(reduced) - len(in_win)
         del reduced

@@ -11,7 +11,8 @@ the rational forms vanishing on V, ``to_logical`` inverts the samplers'
 tail bound C * t^(-q), ``FractionArithmetic`` does field arithmetic on
 Fraction coordinates by polynomial division, ``FractionInterval`` and
 ``FractionBox`` with the functions after them do the certified-root box
-arithmetic on Fraction endpoints, and ``serialize`` writes a parsed problem
+arithmetic on Fraction endpoints, ``stacked_hit_counts`` counts coverage
+hits from one 2-D cell table, and ``serialize`` writes a parsed problem
 back as text for the parse -> serialize -> parse round trip.
 """
 
@@ -438,7 +439,7 @@ def orbit_coverage(descriptor, lat, reduced, eps):
         off = np.linalg.norm(reduced, axis=1)
         return (1.0 if len(reduced) else 0.0), float(np.max(off)) if len(off) else 0.0
     cells = _torus_cells(reduced, descriptor.torus_coordinate_matrix(lat), eps)
-    hits = len(distinct_rows(cells))
+    hits = len(distinct_rows(cells.T))
     # distance off the fiber: orthogonal part, minimized over translates
     proj = descriptor.W.float_complement_projector()
     perp = reduced @ proj.T
@@ -451,6 +452,21 @@ def orbit_coverage(descriptor, lat, reduced, eps):
     off_max = float(np.max(d)) if len(d) else 0.0
     k = int(math.ceil(1.0 / eps))
     return hits / (k**descriptor.torus_dim), off_max
+
+
+def stacked_hit_counts(reduced, cfg, evaluators, per_component):
+    """``coverage_check``'s hit counts from one stacked cell table per
+    component: base and torus cells side by side, window rows kept by a
+    boolean mask, distinct rows counted by ``np.unique``."""
+    assign_tol = max(cfg.tolerance, cfg.grid_eps)
+    counts = []
+    for ev, (d, node_idx) in zip(evaluators, per_component):
+        sel = d <= assign_tol
+        sub = reduced[sel]
+        bcells, in_window = ev.base_cells(sub, node_idx[sel])
+        cells = np.hstack([bcells, ev.torus_cells(sub)])[in_window]
+        counts.append(len(np.unique(cells, axis=0)))
+    return counts
 
 
 # ---------------------------------------------------------------------------

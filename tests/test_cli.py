@@ -845,3 +845,39 @@ def test_unusable_scale_exits_with_one_line(tmp_path, capsys, command, name, old
     else:
         assert code == 2 and message in err
         assert "Traceback" not in err and err.count("\n") == 1
+
+
+def _hyperbola_with_branch(tmp_path, branch):
+    text = open("problems/hyperbola.tfp").read()
+    assert "branch = (t, 1/t)" in text
+    spec = tmp_path / "hyperbola.tfp"
+    spec.write_text(text.replace("branch = (t, 1/t)", f"branch = {branch}", 1))
+    return spec
+
+
+def _argv(command, spec, tmp_path):
+    extra = ["--out", str(tmp_path / "dump.csv")] if command == "sample" else []
+    return [command, str(spec)] + extra
+
+
+@pytest.mark.parametrize("command", ["verify", "sample"])
+def test_overflowing_square_passes_without_warning(tmp_path, capsys, command):
+    # the samples are finite, but the square of their second coordinate,
+    # about 10^600, overflows; their norm is inf, past every shell radius
+    spec = _hyperbola_with_branch(tmp_path, "(t, 1/t + 10^300)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = _exit_code(_argv(command, spec, tmp_path))
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "sample"])
+def test_overflowing_square_raises_no_warning(tmp_path, command):
+    # the same overflow in the first coordinate; the verdict is left open,
+    # since the rows lose their fractional part to float spacing
+    spec = _hyperbola_with_branch(tmp_path, "(10^300*t, 1/t)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = _exit_code(_argv(command, spec, tmp_path))
+    assert code in (0, 5)

@@ -1,7 +1,10 @@
 """Far-point sampling, containment, coverage, shells, orbits."""
 
+import dataclasses
 import inspect
+import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +39,7 @@ from torusflow.verifier import (
     shell_stability,
 )
 
-from oracles import orbit_coverage, subspace_orbit
+from oracles import orbit_coverage, stacked_hit_counts, subspace_orbit
 
 
 @pytest.fixture(scope="module")
@@ -263,8 +266,6 @@ class TestOrbits:
 
 class TestReportDeterminism:
     def test_identical_reports(self, QQ):
-        import json
-
         lat = Lattice(2, [[1, 0], [0, 1]], QQ)
         X = hyperbola(QQ)
         fd = flow_set(X, lat)
@@ -273,6 +274,19 @@ class TestReportDeterminism:
         r2 = run_verification(X, lat, fd, cfg)
         assert json.dumps(r1.to_dict(), sort_keys=True) == json.dumps(
             r2.to_dict(), sort_keys=True
+        )
+
+    @pytest.mark.parametrize("name", ["hyperbola", "plane_cylinder"])
+    def test_to_dict_matches_asdict(self, name):
+        # to_dict shares the fields' lists and dicts; asdict copies them
+        spec = parse_problem(open(f"problems/{name}.tfp").read())
+        cfg = spec.sample_config
+        cfg.count = 2000
+        fd = flow_set(spec.variety, spec.lattice)
+        report = run_verification(spec.variety, spec.lattice, fd, cfg)
+        copied = {"schema_version": 2, **dataclasses.asdict(report)}
+        assert json.dumps(report.to_dict(), indent=2, sort_keys=True) == json.dumps(
+            copied, indent=2, sort_keys=True
         )
 
     def test_residuals_reported(self, QQ):
@@ -647,16 +661,55 @@ wide_arrays = st.tuples(st.integers(0, 60), st.integers(1, 3)).flatmap(
 )
 
 
+_magnitudes = st.floats(1e-300, 1e300)
+
+
+@st.composite
+def norm_inputs(draw):
+    """Float arrays of 0-16 columns, entries of either sign from 1e-300 to
+    1e300, with zeros, infinities and NaN among them."""
+    shape = (draw(st.integers(0, 20)), draw(st.integers(0, 16)))
+    elements = st.one_of(
+        _magnitudes,
+        _magnitudes.map(lambda x: -x),
+        st.sampled_from([0.0, np.inf, -np.inf, np.nan]),
+    )
+    return draw(hnp.arrays(np.float64, shape, elements=elements))
+
+
+def _numpy_row_norms(x):
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(x, axis=1)
+
+
+class TestRowNorms:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(norm_inputs())
+    def test_extreme_entries_match_numpy(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = verifier._row_norms(x)
+        np.testing.assert_array_equal(norms, _numpy_row_norms(x))
+
+    @pytest.mark.parametrize("q", range(17))
+    def test_comparable_entries_match_numpy(self, q):
+        # entries of one scale round differently when summed in another
+        # order: from 8 columns on, a column-order sum misses numpy's
+        # pairwise one in hundreds of these rows
+        x = np.random.default_rng(q).normal(size=(5000, q))
+        np.testing.assert_array_equal(verifier._row_norms(x), _numpy_row_norms(x))
+
+
 class TestDistinctRows:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(cell_arrays())
     def test_matches_sort(self, rows):
-        assert np.array_equal(distinct_rows(rows), lexsort_first(rows))
+        assert np.array_equal(distinct_rows(rows.T), lexsort_first(rows))
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(wide_arrays)
     def test_wide_range_matches_sort(self, rows):
-        assert np.array_equal(distinct_rows(rows), lexsort_first(rows))
+        assert np.array_equal(distinct_rows(rows.T), lexsort_first(rows))
 
     @pytest.mark.parametrize(
         "rows, sorts",
@@ -677,7 +730,7 @@ class TestDistinctRows:
         monkeypatch.setattr(
             np, "lexsort", lambda keys: calls.append(1) or lexsort(keys)
         )
-        first = distinct_rows(rows)
+        first = distinct_rows(rows.T)
         assert bool(calls) == sorts
         assert np.array_equal(first, lexsort_first(rows))
 
@@ -685,7 +738,7 @@ class TestDistinctRows:
     @given(shell_lists)
     def test_first_occurrences(self, shells):
         rows = np.concatenate(shells)
-        first = distinct_rows(rows)
+        first = distinct_rows(rows.T)
         as_tuples = list(map(tuple, rows))
         assert len(first) == len(set(as_tuples))
         assert {as_tuples[i] for i in first} == set(as_tuples)
@@ -749,6 +802,28 @@ def _reference_base_cells(ev, sub, node_idx):
 
 
 class TestCoverageCells:
+    def test_hits_match_stacked_table(self):
+        # an affine base with directions, and every reduced sample, so that
+        # the window mask keeps some rows of the cell table and drops others
+        spec = parse_problem(open("problems/plane_cylinder.tfp").read())
+        cfg, lat = spec.sample_config, spec.lattice
+        cfg.count = 4000
+        reduced = np.vstack(
+            [lat.reduce_points(sh.internal)[0]
+             for sh in sample_far_points(spec.variety, cfg, lat)]
+        )
+        fd = flow_set(spec.variety, lat)
+        evaluators = [ComponentEvaluator(c, lat, cfg) for c in fd.components]
+        per_component = [ev.distances(reduced) for ev in evaluators]
+        _, hits = coverage_check(reduced, cfg, evaluators, per_component)
+        assert hits == stacked_hit_counts(reduced, cfg, evaluators, per_component)
+        assert min(hits) > 0
+        for ev, (d, node_idx) in zip(evaluators, per_component):
+            sel = d <= max(cfg.tolerance, cfg.grid_eps)
+            in_window = ev.base_cells(reduced[sel], node_idx[sel])[1]
+            assert ev.frame is not None
+            assert 0 < in_window.sum() < len(in_window)
+
     def test_plane_cylinder_hits_match_tuple_sets(self):
         # an affine base with directions: the only kind with a window to leave
         self._check_hits_match_tuple_sets("plane_cylinder", "affine", True)
