@@ -2,7 +2,7 @@
 
 The verifier's hot loop is the distance from each reduced sample to the
 target cloud {offset + node} (projected lattice translates plus base-set
-nodes).  Three exact searches share one arithmetic:
+nodes).  Four exact searches share one arithmetic:
 
 * a direct-difference scan over every target, in blocks of whole offsets
   and of queries;
@@ -17,11 +17,23 @@ nodes).  Three exact searches share one arithmetic:
   size, and a query evaluates only the leaves whose box is no farther than
   its best distance to the leaf with the nearest box.  Few far queries, and
   queries that are not finite, are scanned instead.
+* a sorted search in place of the grid when there is one coordinate (Knuth,
+  TAOCP vol. 3, 6.2.1): the distinct target values are sorted and each query
+  finds its neighbours on either side by binary search.
 
 ``min_distance_batch`` picks between them from the input shape alone.
 Squared distances are summed coordinate by coordinate in a fixed order, so
 all searches round every (query, target) pair identically and agree
 exactly, ties included: the lowest flat index t * P + p wins.
+
+The sorted search is exact because rounding is monotone.  For targets
+t1 < t2 <= x, x - t1 > x - t2 >= 0, so the rounded (x - t1)^2 is never
+below the rounded (x - t2)^2, and likewise on the right of x.  The value
+next to x on each side is therefore the nearest on that side, and only a
+further value that rounds to the same distance can tie it; such queries,
+like those whose best distance or whose own value is not finite, are
+scanned.  Equal values are the same target for every query, so each keeps
+its lowest flat index.
 
 The leaf pruning is exact too.  A box's lo and hi are coordinates of its
 own targets, and the box point nearest to x, clip(x, lo, hi), lies between
@@ -46,8 +58,8 @@ tests are summed or and-ed over the columns.  ``take`` copies whole rows and
 integer and boolean reductions are exact in any order, so neither changes
 a bit of the result.  A float sum gives numpy's bits only when it adds in
 numpy's order: the verifier's ``_row_norms`` adds squares column by column below 8 columns,
-where numpy adds them in that order too, and calls ``np.linalg.norm`` from
-8 columns on, where numpy sums pairwise.
+where numpy adds them in that order too, and calls ``np.linalg.norm`` on a
+C-ordered copy from 8 columns on, where numpy sums pairwise.
 
 Differences are taken directly.  The matmul identity |x|^2 + |c|^2 - 2 x.c
 cancels badly: with |x| about 10 it is off by 2e-10 at distance 1e-3 and by
@@ -116,10 +128,11 @@ def min_distance_batch(points, offsets, nodes):
     Returns (dists, node_index): per-point minimal Euclidean distance and the
     index of the node achieving it (the lowest flat (t, p) index on ties).
 
-    The search is ``_grid`` or ``_scan``, as ``uses_grid`` picks for the
-    shape.  The grid indexes every target at once.  A scan takes blocks of
-    whole offsets of at most _BLOCK_TARGETS targets, in order, so a later
-    block, whose flat indices are all higher, wins only when strictly nearer.
+    The search is ``_scan`` or, where ``uses_grid`` picks the grid for the
+    shape, ``_sorted`` at q = 1 and ``_grid`` above; both index every target
+    at once.  A scan takes blocks of whole offsets of at most _BLOCK_TARGETS
+    targets, in order, so a later block, whose flat indices are all higher,
+    wins only when strictly nearer.
     """
     points = np.ascontiguousarray(points, dtype=float)
     offsets = np.ascontiguousarray(offsets, dtype=float)
@@ -130,8 +143,14 @@ def min_distance_batch(points, offsets, nodes):
         return np.zeros(0), np.zeros(0, dtype=np.intp)
     if T == 0 or P == 0:
         return np.full(M, np.inf), np.zeros(M, dtype=np.intp)
-    search = _grid if uses_grid(M, T * P, q) else _scan
-    step = T if search is _grid else max(1, _BLOCK_TARGETS // P)
+    if q == 0:
+        # every squared distance is the empty sum, so flat index 0 wins
+        return np.zeros(M), np.zeros(M, dtype=np.intp)
+    if not uses_grid(M, T * P, q):
+        search = _scan
+    else:
+        search = _sorted if q == 1 else _grid
+    step = max(1, _BLOCK_TARGETS // P) if search is _scan else T
     for t in range(0, T, step):
         block = offsets[t : t + step]
         targets = (block[:, None, :] + nodes[None, :, :]).reshape(len(block) * P, q)
@@ -180,11 +199,43 @@ def _scan(points, targets):
     return best, flat
 
 
+def _sorted(points, targets):
+    """``_scan``'s answer at q = 1, by binary search in the sorted targets."""
+    vals = targets[:, 0]
+    order = np.argsort(vals, kind="stable")
+    s = vals[order]
+    # NaN sorts last, -inf first and inf last
+    if not (np.isfinite(s[0]) and np.isfinite(s[-1])):
+        return _scan(points, targets)
+    # the first, lowest flat index of each run of equal values, between two
+    # sentinels on each side that are infinitely far from any finite query
+    first = np.concatenate([[True], s[1:] != s[:-1]])
+    u = np.concatenate([[-np.inf, -np.inf], s[first], [np.inf, np.inf]])
+    uflat = np.concatenate([[0, 0], order[first], [0, 0]])
+    x = points[:, 0]
+    # u[i - 1] <= x < u[i]; a query that is not finite is clipped and scanned
+    i = np.clip(np.searchsorted(u, x, "right"), 2, len(u) - 2)
+    left = (x - u[i - 1]) ** 2
+    right = (x - u[i]) ** 2
+    best = np.minimum(left, right)
+    flat = np.where(
+        left < right, uflat[i - 1],
+        np.where(right < left, uflat[i], np.minimum(uflat[i - 1], uflat[i])),
+    )
+    unsure = (
+        ~np.isfinite(best)
+        | ((x - u[i - 2]) ** 2 == best)
+        | ((x - u[i + 1]) ** 2 == best)
+    )
+    rest = np.nonzero(unsure)[0]
+    if len(rest):
+        best[rest], flat[rest] = _scan(np.take(points, rest, axis=0), targets)
+    return best, flat
+
+
 def _grid(points, targets):
     """``_scan``'s answer, searching only nearby grid cells where that is exact."""
     M, q = points.shape
-    if q == 0:
-        return _scan(points, targets)
     N = len(targets)
     # column by column: numpy reduces a narrow array along axis 0 slowly
     lo = np.array([col.min() for col in targets.T])

@@ -47,18 +47,21 @@ def _int_in(value, lo, hi):
 
 
 def _row_norms(x):
-    """``np.linalg.norm(x, axis=1)`` of a 2-D float array, bit for bit.
+    """``np.linalg.norm(x, axis=1)`` of a 2-D float array in C order, bit for bit.
 
     numpy reduces a narrow array along its rows one short row at a time; with
     fewer than 8 columns its sum of squares adds them in column order, so
     summing whole columns does the same additions, several times faster.
     From 8 columns on numpy sums pairwise, in another order, so the norm is
-    left to numpy there.  A square that overflows gives inf, raising no
-    warning: inf is past every radius and window, as the true norm is.
+    left to numpy there, on a C-ordered copy: numpy's order, and so its bits,
+    depend on the memory layout, and an F-ordered or strided array of the
+    same values must give the same norms.  A square that overflows gives inf,
+    raising no warning: inf is past every radius and window, as the true norm
+    is.
     """
     with np.errstate(over="ignore"):
         if x.shape[1] >= 8:
-            return np.linalg.norm(x, axis=1)
+            return np.linalg.norm(np.ascontiguousarray(x), axis=1)
         sq = np.zeros(len(x))
         for k in range(x.shape[1]):
             sq += x[:, k] * x[:, k]
@@ -505,7 +508,17 @@ class ComponentEvaluator:
         return dists, node_idx
 
     def _refine_curve(self, pts, dists, node_idx):
-        """Local parameter refinement around the best node for rough samples."""
+        """Distances of the rough samples to a finer curve near their node.
+
+        A sample farther than tolerance / 4 is measured again against 33
+        curve points evenly spaced over the parameter interval of one node
+        spacing either side of its nearest node, and keeps the smaller
+        distance.  Only the 4096 roughest samples are refined.  Samples that
+        share a nearest node share its window, so each distinct node's window
+        is evaluated and reduced once; the curve, the reduction and the
+        projection act row by row, so a window's rows are the same whichever
+        other windows are built with it.
+        """
         worst = np.nonzero(dists > 0.25 * self.cfg.tolerance)[0]
         if not len(worst):
             return dists
@@ -513,14 +526,16 @@ class ComponentEvaluator:
             # refine the roughest block only; a run this far off fails anyway
             worst = worst[np.argsort(dists[worst])[-4096:]]
         spacing = self.curve_params[1] - self.curve_params[0]
-        p0 = self.curve_params[node_idx[worst]]
+        node, row_node = np.unique(node_idx[worst], return_inverse=True)
+        p0 = self.curve_params[node]
         local = np.linspace(p0 - spacing, p0 + spacing, 33, axis=1)
         raw = self.comp.base.sample_at(local.ravel())
         red, _, _ = self.lat.reduce_points(raw)
-        local_nodes = (red @ self.proj.T).reshape(len(worst), 33, -1)
+        windows = (red @ self.proj.T).reshape(len(node), 33, -1)
         out = dists.copy()
         refined = min_distance_local(
-            np.take(pts, worst, axis=0), self.offsets, local_nodes
+            np.take(pts, worst, axis=0), self.offsets,
+            np.take(windows, row_node, axis=0),
         )
         out[worst] = np.minimum(out[worst], refined)
         return out

@@ -1,4 +1,5 @@
-"""The containment-distance kernel: grid index, leaves and scan against brute force."""
+"""The containment-distance kernel: sorted search, grid index, leaves and scan
+against brute force."""
 
 from unittest import mock
 
@@ -83,9 +84,9 @@ def far_workloads(draw):
     """Enough queries far outside the targets' box that the grid hands them,
     GRID_MIN_PAIRS pairs and more, to the leaves; plus near and non-finite
     queries.  N is rarely a multiple of the leaf size, so the last leaf is
-    padded.
+    padded.  At q = 1 the sorted search replaces the grid and its leaves.
     """
-    q = draw(st.sampled_from([1, 2, 3]))
+    q = draw(st.sampled_from([2, 3]))
     T = draw(st.sampled_from([1, 9, 27]))
     P = draw(st.integers(600 // T, 1500 // T))
     M = GRID_MIN_PAIRS // (T * P) + draw(st.integers(1, 60))
@@ -124,6 +125,82 @@ def test_far_queries_match_brute_force(workload):
         for fn in SEARCHES:
             assert_matches_brute_force(fn, *workload)
     assert leaves.called
+
+
+@st.composite
+def sorted_workloads(draw):
+    """One coordinate, with the cases a sorted search must hand to the scan:
+    integer ties, duplicated targets, queries near +-1e8 against targets 1e-9
+    apart (distinct values at the same rounded distance), squares that
+    overflow to inf, and queries and targets that are not finite.
+    """
+    kind = draw(st.sampled_from(["integer", "normal", "near-1e8", "overflow"]))
+    N = draw(st.integers(1, 200))
+    M = draw(st.integers(1, 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "integer":
+        targets = rng.integers(-5, 6, N).astype(float)
+        points = rng.integers(-8, 9, M) * draw(st.sampled_from([0.5, 1.0]))
+    elif kind == "normal":
+        targets = rng.normal(size=N)
+        points = rng.normal(size=M) * 3.0
+    elif kind == "near-1e8":
+        targets = 1e-9 * rng.integers(-20, 21, N)
+        points = rng.choice([-1e8, 1e8], M) + rng.normal(size=M)
+    else:
+        targets = rng.choice([-1e200, 1e200, 0.0, 1.0], N)
+        points = rng.choice([-1e200, 1e200, 0.5, 5.0], M)
+    if draw(st.booleans()):
+        targets = rng.permutation(np.concatenate([targets, targets[: N // 2 + 1]]))
+    odd = [np.nan, np.inf, -np.inf]
+    if draw(st.booleans()):
+        points[rng.integers(0, M, 3)] = odd
+    if draw(st.integers(0, 4)) == 0:
+        targets[rng.integers(0, len(targets))] = draw(st.sampled_from(odd))
+    return points[:, None], targets[:, None]
+
+
+@settings(max_examples=400, deadline=None)
+@given(sorted_workloads())
+def test_sorted_matches_the_scan(workload):
+    points, targets = workload
+    # the scan overflows and meets inf - inf on these inputs too
+    with np.errstate(over="ignore", invalid="ignore"):
+        best, flat = _kernels._sorted(points, targets)
+        ref_best, ref_flat = _kernels._scan(points, targets)
+    assert np.array_equal(best, ref_best, equal_nan=True)
+    assert np.array_equal(flat, ref_flat)
+
+
+def test_sorted_scans_only_unsure_queries(monkeypatch):
+    # 0, 1e-9 and 2e-9 are distinct but round alike from -1e8; 1..999 do not
+    targets = np.concatenate([1e-9 * np.arange(3), np.arange(1.0, 1000.0)])[:, None]
+    rng = np.random.default_rng(4)
+    sure = rng.uniform(-5.0, 1005.0, size=(300, 1))
+    sure[:50] = np.round(sure[:50] * 2.0) / 2.0
+    unsure = np.array([[-1e8], [-1e8 - 3.0], [np.nan], [np.inf], [-np.inf]])
+    order = rng.permutation(len(sure) + len(unsure))
+    pts = np.vstack([sure, unsure])[order]
+    scanned = []
+    real_scan = _kernels._scan
+
+    def spy(points, targets):
+        scanned.append(points.copy())
+        return real_scan(points, targets)
+
+    monkeypatch.setattr(_kernels, "_scan", spy)
+    assert_matches_brute_force(grid_min_distance, pts, np.zeros((1, 1)), targets)
+    assert len(scanned) == 1
+    expected = pts[np.sort(np.nonzero(order >= len(sure))[0])]
+    assert np.array_equal(scanned[0], expected, equal_nan=True)
+
+
+def test_no_coordinates_answer_directly(scanned):
+    for fn in SEARCHES:
+        d, idx = fn(np.zeros((5, 0)), np.zeros((3, 0)), np.zeros((4, 0)))
+        assert np.array_equal(d, np.zeros(5))
+        assert np.array_equal(idx, np.zeros(5))
+    assert scanned == []
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])

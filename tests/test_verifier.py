@@ -18,6 +18,7 @@ from torusflow._kernels import min_distance_batch
 from torusflow.cli import main
 from torusflow.errors import ShellStarved, TorusflowError
 from torusflow.flats import (
+    CurveImage,
     Flat,
     GraphPiece,
     ParametricBranch,
@@ -347,14 +348,19 @@ curve_nodes = 4000
 """
 
 
-def refine_per_sample(ev, pts, dists, node_idx):
-    """Reference for the batched refine: one kernel call per rough sample."""
-    spacing = ev.curve_params[1] - ev.curve_params[0]
+def refined_rows(ev, dists):
+    """The rows ``_refine_curve`` refines: the 4096 roughest rough ones."""
     worst = np.nonzero(dists > 0.25 * ev.cfg.tolerance)[0]
     if len(worst) > 4096:
         worst = worst[np.argsort(dists[worst])[-4096:]]
+    return worst
+
+
+def refine_per_sample(ev, pts, dists, node_idx):
+    """Reference for the batched refine: one kernel call per rough sample."""
+    spacing = ev.curve_params[1] - ev.curve_params[0]
     out = dists.copy()
-    for idx in worst:
+    for idx in refined_rows(ev, dists):
         p0 = ev.curve_params[node_idx[idx]]
         local = np.linspace(p0 - spacing, p0 + spacing, 33)
         red, _, _ = ev.lat.reduce_points(ev.comp.base.sample_at(local))
@@ -363,21 +369,59 @@ def refine_per_sample(ev, pts, dists, node_idx):
     return out
 
 
+def curve_case(name):
+    """(evaluator, projected samples, rough distances, nearest nodes) of a
+    curve component on the far samples of its problem: the cylinder's half
+    curve, with 4531 rough rows, 4096 of them refined, at 2 distinct nodes,
+    or dinh_vu's complex curve-plus, with 686 rough rows at 44 distinct nodes.
+    """
+    if name == "half-curve":
+        text = CYLINDER_CURVE.format(hi=0)
+    else:
+        text = open("problems/dinh_vu.tfp").read()
+    spec = parse_problem(text)
+    cfg, lat = spec.sample_config, spec.lattice
+    reduced = np.vstack(
+        [lat.reduce_points(sh.internal)[0]
+         for sh in sample_far_points(spec.variety, cfg, lat)]
+    )
+    ev = ComponentEvaluator(spec.predicted_flow().components[0], lat, cfg)
+    pts = reduced @ ev.proj.T
+    dists, node_idx = min_distance_batch(pts, ev.offsets, ev.nodes)
+    return ev, pts, dists, node_idx
+
+
 class TestCurveBase:
     def test_batched_refine_matches_per_sample_loop(self):
-        spec = parse_problem(CYLINDER_CURVE.format(hi=0))
-        cfg, lat = spec.sample_config, spec.lattice
-        reduced = np.vstack(
-            [lat.reduce_points(sh.internal)[0]
-             for sh in sample_far_points(spec.variety, cfg, lat)]
-        )
-        ev = ComponentEvaluator(spec.predicted_flow().components[0], lat, cfg)
-        pts = reduced @ ev.proj.T
-        dists, node_idx = min_distance_batch(pts, ev.offsets, ev.nodes)
+        ev, pts, dists, node_idx = curve_case("half-curve")
         batched = ev._refine_curve(pts, dists, node_idx)
         reference = refine_per_sample(ev, pts, dists, node_idx)
         assert np.sum(batched < dists) > 1000
-        assert np.allclose(batched, reference, rtol=0.0, atol=1e-12)
+        assert np.array_equal(batched, reference)
+
+    def test_batched_refine_matches_per_sample_loop_on_a_complex_curve(self):
+        ev, pts, dists, node_idx = curve_case("complex-curve")
+        batched = ev._refine_curve(pts, dists, node_idx)
+        reference = refine_per_sample(ev, pts, dists, node_idx)
+        assert np.sum(batched < dists) > 100
+        assert np.array_equal(batched, reference)
+
+    @pytest.mark.parametrize("case", ["half-curve", "complex-curve"])
+    def test_refine_evaluates_one_window_per_distinct_node(self, monkeypatch, case):
+        ev, pts, dists, node_idx = curve_case(case)
+        sizes = []
+        sample_at = CurveImage.sample_at
+
+        def spy(self, params):
+            sizes.append(len(params))
+            return sample_at(self, params)
+
+        monkeypatch.setattr(CurveImage, "sample_at", spy)
+        ev._refine_curve(pts, dists, node_idx)
+        rows = refined_rows(ev, dists)
+        nodes = len(np.unique(node_idx[rows]))
+        assert len(rows) > nodes > 1
+        assert sizes == [33 * nodes]
 
     @pytest.mark.parametrize("hi, code", [(10, 0), (0, 5)])
     def test_whole_curve_passes_half_curve_fails(self, tmp_path, capsys, hi, code):
@@ -690,6 +734,19 @@ class TestRowNorms:
             warnings.simplefilter("error")
             norms = verifier._row_norms(x)
         np.testing.assert_array_equal(norms, _numpy_row_norms(x))
+
+    @pytest.mark.parametrize("q", range(8, 17))
+    def test_layout_does_not_change_bits(self, q):
+        # numpy's own norm sums in an order that follows the memory layout
+        x = np.random.default_rng(q).normal(size=(5000, q))
+        every_other_column = np.zeros((5000, 2 * q))
+        every_other_column[:, ::2] = x
+        every_other_row = np.zeros((10000, q))
+        every_other_row[::2] = x
+        expected = _numpy_row_norms(x)
+        for same in (np.asfortranarray(x), every_other_column[:, ::2],
+                     every_other_row[::2]):
+            np.testing.assert_array_equal(verifier._row_norms(same), expected)
 
     @pytest.mark.parametrize("q", range(17))
     def test_comparable_entries_match_numpy(self, q):
