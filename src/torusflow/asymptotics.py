@@ -33,7 +33,6 @@ from .flats import (
     embed_exact_vector,
 )
 from .lattice import Subspace, j_stable_closure
-from .numberfield import _pdivmod
 
 Rat = Fraction
 
@@ -64,22 +63,6 @@ class ExpansionAtInfinity:
         return None
 
 
-def _tpoly_to_dense(poly: TPoly, s: int):
-    """Integer-exponent dense coefficient list after u = t^(1/s), plus shift."""
-    if poly.is_zero():
-        return [], 0
-    exps = [e * s for e in poly.terms]
-    for e in exps:
-        if e.denominator != 1:
-            raise TorusflowError("exponent substitution failed")
-    shift = min(0, min(int(e) for e in exps))
-    degree = max(int(e) for e in exps) - shift
-    coeffs = [poly.field.zero] * (degree + 1)
-    for e, c in poly.terms.items():
-        coeffs[int(e * s) - shift] = c
-    return coeffs, shift
-
-
 def _abs_upper(x):
     return x.enclosure(Rat(1, 1 << 20)).abs_upper()
 
@@ -97,35 +80,51 @@ def _abs_lower(x):
     raise TorusflowError("could not bound a coefficient away from zero")
 
 
-def _coordinate_expansion(num: TPoly, den: TPoly, s: int, field):
-    """Expansion data for one coordinate: terms dict plus remainder bound."""
-    ncoeffs, nshift = _tpoly_to_dense(num, s)
-    dcoeffs, dshift = _tpoly_to_dense(den, s)
-    if not dcoeffs:
-        raise TorusflowError("branch denominator is identically zero")
-    # multiply both by u^k to clear the relative shift
-    rel = nshift - dshift
-    if rel > 0:
-        ncoeffs = [field.zero] * rel + ncoeffs
-    elif rel < 0:
-        dcoeffs = [field.zero] * (-rel) + dcoeffs
-    quot, rem = _pdivmod(ncoeffs, dcoeffs)
+def _coordinate_expansion(num: TPoly, den: TPoly, s: int):
+    """Expansion data for one coordinate: terms dict plus remainder bound.
+
+    Long division at infinity on the terms, keyed by the integer exponent
+    k = s * e of u = t^(1/s).  Each step, from the numerator's top exponent
+    down to the denominator's top exponent ``top``, pops the remainder's top
+    term, which cancels exactly, and subtracts its quotient term times the
+    denominator's lower terms.  The bound is the one for the polynomials in u
+    of num and den times u^(-low), low = min(0, every k of num and den).
+    """
+
+    def in_u(poly):
+        return {e.numerator * (s // e.denominator): c for e, c in poly.terms.items()}
+
+    rem, lower = in_u(num), in_u(den)
+    low = min(0, *rem, *lower)
+    top = max(lower)
+    lead = lower.pop(top)
+    inv_lead = lead.inverse()
+    zero = den.field.zero
     terms = {}
-    for k, c in enumerate(quot):
-        if c:
-            terms[Rat(k, s)] = c
+    for k in range(max(rem, default=top), top - 1, -1):
+        if k in rem:
+            c = rem.pop(k) * inv_lead
+            terms[Rat(k - top, s)] = c
+            for kd, cd in lower.items():
+                j = k - top + kd
+                r = rem.get(j, zero) - c * cd
+                if r.is_zero():
+                    del rem[j]
+                else:
+                    rem[j] = r
     if not rem:
         return terms, RemainderBound(Rat(0), None, Rat(1))
-    m = len(dcoeffs) - 1
-    r = len(rem) - 1
-    lead_lower = _abs_lower(dcoeffs[-1])
+    # each bound may refine the field's shared root enclosure, which the
+    # next bound then reads: take them in ascending order of exponent, so
+    # the values do not depend on the order of the dict's insertions
+    lead_lower = _abs_lower(lead)
     cauchy = Rat(1) + max(
-        (_abs_upper(c) for c in dcoeffs[:-1] if not c.is_zero()), default=Rat(0)
+        (_abs_upper(lower[k]) for k in sorted(lower)), default=Rat(0)
     ) / lead_lower
     u0 = max(Rat(1), 2 * cauchy)
-    rem_norm = sum((_abs_upper(c) for c in rem), Rat(0))
-    C = (Rat(2) ** m) * rem_norm / lead_lower
-    q = Rat(m - r, s)
+    rem_norm = sum((_abs_upper(rem[k]) for k in sorted(rem)), Rat(0))
+    C = (Rat(2) ** (top - low)) * rem_norm / lead_lower
+    q = Rat(top - max(rem), s)
     t0 = u0**s
     return terms, RemainderBound(C, q, t0)
 
@@ -144,7 +143,7 @@ def expand_at_infinity(branch: ParametricBranch) -> ExpansionAtInfinity:
     bound_q = None
     bound_t0 = Rat(1)
     for j, (numer, denom) in enumerate(branch.coords):
-        terms, rb = _coordinate_expansion(numer, denom, s, field)
+        terms, rb = _coordinate_expansion(numer, denom, s)
         for e, c in terms.items():
             vec = vector_terms.setdefault(e, [field.zero] * n)
             vec[j] = c
@@ -152,12 +151,8 @@ def expand_at_infinity(branch: ParametricBranch) -> ExpansionAtInfinity:
             bound_C += rb.C
             bound_q = rb.q if bound_q is None else min(bound_q, rb.q)
             bound_t0 = max(bound_t0, rb.t0)
-    term_list = sorted(vector_terms.items(), key=lambda kv: kv[0], reverse=True)
-    term_list = [
-        (e, v) for e, v in term_list if any(not c.is_zero() for c in v)
-    ]
     return ExpansionAtInfinity(
-        terms=term_list,
+        terms=sorted(vector_terms.items(), key=lambda kv: kv[0], reverse=True),
         remainder=RemainderBound(bound_C, bound_q, bound_t0),
     )
 

@@ -221,16 +221,6 @@ def eval_scalar(node, field: NumberField):
 # ---------------------------------------------------------------------------
 
 
-class _Pair:
-    """num/den pair of TPoly; closed under field operations."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den):
-        self.num = num
-        self.den = den
-
-
 def eval_branch_coord(node, field: NumberField):
     """Evaluate to a (numerator, denominator) TPoly pair."""
     one = TPoly.constant(field, field.one)
@@ -238,47 +228,46 @@ def eval_branch_coord(node, field: NumberField):
     def walk(nd):
         kind = nd[0]
         if kind == "num":
-            return _Pair(TPoly.constant(field, field.rational(nd[1])), one)
+            return TPoly.constant(field, field.rational(nd[1])), one
         if kind == "name":
             if nd[1] == "t":
-                return _Pair(TPoly.variable(field), one)
-            return _Pair(TPoly.constant(field, eval_scalar(nd, field)), one)
+                return TPoly.variable(field), one
+            return TPoly.constant(field, eval_scalar(nd, field)), one
         if kind == "neg":
-            p = walk(nd[1])
-            return _Pair(-p.num, p.den)
+            num, den = walk(nd[1])
+            return -num, den
         if kind in "+-*/":
-            a, b = walk(nd[1]), walk(nd[2])
+            (an, ad), (bn, bd) = walk(nd[1]), walk(nd[2])
             if kind == "+":
-                return _Pair(a.num * b.den + b.num * a.den, a.den * b.den)
+                return an * bd + bn * ad, ad * bd
             if kind == "-":
-                return _Pair(a.num * b.den - b.num * a.den, a.den * b.den)
+                return an * bd - bn * ad, ad * bd
             if kind == "*":
-                return _Pair(a.num * b.num, a.den * b.den)
-            if b.num.is_zero():
+                return an * bn, ad * bd
+            if bn.is_zero():
                 raise SpecFileError("division by zero in branch coordinate")
-            return _Pair(a.num * b.den, a.den * b.num)
+            return an * bd, ad * bn
         if kind == "^":
             expo = _const_rational(nd[2])
-            base = walk(nd[1])
+            num, den = walk(nd[1])
             if expo.denominator == 1:
                 k = int(expo)
-                num, den = (base.num, base.den) if k >= 0 else (base.den, base.num)
-                return _Pair(
+                if k < 0:
+                    num, den = den, num
+                return (
                     _power(num, abs(k), one, _poly_in_float_range),
                     _power(den, abs(k), one, _poly_in_float_range),
                 )
             # fractional powers only on a bare monomial in t
-            if len(base.den.terms) == 1 and len(base.num.terms) == 1:
-                (en, cn), = base.num.terms.items()
-                (ed, cd), = base.den.terms.items()
+            if len(den.terms) == 1 and len(num.terms) == 1:
+                (en, cn), = num.terms.items()
+                (ed, cd), = den.terms.items()
                 coeff = cn / cd
                 if not (coeff == field.one):
                     raise SpecFileError(
                         "fractional powers allowed only on plain powers of t"
                     )
-                return _Pair(
-                    TPoly(field, {(en - ed) * expo: field.one}), one
-                )
+                return TPoly(field, {(en - ed) * expo: field.one}), one
             raise SpecFileError(
                 "fractional powers allowed only on plain powers of t"
             )
@@ -288,8 +277,8 @@ def eval_branch_coord(node, field: NumberField):
             )
         raise SpecFileError("malformed branch expression")
 
-    pair = walk(node)
-    return _poly_in_float_range(pair.num), _poly_in_float_range(pair.den)
+    num, den = walk(node)
+    return _poly_in_float_range(num), _poly_in_float_range(den)
 
 
 # ---------------------------------------------------------------------------

@@ -289,16 +289,9 @@ class ParametricBranch:
 
     def __init__(self, coords, field: NumberField, rays=None):
         self.field = field
-        self.coords = []
-        for pair in coords:
-            num, den = pair
-            if not isinstance(num, TPoly):
-                num = TPoly(field, num)
-            if not isinstance(den, TPoly):
-                den = TPoly(field, den)
-            if den.is_zero():
-                raise TorusflowError("branch denominator is identically zero")
-            self.coords.append((num, den))
+        self.coords = list(coords)
+        if any(den.is_zero() for _, den in self.coords):
+            raise TorusflowError("branch denominator is identically zero")
         # every exponent becomes an integer after u = t^(1/s)
         self.exponent_denominator = math.lcm(
             *(poly.exponent_denominator() for pair in self.coords for poly in pair)

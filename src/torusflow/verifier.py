@@ -39,6 +39,13 @@ MAX_DRAWS = 1_000_000
 # the lattice basis norms must sum to less than this (see SampleConfig.validate)
 MAX_BASIS_NORM_SUM = 2.0**22
 
+# the translates of Lambda a distance is measured against: coefficients in
+# [-TRANSLATE_RANGE, TRANSLATE_RANGE] on each basis vector.  This is a box, not
+# a proven radius: on a skewed basis the nearest translate can lie outside it,
+# which gives hyperbola on the basis (13, 8), (8, 5) a false containment FAIL
+# (ROADMAP item 3) until item 18's closest-vector search replaces the box
+TRANSLATE_RANGE = 4
+
 
 def _int_in(value, lo, hi):
     return (
@@ -248,9 +255,8 @@ def _affine_frame(piece, lat):
     # orthonormal rows spanning the rest of the directions
     proj_in = inside.float_projector()
     rest = dirs.float_basis() - dirs.float_basis() @ proj_in.T
-    _, s, vt = np.linalg.svd(rest) if len(rest) else (None, [], None)
-    rank = int(np.sum(np.asarray(s) > 1e-10))
-    out_f = vt[:rank] if rank else np.zeros((0, dirs.ambient_dim))
+    rank = dirs.dim - inside.dim
+    out_f = np.linalg.svd(rest)[2][:rank] if rank else np.zeros((0, dirs.ambient_dim))
     din = len(in_f)
     qin = np.linalg.qr(in_f.T)[0].T[:din] if din else None
     return base, din, qin, out_f
@@ -415,13 +421,12 @@ def sample_far_points(X, cfg: SampleConfig, lat: Lattice):
 # ---------------------------------------------------------------------------
 
 
-def _null_space_rows(basis, n):
-    """Orthonormal rows spanning the complement of the given row span."""
-    if basis is None or len(basis) == 0:
-        return np.eye(n)
-    _, s, vt = np.linalg.svd(np.asarray(basis, dtype=float))
-    rank = int(np.sum(s > 1e-10 * max(1.0, s[0] if len(s) else 1.0)))
-    return vt[rank:]
+def _null_space_rows(basis, rank):
+    """Orthonormal rows spanning the complement of the row span of the
+    (k, n) float array ``basis``, whose exact rank is ``rank``."""
+    if not rank:
+        return np.eye(basis.shape[1])
+    return np.linalg.svd(basis)[2][rank:]
 
 
 class ComponentEvaluator:
@@ -445,6 +450,7 @@ class ComponentEvaluator:
         base = comp.base
 
         dirs = np.zeros((0, n))
+        rank = W.dim
         self.curve_params = None
         if isinstance(base, CurveImage):
             self.curve_params = np.linspace(*base.param_range, cfg.curve_nodes)
@@ -452,10 +458,11 @@ class ComponentEvaluator:
         elif isinstance(base, Flat):
             raw = base.float_base()[None, :]
             dirs = base.directions.float_basis()
+            rank = W.sum(base.directions).dim
         else:
             raw = base.float_points()
         self.nodes_full, _, _ = lat.reduce_points(raw)
-        self.proj = _null_space_rows(np.vstack([w_basis, dirs]), n)
+        self.proj = _null_space_rows(np.vstack([w_basis, dirs]), rank)
         self.frame = np.linalg.qr(dirs.T)[0] if len(dirs) else None
         self.cumlen = None
         if self.curve_params is not None:
@@ -463,9 +470,7 @@ class ComponentEvaluator:
             self.cumlen = np.concatenate([[0.0], np.cumsum(seg)])
 
         self.nodes = self.nodes_full @ self.proj.T
-        window_radius = 2.0 * self._cell_diameter() + cfg.tolerance + 1.0
-        coeff_range = self._translate_range(window_radius)
-        offsets_full = lat.translates(coeff_range)
+        offsets_full = lat.translates(TRANSLATE_RANGE)
         offs = offsets_full @ self.proj.T
         # the first translate of each distinct projection, in their order;
         # with no columns every row is the same empty row
@@ -481,19 +486,6 @@ class ComponentEvaluator:
             self.torus_solve = comp.torus.torus_coordinate_matrix(lat)
         else:
             self.torus_solve = None
-
-    def _cell_diameter(self):
-        B = self.lat.float_basis()
-        if not len(B):
-            return 1.0
-        return float(np.sum(_row_norms(B)))
-
-    def _translate_range(self, radius):
-        B = self.lat.float_basis()
-        if not len(B):
-            return 0
-        shortest = float(np.min(_row_norms(B)))
-        return min(4, max(1, int(math.ceil(radius / max(shortest, 1e-9)))))
 
     def distances(self, reduced):
         """Distance from each reduced sample to C + W + Lambda (windowed).

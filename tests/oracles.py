@@ -7,13 +7,16 @@ check integer kernels, ``solve`` is the RREF solver with which ``in_span``
 decides span membership and ``project_onto_complement`` projects by a Gram
 system, ``annihilator_closure`` finds Lambda cap W from a Fraction RREF of
 the rational forms vanishing on V, ``to_logical`` inverts the samplers'
-``to_internal``, ``remainder_bound`` evaluates an expansion's certified
-tail bound C * t^(-q), ``FractionArithmetic`` does field arithmetic on
-Fraction coordinates by polynomial division, ``FractionInterval`` and
-``FractionBox`` with the functions after them do the certified-root box
-arithmetic on Fraction endpoints, ``stacked_hit_counts`` counts coverage
-hits from one 2-D cell table, and ``serialize`` writes a parsed problem
-back as text for the parse -> serialize -> parse round trip.
+``to_internal``, ``branch`` builds a branch from exponent dicts,
+``dense_expansion`` expands it at infinity by dense long division, the
+reference for ``expand_at_infinity``, ``remainder_bound`` evaluates an
+expansion's certified tail bound C * t^(-q), ``FractionArithmetic`` does
+field arithmetic on Fraction coordinates by polynomial division,
+``FractionInterval`` and ``FractionBox`` with the functions after them do
+the certified-root box arithmetic on Fraction endpoints,
+``stacked_hit_counts`` counts coverage hits from one 2-D cell table, and
+``serialize`` writes a parsed problem back as text for the parse ->
+serialize -> parse round trip.
 """
 
 import math
@@ -24,6 +27,8 @@ import numpy as np
 
 from torusflow import exactlinalg as xl
 from torusflow._kernels import min_distance_batch
+from torusflow.asymptotics import _abs_lower, _abs_upper
+from torusflow.flats import ParametricBranch, TPoly
 from torusflow.lattice import hermite_normal_form, int_kernel_basis, torus_closure
 from torusflow.numberfield import (
     _padd,
@@ -167,8 +172,64 @@ def to_logical(points, mode):
 
 
 # ---------------------------------------------------------------------------
-# Field arithmetic on Fraction coordinates
+# Branch expansions at infinity
 # ---------------------------------------------------------------------------
+
+
+def branch(coords, field, rays=None):
+    """A ParametricBranch whose coordinates are (numerator, denominator)
+    pairs of {exponent: coefficient} dicts."""
+    pairs = [(TPoly(field, num), TPoly(field, den)) for num, den in coords]
+    return ParametricBranch(pairs, field, rays=rays)
+
+
+def _tpoly_to_dense(poly, s):
+    """Integer-exponent dense coefficient list after u = t^(1/s), plus shift."""
+    if poly.is_zero():
+        return [], 0
+    exps = [int(e * s) for e in poly.terms]
+    shift = min(0, *exps)
+    coeffs = [poly.field.zero] * (max(exps) - shift + 1)
+    for e, c in poly.terms.items():
+        coeffs[int(e * s) - shift] = c
+    return coeffs, shift
+
+
+def dense_expansion(branch):
+    """``expand_at_infinity(branch)``'s terms and its remainder's (C, q, t0),
+    by dense long division: each coordinate's numerator and denominator
+    become coefficient lists in u = t^(1/s), the one with the larger shift
+    is padded with zeros below to the other's, and ``_pdivmod`` divides.
+    The bound's coefficients are enclosed in the same order as in
+    ``expand_at_infinity``, so on a fresh field they give the same values."""
+    field, s = branch.field, branch.exponent_denominator
+    n = len(branch.coords)
+    vector_terms, C, q, t0 = {}, Fraction(0), None, Fraction(1)
+    for j, (num, den) in enumerate(branch.coords):
+        ncoeffs, nshift = _tpoly_to_dense(num, s)
+        dcoeffs, dshift = _tpoly_to_dense(den, s)
+        rel = nshift - dshift
+        if rel > 0:
+            ncoeffs = [field.zero] * rel + ncoeffs
+        elif rel < 0:
+            dcoeffs = [field.zero] * (-rel) + dcoeffs
+        quot, rem = _pdivmod(ncoeffs, dcoeffs)
+        for k, c in enumerate(quot):
+            if c:
+                vector_terms.setdefault(Fraction(k, s), [field.zero] * n)[j] = c
+        if rem:
+            m, r = len(dcoeffs) - 1, len(rem) - 1
+            lead_lower = _abs_lower(dcoeffs[-1])
+            cauchy = 1 + max(
+                (_abs_upper(c) for c in dcoeffs[:-1] if not c.is_zero()),
+                default=Fraction(0),
+            ) / lead_lower
+            rem_norm = sum((_abs_upper(c) for c in rem), Fraction(0))
+            C += Fraction(2) ** m * rem_norm / lead_lower
+            q = Fraction(m - r, s) if q is None else min(q, Fraction(m - r, s))
+            t0 = max(t0, max(Fraction(1), 2 * cauchy) ** s)
+    terms = sorted(vector_terms.items(), key=lambda kv: kv[0], reverse=True)
+    return [(e, v) for e, v in terms if any(not c.is_zero() for c in v)], (C, q, t0)
 
 
 def remainder_bound(remainder, t):
@@ -176,6 +237,11 @@ def remainder_bound(remainder, t):
     if remainder.q is None:
         return 0.0
     return float(remainder.C) * float(t) ** (-float(remainder.q))
+
+
+# ---------------------------------------------------------------------------
+# Field arithmetic on Fraction coordinates
+# ---------------------------------------------------------------------------
 
 
 def _pcompose_mod(f, g, m):

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from torusflow.cli import main
-from torusflow.flats import Flat, ParametricBranch, VarietyInput
+from torusflow.flats import Flat, VarietyInput
 from torusflow.flow import REAL_ONLY, check_span_condition, flow_set
 from torusflow.lattice import (
     Lattice,
@@ -26,6 +26,7 @@ from torusflow.numberfield import NumberField, rationals
 from torusflow.specfile import load_problem
 
 from oracles import (
+    branch,
     int_det,
     is_saturated,
     orbit_coverage,
@@ -247,16 +248,13 @@ def test_criterion_7_dimension_clause(capsys):
     Ki = NumberField([1, 0, 1], root_box=((F(-1, 2), F(1, 2)), (F(1, 2), 2)))
     Ki.declare_complex_structure([0, 1], [0, -1])
 
-    def br(coords, field):
-        return ParametricBranch(coords, field)
-
     battery = []
     battery.append(
         (
             VarietyInput(
                 [
-                    br([({1: 1}, {0: 1}), ({-1: 1}, {0: 1})], QQ),
-                    br([({-1: 1}, {0: 1}), ({1: 1}, {0: 1})], QQ),
+                    branch([({1: 1}, {0: 1}), ({-1: 1}, {0: 1})], QQ),
+                    branch([({-1: 1}, {0: 1}), ({1: 1}, {0: 1})], QQ),
                 ],
                 2, "real", 1, QQ,
             ),
@@ -266,7 +264,7 @@ def test_criterion_7_dimension_clause(capsys):
     battery.append(
         (
             VarietyInput(
-                [br([({1: 1}, {0: 1}), ({2: 1}, {0: 1})], QQ)], 2, "real", 1, QQ
+                [branch([({1: 1}, {0: 1}), ({2: 1}, {0: 1})], QQ)], 2, "real", 1, QQ
             ),
             Lattice(2, [[1, 0]], QQ),
         )
@@ -283,7 +281,7 @@ def test_criterion_7_dimension_clause(capsys):
     battery.append(
         (
             VarietyInput(
-                [br([({1: 1}, {0: 1}), ({1: K.gen}, {0: 1})], K)], 2, "real", 1, K
+                [branch([({1: 1}, {0: 1}), ({1: K.gen}, {0: 1})], K)], 2, "real", 1, K
             ),
             Lattice(2, [[1, 0], [0, 1]], K),
         )

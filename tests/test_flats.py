@@ -9,7 +9,6 @@ from torusflow.asymptotics import branch_asymptotic_flats, variety_asymptotic_fl
 from torusflow.errors import TorusflowError
 from torusflow.flats import (
     Flat,
-    ParametricBranch,
     PointSet,
     TPoly,
     VarietyInput,
@@ -19,7 +18,7 @@ from torusflow.flats import (
 from torusflow.lattice import Subspace
 from torusflow.numberfield import AlgebraicNumber, NumberField, rationals
 
-from oracles import to_logical
+from oracles import branch, to_logical
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +113,7 @@ class TestFamilies:
 
     def test_singleton(self, QQ):
         # a branch flat becomes one pair: its base point and its directions
-        b = ParametricBranch([({1: 1}, {0: 1}), ({0: 3, -1: 1}, {0: 1})], QQ)
+        b = branch([({1: 1}, {0: 1}), ({0: 3, -1: 1}, {0: 1})], QQ)
         X = VarietyInput([b], 2, "real", 1, QQ)
         L = Subspace(2, [[1, 0], [0, 1]], QQ)
         [line] = branch_asymptotic_flats(b, L, "real", False)
@@ -124,8 +123,8 @@ class TestFamilies:
 
     def test_dedup(self, QQ):
         # (t, 5 + 1/t) and (2t, 5) approach the same line y = 5
-        a = ParametricBranch([({1: 1}, {0: 1}), ({0: 5, -1: 1}, {0: 1})], QQ)
-        b = ParametricBranch([({1: 2}, {0: 1}), ({0: 5}, {0: 1})], QQ)
+        a = branch([({1: 1}, {0: 1}), ({0: 5, -1: 1}, {0: 1})], QQ)
+        b = branch([({1: 2}, {0: 1}), ({0: 5}, {0: 1})], QQ)
         X = VarietyInput([a, b], 2, "real", 1, QQ)
         fams = variety_asymptotic_flats(X, Subspace(2, [[1, 0], [0, 1]], QQ))
         assert len(fams) == 1
@@ -203,17 +202,17 @@ class TestTPoly:
 
 class TestVarietyInput:
     def test_branch_evaluate(self, QQ):
-        b = ParametricBranch([({1: 1}, {0: 1}), ({-1: 1}, {0: 1})], QQ)
+        b = branch([({1: 1}, {0: 1}), ({-1: 1}, {0: 1})], QQ)
         pts = b.evaluate(np.array([2.0, 4.0]))
         assert np.allclose(pts, [[2.0, 0.5], [4.0, 0.25]])
 
     def test_zero_denominator_rejected(self, QQ):
         with pytest.raises(TorusflowError):
-            ParametricBranch([({1: 1}, {})], QQ)
+            branch([({1: 1}, {})], QQ)
 
     def test_ray_needs_integer_exponents(self, QQ):
         with pytest.raises(TorusflowError):
-            ParametricBranch(
+            branch(
                 [({F(3, 2): 1}, {0: 1})], QQ, rays=[QQ.rational(1)]
             )
 

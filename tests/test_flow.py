@@ -9,7 +9,6 @@ from torusflow.asymptotics import variety_asymptotic_flats
 from torusflow.flats import (
     Flat,
     GraphPiece,
-    ParametricBranch,
     PointSet,
     VarietyInput,
 )
@@ -24,6 +23,8 @@ from torusflow.flow import (
 from torusflow.lattice import Lattice, Subspace
 from torusflow.numberfield import NumberField, rationals
 from torusflow.specfile import parse_problem
+
+from oracles import branch
 
 
 @pytest.fixture(scope="module")
@@ -43,15 +44,11 @@ def Ki():
     return K
 
 
-def br(coords, field):
-    return ParametricBranch(coords, field)
-
-
 def hyperbola(field):
     return VarietyInput(
         [
-            br([({1: 1}, {0: 1}), ({-1: 1}, {0: 1})], field),
-            br([({-1: 1}, {0: 1}), ({1: 1}, {0: 1})], field),
+            branch([({1: 1}, {0: 1}), ({-1: 1}, {0: 1})], field),
+            branch([({-1: 1}, {0: 1}), ({1: 1}, {0: 1})], field),
         ],
         2,
         "real",
@@ -100,7 +97,7 @@ class TestFlowSet:
 
     def test_parabola_empty(self, QQ):
         X = VarietyInput(
-            [br([({1: 1}, {0: 1}), ({2: 1}, {0: 1})], QQ)], 2, "real", 1, QQ
+            [branch([({1: 1}, {0: 1}), ({2: 1}, {0: 1})], QQ)], 2, "real", 1, QQ
         )
         lat = Lattice(2, [[1, 0]], QQ)
         fd = flow_set(X, lat)
@@ -139,7 +136,7 @@ class TestFlowSet:
 
     def test_irrational_direction_upgrades_torus(self, K):
         X = VarietyInput(
-            [ParametricBranch([({1: 1}, {0: 1}), ({1: K.gen}, {0: 1})], K)],
+            [branch([({1: 1}, {0: 1}), ({1: K.gen}, {0: 1})], K)],
             2,
             "real",
             1,
@@ -218,7 +215,7 @@ class TestFlowSet:
         # the x-axis branch flat is swallowed by the full plane family
         plane = Flat([0, 0], Subspace(2, [[1, 0], [0, 1]], QQ))
         X = VarietyInput(
-            [plane, br([({1: 1}, {0: 1}), ({0: 0, -1: 1}, {0: 1})], QQ)],
+            [plane, branch([({1: 1}, {0: 1}), ({0: 0, -1: 1}, {0: 1})], QQ)],
             2,
             "real",
             2,
@@ -340,7 +337,7 @@ class TestSpanCondition:
 class TestClosureDescription:
     def test_parabola_closed(self, QQ):
         X = VarietyInput(
-            [br([({1: 1}, {0: 1}), ({2: 1}, {0: 1})], QQ)], 2, "real", 1, QQ
+            [branch([({1: 1}, {0: 1}), ({2: 1}, {0: 1})], QQ)], 2, "real", 1, QQ
         )
         lat = Lattice(2, [[1, 0]], QQ)
         rep = closure_description(X, flow_set(X, lat))

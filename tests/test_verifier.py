@@ -21,7 +21,6 @@ from torusflow.flats import (
     CurveImage,
     Flat,
     GraphPiece,
-    ParametricBranch,
     PointSet,
     VarietyInput,
 )
@@ -40,7 +39,7 @@ from torusflow.verifier import (
     shell_stability,
 )
 
-from oracles import orbit_coverage, stacked_hit_counts, subspace_orbit
+from oracles import branch, orbit_coverage, stacked_hit_counts, subspace_orbit
 
 
 @pytest.fixture(scope="module")
@@ -56,8 +55,8 @@ def K():
 def hyperbola(field):
     return VarietyInput(
         [
-            ParametricBranch([({1: 1}, {0: 1}), ({-1: 1}, {0: 1})], field),
-            ParametricBranch([({-1: 1}, {0: 1}), ({1: 1}, {0: 1})], field),
+            branch([({1: 1}, {0: 1}), ({-1: 1}, {0: 1})], field),
+            branch([({-1: 1}, {0: 1}), ({1: 1}, {0: 1})], field),
         ],
         2,
         "real",
@@ -93,7 +92,7 @@ class TestSampling:
     def test_parabola_scaling(self, QQ):
         # points (t, t^2) with norm >= R have |t| >= ~sqrt(R)
         X = VarietyInput(
-            [ParametricBranch([({1: 1}, {0: 1}), ({2: 1}, {0: 1})], QQ)],
+            [branch([({1: 1}, {0: 1}), ({2: 1}, {0: 1})], QQ)],
             2, "real", 1, QQ,
         )
         cfg = SampleConfig(radius_min=1000, count=100, seed=0, shells=1)
@@ -102,7 +101,7 @@ class TestSampling:
         assert np.all(np.abs(ts) >= 0.9 * np.sqrt(1000))
 
     def test_bounded_piece_starves(self, QQ):
-        bounded = ParametricBranch(
+        bounded = branch(
             [({-1: 1}, {0: 1}), ({-2: 1}, {0: 1})], QQ
         )
         X = VarietyInput([bounded], 2, "real", 1, QQ)
@@ -175,7 +174,7 @@ class TestContainment:
 
     def test_parabola_vacuous_pass(self, QQ):
         X = VarietyInput(
-            [ParametricBranch([({1: 1}, {0: 1}), ({2: 1}, {0: 1})], QQ)],
+            [branch([({1: 1}, {0: 1}), ({2: 1}, {0: 1})], QQ)],
             2, "real", 1, QQ,
         )
         lat = Lattice(2, [[1, 0]], QQ)
@@ -304,7 +303,7 @@ class TestReportDeterminism:
         lat = Lattice(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], K)
         X = VarietyInput(
             [
-                ParametricBranch(
+                branch(
                     [({1: 1}, {0: 1}), ({1: 1}, {0: 1}), ({1: K.gen}, {0: 1})], K
                 )
             ],
@@ -483,7 +482,7 @@ def sample_per_index(X, cfg, lat):
 
 
 def _branch(QQ, coords, rays=None):
-    return ParametricBranch(
+    return branch(
         [({e: Fraction(c)}, {0: 1}) for e, c in coords], QQ, rays=rays
     )
 
@@ -661,6 +660,61 @@ class TestAffineFrame:
         sample_far_points(X, cfg, lat)
         # one draw per shell and piece: affine draws all land outside the ball
         assert calls == [p.directions for p in X.pieces]
+
+
+NEAR_PARALLEL = """schema = 1
+[field]
+min_poly = x
+[space]
+mode = real
+ambient_dim = 3
+declared_dim = 2
+[lattice]
+row = (0, 0, 1)
+[variety]
+affine = point (0, 0, 0) dirs (1, 0, 0) (0, 1, 0)
+[flow]
+component = base affine point (0, 0, 0) dirs (1, 10^-12, 0) ; span r(1, 0, 0)
+"""
+
+
+class TestExactRanks:
+    def test_projection_keeps_a_near_parallel_direction(self):
+        # W + D is exactly the xy-plane, though its float rows are 1e-12
+        # from parallel; distances are measured along z alone
+        spec = parse_problem(NEAR_PARALLEL)
+        lat = spec.lattice
+        [comp] = spec.predicted_flow().components
+        ev = ComponentEvaluator(comp, lat, spec.sample_config)
+        reduced, _, _ = lat.reduce_points(np.array([[0.0, 5.0, 0.3], [3.0, -2.0, 0.0]]))
+        assert np.allclose(ev.distances(reduced)[0], [0.3, 0.0], rtol=0.0, atol=1e-12)
+
+    def test_affine_frame_rows_match_the_plane(self, QQ):
+        # inside the lattice span lies one of the plane's two directions; a
+        # float rank of the rest sees the rounding left by the long lattice
+        # vector as a second direction
+        piece = Flat([0, 0, 0], Subspace(3, [[1, 0, 10**6], [0, 1, 0]], QQ))
+        lat = Lattice(3, [[1, 0, 10**6], [0, 0, 1]], QQ)
+        _, din, _, out_f = verifier._affine_frame(piece, lat)
+        assert (din, len(out_f)) == (1, 1)
+
+
+def test_long_rank_one_vector_matches_brute_force(QQ):
+    # |b| = 5 > 1 + tolerance: the translates still hold every nearest one
+    lat = Lattice(2, [[3, 4]], QQ)
+    pts = [[0, 0], [1, 2]]
+    comps = [(PointSet(pts, QQ), Subspace(2, [], QQ), "points")]
+    fd = predicted_flow(comps, lat, "real")
+    cfg = SampleConfig()
+    ev = ComponentEvaluator(fd.components[0], lat, cfg)
+    rng = np.random.default_rng(5)
+    raw = rng.uniform(-50.0, 50.0, size=(500, 2))
+    reduced, _, _ = lat.reduce_points(raw)
+    b = np.array([3.0, 4.0])
+    k = np.arange(-20, 21)[:, None, None]
+    targets = (np.array(pts, dtype=float)[None] + k * b).reshape(-1, 2)
+    brute = np.linalg.norm(reduced[:, None, :] - targets[None], axis=2).min(axis=1)
+    assert np.allclose(ev.distances(reduced)[0], brute, rtol=0.0, atol=1e-12)
 
 
 def _cell_rows(d):
