@@ -5,7 +5,8 @@ target cloud {offset + node} (projected lattice translates plus base-set
 nodes).  Four exact searches share one arithmetic:
 
 * a direct-difference scan over every target, in blocks of whole offsets
-  and of queries;
+  and of queries, or target by target for at most _NARROW_TARGETS finite
+  targets, where a strictly nearer target replaces the best;
 * a uniform-grid index (Bentley, Stanat and Williams, "The complexity of
   finding fixed-radius near neighbors", IPL 1977): the targets are bucketed
   into cells of side h and each query looks only at the 3^q cells around
@@ -79,6 +80,8 @@ GRID_MIN_TARGETS = 16
 GRID_MAX_DIM = 3
 # (query, target) pairs held in memory at once, about 8 MB per float array
 _CHUNK_PAIRS = 1 << 20
+# a scan of at most this many targets goes target by target
+_NARROW_TARGETS = 8
 # targets a scan builds at once: whole offsets, this many unless one
 # offset's nodes alone are more
 _BLOCK_TARGETS = 1 << 13
@@ -91,30 +94,54 @@ def backend_name() -> str:
     return "numpy"
 
 
-@np.errstate(invalid="ignore")
-def min_distance_local(points, offsets, nodes):
+def min_distance_local(points, offsets, nodes, node_of=None, offset_of=None):
     """Per point i, min over t and j of |points[i] - offsets[t] - nodes[i, j]|.
 
     points:  (K, q) float64
-    offsets: (T, q) float64
-    nodes:   (K, L, q) float64, each point's own nodes
+    offsets: (T, q) float64, shared by every point; (K, T, q), each point's
+             own; or, with offset_of, (G, T, q) distinct translate lists,
+             point i taking list offset_of[i]
+    nodes:   (K, L, q) float64, each point's own nodes; (L, q), shared by
+             every point; or, with node_of, (W, L, q) distinct node windows,
+             point i taking window node_of[i], so that points sharing a
+             window share one copy
 
     Returns the (K,) distances, rounded as ``min_distance_batch`` rounds them.
     """
+    return nearest_local(points, offsets, nodes, node_of, offset_of)[0]
+
+
+@np.errstate(invalid="ignore")
+def nearest_local(points, offsets, nodes, node_of=None, offset_of=None):
+    """(dists, node_index): ``min_distance_local``'s distances, and the index
+    j of the node achieving each, the lowest flat (t, j) index on ties, as
+    ``min_distance_batch`` breaks them."""
     points = np.asarray(points, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
     nodes = np.asarray(nodes, dtype=float)
     K = len(points)
-    T, L = len(offsets), nodes.shape[1] if nodes.ndim == 3 else 0
+    T, L = offsets.shape[-2], nodes.shape[-2]
     if T == 0 or L == 0:
-        return np.full(K, np.inf)
-    out = np.empty(K)
+        return np.full(K, np.inf), np.zeros(K, dtype=np.intp)
+    best = np.empty(K)
+    flat = np.empty(K, dtype=np.intp)
     step = max(1, _CHUNK_PAIRS // (T * L))
     for i in range(0, K, step):
-        targets = offsets[None, :, None, :] + nodes[i : i + step, None, :, :]
+        if offset_of is not None:
+            offs = np.take(offsets, offset_of[i : i + step], axis=0)
+        else:
+            offs = offsets[None] if offsets.ndim == 2 else offsets[i : i + step]
+        if node_of is not None:
+            own = np.take(nodes, node_of[i : i + step], axis=0)
+        else:
+            own = nodes[None] if nodes.ndim == 2 else nodes[i : i + step]
+        targets = offs[:, :, None, :] + own[:, None, :, :]
         d2 = _sq_dist(points[i : i + step, None, None, :], targets)
-        out[i : i + step] = d2.reshape(len(d2), -1).min(axis=1)
-    return np.sqrt(out)
+        d2 = d2.reshape(len(d2), -1)
+        idx = np.argmin(d2, axis=1)
+        flat[i : i + step] = idx
+        best[i : i + step] = d2[np.arange(len(idx)), idx]
+    return np.sqrt(best), flat % L
 
 
 @np.errstate(invalid="ignore")
@@ -188,6 +215,19 @@ def _sq_dist(a, b):
 def _scan(points, targets):
     """(squared distance, flat target index) of each point's nearest target."""
     M = len(points)
+    if (len(targets) <= _NARROW_TARGETS and np.isfinite(points).all()
+            and np.isfinite(targets).all()):
+        # a few targets one whole column at a time: numpy takes an argmin
+        # along a short axis one row at a time.  With every value finite no
+        # distance is NaN, so a later target replaces the best only when
+        # strictly nearer, and ties keep the lowest index, as argmin does.
+        best = _sq_dist(points, targets[0])
+        flat = np.zeros(M, dtype=np.intp)
+        for t in range(1, len(targets)):
+            d2 = _sq_dist(points, targets[t])
+            flat[d2 < best] = t
+            np.minimum(best, d2, out=best)
+        return best, flat
     best = np.empty(M)
     flat = np.empty(M, dtype=np.intp)
     step = max(1, _CHUNK_PAIRS // len(targets))

@@ -5,8 +5,10 @@ Exit codes:
     2  problem file or sample settings failed to parse or validate
     3  symbolic analysis unsupported for this input (graph pieces, or a
        complex branch without rays under the real statement)
-    4  internal invariant violation (a bug), or an input the exact
-       engine cannot handle yet
+    4  internal invariant violation (a bug), an input the exact engine
+       cannot handle yet, or a containment search needing more than
+       verifier.MAX_TRANSLATES candidate translates (or 16 times as many
+       enumerated lattice points)
     5  verification failed (report still written)
     6  a sampling shell starved (the variety may be bounded)
 """

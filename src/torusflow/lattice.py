@@ -11,6 +11,8 @@ standard inner product is genuinely positive definite.
 
 from __future__ import annotations
 
+import functools
+import math
 from math import lcm
 
 import numpy as np
@@ -149,14 +151,23 @@ class Subspace:
         """Is v in the subspace?  In RREF the only candidate combination of
         the basis is the sum of v[p_i] * row_i over the pivots p_i.  It
         equals v at the pivots, so only the other columns are compared."""
+        return not any(self.residual(v))
+
+    def residual(self, v):
+        """v minus the sum of v[p_i] * row_i over the pivots p_i, at the
+        other columns, in their order, one entry at a time: zero exactly
+        when v is in the subspace, and linear in v, so vectors are
+        independent modulo the subspace exactly when their residuals are
+        independent."""
         v = [self.field.element(x) for x in v]
-        coeffs = [v[p] for p in self.pivots]
-        return all(
-            sum((c * row[k] for c, row in zip(coeffs, self.basis)), self.field.zero)
-            == v[k]
-            for k in range(self.ambient_dim)
-            if k not in self.pivots
-        )
+        terms = [(v[p], row) for p, row in zip(self.pivots, self.basis) if v[p]]
+        for k in range(self.ambient_dim):
+            if k not in self.pivots:
+                x = v[k]
+                for c, row in terms:
+                    if row[k]:
+                        x = x - c * row[k]
+                yield x
 
     def complement_part(self, x):
         """x minus its orthogonal projection onto the subspace.
@@ -245,8 +256,289 @@ def is_j_stable(space: Subspace) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The lattice
+# Float LLL reduction
 # ---------------------------------------------------------------------------
+
+# the Lovasz constant, and the steps after which a reduction gives up
+_LLL_DELTA = 0.99
+_LLL_MAX_STEPS = 10_000
+
+
+def _gram_schmidt(vecs):
+    """(star, norms): the Gram-Schmidt vectors of independent float rows and
+    their squared norms, by modified Gram-Schmidt."""
+    star, norms = [], []
+    for v in vecs:
+        w = v
+        for s, n in zip(star, norms):
+            w = w - (float(w @ s) / n) * s
+        star.append(w)
+        norms.append(float(w @ w))
+    return star, norms
+
+
+def lll_reduce(rows):
+    """Integer row operations that LLL-reduce float rows, dependent ones too.
+
+    Returns (U, zero): U is a unimodular integer matrix, a list of rows; the
+    first ``zero`` rows of U @ rows are zero to within 2^-30 of the longest
+    input row, and the others are LLL-reduced (Lenstra, Lenstra and Lovasz,
+    Math. Ann. 1982).  A dependent row keeps failing the Lovasz test, so it
+    moves down and is shortened against the rows before it, as in Euclid's
+    algorithm, until it vanishes and leaves the reduction (Pohst's MLLL;
+    Cohen, A Course in Computational Algebraic Number Theory, 2.6.8).  Rows
+    that generate a group that is not discrete never vanish: they shrink
+    until one passes the zero threshold, or the reduction gives up after
+    _LLL_MAX_STEPS steps and returns None.  Only an exact check tells such
+    a row from a true relation (``Lattice.projection``).
+    """
+    rows = np.asarray(rows, dtype=float)
+    longest = max((float(v @ v) for v in rows), default=0.0)
+    tiny = longest * 2.0**-60
+    zero, active = [], []
+    for v, u in zip(rows, _identity(len(rows))):
+        if v @ v <= tiny:
+            zero.append(u)
+        else:
+            active.append((v, u))
+    i = steps = 1
+    while i < len(active):
+        steps += 1
+        if steps > _LLL_MAX_STEPS:
+            return None
+        star, norms = _gram_schmidt([v for v, _ in active[:i]])
+        v, u = active[i]
+        for j in range(i - 1, -1, -1):
+            x = float(v @ star[j]) / norms[j]
+            if not math.isfinite(x):
+                return None
+            c = round(x)
+            if c:
+                vj, uj = active[j]
+                v = v - c * vj
+                u = [a - c * b for a, b in zip(u, uj)]
+        if v @ v <= tiny:
+            zero.append(u)
+            del active[i]
+            continue
+        active[i] = (v, u)
+        proj = [float(v @ s) / n for s, n in zip(star, norms)]
+        rest = float(v @ v) - sum(p * p * n for p, n in zip(proj, norms))
+        if rest < (_LLL_DELTA - proj[-1] ** 2) * norms[-1]:
+            active[i - 1], active[i] = active[i], active[i - 1]
+            i = max(i - 1, 1)
+        else:
+            i += 1
+    return zero + [u for _, u in active], len(zero)
+
+
+@functools.lru_cache(maxsize=None)
+def _neighbour_steps(r):
+    """The rows +-e_i and +-e_i +- e_l, i < l, of an int64 array of width r."""
+    eye = np.eye(r, dtype=np.int64)
+    steps = [eye, -eye]
+    for i in range(r):
+        for l in range(i + 1, r):
+            for s in (1, -1):
+                steps += [(eye[i] + s * eye[l])[None], (-eye[i] - s * eye[l])[None]]
+    steps = np.concatenate(steps)
+    steps.setflags(write=False)
+    return steps
+
+
+class ProjectedLattice:
+    """A discrete projection Lambda' of a lattice, in floats, for the
+    closest-point searches of the verifier (``Lattice.projection``).
+
+    Its basis rows are ``(U @ B) @ proj.T``, for integer rows U over the
+    lattice basis B.  A point's coordinates over that basis are
+    ``pts @ solve``, and their floor its floor-Babai cell (Babai,
+    Combinatorica 1986).  Coordinates carry rounding that grows with a
+    point's size, so each point gets a slack class (``cells``): class j
+    stands for a slack of 2^(j - 20) in coordinates, and class 0 holds every
+    point within about 2^24 shortest Gram-Schmidt lengths of the origin.
+    """
+
+    def __init__(self, U, kernel, B, proj):
+        self.U = np.array(U, dtype=float).reshape(len(U), len(B))
+        self.B, self.proj = B, proj
+        # the lattice vectors sent to 0, LLL-reduced, and the map that rounds
+        # a vector to its nearest combination of them (Babai rounding)
+        self.kernel = np.array(kernel, dtype=float).reshape(len(kernel), len(B))
+        self.lift = np.zeros((B.shape[1], 0))
+        if kernel:
+            # independent rows, so the reduction ends with no zero row
+            found = lll_reduce(self.kernel @ B) if len(kernel) > 1 else None
+            if found is not None:
+                self.kernel = np.asarray(found[0], dtype=float) @ self.kernel
+            short = self.kernel @ B
+            self.lift = short.T @ np.linalg.inv(short @ short.T)
+        basis = (self.U @ B) @ proj.T
+        self.rank = len(basis)
+        self.gram = basis @ basis.T
+        # Gram-Schmidt squares beta and coefficients mu (lower triangle)
+        star, norms = _gram_schmidt(list(basis))
+        self.beta = np.array(norms)
+        self.mu = np.array(
+            [[float(b @ s) / n for s, n in zip(star, norms)] for b in basis]
+        ).reshape(self.rank, self.rank)
+        if self.rank:
+            self.solve = basis.T @ np.linalg.inv(self.gram)
+        else:
+            self.solve = np.zeros((proj.shape[0], 0))
+        # a point's coordinates are at most its largest entry times this
+        shortest = math.sqrt(min(norms)) if self.rank else 1.0
+        self.inv_norm = max(float(np.abs(self.solve).sum(axis=0).max(initial=0.0)),
+                            1.0 / shortest)
+        self._candidates = {}   # slack class -> N
+        self._shifts = {}       # slack class -> N @ U, in lexicographic order
+
+    def cells(self, pts, reach):
+        """(cells, classes) of the rows of ``pts``: their int64 floor-Babai
+        cells, and their slack classes, which grow with a row's largest
+        absolute entry plus ``reach``.  A row that is not finite gets cell 0
+        and class 0."""
+        # np.dot: numpy's matmul is several times slower on a column
+        c = np.dot(pts, self.solve)
+        top = max(-float(pts.min(initial=0.0)), float(pts.max(initial=0.0)))
+        if (top + reach) * self.inv_norm * 2.0**-44 <= 2.0**-20:
+            # every entry is finite: a NaN or inf entry makes top NaN or inf
+            return np.floor(c).astype(np.int64), np.zeros(len(pts), dtype=np.int64)
+        mag = np.zeros(len(pts))
+        finite = np.ones(len(pts), dtype=bool)
+        for k in range(pts.shape[1]):
+            finite &= np.isfinite(pts[:, k])
+            mag = np.fmax(mag, np.abs(pts[:, k]))
+        for k in range(c.shape[1]):
+            finite &= np.isfinite(c[:, k])
+        c = np.where(finite[:, None], np.clip(c, -2.0**62, 2.0**62), 0.0)
+        need = np.where(finite, (mag + reach) * self.inv_norm * 2.0**-44, 0.0)
+        cls = np.zeros(len(pts), dtype=np.int64)
+        big = need > 2.0**-20
+        cls[big] = np.ceil(np.log2(need[big])).astype(np.int64) + 20
+        return np.floor(c).astype(np.int64), cls
+
+    def candidates(self, j, limit):
+        """N for slack class j: the integer vectors m that can be nearest to
+        a u of the box [-1 - d, 1 + d]^r, d = 2^(j - 20), in Lambda'.  A
+        TorusflowError if there are more than ``limit``, or if the first
+        test below passes more than 16 times that.
+
+        Fincke-Pohst (Math. Comp. 1985) from the last coordinate: with the
+        Gram-Schmidt squares beta and coefficients mu of the basis,
+        |(u - m) basis|^2 is the sum over i of beta_i t_i^2, with
+        t_i = (u_i + sum_l mu_li u_l) - (m_i + sum_l mu_li m_l) over l > i.
+        The first bracket lies within w_i = (1 + d)(1 + sum_l |mu_li|) of
+        0 for every u of the box, so the sum of beta_i (|g_i| - w_i)^2 over
+        the g_i = m_i + sum_l mu_li m_l past w_i is at most the squared
+        distance from m to any u.  Every point lies within sqrt(sum beta) / 2
+        of Lambda' (Babai's nearest plane), so m is kept only while that sum
+        stays below the square of this radius, with a margin.
+
+        Then m goes when some m - v, for v = +-e_i or +-e_i +- e_l, is
+        nearer than m by a margin for every u of the box: with G the Gram
+        matrix, |u - m + v|^2 - |u - m|^2 = 2 (u - m) G v + v G v, whose
+        largest value over the box is 2 (1 + d) |G v|_1 - 2 m G v + v G v.
+        A vector nearest to some u, or tied with the nearest, stays.
+        """
+        if j in self._candidates:
+            return self._candidates[j]
+        d = 2.0 ** (j - 20)
+        r, beta, mu = self.rank, self.beta.tolist(), self.mu.tolist()
+        longest = math.sqrt(float(np.diag(self.gram).max(initial=0.0)))
+        radius = 0.5 * math.sqrt(sum(beta)) * (1 + 2.0**-20) + d * longest * r
+        reach2 = radius * radius
+        w = [
+            (1 + d) * (1 + sum(abs(mu[l][i]) for l in range(i + 1, r))) * (1 + 2.0**-20)
+            for i in range(r)
+        ]
+        found, m, budget = [], [0] * r, [16 * limit]
+
+        def walk(i, acc):
+            s = sum(mu[l][i] * m[l] for l in range(i + 1, r))
+            reach = w[i] + math.sqrt(max(reach2 - acc, 0.0) / beta[i])
+            for mi in range(math.ceil(-s - reach), math.floor(-s + reach) + 1):
+                budget[0] -= 1
+                if budget[0] < 0:
+                    raise TorusflowError(
+                        "the containment search would enumerate more than "
+                        f"{16 * limit} lattice points"
+                    )
+                gap = max(abs(mi + s) - w[i], 0.0)
+                a = acc + beta[i] * gap * gap
+                if a <= reach2:
+                    m[i] = mi
+                    if i:
+                        walk(i - 1, a)
+                    else:
+                        found.append(list(m))
+
+        if r:
+            walk(r - 1, 0.0)
+        else:
+            found = [[]]
+        parts = np.array(found, dtype=np.int64).reshape(len(found), r)
+        if r > 1:
+            # at rank 1 the first test leaves the integers nearest to the
+            # box alone, unless d is large, and a few extra candidates cost
+            # less than this second test
+            steps = _neighbour_steps(r)
+            gv = steps @ self.gram
+            worst = 2 * (1 + d) * np.abs(gv).sum(axis=1) + (steps * gv).sum(axis=1)
+            margin = 4.0 * (r + 1) * d * longest * longest
+            keep = np.ones(len(parts), dtype=bool)
+            for a in range(0, len(parts), 4096):
+                loss = worst - 2.0 * (parts[a : a + 4096] @ gv.T)
+                keep[a : a + 4096] = (loss >= -margin).all(axis=1)
+            parts = parts[keep]
+        if len(parts) > limit:
+            raise TorusflowError(
+                f"the containment search needs {len(parts)} candidate "
+                f"translates, more than {limit}"
+            )
+        self._candidates[j] = parts
+        return parts
+
+    def offsets(self, cells, j, limit):
+        """(G, T, q): the projected translates (k @ B) @ proj.T that a point
+        of slack class j takes against nodes in cell 0, for each of the (G, r)
+        ``cells``: k = (cell + m) @ U for m in N, in the lexicographic order
+        of k.  Adding cell @ U keeps that order, so one sort serves every
+        cell.  Where lattice vectors project to 0, each k is first moved by
+        them to its shortest lift k @ B, as Babai rounding finds it: the
+        projection of a long lift cancels, and loses digits."""
+        if j not in self._shifts:
+            k = self.candidates(j, limit) @ self.U
+            self._shifts[j] = np.take(k, np.lexsort(k.T[::-1]), axis=0)
+        k = (cells @ self.U)[:, None, :] + self._shifts[j]
+        lifts = k @ self.B
+        steps = np.rint(lifts @ self.lift)
+        if steps.any():
+            k = k - steps @ self.kernel
+            G, T, n = k.shape
+            flat = k.reshape(G * T, n)
+            # each cell's translates in lexicographic order again
+            order = np.lexsort([*flat.T[::-1], np.repeat(np.arange(G), T)])
+            k = np.take(flat, order, axis=0).reshape(G, T, n)
+            lifts = k @ self.B
+        return lifts @ self.proj.T
+
+    def recentre(self, pts):
+        """The rows of ``pts`` moved by the translates of their cells into
+        cell 0, up to rounding; rows already in cell 0 are left as they
+        are."""
+        c = np.dot(pts, self.solve)
+        if c.min(initial=0.0) >= 0.0 and c.max(initial=0.0) < 1.0:
+            return pts
+        cells, _ = self.cells(pts, 0.0)
+        moved = np.nonzero(cells.any(axis=1))[0] if self.rank else []
+        if not len(moved):
+            return pts
+        k = np.take(cells, moved, axis=0) @ self.U
+        k = k - np.rint((k @ self.B) @ self.lift) @ self.kernel
+        out = pts.copy()
+        out[moved] -= (k @ self.B) @ self.proj.T
+        return out
 
 
 class Lattice:
@@ -271,6 +563,7 @@ class Lattice:
         self.span = Subspace(ambient_dim, [r[:ambient_dim] for r in rows], field)
         self._transform = [r[ambient_dim:] for r in rows]
         self._float_cache = None
+        self._projections = []   # (space, proj, Lattice.projection's result)
 
     def lambda_coordinates(self, vector):
         """Exact coordinates of a span member over the lattice basis.
@@ -330,15 +623,48 @@ class Lattice:
         resid = diff - nearest @ B
         return float(np.max(np.abs(resid))) if resid.size else 0.0
 
-    def translates(self, coefficient_range):
-        """Float array of lattice points with coefficients in [-m, m]^rank."""
-        m = int(coefficient_range)
-        B = self.float_basis()
-        if self.rank == 0:
-            return np.zeros((1, self.ambient_dim))
-        grids = np.meshgrid(*[np.arange(-m, m + 1)] * self.rank, indexing="ij")
-        coeffs = np.stack([g.ravel() for g in grids], axis=1)
-        return coeffs @ B
+    def projection(self, space: Subspace, proj):
+        """The projection Lambda' of the lattice along ``space``, as a
+        ``ProjectedLattice``, or None when it is not discrete.
+
+        ``proj`` holds float rows spanning the orthogonal complement of the
+        subspace ``space``.  Lambda' is discrete exactly when the lattice
+        vectors that lie in ``space`` form a sublattice of rank
+        rank - dim proj(span Lambda).  A float LLL of the projected basis
+        rows (``lll_reduce``) proposes such vectors, the rows it sends to
+        zero, and the check is exact: each of them lies in ``space``, and
+        the other rows of U B are independent modulo ``space`` (their
+        ``Subspace.residual`` rows have full rank), so their number is
+        dim proj(span Lambda).  U is unimodular, so those other rows then
+        project onto a basis of Lambda', an LLL-reduced one as the float
+        reduction saw it.  None also when the reduction did not certify it.
+
+        Components with the same ``space`` share one result.
+        """
+        proj = np.asarray(proj, dtype=float)
+        for seen, seen_proj, result in self._projections:
+            if seen == space and np.array_equal(seen_proj, proj):
+                return result
+        result = None
+        found = lll_reduce(self.float_basis() @ proj.T)
+        if found is not None:
+            U, zero = found
+            rest = [list(space.residual(self._vector(u))) for u in U[zero:]]
+            if all(
+                space.contains_vector(self._vector(u)) for u in U[:zero]
+            ) and len(xl.rref(rest, self.field)[0]) == len(rest):
+                result = ProjectedLattice(U[zero:], U[:zero], self.float_basis(), proj)
+        self._projections.append((space, proj, result))
+        return result
+
+    def _vector(self, coeffs):
+        """The exact lattice vector with integer coordinates ``coeffs``."""
+        out = None
+        for c, b in zip(coeffs, self.basis):
+            if c:
+                term = b if c == 1 else [c * y for y in b]
+                out = term if out is None else [x + y for x, y in zip(out, term)]
+        return out if out is not None else [self.field.zero] * self.ambient_dim
 
     def __repr__(self):
         return f"Lattice(rank={self.rank} in R^{self.ambient_dim})"

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import backend_name, min_distance_batch, min_distance_local
+from ._kernels import backend_name, min_distance_batch, min_distance_local, nearest_local
 from .errors import ShellStarved, TorusflowError
 from .flats import CurveImage, Flat, to_internal
 from .flow import FlowDescription
@@ -39,12 +39,23 @@ MAX_DRAWS = 1_000_000
 # the lattice basis norms must sum to less than this (see SampleConfig.validate)
 MAX_BASIS_NORM_SUM = 2.0**22
 
-# the translates of Lambda a distance is measured against: coefficients in
-# [-TRANSLATE_RANGE, TRANSLATE_RANGE] on each basis vector.  This is a box, not
-# a proven radius: on a skewed basis the nearest translate can lie outside it,
-# which gives hyperbola on the basis (13, 8), (8, 5) a false containment FAIL
-# (ROADMAP item 3) until item 18's closest-vector search replaces the box
+# the translates of Lambda a distance is measured against when the projection
+# of Lambda along W + D is not discrete (see ComponentEvaluator): coefficients
+# in [-TRANSLATE_RANGE, TRANSLATE_RANGE] on each basis vector.  This is a box,
+# not a proven radius: the nearest translate can lie outside it
 TRANSLATE_RANGE = 4
+
+# the most translates one distance search takes, as a candidate set or as the
+# box above; past it verify and sample stop with a TorusflowError, exit 4 and
+# one line, instead of running out of memory
+MAX_TRANSLATES = 1 << 16
+
+# queries in one cell take one kernel call when at least _MIN_RUN of them
+# share it, or when their translates times nodes pass _LOCAL_PAIRS (that
+# kernel works in bounded blocks); shorter runs share one call, each query
+# with its own translates
+_MIN_RUN = 64
+_LOCAL_PAIRS = 1 << 20
 
 
 def _int_in(value, lo, hi):
@@ -438,6 +449,31 @@ class ComponentEvaluator:
     gives an affine base's direction rows, which join W in the projection
     and whose orthonormal frame indexes its base cells, and a curve's
     cumulative arclength, which buckets its nodes.
+
+    A distance is measured in the projection along W + D, from a query to
+    the nodes' translates by the projection Lambda' of Lambda.  When Lambda'
+    is discrete (``Lattice.projection``; always so without base directions)
+    the translates are those that can be nearest.  A query x and a node y
+    lie in the floor-Babai cells a and b of Lambda', and
+    x - y - (a - b + m) basis, for an integer vector m, is (u - m) basis
+    plus a part orthogonal to Lambda' that no translate changes, where u
+    lies in the box (-1, 1)^r.  So the translates nearest to the pair are
+    among the (a - b + m) basis for m in N, the vectors that can be nearest
+    to some u of that box (``ProjectedLattice.candidates``), enumerated once
+    per slack class.  Each node, and each point of a refine window, is moved
+    by its own cell's translate into cell 0 (``ProjectedLattice.recentre``;
+    nodes already there keep their bits), so a query in cell a takes
+    (a + m) basis, and a distance is the minimum over all of Lambda, on
+    any basis of it and however far out the query lies.
+
+    Each translate is an integer vector k of the lattice basis, with offset
+    (k @ B) @ proj.T, and the translates go in the lexicographic order of k.
+    Where the projection sends the lattice vectors in W + D to exactly 0, as
+    on every golden problem, each (query, translate, node) triple rounds,
+    and the kernel's ties go, as they did against a coefficient box holding
+    the same translates.  When Lambda' is not discrete the translates are
+    the coefficient box of TRANSLATE_RANGE.  ``offsets`` holds N, as the
+    translates of a query in cell 0, or the box.
     """
 
     def __init__(self, comp, lat: Lattice, cfg: SampleConfig):
@@ -450,7 +486,7 @@ class ComponentEvaluator:
         base = comp.base
 
         dirs = np.zeros((0, n))
-        rank = W.dim
+        space = W
         self.curve_params = None
         if isinstance(base, CurveImage):
             self.curve_params = np.linspace(*base.param_range, cfg.curve_nodes)
@@ -458,11 +494,11 @@ class ComponentEvaluator:
         elif isinstance(base, Flat):
             raw = base.float_base()[None, :]
             dirs = base.directions.float_basis()
-            rank = W.sum(base.directions).dim
+            space = W.sum(base.directions)
         else:
             raw = base.float_points()
         self.nodes_full, _, _ = lat.reduce_points(raw)
-        self.proj = _null_space_rows(np.vstack([w_basis, dirs]), rank)
+        self.proj = _null_space_rows(np.vstack([w_basis, dirs]), space.dim)
         self.frame = np.linalg.qr(dirs.T)[0] if len(dirs) else None
         self.cumlen = None
         if self.curve_params is not None:
@@ -470,15 +506,35 @@ class ComponentEvaluator:
             self.cumlen = np.concatenate([[0.0], np.cumsum(seg)])
 
         self.nodes = self.nodes_full @ self.proj.T
-        offsets_full = lat.translates(TRANSLATE_RANGE)
-        offs = offsets_full @ self.proj.T
-        # the first translate of each distinct projection, in their order;
-        # with no columns every row is the same empty row
-        if offs.shape[1]:
-            offs = np.take(offs, np.sort(distinct_rows(np.round(offs, 9).T)), axis=0)
+        self.projected = lat.projection(space, self.proj)
+        if self.projected is not None and not self.projected.rank:
+            # Lambda' = 0: every query takes the one translate 0
+            self.projected = None
+            self.offsets = np.zeros((1, len(self.proj)))
+        elif self.projected is not None:
+            # the largest absolute node entry, for the queries' slack classes
+            reach = max(-float(self.nodes.min(initial=0.0)),
+                        float(self.nodes.max(initial=0.0)))
+            if not math.isfinite(reach):
+                reach = float(np.abs(self.nodes[np.isfinite(self.nodes)]).max(initial=0.0))
+            self.node_reach = reach
+            self.nodes = self.projected.recentre(self.nodes)
+            zero = np.zeros((1, self.projected.rank), dtype=np.int64)
+            self.offsets = self.projected.offsets(zero, 0, MAX_TRANSLATES)[0]
         else:
-            offs = offs[:1]
-        self.offsets = offs
+            m = TRANSLATE_RANGE
+            count = (2 * m + 1) ** lat.rank
+            if count > MAX_TRANSLATES:
+                raise TorusflowError(
+                    f"the containment search needs {count} translates in the "
+                    f"coefficient box, more than {MAX_TRANSLATES}"
+                )
+            coeffs = np.indices((2 * m + 1,) * lat.rank).reshape(lat.rank, count).T - m
+            offs = (coeffs @ lat.float_basis()) @ self.proj.T
+            # the first translate of each distinct projection, in their order
+            self.offsets = np.take(
+                offs, np.sort(distinct_rows(np.round(offs, 9).T)), axis=0
+            )
 
         # torus coordinates: integer-dual map, well-defined modulo the lattice
         self.torus_dim = comp.torus.torus_dim if comp.torus is not None else 0
@@ -487,14 +543,70 @@ class ComponentEvaluator:
         else:
             self.torus_solve = None
 
+    def _blocks(self, pts, min_group, width):
+        """Yield (rows, offsets, offset_of) for the queries ``pts`` on a
+        discrete Lambda', each to be measured against ``width`` nodes.
+
+        Queries in one cell and one slack class take the same translates.
+        A run of at least ``min_group`` such queries, or one whose T
+        translates times ``width`` pass _LOCAL_PAIRS, comes alone, with its
+        (1, T, q) offsets and offset_of None, rows None when it holds every
+        query; other runs of one class come together, with their (G, T, q)
+        offsets and each row's run in offset_of, in blocks of at most 2^16
+        translates in all.
+        """
+        cells, cls = self.projected.cells(pts, self.node_reach)
+        cols = [cls, *cells.T]
+        if all(c.min() == c.max() for c in cols):
+            yield None, self.projected.offsets(cells[:1], cls[0], MAX_TRANSLATES), None
+            return
+        order, starts = _sorted_runs(cols)
+        first = order[starts[:-1]]
+        sizes = np.diff(starts)
+        g = 0
+        while g < len(first):
+            j = cls[first[g]]
+            count = len(self.projected.candidates(j, MAX_TRANSLATES))
+            if sizes[g] >= min_group or count * width > _LOCAL_PAIRS:
+                offs = self.projected.offsets(cells[first[g : g + 1]], j, MAX_TRANSLATES)
+                yield order[starts[g] : starts[g + 1]], offs, None
+                g += 1
+                continue
+            # the class is the runs' first key, so runs of one class adjoin
+            most = g + max(1, (1 << 16) // count)
+            h = g + 1
+            while h < min(len(first), most) and sizes[h] < min_group and cls[first[h]] == j:
+                h += 1
+            offs = self.projected.offsets(cells[first[g:h]], j, MAX_TRANSLATES)
+            yield order[starts[g] : starts[h]], offs, np.repeat(np.arange(h - g), sizes[g:h])
+            g = h
+
     def distances(self, reduced):
         """Distance from each reduced sample to C + W + Lambda (windowed).
 
         Returns (dists, node_idx); node_idx is the nearest base node before
-        any curve refinement, the node ``base_cells`` buckets by.
+        any curve refinement, the node ``base_cells`` buckets by.  Samples
+        that take the same translates share one kernel call.
         """
         pts = reduced @ self.proj.T
-        dists, node_idx = min_distance_batch(pts, self.offsets, self.nodes)
+        if self.projected is None or not len(pts):
+            dists, node_idx = min_distance_batch(pts, self.offsets, self.nodes)
+        else:
+            dists = np.zeros(len(pts))
+            node_idx = np.zeros(len(pts), dtype=np.intp)
+            # short runs share a call too, so far-flung queries in cells of
+            # their own cost no call apiece
+            for rows, offs, of in self._blocks(pts, _MIN_RUN, len(self.nodes)):
+                if rows is None:
+                    dists, node_idx = min_distance_batch(pts, offs[0], self.nodes)
+                    continue
+                sub = np.take(pts, rows, axis=0)
+                if of is None:
+                    d, i = min_distance_batch(sub, offs[0], self.nodes)
+                else:
+                    d, i = nearest_local(sub, offs, self.nodes, offset_of=of)
+                dists[rows] = d
+                node_idx[rows] = i
         if self.curve_params is not None and len(self.curve_params) > 1:
             dists = self._refine_curve(pts, dists, node_idx)
         return dists, node_idx
@@ -507,9 +619,10 @@ class ComponentEvaluator:
         spacing either side of its nearest node, and keeps the smaller
         distance.  Only the 4096 roughest samples are refined.  Samples that
         share a nearest node share its window, so each distinct node's window
-        is evaluated and reduced once; the curve, the reduction and the
-        projection act row by row, so a window's rows are the same whichever
-        other windows are built with it.
+        is evaluated, reduced, moved into cell 0 and handed to the kernel
+        once, each sample with the translates of its own cell; the curve, the
+        reduction, the projection and the move act row by row, so a window's
+        rows are the same whichever other windows are built with it.
         """
         worst = np.nonzero(dists > 0.25 * self.cfg.tolerance)[0]
         if not len(worst):
@@ -524,11 +637,23 @@ class ComponentEvaluator:
         raw = self.comp.base.sample_at(local.ravel())
         red, _, _ = self.lat.reduce_points(raw)
         windows = (red @ self.proj.T).reshape(len(node), 33, -1)
+        rows = np.take(pts, worst, axis=0)
         out = dists.copy()
-        refined = min_distance_local(
-            np.take(pts, worst, axis=0), self.offsets,
-            np.take(windows, row_node, axis=0),
-        )
+        if self.projected is None:
+            refined = min_distance_local(rows, self.offsets, windows, row_node)
+        else:
+            W, L, q = windows.shape
+            windows = self.projected.recentre(windows.reshape(W * L, q)).reshape(W, L, q)
+            refined = np.empty(len(rows))
+            for sel, offs, of in self._blocks(rows, math.inf, L):
+                if sel is None:
+                    refined = min_distance_local(rows, offs[0], windows, row_node)
+                    continue
+                if of is None:
+                    of = np.zeros(len(sel), dtype=np.intp)
+                refined[sel] = min_distance_local(
+                    np.take(rows, sel, axis=0), offs, windows, np.take(row_node, sel), of
+                )
         out[worst] = np.minimum(out[worst], refined)
         return out
 
@@ -690,13 +815,21 @@ def distinct_rows(cols):
             first = np.full(size, n, dtype=np.intp)
             np.minimum.at(first, key, np.arange(n))
             return first[first < n]
+    order, starts = _sorted_runs(cols)
+    return order[starts[:-1]]
+
+
+def _sorted_runs(cols):
+    """(order, starts): the rows of a table of columns in lexicographic
+    order, by a stable sort, and the position where each run of equal rows
+    starts, with the row count appended."""
     order = np.lexsort(cols[::-1])
-    first = np.zeros(n, dtype=bool)
+    first = np.zeros(len(order), dtype=bool)
     first[:1] = True
     for c in cols:
         c = c[order]
         first[1:] |= c[1:] != c[:-1]
-    return order[first]
+    return order, np.append(np.nonzero(first)[0], len(order))
 
 
 @dataclass

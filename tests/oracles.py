@@ -14,7 +14,12 @@ expansion's certified tail bound C * t^(-q), ``FractionArithmetic`` does
 field arithmetic on Fraction coordinates by polynomial division,
 ``FractionInterval`` and ``FractionBox`` with the functions after them do
 the certified-root box arithmetic on Fraction endpoints,
-``stacked_hit_counts`` counts coverage hits from one 2-D cell table, and
+``stacked_hit_counts`` counts coverage hits from one 2-D cell table,
+``translates`` lists the lattice points of a coefficient box and
+``box_offsets`` the translates a distance took from such a box,
+``projected_lattice_rows`` finds a basis of the projected lattice by exact
+integer elimination and ``brute_force_distances`` measures distances to
+its translates over a box that holds each query's minimiser, and
 ``serialize`` writes a parsed problem back as text for the parse ->
 serialize -> parse round trip.
 """
@@ -28,8 +33,13 @@ import numpy as np
 from torusflow import exactlinalg as xl
 from torusflow._kernels import min_distance_batch
 from torusflow.asymptotics import _abs_lower, _abs_upper
-from torusflow.flats import ParametricBranch, TPoly
-from torusflow.lattice import hermite_normal_form, int_kernel_basis, torus_closure
+from torusflow.flats import Flat, ParametricBranch, TPoly
+from torusflow.lattice import (
+    hermite_normal_form,
+    int_kernel_basis,
+    lll_reduce,
+    torus_closure,
+)
 from torusflow.numberfield import (
     _padd,
     _pdivmod,
@@ -499,6 +509,145 @@ def subspace_orbit(V, lat, count, seed=0, spread=2000.0):
     return reduced
 
 
+def translates(lat, m):
+    """Float array of lattice points with coefficients in [-m, m]^rank, in
+    the lexicographic order of their coefficients."""
+    if lat.rank == 0:
+        return np.zeros((1, lat.ambient_dim))
+    grids = np.meshgrid(*[np.arange(-m, m + 1)] * lat.rank, indexing="ij")
+    coeffs = np.stack([g.ravel() for g in grids], axis=1)
+    return coeffs @ lat.float_basis()
+
+
+def box_offsets(lat, proj, m=4):
+    """The translates a distance took before the projected-lattice search:
+    the lattice points with coefficients in [-m, m]^rank, projected by
+    ``proj``, the first of each distinct projection (to 9 digits) in the
+    lexicographic order of their coefficients."""
+    offs = translates(lat, m) @ proj.T
+    if not offs.shape[1]:
+        return offs[:1]
+    return np.take(offs, np.sort(distinct_rows(np.round(offs, 9).T)), axis=0)
+
+
+def projected_lattice_rows(lat, space):
+    """(rows, kernel): integer rows k whose lattice vectors k B project,
+    along the subspace ``space``, onto a basis of the projected lattice, and
+    a basis of the integer k with k B in ``space``.
+
+    Exact: the power-basis coordinates of the complement parts of the basis
+    vectors, over one denominator, are integer rows M; with U M = H in
+    Hermite normal form, the rows of U whose row of H is zero send the
+    lattice into ``space``, and the others, U being unimodular, onto
+    generators of the projection, independent over Q.  The projection is
+    discrete when they are independent over R too, which the caller checks.
+    """
+    field = lat.field
+    parts = [space.complement_part(b) for b in lat.basis]
+    den = math.lcm(1, *(e.den for v in parts for e in v))
+    M = [[e.num[c] * (den // e.den) for e in v for c in range(field.degree)]
+         for v in parts]
+    H, U = hermite_normal_form(M)
+    return [u for u, h in zip(U, H) if any(h)], [u for u, h in zip(U, H) if not any(h)]
+
+
+def brute_force_distances(pts, nodes, B, proj, rows, kernel=()):
+    """(dists, node_idx): per query x, the least |x - (k @ B) @ proj.T - node|
+    over the nodes and over k = j @ rows, j an integer vector in a box that
+    holds the minimiser, squared and summed coordinate by coordinate, and a
+    node that attains it.  ``rows`` are first LLL-reduced, which changes
+    only the size of the boxes, and each k is moved by the integer vectors
+    ``kernel``, which project to 0, to a short lift k B by Babai rounding,
+    so that its projection loses few digits.
+
+    ``rows`` are integer rows whose projected lattice vectors form a basis
+    b of the projected lattice, with Gram matrix G.  Rounding the
+    coordinates of x - node over b leaves an in-span residual of at most
+    h = sum |b_i| / 2, so the nearest translate's residual e b has
+    |e b| <= h and |e_i| <= h sqrt((G^-1)_ii); the box spans that much
+    around the coordinates of x minus those of every node.
+    """
+    rows = np.asarray(rows, dtype=float).reshape(len(rows), len(B))
+    if len(rows):
+        # any basis holds the minimiser in its box; a reduced one, a small box
+        U, zero = lll_reduce((rows @ B) @ proj.T)
+        assert zero == 0
+        rows = np.asarray(U, dtype=float) @ rows
+    lift = None
+    if len(kernel):
+        U, zero = lll_reduce(np.asarray(kernel, dtype=float) @ B)
+        assert zero == 0
+        kernel = np.asarray(U, dtype=float) @ np.asarray(kernel, dtype=float)
+        short = kernel @ B
+        lift = short.T @ np.linalg.inv(short @ short.T)
+    basis = (rows @ B) @ proj.T
+    gram_inv = np.linalg.inv(basis @ basis.T) if len(rows) else np.zeros((0, 0))
+    pinv = basis.T @ gram_inv
+    h = 0.5 * float(np.linalg.norm(basis, axis=1).sum())
+    rho = h * np.sqrt(np.diag(gram_inv)) * (1 + 1e-9) + 1e-6
+    # each node moved by its own cell into cell 0, so that the boxes stay
+    # small however the nodes spread; the minimum over all translates stays
+    cells = np.floor(nodes @ pinv)
+    if len(rows) and cells.any():
+        k = cells @ rows
+        if lift is not None:
+            k = k - np.rint((k @ B) @ lift) @ kernel
+        nodes = nodes - (k @ B) @ proj.T
+    cy = nodes @ pinv
+    out = np.empty(len(pts))
+    node_idx = np.empty(len(pts), dtype=np.intp)
+    for i, x in enumerate(pts):
+        c = x @ pinv
+        lo = np.floor(c - cy.max(axis=0, initial=-np.inf) - rho).astype(int)
+        hi = np.ceil(c - cy.min(axis=0, initial=np.inf) + rho).astype(int)
+        assert np.prod(hi - lo + 1) <= 1 << 16, "brute-force box too large"
+        if len(rows):
+            axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
+            js = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(rows))
+        else:
+            js = np.zeros((1, 0))
+        k = js @ rows
+        if lift is not None:
+            k = k - np.rint((k @ B) @ lift) @ kernel
+        offs = (k @ B) @ proj.T
+        targets = offs[:, None, :] + nodes[None, :, :]
+        d2 = np.zeros(targets.shape[:2])
+        for k in range(len(x)):
+            d2 += (x[k] - targets[..., k]) ** 2
+        out[i] = math.sqrt(d2.min())
+        node_idx[i] = np.argmin(d2.min(axis=0))
+    return out, node_idx
+
+
+def brute_force_evaluator_distances(ev, reduced):
+    """``ComponentEvaluator.distances`` of the reduced rows by brute force,
+    the curve refine included: the rows it refines get the brute-force
+    distance to the 33-point window around their nearest node too."""
+    lat = ev.lat
+    space = ev.comp.effective_span
+    if isinstance(ev.comp.base, Flat):
+        space = space.sum(ev.comp.base.directions)
+    rows, kernel = projected_lattice_rows(lat, space)
+    B = lat.float_basis()
+    pts = reduced @ ev.proj.T
+    nodes = ev.nodes_full @ ev.proj.T
+    d, node_idx = brute_force_distances(pts, nodes, B, ev.proj, rows, kernel)
+    if ev.curve_params is None:
+        return d
+    worst = np.nonzero(d > 0.25 * ev.cfg.tolerance)[0]
+    if len(worst) > 4096:
+        worst = worst[np.argsort(d[worst])[-4096:]]
+    spacing = ev.curve_params[1] - ev.curve_params[0]
+    out = d.copy()
+    for i in worst:
+        p0 = ev.curve_params[node_idx[i]]
+        local = np.linspace(p0 - spacing, p0 + spacing, 33)
+        window = lat.reduce_points(ev.comp.base.sample_at(local))[0] @ ev.proj.T
+        w, _ = brute_force_distances(pts[i : i + 1], window, B, ev.proj, rows, kernel)
+        out[i] = min(out[i], w[0])
+    return out
+
+
 def orbit_coverage(descriptor, lat, reduced, eps):
     """(coverage fraction of W's torus cells, max distance off the W fiber)."""
     if descriptor.torus_dim == 0:
@@ -509,7 +658,7 @@ def orbit_coverage(descriptor, lat, reduced, eps):
     # distance off the fiber: orthogonal part, minimized over translates
     proj = descriptor.W.float_complement_projector()
     perp = reduced @ proj.T
-    offsets = lat.translates(2) @ proj.T
+    offsets = translates(lat, 2) @ proj.T
     if len(offsets):
         rounded = np.unique(np.round(offsets, 9), axis=0)
         d, _ = min_distance_batch(perp, rounded, np.zeros((1, perp.shape[1])))

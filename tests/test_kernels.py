@@ -376,6 +376,40 @@ def test_single_target():
         assert idx[0] == 0
 
 
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_narrow_scans_match_the_argmin_scan(monkeypatch, q):
+    # up to 8 finite targets go one at a time; integer data ties often
+    rng = np.random.default_rng(q)
+    for T in range(1, 9):
+        pts = rng.integers(-3, 4, size=(200, q)) / 2.0
+        targets = rng.integers(-3, 4, size=(T, q)).astype(float)
+        narrow = _kernels._scan(pts, targets)
+        with mock.patch.object(_kernels, "_NARROW_TARGETS", 0):
+            wide = _kernels._scan(pts, targets)
+        assert np.array_equal(narrow[0], wide[0])
+        assert np.array_equal(narrow[1], wide[1])
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 20])
+def test_local_windows_match_per_point_batches(monkeypatch, chunk):
+    # distinct windows handed over once, with a window index and each
+    # point's own translates per row
+    monkeypatch.setattr(_kernels, "_CHUNK_PAIRS", chunk)
+    rng = np.random.default_rng(4)
+    pts = rng.normal(size=(60, 2)) * 3.0
+    windows = rng.normal(size=(5, 33, 2))
+    node_of = rng.integers(0, 5, size=60)
+    offs = rng.integers(-2, 3, size=(60, 4, 2)).astype(float)
+    d = min_distance_local(pts, offs, windows, node_of)
+    ref = [
+        min_distance_batch(pts[i : i + 1], offs[i], windows[node_of[i]])[0][0]
+        for i in range(60)
+    ]
+    assert np.array_equal(d, ref)
+    shared = min_distance_local(pts, offs[0], windows, node_of)
+    assert np.array_equal(shared, min_distance_local(pts, offs[0], windows[node_of]))
+
+
 def test_local_nodes_match_per_point_batches():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(50, 2))

@@ -39,7 +39,13 @@ from torusflow.verifier import (
     shell_stability,
 )
 
-from oracles import branch, orbit_coverage, stacked_hit_counts, subspace_orbit
+from oracles import (
+    box_offsets,
+    branch,
+    orbit_coverage,
+    stacked_hit_counts,
+    subspace_orbit,
+)
 
 
 @pytest.fixture(scope="module")
@@ -356,14 +362,17 @@ def refined_rows(ev, dists):
 
 
 def refine_per_sample(ev, pts, dists, node_idx):
-    """Reference for the batched refine: one kernel call per rough sample."""
+    """Reference for the batched refine: one kernel call per rough sample,
+    against the coefficient box of translates the refine searched before
+    the projected-lattice search (``oracles.box_offsets``)."""
     spacing = ev.curve_params[1] - ev.curve_params[0]
+    offsets = box_offsets(ev.lat, ev.proj)
     out = dists.copy()
     for idx in refined_rows(ev, dists):
         p0 = ev.curve_params[node_idx[idx]]
         local = np.linspace(p0 - spacing, p0 + spacing, 33)
         red, _, _ = ev.lat.reduce_points(ev.comp.base.sample_at(local))
-        d, _ = min_distance_batch(pts[idx : idx + 1], ev.offsets, red @ ev.proj.T)
+        d, _ = min_distance_batch(pts[idx : idx + 1], offsets, red @ ev.proj.T)
         out[idx] = min(out[idx], d[0])
     return out
 
@@ -373,6 +382,8 @@ def curve_case(name):
     curve component on the far samples of its problem: the cylinder's half
     curve, with 4531 rough rows, 4096 of them refined, at 2 distinct nodes,
     or dinh_vu's complex curve-plus, with 686 rough rows at 44 distinct nodes.
+    The rough distances are those of the coefficient box of translates, as
+    the evaluator measured them before the projected-lattice search.
     """
     if name == "half-curve":
         text = CYLINDER_CURVE.format(hi=0)
@@ -386,20 +397,20 @@ def curve_case(name):
     )
     ev = ComponentEvaluator(spec.predicted_flow().components[0], lat, cfg)
     pts = reduced @ ev.proj.T
-    dists, node_idx = min_distance_batch(pts, ev.offsets, ev.nodes)
-    return ev, pts, dists, node_idx
+    dists, node_idx = min_distance_batch(pts, box_offsets(lat, ev.proj), ev.nodes)
+    return ev, pts, dists, node_idx, reduced
 
 
 class TestCurveBase:
     def test_batched_refine_matches_per_sample_loop(self):
-        ev, pts, dists, node_idx = curve_case("half-curve")
+        ev, pts, dists, node_idx, _ = curve_case("half-curve")
         batched = ev._refine_curve(pts, dists, node_idx)
         reference = refine_per_sample(ev, pts, dists, node_idx)
         assert np.sum(batched < dists) > 1000
         assert np.array_equal(batched, reference)
 
     def test_batched_refine_matches_per_sample_loop_on_a_complex_curve(self):
-        ev, pts, dists, node_idx = curve_case("complex-curve")
+        ev, pts, dists, node_idx, _ = curve_case("complex-curve")
         batched = ev._refine_curve(pts, dists, node_idx)
         reference = refine_per_sample(ev, pts, dists, node_idx)
         assert np.sum(batched < dists) > 100
@@ -407,7 +418,7 @@ class TestCurveBase:
 
     @pytest.mark.parametrize("case", ["half-curve", "complex-curve"])
     def test_refine_evaluates_one_window_per_distinct_node(self, monkeypatch, case):
-        ev, pts, dists, node_idx = curve_case(case)
+        ev, pts, dists, node_idx, _ = curve_case(case)
         sizes = []
         sample_at = CurveImage.sample_at
 
@@ -421,6 +432,15 @@ class TestCurveBase:
         nodes = len(np.unique(node_idx[rows]))
         assert len(rows) > nodes > 1
         assert sizes == [33 * nodes]
+
+    @pytest.mark.parametrize("case", ["half-curve", "complex-curve"])
+    def test_distances_equal_the_coefficient_box(self, case):
+        # each window goes to the kernel once, with each row's translates
+        # around its cell; the distances and nodes are those of the box
+        ev, pts, dists, node_idx, reduced = curve_case(case)
+        new, new_idx = ev.distances(reduced)
+        assert np.array_equal(new_idx, node_idx)
+        assert np.array_equal(new, refine_per_sample(ev, pts, dists, node_idx))
 
     @pytest.mark.parametrize("hi, code", [(10, 0), (0, 5)])
     def test_whole_curve_passes_half_curve_fails(self, tmp_path, capsys, hi, code):
