@@ -2,25 +2,20 @@
 
 The verifier's hot loop is the distance from each reduced sample to the
 target cloud {offset + node} (projected lattice translates plus base-set
-nodes).  Four exact searches share one arithmetic:
+nodes).  Three exact searches share one arithmetic:
 
 * a direct-difference scan over every target, in blocks of whole offsets
   and of queries, or target by target for at most _NARROW_TARGETS finite
   targets, where a strictly nearer target replaces the best;
-* a uniform-grid index (Bentley, Stanat and Williams, "The complexity of
-  finding fixed-radius near neighbors", IPL 1977): the targets are bucketed
-  into cells of side h and each query looks only at the 3^q cells around
-  its own.  A best distance <= h found there is the true minimum, because
-  every target within h of the query lies in those cells.
-* bounding-box leaves for the queries the grid cannot settle (Friedman,
+* bounding-box leaves when there are two or three coordinates (Friedman,
   Bentley and Finkel, ACM TOMS 1977; Fukunaga and Narendra, IEEE Trans.
   Computers 1975): the targets are cut into about sqrt(N) kd leaves of equal
   size, and a query evaluates only the leaves whose box is no farther than
-  its best distance to the leaf with the nearest box.  Few far queries, and
-  queries that are not finite, are scanned instead.
-* a sorted search in place of the grid when there is one coordinate (Knuth,
-  TAOCP vol. 3, 6.2.1): the distinct target values are sorted and each query
-  finds its neighbours on either side by binary search.
+  its best distance to the leaf with the nearest box.  Queries that are not
+  finite are scanned instead, and so is every query when a target is not.
+* a sorted search when there is one coordinate (Knuth, TAOCP vol. 3,
+  6.2.1): the distinct target values are sorted and each query finds its
+  neighbours on either side by binary search.
 
 ``min_distance_batch`` picks between them from the input shape alone.
 Squared distances are summed coordinate by coordinate in a fixed order, so
@@ -67,17 +62,16 @@ cancels badly: with |x| about 10 it is off by 2e-10 at distance 1e-3 and by
 up to 1.7e-7 near distance 0.
 """
 
-import itertools
-
 import numpy as np
 
-# The grid pays for itself only with enough pairs to cover building it, and
-# enough targets per query to beat the 3^q cells it visits.  Measured break-
-# even target counts are about 100 at q = 1, 1000 at q = 2 and 10^4 at q = 3,
-# hence GRID_MIN_TARGETS * 8^q.
-GRID_MIN_PAIRS = 1 << 19
-GRID_MIN_TARGETS = 16
-GRID_MAX_DIM = 3
+# An index pays for itself only with enough pairs to cover building it, and
+# enough targets per query to beat the scan.  Break-even target counts,
+# measured for a 3^q-cell grid index, were about 100 at q = 1, 1000 at q = 2
+# and 10^4 at q = 3, hence INDEX_MIN_TARGETS * 8^q; the sorted search and the
+# kd leaves keep these cut-offs, so that each shape keeps its search.
+INDEX_MIN_PAIRS = 1 << 19
+INDEX_MIN_TARGETS = 16
+INDEX_MAX_DIM = 3
 # (query, target) pairs held in memory at once, about 8 MB per float array
 _CHUNK_PAIRS = 1 << 20
 # a scan of at most this many targets goes target by target
@@ -85,9 +79,6 @@ _NARROW_TARGETS = 8
 # targets a scan builds at once: whole offsets, this many unless one
 # offset's nodes alone are more
 _BLOCK_TARGETS = 1 << 13
-# a grid hit must be this much inside the cell side to count as exact; the
-# margin covers rounding of the cell coordinates
-_EXACT_MARGIN = 1.0 - 1e-6
 
 
 def backend_name() -> str:
@@ -155,11 +146,11 @@ def min_distance_batch(points, offsets, nodes):
     Returns (dists, node_index): per-point minimal Euclidean distance and the
     index of the node achieving it (the lowest flat (t, p) index on ties).
 
-    The search is ``_scan`` or, where ``uses_grid`` picks the grid for the
-    shape, ``_sorted`` at q = 1 and ``_grid`` above; both index every target
-    at once.  A scan takes blocks of whole offsets of at most _BLOCK_TARGETS
-    targets, in order, so a later block, whose flat indices are all higher,
-    wins only when strictly nearer.
+    The search is ``_scan`` or, where ``uses_index`` picks an index for the
+    shape, ``_sorted`` at q = 1 and ``_leaves`` above; both index every
+    target at once.  A scan takes blocks of whole offsets of at most
+    _BLOCK_TARGETS targets, in order, so a later block, whose flat indices
+    are all higher, wins only when strictly nearer.
     """
     points = np.ascontiguousarray(points, dtype=float)
     offsets = np.ascontiguousarray(offsets, dtype=float)
@@ -173,10 +164,10 @@ def min_distance_batch(points, offsets, nodes):
     if q == 0:
         # every squared distance is the empty sum, so flat index 0 wins
         return np.zeros(M), np.zeros(M, dtype=np.intp)
-    if not uses_grid(M, T * P, q):
+    if not uses_index(M, T * P, q):
         search = _scan
     else:
-        search = _sorted if q == 1 else _grid
+        search = _sorted if q == 1 else _leaves
     step = max(1, _BLOCK_TARGETS // P) if search is _scan else T
     for t in range(0, T, step):
         block = offsets[t : t + step]
@@ -192,12 +183,12 @@ def min_distance_batch(points, offsets, nodes):
     return np.sqrt(best), node
 
 
-def uses_grid(n_points, n_targets, q):
-    """Whether ``min_distance_batch`` searches this shape with the grid."""
+def uses_index(n_points, n_targets, q):
+    """Whether ``min_distance_batch`` searches this shape with an index."""
     return (
-        1 <= q <= GRID_MAX_DIM
-        and n_targets >= GRID_MIN_TARGETS * 8**q
-        and n_points * n_targets >= GRID_MIN_PAIRS
+        1 <= q <= INDEX_MAX_DIM
+        and n_targets >= INDEX_MIN_TARGETS * 8**q
+        and n_points * n_targets >= INDEX_MIN_PAIRS
     )
 
 
@@ -273,101 +264,6 @@ def _sorted(points, targets):
     return best, flat
 
 
-def _grid(points, targets):
-    """``_scan``'s answer, searching only nearby grid cells where that is exact."""
-    M, q = points.shape
-    N = len(targets)
-    # column by column: numpy reduces a narrow array along axis 0 slowly
-    lo = np.array([col.min() for col in targets.T])
-    extent = np.array([col.max() for col in targets.T]) - lo
-    # about one target per cell when the targets fill their bounding box
-    h = float(extent.max()) / min(max(1, round(N ** (1.0 / q))), 1 << 20)
-    if not 0.0 < h < np.inf:
-        return _scan(points, targets)
-    # targets fill cells 1..n along each axis; cells 0 and n + 1 are an empty
-    # border, so all 3^q cells around any cell in 1..n exist
-    n = (extent // h).astype(np.int64) + 1
-    strides = np.cumprod(np.concatenate([[1], n[:-1] + 2]))
-    tkey = (np.clip(np.floor((targets - lo) / h), 0, n - 1).astype(np.int64) + 1) @ strides
-    # targets by cell, then by flat index; the keys are distinct, so the
-    # default sort is enough and much faster than a stable one
-    order = np.argsort(tkey * N + np.arange(N))
-    cell_start = np.concatenate(
-        [[0], np.cumsum(np.bincount(tkey, minlength=int(np.prod(n + 2))))]
-    )
-    around = np.array(list(itertools.product((-1, 0, 1), repeat=q))) @ strides
-    # A query off the grid is moved onto its edge.  The cells it then sees
-    # include every occupied cell next to its own, so the search stays exact;
-    # whatever else it finds is farther than h, and it is searched again below.
-    qcell = np.clip(np.nan_to_num(np.floor((points - lo) / h)), 0, n - 1)
-    qkey = (qcell.astype(np.int64) + 1) @ strides
-
-    best = np.full(M, np.inf)
-    flat = np.zeros(M, dtype=np.intp)
-    # queries per block, so that their cell tables stay small
-    step = max(1, _CHUNK_PAIRS // (8 * len(around)))
-    for i in range(0, M, step):
-        keys = qkey[i : i + step, None] + around
-        start = cell_start[keys]
-        count = cell_start[keys + 1] - start
-        # column by column: numpy sums a narrow array's rows one at a time
-        per_query = count[:, 0].copy()
-        for s in range(1, count.shape[1]):
-            per_query += count[:, s]
-        ends = np.cumsum(per_query)
-        a = 0
-        while a < len(ends):
-            # at most about _CHUNK_PAIRS candidates at once
-            done = ends[a - 1] if a else 0
-            b = max(a + 1, int(np.searchsorted(ends, done + _CHUNK_PAIRS, "right")))
-            _nearest_in_cells(
-                points[i + a : i + b], targets, order, start[a:b], count[a:b],
-                per_query[a:b], best[i + a : i + b], flat[i + a : i + b],
-            )
-            a = b
-
-    # Unsettled queries go to the leaves when there are enough pairs to pay
-    # for building them; the rest, and queries that are not finite, are scanned.
-    limit = h * _EXACT_MARGIN
-    unsettled = ~(best <= limit * limit)
-    finite = np.isfinite(points[:, 0])
-    for k in range(1, q):
-        finite &= np.isfinite(points[:, k])
-    far = np.nonzero(unsettled & finite)[0]
-    if len(far) * N >= GRID_MIN_PAIRS:
-        best[far], flat[far] = _leaves(np.take(points, far, axis=0), targets)
-        unsettled &= ~finite
-    rest = np.nonzero(unsettled)[0]
-    if len(rest):
-        best[rest], flat[rest] = _scan(np.take(points, rest, axis=0), targets)
-    return best, flat
-
-
-def _nearest_in_cells(points, targets, order, start, count, per_query, best, flat):
-    """Write each query's nearest target among those in its cells to best/flat.
-
-    Query k's cells hold targets order[start[k, s] : start[k, s] + count[k, s]]
-    for s over its 3^q cells, per_query[k] of them in all.  Queries with no
-    candidate are left alone.
-    """
-    seen = np.nonzero(per_query)[0]
-    if not len(seen):
-        return
-    cell_count = count.ravel()
-    cell = np.repeat(np.arange(len(cell_count)), cell_count)
-    pos = np.arange(len(cell)) - (np.cumsum(cell_count) - cell_count)[cell]
-    cand = order[pos + start.ravel()[cell]]
-    owner = cell // count.shape[1]
-    d2 = _sq_dist(np.take(points, owner, axis=0), np.take(targets, cand, axis=0))
-    first = (np.cumsum(per_query) - per_query)[seen]
-    low = np.full(len(per_query), np.inf)
-    low[seen] = np.minimum.reduceat(d2, first)
-    # the lowest flat index among the candidates at the minimum distance
-    tied = np.where(d2 == low[owner], cand, len(targets))
-    best[seen] = low[seen]
-    flat[seen] = np.minimum.reduceat(tied, first)
-
-
 def _kd_leaves(targets):
     """(B, S) target indices: B = 2^depth leaves of S targets each, about sqrt(N).
 
@@ -386,20 +282,34 @@ def _kd_leaves(targets):
         idx = idx.reshape(1 << level, -1)
         vals = [c[idx] for c in cols]
         axis = np.argmax([v.max(axis=1) - v.min(axis=1) for v in vals], axis=0)
-        key = np.choose(axis[:, None], vals)
+        key = cols[axis[:, None], idx]
         half = idx.shape[1] // 2
         idx = np.take_along_axis(idx, np.argpartition(key, half, axis=1), axis=1)
     return np.sort(idx.reshape(1 << depth, size), axis=1)
 
 
 def _leaves(points, targets):
-    """``_scan``'s answer for finite points, pruning whole kd leaves by their boxes.
+    """``_scan``'s answer, pruning whole kd leaves by their boxes.
 
     A (query, leaf) pair is evaluated only when the squared distance to the
     leaf's bounding box is <= the query's best distance to the leaf whose box
-    is nearest, so every target that ties the minimum is seen.
+    is nearest, so every target that ties the minimum is seen.  That holds
+    for finite values only: queries that are not finite are scanned, and so
+    is every query when a target is not finite.
     """
     M, N = len(points), len(targets)
+    if not np.isfinite(targets).all():
+        return _scan(points, targets)
+    finite = np.isfinite(points[:, 0])
+    for k in range(1, points.shape[1]):
+        finite &= np.isfinite(points[:, k])
+    if not finite.all():
+        best = np.empty(M)
+        flat = np.empty(M, dtype=np.intp)
+        rest, keep = np.nonzero(~finite)[0], np.nonzero(finite)[0]
+        best[rest], flat[rest] = _scan(np.take(points, rest, axis=0), targets)
+        best[keep], flat[keep] = _leaves(np.take(points, keep, axis=0), targets)
+        return best, flat
     leaf = _kd_leaves(targets)
     B, S = leaf.shape
     # (B, q, S): each coordinate of a leaf's targets is contiguous

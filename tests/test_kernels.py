@@ -1,5 +1,5 @@
-"""The containment-distance kernel: sorted search, grid index, leaves and scan
-against brute force."""
+"""The containment-distance kernel: sorted search, kd leaves and scan against
+brute force."""
 
 from unittest import mock
 
@@ -10,27 +10,28 @@ from hypothesis import strategies as st
 
 from torusflow import _kernels
 from torusflow._kernels import (
-    GRID_MIN_PAIRS,
-    GRID_MIN_TARGETS,
+    INDEX_MIN_PAIRS,
+    INDEX_MIN_TARGETS,
     min_distance_batch,
     min_distance_local,
-    uses_grid,
+    uses_index,
 )
 
 
-def grid_min_distance(points, offsets, nodes):
-    """``min_distance_batch`` through the grid index, whatever the size."""
-    with mock.patch.object(_kernels, "uses_grid", return_value=True):
+def index_min_distance(points, offsets, nodes):
+    """``min_distance_batch`` through an index, whatever the size: the sorted
+    search at q = 1 and the kd leaves at q = 2 and 3."""
+    with mock.patch.object(_kernels, "uses_index", return_value=True):
         return min_distance_batch(points, offsets, nodes)
 
 
 def scan_min_distance(points, offsets, nodes):
     """``min_distance_batch`` by a direct-difference scan of every pair."""
-    with mock.patch.object(_kernels, "uses_grid", return_value=False):
+    with mock.patch.object(_kernels, "uses_index", return_value=False):
         return min_distance_batch(points, offsets, nodes)
 
 
-SEARCHES = (min_distance_batch, grid_min_distance, scan_min_distance)
+SEARCHES = (min_distance_batch, index_min_distance, scan_min_distance)
 
 
 def brute_force(points, offsets, nodes):
@@ -81,15 +82,16 @@ def workloads(draw):
 
 @st.composite
 def far_workloads(draw):
-    """Enough queries far outside the targets' box that the grid hands them,
-    GRID_MIN_PAIRS pairs and more, to the leaves; plus near and non-finite
-    queries.  N is rarely a multiple of the leaf size, so the last leaf is
-    padded.  At q = 1 the sorted search replaces the grid and its leaves.
+    """Queries far outside the targets' box, INDEX_MIN_PAIRS pairs and more,
+    for the kd leaves; plus near queries and three that are not finite,
+    which are scanned.  N is rarely a multiple of the leaf size, so the last
+    leaf is padded.  q is 2 or 3, because at q = 1 the sorted search answers
+    in place of the leaves.
     """
     q = draw(st.sampled_from([2, 3]))
     T = draw(st.sampled_from([1, 9, 27]))
     P = draw(st.integers(600 // T, 1500 // T))
-    M = GRID_MIN_PAIRS // (T * P) + draw(st.integers(1, 60))
+    M = INDEX_MIN_PAIRS // (T * P) + draw(st.integers(1, 60))
     spread = draw(st.sampled_from([20.0, 60.0]))
     integer = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -121,10 +123,16 @@ def test_index_matches_brute_force(workload):
 @settings(max_examples=25, deadline=None)
 @given(far_workloads())
 def test_far_queries_match_brute_force(workload):
-    with mock.patch.object(_kernels, "_leaves", wraps=_kernels._leaves) as leaves:
-        for fn in SEARCHES:
-            assert_matches_brute_force(fn, *workload)
+    with (
+        mock.patch.object(_kernels, "_leaves", wraps=_kernels._leaves) as leaves,
+        mock.patch.object(_kernels, "_scan", wraps=_kernels._scan) as scan,
+    ):
+        assert_matches_brute_force(index_min_distance, *workload)
     assert leaves.called
+    # the leaves take every finite query; only the three others are scanned
+    assert [len(call.args[0]) for call in scan.call_args_list] == [3]
+    for fn in (min_distance_batch, scan_min_distance):
+        assert_matches_brute_force(fn, *workload)
 
 
 @st.composite
@@ -189,7 +197,7 @@ def test_sorted_scans_only_unsure_queries(monkeypatch):
         return real_scan(points, targets)
 
     monkeypatch.setattr(_kernels, "_scan", spy)
-    assert_matches_brute_force(grid_min_distance, pts, np.zeros((1, 1)), targets)
+    assert_matches_brute_force(index_min_distance, pts, np.zeros((1, 1)), targets)
     assert len(scanned) == 1
     expected = pts[np.sort(np.nonzero(order >= len(sure))[0])]
     assert np.array_equal(scanned[0], expected, equal_nan=True)
@@ -228,17 +236,18 @@ def test_many_far_queries_go_to_the_leaves(scanned):
     offs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     near = rng.uniform(0.0, 2.0, size=(100, 2))
     far = rng.uniform(5.0, 50.0, size=(400, 2)) * rng.choice([-1.0, 1.0], (400, 2))
-    assert_matches_brute_force(grid_min_distance, np.vstack([near, far]), offs, nds)
+    assert_matches_brute_force(index_min_distance, np.vstack([near, far]), offs, nds)
     assert scanned == []
 
 
+@pytest.mark.parametrize("q", [1, 2, 3])
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
-def test_targets_that_are_not_finite_are_scanned(bad):
+def test_targets_that_are_not_finite_are_scanned(bad, q):
     rng = np.random.default_rng(2)
-    nds = rng.normal(size=(3000, 1))
-    nds[5] = bad
-    pts = rng.normal(size=(400, 1))
-    assert_matches_brute_force(grid_min_distance, pts, np.zeros((1, 1)), nds)
+    nds = rng.normal(size=(3000, q))
+    nds[5, q - 1] = bad
+    pts = rng.normal(size=(400, q))
+    assert_matches_brute_force(index_min_distance, pts, np.zeros((1, q)), nds)
 
 
 @pytest.fixture()
@@ -253,17 +262,6 @@ def scanned(monkeypatch):
 
     monkeypatch.setattr(_kernels, "_scan", spy)
     return sizes
-
-
-def test_queries_far_outside_the_targets_are_scanned(scanned):
-    rng = np.random.default_rng(5)
-    nds = rng.uniform(0.0, 1.0, size=(200, 2))
-    offs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    near = rng.uniform(0.0, 2.0, size=(100, 2))
-    far = rng.uniform(5.0, 50.0, size=(100, 2)) * rng.choice([-1.0, 1.0], (100, 2))
-    pts = np.vstack([near, far])
-    assert_matches_brute_force(grid_min_distance, pts, offs, nds)
-    assert scanned and 100 <= scanned[0] < 200
 
 
 @pytest.mark.parametrize("fn", SEARCHES)
@@ -308,7 +306,7 @@ def test_scan_blocks_of_whole_offsets(scanned_targets, q, T, P, M):
     # its distance is inf in the first blocks and NaN in the last
     offs[-1, 0] = -np.inf
     pts[0, 0], pts[1] = -np.inf, np.nan
-    assert not uses_grid(M, T * P, q)
+    assert not uses_index(M, T * P, q)
     assert_matches_brute_force(min_distance_batch, pts, offs, nds)
     per = max(1, _kernels._BLOCK_TARGETS // P)
     assert scanned_targets == [min(per, T - t) * P for t in range(0, T, per)]
@@ -328,34 +326,34 @@ def scanned_targets(monkeypatch):
     return sizes
 
 
-ENOUGH_TARGETS = GRID_MIN_TARGETS * 8**2
+ENOUGH_TARGETS = INDEX_MIN_TARGETS * 8**2
 
 
 @pytest.mark.parametrize(
-    "M, P, grid",
+    "M, P, indexed",
     [
-        (GRID_MIN_PAIRS // ENOUGH_TARGETS + 1, ENOUGH_TARGETS, True),
-        (GRID_MIN_PAIRS // ENOUGH_TARGETS - 1, ENOUGH_TARGETS, False),
-        (2 * GRID_MIN_PAIRS // ENOUGH_TARGETS, ENOUGH_TARGETS - 1, False),
+        (INDEX_MIN_PAIRS // ENOUGH_TARGETS + 1, ENOUGH_TARGETS, True),
+        (INDEX_MIN_PAIRS // ENOUGH_TARGETS - 1, ENOUGH_TARGETS, False),
+        (2 * INDEX_MIN_PAIRS // ENOUGH_TARGETS, ENOUGH_TARGETS - 1, False),
     ],
-    ids=["grid", "few-pairs", "few-targets"],
+    ids=["index", "few-pairs", "few-targets"],
 )
-def test_both_sides_of_the_size_cutoff(monkeypatch, M, P, grid):
+def test_both_sides_of_the_size_cutoff(monkeypatch, M, P, indexed):
     rng = np.random.default_rng(11)
     pts = rng.uniform(-1.0, 4.0, size=(M, 2))
     offs = np.array([[0.0, 0.0]])
     nds = rng.uniform(0.0, 3.0, size=(P, 2))
     used = []
-    real_grid = _kernels._grid
+    real_leaves = _kernels._leaves
 
     def spy(points, targets):
-        used.append("grid")
-        return real_grid(points, targets)
+        used.append("leaves")
+        return real_leaves(points, targets)
 
-    monkeypatch.setattr(_kernels, "_grid", spy)
-    assert uses_grid(M, P, 2) == grid
+    monkeypatch.setattr(_kernels, "_leaves", spy)
+    assert uses_index(M, P, 2) == indexed
     assert_matches_brute_force(min_distance_batch, pts, offs, nds)
-    assert used == (["grid"] if grid else [])
+    assert used == (["leaves"] if indexed else [])
 
 
 def test_empty_inputs():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from torusflow import verifier
+from torusflow import _kernels, verifier
 from torusflow._kernels import min_distance_batch
 from torusflow.cli import main
 from torusflow.errors import ShellStarved, TorusflowError
@@ -449,6 +449,49 @@ class TestCurveBase:
         assert main(["verify", str(path)]) == code
         out = capsys.readouterr().out
         assert out.startswith("PASS" if code == 0 else "FAIL")
+
+
+# a curve in R^4 over the rank-one lattice Z x 0: its projection along the
+# lattice has three coordinates, and 10^4 nodes, so in-window samples reach
+# the kd leaves
+DIAGONAL_CURVE = """schema = 1
+[field]
+min_poly = x
+[space]
+mode = real
+ambient_dim = 4
+declared_dim = 2
+[lattice]
+row = (1, 0, 0, 0)
+[variety]
+affine = point (0, 0, 0, 0) dirs (1, 0, 0, 0) (0, 1, 1, 1)
+[flow]
+component = base curve u in (-10, 10) : (0, u, u, u) ; span r(1, 0, 0, 0)
+[verify]
+count = 1000
+"""
+
+
+def test_kd_leaves_write_the_scan_report(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "diagonal.tfp"
+    path.write_text(DIAGONAL_CURVE)
+    report = tmp_path / "diagonal.tfp.report.json"
+    queries = []
+    leaves = _kernels._leaves
+
+    def spy(points, targets):
+        queries.append(points.shape)
+        return leaves(points, targets)
+
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "_leaves", spy)
+        code = main(["verify", str(path)])
+    indexed = capsys.readouterr(), report.read_bytes()
+    assert queries and all(q == 3 for _, q in queries)
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "uses_index", lambda *shape: False)
+        assert main(["verify", str(path)]) == code
+    assert (capsys.readouterr(), report.read_bytes()) == indexed
 
 
 # ---------------------------------------------------------------------------
