@@ -89,13 +89,12 @@ def min_distance_local(points, offsets, nodes, node_of=None, offset_of=None):
     """Per point i, min over t and j of |points[i] - offsets[t] - nodes[i, j]|.
 
     points:  (K, q) float64
-    offsets: (T, q) float64, shared by every point; (K, T, q), each point's
-             own; or, with offset_of, (G, T, q) distinct translate lists,
-             point i taking list offset_of[i]
-    nodes:   (K, L, q) float64, each point's own nodes; (L, q), shared by
-             every point; or, with node_of, (W, L, q) distinct node windows,
-             point i taking window node_of[i], so that points sharing a
-             window share one copy
+    offsets: (T, q) float64, shared by every point, or, with offset_of,
+             (G, T, q) distinct translate lists, point i taking list
+             offset_of[i]
+    nodes:   (L, q) float64, shared by every point, or, with node_of,
+             (W, L, q) distinct node windows, point i taking window
+             node_of[i], so that points sharing a window share one copy
 
     Returns the (K,) distances, rounded as ``min_distance_batch`` rounds them.
     """
@@ -118,14 +117,14 @@ def nearest_local(points, offsets, nodes, node_of=None, offset_of=None):
     flat = np.empty(K, dtype=np.intp)
     step = max(1, _CHUNK_PAIRS // (T * L))
     for i in range(0, K, step):
-        if offset_of is not None:
+        if offset_of is None:
+            offs = offsets[None]
+        else:
             offs = np.take(offsets, offset_of[i : i + step], axis=0)
+        if node_of is None:
+            own = nodes[None]
         else:
-            offs = offsets[None] if offsets.ndim == 2 else offsets[i : i + step]
-        if node_of is not None:
             own = np.take(nodes, node_of[i : i + step], axis=0)
-        else:
-            own = nodes[None] if nodes.ndim == 2 else nodes[i : i + step]
         targets = offs[:, :, None, :] + own[:, None, :, :]
         d2 = _sq_dist(points[i : i + step, None, None, :], targets)
         d2 = d2.reshape(len(d2), -1)

@@ -278,49 +278,29 @@ def _gram_schmidt(vecs):
 
 
 def lll_reduce(rows):
-    """Integer row operations that LLL-reduce float rows, dependent ones too.
+    """Integer row operations that LLL-reduce independent float rows.
 
-    Returns (U, zero): U is a unimodular integer matrix, a list of rows; the
-    first ``zero`` rows of U @ rows are zero to within 2^-30 of the longest
-    input row, and the others are LLL-reduced (Lenstra, Lenstra and Lovasz,
-    Math. Ann. 1982).  A dependent row keeps failing the Lovasz test, so it
-    moves down and is shortened against the rows before it, as in Euclid's
-    algorithm, until it vanishes and leaves the reduction (Pohst's MLLL;
-    Cohen, A Course in Computational Algebraic Number Theory, 2.6.8).  Rows
-    that generate a group that is not discrete never vanish: they shrink
-    until one passes the zero threshold, or the reduction gives up after
-    _LLL_MAX_STEPS steps and returns None.  Only an exact check tells such
-    a row from a true relation (``Lattice.projection``).
+    Returns U, a unimodular integer matrix as a list of rows, with U @ rows
+    LLL-reduced (Lenstra, Lenstra and Lovasz, Math. Ann. 1982).  The rows
+    must be independent, so that no Gram-Schmidt vector vanishes: which
+    lattice vectors project to zero is decided exactly, before the
+    reduction (``Lattice.projection``).  After _LLL_MAX_STEPS steps the
+    reduction stops and returns the transform it has reached, which is
+    unimodular still.
     """
-    rows = np.asarray(rows, dtype=float)
-    longest = max((float(v @ v) for v in rows), default=0.0)
-    tiny = longest * 2.0**-60
-    zero, active = [], []
-    for v, u in zip(rows, _identity(len(rows))):
-        if v @ v <= tiny:
-            zero.append(u)
-        else:
-            active.append((v, u))
-    i = steps = 1
-    while i < len(active):
-        steps += 1
-        if steps > _LLL_MAX_STEPS:
-            return None
+    active = list(zip(np.asarray(rows, dtype=float), _identity(len(rows))))
+    i = 1
+    for _ in range(_LLL_MAX_STEPS):
+        if i >= len(active):
+            break
         star, norms = _gram_schmidt([v for v, _ in active[:i]])
         v, u = active[i]
         for j in range(i - 1, -1, -1):
-            x = float(v @ star[j]) / norms[j]
-            if not math.isfinite(x):
-                return None
-            c = round(x)
+            c = round(float(v @ star[j]) / norms[j])
             if c:
                 vj, uj = active[j]
                 v = v - c * vj
                 u = [a - c * b for a, b in zip(u, uj)]
-        if v @ v <= tiny:
-            zero.append(u)
-            del active[i]
-            continue
         active[i] = (v, u)
         proj = [float(v @ s) / n for s, n in zip(star, norms)]
         rest = float(v @ v) - sum(p * p * n for p, n in zip(proj, norms))
@@ -329,7 +309,7 @@ def lll_reduce(rows):
             i = max(i - 1, 1)
         else:
             i += 1
-    return zero + [u for _, u in active], len(zero)
+    return [u for _, u in active]
 
 
 @functools.lru_cache(maxsize=None)
@@ -351,29 +331,35 @@ class ProjectedLattice:
     closest-point searches of the verifier (``Lattice.projection``).
 
     Its basis rows are ``(U @ B) @ proj.T``, for integer rows U over the
-    lattice basis B.  A point's coordinates over that basis are
-    ``pts @ solve``, and their floor its floor-Babai cell (Babai,
-    Combinatorica 1986).  Coordinates carry rounding that grows with a
-    point's size, so each point gets a slack class (``cells``): class j
-    stands for a slack of 2^(j - 20) in coordinates, and class 0 holds every
-    point within about 2^24 shortest Gram-Schmidt lengths of the origin.
+    lattice basis B: ``rows``, moved by the lattice vectors ``kernel``,
+    which project to 0, to their shortest lifts (a long lift cancels in the
+    projection and loses digits), then LLL-reduced (``lll_reduce``).  A
+    point's coordinates over that basis are ``pts @ solve``, and their
+    floor its floor-Babai cell (Babai, Combinatorica 1986).  Coordinates
+    carry rounding that grows with a point's size, so each point gets a
+    slack class (``cells``): class j stands for a slack of 2^(j - 20) in
+    coordinates, and class 0 holds every point within about 2^24 shortest
+    Gram-Schmidt lengths of the origin.
     """
 
-    def __init__(self, U, kernel, B, proj):
-        self.U = np.array(U, dtype=float).reshape(len(U), len(B))
+    def __init__(self, rows, kernel, B, proj):
         self.B, self.proj = B, proj
         # the lattice vectors sent to 0, LLL-reduced, and the map that rounds
         # a vector to its nearest combination of them (Babai rounding)
         self.kernel = np.array(kernel, dtype=float).reshape(len(kernel), len(B))
         self.lift = np.zeros((B.shape[1], 0))
+        U = np.array(rows, dtype=float).reshape(len(rows), len(B))
         if kernel:
-            # independent rows, so the reduction ends with no zero row
-            found = lll_reduce(self.kernel @ B) if len(kernel) > 1 else None
-            if found is not None:
-                self.kernel = np.asarray(found[0], dtype=float) @ self.kernel
+            if len(kernel) > 1:
+                found = lll_reduce(self.kernel @ B)
+                self.kernel = np.asarray(found, dtype=float) @ self.kernel
             short = self.kernel @ B
             self.lift = short.T @ np.linalg.inv(short @ short.T)
-        basis = (self.U @ B) @ proj.T
+            U = U - np.rint((U @ B) @ self.lift) @ self.kernel
+        if len(U) > 1:
+            U = np.asarray(lll_reduce((U @ B) @ proj.T), dtype=float) @ U
+        self.U = U
+        basis = (U @ B) @ proj.T
         self.rank = len(basis)
         self.gram = basis @ basis.T
         # Gram-Schmidt squares beta and coefficients mu (lower triangle)
@@ -564,6 +550,7 @@ class Lattice:
         self._transform = [r[ambient_dim:] for r in rows]
         self._float_cache = None
         self._projections = []   # (space, proj, Lattice.projection's result)
+        self._widenings = []     # (space, Lattice.widen's result)
 
     def lambda_coordinates(self, vector):
         """Exact coordinates of a span member over the lattice basis.
@@ -625,46 +612,61 @@ class Lattice:
 
     def projection(self, space: Subspace, proj):
         """The projection Lambda' of the lattice along ``space``, as a
-        ``ProjectedLattice``, or None when it is not discrete.
+        ``ProjectedLattice``; ``proj`` holds float rows spanning the
+        orthogonal complement of ``space``.
 
-        ``proj`` holds float rows spanning the orthogonal complement of the
-        subspace ``space``.  Lambda' is discrete exactly when the lattice
-        vectors that lie in ``space`` form a sublattice of rank
-        rank - dim proj(span Lambda).  A float LLL of the projected basis
-        rows (``lll_reduce``) proposes such vectors, the rows it sends to
-        zero, and the check is exact: each of them lies in ``space``, and
-        the other rows of U B are independent modulo ``space`` (their
-        ``Subspace.residual`` rows have full rank), so their number is
-        dim proj(span Lambda).  U is unimodular, so those other rows then
-        project onto a basis of Lambda', an LLL-reduced one as the float
-        reduction saw it.  None also when the reduction did not certify it.
-
-        Components with the same ``space`` share one result.
+        Lattice vectors must span the intersection of ``space`` with
+        span Lambda (``widen``).  The ``Subspace.residual`` rows of the basis
+        vectors, in power-basis coordinates over one denominator, are
+        integer rows M, with k M = 0 exactly when k B lies in ``space``.  In
+        the Hermite form U M = H, the rows of U whose row of H is zero are a
+        basis of Lambda cap ``space``, and the others, U being unimodular,
+        project onto a basis of Lambda', independent as Lambda cap ``space``
+        spans the intersection, so Lambda' is discrete.  Components with the
+        same ``space`` and ``proj`` share one result.
         """
         proj = np.asarray(proj, dtype=float)
         for seen, seen_proj, result in self._projections:
             if seen == space and np.array_equal(seen_proj, proj):
                 return result
-        result = None
-        found = lll_reduce(self.float_basis() @ proj.T)
-        if found is not None:
-            U, zero = found
-            rest = [list(space.residual(self._vector(u))) for u in U[zero:]]
-            if all(
-                space.contains_vector(self._vector(u)) for u in U[:zero]
-            ) and len(xl.rref(rest, self.field)[0]) == len(rest):
-                result = ProjectedLattice(U[zero:], U[:zero], self.float_basis(), proj)
+        res = [list(space.residual(b)) for b in self.basis]
+        den = lcm(1, *(e.den for v in res for e in v))
+        M = [[e.num[k] * (den // e.den) for e in v for k in range(self.field.degree)]
+             for v in res]
+        H, U = hermite_normal_form(M)
+        kernel = [u for u, h in zip(U, H) if not any(h)]
+        rows = [u for u, h in zip(U, H) if any(h)]
+        result = ProjectedLattice(rows, kernel, self.float_basis(), proj)
         self._projections.append((space, proj, result))
         return result
 
-    def _vector(self, coeffs):
-        """The exact lattice vector with integer coordinates ``coeffs``."""
-        out = None
-        for c, b in zip(coeffs, self.basis):
-            if c:
-                term = b if c == 1 else [c * y for y in b]
-                out = term if out is None else [x + y for x, y in zip(out, term)]
-        return out if out is not None else [self.field.zero] * self.ambient_dim
+    def widen(self, space: Subspace):
+        """``space`` + W*, W* the smallest Lambda-rational subspace
+        containing the intersection of ``space`` with span Lambda: the
+        smallest subspace containing ``space`` along which the lattice
+        projects to a discrete group.
+
+        The Lambda-coordinates c of the intersection solve sum c_i r_i = 0
+        over the ``Subspace.residual`` rows r_i of the basis vectors, and W*
+        (``torus_closure``) adds nothing exactly when their canonical basis
+        is rational, as it is when ``space`` and the lattice have rational
+        bases.  Components with the same ``space`` share one result.
+        """
+        if all(e.is_rational() for v in space.basis + self.basis for e in v):
+            return space
+        for seen, wide in self._widenings:
+            if seen == space:
+                return wide
+        res = [list(space.residual(b)) for b in self.basis]
+        coords = xl.kernel_basis([list(c) for c in zip(*res)], self.rank, self.field)
+        wide = space
+        if not all(e.is_rational() for c in coords for e in c):
+            inside = Subspace(self.ambient_dim, [
+                xl._combination(c, self.basis, self.field) for c in coords
+            ], self.field)
+            wide = space.sum(torus_closure(inside, self).W)
+        self._widenings.append((space, wide))
+        return wide
 
     def __repr__(self):
         return f"Lattice(rank={self.rank} in R^{self.ambient_dim})"

@@ -39,15 +39,9 @@ MAX_DRAWS = 1_000_000
 # the lattice basis norms must sum to less than this (see SampleConfig.validate)
 MAX_BASIS_NORM_SUM = 2.0**22
 
-# the translates of Lambda a distance is measured against when the projection
-# of Lambda along W + D is not discrete (see ComponentEvaluator): coefficients
-# in [-TRANSLATE_RANGE, TRANSLATE_RANGE] on each basis vector.  This is a box,
-# not a proven radius: the nearest translate can lie outside it
-TRANSLATE_RANGE = 4
-
-# the most translates one distance search takes, as a candidate set or as the
-# box above; past it verify and sample stop with a TorusflowError, exit 4 and
-# one line, instead of running out of memory
+# the most translates one distance search takes, as a candidate set; past it
+# verify and sample stop with a TorusflowError, exit 4 and one line, instead
+# of running out of memory
 MAX_TRANSLATES = 1 << 16
 
 # queries in one cell take one kernel call when at least _MIN_RUN of them
@@ -451,10 +445,12 @@ class ComponentEvaluator:
     cumulative arclength, which buckets its nodes.
 
     A distance is measured in the projection along W + D, from a query to
-    the nodes' translates by the projection Lambda' of Lambda.  When Lambda'
-    is discrete (``Lattice.projection``; always so without base directions)
-    the translates are those that can be nearest.  A query x and a node y
-    lie in the floor-Babai cells a and b of Lambda', and
+    the nodes' translates by the projection Lambda' of Lambda, or along
+    W + D + W* where lattice vectors do not span (W + D) cap span Lambda,
+    W* the torus closure of that intersection (``Lattice.widen``): the
+    closure of C + W + D + Lambda is C + W + D + W* + Lambda, at the same
+    distance.  So Lambda' is discrete (``Lattice.projection``).  A query x
+    and a node y lie in the floor-Babai cells a and b of Lambda', and
     x - y - (a - b + m) basis, for an integer vector m, is (u - m) basis
     plus a part orthogonal to Lambda' that no translate changes, where u
     lies in the box (-1, 1)^r.  So the translates nearest to the pair are
@@ -470,10 +466,9 @@ class ComponentEvaluator:
     (k @ B) @ proj.T, and the translates go in the lexicographic order of k.
     Where the projection sends the lattice vectors in W + D to exactly 0, as
     on every golden problem, each (query, translate, node) triple rounds,
-    and the kernel's ties go, as they did against a coefficient box holding
-    the same translates.  When Lambda' is not discrete the translates are
-    the coefficient box of TRANSLATE_RANGE.  ``offsets`` holds N, as the
-    translates of a query in cell 0, or the box.
+    and the kernel's ties go, as against a coefficient box of the same
+    translates.  ``offsets`` holds N, as the translates of a query in cell
+    0, or, when Lambda' = 0 and ``projected`` is None, the translate 0.
     """
 
     def __init__(self, comp, lat: Lattice, cfg: SampleConfig):
@@ -498,7 +493,12 @@ class ComponentEvaluator:
         else:
             raw = base.float_points()
         self.nodes_full, _, _ = lat.reduce_points(raw)
-        self.proj = _null_space_rows(np.vstack([w_basis, dirs]), space.dim)
+        rows = np.vstack([w_basis, dirs])
+        wide = lat.widen(space)
+        if wide.dim > space.dim:
+            rows = np.vstack([rows, wide.float_basis()])
+            space = wide
+        self.proj = _null_space_rows(rows, space.dim)
         self.frame = np.linalg.qr(dirs.T)[0] if len(dirs) else None
         self.cumlen = None
         if self.curve_params is not None:
@@ -507,11 +507,11 @@ class ComponentEvaluator:
 
         self.nodes = self.nodes_full @ self.proj.T
         self.projected = lat.projection(space, self.proj)
-        if self.projected is not None and not self.projected.rank:
+        if not self.projected.rank:
             # Lambda' = 0: every query takes the one translate 0
             self.projected = None
             self.offsets = np.zeros((1, len(self.proj)))
-        elif self.projected is not None:
+        else:
             # the largest absolute node entry, for the queries' slack classes
             reach = max(-float(self.nodes.min(initial=0.0)),
                         float(self.nodes.max(initial=0.0)))
@@ -521,20 +521,6 @@ class ComponentEvaluator:
             self.nodes = self.projected.recentre(self.nodes)
             zero = np.zeros((1, self.projected.rank), dtype=np.int64)
             self.offsets = self.projected.offsets(zero, 0, MAX_TRANSLATES)[0]
-        else:
-            m = TRANSLATE_RANGE
-            count = (2 * m + 1) ** lat.rank
-            if count > MAX_TRANSLATES:
-                raise TorusflowError(
-                    f"the containment search needs {count} translates in the "
-                    f"coefficient box, more than {MAX_TRANSLATES}"
-                )
-            coeffs = np.indices((2 * m + 1,) * lat.rank).reshape(lat.rank, count).T - m
-            offs = (coeffs @ lat.float_basis()) @ self.proj.T
-            # the first translate of each distinct projection, in their order
-            self.offsets = np.take(
-                offs, np.sort(distinct_rows(np.round(offs, 9).T)), axis=0
-            )
 
         # torus coordinates: integer-dual map, well-defined modulo the lattice
         self.torus_dim = comp.torus.torus_dim if comp.torus is not None else 0

@@ -539,8 +539,9 @@ def projected_lattice_rows(lat, space):
     vectors, over one denominator, are integer rows M; with U M = H in
     Hermite normal form, the rows of U whose row of H is zero send the
     lattice into ``space``, and the others, U being unimodular, onto
-    generators of the projection, independent over Q.  The projection is
-    discrete when they are independent over R too, which the caller checks.
+    generators of the projection, independent over Q.  They are independent
+    over R too, and the projection is discrete, when lattice vectors span
+    the intersection of ``space`` with span Lambda.
     """
     field = lat.field
     parts = [space.complement_part(b) for b in lat.basis]
@@ -555,10 +556,10 @@ def brute_force_distances(pts, nodes, B, proj, rows, kernel=()):
     """(dists, node_idx): per query x, the least |x - (k @ B) @ proj.T - node|
     over the nodes and over k = j @ rows, j an integer vector in a box that
     holds the minimiser, squared and summed coordinate by coordinate, and a
-    node that attains it.  ``rows`` are first LLL-reduced, which changes
-    only the size of the boxes, and each k is moved by the integer vectors
-    ``kernel``, which project to 0, to a short lift k B by Babai rounding,
-    so that its projection loses few digits.
+    node that attains it.  Each of ``rows``, and each k, is moved by the
+    integer vectors ``kernel``, which project to 0, to a short lift k B by
+    Babai rounding, so that its projection loses few digits, and ``rows``
+    are then LLL-reduced, which changes only the size of the boxes.
 
     ``rows`` are integer rows whose projected lattice vectors form a basis
     b of the projected lattice, with Gram matrix G.  Rounding the
@@ -568,18 +569,16 @@ def brute_force_distances(pts, nodes, B, proj, rows, kernel=()):
     around the coordinates of x minus those of every node.
     """
     rows = np.asarray(rows, dtype=float).reshape(len(rows), len(B))
-    if len(rows):
-        # any basis holds the minimiser in its box; a reduced one, a small box
-        U, zero = lll_reduce((rows @ B) @ proj.T)
-        assert zero == 0
-        rows = np.asarray(U, dtype=float) @ rows
     lift = None
     if len(kernel):
-        U, zero = lll_reduce(np.asarray(kernel, dtype=float) @ B)
-        assert zero == 0
-        kernel = np.asarray(U, dtype=float) @ np.asarray(kernel, dtype=float)
+        kernel = np.asarray(kernel, dtype=float)
+        kernel = np.asarray(lll_reduce(kernel @ B), dtype=float) @ kernel
         short = kernel @ B
         lift = short.T @ np.linalg.inv(short @ short.T)
+        rows = rows - np.rint((rows @ B) @ lift) @ kernel
+    if len(rows):
+        # any basis holds the minimiser in its box; a reduced one, a small box
+        rows = np.asarray(lll_reduce((rows @ B) @ proj.T), dtype=float) @ rows
     basis = (rows @ B) @ proj.T
     gram_inv = np.linalg.inv(basis @ basis.T) if len(rows) else np.zeros((0, 0))
     pinv = basis.T @ gram_inv
@@ -622,11 +621,18 @@ def brute_force_distances(pts, nodes, B, proj, rows, kernel=()):
 def brute_force_evaluator_distances(ev, reduced):
     """``ComponentEvaluator.distances`` of the reduced rows by brute force,
     the curve refine included: the rows it refines get the brute-force
-    distance to the 33-point window around their nearest node too."""
+    distance to the 33-point window around their nearest node too.
+
+    The projection is along W + D plus the torus closure of its
+    intersection with span Lambda, which the evaluator's ``proj`` must
+    annihilate."""
     lat = ev.lat
     space = ev.comp.effective_span
     if isinstance(ev.comp.base, Flat):
         space = space.sum(ev.comp.base.directions)
+    space = space.sum(torus_closure(space.intersect(lat.span), lat).W)
+    assert len(ev.proj) == lat.ambient_dim - space.dim
+    assert np.allclose(space.float_basis() @ ev.proj.T, 0.0, atol=1e-9)
     rows, kernel = projected_lattice_rows(lat, space)
     B = lat.float_basis()
     pts = reduced @ ev.proj.T

@@ -289,7 +289,7 @@ def test_work_split_into_small_chunks_changes_nothing(monkeypatch, q):
         assert_matches_brute_force(fn, pts, offs, nds)
     local = rng.normal(size=(80, 33, q))
     ref = [min_distance_batch(pts[i : i + 1], offs, local[i])[0][0] for i in range(80)]
-    assert np.array_equal(min_distance_local(pts, offs, local), ref)
+    assert np.array_equal(min_distance_local(pts, offs, local, np.arange(80)), ref)
 
 
 @pytest.mark.parametrize(
@@ -398,14 +398,16 @@ def test_local_windows_match_per_point_batches(monkeypatch, chunk):
     windows = rng.normal(size=(5, 33, 2))
     node_of = rng.integers(0, 5, size=60)
     offs = rng.integers(-2, 3, size=(60, 4, 2)).astype(float)
-    d = min_distance_local(pts, offs, windows, node_of)
+    d = min_distance_local(pts, offs, windows, node_of, np.arange(60))
     ref = [
         min_distance_batch(pts[i : i + 1], offs[i], windows[node_of[i]])[0][0]
         for i in range(60)
     ]
     assert np.array_equal(d, ref)
     shared = min_distance_local(pts, offs[0], windows, node_of)
-    assert np.array_equal(shared, min_distance_local(pts, offs[0], windows[node_of]))
+    assert np.array_equal(
+        shared, min_distance_local(pts, offs[0], windows[node_of], np.arange(60))
+    )
 
 
 def test_local_nodes_match_per_point_batches():
@@ -413,7 +415,7 @@ def test_local_nodes_match_per_point_batches():
     pts = rng.normal(size=(50, 2))
     offs = rng.integers(-1, 2, size=(9, 2)).astype(float)
     nodes = rng.normal(size=(50, 33, 2))
-    d = min_distance_local(pts, offs, nodes)
+    d = min_distance_local(pts, offs, nodes, np.arange(50))
     ref = [min_distance_batch(pts[i : i + 1], offs, nodes[i])[0][0] for i in range(50)]
     assert np.array_equal(d, ref)
-    assert np.all(np.isinf(min_distance_local(pts, offs[:0], nodes)))
+    assert np.all(np.isinf(min_distance_local(pts, offs[:0], nodes, np.arange(50))))

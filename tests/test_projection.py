@@ -1,10 +1,12 @@
-"""Containment distances over the projected lattice Lambda': the float LLL
-and its exact certificate, distances equal to brute-force minima over all of
-Lambda, the same verdict on every basis of Lambda, the size guard, and the
-dimension ladder in memory-limited child processes."""
+"""Containment distances over the projected lattice Lambda': the float LLL,
+the exact split of the lattice vectors that project to zero and the widening
+that keeps Lambda' discrete, distances equal to brute-force minima over all
+of Lambda, the same verdict on every basis of Lambda, the size guard, and
+the dimension ladder in memory-limited child processes."""
 
 import csv
 import json
+import math
 import os
 import random
 import resource
@@ -21,7 +23,7 @@ from torusflow import verifier
 from torusflow.cli import main
 from torusflow.flats import CurveImage, Flat, PointSet
 from torusflow.flow import predicted_flow
-from torusflow.lattice import Lattice, Subspace, lll_reduce
+from torusflow.lattice import Lattice, ProjectedLattice, Subspace, lll_reduce
 from torusflow.numberfield import NumberField, rationals
 from torusflow.specfile import load_problem
 from torusflow.verifier import ComponentEvaluator, SampleConfig
@@ -56,25 +58,30 @@ def unimodular(rng, n, bound):
 
 
 # ---------------------------------------------------------------------------
-# The float LLL and the exact certificate
+# The float LLL, the exact split and the widening
 # ---------------------------------------------------------------------------
-
-
-def test_lll_sends_the_relation_of_a_skewed_basis_to_zero():
-    # the basis (13, 8), (8, 5) of Z^2 projected onto the y-axis
-    U, zero = lll_reduce([[8.0], [5.0]])
-    assert zero == 1
-    assert abs(int_det(U)) == 1
-    assert 8 * U[0][0] + 5 * U[0][1] == 0
-    assert abs(8 * U[1][0] + 5 * U[1][1]) == 1
 
 
 def test_lll_reduces_a_skewed_basis_of_independent_rows():
     rows = np.array([[7.0, 5.0], [4.0, 3.0]]) @ np.array([[1.0, 0.0], [0.5, 2.0]])
-    U, zero = lll_reduce(rows)
-    assert zero == 0 and abs(int_det(U)) == 1
+    U = lll_reduce(rows)
+    assert abs(int_det(U)) == 1
     reduced = np.asarray(U, dtype=float) @ rows
     assert np.allclose(sorted(np.linalg.norm(reduced, axis=1)), [1.0, 2.0615528128088303])
+
+
+def test_rows_move_to_their_shortest_lifts(QQ):
+    # Z^2 on the basis (13, 8), (8, 5) along (1, 1): the kernel row (3, -5)
+    # is the lattice vector (-1, -1), and (-1, 2) projects onto a basis of
+    # Lambda'.  That row moved by 10^12 kernel rows projects to the same
+    # point, but its float projection keeps its digits only once the row is
+    # moved back to its shortest lift
+    B = Lattice(2, [[13, 8], [8, 5]], QQ).float_basis()
+    proj = np.array([[1.0, -1.0]]) / math.sqrt(2)
+    short = ProjectedLattice([[-1, 2]], [[3, -5]], B, proj)
+    far = ProjectedLattice([[-1 + 3 * 10**12, 2 - 5 * 10**12]], [[3, -5]], B, proj)
+    assert short.U.tolist() == far.U.tolist() == [[5.0, -8.0]]
+    assert np.array_equal(short.gram, far.gram)
 
 
 def _line_evaluator(field, lat, direction):
@@ -85,14 +92,41 @@ def _line_evaluator(field, lat, direction):
     return ComponentEvaluator(comp, lat, SampleConfig())
 
 
-def test_a_projection_that_is_not_discrete_keeps_the_box(K):
+def test_a_projection_that_is_not_discrete_widens_to_one_translate(K):
     # Z^2 projected along (1, sqrt 2) is dense in the normal line: no
-    # lattice vector lies on the line, so the LLL's shrinking rows fail
-    # the exact check, and the 9 x 9 box stays
+    # lattice vector lies on the line, whose torus closure is all of R^2, so
+    # the projection is along R^2 and takes the one translate 0
     lat = Lattice(2, [[1, 0], [0, 1]], K)
     ev = _line_evaluator(K, lat, [1, K.gen])
+    assert ev.projected is None and ev.proj.shape == (0, 2)
+    assert ev.offsets.shape == (1, 0)
+
+
+def test_lattice_vectors_in_the_span_project_to_exactly_zero(QQ):
+    # the one lattice vector lies in W, so Lambda' = 0: its projected float
+    # row is rounding noise, and no float decides that it is zero
+    lat = Lattice(3, [[1, 1, 0]], QQ)
+    comps = [(PointSet([[0, 0, 0]], QQ), Subspace(3, [[1, 1, 0]], QQ), "point")]
+    [comp] = predicted_flow(comps, lat, "real").components
+    ev = ComponentEvaluator(comp, lat, SampleConfig())
     assert ev.projected is None
-    assert len(ev.offsets) == 81
+    assert ev.offsets.tolist() == [[0.0, 0.0]]
+
+
+def test_an_irrational_affine_prediction_is_measured_to_its_closure(tmp_path):
+    # every sample (t, sqrt(2) t) lies on the predicted line; the lattice
+    # translate that brings it back near the origin lies about t away, but
+    # the line's closure is all of R^2.  Coverage stays at 0.070: the frame
+    # cells of a line dense modulo Lambda lie near the origin alone
+    text = (ROOT / "problems" / "irrational_direction.tfp").read_text().replace(
+        "[verify]",
+        "[flow]\ncomponent = base affine point (0, 0) dirs (1, theta) ; span\n\n[verify]",
+    )
+    code, report = _verify(tmp_path, "line", text)
+    assert code == 5
+    assert report["max_containment_distance"] == 0.0
+    assert [e["max_distance"] for e in report["per_shell"]] == [0.0] * 4
+    assert report["coverage"] == [pytest.approx(0.070, abs=5e-4)]
 
 
 def test_a_rational_projection_is_certified(QQ):
@@ -111,30 +145,56 @@ def test_a_rational_projection_is_certified(QQ):
 # ---------------------------------------------------------------------------
 
 
-def _random_component(rng, QQ, kind):
+def _random_component(rng, QQ, kind, K=None):
     """(lattice, evaluator) of a random component: a lattice of rank 1-4 on
     a skewed basis of a random integer one, W spanned by lattice vectors,
-    and a point, affine or curve base with small integer data."""
-    r = int(rng.integers(1, 5))
-    n = r + int(rng.integers(0, 3))
+    and a point, affine or curve base with small integer data.
+
+    Over Q(sqrt 2), K, two kinds have an irrational trace a + sqrt(2) b on
+    span Lambda, for a and b independent lattice vectors, so that the
+    evaluator widens W + D by the plane of a and b: "irrational-span" has
+    a point base and a V = span(a + sqrt(2) b, v) that v outside span Lambda
+    takes out of it, "irrational-dirs" an affine base along a + sqrt(2) b
+    and perhaps a second integer direction."""
+    irrational = kind.startswith("irrational")
+    field = K if irrational else QQ
+    r = int(rng.integers(1 + irrational, 5))
+    n = r + int(rng.integers(kind == "irrational-span", 3))
     while True:
         B0 = rng.integers(-2, 3, size=(r, n))
         if np.linalg.matrix_rank(B0) == r:
             break
     U = np.array(unimodular(random.Random(int(rng.integers(1 << 30))), r, 12))
-    lat = Lattice(n, (U @ B0).tolist(), QQ)
-    W = Subspace(n, (rng.integers(-2, 3, size=(int(rng.integers(0, r)), r)) @ B0).tolist(), QQ)
-    if kind == "points":
+    lat = Lattice(n, (U @ B0).tolist(), field)
+    W = Subspace(n, (rng.integers(-2, 3, size=(int(rng.integers(0, r)), r)) @ B0).tolist(), field)
+    if irrational:
+        while True:
+            ab = rng.integers(-2, 3, size=(2, r))
+            if np.linalg.matrix_rank(ab) == 2:
+                break
+        a, b = (ab @ B0).tolist()
+        line = [x + y * K.gen for x, y in zip(a, b)]
+    if kind in ("points", "irrational-span"):
         base = PointSet(
-            [[Fraction(int(x), 3) for x in p] for p in rng.integers(-6, 7, size=(3, n))], QQ
+            [[Fraction(int(x), 3) for x in p] for p in rng.integers(-6, 7, size=(3, n))], field
         )
     elif kind == "affine":
         dirs = rng.integers(-2, 3, size=(int(rng.integers(1, 3)), n))
         base = Flat([Fraction(int(x), 5) for x in rng.integers(-9, 10, size=n)],
                     Subspace(n, dirs.tolist(), QQ))
+    elif kind == "irrational-dirs":
+        dirs = [line] + rng.integers(-2, 3, size=(int(rng.integers(0, 2)), n)).tolist()
+        base = Flat([Fraction(int(x), 5) for x in rng.integers(-9, 10, size=n)],
+                    Subspace(n, dirs, K))
     else:
         c = rng.uniform(-2.0, 2.0, size=(3, n))
         base = CurveImage(lambda u: c[0] + np.outer(u, c[1]) + np.outer(u * u, c[2]), (-2, 2))
+    if kind == "irrational-span":
+        while True:
+            v = rng.integers(-2, 3, size=n)
+            if np.linalg.matrix_rank(np.vstack([B0, v])) > r:
+                break
+        W = Subspace(n, [line, v.tolist()], K)
     [comp] = predicted_flow([(base, W, kind)], lat, "real").components
     return lat, ComponentEvaluator(comp, lat, SampleConfig(curve_nodes=200))
 
@@ -153,15 +213,17 @@ def _queries(rng, lat, far):
     return lat.reduce_points(rows)[0]
 
 
-@pytest.mark.parametrize("kind", ["points", "affine", "curve"])
+@pytest.mark.parametrize(
+    "kind", ["points", "affine", "curve", "irrational-span", "irrational-dirs"]
+)
 @pytest.mark.parametrize("far", [False, True], ids=["in-window", "far"])
-def test_distances_equal_brute_force(QQ, kind, far):
+def test_distances_equal_brute_force(QQ, K, kind, far):
     # the brute force takes every translate of a box of coordinates over an
     # exactly derived basis of Lambda' that holds each query's minimiser
     rng = np.random.default_rng([7, len(kind), far])
     # the curve's brute force refines row by row, so it takes fewer cases
     for _ in range(6 if kind == "curve" else 12):
-        lat, ev = _random_component(rng, QQ, kind)
+        lat, ev = _random_component(rng, QQ, kind, K)
         reduced = _queries(rng, lat, far)
         got, _ = ev.distances(reduced)
         want = brute_force_evaluator_distances(ev, reduced)
@@ -279,13 +341,6 @@ def test_a_candidate_set_past_the_guard_exits_with_one_line(tmp_path, capsys, mo
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "candidate translates, more than 2" in err
-
-
-def test_a_box_past_the_guard_exits_with_one_line(K, monkeypatch):
-    monkeypatch.setattr(verifier, "MAX_TRANSLATES", 80)
-    lat = Lattice(2, [[1, 0], [0, 1]], K)
-    with pytest.raises(Exception, match="81 translates in the coefficient box"):
-        _line_evaluator(K, lat, [1, K.gen])
 
 
 def ladder_problem(n):
