@@ -2,7 +2,11 @@
 
 The verifier's hot loop is the distance from each reduced sample to the
 target cloud {offset + node} (projected lattice translates plus base-set
-nodes).  Three exact searches share one arithmetic:
+nodes).  Samples and nodes both sit in cell 0 of the projected lattice, so
+every sample of one slack class takes the same translates, by the box
+argument of ``ComponentEvaluator``: one call per class, to
+``min_distance_batch`` for a batch of samples and to ``min_distance_local``
+for the curve refine's windows.  Three exact searches share one arithmetic:
 
 * a direct-difference scan over every target, in blocks of whole offsets
   and of queries, or target by target for at most _NARROW_TARGETS finite
@@ -85,53 +89,35 @@ def backend_name() -> str:
     return "numpy"
 
 
-def min_distance_local(points, offsets, nodes, node_of=None, offset_of=None):
-    """Per point i, min over t and j of |points[i] - offsets[t] - nodes[i, j]|.
+@np.errstate(invalid="ignore")
+def min_distance_local(points, offsets, windows, window_of):
+    """Per point i, min over t and j of
+    |points[i] - offsets[t] - windows[window_of[i], j]|.
 
-    points:  (K, q) float64
-    offsets: (T, q) float64, shared by every point, or, with offset_of,
-             (G, T, q) distinct translate lists, point i taking list
-             offset_of[i]
-    nodes:   (L, q) float64, shared by every point, or, with node_of,
-             (W, L, q) distinct node windows, point i taking window
-             node_of[i], so that points sharing a window share one copy
+    points:    (K, q) float64
+    offsets:   (T, q) float64, shared by every point
+    windows:   (W, L, q) float64 distinct node windows, point i taking
+               window window_of[i], so that points sharing a window share
+               one copy
 
     Returns the (K,) distances, rounded as ``min_distance_batch`` rounds them.
     """
-    return nearest_local(points, offsets, nodes, node_of, offset_of)[0]
-
-
-@np.errstate(invalid="ignore")
-def nearest_local(points, offsets, nodes, node_of=None, offset_of=None):
-    """(dists, node_index): ``min_distance_local``'s distances, and the index
-    j of the node achieving each, the lowest flat (t, j) index on ties, as
-    ``min_distance_batch`` breaks them."""
     points = np.asarray(points, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
-    nodes = np.asarray(nodes, dtype=float)
+    windows = np.asarray(windows, dtype=float)
     K = len(points)
-    T, L = offsets.shape[-2], nodes.shape[-2]
+    T, L = len(offsets), windows.shape[1]
     if T == 0 or L == 0:
-        return np.full(K, np.inf), np.zeros(K, dtype=np.intp)
+        return np.full(K, np.inf)
     best = np.empty(K)
-    flat = np.empty(K, dtype=np.intp)
     step = max(1, _CHUNK_PAIRS // (T * L))
     for i in range(0, K, step):
-        if offset_of is None:
-            offs = offsets[None]
-        else:
-            offs = np.take(offsets, offset_of[i : i + step], axis=0)
-        if node_of is None:
-            own = nodes[None]
-        else:
-            own = np.take(nodes, node_of[i : i + step], axis=0)
-        targets = offs[:, :, None, :] + own[:, None, :, :]
+        own = np.take(windows, window_of[i : i + step], axis=0)
+        targets = offsets[None, :, None, :] + own[:, None, :, :]
         d2 = _sq_dist(points[i : i + step, None, None, :], targets)
-        d2 = d2.reshape(len(d2), -1)
-        idx = np.argmin(d2, axis=1)
-        flat[i : i + step] = idx
-        best[i : i + step] = d2[np.arange(len(idx)), idx]
-    return np.sqrt(best), flat % L
+        # min, like argmin, takes a NaN before any number
+        best[i : i + step] = d2.reshape(len(d2), -1).min(axis=1)
+    return np.sqrt(best)
 
 
 @np.errstate(invalid="ignore")

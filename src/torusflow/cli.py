@@ -2,7 +2,9 @@
 
 Exit codes:
     0  success
-    2  problem file or sample settings failed to parse or validate
+    2  problem file or sample settings failed to parse or validate, or the
+       problem file could not be read (it is missing, a directory, or not
+       UTF-8 text) or an output file could not be written
     3  symbolic analysis unsupported for this input (graph pieces, or a
        complex branch without rays under the real statement)
     4  internal invariant violation (a bug), an input the exact engine
@@ -37,12 +39,21 @@ EXIT_VERIFY_FAIL = 5
 EXIT_STARVED = 6
 
 
+def _unusable(action, path, exc):
+    """Exit 2 with one line: ``path`` could not be read or written."""
+    if isinstance(exc, UnicodeDecodeError):
+        reason = f"not {exc.encoding} text"
+    else:
+        reason = exc.strerror or exc
+    print(f"error: cannot {action} {path}: {reason}", file=sys.stderr)
+    raise SystemExit(EXIT_PARSE)
+
+
 def _load(path):
     try:
         return load_problem(path)
-    except FileNotFoundError:
-        print(f"error: no such file: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+    except (OSError, UnicodeDecodeError) as exc:
+        _unusable("read", path, exc)
     except TorusflowError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
@@ -70,8 +81,11 @@ def _config(spec, args):
 def _write_json(path, payload):
     # one write: json.dump writes every indented token on its own
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        _unusable("write", path, exc)
 
 
 def cmd_closure(args):
@@ -159,7 +173,10 @@ def cmd_sample(args):
         predicted = _prediction(spec)
     except TorusflowError:
         predicted = None
-    rows = write_sample_csv(args.out, shells, spec.lattice, predicted, cfg)
+    try:
+        rows = write_sample_csv(args.out, shells, spec.lattice, predicted, cfg)
+    except OSError as exc:
+        _unusable("write", args.out, exc)
     print(f"wrote {rows} rows to {args.out}")
     return EXIT_OK
 

@@ -339,7 +339,8 @@ class ProjectedLattice:
     carry rounding that grows with a point's size, so each point gets a
     slack class (``cells``): class j stands for a slack of 2^(j - 20) in
     coordinates, and class 0 holds every point within about 2^24 shortest
-    Gram-Schmidt lengths of the origin.
+    Gram-Schmidt lengths of the origin.  At rank 0, when Lambda' = 0, every
+    class has the one translate 0 and no point moves.
     """
 
     def __init__(self, rows, kernel, B, proj):
@@ -376,8 +377,7 @@ class ProjectedLattice:
         shortest = math.sqrt(min(norms)) if self.rank else 1.0
         self.inv_norm = max(float(np.abs(self.solve).sum(axis=0).max(initial=0.0)),
                             1.0 / shortest)
-        self._candidates = {}   # slack class -> N
-        self._shifts = {}       # slack class -> N @ U, in lexicographic order
+        self._offsets = {}   # slack class -> its translates
 
     def cells(self, pts, reach):
         """(cells, classes) of the rows of ``pts``: their int64 floor-Babai
@@ -427,8 +427,6 @@ class ProjectedLattice:
         largest value over the box is 2 (1 + d) |G v|_1 - 2 m G v + v G v.
         A vector nearest to some u, or tied with the nearest, stays.
         """
-        if j in self._candidates:
-            return self._candidates[j]
         d = 2.0 ** (j - 20)
         r, beta, mu = self.rank, self.beta.tolist(), self.mu.tolist()
         longest = math.sqrt(float(np.diag(self.gram).max(initial=0.0)))
@@ -482,32 +480,21 @@ class ProjectedLattice:
                 f"the containment search needs {len(parts)} candidate "
                 f"translates, more than {limit}"
             )
-        self._candidates[j] = parts
         return parts
 
-    def offsets(self, cells, j, limit):
-        """(G, T, q): the projected translates (k @ B) @ proj.T that a point
-        of slack class j takes against nodes in cell 0, for each of the (G, r)
-        ``cells``: k = (cell + m) @ U for m in N, in the lexicographic order
-        of k.  Adding cell @ U keeps that order, so one sort serves every
-        cell.  Where lattice vectors project to 0, each k is first moved by
-        them to its shortest lift k @ B, as Babai rounding finds it: the
-        projection of a long lift cancels, and loses digits."""
-        if j not in self._shifts:
+    def offsets(self, j, limit):
+        """(T, q): the projected translates (k @ B) @ proj.T that a point of
+        slack class j in cell 0 takes against nodes in cell 0: k = m @ U for
+        m in N, in the lexicographic order of k, one array per class.  Where
+        lattice vectors project to 0, each k is first moved by them to its
+        shortest lift k @ B, as Babai rounding finds it: the projection of a
+        long lift cancels, and loses digits."""
+        if j not in self._offsets:
             k = self.candidates(j, limit) @ self.U
-            self._shifts[j] = np.take(k, np.lexsort(k.T[::-1]), axis=0)
-        k = (cells @ self.U)[:, None, :] + self._shifts[j]
-        lifts = k @ self.B
-        steps = np.rint(lifts @ self.lift)
-        if steps.any():
-            k = k - steps @ self.kernel
-            G, T, n = k.shape
-            flat = k.reshape(G * T, n)
-            # each cell's translates in lexicographic order again
-            order = np.lexsort([*flat.T[::-1], np.repeat(np.arange(G), T)])
-            k = np.take(flat, order, axis=0).reshape(G, T, n)
-            lifts = k @ self.B
-        return lifts @ self.proj.T
+            k = k - np.rint((k @ self.B) @ self.lift) @ self.kernel
+            k = np.take(k, np.lexsort(k.T[::-1]), axis=0)
+            self._offsets[j] = (k @ self.B) @ self.proj.T
+        return self._offsets[j]
 
     def recentre(self, pts):
         """The rows of ``pts`` moved by the translates of their cells into

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import backend_name, min_distance_batch, min_distance_local, nearest_local
+from ._kernels import backend_name, min_distance_batch, min_distance_local
 from .errors import ShellStarved, TorusflowError
 from .flats import CurveImage, Flat, to_internal
 from .flow import FlowDescription
@@ -43,13 +43,6 @@ MAX_BASIS_NORM_SUM = 2.0**22
 # verify and sample stop with a TorusflowError, exit 4 and one line, instead
 # of running out of memory
 MAX_TRANSLATES = 1 << 16
-
-# queries in one cell take one kernel call when at least _MIN_RUN of them
-# share it, or when their translates times nodes pass _LOCAL_PAIRS (that
-# kernel works in bounded blocks); shorter runs share one call, each query
-# with its own translates
-_MIN_RUN = 64
-_LOCAL_PAIRS = 1 << 20
 
 
 def _int_in(value, lo, hi):
@@ -426,6 +419,14 @@ def sample_far_points(X, cfg: SampleConfig, lat: Lattice):
 # ---------------------------------------------------------------------------
 
 
+def _class_rows(cls):
+    """(j, rows) for each slack class j of ``cls``: the indices of its rows,
+    or a slice of every row when one class holds them all."""
+    if cls.min(initial=0) == cls.max(initial=0):
+        return [(int(cls[0]) if len(cls) else 0, slice(None))]
+    return [(j, np.nonzero(cls == j)[0]) for j in np.unique(cls).tolist()]
+
+
 def _null_space_rows(basis, rank):
     """Orthonormal rows spanning the complement of the row span of the
     (k, n) float array ``basis``, whose exact rank is ``rank``."""
@@ -450,25 +451,23 @@ class ComponentEvaluator:
     W* the torus closure of that intersection (``Lattice.widen``): the
     closure of C + W + D + Lambda is C + W + D + W* + Lambda, at the same
     distance.  So Lambda' is discrete (``Lattice.projection``).  A query x
-    and a node y lie in the floor-Babai cells a and b of Lambda', and
-    x - y - (a - b + m) basis, for an integer vector m, is (u - m) basis
-    plus a part orthogonal to Lambda' that no translate changes, where u
-    lies in the box (-1, 1)^r.  So the translates nearest to the pair are
-    among the (a - b + m) basis for m in N, the vectors that can be nearest
-    to some u of that box (``ProjectedLattice.candidates``), enumerated once
-    per slack class.  Each node, and each point of a refine window, is moved
-    by its own cell's translate into cell 0 (``ProjectedLattice.recentre``;
-    nodes already there keep their bits), so a query in cell a takes
-    (a + m) basis, and a distance is the minimum over all of Lambda, on
-    any basis of it and however far out the query lies.
+    and a node y are each moved by the translate of their floor-Babai cell
+    of Lambda' into cell 0 (``ProjectedLattice.recentre``; rows already
+    there keep their bits).  Then x - y - m basis, for an integer vector m,
+    is (u - m) basis plus a part orthogonal to Lambda' that no translate
+    changes, where u lies in the box (-1, 1)^r, so the translates nearest to
+    the pair are among the m basis for m in N, the vectors that can be
+    nearest to some u of that box (``ProjectedLattice.candidates``).
+    Coordinates round more coarsely the farther out a query lies, so N
+    widens with the slack class that ``ProjectedLattice.cells`` reads from
+    the query before its move, and the samples of one class take one
+    translate set, in one kernel call.  A distance is the minimum over all
+    of Lambda, on any basis of it and however far out the query lies.  When
+    Lambda' = 0 the one translate is 0 and nothing moves.
 
     Each translate is an integer vector k of the lattice basis, with offset
     (k @ B) @ proj.T, and the translates go in the lexicographic order of k.
-    Where the projection sends the lattice vectors in W + D to exactly 0, as
-    on every golden problem, each (query, translate, node) triple rounds,
-    and the kernel's ties go, as against a coefficient box of the same
-    translates.  ``offsets`` holds N, as the translates of a query in cell
-    0, or, when Lambda' = 0 and ``projected`` is None, the translate 0.
+    ``offsets`` holds N of slack class 0, which most queries take.
     """
 
     def __init__(self, comp, lat: Lattice, cfg: SampleConfig):
@@ -506,21 +505,15 @@ class ComponentEvaluator:
             self.cumlen = np.concatenate([[0.0], np.cumsum(seg)])
 
         self.nodes = self.nodes_full @ self.proj.T
+        # the largest absolute node entry, for the queries' slack classes
+        reach = max(-float(self.nodes.min(initial=0.0)),
+                    float(self.nodes.max(initial=0.0)))
+        if not math.isfinite(reach):
+            reach = float(np.abs(self.nodes[np.isfinite(self.nodes)]).max(initial=0.0))
+        self.node_reach = reach
         self.projected = lat.projection(space, self.proj)
-        if not self.projected.rank:
-            # Lambda' = 0: every query takes the one translate 0
-            self.projected = None
-            self.offsets = np.zeros((1, len(self.proj)))
-        else:
-            # the largest absolute node entry, for the queries' slack classes
-            reach = max(-float(self.nodes.min(initial=0.0)),
-                        float(self.nodes.max(initial=0.0)))
-            if not math.isfinite(reach):
-                reach = float(np.abs(self.nodes[np.isfinite(self.nodes)]).max(initial=0.0))
-            self.node_reach = reach
-            self.nodes = self.projected.recentre(self.nodes)
-            zero = np.zeros((1, self.projected.rank), dtype=np.int64)
-            self.offsets = self.projected.offsets(zero, 0, MAX_TRANSLATES)[0]
+        self.nodes = self.projected.recentre(self.nodes)
+        self.offsets = self.projected.offsets(0, MAX_TRANSLATES)
 
         # torus coordinates: integer-dual map, well-defined modulo the lattice
         self.torus_dim = comp.torus.torus_dim if comp.torus is not None else 0
@@ -529,86 +522,47 @@ class ComponentEvaluator:
         else:
             self.torus_solve = None
 
-    def _blocks(self, pts, min_group, width):
-        """Yield (rows, offsets, offset_of) for the queries ``pts`` on a
-        discrete Lambda', each to be measured against ``width`` nodes.
-
-        Queries in one cell and one slack class take the same translates.
-        A run of at least ``min_group`` such queries, or one whose T
-        translates times ``width`` pass _LOCAL_PAIRS, comes alone, with its
-        (1, T, q) offsets and offset_of None, rows None when it holds every
-        query; other runs of one class come together, with their (G, T, q)
-        offsets and each row's run in offset_of, in blocks of at most 2^16
-        translates in all.
-        """
-        cells, cls = self.projected.cells(pts, self.node_reach)
-        cols = [cls, *cells.T]
-        if all(c.min() == c.max() for c in cols):
-            yield None, self.projected.offsets(cells[:1], cls[0], MAX_TRANSLATES), None
-            return
-        order, starts = _sorted_runs(cols)
-        first = order[starts[:-1]]
-        sizes = np.diff(starts)
-        g = 0
-        while g < len(first):
-            j = cls[first[g]]
-            count = len(self.projected.candidates(j, MAX_TRANSLATES))
-            if sizes[g] >= min_group or count * width > _LOCAL_PAIRS:
-                offs = self.projected.offsets(cells[first[g : g + 1]], j, MAX_TRANSLATES)
-                yield order[starts[g] : starts[g + 1]], offs, None
-                g += 1
-                continue
-            # the class is the runs' first key, so runs of one class adjoin
-            most = g + max(1, (1 << 16) // count)
-            h = g + 1
-            while h < min(len(first), most) and sizes[h] < min_group and cls[first[h]] == j:
-                h += 1
-            offs = self.projected.offsets(cells[first[g:h]], j, MAX_TRANSLATES)
-            yield order[starts[g] : starts[h]], offs, np.repeat(np.arange(h - g), sizes[g:h])
-            g = h
-
     def distances(self, reduced):
         """Distance from each reduced sample to C + W + Lambda (windowed).
 
         Returns (dists, node_idx); node_idx is the nearest base node before
-        any curve refinement, the node ``base_cells`` buckets by.  Samples
-        that take the same translates share one kernel call.
+        any curve refinement, the node ``base_cells`` buckets by.  Each
+        sample is moved into cell 0, and the samples of one slack class share
+        one kernel call.
         """
         pts = reduced @ self.proj.T
-        if self.projected is None or not len(pts):
-            dists, node_idx = min_distance_batch(pts, self.offsets, self.nodes)
+        _, cls = self.projected.cells(pts, self.node_reach)
+        pts = self.projected.recentre(pts)
+        groups = _class_rows(cls)
+        if len(groups) == 1:
+            # one class, as in almost every call: the kernel's arrays as
+            # they come, not copied into fresh ones
+            offs = self.projected.offsets(groups[0][0], MAX_TRANSLATES)
+            dists, node_idx = min_distance_batch(pts, offs, self.nodes)
         else:
-            dists = np.zeros(len(pts))
-            node_idx = np.zeros(len(pts), dtype=np.intp)
-            # short runs share a call too, so far-flung queries in cells of
-            # their own cost no call apiece
-            for rows, offs, of in self._blocks(pts, _MIN_RUN, len(self.nodes)):
-                if rows is None:
-                    dists, node_idx = min_distance_batch(pts, offs[0], self.nodes)
-                    continue
-                sub = np.take(pts, rows, axis=0)
-                if of is None:
-                    d, i = min_distance_batch(sub, offs[0], self.nodes)
-                else:
-                    d, i = nearest_local(sub, offs, self.nodes, offset_of=of)
-                dists[rows] = d
-                node_idx[rows] = i
+            dists = np.empty(len(pts))
+            node_idx = np.empty(len(pts), dtype=np.intp)
+            for j, rows in groups:
+                offs = self.projected.offsets(j, MAX_TRANSLATES)
+                dists[rows], node_idx[rows] = min_distance_batch(pts[rows], offs, self.nodes)
         if self.curve_params is not None and len(self.curve_params) > 1:
-            dists = self._refine_curve(pts, dists, node_idx)
+            dists = self._refine_curve(pts, cls, dists, node_idx)
         return dists, node_idx
 
-    def _refine_curve(self, pts, dists, node_idx):
+    def _refine_curve(self, pts, cls, dists, node_idx):
         """Distances of the rough samples to a finer curve near their node.
 
-        A sample farther than tolerance / 4 is measured again against 33
-        curve points evenly spaced over the parameter interval of one node
-        spacing either side of its nearest node, and keeps the smaller
-        distance.  Only the 4096 roughest samples are refined.  Samples that
-        share a nearest node share its window, so each distinct node's window
-        is evaluated, reduced, moved into cell 0 and handed to the kernel
-        once, each sample with the translates of its own cell; the curve, the
-        reduction, the projection and the move act row by row, so a window's
-        rows are the same whichever other windows are built with it.
+        ``pts`` are the projected samples moved into cell 0, and ``cls``
+        their slack classes, as ``distances`` finds them.  A sample farther
+        than tolerance / 4 is measured again against 33 curve points evenly
+        spaced over the parameter interval of one node spacing either side of
+        its nearest node, and keeps the smaller distance.  Only the 4096
+        roughest samples are refined.  Samples that share a nearest node
+        share its window, so each distinct node's window is evaluated,
+        reduced, moved into cell 0 and handed to the kernel once per slack
+        class; the curve, the reduction, the projection and the move act row
+        by row, so a window's rows are the same whichever other windows are
+        built with it.
         """
         worst = np.nonzero(dists > 0.25 * self.cfg.tolerance)[0]
         if not len(worst):
@@ -622,24 +576,13 @@ class ComponentEvaluator:
         local = np.linspace(p0 - spacing, p0 + spacing, 33, axis=1)
         raw = self.comp.base.sample_at(local.ravel())
         red, _, _ = self.lat.reduce_points(raw)
-        windows = (red @ self.proj.T).reshape(len(node), 33, -1)
+        windows = self.projected.recentre(red @ self.proj.T).reshape(len(node), 33, -1)
         rows = np.take(pts, worst, axis=0)
+        refined = np.empty(len(worst))
+        for j, sel in _class_rows(cls[worst]):
+            offs = self.projected.offsets(j, MAX_TRANSLATES)
+            refined[sel] = min_distance_local(rows[sel], offs, windows, row_node[sel])
         out = dists.copy()
-        if self.projected is None:
-            refined = min_distance_local(rows, self.offsets, windows, row_node)
-        else:
-            W, L, q = windows.shape
-            windows = self.projected.recentre(windows.reshape(W * L, q)).reshape(W, L, q)
-            refined = np.empty(len(rows))
-            for sel, offs, of in self._blocks(rows, math.inf, L):
-                if sel is None:
-                    refined = min_distance_local(rows, offs[0], windows, row_node)
-                    continue
-                if of is None:
-                    of = np.zeros(len(sel), dtype=np.intp)
-                refined[sel] = min_distance_local(
-                    np.take(rows, sel, axis=0), offs, windows, np.take(row_node, sel), of
-                )
         out[worst] = np.minimum(out[worst], refined)
         return out
 
@@ -801,21 +744,13 @@ def distinct_rows(cols):
             first = np.full(size, n, dtype=np.intp)
             np.minimum.at(first, key, np.arange(n))
             return first[first < n]
-    order, starts = _sorted_runs(cols)
-    return order[starts[:-1]]
-
-
-def _sorted_runs(cols):
-    """(order, starts): the rows of a table of columns in lexicographic
-    order, by a stable sort, and the position where each run of equal rows
-    starts, with the row count appended."""
     order = np.lexsort(cols[::-1])
-    first = np.zeros(len(order), dtype=bool)
+    first = np.zeros(n, dtype=bool)
     first[:1] = True
     for c in cols:
         c = c[order]
         first[1:] |= c[1:] != c[:-1]
-    return order, np.append(np.nonzero(first)[0], len(order))
+    return order[first]
 
 
 @dataclass

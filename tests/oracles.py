@@ -18,8 +18,9 @@ the certified-root box arithmetic on Fraction endpoints,
 ``translates`` lists the lattice points of a coefficient box and
 ``box_offsets`` the translates a distance took from such a box,
 ``projected_lattice_rows`` finds a basis of the projected lattice by exact
-integer elimination and ``brute_force_distances`` measures distances to
-its translates over a box that holds each query's minimiser, and
+integer elimination, ``reduced_projected_rows`` moves such a basis to short
+lifts and LLL-reduces it, and ``brute_force_distances`` measures distances
+to its translates over a box that holds each query's minimiser, and
 ``serialize`` writes a parsed problem back as text for the parse ->
 serialize -> parse round trip.
 """
@@ -552,22 +553,13 @@ def projected_lattice_rows(lat, space):
     return [u for u, h in zip(U, H) if any(h)], [u for u, h in zip(U, H) if not any(h)]
 
 
-def brute_force_distances(pts, nodes, B, proj, rows, kernel=()):
-    """(dists, node_idx): per query x, the least |x - (k @ B) @ proj.T - node|
-    over the nodes and over k = j @ rows, j an integer vector in a box that
-    holds the minimiser, squared and summed coordinate by coordinate, and a
-    node that attains it.  Each of ``rows``, and each k, is moved by the
-    integer vectors ``kernel``, which project to 0, to a short lift k B by
-    Babai rounding, so that its projection loses few digits, and ``rows``
-    are then LLL-reduced, which changes only the size of the boxes.
-
-    ``rows`` are integer rows whose projected lattice vectors form a basis
-    b of the projected lattice, with Gram matrix G.  Rounding the
-    coordinates of x - node over b leaves an in-span residual of at most
-    h = sum |b_i| / 2, so the nearest translate's residual e b has
-    |e b| <= h and |e_i| <= h sqrt((G^-1)_ii); the box spans that much
-    around the coordinates of x minus those of every node.
-    """
+def reduced_projected_rows(B, proj, rows, kernel=()):
+    """(rows, kernel, lift): ``rows`` moved by the integer vectors
+    ``kernel``, which project to 0, to short lifts k B by Babai rounding,
+    so that their projections lose few digits, then LLL-reduced; the
+    kernel, LLL-reduced, and the map ``lift`` that rounds a vector to its
+    nearest combination of the kernel's lattice vectors, or None without a
+    kernel.  The rows span the same projected lattice as before."""
     rows = np.asarray(rows, dtype=float).reshape(len(rows), len(B))
     lift = None
     if len(kernel):
@@ -577,8 +569,27 @@ def brute_force_distances(pts, nodes, B, proj, rows, kernel=()):
         lift = short.T @ np.linalg.inv(short @ short.T)
         rows = rows - np.rint((rows @ B) @ lift) @ kernel
     if len(rows):
-        # any basis holds the minimiser in its box; a reduced one, a small box
         rows = np.asarray(lll_reduce((rows @ B) @ proj.T), dtype=float) @ rows
+    return rows, kernel, lift
+
+
+def brute_force_distances(pts, nodes, B, proj, rows, kernel=()):
+    """(dists, node_idx): per query x, the least |x - (k @ B) @ proj.T - node|
+    over the nodes and over k = j @ rows, j an integer vector in a box that
+    holds the minimiser, squared and summed coordinate by coordinate, and a
+    node that attains it.  ``rows`` are first reduced
+    (``reduced_projected_rows``), which changes only the size of the boxes
+    (any basis holds the minimiser in its box; a reduced one, a small box),
+    and each k is moved to a short lift as they are.
+
+    ``rows`` are integer rows whose projected lattice vectors form a basis
+    b of the projected lattice, with Gram matrix G.  Rounding the
+    coordinates of x - node over b leaves an in-span residual of at most
+    h = sum |b_i| / 2, so the nearest translate's residual e b has
+    |e b| <= h and |e_i| <= h sqrt((G^-1)_ii); the box spans that much
+    around the coordinates of x minus those of every node.
+    """
+    rows, kernel, lift = reduced_projected_rows(B, proj, rows, kernel)
     basis = (rows @ B) @ proj.T
     gram_inv = np.linalg.inv(basis @ basis.T) if len(rows) else np.zeros((0, 0))
     pinv = basis.T @ gram_inv
@@ -618,14 +629,18 @@ def brute_force_distances(pts, nodes, B, proj, rows, kernel=()):
     return out, node_idx
 
 
-def brute_force_evaluator_distances(ev, reduced):
+def brute_force_evaluator_distances(ev, reduced, scale=1.0):
     """``ComponentEvaluator.distances`` of the reduced rows by brute force,
     the curve refine included: the rows it refines get the brute-force
     distance to the 33-point window around their nearest node too.
 
     The projection is along W + D plus the torus closure of its
     intersection with span Lambda, which the evaluator's ``proj`` must
-    annihilate."""
+    annihilate.  The rows measured are the projected rows as the evaluator
+    moves them into cell 0, and each move must be a projected lattice
+    vector: its coordinates over the basis from ``projected_lattice_rows``
+    lie within 1e-9 of integers, times ``scale``, a float or one per row,
+    for rows so far out that a move of their size rounds by more."""
     lat = ev.lat
     space = ev.comp.effective_span
     if isinstance(ev.comp.base, Flat):
@@ -635,7 +650,17 @@ def brute_force_evaluator_distances(ev, reduced):
     assert np.allclose(space.float_basis() @ ev.proj.T, 0.0, atol=1e-9)
     rows, kernel = projected_lattice_rows(lat, space)
     B = lat.float_basis()
-    pts = reduced @ ev.proj.T
+    projected = reduced @ ev.proj.T
+    pts = ev.projected.recentre(projected)
+    if len(rows):
+        # over the reduced rows, a unimodular change of that basis, whose
+        # projections keep their digits
+        short = reduced_projected_rows(B, ev.proj, rows, kernel)[0]
+        basis = (short @ B) @ ev.proj.T
+        coords = np.linalg.solve(basis @ basis.T, basis @ (projected - pts).T)
+        assert np.all(np.abs(coords - np.rint(coords)) <= 1e-9 * scale)
+    else:
+        assert np.array_equal(pts, projected)
     nodes = ev.nodes_full @ ev.proj.T
     d, node_idx = brute_force_distances(pts, nodes, B, ev.proj, rows, kernel)
     if ev.curve_params is None:

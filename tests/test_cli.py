@@ -68,6 +68,49 @@ class TestClosure:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["closure", "verify", "sample"])
+@pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+def test_unreadable_problem_file_exits_with_one_line(tmp_path, capsys, command, kind):
+    spec = tmp_path / "bad.tfp"
+    if kind == "directory":
+        spec.mkdir()
+    else:
+        spec.write_bytes(b"schema = 1\n# caf\xe9\n")
+    out = tmp_path / "s.csv"
+    argv = [command, str(spec)] + (["--out", str(out)] if command == "sample" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {spec}: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["closure", "verify", "sample"])
+def test_unwritable_output_exits_with_one_line(workdir, capsys, command):
+    # closure's JSON and verify's report onto a directory, sample's CSV
+    # into a directory that does not exist
+    spec = str(workdir / "hyperbola.tfp")
+    if command == "closure":
+        argv, target = ["closure", spec, "--json", str(workdir)], str(workdir)
+    elif command == "verify":
+        target = spec + ".report.json"
+        Path(target).mkdir()
+        argv = ["verify", spec]
+    else:
+        target = str(workdir / "missing" / "s.csv")
+        argv = ["sample", spec, "--out", target]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+
+
 class TestVerify:
     def test_hyperbola_passes(self, workdir, capsys):
         spec = str(workdir / "hyperbola.tfp")

@@ -390,24 +390,20 @@ def test_narrow_scans_match_the_argmin_scan(monkeypatch, q):
 
 @pytest.mark.parametrize("chunk", [7, 1 << 20])
 def test_local_windows_match_per_point_batches(monkeypatch, chunk):
-    # distinct windows handed over once, with a window index and each
-    # point's own translates per row
+    # distinct windows handed over once, with a window index per row
     monkeypatch.setattr(_kernels, "_CHUNK_PAIRS", chunk)
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(60, 2)) * 3.0
     windows = rng.normal(size=(5, 33, 2))
     node_of = rng.integers(0, 5, size=60)
-    offs = rng.integers(-2, 3, size=(60, 4, 2)).astype(float)
-    d = min_distance_local(pts, offs, windows, node_of, np.arange(60))
+    offs = rng.integers(-2, 3, size=(4, 2)).astype(float)
+    d = min_distance_local(pts, offs, windows, node_of)
     ref = [
-        min_distance_batch(pts[i : i + 1], offs[i], windows[node_of[i]])[0][0]
+        min_distance_batch(pts[i : i + 1], offs, windows[node_of[i]])[0][0]
         for i in range(60)
     ]
     assert np.array_equal(d, ref)
-    shared = min_distance_local(pts, offs[0], windows, node_of)
-    assert np.array_equal(
-        shared, min_distance_local(pts, offs[0], windows[node_of], np.arange(60))
-    )
+    assert np.array_equal(d, min_distance_local(pts, offs, windows[node_of], np.arange(60)))
 
 
 def test_local_nodes_match_per_point_batches():

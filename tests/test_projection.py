@@ -19,14 +19,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusflow import verifier
+from torusflow import _kernels, verifier
 from torusflow.cli import main
 from torusflow.flats import CurveImage, Flat, PointSet
 from torusflow.flow import predicted_flow
 from torusflow.lattice import Lattice, ProjectedLattice, Subspace, lll_reduce
 from torusflow.numberfield import NumberField, rationals
 from torusflow.specfile import load_problem
-from torusflow.verifier import ComponentEvaluator, SampleConfig
+from torusflow.verifier import ComponentEvaluator, SampleConfig, distinct_rows
 
 from oracles import brute_force_evaluator_distances, int_det
 
@@ -98,7 +98,7 @@ def test_a_projection_that_is_not_discrete_widens_to_one_translate(K):
     # the projection is along R^2 and takes the one translate 0
     lat = Lattice(2, [[1, 0], [0, 1]], K)
     ev = _line_evaluator(K, lat, [1, K.gen])
-    assert ev.projected is None and ev.proj.shape == (0, 2)
+    assert ev.projected.rank == 0 and ev.proj.shape == (0, 2)
     assert ev.offsets.shape == (1, 0)
 
 
@@ -109,7 +109,7 @@ def test_lattice_vectors_in_the_span_project_to_exactly_zero(QQ):
     comps = [(PointSet([[0, 0, 0]], QQ), Subspace(3, [[1, 1, 0]], QQ), "point")]
     [comp] = predicted_flow(comps, lat, "real").components
     ev = ComponentEvaluator(comp, lat, SampleConfig())
-    assert ev.projected is None
+    assert ev.projected.rank == 0
     assert ev.offsets.tolist() == [[0.0, 0.0]]
 
 
@@ -226,26 +226,47 @@ def test_distances_equal_brute_force(QQ, K, kind, far):
         lat, ev = _random_component(rng, QQ, kind, K)
         reduced = _queries(rng, lat, far)
         got, _ = ev.distances(reduced)
-        want = brute_force_evaluator_distances(ev, reduced)
-        # far out one ulp of a coordinate passes 1e-12, so the bound there
-        # is relative to the query's size
+        # far out one ulp of a coordinate passes 1e-12, so the bounds there
+        # are relative to the query's size
         scale = 1.0 + np.abs(reduced).max(axis=1) if far else 1.0
+        want = brute_force_evaluator_distances(ev, reduced, scale)
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
-@pytest.mark.parametrize("min_run, pairs", [(1, 1 << 20), (10**9, 1 << 20), (10**9, 0)])
-def test_every_grouping_of_the_queries_gives_the_same_answer(QQ, monkeypatch, min_run, pairs):
-    # runs alone, all runs in shared calls, and every run alone for its
-    # pairs: each (query, translate, node) triple rounds alike in each
+@pytest.mark.parametrize("block_targets, chunk_pairs", [(1, 1 << 20), (10**9, 1 << 20), (10**9, 0)])
+def test_every_grouping_of_the_queries_gives_the_same_answer(
+    QQ, K, monkeypatch, block_targets, chunk_pairs
+):
+    # near and far queries in many cells and several slack classes, all
+    # together, one at a time and shuffled: each query is moved into cell 0
+    # and takes its class's translates, so no other query changes its bits.
+    # A lone query goes in as two copies of itself: numpy multiplies a
+    # one-row matrix with another BLAS routine, whose projection of the
+    # query can differ in its last bits before any grouping.  The kernel
+    # scans one offset at a time or all at once, and one query at a time or
+    # many, and each (query, target) pair rounds alike in each
+    monkeypatch.setattr(_kernels, "_BLOCK_TARGETS", block_targets)
+    monkeypatch.setattr(_kernels, "_CHUNK_PAIRS", chunk_pairs)
     rng = np.random.default_rng(11)
-    cases = [_random_component(rng, QQ, kind) for kind in ("points", "curve") * 3]
-    queries = [_queries(rng, lat, far) for (lat, _), far in zip(cases, [False, True] * 3)]
-    expected = [ev.distances(r) for (_, ev), r in zip(cases, queries)]
-    monkeypatch.setattr(verifier, "_MIN_RUN", min_run)
-    monkeypatch.setattr(verifier, "_LOCAL_PAIRS", pairs)
-    for (_, ev), r, (d, i) in zip(cases, queries, expected):
-        got, got_i = ev.distances(r)
-        assert np.array_equal(got, d) and np.array_equal(got_i, i)
+    classes, cells = set(), 0
+    for kind in ("points", "affine", "curve", "irrational-span", "irrational-dirs"):
+        lat, ev = _random_component(rng, QQ, kind, K)
+        B = lat.float_basis()
+        spread = rng.uniform(-40.0, 40.0, size=(30, len(B))) @ B
+        spread *= 10.0 ** rng.integers(0, 11, size=(30, 1))
+        queries = np.vstack([_queries(rng, lat, False), _queries(rng, lat, True), spread])
+        pts = queries @ ev.proj.T
+        c, cls = ev.projected.cells(pts, ev.node_reach)
+        classes.update(cls.tolist())
+        cells = max(cells, len(distinct_rows(c.T)) if c.shape[1] else 1)
+        d, i = ev.distances(queries)
+        one = [ev.distances(queries[[k, k]]) for k in range(len(queries))]
+        assert np.array_equal(np.concatenate([x[:1] for x, _ in one]), d)
+        assert np.array_equal(np.concatenate([x[:1] for _, x in one]), i)
+        perm = rng.permutation(len(queries))
+        got, got_i = ev.distances(queries[perm])
+        assert np.array_equal(got, d[perm]) and np.array_equal(got_i, i[perm])
+    assert len(classes) >= 3 and cells >= 10
 
 
 def test_dinh_vu_sample_rows_equal_brute_force(tmp_path):

@@ -361,6 +361,13 @@ def refined_rows(ev, dists):
     return worst
 
 
+def in_cell_zero(ev, pts):
+    """(pts, classes): projected samples moved into cell 0, and their slack
+    classes, as ``distances`` hands them to ``_refine_curve``."""
+    _, cls = ev.projected.cells(pts, ev.node_reach)
+    return ev.projected.recentre(pts), cls
+
+
 def refine_per_sample(ev, pts, dists, node_idx):
     """Reference for the batched refine: one kernel call per rough sample,
     against the coefficient box of translates the refine searched before
@@ -404,14 +411,14 @@ def curve_case(name):
 class TestCurveBase:
     def test_batched_refine_matches_per_sample_loop(self):
         ev, pts, dists, node_idx, _ = curve_case("half-curve")
-        batched = ev._refine_curve(pts, dists, node_idx)
+        batched = ev._refine_curve(*in_cell_zero(ev, pts), dists, node_idx)
         reference = refine_per_sample(ev, pts, dists, node_idx)
         assert np.sum(batched < dists) > 1000
         assert np.array_equal(batched, reference)
 
     def test_batched_refine_matches_per_sample_loop_on_a_complex_curve(self):
         ev, pts, dists, node_idx, _ = curve_case("complex-curve")
-        batched = ev._refine_curve(pts, dists, node_idx)
+        batched = ev._refine_curve(*in_cell_zero(ev, pts), dists, node_idx)
         reference = refine_per_sample(ev, pts, dists, node_idx)
         assert np.sum(batched < dists) > 100
         assert np.array_equal(batched, reference)
@@ -427,7 +434,7 @@ class TestCurveBase:
             return sample_at(self, params)
 
         monkeypatch.setattr(CurveImage, "sample_at", spy)
-        ev._refine_curve(pts, dists, node_idx)
+        ev._refine_curve(*in_cell_zero(ev, pts), dists, node_idx)
         rows = refined_rows(ev, dists)
         nodes = len(np.unique(node_idx[rows]))
         assert len(rows) > nodes > 1
@@ -435,8 +442,8 @@ class TestCurveBase:
 
     @pytest.mark.parametrize("case", ["half-curve", "complex-curve"])
     def test_distances_equal_the_coefficient_box(self, case):
-        # each window goes to the kernel once, with each row's translates
-        # around its cell; the distances and nodes are those of the box
+        # each row moved into cell 0 and each window handed to the kernel
+        # once; the distances and nodes are those of the box
         ev, pts, dists, node_idx, reduced = curve_case(case)
         new, new_idx = ev.distances(reduced)
         assert np.array_equal(new_idx, node_idx)
