@@ -59,7 +59,11 @@ integer and boolean reductions are exact in any order, so neither changes
 a bit of the result.  A float sum gives numpy's bits only when it adds in
 numpy's order: the verifier's ``_row_norms`` adds squares column by column below 8 columns,
 where numpy adds them in that order too, and calls ``np.linalg.norm`` on a
-C-ordered copy from 8 columns on, where numpy sums pairwise.
+C-ordered copy from 8 columns on, where numpy sums pairwise.  In the
+verifier and the lattice, every product whose inner dimension can be 1 (a
+rank-one product, such as a rank-1 lattice's coordinates times its basis
+row) goes through ``np.dot``: numpy's matmul takes a path several times
+slower there, and ``np.dot`` gives the same bits.
 
 Differences are taken directly.  The matmul identity |x|^2 + |c|^2 - 2 x.c
 cancels badly: with |x| about 10 it is off by 2e-10 at distance 1e-3 and by
@@ -229,8 +233,14 @@ def _sorted(points, targets):
     u = np.concatenate([[-np.inf, -np.inf], s[first], [np.inf, np.inf]])
     uflat = np.concatenate([[0, 0], order[first], [0, 0]])
     x = points[:, 0]
-    # u[i - 1] <= x < u[i]; a query that is not finite is clipped and scanned
-    i = np.clip(np.searchsorted(u, x, "right"), 2, len(u) - 2)
+    # u[i - 1] <= x < u[i]; a query that is not finite is clipped and scanned.
+    # numpy's binary search narrows from the previous query's answer when
+    # the queries ascend, so they go in ascending order and the answers are
+    # scattered back
+    order = np.argsort(x)
+    i = np.empty(len(x), dtype=np.intp)
+    i[order] = np.searchsorted(u, x[order], "right")
+    np.clip(i, 2, len(u) - 2, out=i)
     left = (x - u[i - 1]) ** 2
     right = (x - u[i]) ** 2
     best = np.minimum(left, right)

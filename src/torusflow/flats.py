@@ -33,15 +33,18 @@ MAX_BRANCH_DEGREE = 10**4
 
 
 def to_internal(points, mode):
-    """Complex (m, n) samples -> real (m, N) internal coordinates."""
+    """Logical (m, n) samples -> real (m, N) internal coordinates.
+
+    In complex mode the internal coordinates are the interleaved (Re, Im)
+    pairs of a C-ordered complex array, so the result is that array's float
+    view: a view of ``points`` themselves when they are one, else of a
+    C-ordered complex copy.  In real mode it is the real parts, as C-ordered
+    floats, ``points`` themselves when they are such floats already.
+    """
     pts = np.atleast_2d(np.asarray(points))
     if mode == "real":
-        return np.ascontiguousarray(pts.real.astype(float))
-    m, n = pts.shape
-    out = np.empty((m, 2 * n), dtype=float)
-    out[:, 0::2] = pts.real
-    out[:, 1::2] = pts.imag
-    return out
+        return np.ascontiguousarray(pts.real, dtype=float)
+    return np.ascontiguousarray(pts, dtype=complex).view(float)
 
 
 def embed_exact_vector(vec, mode, field: NumberField):

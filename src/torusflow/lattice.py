@@ -580,11 +580,16 @@ class Lattice:
         if self.rank == 0:
             zeros = np.zeros((len(points), 0))
             return points.copy(), zeros, points.copy()
-        coords = points @ solve.T
-        frac = coords - np.floor(coords)
-        span_part = frac @ B
-        perp = points - coords @ B
-        return span_part + perp, frac, perp
+        # np.dot: numpy's matmul is several times slower on a column (an
+        # inner dimension of 1, as on a rank-1 lattice), with the same bits
+        coords = np.dot(points, solve.T)
+        frac = np.floor(coords)
+        np.subtract(coords, frac, out=frac)
+        perp = np.dot(coords, B)
+        np.subtract(points, perp, out=perp)
+        reduced = np.dot(frac, B)
+        reduced += perp
+        return reduced, frac, perp
 
     def reduction_residual(self, points, reduced):
         """Max distance of (point - reduced) from the lattice itself."""
@@ -592,10 +597,9 @@ class Lattice:
         B, solve = self._floats()
         if self.rank == 0:
             return float(np.max(np.abs(diff))) if diff.size else 0.0
-        coeffs = diff @ solve.T
-        nearest = np.round(coeffs)
-        resid = diff - nearest @ B
-        return float(np.max(np.abs(resid))) if resid.size else 0.0
+        nearest = np.round(np.dot(diff, solve.T))
+        diff -= np.dot(nearest, B)
+        return float(np.max(np.abs(diff))) if diff.size else 0.0
 
     def projection(self, space: Subspace, proj):
         """The projection Lambda' of the lattice along ``space``, as a

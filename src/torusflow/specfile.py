@@ -338,20 +338,28 @@ def _numeric_vector(text, names, space, field, what):
 
     The map takes one complex array per name, all of one shape, and returns
     the logical points, shape + (logical_dim,); constant coordinates are
-    broadcast.
+    broadcast.  Each coordinate is written straight into one float array of
+    shape + (internal_dim,): in complex mode through its complex view, which
+    the map returns, and in real mode as its real part.  So ``to_internal``
+    takes the points without a copy.
     """
     exprs = split_vector(text.strip())
     if len(exprs) != space.logical_dim:
         raise SpecFileError(f"{what} output count mismatch")
     compiled = [compile_numeric(parse_expr(e), set(names), field) for e in exprs]
+    complex_mode = space.mode == "complex"
 
     def point_at(columns):
         env = dict(zip(names, columns))
-        shape = np.shape(columns[0])
-        return np.stack(
-            [np.broadcast_to(fn(env), shape).astype(complex) for fn in compiled],
-            axis=-1,
-        )
+        out = np.empty(np.shape(columns[0]) + (space.internal,))
+        if complex_mode:
+            out = out.view(complex)
+            for k, fn in enumerate(compiled):
+                out[..., k] = fn(env)
+        else:
+            for k, fn in enumerate(compiled):
+                out[..., k] = np.real(fn(env))
+        return out
 
     return point_at
 

@@ -73,6 +73,23 @@ def _row_norms(x):
         return np.sqrt(sq)
 
 
+def _segment_lengths(raw):
+    """``_row_norms(np.diff(raw, axis=0))``, bit for bit: the lengths of a
+    polyline's segments.  Below 8 columns the differences are taken and
+    squared a column at a time, as ``_row_norms`` adds them, so no
+    (m - 1, n) difference array is built.
+    """
+    if raw.shape[1] >= 8:
+        return _row_norms(np.diff(raw, axis=0))
+    sq = np.zeros(len(raw) - 1)
+    for k in range(raw.shape[1]):
+        d = raw[1:, k] - raw[:-1, k]
+        with np.errstate(over="ignore"):
+            np.multiply(d, d, out=d)
+            sq += d
+    return np.sqrt(sq)
+
+
 @dataclass
 class SampleConfig:
     """Knobs for the far-point sampler and the two-sided checks."""
@@ -276,12 +293,14 @@ def _draw_affine(frame, count, radius, rng, window):
     def build(lo, hi):
         r = np.exp(log_r[lo:hi])
         pts = np.tile(base, (hi - lo, 1))
+        # np.dot: numpy's matmul is several times slower on a column (one
+        # direction in or out of the lattice span), with the same bits
         if din:
             d = g[lo:hi]
             d = d / np.maximum(_row_norms(d), 1e-300)[:, None]
-            pts = pts + (d * r[:, None]) @ qin
+            pts += np.dot(d * r[:, None], qin)
         if dout:
-            pts = pts + u[lo:hi] @ out_f
+            pts += np.dot(u[lo:hi], out_f)
         return r[:, None], pts
 
     return build
@@ -501,8 +520,7 @@ class ComponentEvaluator:
         self.frame = np.linalg.qr(dirs.T)[0] if len(dirs) else None
         self.cumlen = None
         if self.curve_params is not None:
-            seg = _row_norms(np.diff(raw, axis=0))
-            self.cumlen = np.concatenate([[0.0], np.cumsum(seg)])
+            self.cumlen = np.concatenate([[0.0], np.cumsum(_segment_lengths(raw))])
 
         self.nodes = self.nodes_full @ self.proj.T
         # the largest absolute node entry, for the queries' slack classes
@@ -670,10 +688,14 @@ def coverage_check(reduced, cfg, evaluators, per_component):
         if len(reduced):
             d, node_idx = per_component[idx]
             sel = np.nonzero(d <= assign_tol)[0]
-            if len(sel):
+            sub = reduced
+            if len(sel) < len(reduced):
+                # rows are gathered only when some are left out
                 sub = np.take(reduced, sel, axis=0)
+                node_idx = np.take(node_idx, sel)
+            if len(sub):
                 tcells = ev.torus_cells(sub)
-                bcells, in_window = ev.base_cells(sub, np.take(node_idx, sel))
+                bcells, in_window = ev.base_cells(sub, node_idx)
                 cols = [*bcells.T, *tcells.T]
                 if not in_window.all():
                     cols = [np.compress(in_window, c) for c in cols]

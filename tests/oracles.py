@@ -20,7 +20,11 @@ the certified-root box arithmetic on Fraction endpoints,
 ``projected_lattice_rows`` finds a basis of the projected lattice by exact
 integer elimination, ``reduced_projected_rows`` moves such a basis to short
 lifts and LLL-reduces it, and ``brute_force_distances`` measures distances
-to its translates over a box that holds each query's minimiser, and
+to its translates over a box that holds each query's minimiser,
+``reduce_points_by_matmul``, ``reduction_residual_by_matmul``,
+``to_internal_by_copy`` and ``stacked_points`` are the verifier's row
+stages as first written, with ``@`` products, fresh arrays and strided
+copies, against which ``same_bits`` compares the rewritten ones, and
 ``serialize`` writes a parsed problem back as text for the parse ->
 serialize -> parse round trip.
 """
@@ -34,6 +38,7 @@ import numpy as np
 from torusflow import exactlinalg as xl
 from torusflow._kernels import min_distance_batch
 from torusflow.asymptotics import _abs_lower, _abs_upper
+from torusflow.expressions import compile_numeric, parse_expr, split_vector
 from torusflow.flats import Flat, ParametricBranch, TPoly
 from torusflow.lattice import (
     hermite_normal_form,
@@ -713,6 +718,69 @@ def stacked_hit_counts(reduced, cfg, evaluators, per_component):
         cells = np.hstack([bcells, ev.torus_cells(sub)])[in_window]
         counts.append(len(np.unique(cells, axis=0)))
     return counts
+
+
+# ---------------------------------------------------------------------------
+# Row stages as first written, for bit-for-bit checks of the rewritten ones
+# ---------------------------------------------------------------------------
+
+
+def same_bits(a, b):
+    """Whether two arrays have one shape and dtype and the same bytes, so
+    that signed zeros and NaN payloads count too."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def reduce_points_by_matmul(lat, points):
+    """``Lattice.reduce_points`` of a lattice of rank >= 1, with ``@``
+    products and a fresh array for every step."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    B, solve = lat._floats()
+    coords = points @ solve.T
+    frac = coords - np.floor(coords)
+    span_part = frac @ B
+    perp = points - coords @ B
+    return span_part + perp, frac, perp
+
+
+def reduction_residual_by_matmul(lat, points, reduced):
+    """``Lattice.reduction_residual`` of a lattice of rank >= 1, with ``@``
+    products."""
+    diff = np.atleast_2d(points) - np.atleast_2d(reduced)
+    B, solve = lat._floats()
+    coeffs = diff @ solve.T
+    nearest = np.round(coeffs)
+    resid = diff - nearest @ B
+    return float(np.max(np.abs(resid))) if resid.size else 0.0
+
+
+def to_internal_by_copy(points, mode):
+    """``to_internal`` as a copy: the real parts in real mode, the real and
+    imaginary parts written into alternate columns in complex mode."""
+    pts = np.atleast_2d(np.asarray(points))
+    if mode == "real":
+        return np.ascontiguousarray(pts.real.astype(float))
+    m, n = pts.shape
+    out = np.empty((m, 2 * n), dtype=float)
+    out[:, 0::2] = pts.real
+    out[:, 1::2] = pts.imag
+    return out
+
+
+def stacked_points(text, names, columns, field):
+    """The logical points of a vector text at one complex array per name:
+    each compiled coordinate broadcast, cast to complex and stacked."""
+    compiled = [
+        compile_numeric(parse_expr(e), set(names), field)
+        for e in split_vector(text.strip())
+    ]
+    env = dict(zip(names, columns))
+    shape = np.shape(columns[0])
+    return np.stack(
+        [np.broadcast_to(fn(env), shape).astype(complex) for fn in compiled],
+        axis=-1,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from torusflow.flats import (
 from torusflow.lattice import Subspace
 from torusflow.numberfield import AlgebraicNumber, NumberField, rationals
 
-from oracles import branch, to_logical
+from oracles import branch, same_bits, to_internal_by_copy, to_logical
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +146,21 @@ class TestConversions:
         internal = to_internal(pts, "complex")
         assert np.allclose(internal, [[1, 2, 3, -1]])
         assert np.allclose(to_logical(internal, "complex"), pts)
+
+    @pytest.mark.parametrize("mode", ["real", "complex"])
+    def test_internal_view_keeps_the_bits_of_the_copy(self, mode):
+        rng = np.random.default_rng(5)
+        pts = rng.normal(size=(300, 3)) + 1j * rng.normal(size=(300, 3))
+        pts[::7, 1] = complex(np.inf, np.nan)
+        pts[3::11, 2] = complex(-0.0, -np.inf)
+        for same in (pts, np.asfortranarray(pts), pts[::2], pts[0]):
+            internal = to_internal(same, mode)
+            assert internal.flags.c_contiguous
+            assert same_bits(internal, to_internal_by_copy(same, mode))
+        # a C-ordered complex array is viewed, not copied
+        assert np.shares_memory(to_internal(pts, "complex"), pts)
+        floats = pts.real.copy()
+        assert to_internal(floats, "real") is floats
 
     def test_embed_exact_real_mode_rejects_complex(self):
         z8 = NumberField([1, 0, 0, 0, 1], root_box=((F(1, 2), 1), (F(1, 2), 1)))

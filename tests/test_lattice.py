@@ -32,6 +32,9 @@ from oracles import (
     project_onto_complement,
     rational_closure,
     rational_rank,
+    reduce_points_by_matmul,
+    reduction_residual_by_matmul,
+    same_bits,
     subspace_orbit,
 )
 
@@ -331,6 +334,34 @@ class TestReduction:
         lat = Lattice(2, [], K)
         out = lat.reduce_points([1.5, 2.5])[0]
         assert np.allclose(out, [[1.5, 2.5]])
+
+    @pytest.mark.parametrize("rows", [
+        [[3, 1]],
+        [[1, 0, 2, 0, 0, 1]],
+        [[1, 2, 0], [0, 3, 1]],
+        [[1, 0, 0, 0], [1, 1, 0, 0], [0, 5, 2, 1]],
+    ], ids=["rank1-n2", "rank1-n6", "rank2-n3", "rank3-n4"])
+    @pytest.mark.parametrize("m", [1, 2, 700])
+    def test_reduction_keeps_the_bits_of_matmul_products(self, K, rows, m):
+        # np.dot in place of @, and the differences taken in place, give
+        # every bit of the formulas as first written, also on rows that are
+        # not finite
+        lat = Lattice(len(rows[0]), rows, K)
+        rng = np.random.default_rng(m * 10 + len(rows))
+        pts = rng.normal(size=(m, lat.ambient_dim)) * 10.0 ** rng.integers(
+            -3, 15, size=(m, 1))
+        if m > 2:
+            pts[rng.integers(0, m, 6), rng.integers(0, lat.ambient_dim, 6)] = [
+                np.inf, -np.inf, np.nan, np.inf, -np.inf, np.nan]
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = lat.reduce_points(pts)
+            expected = reduce_points_by_matmul(lat, pts)
+            shifted = pts + rng.integers(-3, 4, size=(m, 1)) * np.asarray(
+                lat.float_basis()[0])
+            residual = lat.reduction_residual(shifted, got[0])
+            expected_residual = reduction_residual_by_matmul(lat, shifted, got[0])
+        assert all(same_bits(a, b) for a, b in zip(got, expected))
+        assert same_bits(np.float64(residual), np.float64(expected_residual))
 
 
 _SQRT2 = NumberField([-2, 0, 1], root_interval=(1, 2))

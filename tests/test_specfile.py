@@ -16,10 +16,17 @@ from torusflow.expressions import (
     parse_expr,
     split_vector,
 )
+from torusflow.flats import to_internal
 from torusflow.numberfield import NumberField, rationals
 from torusflow.specfile import load_problem, parse_problem
 
-from oracles import normalized_entries, serialize
+from oracles import (
+    normalized_entries,
+    same_bits,
+    serialize,
+    stacked_points,
+    to_internal_by_copy,
+)
 
 DINH_VU_FIELD = """\
 [field]
@@ -493,3 +500,28 @@ def test_vectors_separated_by_whitespace_or_one_comma(name, old, new):
     text = open(f"problems/{name}.tfp").read()
     assert old in text
     parse_problem(text.replace(old, new, 1))
+
+
+@pytest.mark.parametrize("mode", ["real", "complex"])
+@pytest.mark.parametrize("m", [1, 5, 4000])
+def test_expression_fill_keeps_the_bits_of_the_stack(mode, m):
+    # constant, real-valued (abs) and complex coordinates, and values that
+    # overflow or divide by zero, written straight into the internal array
+    # give the bits of stacking the coordinates and copying them over
+    field = parse_problem(open("problems/dinh_vu.tfp").read()).variety.field
+    text = "(3, u, abs(u) - 2, pi + 2*i, exp(u) / u, theta*u^2, conj(u) * i)"
+    space = specfile._SpaceInfo(mode, 7, 1)
+    point_at = specfile._numeric_vector(text, ["u"], space, field, "curve")
+    rng = np.random.default_rng(m)
+    u = rng.normal(size=m) * 10.0 ** rng.integers(-2, 4, size=m)
+    if mode == "complex":
+        u = u + 1j * rng.normal(size=m)
+    u = u.astype(complex)
+    u[::3] = 0.0
+    u[1::4] = 800.0
+    with np.errstate(all="ignore"):
+        got = to_internal(point_at([u]), mode)
+        expected = to_internal_by_copy(stacked_points(text, ["u"], [u], field), mode)
+    assert got.shape == (m, space.internal)
+    assert not np.isfinite(got).all()
+    assert same_bits(got, expected)

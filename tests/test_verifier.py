@@ -43,6 +43,7 @@ from oracles import (
     box_offsets,
     branch,
     orbit_coverage,
+    same_bits,
     stacked_hit_counts,
     subspace_orbit,
 )
@@ -879,6 +880,24 @@ class TestRowNorms:
         # pairwise one in hundreds of these rows
         x = np.random.default_rng(q).normal(size=(5000, q))
         np.testing.assert_array_equal(verifier._row_norms(x), _numpy_row_norms(x))
+
+
+class TestSegmentLengths:
+    @pytest.mark.parametrize("q", [1, 2, 6, 7, 8, 12])
+    def test_columns_keep_the_bits_of_the_difference_rows(self, q):
+        # below 8 columns the lengths are summed a column at a time, from 8
+        # on numpy's norm sums the difference rows pairwise, as _row_norms
+        rng = np.random.default_rng(q)
+        raw = np.cumsum(rng.normal(size=(3000, q)), axis=0) * 10.0 ** rng.integers(
+            -2, 3, size=(3000, 1))
+        raw[100, 0] = 1e300
+        raw[200] = -1e300
+        raw[300, -1] = np.inf
+        raw[400, 0] = np.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = verifier._row_norms(np.diff(raw, axis=0))
+            got = verifier._segment_lengths(raw)
+        assert same_bits(got, expected)
 
 
 class TestDistinctRows:
