@@ -574,7 +574,8 @@ class ComponentEvaluator:
         their slack classes, as ``distances`` finds them.  A sample farther
         than tolerance / 4 is measured again against 33 curve points evenly
         spaced over the parameter interval of one node spacing either side of
-        its nearest node, and keeps the smaller distance.  Only the 4096
+        its nearest node, cut off at the ends of the curve's parameter range,
+        and keeps the smaller distance.  Only the 4096
         roughest samples are refined.  Samples that share a nearest node
         share its window, so each distinct node's window is evaluated,
         reduced, moved into cell 0 and handed to the kernel once per slack
@@ -589,9 +590,11 @@ class ComponentEvaluator:
             # refine the roughest block only; a run this far off fails anyway
             worst = worst[np.argsort(dists[worst])[-4096:]]
         spacing = self.curve_params[1] - self.curve_params[0]
+        lo, hi = self.comp.base.param_range
         node, row_node = np.unique(node_idx[worst], return_inverse=True)
         p0 = self.curve_params[node]
-        local = np.linspace(p0 - spacing, p0 + spacing, 33, axis=1)
+        local = np.linspace(np.maximum(p0 - spacing, lo),
+                            np.minimum(p0 + spacing, hi), 33, axis=1)
         raw = self.comp.base.sample_at(local.ravel())
         red, _, _ = self.lat.reduce_points(raw)
         windows = self.projected.recentre(red @ self.proj.T).reshape(len(node), 33, -1)

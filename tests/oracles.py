@@ -674,10 +674,11 @@ def brute_force_evaluator_distances(ev, reduced, scale=1.0):
     if len(worst) > 4096:
         worst = worst[np.argsort(d[worst])[-4096:]]
     spacing = ev.curve_params[1] - ev.curve_params[0]
+    lo, hi = ev.comp.base.param_range
     out = d.copy()
     for i in worst:
         p0 = ev.curve_params[node_idx[i]]
-        local = np.linspace(p0 - spacing, p0 + spacing, 33)
+        local = np.linspace(max(p0 - spacing, lo), min(p0 + spacing, hi), 33)
         window = lat.reduce_points(ev.comp.base.sample_at(local))[0] @ ev.proj.T
         w, _ = brute_force_distances(pts[i : i + 1], window, B, ev.proj, rows, kernel)
         out[i] = min(out[i], w[0])

@@ -374,11 +374,12 @@ def refine_per_sample(ev, pts, dists, node_idx):
     against the coefficient box of translates the refine searched before
     the projected-lattice search (``oracles.box_offsets``)."""
     spacing = ev.curve_params[1] - ev.curve_params[0]
+    lo, hi = ev.comp.base.param_range
     offsets = box_offsets(ev.lat, ev.proj)
     out = dists.copy()
     for idx in refined_rows(ev, dists):
         p0 = ev.curve_params[node_idx[idx]]
-        local = np.linspace(p0 - spacing, p0 + spacing, 33)
+        local = np.linspace(max(p0 - spacing, lo), min(p0 + spacing, hi), 33)
         red, _, _ = ev.lat.reduce_points(ev.comp.base.sample_at(local))
         d, _ = min_distance_batch(pts[idx : idx + 1], offsets, red @ ev.proj.T)
         out[idx] = min(out[idx], d[0])
@@ -414,14 +415,21 @@ class TestCurveBase:
         ev, pts, dists, node_idx, _ = curve_case("half-curve")
         batched = ev._refine_curve(*in_cell_zero(ev, pts), dists, node_idx)
         reference = refine_per_sample(ev, pts, dists, node_idx)
-        assert np.sum(batched < dists) > 1000
+        # every refined row lies past an end of the curve, whose end node is
+        # nearest, so a window cut off at that end finds nothing nearer
+        assert len(refined_rows(ev, dists)) == 4096
+        assert np.array_equal(batched, dists)
         assert np.array_equal(batched, reference)
 
     def test_batched_refine_matches_per_sample_loop_on_a_complex_curve(self):
         ev, pts, dists, node_idx, _ = curve_case("complex-curve")
         batched = ev._refine_curve(*in_cell_zero(ev, pts), dists, node_idx)
         reference = refine_per_sample(ev, pts, dists, node_idx)
-        assert np.sum(batched < dists) > 100
+        # 37 of the 686 refined rows come nearer, all at inner nodes; none
+        # of the 644 at the curve's end nodes can
+        nearer = batched < dists
+        assert np.sum(nearer) > 30
+        assert not np.any(nearer & np.isin(node_idx, [0, len(ev.curve_params) - 1]))
         assert np.array_equal(batched, reference)
 
     @pytest.mark.parametrize("case", ["half-curve", "complex-curve"])
@@ -449,6 +457,20 @@ class TestCurveBase:
         new, new_idx = ev.distances(reduced)
         assert np.array_equal(new_idx, node_idx)
         assert np.array_equal(new, refine_per_sample(ev, pts, dists, node_idx))
+
+    def test_refine_window_stops_at_the_end_of_the_curve(self, tmp_path, capsys):
+        # every sample lies 0.004 from the curve's end u = 0; a window that
+        # ran one node spacing (10/3999) past that end measured 1.5e-3 and
+        # passed at tolerance 0.003
+        text = CYLINDER_CURVE.format(hi=0)
+        text = text.replace("affine = point (0, 0) dirs (1, 0) (0, 1)",
+                            "affine = point (0, 4/1000) dirs (1, 0)")
+        head = text.split("[verify]")[0]
+        path = tmp_path / "curve_end.tfp"
+        path.write_text(head + "[verify]\ntolerance = 0.003\ncoverage_threshold = 0.0\n"
+                        "count = 4000\ncurve_nodes = 4000\nseed = 1\n")
+        assert main(["verify", str(path)]) == 5
+        assert capsys.readouterr().out.startswith("FAIL: containment=4.000e-03")
 
     @pytest.mark.parametrize("hi, code", [(10, 0), (0, 5)])
     def test_whole_curve_passes_half_curve_fails(self, tmp_path, capsys, hi, code):
