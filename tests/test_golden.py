@@ -13,7 +13,10 @@ minimum over all of the lattice (only ``min_distance`` moved, on escaped rows
 whose nearest translate lay outside the former coefficient box, each to a
 smaller value), and when samples moved into cell 0 of the projected lattice
 before their distance (only ``min_distance`` moved, in its last digits, on
-rows outside cell 0; see CHANGES.md).  A change that
+rows outside cell 0; see CHANGES.md).  The dinh_vu_mutated CSV hashes at
+seeds 1 and 2 were re-recorded when a curve's refine window stopped at the
+ends of its parameter range (only ``min_distance`` moved, up, on far rows
+whose nearest node is a curve end; see CHANGES.md).  A change that
 alters an output, even in the last digit of a distance, fails here; if the
 change is intended, say so in CHANGES.md and record the new hashes.
 """
@@ -74,8 +77,8 @@ def test_verify_bytes(tmp_path, monkeypatch, capsys, name, seed, code,
 GOLDEN_CSV = [
     ("dinh_vu", 1, 0, "a659aa04f51cc9efcb48f262e2ae6761f10230eafeb31250e5e7ec55010c4983"),
     ("dinh_vu", 2, 0, "08146ac680b484a45a8bec4290e2306f03a67b1987eebceba98292228719d4ff"),
-    ("dinh_vu_mutated", 1, 0, "705a8049f82c22b9ec4cc79d268f096fe0fd57b8107a859e45ef29f31e643372"),
-    ("dinh_vu_mutated", 2, 0, "3c7fa1bdee62a67ea3e8636e13f5126e32fe99fdff168a51e69d8ec799a135ec"),
+    ("dinh_vu_mutated", 1, 0, "eed3965ff0d7aedba1f2710f861e002545302ac324be487c908352772c5f275a"),
+    ("dinh_vu_mutated", 2, 0, "1dee981cfc0ea657080d939c404590f710c4f05156503c437e7bfbb63f6cb81b"),
     ("hyperbola", 1, 0, "bff9d2ccb7c2a370dd771bee827e6a8d6fd40859d4f910530f145c29a7e2d1ce"),
     ("hyperbola", 2, 0, "875e36cfd01e1a98434429362a7a22da03754ab8310ac078f44b8a86e4fd4f2e"),
     ("irrational_direction", 1, 0, "48287bda224387a48ceb4eb058f82eabd5465c2ee3534f86089351dccbc56fb7"),
