@@ -575,13 +575,12 @@ class ComponentEvaluator:
         than tolerance / 4 is measured again against 33 curve points evenly
         spaced over the parameter interval of one node spacing either side of
         its nearest node, cut off at the ends of the curve's parameter range,
-        and keeps the smaller distance.  Only the 4096
-        roughest samples are refined.  Samples that share a nearest node
-        share its window, so each distinct node's window is evaluated,
-        reduced, moved into cell 0 and handed to the kernel once per slack
-        class; the curve, the reduction, the projection and the move act row
-        by row, so a window's rows are the same whichever other windows are
-        built with it.
+        and keeps the smaller distance.  Only the 4096 roughest samples are
+        refined.  Samples that share a nearest node share its window, so each
+        distinct node's window is evaluated, reduced, moved into cell 0 and
+        handed to the kernel once per slack class; the curve, the reduction,
+        the projection and the move act row by row, so a window's rows are the
+        same whichever other windows are built with it.
         """
         worst = np.nonzero(dists > 0.25 * self.cfg.tolerance)[0]
         if not len(worst):
@@ -693,7 +692,6 @@ def coverage_check(reduced, cfg, evaluators, per_component):
             sel = np.nonzero(d <= assign_tol)[0]
             sub = reduced
             if len(sel) < len(reduced):
-                # rows are gathered only when some are left out
                 sub = np.take(reduced, sel, axis=0)
                 node_idx = np.take(node_idx, sel)
             if len(sub):

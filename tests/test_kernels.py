@@ -180,23 +180,6 @@ def test_sorted_matches_the_scan(workload):
     assert np.array_equal(flat, ref_flat)
 
 
-def test_sorted_answers_queries_in_their_own_order():
-    # the queries are searched in ascending order and the answers scattered
-    # back: shuffled, repeated and non-finite queries at the size of a curve
-    # component's batch keep the scan's answers, row for row
-    rng = np.random.default_rng(9)
-    targets = np.round(rng.normal(scale=5.0, size=12000), 3)[:, None]
-    points = rng.normal(scale=6.0, size=3000)
-    points[:400] = points[400:800]
-    points[rng.integers(0, 3000, 6)] = [np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0]
-    points = rng.permutation(points)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        best, flat = _kernels._sorted(points, targets)
-        ref_best, ref_flat = _kernels._scan(points, targets)
-    assert np.array_equal(best, ref_best, equal_nan=True)
-    assert np.array_equal(flat, ref_flat)
-
-
 def test_sorted_scans_only_unsure_queries(monkeypatch):
     # 0, 1e-9 and 2e-9 are distinct but round alike from -1e8; 1..999 do not
     targets = np.concatenate([1e-9 * np.arange(3), np.arange(1.0, 1000.0)])[:, None]
