@@ -71,6 +71,28 @@ def internal_dim(logical_dim, mode):
 # ---------------------------------------------------------------------------
 
 
+def _power(u, k):
+    """u^k for an integer k != 0: |k| by the right-to-left binary method
+    (Knuth, TAOCP vol. 2, 4.6.3), a negative k as 1.0 / u^|k|.
+
+    This is how numpy's complex power takes an integral exponent below 100
+    in magnitude: 1, 2 and 3 come out as u, u*u and u*(u*u), and from there
+    each set bit multiplies the running product by the square it reached.
+    A product of floats is correctly rounded, so for real u the bits are
+    those of numpy's complex power of u + 0j, on any IEEE-754 machine.
+    """
+    n = abs(k)
+    acc = None
+    while True:
+        if n & 1:
+            acc = u if acc is None else acc * u
+        n >>= 1
+        if not n:
+            break
+        u = u * u
+    return 1.0 / acc if k < 0 else acc
+
+
 class TPoly:
     """Finite sum of c * t^e with exact coefficients and rational exponents."""
 
@@ -128,17 +150,37 @@ class TPoly:
     def exponent_denominator(self):
         return math.lcm(*(e.denominator for e in self.terms))
 
-    def eval_numeric(self, t):
-        """Evaluate at positive real (or complex, if exponents integral) t."""
-        t = np.asarray(t)
-        if self._numeric is None:
-            # terms are fixed after construction; convert them once
-            self._numeric = [
-                (float(e), c.to_complex()) for e, c in self.terms.items()
-            ]
-        acc = np.zeros(t.shape, dtype=complex)
-        for e, c in self._numeric:
-            acc = acc + c * t ** e
+    def eval_numeric(self, u, s=1):
+        """The Laurent polynomial sum of c * u^(e s) at an array u = t^(1/s),
+        in u's dtype: float for real u, complex for complex u.
+
+        Every e s must be an integer.  Each power u^k is a chain of products
+        (``_power``), the sum starts from 0.0 and adds the terms in order,
+        and a real u takes the real parts of the coefficients.  For real u
+        these are the bits of the complex ``c * t ** e`` sum's real part, as
+        numpy's complex power takes |k| < 100 by products too.  A term whose
+        k is 0 is its coefficient; a polynomial with no other term gives a
+        Python scalar.
+        """
+        if self._numeric is None or self._numeric[0] != s:
+            # terms are fixed after construction; convert them once per s
+            terms = []
+            for e, c in self.terms.items():
+                k = e * s
+                if k.denominator != 1:
+                    raise ValueError(f"exponent {e} is not a multiple of 1/{s}")
+                terms.append((int(k), c.to_complex()))
+            self._numeric = (s, terms)
+        real = u.dtype.kind == "f"
+        acc = 0.0
+        for k, c in self._numeric[1]:
+            if real:
+                c = c.real
+            term = c
+            if k:
+                p = _power(u, k)
+                term = p if c == 1 else c * p
+            acc = acc + term
         return acc
 
     def __repr__(self):
@@ -320,12 +362,28 @@ class ParametricBranch:
         return 1
 
     def evaluate(self, t):
-        """Numeric logical coordinates at parameter values t (positive reals)."""
-        t = np.asarray(t, dtype=complex)
-        cols = []
-        for num, den in self.coords:
-            cols.append(num.eval_numeric(t) / den.eval_numeric(t))
-        return np.stack(cols, axis=-1)
+        """Numeric logical coordinates at a 1-D array of parameters t, as an
+        (m, n) array in t's dtype: float for real t, complex for complex t.
+
+        A coordinate num / den is a quotient of Laurent polynomials in
+        u = t^(1/s) (``TPoly.eval_numeric``), written into its column as
+        num * (1.0 / den): for real t, the real part of numpy's complex
+        quotient, bit for bit.  A coordinate past the float range comes out
+        as ±inf or NaN, raising no warning; the sampler rejects its row.
+        """
+        t = np.asarray(t)
+        t = t.astype(np.result_type(t, 1.0), copy=False)
+        s = self.exponent_denominator
+        out = np.empty((len(t), len(self.coords)), dtype=t.dtype)
+        with np.errstate(all="ignore"):
+            u = t if s == 1 else t ** (1.0 / s)
+            for k, (num, den) in enumerate(self.coords):
+                np.multiply(
+                    num.eval_numeric(u, s),
+                    1.0 / den.eval_numeric(u, s),
+                    out=out[:, k],
+                )
+        return out
 
 
 class GraphPiece:

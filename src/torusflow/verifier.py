@@ -203,7 +203,11 @@ class ShellSamples:
     ``params`` is a 2-D array with one row of piece parameters per sample:
     ``t`` for a branch, the radial scale for an affine piece, the variables
     of a graph piece.  Its width is the widest piece's parameter count;
-    narrower pieces' rows are padded with NaN.  ``internal`` holds the
+    narrower pieces' rows are padded with NaN.  It is complex when a piece
+    gives complex parameters (a complex branch, any graph piece), else
+    float: a real branch's t and an affine scale are floats, and the CSV
+    writes a float as it writes a complex number with a zero imaginary
+    part.  ``internal`` holds the
     samples' real internal coordinates, row by row.
     """
 
@@ -231,16 +235,21 @@ def _draw_branch(piece, rays, count, radius, rng, mode):
     """Draw ``count`` branch samples; return their ``build`` function.
 
     ``rays`` is ``_branch_rays(piece)``.  ``build(lo, hi)`` gives rows
-    [lo, hi) of the draw as (params, internal).  Without rays, a complex
+    [lo, hi) of the draw as (params, internal).  A real branch takes t as a
+    float, times its ray if its rays are real.  Without rays, a complex
     branch takes t = |t| e^(i phi) with phi uniform in [0, 2 pi): the
-    complex closure is a span over C, and t on the positive real axis
-    alone traces only a real circle of its torus.
+    complex closure is a span over C, and t on the positive real axis alone
+    traces only a real circle of its torus.  A row with a coordinate past
+    the float range (±inf or NaN) is made NaN, so that the keep step
+    rejects it as it rejects a row inside the ball.
     """
     log_t = rng.uniform(math.log(radius), math.log(radius * 1e3), size=count)
     choice = None if rays is None else rng.integers(0, len(rays), size=count)
     phase = None
     if rays is None and mode == "complex":
         phase = rng.uniform(0.0, 2.0 * math.pi, size=count)
+    if rays is not None and mode == "real" and not rays.imag.any():
+        rays = rays.real
 
     def build(lo, hi):
         t = np.exp(log_t[lo:hi])
@@ -249,8 +258,12 @@ def _draw_branch(piece, rays, count, radius, rng, mode):
         elif phase is not None:
             params = t * np.exp(1j * phase[lo:hi])
         else:
-            params = t.astype(complex)
-        return params[:, None], to_internal(piece.evaluate(params), mode)
+            params = t
+        internal = to_internal(piece.evaluate(params), mode)
+        finite = np.isfinite(internal)
+        if not finite.all():
+            internal[~finite.all(axis=1)] = np.nan
+        return params[:, None], internal
 
     return build
 

@@ -22,9 +22,10 @@ integer elimination, ``reduced_projected_rows`` moves such a basis to short
 lifts and LLL-reduces it, and ``brute_force_distances`` measures distances
 to its translates over a box that holds each query's minimiser,
 ``reduce_points_by_matmul``, ``reduction_residual_by_matmul``,
-``to_internal_by_copy`` and ``stacked_points`` are the verifier's row
-stages as first written, with ``@`` products, fresh arrays and strided
-copies, against which ``same_bits`` compares the rewritten ones, and
+``to_internal_by_copy``, ``branch_by_complex_powers`` and
+``stacked_points`` are the verifier's row stages as first written, with
+``@`` products, complex powers, fresh arrays and strided copies, against
+which ``same_bits`` compares the rewritten ones, and
 ``serialize`` writes a parsed problem back as text for the parse ->
 serialize -> parse round trip.
 """
@@ -767,6 +768,21 @@ def to_internal_by_copy(points, mode):
     out[:, 0::2] = pts.real
     out[:, 1::2] = pts.imag
     return out
+
+
+def branch_by_complex_powers(branch, t):
+    """``ParametricBranch.evaluate`` as first written: each coordinate's
+    ``c * t ** e`` summed from zero in complex numbers at float exponents
+    e, num / den as a complex quotient, the columns stacked."""
+    t = np.asarray(t, dtype=complex)
+
+    def value(poly):
+        acc = np.zeros(t.shape, dtype=complex)
+        for e, c in poly.terms.items():
+            acc = acc + c.to_complex() * t ** float(e)
+        return acc
+
+    return np.stack([value(num) / value(den) for num, den in branch.coords], axis=-1)
 
 
 def stacked_points(text, names, columns, field):

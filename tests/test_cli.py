@@ -924,3 +924,55 @@ def test_overflowing_square_raises_no_warning(tmp_path, command):
         warnings.simplefilter("error", RuntimeWarning)
         code = _exit_code(_argv(command, spec, tmp_path))
     assert code in (0, 5)
+
+
+def _hyperbola_with_one_branch(tmp_path, branch, radius_min=None):
+    """hyperbola.tfp with its two branches replaced by one."""
+    text = open("problems/hyperbola.tfp").read()
+    for old, new in (("branch = (t, 1/t)\n", f"branch = {branch}\n"),
+                     ("branch = (1/t, t)\n", "")):
+        assert old in text
+        text = text.replace(old, new, 1)
+    if radius_min is not None:
+        assert "radius_min = 100\n" in text
+        text = text.replace("radius_min = 100\n", f"radius_min = {radius_min}\n")
+    spec = tmp_path / "overflow.tfp"
+    spec.write_text(text)
+    return spec
+
+
+@pytest.mark.parametrize(
+    "branch, radius_min, radius",
+    [
+        # t^200 overflows from t = 100 on, every draw of the first shell
+        ("(t^200, 1/t)", None, "100.0"),
+        # t^2 overflows past 1e154, below every draw of radius_min 1e160
+        ("(t^2, 1/t)", "1e160", "1e+160"),
+    ],
+    ids=["power-200", "square-past-1e154"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_branch_past_the_float_range_starves_its_shell(tmp_path, capsys, branch,
+                                                         radius_min, radius):
+    # a row with an infinite coordinate is no far point: it is redrawn, as
+    # a row inside the ball is, and not counted as escaped mass
+    spec = _hyperbola_with_one_branch(tmp_path, branch, radius_min)
+    assert _exit_code(["verify", str(spec)]) == 6
+    assert capsys.readouterr().err == (
+        f"error: could not fill shell 0 at radius {radius}; "
+        "the variety may be bounded\n"
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_branch_that_overflows_in_part_keeps_its_finite_rows(tmp_path, capsys):
+    # t^60 overflows from t = 1.4e5 on: the outer shells keep only the
+    # draws below that, none of which escapes the window
+    spec = _hyperbola_with_one_branch(tmp_path, "(t^60, 1/t)")
+    assert _exit_code(["verify", str(spec)]) == 5
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[:2] == [
+        "FAIL: containment=9.964e-03 (tol 0.01), coverage=0.050 (threshold 0.95)",
+        "escaped mass: 0.000",
+    ]

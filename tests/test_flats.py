@@ -18,7 +18,13 @@ from torusflow.flats import (
 from torusflow.lattice import Subspace
 from torusflow.numberfield import AlgebraicNumber, NumberField, rationals
 
-from oracles import branch, same_bits, to_internal_by_copy, to_logical
+from oracles import (
+    branch,
+    branch_by_complex_powers,
+    same_bits,
+    to_internal_by_copy,
+    to_logical,
+)
 
 
 @pytest.fixture(scope="module")
@@ -200,10 +206,10 @@ class TestTPoly:
     def test_eval_converts_coefficients_once(self, K, monkeypatch):
         theta = K.gen
         p = TPoly(K, {F(3, 2): theta, F(0): K.one + theta, F(-1): 3 * theta})
-        t = np.array([0.5, 2.0, 1e3])
-        expected = np.zeros(t.shape, dtype=complex)
-        for e, c in p.terms.items():
-            expected = expected + c.to_complex() * t ** float(e)
+        # a Laurent polynomial in u = t^(1/2): u^3, u^0 and u^-2
+        u = np.sqrt(np.array([0.5, 2.0, 1e3]))
+        c3, c0, cm2 = (c.to_complex().real for c in p.terms.values())
+        expected = 0.0 + c3 * (u * (u * u)) + c0 + cm2 * (1.0 / (u * u))
         calls = []
         to_complex = AlgebraicNumber.to_complex
         monkeypatch.setattr(
@@ -211,8 +217,124 @@ class TestTPoly:
             lambda self, *a: calls.append(self) or to_complex(self, *a),
         )
         for _ in range(3):
-            assert np.array_equal(p.eval_numeric(t), expected)
+            assert same_bits(p.eval_numeric(u, 2), expected)
         assert len(calls) == len(p.terms)
+
+
+# integer exponents that numpy's complex power takes by products
+POWERS = [*range(-12, 13), 99]
+
+
+def _log_uniform(rng, radii, per_radius):
+    """Parameters t drawn log-uniformly over [r, 1000 r] for each radius r."""
+    return np.concatenate([
+        np.exp(rng.uniform(np.log(r), np.log(r * 1e3), per_radius))
+        for r in radii
+    ])
+
+
+def _ulps(new, ref):
+    """The largest |new - ref| over rows where both are finite, in units of
+    the float spacing at |ref| (the modulus, for complex values)."""
+    both = np.isfinite(new) & np.isfinite(ref) & (np.abs(ref) > 0)
+    return float(np.max(
+        np.abs(new[both] - ref[both]) / np.spacing(np.abs(ref[both])),
+        initial=0.0,
+    ))
+
+
+class TestBranchPowers:
+    """Branch coordinates in float arithmetic against the complex powers
+    they replace (``oracles.branch_by_complex_powers``)."""
+
+    @pytest.mark.parametrize("field_name", ["QQ", "K"])
+    def test_real_parameters_keep_the_bits_of_complex_powers(self, request,
+                                                             field_name):
+        field = request.getfixturevalue(field_name)
+        g = field.gen if field_name == "K" else field.one
+        coeffs = [
+            field.one,
+            field.rational(F(-3, 7)) * g,
+            field.rational(5) * g + field.rational(F(1, 2)),
+        ]
+        pairs = []
+        for k in POWERS:
+            for c in coeffs:
+                pairs += [({k: c}, {0: 1}), ({0: 1}, {k: c})]
+                if k != 99:
+                    # sums of powers over sums of powers
+                    pairs.append(({k: c, 1: -2, 0: 3}, {k % 5: 1, -1: c}))
+        rng = np.random.default_rng(17)
+        t = _log_uniform(rng, 10.0 ** np.arange(-2, 13), 40)
+        tiny = overflowed = 0
+        for num, den in pairs:
+            b = branch([(num, den)], field)
+            with np.errstate(all="ignore"):
+                ref = branch_by_complex_powers(b, t).real
+            new = b.evaluate(t)
+            assert new.dtype == float
+            fin = np.isfinite(ref)
+            assert same_bits(new[fin], ref[fin]), (num, den)
+            # past the float range a numerator stays non-finite, and a
+            # denominator's power gives 0 where complex arithmetic gave NaN
+            past = new[~fin]
+            assert np.all(~np.isfinite(past) | (past == 0)), (num, den)
+            tiny += np.count_nonzero(fin & (np.abs(ref) < np.finfo(float).tiny))
+            overflowed += np.count_nonzero(~fin)
+        # rows that underflow and rows that overflow are both among them
+        assert tiny > 0 and overflowed > 0
+
+    @pytest.mark.parametrize("s", [2, 3, 5])
+    def test_fractional_exponents_are_powers_of_u(self, K, s):
+        # exponent k/s is the k-th power of u = t^(1/s): a branch in t is its
+        # Laurent polynomial in u, bit for bit; against t ** (k/s) in complex
+        # numbers it moves by at most 256 units in the last place (146 seen,
+        # the complex power's own error at t up to 1e15)
+        rng = np.random.default_rng(s)
+        t = _log_uniform(rng, 10.0 ** np.arange(-2, 13), 40)
+        for k in POWERS[:-1]:
+            if k % s == 0:
+                continue   # an integer exponent: the branch takes u = t
+            for c in (K.one, K.gen):
+                in_t = ({F(k, s): c}, {0: 1})
+                in_u = ({k: c}, {0: 1})
+                # the power as the numerator, then as the denominator
+                for step in (1, -1):
+                    b = branch([in_t[::step]], K)
+                    new = b.evaluate(t)
+                    b_u = branch([in_u[::step]], K)
+                    assert same_bits(new, b_u.evaluate(t ** (1.0 / s)))
+                    with np.errstate(all="ignore"):
+                        ref = branch_by_complex_powers(b, t).real
+                    assert _ulps(new, ref) <= 256, (k, s)
+
+    @pytest.mark.parametrize("k", POWERS)
+    def test_complex_parameters_move_in_their_last_bits_only(self, k):
+        # the complex products round as numpy's complex power does for
+        # |k| <= 1; from |k| = 2 on, numpy's complex multiply (with fused
+        # multiply-adds where the CPU has them) and its power loop may differ
+        # in the last bits: at most 2|k| + 4 units at |z| (13.7 seen at k = 12,
+        # 87 at k = 99)
+        z8 = NumberField([1, 0, 0, 0, 1], root_box=((F(1, 2), 1), (F(1, 2), 1)))
+        z8.declare_complex_structure([0, 0, 1], [0, 0, 0, -1])
+        rng = np.random.default_rng(100 + k)
+        r = _log_uniform(rng, 10.0 ** np.arange(-2, 13), 40)
+        rays = np.array([1, -1, 1j, np.exp(0.25j * np.pi)])
+        params = np.concatenate([
+            r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, len(r))),
+            r * rays[rng.integers(0, len(rays), len(r))],
+        ])
+        for c in (z8.one, z8.gen):
+            for num, den in (({k: c}, {0: 1}), ({0: 1}, {k: c})):
+                b = branch([(num, den)], z8)
+                with np.errstate(all="ignore"):
+                    ref = branch_by_complex_powers(b, params)
+                new = b.evaluate(params)
+                assert new.dtype == complex
+                if abs(k) <= 1:
+                    assert same_bits(new, ref)
+                else:
+                    assert _ulps(new, ref) <= 2 * abs(k) + 4
 
 
 class TestVarietyInput:

@@ -42,6 +42,7 @@ from torusflow.verifier import (
 from oracles import (
     box_offsets,
     branch,
+    branch_by_complex_powers,
     orbit_coverage,
     same_bits,
     stacked_hit_counts,
@@ -682,6 +683,21 @@ class TestArraySampler:
             assert len(draws) > 2 * cfg.shells
             assert all(len(ranges) == 2 for _, ranges in draws)
 
+    @pytest.mark.parametrize("rays", [None, [1, -1]], ids=["no-rays", "rays"])
+    def test_real_branch_draws_keep_the_bits_of_complex_powers(self, QQ, rays):
+        # (t^3 / 5, t^-2): real parameters, and real rays, are floats, and
+        # the rows are the real parts of the complex evaluation
+        piece = _branch(QQ, [(3, Fraction(1, 5)), (-2, 1)], rays=rays)
+        build = verifier._draw_branch(
+            piece, verifier._branch_rays(piece), 2000, 100.0,
+            np.random.default_rng(3), "real",
+        )
+        params, internal = build(0, 2000)
+        assert params.dtype == float and params.shape == (2000, 1)
+        assert rays is None or (params < 0).any()
+        ref = branch_by_complex_powers(piece, params[:, 0]).real
+        assert same_bits(internal, ref)
+
     def test_rays_converted_once_per_piece(self, QQ, monkeypatch):
         X = VarietyInput(
             [
@@ -728,6 +744,31 @@ class TestArraySampler:
         assert widths == {len(header.split(","))}
         # branch rows carry one parameter, graph rows two
         assert rows[0].split(",")[2] == "" and rows[4].split(",")[2] != ""
+
+    def test_float_params_write_the_text_of_complex_ones(self, QQ, tmp_path):
+        # a real branch's parameters are floats; the CSV reads as when they
+        # were complex numbers with a zero imaginary part
+        values = np.array(
+            [100.0, 123456.789, 0.1 + 0.2, 2.0**60, 1e-320, -0.0, np.inf, np.nan]
+        )
+        for p, z in zip(values.tolist(), values.astype(complex).tolist()):
+            assert type(p) is float and type(z) is complex
+            assert verifier._fmt_param(p) == verifier._fmt_param(z)
+        X = hyperbola(QQ)
+        lat = Lattice(2, [[1, 0], [0, 1]], QQ)
+        cfg = SampleConfig(radius_min=100, count=400, seed=5, shells=2)
+        shells = sample_far_points(X, cfg, lat)
+        assert all(sh.params.dtype == float for sh in shells)
+        as_complex = [
+            dataclasses.replace(sh, params=sh.params.astype(complex))
+            for sh in shells
+        ]
+        texts = []
+        for name, rows in (("float", shells), ("complex", as_complex)):
+            out = tmp_path / f"{name}.csv"
+            verifier.write_sample_csv(out, rows, lat, None, cfg)
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
 
 
 class TestAffineFrame:
