@@ -4,9 +4,8 @@ The verifier's hot loop is the distance from each reduced sample to the
 target cloud {offset + node} (projected lattice translates plus base-set
 nodes).  Samples and nodes both sit in cell 0 of the projected lattice, so
 every sample of one slack class takes the same translates, by the box
-argument of ``ComponentEvaluator``: one call per class, to
-``min_distance_batch`` for a batch of samples and to ``min_distance_local``
-for the curve refine's windows.  Three exact searches share one arithmetic:
+argument of ``ComponentEvaluator``: one ``min_distance_batch`` call per
+class.  Three exact searches share one arithmetic:
 
 * a direct-difference scan over every target, in blocks of whole offsets
   and of queries, or target by target for at most _NARROW_TARGETS finite
@@ -94,37 +93,6 @@ def backend_name() -> str:
 
 
 @np.errstate(invalid="ignore")
-def min_distance_local(points, offsets, windows, window_of):
-    """Per point i, min over t and j of
-    |points[i] - offsets[t] - windows[window_of[i], j]|.
-
-    points:    (K, q) float64
-    offsets:   (T, q) float64, shared by every point
-    windows:   (W, L, q) float64 distinct node windows, point i taking
-               window window_of[i], so that points sharing a window share
-               one copy
-
-    Returns the (K,) distances, rounded as ``min_distance_batch`` rounds them.
-    """
-    points = np.asarray(points, dtype=float)
-    offsets = np.asarray(offsets, dtype=float)
-    windows = np.asarray(windows, dtype=float)
-    K = len(points)
-    T, L = len(offsets), windows.shape[1]
-    if T == 0 or L == 0:
-        return np.full(K, np.inf)
-    best = np.empty(K)
-    step = max(1, _CHUNK_PAIRS // (T * L))
-    for i in range(0, K, step):
-        own = np.take(windows, window_of[i : i + step], axis=0)
-        targets = offsets[None, :, None, :] + own[:, None, :, :]
-        d2 = _sq_dist(points[i : i + step, None, None, :], targets)
-        # min, like argmin, takes a NaN before any number
-        best[i : i + step] = d2.reshape(len(d2), -1).min(axis=1)
-    return np.sqrt(best)
-
-
-@np.errstate(invalid="ignore")
 def min_distance_batch(points, offsets, nodes):
     """Min distance from each point to {offset + node} over all pairs.
 
@@ -132,8 +100,9 @@ def min_distance_batch(points, offsets, nodes):
     offsets: (T, q) float64 (e.g. projected lattice translates)
     nodes:   (P, q) float64 (e.g. projected base-set nodes)
 
-    Returns (dists, node_index): per-point minimal Euclidean distance and the
-    index of the node achieving it (the lowest flat (t, p) index on ties).
+    Returns (dists, node_index, offset_index): per-point minimal Euclidean
+    distance and the node and offset achieving it (the lowest flat (t, p)
+    index on ties).
 
     The search is ``_scan`` or, where ``uses_index`` picks an index for the
     shape, ``_sorted`` at q = 1 and ``_leaves`` above; both index every
@@ -146,13 +115,11 @@ def min_distance_batch(points, offsets, nodes):
     nodes = np.ascontiguousarray(nodes, dtype=float)
     M, q = points.shape
     T, P = len(offsets), len(nodes)
-    if M == 0:
-        return np.zeros(0), np.zeros(0, dtype=np.intp)
-    if T == 0 or P == 0:
-        return np.full(M, np.inf), np.zeros(M, dtype=np.intp)
-    if q == 0:
-        # every squared distance is the empty sum, so flat index 0 wins
-        return np.zeros(M), np.zeros(M, dtype=np.intp)
+    if M == 0 or T == 0 or P == 0 or q == 0:
+        # no target is infinitely far; with q = 0 every squared distance is
+        # the empty sum, so flat index 0 wins
+        dists = np.full(M, np.inf) if T == 0 or P == 0 else np.zeros(M)
+        return dists, np.zeros(M, dtype=np.intp), np.zeros(M, dtype=np.intp)
     if not uses_index(M, T * P, q):
         search = _scan
     else:
@@ -163,13 +130,14 @@ def min_distance_batch(points, offsets, nodes):
         targets = (block[:, None, :] + nodes[None, :, :]).reshape(len(block) * P, q)
         d2, flat = search(points, targets)
         if t == 0:
-            best, node = d2, flat % P
+            best, node, offset = d2, flat % P, flat // P
         else:
             # argmin takes a NaN before any number, so a NaN is nearer too
             nearer = (d2 < best) | (np.isnan(d2) & ~np.isnan(best))
             best[nearer] = d2[nearer]
             node[nearer] = flat[nearer] % P
-    return np.sqrt(best), node
+            offset[nearer] = t + flat[nearer] // P
+    return np.sqrt(best), node, offset
 
 
 def uses_index(n_points, n_targets, q):

@@ -308,6 +308,8 @@ def _parse_branch(value, space, field):
                         raise SpecFileError(
                             "real-mode branch has non-real coefficients"
                         )
+        if not all(r.is_real() for r in rays or ()):
+            raise SpecFileError("real-mode branch has a non-real ray")
     return ParametricBranch(coords, field, rays=rays)
 
 

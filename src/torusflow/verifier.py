@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import backend_name, min_distance_batch, min_distance_local
+from ._kernels import backend_name, min_distance_batch
 from .errors import ShellStarved, TorusflowError
 from .flats import CurveImage, Flat, to_internal
 from .flow import FlowDescription
@@ -88,6 +88,30 @@ def _segment_lengths(raw):
             np.multiply(d, d, out=d)
             sq += d
     return np.sqrt(sq)
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def _chord_distances(r, a, b):
+    """Per row, the distance from r to the segment from 0 to the chord
+    e = b - a; every array has at least one column.
+
+    The nearest point is s e, s = clip(r.e / e.e, 0, 1), and s = 0 where
+    e.e = 0; dot products and the squared distance are summed column by
+    column, as the kernel sums, so s = 0 gives |r| with the kernel's bits.
+    A chord or row that is not finite can give NaN.
+    """
+    e = b - a
+    re = r[:, 0] * e[:, 0]
+    ee = e[:, 0] * e[:, 0]
+    for k in range(1, r.shape[1]):
+        re += r[:, k] * e[:, k]
+        ee += e[:, k] * e[:, k]
+    s = np.divide(re, ee, out=np.zeros(len(r)), where=ee > 0)
+    np.clip(s, 0.0, 1.0, out=s)
+    d2 = (r[:, 0] - s * e[:, 0]) ** 2
+    for k in range(1, r.shape[1]):
+        d2 += (r[:, k] - s * e[:, k]) ** 2
+    return np.sqrt(d2, out=d2)
 
 
 @dataclass
@@ -500,11 +524,27 @@ class ComponentEvaluator:
     Each translate is an integer vector k of the lattice basis, with offset
     (k @ B) @ proj.T, and the translates go in the lexicographic order of k.
     ``offsets`` holds N of slack class 0, which most queries take.
+
+    A curve is measured as the polyline through its nodes.  A sample with
+    nearest node p at translate t, r = x - (offset_t + node_p), also
+    measures the chords from node p to its two neighbours, each the step
+    between the projected unreduced nodes (``polyline``), so that a chord
+    joins two nodes whichever translates reduction gave them; an end
+    node's missing neighbour gives a zero chord.  For a chord e,
+    s = clip(r.e / e.e, 0, 1), s = 0 where e.e = 0, and the distance
+    |r - s e|, summed in the kernel's column order, replaces the node
+    distance where it is smaller; a chord that is not finite gives NaN and
+    replaces nothing.  So the distance lies between the distance to the
+    polyline and the node distance, and s = 0 keeps the kernel's bits; the
+    polyline lies within h^2 max|gamma''| / 8 of the curve, for node
+    spacing h.  The chords are taken per call, for the nodes the samples
+    need: a verify run measures few samples against dinh_vu's 10 000-node
+    curves, and a chord array built with each evaluator cost more than all
+    of its distances.  The projection of all nodes at once gives each chord
+    the same bits whatever the batch, as a one-row product would not.
     """
 
     def __init__(self, comp, lat: Lattice, cfg: SampleConfig):
-        self.comp = comp
-        self.lat = lat
         self.cfg = cfg
         W = comp.effective_span
         n = W.ambient_dim
@@ -513,10 +553,9 @@ class ComponentEvaluator:
 
         dirs = np.zeros((0, n))
         space = W
-        self.curve_params = None
-        if isinstance(base, CurveImage):
-            self.curve_params = np.linspace(*base.param_range, cfg.curve_nodes)
-            raw = base.sample_at(self.curve_params)
+        curve = isinstance(base, CurveImage)
+        if curve:
+            raw = base.sample_at(np.linspace(*base.param_range, cfg.curve_nodes))
         elif isinstance(base, Flat):
             raw = base.float_base()[None, :]
             dirs = base.directions.float_basis()
@@ -531,9 +570,11 @@ class ComponentEvaluator:
             space = wide
         self.proj = _null_space_rows(rows, space.dim)
         self.frame = np.linalg.qr(dirs.T)[0] if len(dirs) else None
-        self.cumlen = None
-        if self.curve_params is not None:
+        self.cumlen = self.polyline = None
+        if curve:
             self.cumlen = np.concatenate([[0.0], np.cumsum(_segment_lengths(raw))])
+            # the unreduced nodes, projected: their steps are the chords
+            self.polyline = raw @ self.proj.T
 
         self.nodes = self.nodes_full @ self.proj.T
         # the largest absolute node entry, for the queries' slack classes
@@ -556,10 +597,11 @@ class ComponentEvaluator:
     def distances(self, reduced):
         """Distance from each reduced sample to C + W + Lambda (windowed).
 
-        Returns (dists, node_idx); node_idx is the nearest base node before
-        any curve refinement, the node ``base_cells`` buckets by.  Each
-        sample is moved into cell 0, and the samples of one slack class share
-        one kernel call.
+        Returns (dists, node_idx); node_idx is the nearest base node, the
+        node ``base_cells`` buckets by.  Each sample is moved into cell 0,
+        and the samples of one slack class share one kernel call.  A curve
+        sample then keeps its distance to the nearer of the two chords at
+        its nearest node and translate, where that is smaller.
         """
         pts = reduced @ self.proj.T
         _, cls = self.projected.cells(pts, self.node_reach)
@@ -568,56 +610,31 @@ class ComponentEvaluator:
         if len(groups) == 1:
             # one class, as in almost every call: the kernel's arrays as
             # they come, not copied into fresh ones
-            offs = self.projected.offsets(groups[0][0], MAX_TRANSLATES)
-            dists, node_idx = min_distance_batch(pts, offs, self.nodes)
-        else:
-            dists = np.empty(len(pts))
-            node_idx = np.empty(len(pts), dtype=np.intp)
-            for j, rows in groups:
-                offs = self.projected.offsets(j, MAX_TRANSLATES)
-                dists[rows], node_idx[rows] = min_distance_batch(pts[rows], offs, self.nodes)
-        if self.curve_params is not None and len(self.curve_params) > 1:
-            dists = self._refine_curve(pts, cls, dists, node_idx)
+            return self._nearest(pts, groups[0][0])
+        dists = np.empty(len(pts))
+        node_idx = np.empty(len(pts), dtype=np.intp)
+        for j, rows in groups:
+            dists[rows], node_idx[rows] = self._nearest(np.take(pts, rows, axis=0), j)
         return dists, node_idx
 
-    def _refine_curve(self, pts, cls, dists, node_idx):
-        """Distances of the rough samples to a finer curve near their node.
-
-        ``pts`` are the projected samples moved into cell 0, and ``cls``
-        their slack classes, as ``distances`` finds them.  A sample farther
-        than tolerance / 4 is measured again against 33 curve points evenly
-        spaced over the parameter interval of one node spacing either side of
-        its nearest node, cut off at the ends of the curve's parameter range,
-        and keeps the smaller distance.  Only the 4096 roughest samples are
-        refined.  Samples that share a nearest node share its window, so each
-        distinct node's window is evaluated, reduced, moved into cell 0 and
-        handed to the kernel once per slack class; the curve, the reduction,
-        the projection and the move act row by row, so a window's rows are the
-        same whichever other windows are built with it.
-        """
-        worst = np.nonzero(dists > 0.25 * self.cfg.tolerance)[0]
-        if not len(worst):
-            return dists
-        if len(worst) > 4096:
-            # refine the roughest block only; a run this far off fails anyway
-            worst = worst[np.argsort(dists[worst])[-4096:]]
-        spacing = self.curve_params[1] - self.curve_params[0]
-        lo, hi = self.comp.base.param_range
-        node, row_node = np.unique(node_idx[worst], return_inverse=True)
-        p0 = self.curve_params[node]
-        local = np.linspace(np.maximum(p0 - spacing, lo),
-                            np.minimum(p0 + spacing, hi), 33, axis=1)
-        raw = self.comp.base.sample_at(local.ravel())
-        red, _, _ = self.lat.reduce_points(raw)
-        windows = self.projected.recentre(red @ self.proj.T).reshape(len(node), 33, -1)
-        rows = np.take(pts, worst, axis=0)
-        refined = np.empty(len(worst))
-        for j, sel in _class_rows(cls[worst]):
-            offs = self.projected.offsets(j, MAX_TRANSLATES)
-            refined[sel] = min_distance_local(rows[sel], offs, windows, row_node[sel])
-        out = dists.copy()
-        out[worst] = np.minimum(out[worst], refined)
-        return out
+    def _nearest(self, pts, j):
+        """(dists, node_idx) of projected samples of slack class j, moved
+        into cell 0: the kernel's nearest node, and for a curve the nearer
+        chord at that node and translate where it is nearer still."""
+        offs = self.projected.offsets(j, MAX_TRANSLATES)
+        dists, node_idx, offset_idx = min_distance_batch(pts, offs, self.nodes)
+        line = self.polyline
+        # with no projected coordinate every distance is already 0
+        if line is not None and len(self.proj):
+            start = np.take(offs, offset_idx, axis=0) + np.take(self.nodes, node_idx, axis=0)
+            r = pts - start
+            at = np.take(line, node_idx, axis=0)
+            for step in (1, -1):
+                # an end node's missing neighbour is itself: a zero chord
+                nb = np.take(line, np.clip(node_idx + step, 0, len(line) - 1), axis=0)
+                # fmin keeps the node distance where the chord's is NaN
+                np.fmin(dists, _chord_distances(r, at, nb), out=dists)
+        return dists, node_idx
 
     # -- coverage cells ------------------------------------------------------
 

@@ -20,7 +20,8 @@ the certified-root box arithmetic on Fraction endpoints,
 ``projected_lattice_rows`` finds a basis of the projected lattice by exact
 integer elimination, ``reduced_projected_rows`` moves such a basis to short
 lifts and LLL-reduces it, and ``brute_force_distances`` measures distances
-to its translates over a box that holds each query's minimiser,
+to its translates over a box that holds each query's minimiser, and to a
+curve's chords there,
 ``reduce_points_by_matmul``, ``reduction_residual_by_matmul``,
 ``to_internal_by_copy``, ``branch_by_complex_powers`` and
 ``stacked_points`` are the verifier's row stages as first written, with
@@ -40,7 +41,7 @@ from torusflow import exactlinalg as xl
 from torusflow._kernels import min_distance_batch
 from torusflow.asymptotics import _abs_lower, _abs_upper
 from torusflow.expressions import compile_numeric, parse_expr, split_vector
-from torusflow.flats import Flat, ParametricBranch, TPoly
+from torusflow.flats import CurveImage, Flat, ParametricBranch, TPoly
 from torusflow.lattice import (
     hermite_normal_form,
     int_kernel_basis,
@@ -579,11 +580,33 @@ def reduced_projected_rows(B, proj, rows, kernel=()):
     return rows, kernel, lift
 
 
-def brute_force_distances(pts, nodes, B, proj, rows, kernel=()):
-    """(dists, node_idx): per query x, the least |x - (k @ B) @ proj.T - node|
-    over the nodes and over k = j @ rows, j an integer vector in a box that
-    holds the minimiser, squared and summed coordinate by coordinate, and a
-    node that attains it.  ``rows`` are first reduced
+def _segment_sq_dists(r, e):
+    """Squared distances from r to the segments from 0 to e, over the last
+    axis and broadcast: the nearest point is s e, s = clip(r.e / e.e, 0, 1),
+    0 where e.e = 0, and every sum goes coordinate by coordinate."""
+    re, ee, d2 = 0.0, 0.0, 0.0
+    for k in range(r.shape[-1]):
+        re = re + r[..., k] * e[..., k]
+        ee = ee + e[..., k] * e[..., k]
+    re, ee = np.broadcast_arrays(re, ee)
+    s = np.clip(np.divide(re, ee, out=np.zeros(re.shape), where=ee > 0), 0.0, 1.0)
+    for k in range(r.shape[-1]):
+        d2 = d2 + (r[..., k] - s * e[..., k]) ** 2
+    return d2
+
+
+def brute_force_distances(pts, nodes, B, proj, rows, kernel=(), chords=None):
+    """(dists, node_idx, polyline): per query x, the least
+    |x - (k @ B) @ proj.T - node| over the nodes and over k = j @ rows, j an
+    integer vector in a box that holds the minimiser, squared and summed
+    coordinate by coordinate, and a node that attains it.
+
+    ``chords`` are a curve's (P + 1, q) projected chords, row p from node
+    p - 1 to node p, with zero rows at the ends.  With them, dists keeps the
+    distance to the nearer of the two chords at the nearest (translate,
+    node) where that is smaller, and polyline is the least distance to every
+    chord, measured from each of its two end nodes, over every translate of
+    the box.  Without them, polyline is dists.  ``rows`` are first reduced
     (``reduced_projected_rows``), which changes only the size of the boxes
     (any basis holds the minimiser in its box; a reduced one, a small box),
     and each k is moved to a short lift as they are.
@@ -593,7 +616,9 @@ def brute_force_distances(pts, nodes, B, proj, rows, kernel=()):
     coordinates of x - node over b leaves an in-span residual of at most
     h = sum |b_i| / 2, so the nearest translate's residual e b has
     |e b| <= h and |e_i| <= h sqrt((G^-1)_ii); the box spans that much
-    around the coordinates of x minus those of every node.
+    around the coordinates of x minus those of every node.  A point of a
+    chord lies within half the chord of one of its end nodes, so with
+    chords the box spans half the largest chord's coordinates more.
     """
     rows, kernel, lift = reduced_projected_rows(B, proj, rows, kernel)
     basis = (rows @ B) @ proj.T
@@ -601,6 +626,8 @@ def brute_force_distances(pts, nodes, B, proj, rows, kernel=()):
     pinv = basis.T @ gram_inv
     h = 0.5 * float(np.linalg.norm(basis, axis=1).sum())
     rho = h * np.sqrt(np.diag(gram_inv)) * (1 + 1e-9) + 1e-6
+    if chords is not None and len(rows):
+        rho = rho + 0.5 * np.abs(chords @ pinv).max(axis=0)
     # each node moved by its own cell into cell 0, so that the boxes stay
     # small however the nodes spread; the minimum over all translates stays
     cells = np.floor(nodes @ pinv)
@@ -612,6 +639,7 @@ def brute_force_distances(pts, nodes, B, proj, rows, kernel=()):
     cy = nodes @ pinv
     out = np.empty(len(pts))
     node_idx = np.empty(len(pts), dtype=np.intp)
+    polyline = np.empty(len(pts))
     for i, x in enumerate(pts):
         c = x @ pinv
         lo = np.floor(c - cy.max(axis=0, initial=-np.inf) - rho).astype(int)
@@ -631,14 +659,27 @@ def brute_force_distances(pts, nodes, B, proj, rows, kernel=()):
         for k in range(len(x)):
             d2 += (x[k] - targets[..., k]) ** 2
         out[i] = math.sqrt(d2.min())
-        node_idx[i] = np.argmin(d2.min(axis=0))
-    return out, node_idx
+        node_idx[i] = p = np.argmin(d2.min(axis=0))
+        polyline[i] = out[i]
+        if chords is None:
+            continue
+        r = x - targets
+        t = np.argmin(d2[:, p])
+        for e in (chords[p + 1], -chords[p]):
+            out[i] = min(out[i], math.sqrt(_segment_sq_dists(r[t, p], e)))
+        for e in (chords[1:], -chords[:-1]):
+            polyline[i] = min(polyline[i], out[i], math.sqrt(_segment_sq_dists(r, e).min()))
+    return out, node_idx, polyline
 
 
-def brute_force_evaluator_distances(ev, reduced, scale=1.0):
-    """``ComponentEvaluator.distances`` of the reduced rows by brute force,
-    the curve refine included: the rows it refines get the brute-force
-    distance to the 33-point window around their nearest node too.
+def brute_force_evaluator_distances(ev, comp, lat, reduced, scale=1.0):
+    """(dists, polyline): ``ComponentEvaluator.distances`` of the reduced
+    rows by brute force, for the evaluator ``ev`` of the component ``comp``
+    over ``lat``, and for a curve the least distance to its polyline, every
+    chord between consecutive nodes at every translate of the box
+    (``brute_force_distances``).  The evaluator's distance lies between the
+    two, and is the polyline's where the nearest chord is at the nearest
+    node; without a curve they are equal.
 
     The projection is along W + D plus the torus closure of its
     intersection with span Lambda, which the evaluator's ``proj`` must
@@ -647,10 +688,9 @@ def brute_force_evaluator_distances(ev, reduced, scale=1.0):
     vector: its coordinates over the basis from ``projected_lattice_rows``
     lie within 1e-9 of integers, times ``scale``, a float or one per row,
     for rows so far out that a move of their size rounds by more."""
-    lat = ev.lat
-    space = ev.comp.effective_span
-    if isinstance(ev.comp.base, Flat):
-        space = space.sum(ev.comp.base.directions)
+    space = comp.effective_span
+    if isinstance(comp.base, Flat):
+        space = space.sum(comp.base.directions)
     space = space.sum(torus_closure(space.intersect(lat.span), lat).W)
     assert len(ev.proj) == lat.ambient_dim - space.dim
     assert np.allclose(space.float_basis() @ ev.proj.T, 0.0, atol=1e-9)
@@ -668,22 +708,18 @@ def brute_force_evaluator_distances(ev, reduced, scale=1.0):
     else:
         assert np.array_equal(pts, projected)
     nodes = ev.nodes_full @ ev.proj.T
-    d, node_idx = brute_force_distances(pts, nodes, B, ev.proj, rows, kernel)
-    if ev.curve_params is None:
-        return d
-    worst = np.nonzero(d > 0.25 * ev.cfg.tolerance)[0]
-    if len(worst) > 4096:
-        worst = worst[np.argsort(d[worst])[-4096:]]
-    spacing = ev.curve_params[1] - ev.curve_params[0]
-    lo, hi = ev.comp.base.param_range
-    out = d.copy()
-    for i in worst:
-        p0 = ev.curve_params[node_idx[i]]
-        local = np.linspace(max(p0 - spacing, lo), min(p0 + spacing, hi), 33)
-        window = lat.reduce_points(ev.comp.base.sample_at(local))[0] @ ev.proj.T
-        w, _ = brute_force_distances(pts[i : i + 1], window, B, ev.proj, rows, kernel)
-        out[i] = min(out[i], w[0])
-    return out
+    chords = None
+    if isinstance(comp.base, CurveImage):
+        # steps of the projected nodes, as the evaluator takes them, and
+        # zero where not finite, which the evaluator's NaN chord distance
+        # amounts to
+        raw = comp.base.sample_at(np.linspace(*comp.base.param_range, ev.cfg.curve_nodes))
+        chords = np.zeros((len(raw) + 1, len(ev.proj)))
+        with np.errstate(invalid="ignore", over="ignore"):
+            chords[1:-1] = np.diff(raw @ ev.proj.T, axis=0)
+        chords[~np.isfinite(chords).all(axis=1)] = 0.0
+    d, _, polyline = brute_force_distances(pts, nodes, B, ev.proj, rows, kernel, chords)
+    return d, polyline
 
 
 def orbit_coverage(descriptor, lat, reduced, eps):
@@ -699,7 +735,7 @@ def orbit_coverage(descriptor, lat, reduced, eps):
     offsets = translates(lat, 2) @ proj.T
     if len(offsets):
         rounded = np.unique(np.round(offsets, 9), axis=0)
-        d, _ = min_distance_batch(perp, rounded, np.zeros((1, perp.shape[1])))
+        d = min_distance_batch(perp, rounded, np.zeros((1, perp.shape[1])))[0]
     else:
         d = np.linalg.norm(perp, axis=1)
     off_max = float(np.max(d)) if len(d) else 0.0

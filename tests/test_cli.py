@@ -397,6 +397,34 @@ def test_branch_with_rays_takes_the_real_statement(tmp_path):
     assert code == 0 and report["span_condition"] == "real_only"
 
 
+# a real-mode hyperbola drawn along the ray t = i s: every real part is 0
+NON_REAL_RAY = GAUSSIAN_FIELD.replace("mode = complex", "mode = real") + """\
+ambient_dim = 2
+declared_dim = 1
+
+[lattice]
+row = (1, 0)
+row = (0, 1)
+
+[variety]
+branch = rays (theta) : (t, 1/t)
+
+[flow]
+component = base point (0, 0) ; span r(1, 0)
+"""
+
+
+@pytest.mark.parametrize("command", ["closure", "verify", "sample"])
+def test_non_real_ray_in_real_mode_is_a_parse_error(tmp_path, capsys, command):
+    spec = tmp_path / "ray.tfp"
+    spec.write_text(NON_REAL_RAY)
+    extra = ["--out", str(tmp_path / "dump.csv")] if command == "sample" else []
+    assert _exit_code([command, str(spec)] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: bad branch piece: real-mode branch has a non-real ray")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["closure", "verify"])
 def test_invariant_violation_exits_internal(workdir, capsys, monkeypatch, command):
     def broken(variety, lattice):

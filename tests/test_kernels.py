@@ -13,7 +13,6 @@ from torusflow._kernels import (
     INDEX_MIN_PAIRS,
     INDEX_MIN_TARGETS,
     min_distance_batch,
-    min_distance_local,
     uses_index,
 )
 
@@ -42,16 +41,18 @@ def brute_force(points, offsets, nodes):
     with np.errstate(invalid="ignore"):
         d2 = ((points[:, None, :] - combos[None, :, :]) ** 2).sum(-1)
     idx = d2.argmin(axis=1)
-    return np.sqrt(d2[np.arange(len(points)), idx]), idx % len(nodes)
+    return np.sqrt(d2[np.arange(len(points)), idx]), idx % len(nodes), idx // len(nodes)
 
 
 def assert_matches_brute_force(fn, pts, offs, nds):
-    d, idx = fn(pts, offs, nds)
-    ref_d, ref_idx = brute_force(pts, offs, nds)
+    d, idx, t = fn(pts, offs, nds)
+    ref_d, ref_idx, ref_t = brute_force(pts, offs, nds)
     # both sum the same squared differences in the same order; a query that
-    # is not a number is at distance nan from every target
+    # is not a number is at distance nan from every target.  The node and
+    # the offset are those of the lowest flat index t * P + p on ties
     assert np.array_equal(d, ref_d, equal_nan=True)
     assert np.array_equal(idx, ref_idx)
+    assert np.array_equal(t, ref_t)
 
 
 @st.composite
@@ -205,9 +206,9 @@ def test_sorted_scans_only_unsure_queries(monkeypatch):
 
 def test_no_coordinates_answer_directly(scanned):
     for fn in SEARCHES:
-        d, idx = fn(np.zeros((5, 0)), np.zeros((3, 0)), np.zeros((4, 0)))
+        d, idx, t = fn(np.zeros((5, 0)), np.zeros((3, 0)), np.zeros((4, 0)))
         assert np.array_equal(d, np.zeros(5))
-        assert np.array_equal(idx, np.zeros(5))
+        assert np.array_equal(idx, np.zeros(5)) and np.array_equal(t, np.zeros(5))
     assert scanned == []
 
 
@@ -269,11 +270,11 @@ def test_ties_go_to_the_lowest_flat_index(fn):
     # targets: t=0 -> (-1, 1), t=1 -> (1, 3); a query at 1 ties flat 1 and 2
     offs = np.array([[0.0], [2.0]])
     nds = np.array([[-1.0], [1.0]])
-    d, idx = fn(np.ones((3, 1)), offs, nds)
+    d, idx, t = fn(np.ones((3, 1)), offs, nds)
     assert np.array_equal(d, np.zeros(3))
-    assert np.array_equal(idx, [1, 1, 1])
+    assert np.array_equal(idx, [1, 1, 1]) and np.array_equal(t, [0, 0, 0])
     # duplicated nodes: the first copy wins
-    d, idx = fn(np.full((3, 1), 0.4), np.zeros((1, 1)), np.array([[2.0], [0.0], [0.0]]))
+    d, idx, _ = fn(np.full((3, 1), 0.4), np.zeros((1, 1)), np.array([[2.0], [0.0], [0.0]]))
     assert np.array_equal(idx, [1, 1, 1])
 
 
@@ -287,9 +288,6 @@ def test_work_split_into_small_chunks_changes_nothing(monkeypatch, q):
     nds = rng.normal(size=(30, q))
     for fn in SEARCHES:
         assert_matches_brute_force(fn, pts, offs, nds)
-    local = rng.normal(size=(80, 33, q))
-    ref = [min_distance_batch(pts[i : i + 1], offs, local[i])[0][0] for i in range(80)]
-    assert np.array_equal(min_distance_local(pts, offs, local, np.arange(80)), ref)
 
 
 @pytest.mark.parametrize(
@@ -358,20 +356,20 @@ def test_both_sides_of_the_size_cutoff(monkeypatch, M, P, indexed):
 
 def test_empty_inputs():
     for fn in SEARCHES:
-        d, idx = fn(np.zeros((0, 3)), np.zeros((2, 3)), np.zeros((2, 3)))
-        assert len(d) == 0 and len(idx) == 0
-        d, idx = fn(np.zeros((4, 3)), np.zeros((0, 3)), np.zeros((2, 3)))
-        assert np.all(np.isinf(d))
-        d, idx = fn(np.zeros((4, 3)), np.zeros((2, 3)), np.zeros((0, 3)))
-        assert np.all(np.isinf(d))
+        d, idx, t = fn(np.zeros((0, 3)), np.zeros((2, 3)), np.zeros((2, 3)))
+        assert len(d) == 0 and len(idx) == 0 and len(t) == 0
+        d, idx, t = fn(np.zeros((4, 3)), np.zeros((0, 3)), np.zeros((2, 3)))
+        assert np.all(np.isinf(d)) and len(idx) == len(t) == 4
+        d, idx, t = fn(np.zeros((4, 3)), np.zeros((2, 3)), np.zeros((0, 3)))
+        assert np.all(np.isinf(d)) and len(idx) == len(t) == 4
 
 
 def test_single_target():
     for fn in SEARCHES:
         pts = np.array([[3.0, 4.0]])
-        d, idx = fn(pts, np.zeros((1, 2)), np.zeros((1, 2)))
+        d, idx, t = fn(pts, np.zeros((1, 2)), np.zeros((1, 2)))
         assert np.allclose(d, [5.0])
-        assert idx[0] == 0
+        assert idx[0] == 0 and t[0] == 0
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
@@ -386,32 +384,3 @@ def test_narrow_scans_match_the_argmin_scan(monkeypatch, q):
             wide = _kernels._scan(pts, targets)
         assert np.array_equal(narrow[0], wide[0])
         assert np.array_equal(narrow[1], wide[1])
-
-
-@pytest.mark.parametrize("chunk", [7, 1 << 20])
-def test_local_windows_match_per_point_batches(monkeypatch, chunk):
-    # distinct windows handed over once, with a window index per row
-    monkeypatch.setattr(_kernels, "_CHUNK_PAIRS", chunk)
-    rng = np.random.default_rng(4)
-    pts = rng.normal(size=(60, 2)) * 3.0
-    windows = rng.normal(size=(5, 33, 2))
-    node_of = rng.integers(0, 5, size=60)
-    offs = rng.integers(-2, 3, size=(4, 2)).astype(float)
-    d = min_distance_local(pts, offs, windows, node_of)
-    ref = [
-        min_distance_batch(pts[i : i + 1], offs, windows[node_of[i]])[0][0]
-        for i in range(60)
-    ]
-    assert np.array_equal(d, ref)
-    assert np.array_equal(d, min_distance_local(pts, offs, windows[node_of], np.arange(60)))
-
-
-def test_local_nodes_match_per_point_batches():
-    rng = np.random.default_rng(3)
-    pts = rng.normal(size=(50, 2))
-    offs = rng.integers(-1, 2, size=(9, 2)).astype(float)
-    nodes = rng.normal(size=(50, 33, 2))
-    d = min_distance_local(pts, offs, nodes, np.arange(50))
-    ref = [min_distance_batch(pts[i : i + 1], offs, nodes[i])[0][0] for i in range(50)]
-    assert np.array_equal(d, ref)
-    assert np.all(np.isinf(min_distance_local(pts, offs[:0], nodes, np.arange(50))))

@@ -25,7 +25,7 @@ from torusflow.flats import CurveImage, Flat, PointSet
 from torusflow.flow import predicted_flow
 from torusflow.lattice import Lattice, ProjectedLattice, Subspace, lll_reduce
 from torusflow.numberfield import NumberField, rationals
-from torusflow.specfile import load_problem
+from torusflow.specfile import load_problem, parse_problem
 from torusflow.verifier import ComponentEvaluator, SampleConfig, distinct_rows
 
 from oracles import brute_force_evaluator_distances, int_det
@@ -196,7 +196,7 @@ def _random_component(rng, QQ, kind, K=None):
                 break
         W = Subspace(n, [line, v.tolist()], K)
     [comp] = predicted_flow([(base, W, kind)], lat, "real").components
-    return lat, ComponentEvaluator(comp, lat, SampleConfig(curve_nodes=200))
+    return lat, comp, ComponentEvaluator(comp, lat, SampleConfig(curve_nodes=200))
 
 
 def _queries(rng, lat, far):
@@ -221,16 +221,23 @@ def test_distances_equal_brute_force(QQ, K, kind, far):
     # the brute force takes every translate of a box of coordinates over an
     # exactly derived basis of Lambda' that holds each query's minimiser
     rng = np.random.default_rng([7, len(kind), far])
-    # the curve's brute force refines row by row, so it takes fewer cases
+    # the curve's brute force measures every chord, so it takes fewer cases
     for _ in range(6 if kind == "curve" else 12):
-        lat, ev = _random_component(rng, QQ, kind, K)
+        lat, comp, ev = _random_component(rng, QQ, kind, K)
         reduced = _queries(rng, lat, far)
         got, _ = ev.distances(reduced)
         # far out one ulp of a coordinate passes 1e-12, so the bounds there
         # are relative to the query's size
         scale = 1.0 + np.abs(reduced).max(axis=1) if far else 1.0
-        want = brute_force_evaluator_distances(ev, reduced, scale)
+        want, polyline = brute_force_evaluator_distances(ev, comp, lat, reduced, scale)
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        # a curve row is no nearer than the curve's polyline, and the near
+        # ones here find its nearest chord at their nearest node; far out,
+        # translates of the curve crowd, and 32 of the 60 rows of one case
+        # have a nearer chord at another node
+        assert np.all(got >= polyline - 1e-12 * scale)
+        if not far:
+            assert np.all(np.abs(got - polyline) <= 1e-12)
 
 
 @pytest.mark.parametrize("block_targets, chunk_pairs", [(1, 1 << 20), (10**9, 1 << 20), (10**9, 0)])
@@ -250,7 +257,7 @@ def test_every_grouping_of_the_queries_gives_the_same_answer(
     rng = np.random.default_rng(11)
     classes, cells = set(), 0
     for kind in ("points", "affine", "curve", "irrational-span", "irrational-dirs"):
-        lat, ev = _random_component(rng, QQ, kind, K)
+        lat, _, ev = _random_component(rng, QQ, kind, K)
         B = lat.float_basis()
         spread = rng.uniform(-40.0, 40.0, size=(30, len(B))) @ B
         spread *= 10.0 ** rng.integers(0, 11, size=(30, 1))
@@ -269,6 +276,30 @@ def test_every_grouping_of_the_queries_gives_the_same_answer(
     assert len(classes) >= 3 and cells >= 10
 
 
+def test_every_curve_row_gets_its_own_distance_in_a_large_batch():
+    # plane_cylinder's whole curve (0, u), u in (-10, 10), on 4000 nodes at
+    # tolerance 0.004: 6000 of 10000 rows lie farther than tolerance / 4
+    # from their nearest node, and each gets the distance it gets alone,
+    # measured as two copies of itself as above.  The curve is straight, so
+    # its chords take every row to within rounding of it
+    head = (ROOT / "problems" / "plane_cylinder.tfp").read_text().split("[verify]")[0]
+    spec = parse_problem(
+        head + "[flow]\ncomponent = base curve u in (-10, 10) : (0, u) ; span r(1, 0)\n"
+        "[verify]\ntolerance = 0.004\ncurve_nodes = 4000\n"
+    )
+    [comp] = spec.predicted_flow().components
+    ev = ComponentEvaluator(comp, spec.lattice, spec.sample_config)
+    rng = np.random.default_rng(5)
+    queries = np.column_stack([rng.uniform(0.0, 1.0, 10000), rng.uniform(-10.0, 10.0, 10000)])
+    node_dists = _kernels.min_distance_batch(queries @ ev.proj.T, ev.offsets, ev.nodes)[0]
+    assert np.sum(node_dists > 0.001) > 4096
+    d, i = ev.distances(queries)
+    one = [ev.distances(queries[[k, k]]) for k in range(len(queries))]
+    assert np.array_equal(np.concatenate([x[:1] for x, _ in one]), d)
+    assert np.array_equal(np.concatenate([x[:1] for _, x in one]), i)
+    assert d.max() < 1e-12
+
+
 def test_dinh_vu_sample_rows_equal_brute_force(tmp_path):
     # every row of the CSV, escaped ones included: their transverse parts
     # reach about 8e5, far outside any fixed box of translates
@@ -278,17 +309,12 @@ def test_dinh_vu_sample_rows_equal_brute_force(tmp_path):
                  "--out", str(out)]) == 0
     rows = list(csv.reader(out.open()))
     cols = [i for i, name in enumerate(rows[0]) if name.startswith("reduced_")]
-    shell = np.array([int(r[0]) for r in rows[1:]])
     reduced = np.array([[float(r[i]) for i in cols] for r in rows[1:]])
     got = np.array([float(r[-1]) for r in rows[1:]])
     want = np.full(len(got), np.inf)
     for comp in spec.predicted_flow().components:
         ev = ComponentEvaluator(comp, spec.lattice, spec.sample_config)
-        for s in np.unique(shell):
-            # the sampler measures each shell in one call, and the curve
-            # refine picks its rows per call
-            sel = shell == s
-            want[sel] = np.minimum(want[sel], brute_force_evaluator_distances(ev, reduced[sel]))
+        want = np.minimum(want, brute_force_evaluator_distances(ev, comp, spec.lattice, reduced)[0])
     assert np.max(np.abs(reduced)) > 5e5
     assert np.array_equal(got, want)
 

@@ -18,7 +18,6 @@ from torusflow._kernels import min_distance_batch
 from torusflow.cli import main
 from torusflow.errors import ShellStarved, TorusflowError
 from torusflow.flats import (
-    CurveImage,
     Flat,
     GraphPiece,
     PointSet,
@@ -42,6 +41,7 @@ from torusflow.verifier import (
 from oracles import (
     box_offsets,
     branch,
+    brute_force_evaluator_distances,
     branch_by_complex_powers,
     orbit_coverage,
     same_bits,
@@ -355,45 +355,14 @@ curve_nodes = 4000
 """
 
 
-def refined_rows(ev, dists):
-    """The rows ``_refine_curve`` refines: the 4096 roughest rough ones."""
-    worst = np.nonzero(dists > 0.25 * ev.cfg.tolerance)[0]
-    if len(worst) > 4096:
-        worst = worst[np.argsort(dists[worst])[-4096:]]
-    return worst
-
-
-def in_cell_zero(ev, pts):
-    """(pts, classes): projected samples moved into cell 0, and their slack
-    classes, as ``distances`` hands them to ``_refine_curve``."""
-    _, cls = ev.projected.cells(pts, ev.node_reach)
-    return ev.projected.recentre(pts), cls
-
-
-def refine_per_sample(ev, pts, dists, node_idx):
-    """Reference for the batched refine: one kernel call per rough sample,
-    against the coefficient box of translates the refine searched before
-    the projected-lattice search (``oracles.box_offsets``)."""
-    spacing = ev.curve_params[1] - ev.curve_params[0]
-    lo, hi = ev.comp.base.param_range
-    offsets = box_offsets(ev.lat, ev.proj)
-    out = dists.copy()
-    for idx in refined_rows(ev, dists):
-        p0 = ev.curve_params[node_idx[idx]]
-        local = np.linspace(max(p0 - spacing, lo), min(p0 + spacing, hi), 33)
-        red, _, _ = ev.lat.reduce_points(ev.comp.base.sample_at(local))
-        d, _ = min_distance_batch(pts[idx : idx + 1], offsets, red @ ev.proj.T)
-        out[idx] = min(out[idx], d[0])
-    return out
-
-
 def curve_case(name):
-    """(evaluator, projected samples, rough distances, nearest nodes) of a
-    curve component on the far samples of its problem: the cylinder's half
-    curve, with 4531 rough rows, 4096 of them refined, at 2 distinct nodes,
-    or dinh_vu's complex curve-plus, with 686 rough rows at 44 distinct nodes.
-    The rough distances are those of the coefficient box of translates, as
-    the evaluator measured them before the projected-lattice search.
+    """(component, lattice, evaluator, reduced far samples, node distances,
+    nearest nodes) of a curve component on the far samples of its problem:
+    the cylinder's half curve, on which 4533 of 6000 rows lie past its ends
+    u = -10 and u = 0, or dinh_vu's complex curve-plus, on which 356 of 1000
+    rows come nearer along a chord.  The node distances and nearest nodes
+    are those of the coefficient box of translates, as the evaluator
+    measured them before the projected-lattice search.
     """
     if name == "half-curve":
         text = CYLINDER_CURVE.format(hi=0)
@@ -405,64 +374,48 @@ def curve_case(name):
         [lat.reduce_points(sh.internal)[0]
          for sh in sample_far_points(spec.variety, cfg, lat)]
     )
-    ev = ComponentEvaluator(spec.predicted_flow().components[0], lat, cfg)
-    pts = reduced @ ev.proj.T
-    dists, node_idx = min_distance_batch(pts, box_offsets(lat, ev.proj), ev.nodes)
-    return ev, pts, dists, node_idx, reduced
+    comp = spec.predicted_flow().components[0]
+    ev = ComponentEvaluator(comp, lat, cfg)
+    dists, node_idx, _ = min_distance_batch(reduced @ ev.proj.T, box_offsets(lat, ev.proj), ev.nodes)
+    return comp, lat, ev, reduced, dists, node_idx
 
 
 class TestCurveBase:
-    def test_batched_refine_matches_per_sample_loop(self):
-        ev, pts, dists, node_idx, _ = curve_case("half-curve")
-        batched = ev._refine_curve(*in_cell_zero(ev, pts), dists, node_idx)
-        reference = refine_per_sample(ev, pts, dists, node_idx)
-        # every refined row lies past an end of the curve, whose end node is
-        # nearest, so a window cut off at that end finds nothing nearer
-        assert len(refined_rows(ev, dists)) == 4096
-        assert np.array_equal(batched, dists)
-        assert np.array_equal(batched, reference)
-
-    def test_batched_refine_matches_per_sample_loop_on_a_complex_curve(self):
-        ev, pts, dists, node_idx, _ = curve_case("complex-curve")
-        batched = ev._refine_curve(*in_cell_zero(ev, pts), dists, node_idx)
-        reference = refine_per_sample(ev, pts, dists, node_idx)
-        # 37 of the 686 refined rows come nearer, all at inner nodes; none
-        # of the 644 at the curve's end nodes can
-        nearer = batched < dists
-        assert np.sum(nearer) > 30
-        assert not np.any(nearer & np.isin(node_idx, [0, len(ev.curve_params) - 1]))
-        assert np.array_equal(batched, reference)
-
-    @pytest.mark.parametrize("case", ["half-curve", "complex-curve"])
-    def test_refine_evaluates_one_window_per_distinct_node(self, monkeypatch, case):
-        ev, pts, dists, node_idx, _ = curve_case(case)
-        sizes = []
-        sample_at = CurveImage.sample_at
-
-        def spy(self, params):
-            sizes.append(len(params))
-            return sample_at(self, params)
-
-        monkeypatch.setattr(CurveImage, "sample_at", spy)
-        ev._refine_curve(*in_cell_zero(ev, pts), dists, node_idx)
-        rows = refined_rows(ev, dists)
-        nodes = len(np.unique(node_idx[rows]))
-        assert len(rows) > nodes > 1
-        assert sizes == [33 * nodes]
-
     @pytest.mark.parametrize("case", ["half-curve", "complex-curve"])
     def test_distances_equal_the_coefficient_box(self, case):
-        # each row moved into cell 0 and each window handed to the kernel
-        # once; the distances and nodes are those of the box
-        ev, pts, dists, node_idx, reduced = curve_case(case)
+        # each row moved into cell 0: the nearest nodes are those of the box,
+        # the distances those of the brute force over its chords, and a row
+        # that comes no nearer along a chord keeps the box's bits
+        comp, lat, ev, reduced, dists, node_idx = curve_case(case)
         new, new_idx = ev.distances(reduced)
         assert np.array_equal(new_idx, node_idx)
-        assert np.array_equal(new, refine_per_sample(ev, pts, dists, node_idx))
+        want, _ = brute_force_evaluator_distances(ev, comp, lat, reduced)
+        scale = 1.0 + np.abs(reduced).max(axis=1)
+        assert np.all(np.abs(new - want) <= 1e-12 * scale)
+        assert np.all(new <= dists)
+        if case == "half-curve":
+            # past an end node the one chord there points away
+            past = (reduced[:, 1] > 0) | (reduced[:, 1] < -10)
+            assert np.sum(past) == 4533
+            assert np.array_equal(new[past], dists[past])
+            assert np.all(new[~past] < 1e-12)
+        else:
+            assert np.sum(new < dists) == 356
+
+    def test_a_straight_curve_measures_zero(self, tmp_path):
+        # the whole curve (0, u) holds every sample; its nodes, 0.005 apart,
+        # measured up to 2.5e-3, its chords measure rounding alone
+        path = tmp_path / "curve.tfp"
+        path.write_text(CYLINDER_CURVE.format(hi=10))
+        assert main(["verify", str(path)]) == 0
+        report = json.loads((tmp_path / "curve.tfp.report.json").read_text())
+        assert report["max_containment_distance"] <= 1e-12
 
     def test_refine_window_stops_at_the_end_of_the_curve(self, tmp_path, capsys):
-        # every sample lies 0.004 from the curve's end u = 0; a window that
-        # ran one node spacing (10/3999) past that end measured 1.5e-3 and
-        # passed at tolerance 0.003
+        # every sample lies 0.004 from the curve's end u = 0, along the
+        # curve; the one chord at that end points away from them, and a
+        # chord that ran one node spacing (10/3999) past that end would
+        # measure 1.5e-3 and pass at tolerance 0.003
         text = CYLINDER_CURVE.format(hi=0)
         text = text.replace("affine = point (0, 0) dirs (1, 0) (0, 1)",
                             "affine = point (0, 4/1000) dirs (1, 0)")
@@ -1044,10 +997,11 @@ def _arclength(raw):
     return cum
 
 
-def _reference_base_cells(ev, sub, node_idx):
-    """Each sample's base cell from the base's definition (None outside the
-    window), and the number of base cells."""
-    base, cfg = ev.comp.base, ev.cfg
+def _reference_base_cells(ev, base, sub, node_idx):
+    """Each sample's base cell from the definition of ``base``, the base of
+    the evaluator's component (None outside the window), and the number of
+    base cells."""
+    cfg = ev.cfg
     w, eps = cfg.window, cfg.grid_eps
     if base.kind == "affine" and base.directions.dim:
         q, _ = np.linalg.qr(base.directions.float_basis().T)
@@ -1125,12 +1079,12 @@ class TestCoverageCells:
         assign_tol = max(cfg.tolerance, cfg.grid_eps)
         eps = cfg.grid_eps
         k = int(np.ceil(1.0 / eps))
-        for ev, n_hit, frac in zip(evaluators, hits, fractions):
-            assert ev.comp.base.kind == kind
+        for comp, ev, n_hit, frac in zip(fd.components, evaluators, hits, fractions):
+            assert comp.base.kind == kind
             d, node_idx = ev.distances(reduced)
             sel = d <= assign_tol
             sub = reduced[sel]
-            base_cells, base_total = _reference_base_cells(ev, sub, node_idx[sel])
+            base_cells, base_total = _reference_base_cells(ev, comp.base, sub, node_idx[sel])
             torus = np.zeros((len(sub), 0), dtype=int)
             if ev.torus_dim:
                 u = sub @ ev.torus_solve.T
