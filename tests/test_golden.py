@@ -16,7 +16,11 @@ before their distance (only ``min_distance`` moved, in its last digits, on
 rows outside cell 0; see CHANGES.md).  The dinh_vu_mutated CSV hashes at
 seeds 1 and 2 were re-recorded when a curve's refine window stopped at the
 ends of its parameter range (only ``min_distance`` moved, up, on far rows
-whose nearest node is a curve end; see CHANGES.md).  A change that
+whose nearest node is a curve end; see CHANGES.md).  The dinh_vu and
+dinh_vu_mutated reports and CSVs at seeds 1 and 2, and dinh_vu's verify
+stdout, were re-recorded when a curve sample came to measure the chords at
+its nearest node in place of refine windows (only distances moved, almost
+all down; see CHANGES.md).  A change that
 alters an output, even in the last digit of a distance, fails here; if the
 change is intended, say so in CHANGES.md and record the new hashes.
 """
@@ -30,13 +34,13 @@ from torusflow.cli import main
 
 # (problem, seed, exit code, sha256 of .report.json, sha256 of stdout)
 GOLDEN = [
-    ("dinh_vu", 1, 0, "6d7d32680f2eb1a12ba51e9b7c7d60def65313a88fd7c803538d45390cea1612",
-     "0e11e053829f13e868394880d2f3312a558d7add88386c755eb28988a1f35f18"),
-    ("dinh_vu", 2, 0, "62a5a40f6813ff5ada55c09c4fa0f5b83be0a397603b3669cc2557b48ce0e666",
-     "5bc5899657e1b58a201e2fc1eae3e1c2d96bd26df675b6cc2bd45047256a2a02"),
-    ("dinh_vu_mutated", 1, 5, "e4e482cbfb9317850071796e4a112c98bfd2fa212b10f00ed01b75484d27ece0",
+    ("dinh_vu", 1, 0, "bfe35e15b73878a9bf1044e07585ea8c0ee1e9a57aa7ad70930cce220d78688f",
+     "e9fa8edd9acbc0e58e38be0ca14e1032337782d5ddf3c993525f7ed4af4e112d"),
+    ("dinh_vu", 2, 0, "9f53198803502e9b3a9e13c746dfd99598306b6ebd39a824562414f439e85097",
+     "19b591a08a7c84fdac30bb4a77c813bdc7fec068c9745a77a5e156ad03091541"),
+    ("dinh_vu_mutated", 1, 5, "0c534f478c91a8591232b3c1c678cd9b4a8b4cb0a6f335ee0ff4dc037100934c",
      "47502fa6d46bf086c48c93e237c4a52bd3a0dc93fbae446b228d066a07d8dfeb"),
-    ("dinh_vu_mutated", 2, 5, "35eab23542ef45d380696ab4d586c7987e7ce77dfba737d70bd578238ae04b4d",
+    ("dinh_vu_mutated", 2, 5, "c0db53bbb8ed011ddbdf279685ff6d8f8cd4ba00827d5d41cd9d2d764884cb62",
      "a28753aa78a985e469447bc30b93f4f7d884c96e949bb6300bb0f0f8395d0eb1"),
     ("hyperbola", 1, 0, "9614f9ff44eb06b482ce9943e775fcb1c4e991337d6d9d14fbb916b7c7b68ed0",
      "767aa00c761bc08141508af1b697a10818bc1c53dbaf585e7a6c9ab9865b52a3"),
@@ -75,10 +79,10 @@ def test_verify_bytes(tmp_path, monkeypatch, capsys, name, seed, code,
 
 # (problem, seed, exit code, sha256 of the sample CSV)
 GOLDEN_CSV = [
-    ("dinh_vu", 1, 0, "a659aa04f51cc9efcb48f262e2ae6761f10230eafeb31250e5e7ec55010c4983"),
-    ("dinh_vu", 2, 0, "08146ac680b484a45a8bec4290e2306f03a67b1987eebceba98292228719d4ff"),
-    ("dinh_vu_mutated", 1, 0, "eed3965ff0d7aedba1f2710f861e002545302ac324be487c908352772c5f275a"),
-    ("dinh_vu_mutated", 2, 0, "1dee981cfc0ea657080d939c404590f710c4f05156503c437e7bfbb63f6cb81b"),
+    ("dinh_vu", 1, 0, "c82ca8b2d9c5531f94a5cfb0e98fbb561dd8d0b4090a1dffc360b7775f5d564c"),
+    ("dinh_vu", 2, 0, "bbd5084af42288a6dec033a7c692d58fe29e139a98762531c2da6b390b3be457"),
+    ("dinh_vu_mutated", 1, 0, "2bfb7db218ed0a386da289f80976b154bf4a7ad6bc26b3103fd307f8ea9f3bed"),
+    ("dinh_vu_mutated", 2, 0, "d0b55ef08acc9269f903e63f626d5edddc45c6c2b49cea8e535f0bbc7f0b40f0"),
     ("hyperbola", 1, 0, "bff9d2ccb7c2a370dd771bee827e6a8d6fd40859d4f910530f145c29a7e2d1ce"),
     ("hyperbola", 2, 0, "875e36cfd01e1a98434429362a7a22da03754ab8310ac078f44b8a86e4fd4f2e"),
     ("irrational_direction", 1, 0, "48287bda224387a48ceb4eb058f82eabd5465c2ee3534f86089351dccbc56fb7"),
