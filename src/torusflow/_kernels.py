@@ -116,8 +116,8 @@ def min_distance_batch(points, offsets, nodes):
     M, q = points.shape
     T, P = len(offsets), len(nodes)
     if M == 0 or T == 0 or P == 0 or q == 0:
-        # no target is infinitely far; with q = 0 every squared distance is
-        # the empty sum, so flat index 0 wins
+        # with no target every distance is inf; with q = 0 every squared
+        # distance is the empty sum, so flat index 0 wins
         dists = np.full(M, np.inf) if T == 0 or P == 0 else np.zeros(M)
         return dists, np.zeros(M, dtype=np.intp), np.zeros(M, dtype=np.intp)
     if not uses_index(M, T * P, q):

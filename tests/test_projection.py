@@ -278,7 +278,7 @@ def test_every_grouping_of_the_queries_gives_the_same_answer(
 
 def test_every_curve_row_gets_its_own_distance_in_a_large_batch():
     # plane_cylinder's whole curve (0, u), u in (-10, 10), on 4000 nodes at
-    # tolerance 0.004: 6000 of 10000 rows lie farther than tolerance / 4
+    # tolerance 0.004: 5989 of 10000 rows lie farther than tolerance / 4
     # from their nearest node, and each gets the distance it gets alone,
     # measured as two copies of itself as above.  The curve is straight, so
     # its chords take every row to within rounding of it
